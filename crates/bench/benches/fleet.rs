@@ -16,9 +16,6 @@
 //!   rebalancer to level a 6/0 session skew, plus the wall time.
 //! * `drain_to_rejoin_pause` — one full rolling restart of the routed
 //!   fleet: total wall time and the per-shard out-of-ring pause.
-//! * `fleet_of_8/direct_threads` — the direct workload again on the
-//!   legacy thread-per-connection engine; the reactor/threads gap is
-//!   `reactor_overhead_pct` (budget: ≤5%).
 //! * `idle_connections` — connection scale for the reactor engine: a
 //!   re-exec'd child process holds 10k idle sockets open (client fds
 //!   live in the child so both processes stay inside the fd limit)
@@ -34,9 +31,7 @@ use l2q_aspect::RelevanceOracle;
 use l2q_core::L2qConfig;
 use l2q_corpus::{generate, researchers_domain, CorpusConfig};
 use l2q_router::{RouterConfig, RouterCore, RouterServer};
-use l2q_service::{
-    BundleConfig, Client, HarvestServer, ServeMode, ServerConfig, ServerHandle, ServingBundle,
-};
+use l2q_service::{BundleConfig, Client, HarvestServer, ServerConfig, ServerHandle, ServingBundle};
 use l2q_store::{SessionStore, StoreConfig};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -218,66 +213,27 @@ fn main() {
     eprintln!("building corpus + serving bundle...");
     let b = bundle();
 
-    // --- direct: client -> one store-backed l2q-serve, both engines ----
-    // The reactor (the default) and the legacy thread-per-connection
-    // engine serve the same workload in **interleaved** rounds: slow
-    // drift (CPU warm-up, cache state, background load) then lands on
-    // both sides equally instead of biasing whichever ran second. The
-    // reactor/threads gap is the reactor's per-request cost (≤5%).
+    // --- direct: client -> one store-backed l2q-serve ------------------
     let direct_dir = bench_dir("direct");
     let mut direct = start_shard(&b, &direct_dir, "solo");
-    let threads_dir = bench_dir("direct-threads");
-    let threads_store = Arc::new(SessionStore::open(&threads_dir, StoreConfig::default()).unwrap());
-    let mut threads_srv = HarvestServer::spawn_with_store(
-        b.clone(),
-        ServerConfig {
-            workers: 2,
-            queue_cap: 64,
-            shard_id: Some("solo-threads".to_owned()),
-            serve_mode: ServeMode::Threads,
-            ..ServerConfig::default()
-        },
-        Some(threads_store),
-        "127.0.0.1:0",
-    )
-    .expect("bind threads-mode shard");
     let mut client = Client::connect(direct.addr()).expect("connect direct");
-    let mut threads_client = Client::connect(threads_srv.addr()).expect("connect threads-mode");
-    // Warm the shared caches and both engines once, unmeasured, so every
-    // measured round runs warm (the bundle — and its caches — is shared
-    // by every server).
+    // Warm the shared caches once, unmeasured, so every measured round
+    // runs warm (the bundle — and its caches — is shared by every
+    // server).
     let mut scratch = Vec::new();
     drive_fleet_wire(&mut client, &mut scratch, false);
-    drive_fleet_wire(&mut threads_client, &mut scratch, false);
-    let ab_rounds = fleet_rounds.max(4);
     let mut direct_lat = Vec::new();
-    let mut threads_lat = Vec::new();
-    for _ in 0..ab_rounds {
+    for _ in 0..fleet_rounds.max(4) {
         drive_fleet_wire(&mut client, &mut direct_lat, false);
-        drive_fleet_wire(&mut threads_client, &mut threads_lat, false);
     }
     direct.shutdown();
-    threads_srv.shutdown();
     std::fs::remove_dir_all(&direct_dir).ok();
-    std::fs::remove_dir_all(&threads_dir).ok();
     let direct_med = percentile_ns(&direct_lat, 0.5);
-    let threads_med = percentile_ns(&threads_lat, 0.5);
-    let reactor_overhead_pct = if threads_med == 0 {
-        0.0
-    } else {
-        (direct_med as f64 - threads_med as f64) / threads_med as f64 * 100.0
-    };
     println!(
         "fleet_of_8/direct          step median: {} ({} requests)",
         human(direct_med),
         direct_lat.len()
     );
-    println!(
-        "fleet_of_8/direct_threads  step median: {} ({} requests)",
-        human(threads_med),
-        threads_lat.len()
-    );
-    println!("reactor_overhead_pct       {reactor_overhead_pct:+.1}%");
 
     // --- routed: client -> router -> two shards, shared store ----------
     let fleet_dir = bench_dir("routed");
@@ -526,14 +482,6 @@ fn main() {
                         ("per_shard_ns".into(), Value::Num(pause_per_shard_ns as f64)),
                         ("shards_cycled".into(), Value::Num(restarted as f64)),
                     ]),
-                ),
-                (
-                    "fleet_of_8/direct_threads".into(),
-                    lat_entry(threads_med, threads_lat.len()),
-                ),
-                (
-                    "reactor_overhead_pct".into(),
-                    Value::Num(reactor_overhead_pct),
                 ),
                 (
                     "idle_connections".into(),

@@ -1,14 +1,14 @@
 //! Selection-path benchmark: end-to-end query selection cost — the
 //! Fig. 14 "Selection" column as a microbenchmark — with comparison
-//! groups for the incremental/warm/parallel hot path:
+//! groups for the incremental/warm/pruned hot path:
 //!
-//! * `selection_step/{cold,incremental,incremental_parallel,pruned}` —
-//!   median ns per harvest step under the seed's cold-serial path, the
-//!   incremental + warm-start path (serial walks), the full unpruned
-//!   parallel path, and the bound-and-prune path (certified early-stopped
-//!   walk solves over the incremental serial path).
-//! * `context_walks/{serial,parallel}` — the three context walks of one
-//!   selection, serial vs scoped threads.
+//! * `selection_step/{cold,incremental,pruned}` — median ns per harvest
+//!   step under the cold-serial path, the incremental + warm-start path
+//!   with context walks solved to convergence, and the bound-and-prune
+//!   path (certified early-stopped walk solves over the incremental
+//!   path; the default configuration).
+//! * `context_walks` — the three context walks of one selection, solved
+//!   to convergence by the fused solver.
 //! * exact solver sweeps per solve, cold vs warm-started.
 //!
 //! This bench owns its `main` (the vendored criterion harness doesn't
@@ -296,8 +296,8 @@ fn main() {
         let _ = sel.select(&input_pruned);
     }));
 
-    // Cold vs incremental vs fully parallel per-step medians. Each
-    // variant drives complete sessions; per-step times are collected
+    // Cold vs incremental vs pruned per-step medians. Each variant
+    // drives complete sessions; per-step times are collected
     // individually so the median lands on a representative (warm) step.
     let budget = L2qConfig::default().with_n_queries(6);
     // Counter deltas around the pruned group give its exact-solve
@@ -310,20 +310,10 @@ fn main() {
     let (pruned0, exact0) = (c_pruned.get(), c_exact.get());
     for (name, cfg) in [
         ("selection_step/cold", budget.cold_serial()),
-        (
-            "selection_step/incremental",
-            budget.with_parallel_walks(false).with_prune(false),
-        ),
-        (
-            "selection_step/incremental_parallel",
-            budget.with_prune(false),
-        ),
-        // Bound-and-prune over the incremental serial path — the
+        ("selection_step/incremental", budget.with_prune(false)),
+        // Bound-and-prune over the incremental path — the
         // apples-to-apples comparison for `selection_step/incremental`.
-        (
-            "selection_step/pruned",
-            budget.with_parallel_walks(false).with_prune(true),
-        ),
+        ("selection_step/pruned", budget.with_prune(true)),
     ] {
         let times = step_times(&f, &domain, cfg, sessions);
         let n = times.len();
@@ -340,7 +330,7 @@ fn main() {
     };
     println!("selection_step/pruned exact_solve_fraction        {exact_solve_fraction:.4}");
 
-    // Serial vs parallel context walks on one frozen phase.
+    // The context walks of one frozen phase, solved to convergence.
     let phase_candidates = {
         let mut sel_pool = page_candidates.clone();
         sel_pool.extend(domain.frequent_queries().cloned());
@@ -358,11 +348,8 @@ fn main() {
         true,
         &f.cfg,
     );
-    results.push(bench("context_walks/serial", samples, || {
-        let _ = phase.context_walks(None, false);
-    }));
-    results.push(bench("context_walks/parallel", samples, || {
-        let _ = phase.context_walks(None, true);
+    results.push(bench("context_walks", samples, || {
+        let _ = phase.context_walks_certified(None, |_| false);
     }));
 
     // Exact sweeps per solve, cold vs warm-started.

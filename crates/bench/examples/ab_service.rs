@@ -1,8 +1,7 @@
 //! Within-machine A/B of the selection hot path through the serving
 //! layer: the same 8-session fleet (the `service_throughput/fleet_of_8`
-//! shape) driven under the seed's cold-serial configuration, the
-//! incremental + warm-start path with serial walks, and the full default
-//! path. Absolute medians from different machines or sessions are not
+//! shape) driven under the cold-serial configuration, the incremental +
+//! warm-start path without pruning, and the full default path. Absolute medians from different machines or sessions are not
 //! comparable; this driver exists so before/after numbers always come
 //! from one process on one box.
 //!
@@ -89,8 +88,8 @@ fn run(label: &str, cfg: L2qConfig) {
 fn main() {
     run("cold_serial", L2qConfig::default().cold_serial());
     run(
-        "incremental+warm (serial)",
-        L2qConfig::default().with_parallel_walks(false),
+        "incremental+warm (unpruned)",
+        L2qConfig::default().with_prune(false),
     );
     run("default (all on)", L2qConfig::default());
 }

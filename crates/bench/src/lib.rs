@@ -18,9 +18,6 @@
 //! |---|---|
 //! | `ablation_study` | design-choice ablations (balance, λ, α, templates) |
 //! | `seed_mode_study` | hard vs soft seed focusing |
-//! | `probe_r0` | r0 sensitivity curve (diagnostic) |
-//! | `probe_selection` | trace chosen queries per selector (diagnostic) |
-//! | `probe_aspects` | per-aspect method breakdown (diagnostic) |
 //!
 //! All binaries accept `--quick` (small corpus, 1 split), `--paper-scale`
 //! (the paper's 996/143 entities × 50 pages), `--seed N` and

@@ -38,11 +38,6 @@ pub struct L2qConfig {
     /// start converges to the same fixpoint within the solver tolerance —
     /// in far fewer sweeps.
     pub warm_start: bool,
-    /// Run the independent walks of one selection (and the per-aspect
-    /// solves of the domain phase) on scoped threads. Each walk's own
-    /// iteration order is untouched, so results are bit-identical to the
-    /// serial path.
-    pub parallel_walks: bool,
     /// Bound-and-prune the context-aware selection argmax: stop the walk
     /// solves early once certified error bounds prove the winner, instead
     /// of converging every candidate's utility to full tolerance. The
@@ -64,7 +59,6 @@ impl Default for L2qConfig {
             stop_after_barren: None,
             incremental_phase: true,
             warm_start: true,
-            parallel_walks: true,
             prune: true,
         }
     }
@@ -101,26 +95,19 @@ impl L2qConfig {
         self
     }
 
-    /// Builder-style override of the parallel-walks knob.
-    pub fn with_parallel_walks(mut self, on: bool) -> Self {
-        self.parallel_walks = on;
-        self
-    }
-
     /// Builder-style override of the bound-and-prune knob.
     pub fn with_prune(mut self, on: bool) -> Self {
         self.prune = on;
         self
     }
 
-    /// The seed's original selection path: from-scratch phase builds,
-    /// cold solver starts, serial walks, no pruning. The reference
-    /// configuration for determinism tests and cold-vs-incremental
-    /// benches.
+    /// The slowest selection path: from-scratch phase builds, cold
+    /// solver starts, and context walks solved to convergence without
+    /// pruning. The reference configuration for determinism tests and
+    /// cold-vs-incremental benches.
     pub fn cold_serial(self) -> Self {
         self.with_incremental_phase(false)
             .with_warm_start(false)
-            .with_parallel_walks(false)
             .with_prune(false)
     }
 
@@ -153,14 +140,14 @@ mod tests {
         assert_eq!(c.lambda, 10.0);
         assert_eq!(c.candidates.max_len, 3);
         assert_eq!(c.n_queries, 3);
-        assert!(c.incremental_phase && c.warm_start && c.parallel_walks && c.prune);
+        assert!(c.incremental_phase && c.warm_start && c.prune);
         c.validate().unwrap();
     }
 
     #[test]
     fn cold_serial_turns_every_speed_knob_off() {
         let c = L2qConfig::default().cold_serial();
-        assert!(!c.incremental_phase && !c.warm_start && !c.parallel_walks && !c.prune);
+        assert!(!c.incremental_phase && !c.warm_start && !c.prune);
         c.validate().unwrap();
     }
 

@@ -314,10 +314,9 @@ pub fn learn_domain(
     let graph = builder.build();
 
     // Solve per aspect. The aspects are independent (each reads the
-    // shared graph and its own relevance labels), so with
-    // `cfg.parallel_walks` they run on scoped threads; results are
-    // collected in aspect order either way, and each aspect's own solve
-    // is untouched — the model is bit-identical to the serial path.
+    // shared graph and its own relevance labels), so they run on scoped
+    // threads; results are collected in aspect order, and each aspect's
+    // own solve is untouched — the model does not depend on scheduling.
     let solve_aspect = |aspect: AspectId| -> AspectDomainData {
         let relevant: Vec<bool> = pages
             .iter()
@@ -350,7 +349,7 @@ pub fn learn_domain(
         }
     };
     let aspects: Vec<_> = corpus.aspects().collect();
-    let per_aspect: Vec<AspectDomainData> = if cfg.parallel_walks && aspects.len() > 1 {
+    let per_aspect: Vec<AspectDomainData> = if aspects.len() > 1 {
         crossbeam::thread::scope(|scope| {
             let sa = &solve_aspect;
             let handles: Vec<_> = aspects

@@ -54,8 +54,8 @@ use crate::template::{templates_of, Template, TemplateMode};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, PageId};
 use l2q_graph::{
-    solve_detailed, solve_fused_detailed, FusedTruncatedSolver, GraphBuilder, Regularization,
-    ReinforcementGraph, Scheme, StaticBoundsContext, Utilities, UtilityKind,
+    solve_detailed, FusedTruncatedSolver, GraphBuilder, Regularization, ReinforcementGraph, Scheme,
+    StaticBoundsContext, Utilities, UtilityKind,
 };
 use l2q_text::Bow;
 use std::sync::{Arc, OnceLock};
@@ -92,18 +92,6 @@ enum Walk {
 }
 
 const N_WALKS: usize = 4;
-
-/// How [`EntityPhase::context_walks`] runs its three independent walks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WalkMode {
-    /// One walk at a time (the seed's path; `parallel_walks = false`).
-    Serial,
-    /// One scoped thread per walk (multi-core machines).
-    Threads,
-    /// One fused graph traversal updating all three systems per edge
-    /// load (single-core machines — amortizes the memory-bound part).
-    Fused,
-}
 
 /// Per-candidate memo inside [`EntityPhaseState`].
 #[derive(Debug)]
@@ -289,7 +277,7 @@ pub struct EntityPhase<'a> {
     /// fixpoints (populated by [`EntityPhase::build_incremental`]).
     warm: [Option<WarmInit>; N_WALKS],
     /// Graph-constant half of the static bound computation, built on
-    /// first certified walk — the unpruned path never pays for it.
+    /// the first context-walk solve.
     bounds_ctx: OnceLock<StaticBoundsContext>,
 }
 
@@ -733,112 +721,18 @@ impl<'a> EntityPhase<'a> {
     }
 
     /// The three walks a context-aware selection needs (R, R^(Ỹ),
-    /// R^(Y*)). They share the graph read-only and are independent, so
-    /// `parallel` runs them concurrently: on scoped threads when the
-    /// machine has more than one core, or — on a single core, when the
-    /// graph is too big to sit in cache — as one fused traversal that
-    /// updates all three systems per edge load. Cache-resident graphs on
-    /// a single core fall back to the serial path, where the fused
-    /// kernel's per-edge multi-system loop costs more than the edge
-    /// reloads it saves. Each walk's own Jacobi iteration is untouched
-    /// in every mode, so the results are bit-identical to the serial
-    /// path regardless of which mode runs.
-    pub fn context_walks(
-        &self,
-        state: Option<&mut EntityPhaseState>,
-        parallel: bool,
-    ) -> ContextWalks {
-        // ~12 bytes/edge per CSR direction: past ~256k edges a sweep's
-        // working set outgrows typical L2 and traversal turns
-        // memory-bound — the regime where fusing pays.
-        const FUSED_EDGE_THRESHOLD: usize = 256 * 1024;
-        let mode = if !parallel {
-            WalkMode::Serial
-        } else if std::thread::available_parallelism().is_ok_and(|n| n.get() > 1) {
-            WalkMode::Threads
-        } else if self.graph.n_edges() > FUSED_EDGE_THRESHOLD {
-            WalkMode::Fused
-        } else {
-            WalkMode::Serial
-        };
-        self.context_walks_mode(state, mode)
-    }
-
-    fn context_walks_mode(
-        &self,
-        state: Option<&mut EntityPhaseState>,
-        mode: WalkMode,
-    ) -> ContextWalks {
-        const WALKS: [Walk; 3] = [Walk::Recall, Walk::RecallGathered, Walk::RecallAll];
-        let mut results: Vec<(Utilities, usize, bool)> = match mode {
-            WalkMode::Threads => crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = WALKS
-                    .iter()
-                    .map(|&w| scope.spawn(move |_| self.run_walk(w)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("walk worker panicked"))
-                    .collect()
-            })
-            .expect("crossbeam scope"),
-            WalkMode::Fused => {
-                // All three context walks are Recall-kind on the shared
-                // graph, so they qualify for the fused solver.
-                let regs: Vec<Regularization> = WALKS
-                    .iter()
-                    .map(|&w| {
-                        let (kind, reg) = self.reg_for(w);
-                        debug_assert_eq!(kind, UtilityKind::Recall);
-                        reg
-                    })
-                    .collect();
-                let warms: Vec<Option<Utilities>> = WALKS
-                    .iter()
-                    .zip(&regs)
-                    .map(|(&w, reg)| self.warm_vector(w, reg))
-                    .collect();
-                let warmed: Vec<bool> = warms.iter().map(|w| w.is_some()).collect();
-                solve_fused_detailed(
-                    &self.graph,
-                    UtilityKind::Recall,
-                    &regs,
-                    &self.cfg.walk,
-                    warms,
-                )
-                .into_iter()
-                .zip(warmed)
-                .map(|((u, sweeps), warm)| (u, sweeps, warm))
-                .collect()
-            }
-            WalkMode::Serial => WALKS.iter().map(|&w| self.run_walk(w)).collect(),
-        };
-        if let Some(st) = state {
-            for (&w, (u, sweeps, warmed)) in WALKS.iter().zip(&results) {
-                self.note_solved(st, w, u, *sweeps, *warmed);
-            }
-        }
-        let recall_all = results.pop().expect("three walks").0.queries;
-        let recall_gathered = results.pop().expect("three walks").0.queries;
-        let recall = results.pop().expect("three walks").0.queries;
-        ContextWalks {
-            recall,
-            recall_gathered,
-            recall_all,
-        }
-    }
-
-    /// [`EntityPhase::context_walks`] with a certified early exit: after
-    /// every fused sweep, `certified` inspects the truncated iterates and
-    /// their error bounds (see [`ContextProbe`]) and returns `true` to
-    /// stop the solve early. Returns the walks plus whether the solve was
+    /// R^(Y*)), solved together by one fused traversal that updates all
+    /// three systems per edge load, with a certified early exit: after
+    /// every sweep, `certified` inspects the truncated iterates and their
+    /// error bounds (see [`ContextProbe`]) and returns `true` to stop the
+    /// solve early. Returns the walks plus whether the solve was
     /// truncated.
     ///
-    /// A callback that never certifies makes this identical — bit for
-    /// bit, including sweep counts — to the fused/serial full solve (all
-    /// walk modes agree bitwise). A callback that certifies trades the
-    /// remaining sweeps for query scores that are provably within
-    /// `tails[w]` of the full solve's.
+    /// A callback that never certifies (`|_| false`) is the full solve:
+    /// bit for bit, sweep counts included, the same as three solo
+    /// [`EntityPhase::recall`]-style walks. A callback that certifies
+    /// trades the remaining sweeps for query scores that are provably
+    /// within `tails[w]` of the full solve's.
     pub fn context_walks_certified(
         &self,
         state: Option<&mut EntityPhaseState>,
@@ -863,8 +757,8 @@ impl<'a> EntityPhase<'a> {
             .collect();
         let warmed: Vec<bool> = warms.iter().map(|w| w.is_some()).collect();
         // The in-strength half of the bound is a graph constant: scan
-        // the edges once per phase (lazily, so the unpruned path never
-        // pays) and derive each walk's bounds from its regularization.
+        // the edges once per phase and derive each walk's bounds from
+        // its regularization.
         let ctx = self.bounds_ctx.get_or_init(|| {
             StaticBoundsContext::new(&self.graph, UtilityKind::Recall, &self.cfg.walk)
         });
@@ -1240,46 +1134,23 @@ mod tests {
         }
     }
 
-    /// The concurrent context walks (threads on multi-core, fused
-    /// traversal on single-core) are the same solves on the same graph —
-    /// results must be bitwise identical to the serial path. Both
-    /// concurrent modes are forced explicitly so the test doesn't depend
-    /// on the machine's core count.
+    /// With a callback that never certifies, the fused context-walk
+    /// solve is the full solve: bitwise equal to the three solo walks,
+    /// warm starts and recorded sweep counts included, across warm
+    /// incremental builds.
     #[test]
-    fn parallel_context_walks_match_serial_bitwise() {
-        let (c, o) = setup();
-        let cfg = L2qConfig::default();
-        let aspect = c.aspect_by_name("RESEARCH").unwrap();
-        let (pages, candidates) = phase_for(&c, &o, &cfg, None);
-        let phase = EntityPhase::build(&c, aspect, &pages, &o, candidates, None, true, &cfg);
-        let serial = phase.context_walks(None, false);
-        for mode in [WalkMode::Threads, WalkMode::Fused] {
-            let par = phase.context_walks_mode(None, mode);
-            assert_eq!(serial.recall, par.recall, "{mode:?}");
-            assert_eq!(serial.recall_gathered, par.recall_gathered, "{mode:?}");
-            assert_eq!(serial.recall_all, par.recall_all, "{mode:?}");
-        }
-        // And they match the single-walk entry points bitwise.
-        assert_eq!(serial.recall, phase.recall());
-        assert_eq!(serial.recall_gathered, phase.recall_gathered());
-        assert_eq!(serial.recall_all, phase.recall_all());
-    }
-
-    /// Warm-started fused walks must carry the cross-step state exactly
-    /// like the serial warm path: same utilities, same recorded sweeps.
-    #[test]
-    fn fused_context_walks_warm_start_like_serial() {
+    fn uncertified_context_walks_match_solo_walks_bitwise() {
         let (c, o) = setup();
         let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
 
-        let mut st_serial = EntityPhaseState::new();
+        let mut st_solo = EntityPhaseState::new();
         let mut st_fused = EntityPhaseState::new();
-        for k in [3, all_pages.len()] {
+        for k in [3, 5, all_pages.len()] {
             let pages = &all_pages[..k];
             let candidates = candidates_for(&c, pages, &cfg);
-            let serial = EntityPhase::build_incremental(
+            let solo_phase = EntityPhase::build_incremental(
                 &c,
                 aspect,
                 pages,
@@ -1288,10 +1159,13 @@ mod tests {
                 None,
                 true,
                 &cfg,
-                &mut st_serial,
-            )
-            .context_walks_mode(Some(&mut st_serial), WalkMode::Serial);
-            let fused = EntityPhase::build_incremental(
+                &mut st_solo,
+            );
+            let solo: Vec<Vec<f64>> = [Walk::Recall, Walk::RecallGathered, Walk::RecallAll]
+                .into_iter()
+                .map(|w| solo_phase.walk_with(w, Some(&mut st_solo)))
+                .collect();
+            let (fused, early) = EntityPhase::build_incremental(
                 &c,
                 aspect,
                 pages,
@@ -1302,12 +1176,14 @@ mod tests {
                 &cfg,
                 &mut st_fused,
             )
-            .context_walks_mode(Some(&mut st_fused), WalkMode::Fused);
-            assert_eq!(serial.recall, fused.recall);
-            assert_eq!(serial.recall_gathered, fused.recall_gathered);
-            assert_eq!(serial.recall_all, fused.recall_all);
-            assert_eq!(st_serial.last_sweeps(), st_fused.last_sweeps());
+            .context_walks_certified(Some(&mut st_fused), |_| false);
+            assert!(!early);
+            assert_eq!(solo[0], fused.recall, "recall at k={k}");
+            assert_eq!(solo[1], fused.recall_gathered, "recall_gathered at k={k}");
+            assert_eq!(solo[2], fused.recall_all, "recall_all at k={k}");
+            assert_eq!(st_solo.last_sweeps(), st_fused.last_sweeps(), "k={k}");
         }
+        assert_eq!(st_fused.generation(), 3);
     }
 
     /// A state whose cached pages are not a prefix of the new page list
@@ -1430,16 +1306,20 @@ mod tests {
     }
 
     /// A certification callback that never fires makes the certified
-    /// solve bit-identical to the plain context walks; one that fires
-    /// early truncates within its reported tails.
+    /// solve bit-identical to the solo walks; one that fires early
+    /// truncates within its reported tails.
     #[test]
-    fn certified_walks_without_certification_match_context_walks_bitwise() {
+    fn certified_walks_without_certification_match_solo_walks_bitwise() {
         let (c, o) = setup();
         let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let (pages, candidates) = phase_for(&c, &o, &cfg, None);
         let phase = EntityPhase::build(&c, aspect, &pages, &o, candidates, None, true, &cfg);
-        let full = phase.context_walks(None, false);
+        let full = ContextWalks {
+            recall: phase.recall(),
+            recall_gathered: phase.recall_gathered(),
+            recall_all: phase.recall_all(),
+        };
 
         let mut probes = 0usize;
         let (walks, early) = phase.context_walks_certified(None, |p| {
@@ -1505,7 +1385,7 @@ mod tests {
                 assert!(seen.insert(q), "candidate {q} in two classes");
             }
         }
-        let walks = phase.context_walks(None, false);
+        let (walks, _) = phase.context_walks_certified(None, |_| false);
         for g in &groups {
             for &q in &g[1..] {
                 assert_eq!(walks.recall[g[0]], walks.recall[q]);

@@ -504,7 +504,9 @@ impl QuerySelector for L2qSelector {
                 }
                 walks
             } else {
-                phase.context_walks(guard.as_deref_mut(), input.cfg.parallel_walks)
+                phase
+                    .context_walks_certified(guard.as_deref_mut(), |_| false)
+                    .0
             };
             let (r, r_tilde, rstar) = (walks.recall, walks.recall_gathered, walks.recall_all);
             let connected = phase.connected();

@@ -1,18 +1,18 @@
-//! Regression gate for the incremental/warm/parallel/pruned selection
-//! path: with every speed knob on (the default), a harvest must make
-//! exactly the same
-//! decisions as the original from-scratch, cold-start, serial path — same
+//! Regression gate for the incremental/warm/pruned selection path: with
+//! every speed knob on (the default), a harvest must make exactly the
+//! same decisions as the from-scratch, cold-start, unpruned path — same
 //! fired-query sequence, same gathered pages, same per-iteration gains —
 //! across both corpus domains and all three full L2Q strategies.
 //!
 //! Selections are argmaxes over solved utilities: the incremental build is
 //! bit-identical by construction (the graph is assembled in the cold
-//! build's edge order), parallel walks don't touch any walk's own
-//! iteration, and warm starts converge to the same fixpoint within the
-//! solver tolerance — so the argmax (with its lexicographic tie-break)
-//! lands on the same query. Bound-and-prune only stops a solve early when
-//! certified score intervals prove the winner, falling back to the exact
-//! solve otherwise. This test is the end-to-end proof.
+//! build's edge order), and warm starts converge to the same fixpoint
+//! within the solver tolerance — so the argmax (with its lexicographic
+//! tie-break) lands on the same query. Bound-and-prune only stops a solve
+//! early when certified score intervals prove the winner, falling back to
+//! the exact solve otherwise. This test is the end-to-end proof. Both
+//! sides solve the context walks with the same fused kernel; its
+//! equality with per-walk solo solves is pinned in `l2q-graph`.
 
 use l2q_aspect::RelevanceOracle;
 use l2q_core::{learn_domain, HarvestRecord, Harvester, L2qConfig, L2qSelector, QuerySelector};
@@ -98,12 +98,10 @@ fn each_speed_knob_is_individually_lossless() {
             .cold_serial()
             .with_incremental_phase(true)
             .with_warm_start(true),
-        L2qConfig::default().cold_serial().with_parallel_walks(true),
         // Bound-and-prune alone: truncated-but-certified walk solves on
         // top of cold from-scratch builds.
         L2qConfig::default().cold_serial().with_prune(true),
-        // Pruning over incremental warm-started builds — the production
-        // combination minus thread scheduling.
+        // Pruning over incremental warm-started builds: every knob on.
         L2qConfig::default()
             .cold_serial()
             .with_incremental_phase(true)

@@ -5,12 +5,16 @@
 //! Both facts combine into cheap, rigorous control over a truncated
 //! solve:
 //!
-//! * [`FusedTruncatedSolver`] runs the exact fused Jacobi sweeps of
-//!   [`solve_fused_detailed`] one at a time, exposing after every sweep a
-//!   **certified tail bound** on how far each system's current query
-//!   iterate can still move before convergence. Run to completion it is
-//!   bitwise identical to [`solve_fused_detailed`] — same kernels, same
-//!   edge order, same convergence test — so a caller that stops early
+//! * [`FusedTruncatedSolver`] solves several same-kind fixpoints on one
+//!   graph together, one caller-paced Jacobi sweep at a time: each sweep
+//!   loads every edge once and applies it to all still-unconverged
+//!   systems, and afterwards exposes a **certified tail bound** on how
+//!   far each system's current query iterate can still move before
+//!   convergence. Run to completion it is bitwise identical to
+//!   per-system [`solve_detailed`](crate::solve_detailed) — a system's
+//!   update reads only its own iterate, its per-vertex accumulation runs
+//!   over edges in the solo sweep's order, and it stops the moment its
+//!   own L1 delta crosses the tolerance — so a caller that stops early
 //!   only ever trades a *known* error for sweeps, never correctness.
 //! * [`static_query_upper_bounds`] bounds each query's true fixpoint
 //!   utility from per-vertex in-strengths of the graph alone, without
@@ -137,10 +141,11 @@ fn side_weights(cfg: &WalkConfig) -> (f64, f64, f64) {
     (bp, bt, keep * keep * (bp + bt))
 }
 
-/// [`solve_fused_detailed`] unrolled into caller-paced sweeps with a
-/// certified per-sweep tail bound on each system's query block.
+/// Several same-kind fixpoints on one graph, solved together in
+/// caller-paced fused Jacobi sweeps with a certified per-sweep tail
+/// bound on each system's query block (see the module docs).
 ///
-/// [`solve_fused_detailed`]: crate::solve_fused_detailed
+/// [`solve_detailed`]: crate::solve_detailed
 pub struct FusedTruncatedSolver<'g> {
     g: &'g ReinforcementGraph,
     kind: UtilityKind,
@@ -161,8 +166,10 @@ pub struct FusedTruncatedSolver<'g> {
 
 impl<'g> FusedTruncatedSolver<'g> {
     /// Start `regs.len()` same-kind systems exactly as
-    /// `solve_fused_detailed` would: warm iterate when given, else the
-    /// regularization vector.
+    /// [`solve_detailed`] would start each one: warm iterate when given,
+    /// else the regularization vector.
+    ///
+    /// [`solve_detailed`]: crate::solve_detailed
     pub fn new(
         g: &'g ReinforcementGraph,
         kind: UtilityKind,
@@ -261,7 +268,7 @@ impl<'g> FusedTruncatedSolver<'g> {
 
     /// Execute one fused Jacobi sweep. Returns `false` — without
     /// sweeping — once every system converged or the sweep cap is hit,
-    /// mirroring the fused solver's loop exit conditions.
+    /// mirroring a solo solve's loop exit conditions.
     pub fn sweep(&mut self) -> bool {
         if self.iters >= self.cfg.max_iters || !self.active.iter().any(|&x| x) {
             return false;
@@ -376,7 +383,10 @@ impl<'g> FusedTruncatedSolver<'g> {
     }
 
     /// Sweep the remaining systems to convergence (or the cap). After
-    /// this, the iterates match `solve_fused_detailed` bit for bit.
+    /// this, each system's iterate matches its solo [`solve_detailed`]
+    /// bit for bit.
+    ///
+    /// [`solve_detailed`]: crate::solve_detailed
     pub fn run_to_completion(&mut self) {
         while self.sweep() {}
     }
@@ -568,7 +578,7 @@ impl StaticBoundsContext {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-    use crate::solver::{solve_detailed, solve_fused_detailed, Scheme};
+    use crate::solver::{solve_detailed, Scheme};
 
     /// Fig. 2 pages/queries plus two templates so every block is live.
     fn fixture() -> ReinforcementGraph {
@@ -601,16 +611,31 @@ mod tests {
         regs
     }
 
+    /// Each system solved on its own, the reference the fused solver
+    /// must reproduce bit for bit.
+    fn solo_solves(
+        g: &ReinforcementGraph,
+        kind: UtilityKind,
+        regs: &[Regularization],
+        cfg: &WalkConfig,
+        warms: Vec<Option<Utilities>>,
+    ) -> Vec<(Utilities, usize)> {
+        regs.iter()
+            .zip(warms)
+            .map(|(r, w)| solve_detailed(g, kind, r, cfg, Scheme::Jacobi, w))
+            .collect()
+    }
+
     #[test]
-    fn run_to_completion_matches_the_fused_solver_bitwise() {
+    fn run_to_completion_matches_solo_solves_bitwise() {
         let g = fixture();
         let cfg = WalkConfig::default();
         for kind in [UtilityKind::Recall, UtilityKind::Precision] {
             let regs = context_regs(&g);
-            let reference = solve_fused_detailed(&g, kind, &regs, &cfg, vec![None, None, None]);
+            let reference = solo_solves(&g, kind, &regs, &cfg, vec![None, None, None]);
             // Mixed warm/cold second round, as the incremental phase produces.
             let warms = vec![Some(reference[0].0.clone()), None, None];
-            let reference_warm = solve_fused_detailed(&g, kind, &regs, &cfg, warms.clone());
+            let reference_warm = solo_solves(&g, kind, &regs, &cfg, warms.clone());
 
             for (warm_set, want) in [
                 (vec![None, None, None], &reference),
@@ -686,8 +711,7 @@ mod tests {
         let g = fixture();
         let cfg = WalkConfig::default();
         let regs = context_regs(&g);
-        let want =
-            solve_fused_detailed(&g, UtilityKind::Recall, &regs, &cfg, vec![None, None, None]);
+        let want = solo_solves(&g, UtilityKind::Recall, &regs, &cfg, vec![None, None, None]);
         let mut s =
             FusedTruncatedSolver::new(&g, UtilityKind::Recall, regs, &cfg, vec![None, None, None]);
         for _ in 0..5 {
@@ -745,8 +769,7 @@ mod tests {
             ..WalkConfig::default()
         };
         let regs = context_regs(&g);
-        let want =
-            solve_fused_detailed(&g, UtilityKind::Recall, &regs, &cfg, vec![None, None, None]);
+        let want = solo_solves(&g, UtilityKind::Recall, &regs, &cfg, vec![None, None, None]);
         let mut s =
             FusedTruncatedSolver::new(&g, UtilityKind::Recall, regs, &cfg, vec![None, None, None]);
         while s.sweep() {

@@ -27,6 +27,6 @@ pub mod solver;
 pub use bounds::{static_query_upper_bounds, FusedTruncatedSolver, StaticBoundsContext};
 pub use graph::{Edge, GraphBuilder, PageIdx, QueryIdx, ReinforcementGraph, TemplateIdx};
 pub use solver::{
-    solve, solve_detailed, solve_fused_detailed, solve_with_scheme, Regularization, Scheme,
-    Utilities, UtilityKind, WalkConfig,
+    solve, solve_detailed, solve_with_scheme, Regularization, Scheme, Utilities, UtilityKind,
+    WalkConfig,
 };

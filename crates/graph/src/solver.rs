@@ -273,107 +273,6 @@ pub fn solve_detailed(
     (cur, sweeps)
 }
 
-/// Solve several same-kind fixpoints on one graph together (Jacobi
-/// scheme): each fused sweep loads every edge once and applies it to all
-/// still-unconverged systems, so the graph traversal — the memory-bound
-/// part of a sweep — amortizes across systems. This is the single-core
-/// counterpart of solving the independent walks on threads.
-///
-/// Bit-identity with per-system [`solve_detailed`] holds by construction:
-/// a system's update reads only its own iterate, its per-vertex
-/// accumulation runs over edges in the same order as [`step`]'s, and a
-/// system stops sweeping the moment its own L1 delta crosses the
-/// tolerance (converged systems are skipped, not dragged along).
-///
-/// `warms[i]` warm-starts system `i` exactly as in [`solve_detailed`].
-/// Returns `(fixpoint, sweeps)` per system, in input order.
-pub fn solve_fused_detailed(
-    g: &ReinforcementGraph,
-    kind: UtilityKind,
-    regs: &[Regularization],
-    cfg: &WalkConfig,
-    warms: Vec<Option<Utilities>>,
-) -> Vec<(Utilities, usize)> {
-    let k = regs.len();
-    assert_eq!(warms.len(), k, "one warm-start slot per system");
-    assert!((0.0..=1.0).contains(&cfg.alpha), "alpha out of range");
-    for reg in regs {
-        assert_eq!(reg.pages.len(), g.n_pages(), "page regularization shape");
-        assert_eq!(
-            reg.queries.len(),
-            g.n_queries(),
-            "query regularization shape"
-        );
-        assert_eq!(
-            reg.templates.len(),
-            g.n_templates(),
-            "template regularization shape"
-        );
-    }
-
-    let mut span = l2q_obs::span!("graph_solve");
-    let mut curs: Vec<Utilities> = regs
-        .iter()
-        .zip(warms)
-        .map(|(reg, warm)| match warm {
-            Some(w) => {
-                assert_eq!(w.pages.len(), g.n_pages(), "warm-start page shape");
-                assert_eq!(w.queries.len(), g.n_queries(), "warm-start query shape");
-                assert_eq!(
-                    w.templates.len(),
-                    g.n_templates(),
-                    "warm-start template shape"
-                );
-                w
-            }
-            None => Utilities {
-                pages: reg.pages.clone(),
-                queries: reg.queries.clone(),
-                templates: reg.templates.clone(),
-            },
-        })
-        .collect();
-    let mut nexts: Vec<Utilities> = (0..k)
-        .map(|_| Utilities {
-            pages: vec![0.0; g.n_pages()],
-            queries: vec![0.0; g.n_queries()],
-            templates: vec![0.0; g.n_templates()],
-        })
-        .collect();
-    let mut sweeps = vec![0usize; k];
-    let mut active = vec![true; k];
-
-    for _ in 0..cfg.max_iters {
-        if !active.iter().any(|&x| x) {
-            break;
-        }
-        if matches!(kind, UtilityKind::Recall) && k == 3 && active.iter().all(|&x| x) {
-            step_fused3_recall(g, regs, cfg, &curs, &mut nexts);
-        } else {
-            step_fused(g, kind, regs, cfg, &curs, &mut nexts, &active);
-        }
-        for i in 0..k {
-            if !active[i] {
-                continue;
-            }
-            sweeps[i] += 1;
-            let delta = l1_delta(&curs[i], &nexts[i]);
-            std::mem::swap(&mut curs[i], &mut nexts[i]);
-            if delta < cfg.tolerance {
-                active[i] = false;
-            }
-        }
-    }
-    if active.iter().any(|&x| x) {
-        // At least one system hit the sweep cap without converging.
-        span.set_status("maxed");
-    }
-    for &s in &sweeps {
-        sweeps_histogram().record(s as f64);
-    }
-    curs.into_iter().zip(sweeps).collect()
-}
-
 /// [`step_fused`] specialized for the hot case — three Recall systems,
 /// all still active. The context walks of a selection step are exactly
 /// this shape, and with scalar accumulators and a fixed unroll the
@@ -1243,6 +1142,19 @@ mod tests {
         );
     }
 
+    /// The fused truncated solver, never stopped early.
+    fn fused_to_completion(
+        g: &ReinforcementGraph,
+        kind: UtilityKind,
+        regs: &[Regularization],
+        cfg: &WalkConfig,
+        warms: Vec<Option<Utilities>>,
+    ) -> Vec<(Utilities, usize)> {
+        let mut s = crate::FusedTruncatedSolver::new(g, kind, regs.to_vec(), cfg, warms);
+        s.run_to_completion();
+        s.finish()
+    }
+
     #[test]
     fn fused_solves_match_solo_solves_bitwise() {
         let g = fig2_graph();
@@ -1260,7 +1172,7 @@ mod tests {
                 .iter()
                 .map(|r| solve_detailed(&g, kind, r, &cfg, Scheme::Jacobi, None))
                 .collect();
-            let fused = solve_fused_detailed(&g, kind, &regs, &cfg, vec![None, None, None]);
+            let fused = fused_to_completion(&g, kind, &regs, &cfg, vec![None, None, None]);
             for ((su, ss), (fu, fs)) in solo.iter().zip(&fused) {
                 assert_eq!(ss, fs, "sweep counts diverged");
                 assert_eq!(su.pages, fu.pages);
@@ -1276,7 +1188,7 @@ mod tests {
                 .zip(warms.clone())
                 .map(|(r, w)| solve_detailed(&g, kind, r, &cfg, Scheme::Jacobi, w))
                 .collect();
-            let fused_warm = solve_fused_detailed(&g, kind, &regs, &cfg, warms);
+            let fused_warm = fused_to_completion(&g, kind, &regs, &cfg, warms);
             for ((su, ss), (fu, fs)) in solo_warm.iter().zip(&fused_warm) {
                 assert_eq!(ss, fs, "warm sweep counts diverged");
                 assert_eq!(su.pages, fu.pages);

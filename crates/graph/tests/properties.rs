@@ -317,6 +317,81 @@ proptest! {
     }
 }
 
+/// Each system solved on its own — the independent reference the fused
+/// solver must reproduce.
+fn solo_solves(
+    g: &l2q_graph::ReinforcementGraph,
+    kind: UtilityKind,
+    regs: &[Regularization],
+    cfg: &WalkConfig,
+    warms: Vec<Option<Utilities>>,
+) -> Vec<(Utilities, usize)> {
+    regs.iter()
+        .zip(warms)
+        .map(|(r, w)| solve_detailed(g, kind, r, cfg, Scheme::Jacobi, w))
+        .collect()
+}
+
+/// Every utility of a solve as raw bits, so equality is bitwise.
+fn bits(u: &Utilities) -> Vec<u64> {
+    u.pages
+        .iter()
+        .chain(&u.queries)
+        .chain(&u.templates)
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+proptest! {
+    /// The fused truncated solver run to completion is bitwise equal to
+    /// per-system solo solves — every utility and every sweep count — on
+    /// any weighted tripartite graph, for both walk kinds, from cold
+    /// starts and from mixed starts (one warm, one cold, one at its
+    /// fixpoint).
+    #[test]
+    fn fused_solver_matches_solo_solves_bitwise(
+        (np, nq, nt, pq, qt, rel) in arb_tripartite(),
+        noise in proptest::collection::vec(-0.4f64..0.4, 2..14),
+    ) {
+        let g = build(np, nq, nt, &pq, &qt);
+        let cfg = WalkConfig::default();
+        for kind in [UtilityKind::Precision, UtilityKind::Recall] {
+            let regs = match kind {
+                UtilityKind::Recall => walk_regs(&g, &rel),
+                UtilityKind::Precision => {
+                    let inverted: Vec<bool> = rel.iter().map(|&r| !r).collect();
+                    vec![
+                        Regularization::precision_from_relevance(&g, &rel),
+                        Regularization::precision_from_relevance(&g, &inverted),
+                        Regularization::precision_from_relevance(&g, &vec![true; np]),
+                    ]
+                }
+            };
+            let cold = solo_solves(&g, kind, &regs, &cfg, vec![None, None, None]);
+            let mut warm = cold[0].0.clone();
+            for (i, v) in warm
+                .pages
+                .iter_mut()
+                .chain(&mut warm.queries)
+                .chain(&mut warm.templates)
+                .enumerate()
+            {
+                *v = (*v + noise[i % noise.len()]).max(0.0);
+            }
+            let mixed = vec![Some(warm), None, Some(cold[2].0.clone())];
+            for warms in [vec![None, None, None], mixed] {
+                let want = solo_solves(&g, kind, &regs, &cfg, warms.clone());
+                let mut s = FusedTruncatedSolver::new(&g, kind, regs.clone(), &cfg, warms);
+                s.run_to_completion();
+                for (i, ((gu, gs), (wu, ws))) in s.finish().iter().zip(&want).enumerate() {
+                    prop_assert_eq!(gs, ws, "{:?} system {}: sweep counts diverged", kind, i);
+                    prop_assert!(bits(gu) == bits(wu), "{:?} system {}: utilities diverged", kind, i);
+                }
+            }
+        }
+    }
+}
+
 /// Zero-weight edges are dropped at build time, so a candidate attached
 /// only by weightless edges is genuinely disconnected: its bound — and
 /// its fixpoint — collapse to the regularization share exactly.

@@ -4,8 +4,7 @@
 //! l2q-router [--port P] --shard NAME=HOST:PORT [--shard NAME=HOST:PORT ...]
 //!            [--supervise NAME=HOST:PORT=CMD ARG...]
 //!            [--vnodes N] [--probe-interval-ms MS] [--fail-threshold N]
-//!            [--max-connections N] [--trace-buffer N]
-//!            [--serve-mode threads|reactor] [--forward-workers N]
+//!            [--max-connections N] [--trace-buffer N] [--forward-workers N]
 //!            [--rebalance-interval-ms MS] [--rebalance-min-gap N]
 //!            [--rebalance-budget N]
 //!            [--supervise-backoff-ms MS] [--supervise-breaker N]
@@ -41,8 +40,7 @@ USAGE:
   l2q-router [--port P] --shard NAME=HOST:PORT [--shard NAME=HOST:PORT ...]
              [--supervise NAME=HOST:PORT=CMD ARG...]
              [--vnodes N] [--probe-interval-ms MS] [--fail-threshold N]
-             [--max-connections N] [--trace-buffer N]
-             [--serve-mode threads|reactor] [--forward-workers N]
+             [--max-connections N] [--trace-buffer N] [--forward-workers N]
              [--rebalance-interval-ms MS] [--rebalance-min-gap N]
              [--rebalance-budget N]
              [--supervise-backoff-ms MS] [--supervise-breaker N]
@@ -58,10 +56,9 @@ USAGE:
   shard while the hot/cold resident-count gap exceeds
   --rebalance-min-gap.
 
-  --serve-mode picks the front-door engine: 'reactor' (default) serves
-  every client connection from one epoll readiness loop and forwards to
-  shards from a bounded pool of --forward-workers threads; 'threads'
-  keeps the thread-per-connection path for A/B comparison.
+  Every client connection is served from one epoll readiness loop;
+  requests bound for a shard are forwarded from a bounded pool of
+  --forward-workers threads.
 ";
 
 fn parse_num<T: std::str::FromStr>(key: &str, args: &[String], default: T) -> Result<T, String> {
@@ -145,15 +142,6 @@ fn run() -> Result<(), String> {
         ),
         fail_threshold: parse_num("--fail-threshold", &args, defaults.fail_threshold)?.max(1),
         max_connections: parse_num("--max-connections", &args, defaults.max_connections)?.max(1),
-        serve_mode: match args
-            .iter()
-            .position(|a| a == "--serve-mode")
-            .and_then(|i| args.get(i + 1))
-        {
-            None => defaults.serve_mode,
-            Some(v) => l2q_service::ServeMode::parse(v)
-                .ok_or_else(|| format!("--serve-mode expects threads|reactor, got '{v}'"))?,
-        },
         forward_workers: parse_num("--forward-workers", &args, defaults.forward_workers)?.max(1),
         rebalance_interval: Duration::from_millis(parse_num(
             "--rebalance-interval-ms",

@@ -39,14 +39,12 @@ pub struct RouterConfig {
     pub max_line_bytes: usize,
     /// How long shutdown waits for in-flight connections.
     pub drain_timeout: Duration,
-    /// Which serving engine handles front-door connections.
-    pub serve_mode: l2q_service::ServeMode,
-    /// Reactor mode only: threads forwarding requests to shards (each
-    /// forward blocks on shard I/O, so they live in their own pool, not
-    /// on the reactor thread).
+    /// Threads forwarding requests to shards (each forward blocks on
+    /// shard I/O, so they live in their own pool, not on the reactor
+    /// thread).
     pub forward_workers: usize,
-    /// Reactor mode only: bounded forward-queue capacity; a full queue
-    /// answers `Overloaded` with a retry hint.
+    /// Bounded forward-queue capacity; a full queue answers `Overloaded`
+    /// with a retry hint.
     pub forward_queue_cap: usize,
     /// Load-rebalancer cadence; `Duration::ZERO` disables the
     /// background task (`rebalance_once` stays callable).
@@ -72,7 +70,6 @@ impl Default for RouterConfig {
             max_connections: 256,
             max_line_bytes: l2q_service::framing::DEFAULT_MAX_LINE_BYTES,
             drain_timeout: Duration::from_secs(5),
-            serve_mode: l2q_service::ServeMode::Reactor,
             forward_workers: 16,
             forward_queue_cap: 64,
             rebalance_interval: Duration::ZERO,

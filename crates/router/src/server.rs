@@ -1,22 +1,22 @@
 //! The router's front door: accept loop + health prober.
 //!
 //! Speaks the same line-delimited JSON protocol as `l2q-serve`, so any
-//! existing client points at the router unchanged. Each accepted
-//! connection gets a thread that reads request lines and dispatches them
-//! through [`RouterCore`]; a background prober pings every registered
+//! existing client points at the router unchanged. Accepted connections
+//! are served by the same readiness-loop engine as the shards
+//! ([`l2q_service::reactor`]): local ops run inline, and every op that
+//! touches a shard is forwarded through [`RouterCore`] from a bounded
+//! pool of forward workers. A background prober pings every registered
 //! shard on a jittered schedule so the whole fleet never probes in
 //! lockstep and a dead shard is noticed within a couple of intervals.
 
 use crate::router::RouterCore;
 use crate::shard::Shard;
-use l2q_service::framing::{LineReader, ReadOutcome};
 use l2q_service::reactor::{
     spawn_engine, EngineConfig, EngineHandle, Injector, ReplyHandle, TaskPool, WireHandler,
 };
-use l2q_service::{Request, Response, ServeMode};
+use l2q_service::{Request, Response};
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -26,12 +26,10 @@ use std::time::{Duration, Instant};
 pub struct RouterHandle {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    connections: Arc<AtomicUsize>,
-    drain_timeout: Duration,
     accept_thread: Option<JoinHandle<()>>,
     prober_thread: Option<JoinHandle<()>>,
     rebalancer_thread: Option<JoinHandle<()>>,
-    engine: Option<EngineHandle>,
+    engine: EngineHandle,
 }
 
 impl RouterHandle {
@@ -46,23 +44,16 @@ impl RouterHandle {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Stop accepting, drain in-flight connections (bounded), join the
-    /// prober; idempotent.
+    /// Stop accepting, drain in-flight connections (the reactor bounds
+    /// the drain by the configured drain timeout), join the prober;
+    /// idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(engine) = &self.engine {
-            engine.wake(); // start the reactor's bounded drain promptly
-        }
+        self.engine.wake(); // start the reactor's bounded drain promptly
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
-        let deadline = Instant::now() + self.drain_timeout;
-        while self.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        if let Some(mut engine) = self.engine.take() {
-            engine.join();
-        }
+        self.engine.join();
         if let Some(h) = self.prober_thread.take() {
             let _ = h.join();
         }
@@ -89,38 +80,27 @@ impl RouterServer {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let connections = Arc::new(AtomicUsize::new(0));
         let cfg = core.config().clone();
 
-        let engine = match cfg.serve_mode {
-            ServeMode::Reactor => Some(spawn_engine(
-                Arc::new(RouterWire {
-                    core: core.clone(),
-                    pool: TaskPool::new(
-                        cfg.forward_workers,
-                        cfg.forward_queue_cap,
-                        "l2q-router-fwd",
-                    ),
-                }),
-                EngineConfig {
-                    name: "l2q-router-reactor".into(),
-                    max_line_bytes: cfg.max_line_bytes.max(1),
-                    drain_timeout: cfg.drain_timeout,
-                    stop: stop.clone(),
-                },
-            )?),
-            ServeMode::Threads => None,
-        };
-        let injector = engine.as_ref().map(EngineHandle::injector);
+        let engine = spawn_engine(
+            Arc::new(RouterWire {
+                core: core.clone(),
+                pool: TaskPool::new(cfg.forward_workers, cfg.forward_queue_cap, "l2q-router-fwd"),
+            }),
+            EngineConfig {
+                name: "l2q-router-reactor".into(),
+                max_line_bytes: cfg.max_line_bytes.max(1),
+                drain_timeout: cfg.drain_timeout,
+                stop: stop.clone(),
+            },
+        )?;
+        let injector = engine.injector();
 
-        let accept_core = core.clone();
+        let max_connections = cfg.max_connections.max(1);
         let accept_stop = stop.clone();
-        let accept_conns = connections.clone();
         let accept_thread = std::thread::Builder::new()
             .name("l2q-router-accept".into())
-            .spawn(move || {
-                accept_loop(listener, accept_core, accept_stop, accept_conns, injector)
-            })?;
+            .spawn(move || accept_loop(listener, max_connections, accept_stop, injector))?;
 
         let probe_core = core.clone();
         let probe_stop = stop.clone();
@@ -145,8 +125,6 @@ impl RouterServer {
         Ok(RouterHandle {
             addr: local,
             stop,
-            connections,
-            drain_timeout: cfg.drain_timeout,
             accept_thread: Some(accept_thread),
             prober_thread: Some(prober_thread),
             rebalancer_thread,
@@ -209,47 +187,28 @@ impl Drop for RouterConnGuard {
     }
 }
 
+/// Admission: count the connection and hand it to the reactor (whose
+/// guard releases the count on every close path), or hand it over with a
+/// one-shot refusal line when the front door is full.
 fn accept_loop(
     listener: TcpListener,
-    core: Arc<RouterCore>,
+    max_connections: usize,
     stop: Arc<AtomicBool>,
-    connections: Arc<AtomicUsize>,
-    injector: Option<Injector>,
+    injector: Injector,
 ) {
-    let max_connections = core.config().max_connections.max(1);
+    let connections = Arc::new(AtomicUsize::new(0));
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if connections.load(Ordering::SeqCst) >= max_connections {
-                    match &injector {
-                        Some(injector) => injector.hand_off(stream, None, Some(capacity_refusal())),
-                        None => refuse_at_capacity(stream),
-                    }
+                    injector.hand_off(stream, None, Some(capacity_refusal()));
                     continue;
                 }
                 connections.fetch_add(1, Ordering::SeqCst);
-                match &injector {
-                    Some(injector) => {
-                        let guard = RouterConnGuard {
-                            connections: connections.clone(),
-                        };
-                        injector.hand_off(stream, Some(Box::new(guard)), None);
-                    }
-                    None => {
-                        let core = core.clone();
-                        let stop = stop.clone();
-                        let conn_count = connections.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name("l2q-router-conn".into())
-                            .spawn(move || {
-                                serve_connection(stream, core, stop);
-                                conn_count.fetch_sub(1, Ordering::SeqCst);
-                            });
-                        if spawned.is_err() {
-                            connections.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                }
+                let guard = RouterConnGuard {
+                    connections: connections.clone(),
+                };
+                injector.hand_off(stream, Some(Box::new(guard)), None);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -266,75 +225,6 @@ fn capacity_refusal() -> Response {
         retry_after_ms: Some(100),
         ..Response::default()
     }
-}
-
-fn refuse_at_capacity(mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let mut out =
-        serde_json::to_string(&capacity_refusal()).unwrap_or_else(|_| "{\"ok\":false}".into());
-    out.push('\n');
-    let _ = stream.write_all(out.as_bytes());
-}
-
-fn serve_connection(stream: TcpStream, core: Arc<RouterCore>, stop: Arc<AtomicBool>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let max_line_bytes = core.config().max_line_bytes.max(1);
-    let mut reader = LineReader::new(stream, max_line_bytes);
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let line = match reader.read_line() {
-            Ok(ReadOutcome::Line(line)) => line,
-            Ok(ReadOutcome::Eof) => return,
-            Ok(ReadOutcome::Idle) => continue,
-            Ok(ReadOutcome::Overflow { buffered }) => {
-                let resp = Response {
-                    ok: false,
-                    error: Some(format!(
-                        "request line exceeds {max_line_bytes} bytes ({buffered} read); closing connection"
-                    )),
-                    ..Response::default()
-                };
-                let _ = write_response(&mut writer, &resp);
-                reader.discard_current_line(Duration::from_secs(2));
-                return;
-            }
-            Err(_) => return,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match serde_json::from_str::<Request>(&line) {
-            Ok(req) => {
-                let mut resp = core.dispatch(&req);
-                resp.request_id = req.request_id;
-                resp
-            }
-            Err(e) => Response {
-                ok: false,
-                error: Some(format!("bad request: {e}")),
-                ..Response::default()
-            },
-        };
-        if write_response(&mut writer, &response).is_err() {
-            return;
-        }
-        if response.state.as_deref() == Some("shutting_down") {
-            stop.store(true, Ordering::SeqCst);
-            return;
-        }
-    }
-}
-
-fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    let mut out = serde_json::to_string(response).unwrap_or_else(|_| "{\"ok\":false}".into());
-    out.push('\n');
-    writer.write_all(out.as_bytes())
 }
 
 /// Deterministic per-shard probe jitter: a splitmix of the shard name and

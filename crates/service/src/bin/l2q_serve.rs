@@ -6,11 +6,12 @@
 //!           [--max-connections N] [--max-line-bytes N]
 //!           [--request-deadline-ms MS] [--metrics-interval SECS]
 //!           [--data-dir PATH] [--fsync always|never|every=N] [--snapshot-every N]
-//!           [--shard-id NAME] [--serve-mode threads|reactor]
+//!           [--shard-id NAME] [--trace-buffer N]
 //! ```
 //!
 //! Prints `listening on <addr>` once ready (`--port 0` picks an
-//! ephemeral port), then serves until a client sends `{"op":"shutdown"}`.
+//! ephemeral port), then serves every connection from one epoll
+//! readiness loop until a client sends `{"op":"shutdown"}`.
 //! With `--metrics-interval N`, a one-line summary (active sessions, qps,
 //! p95 step latency) is logged to stderr every N seconds.
 //!
@@ -36,14 +37,7 @@ USAGE:
             [--max-connections N] [--max-line-bytes N]
             [--request-deadline-ms MS] [--metrics-interval SECS]
             [--data-dir PATH] [--fsync always|never|every=N] [--snapshot-every N]
-            [--shard-id NAME] [--trace-buffer N] [--no-prune]
-            [--serve-mode threads|reactor]
-
-  --no-prune disables the bound-and-prune selection path (certified
-  early-stopped walk solves); selections are bit-identical either way.
-  --serve-mode picks the connection engine: 'reactor' (default) serves
-  every connection from one epoll readiness loop; 'threads' keeps the
-  thread-per-connection path for A/B comparison.
+            [--shard-id NAME] [--trace-buffer N]
 ";
 
 fn parse(key: &str, args: &[String]) -> Option<String> {
@@ -91,11 +85,6 @@ fn run() -> Result<(), String> {
         max_line_bytes: parse_num("--max-line-bytes", &args, defaults.max_line_bytes)?.max(64),
         request_deadline_ms: parse_num("--request-deadline-ms", &args, 0u64)?,
         shard_id: parse("--shard-id", &args),
-        serve_mode: match parse("--serve-mode", &args) {
-            None => defaults.serve_mode,
-            Some(v) => l2q_service::ServeMode::parse(&v)
-                .ok_or_else(|| format!("--serve-mode expects threads|reactor, got '{v}'"))?,
-        },
         ..defaults
     };
 
@@ -105,10 +94,9 @@ fn run() -> Result<(), String> {
     );
     let corpus = Arc::new(generate(&spec, &corpus_cfg).map_err(|e| e.to_string())?);
     eprintln!("training aspect models + building serving bundle...");
-    let no_prune = args.iter().any(|a| a == "--no-prune");
     let bundle = Arc::new(ServingBundle::build(
         corpus,
-        l2q_core::L2qConfig::default().with_prune(!no_prune),
+        l2q_core::L2qConfig::default(),
         BundleConfig::default(),
     ));
 

@@ -13,10 +13,11 @@
 //!
 //! The framing core is the push-based [`LineBuffer`]: bytes go in via
 //! [`LineBuffer::feed`] in whatever chunk sizes the transport produced,
-//! complete frames come out of [`LineBuffer::next_frame`]. The blocking
-//! [`LineReader`] is a thin read-pump over it; the reactor feeds the
-//! same buffer straight from nonblocking socket reads, so both serve
-//! modes share one bounded framing implementation.
+//! complete frames come out of [`LineBuffer::next_frame`]. The server's
+//! reactor feeds it straight from nonblocking socket reads; the blocking
+//! [`LineReader`] the client reads responses with is a thin read-pump
+//! over the same buffer, so both ends share one bounded framing
+//! implementation.
 
 use std::io::{self, ErrorKind, Read};
 use std::time::{Duration, Instant};
@@ -191,7 +192,7 @@ impl LineBuffer {
 }
 
 /// An incremental newline framer over any [`Read`]: a read-pump around
-/// [`LineBuffer`] for the blocking (thread-per-connection) paths.
+/// [`LineBuffer`] for blocking readers (the client).
 pub struct LineReader<R> {
     inner: R,
     buf: LineBuffer,

@@ -48,7 +48,7 @@ pub use proto::{
     SupervisedShardBody,
 };
 pub use scheduler::Scheduler;
-pub use server::{HarvestServer, ServeMode, ServerConfig, ServerHandle};
+pub use server::{HarvestServer, ServerConfig, ServerHandle};
 pub use session::{
     SelectorKind, ServiceError, ServiceMetrics, Session, SessionEntry, SessionManager, SessionSpec,
     SessionStatus, StepReport,

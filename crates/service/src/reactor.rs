@@ -1,6 +1,7 @@
 //! The event-driven serving engine: one reactor thread multiplexing
 //! every connection over an epoll readiness loop (vendored `mio`
-//! subset), replacing thread-per-connection at scale.
+//! subset). It is the only wire engine of both `l2q-serve` and
+//! `l2q-router`.
 //!
 //! Each connection is a nonblocking state machine: readable bytes feed
 //! the bounded [`LineBuffer`] incrementally, complete request lines
@@ -11,20 +12,20 @@
 //! `WouldBlock` re-registers the connection for write readiness and the
 //! flush resumes on the next readiness event.
 //!
-//! Every PR-5 hardening semantic carries over:
+//! The wire boundary's hardening lives here:
 //!
 //! * **Per-request deadlines** — the reactor owns the timer: an expired
 //!   in-flight request gets its `Deadline` error written immediately,
 //!   the eventual worker completion is tombstoned, and the batch keeps
-//!   running in the background exactly like the thread path.
-//! * **Oversized lines** — the same `ok:false` error line, then a
-//!   bounded drain to the line's terminating newline so the close is a
-//!   graceful FIN.
+//!   running in the background.
+//! * **Oversized lines** — an `ok:false` error line, then a bounded
+//!   drain to the line's terminating newline so the close is a graceful
+//!   FIN.
 //! * **Admission control** — refused connections are handed to the
 //!   reactor with a one-shot refusal response written through the same
 //!   nonblocking writer (no thread, no blocking write), and admitted
-//!   connections carry their [`ConnSlot`-style] guard, released when
-//!   the reactor closes them — on socket error included.
+//!   connections carry their admission guard (the service's `ConnSlot`),
+//!   released when the reactor closes them — on socket error included.
 //! * **Bounded drain on shutdown** — in-flight requests finish and
 //!   flush within the drain timeout; everything else closes.
 //! * **Panic isolation** — pool dispatch runs under the scheduler's
@@ -33,11 +34,10 @@
 //!   instead of hanging the connection.
 //!
 //! Backpressure: at most one pool request per connection is in flight
-//! (pipelined requests wait in the socket, mirroring the thread path's
-//! serialized reads), and parsing pauses while more than
-//! [`MAX_OUT_BUFFER`] response bytes await a slow reader — the
-//! registration drops read interest so level-triggered epoll does not
-//! spin on the unread socket.
+//! (pipelined requests wait in the socket and are answered in order),
+//! and parsing pauses while more than `MAX_OUT_BUFFER` response bytes
+//! await a slow reader — the registration drops read interest so
+//! level-triggered epoll does not spin on the unread socket.
 
 use crate::framing::{Frame, LineBuffer};
 use crate::proto::{Request, Response};
@@ -228,7 +228,8 @@ impl Injector {
 pub struct EngineConfig {
     /// Reactor thread name.
     pub name: String,
-    /// Request-line byte cap (same meaning as the thread path).
+    /// Request-line byte cap: a longer line gets an `ok:false` error and
+    /// a graceful close.
     pub max_line_bytes: usize,
     /// Shutdown drain bound: in-flight requests get this long to finish
     /// and flush before their connections are closed anyway.

@@ -1,12 +1,18 @@
-//! The worker pool: a fixed set of threads draining step jobs from one
+//! The worker pool: a fixed set of threads draining jobs from one
 //! bounded crossbeam channel.
 //!
+//! Two kinds of job share the queue. The wire server's reactor hands
+//! every request that may block to the pool as a closure
+//! ([`Scheduler::submit_task`]) that executes the op — a `step` runs its
+//! batch right there — and completes the reply itself. In-process
+//! callers enqueue a step batch directly ([`Scheduler::submit`], or
+//! [`Scheduler::run`] to wait for the report).
+//!
 //! The bounded channel is the backpressure mechanism — when it is full,
-//! [`Scheduler::submit`] fails immediately with
-//! [`ServiceError::Overloaded`] and a retry hint instead of queueing
-//! unboundedly. Each job locks its session for the duration of the batch,
-//! so steps of one session serialize while distinct sessions run on
-//! distinct workers.
+//! submission fails immediately with [`ServiceError::Overloaded`] and a
+//! retry hint instead of queueing unboundedly. Each batch locks its
+//! session for its duration, so steps of one session serialize while
+//! distinct sessions run on distinct workers.
 //!
 //! Workers are panic-isolated: a batch that panics is caught with
 //! `catch_unwind`, the session's poisoned mutex is recovered into a
@@ -139,10 +145,10 @@ impl Scheduler {
     }
 
     /// Enqueue an opaque closure on the same bounded queue (the
-    /// reactor's dispatch path) — step batches and reactor tasks share
-    /// one backpressure boundary, so overload behaves identically in
-    /// both serve modes. The closure is responsible for delivering its
-    /// own reply; a panic inside it is caught by the worker.
+    /// reactor's dispatch path) — in-process step batches and reactor
+    /// tasks share one backpressure boundary. The closure is responsible
+    /// for delivering its own reply; a panic inside it is caught by the
+    /// worker.
     pub fn submit_task(&self, task: Box<dyn FnOnce() + Send>) -> Result<(), ServiceError> {
         self.enqueue(JobKind::Task(task))
     }
@@ -259,14 +265,9 @@ fn worker_loop(rx: Receiver<Job>, metrics: Arc<ServiceMetrics>) {
     }
 }
 
-/// Run one step batch, converting a panic into a `SessionFailed` reply:
-/// the poisoned session mutex is recovered, the session is marked
-/// terminally `Failed`, and the panic stops here instead of killing the
-/// worker. Shared by the thread-mode reply path and the reactor's
-/// in-task step execution.
-/// [`execute_batch`] under the scheduler's batch span, so thread-mode
-/// and reactor-mode step batches record identical `scheduler_batch`
-/// latency and tracing.
+/// [`execute_batch`] under the scheduler's batch span, so queued step
+/// jobs and the reactor's in-task `step` execution record identical
+/// `scheduler_batch` latency and tracing.
 pub(crate) fn execute_batch_spanned(
     session: &Arc<Mutex<Session>>,
     steps: usize,
@@ -277,7 +278,11 @@ pub(crate) fn execute_batch_spanned(
     execute_batch(session, steps, metrics)
 }
 
-pub(crate) fn execute_batch(
+/// Run one step batch, converting a panic into a `SessionFailed` reply:
+/// the poisoned session mutex is recovered, the session is marked
+/// terminally `Failed`, and the panic stops here instead of killing the
+/// worker.
+fn execute_batch(
     session: &Arc<Mutex<Session>>,
     steps: usize,
     metrics: &ServiceMetrics,

@@ -1,23 +1,27 @@
-//! The TCP front end: accept loop, per-connection dispatch, idle sweeper.
+//! The TCP front end: accept loop, wire dispatch, idle sweeper.
 //!
 //! The listener runs nonblocking and polls a shutdown flag between
 //! accepts, so `ServerHandle::shutdown` stops the server without a
-//! sentinel connection. Each accepted connection gets its own thread that
-//! reads newline-delimited JSON requests and writes one JSON response
-//! line per request; step execution is delegated to the shared
-//! [`Scheduler`] so a slow session never starves the accept loop.
+//! sentinel connection. Accepted connections are handed to the
+//! [`reactor`](crate::reactor): one thread multiplexes every connection
+//! over an epoll readiness loop, reads newline-delimited JSON requests,
+//! and writes one JSON response line per request. Ops that never block
+//! run inline on the reactor thread; everything else (step batches,
+//! session and store ops) runs on the shared [`Scheduler`]'s workers,
+//! so neither a slow session nor a slow peer starves the others.
 //!
 //! The wire boundary is hardened against misbehaving peers: request
-//! framing is a bounded [`LineReader`] (partial requests survive read
-//! timeouts; a line past `max_line_bytes` gets an `ok:false` error and a
-//! graceful close instead of unbounded buffering), admission control
-//! caps concurrent connections with a polite `"server at capacity"`
-//! refusal line, `step` requests honor a deadline after which the caller
-//! gets a `Deadline` error while the batch finishes in the background,
-//! and shutdown drains in-flight connections within a bounded timeout.
+//! framing is a bounded [`LineBuffer`](crate::framing::LineBuffer)
+//! (partial requests stay buffered however slowly they arrive; a line
+//! past `max_line_bytes` gets an `ok:false` error and a graceful close
+//! instead of unbounded buffering), admission control caps concurrent
+//! connections with a polite `"server at capacity"` refusal line, `step`
+//! requests honor a deadline after which the caller gets a `Deadline`
+//! error while the batch finishes in the background, and shutdown drains
+//! in-flight connections within a bounded timeout.
 
 use crate::bundle::ServingBundle;
-use crate::framing::{LineReader, ReadOutcome, DEFAULT_MAX_LINE_BYTES};
+use crate::framing::DEFAULT_MAX_LINE_BYTES;
 use crate::proto::{Request, Response, StatsBody};
 use crate::reactor::{EngineConfig, EngineHandle, Injector, ReplyHandle, WireHandler};
 use crate::scheduler::Scheduler;
@@ -25,37 +29,12 @@ use crate::session::{
     lock_recover, SelectorKind, ServiceError, ServiceMetrics, SessionManager, SessionSpec,
     SessionStatus,
 };
-use crossbeam::channel::RecvTimeoutError;
 use l2q_corpus::{AspectId, EntityId};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Which serving engine handles accepted connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One thread per connection (the original hardened path, kept for
-    /// A/B comparison via `--serve-mode threads`).
-    Threads,
-    /// One reactor thread multiplexing every connection over an epoll
-    /// readiness loop (the default): idle connections cost a slab entry,
-    /// not a thread.
-    Reactor,
-}
-
-impl ServeMode {
-    /// Parse a `--serve-mode` value (`threads` | `reactor`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "threads" => Some(Self::Threads),
-            "reactor" => Some(Self::Reactor),
-            _ => None,
-        }
-    }
-}
+use std::time::Duration;
 
 /// Server sizing and policy knobs.
 #[derive(Clone, Debug)]
@@ -86,8 +65,6 @@ pub struct ServerConfig {
     /// `stats` so a router can tell which shard answered. None = not a
     /// fleet member.
     pub shard_id: Option<String>,
-    /// Which serving engine handles connections.
-    pub serve_mode: ServeMode,
 }
 
 impl Default for ServerConfig {
@@ -103,7 +80,6 @@ impl Default for ServerConfig {
             request_deadline_ms: 0,
             drain_timeout: Duration::from_secs(5),
             shard_id: None,
-            serve_mode: ServeMode::Reactor,
         }
     }
 }
@@ -113,10 +89,9 @@ pub struct ServerHandle {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
     connections: Arc<AtomicUsize>,
-    drain_timeout: Duration,
     accept_thread: Option<JoinHandle<()>>,
     sweeper_thread: Option<JoinHandle<()>>,
-    engine: Option<EngineHandle>,
+    engine: EngineHandle,
 }
 
 impl ServerHandle {
@@ -131,31 +106,21 @@ impl ServerHandle {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Connections currently admitted (the admission-control count both
-    /// serve modes charge against).
+    /// Connections currently admitted (the admission-control count).
     pub fn active_connections(&self) -> usize {
         self.connections.load(Ordering::SeqCst)
     }
 
-    /// Stop accepting, drain in-flight connections (bounded by the
-    /// configured drain timeout), join service threads. Connection
-    /// threads notice the stop flag within one read-timeout slice and
-    /// finish the request they are serving first; idempotent.
+    /// Stop accepting, drain in-flight connections (the reactor bounds
+    /// the drain by the configured drain timeout), join service threads.
+    /// In-flight requests finish and flush first; idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(engine) = &self.engine {
-            engine.wake(); // start the reactor's bounded drain promptly
-        }
+        self.engine.wake(); // start the reactor's bounded drain promptly
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
-        let deadline = Instant::now() + self.drain_timeout;
-        while self.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        if let Some(mut engine) = self.engine.take() {
-            engine.join();
-        }
+        self.engine.join();
         if let Some(h) = self.sweeper_thread.take() {
             let _ = h.join();
         }
@@ -168,19 +133,17 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Shared state every connection thread dispatches against.
+/// Shared state every request dispatches against.
 struct ServerCore {
     manager: SessionManager,
     scheduler: Scheduler,
     metrics: Arc<ServiceMetrics>,
     max_steps_per_request: usize,
     max_connections: usize,
-    max_line_bytes: usize,
     request_deadline_ms: u64,
     shard_id: Option<String>,
     /// Connections currently being served (admission-control semaphore).
     connections: Arc<AtomicUsize>,
-    stop: Arc<AtomicBool>,
 }
 
 /// Wire-boundary hardening metrics, registered once per process.
@@ -205,7 +168,7 @@ fn wire_boundary_obs() -> &'static WireObs {
 }
 
 /// An occupied admission slot; releases the connection count (and the
-/// active gauge) however the connection thread exits.
+/// active gauge) however the reactor closes the connection.
 struct ConnSlot {
     connections: Arc<AtomicUsize>,
 }
@@ -279,26 +242,21 @@ impl HarvestServer {
             metrics,
             max_steps_per_request: cfg.max_steps_per_request.max(1),
             max_connections: cfg.max_connections.max(1),
-            max_line_bytes: cfg.max_line_bytes.max(1),
             request_deadline_ms: cfg.request_deadline_ms,
             shard_id: cfg.shard_id.clone(),
             connections: connections.clone(),
-            stop: stop.clone(),
         });
 
-        let engine = match cfg.serve_mode {
-            ServeMode::Reactor => Some(crate::reactor::spawn_engine(
-                Arc::new(ServiceWire { core: core.clone() }),
-                EngineConfig {
-                    name: "l2q-reactor".into(),
-                    max_line_bytes: cfg.max_line_bytes.max(1),
-                    drain_timeout: cfg.drain_timeout,
-                    stop: stop.clone(),
-                },
-            )?),
-            ServeMode::Threads => None,
-        };
-        let injector = engine.as_ref().map(EngineHandle::injector);
+        let engine = crate::reactor::spawn_engine(
+            Arc::new(ServiceWire { core: core.clone() }),
+            EngineConfig {
+                name: "l2q-reactor".into(),
+                max_line_bytes: cfg.max_line_bytes.max(1),
+                drain_timeout: cfg.drain_timeout,
+                stop: stop.clone(),
+            },
+        )?;
+        let injector = engine.injector();
 
         let accept_core = core.clone();
         let accept_stop = stop.clone();
@@ -330,7 +288,6 @@ impl HarvestServer {
             addr: local,
             stop,
             connections,
-            drain_timeout: cfg.drain_timeout,
             accept_thread: Some(accept_thread),
             sweeper_thread: Some(sweeper_thread),
             engine,
@@ -338,45 +295,32 @@ impl HarvestServer {
     }
 }
 
+/// Admission: occupy a slot and hand the socket to the reactor (which
+/// releases the slot on every close path, socket errors included), or
+/// hand it over with a one-shot refusal line written by the reactor's
+/// nonblocking writer — the accept thread never blocks on a peer either
+/// way.
 fn accept_loop(
     listener: TcpListener,
     core: Arc<ServerCore>,
     stop: Arc<AtomicBool>,
-    injector: Option<Injector>,
+    injector: Injector,
 ) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _peer)) => match &injector {
-                Some(injector) => accept_reactor(stream, &core, injector),
-                None => match ConnSlot::acquire(&core.connections, core.max_connections) {
-                    Some(slot) => {
-                        let core = core.clone();
-                        let _ = std::thread::Builder::new()
-                            .name("l2q-conn".into())
-                            .spawn(move || serve_connection(stream, core, slot));
+            Ok((stream, _peer)) => {
+                match ConnSlot::acquire(&core.connections, core.max_connections) {
+                    Some(slot) => injector.hand_off(stream, Some(Box::new(slot)), None),
+                    None => {
+                        wire_boundary_obs().connections_refused.inc();
+                        injector.hand_off(stream, None, Some(capacity_refusal()));
                     }
-                    None => refuse_at_capacity(stream),
-                },
-            },
+                }
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-/// Reactor-mode admission: occupy a slot and hand the socket to the
-/// reactor (which releases the slot on every close path, socket errors
-/// included), or hand it over with a one-shot refusal line written by
-/// the reactor's nonblocking writer — the accept thread never blocks on
-/// a peer either way.
-fn accept_reactor(stream: TcpStream, core: &Arc<ServerCore>, injector: &Injector) {
-    match ConnSlot::acquire(&core.connections, core.max_connections) {
-        Some(slot) => injector.hand_off(stream, Some(Box::new(slot)), None),
-        None => {
-            wire_boundary_obs().connections_refused.inc();
-            injector.hand_off(stream, None, Some(capacity_refusal()));
         }
     }
 }
@@ -390,21 +334,9 @@ fn capacity_refusal() -> Response {
     }
 }
 
-/// Tell an over-capacity client why it is being hung up on, politely and
-/// with a bounded write, then close (thread-mode path).
-fn refuse_at_capacity(mut stream: TcpStream) {
-    wire_boundary_obs().connections_refused.inc();
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let mut out =
-        serde_json::to_string(&capacity_refusal()).unwrap_or_else(|_| "{\"ok\":false}".into());
-    out.push('\n');
-    let _ = stream.write_all(out.as_bytes());
-}
-
 /// The service's [`WireHandler`]: ops that never block (no session
 /// locks, no disk) run inline on the reactor thread; everything else is
-/// dispatched through the scheduler's bounded queue, sharing one
-/// backpressure boundary with thread-mode step batches.
+/// dispatched through the scheduler's bounded queue.
 struct ServiceWire {
     core: Arc<ServerCore>,
 }
@@ -413,7 +345,7 @@ impl WireHandler for ServiceWire {
     fn run_inline(&self, req: &Request) -> Option<Response> {
         match req.op.as_str() {
             "ping" | "stats" | "metrics" | "trace" | "shutdown" => {
-                Some(dispatch_with(req, &self.core, StepMode::Direct))
+                Some(dispatch(req, &self.core, trace_ctx_for(req)))
             }
             _ => None,
         }
@@ -438,13 +370,12 @@ impl WireHandler for ServiceWire {
         let core = self.core.clone();
         // One trace context for the whole request: entered here so the
         // scheduler captures it at enqueue (queue-wait spans join the
-        // caller's trace exactly as in thread mode), re-entered by the
-        // worker when the task runs.
+        // caller's trace), re-entered by the worker when the task runs.
         let ctx = trace_ctx_for(&req);
         let task: Box<dyn FnOnce() + Send> = Box::new(move || {
             let reply = task_slot.lock().unwrap_or_else(|e| e.into_inner()).take();
             if let Some(reply) = reply {
-                reply.complete(dispatch_ctx(&req, &core, StepMode::Direct, ctx));
+                reply.complete(dispatch(&req, &core, ctx));
             }
         });
         let _trace_guard = ctx.map(l2q_obs::trace::enter);
@@ -462,73 +393,6 @@ impl WireHandler for ServiceWire {
     fn on_deadline(&self) {
         wire_boundary_obs().deadline_exceeded.inc();
     }
-}
-
-fn serve_connection(stream: TcpStream, core: Arc<ServerCore>, _slot: ConnSlot) {
-    // A read timeout lets the connection thread notice server shutdown
-    // instead of parking forever on an idle client; the LineReader keeps
-    // any partial request buffered across those timeouts.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = LineReader::new(stream, core.max_line_bytes);
-    loop {
-        if core.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let line = match reader.read_line() {
-            Ok(ReadOutcome::Line(line)) => line,
-            Ok(ReadOutcome::Eof) => return, // client hung up
-            Ok(ReadOutcome::Idle) => continue,
-            Ok(ReadOutcome::Overflow { buffered }) => {
-                wire_boundary_obs().oversized_requests.inc();
-                let resp = Response {
-                    ok: false,
-                    error: Some(format!(
-                        "request line exceeds {} bytes ({} read); closing connection",
-                        core.max_line_bytes, buffered
-                    )),
-                    ..Response::default()
-                };
-                let _ = write_response(&mut writer, &resp);
-                // Drain to the newline so the close is a graceful FIN and
-                // the error line above survives to the peer.
-                reader.discard_current_line(Duration::from_secs(2));
-                return;
-            }
-            Err(_) => return,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match serde_json::from_str::<Request>(&line) {
-            Ok(req) => {
-                let mut resp = dispatch(&req, &core);
-                resp.request_id = req.request_id;
-                resp
-            }
-            Err(e) => Response {
-                ok: false,
-                error: Some(format!("bad request: {e}")),
-                ..Response::default()
-            },
-        };
-        if write_response(&mut writer, &response).is_err() {
-            return;
-        }
-        if response.state.as_deref() == Some("shutting_down") {
-            core.stop.store(true, Ordering::SeqCst);
-            return;
-        }
-    }
-}
-
-fn write_response(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    let mut out = serde_json::to_string(response).unwrap_or_else(|_| "{\"ok\":false}".into());
-    out.push('\n');
-    writer.write_all(out.as_bytes())
 }
 
 /// The wire ops, plus a catch-all bucket so arbitrary client-supplied op
@@ -574,25 +438,6 @@ fn wire_obs(op: &str) -> &'static (Arc<l2q_obs::Counter>, Arc<l2q_obs::Histogram
     &by_op[idx]
 }
 
-/// How a `step` request waits for its batch.
-enum StepMode {
-    /// Block on the scheduler reply channel and enforce the deadline
-    /// here (the thread-per-connection path).
-    Queued,
-    /// Execute the batch directly on the calling thread — the reactor
-    /// path, where this call *is* the queued task and the reactor owns
-    /// the deadline timer.
-    Direct,
-}
-
-fn dispatch(req: &Request, core: &ServerCore) -> Response {
-    dispatch_ctx(req, core, StepMode::Queued, trace_ctx_for(req))
-}
-
-fn dispatch_with(req: &Request, core: &ServerCore, step_mode: StepMode) -> Response {
-    dispatch_ctx(req, core, step_mode, trace_ctx_for(req))
-}
-
 /// Adopt an incoming trace context (router-forwarded request), or start
 /// a fresh trace when the client asked for one; otherwise stay on the
 /// untraced fast path where span timers only feed histograms. The
@@ -609,12 +454,7 @@ fn trace_ctx_for(req: &Request) -> Option<l2q_obs::TraceContext> {
     }
 }
 
-fn dispatch_ctx(
-    req: &Request,
-    core: &ServerCore,
-    step_mode: StepMode,
-    ctx: Option<l2q_obs::TraceContext>,
-) -> Response {
+fn dispatch(req: &Request, core: &ServerCore, ctx: Option<l2q_obs::TraceContext>) -> Response {
     let (requests, latency) = wire_obs(&req.op);
     requests.inc();
     let _trace_guard = ctx.map(l2q_obs::trace::enter);
@@ -632,11 +472,7 @@ fn dispatch_ctx(
     let mut resp = match req.op.as_str() {
         "ping" => Response::ok(),
         "create" => handle_create(req, core).unwrap_or_else(|e| Response::err(&e)),
-        "step" => match step_mode {
-            StepMode::Queued => handle_step(req, core),
-            StepMode::Direct => handle_step_direct(req, core),
-        }
-        .unwrap_or_else(|e| Response::err(&e)),
+        "step" => handle_step(req, core).unwrap_or_else(|e| Response::err(&e)),
         "status" => with_session_status(req, core, false).unwrap_or_else(|e| Response::err(&e)),
         "snapshot" => with_session_status(req, core, true).unwrap_or_else(|e| Response::err(&e)),
         "close" => handle_close(req, core).unwrap_or_else(|e| Response::err(&e)),
@@ -709,51 +545,12 @@ fn handle_create(req: &Request, core: &ServerCore) -> Result<Response, ServiceEr
     Ok(status_response(core, &status))
 }
 
+/// `step`: this call already runs on a scheduler worker (the dispatched
+/// task), so the batch executes right here instead of round-tripping
+/// through the queue again. Deadline enforcement lives in the reactor:
+/// when it fires, the caller gets the `Deadline` error while this batch
+/// keeps running and its completion is tombstoned.
 fn handle_step(req: &Request, core: &ServerCore) -> Result<Response, ServiceError> {
-    // The deadline clock starts at request entry, matching reactor mode
-    // (which stamps the deadline at parse time): session lookup/restore
-    // and scheduler submit count against the budget in both modes, so a
-    // slow store restore can no longer stretch a threads-mode deadline
-    // past what the client asked for.
-    let entered = Instant::now();
-    let id = want_session(req)?;
-    let steps = (req.steps.unwrap_or(1) as usize).clamp(1, core.max_steps_per_request);
-    let session = core.manager.get(id)?;
-    // A request-level deadline overrides the server default; 0 from
-    // either means wait for the batch however long it takes.
-    let deadline_ms = req
-        .deadline_ms
-        .filter(|&d| d > 0)
-        .unwrap_or(core.request_deadline_ms);
-    let reply = core.scheduler.submit(session, steps)?;
-    let report = if deadline_ms == 0 {
-        reply.recv().map_err(|_| ServiceError::Canceled)??
-    } else {
-        let budget = Duration::from_millis(deadline_ms).saturating_sub(entered.elapsed());
-        match reply.recv_timeout(budget) {
-            Ok(result) => result?,
-            Err(RecvTimeoutError::Timeout) => {
-                // The batch keeps running in the background; only the
-                // caller's wait is cut short. The error reports the
-                // requested deadline, not the remaining budget.
-                wire_boundary_obs().deadline_exceeded.inc();
-                return Err(ServiceError::Deadline { deadline_ms });
-            }
-            Err(RecvTimeoutError::Disconnected) => return Err(ServiceError::Canceled),
-        }
-    };
-    let mut resp = status_response(core, &report.status);
-    resp.advanced = Some(report.advanced as u64);
-    resp.new_pages = Some(report.new_pages as u64);
-    Ok(resp)
-}
-
-/// Reactor-mode `step`: this call already runs on a scheduler worker
-/// (the dispatched task), so the batch executes right here instead of
-/// round-tripping through the queue again. Deadline enforcement lives in
-/// the reactor: when it fires, the caller gets the `Deadline` error
-/// while this batch keeps running and its completion is tombstoned.
-fn handle_step_direct(req: &Request, core: &ServerCore) -> Result<Response, ServiceError> {
     let id = want_session(req)?;
     let steps = (req.steps.unwrap_or(1) as usize).clamp(1, core.max_steps_per_request);
     let session = core.manager.get(id)?;

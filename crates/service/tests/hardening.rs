@@ -337,132 +337,63 @@ fn client_times_out_instead_of_hanging_forever() {
     server.join().unwrap();
 }
 
-/// Deadline-semantics parity between serve modes: the `deadline_ms`
-/// clock must start when the request enters the server, so time spent
-/// *waiting for a worker* counts against the deadline identically in
-/// both engines. Reactor mode stamps the deadline at parse time;
-/// threads mode starts its clock at `handle_step` entry (session
-/// lookup/restore and scheduler submit included) and gives
-/// `recv_timeout` only the remaining budget. With one worker occupied
+/// The `deadline_ms` clock starts when the request enters the server,
+/// so time spent *waiting for a worker* counts against the deadline: the
+/// reactor stamps the deadline at parse time. With one worker occupied
 /// by a slow batch, a small-deadline step on another session must come
 /// back as a deadline error on time — not wait out the whole queue —
-/// under either mode, and the cut-short batch must still complete in
-/// the background.
+/// and the cut-short batch must still complete in the background.
 #[test]
-fn queue_wait_counts_against_the_deadline_in_both_serve_modes() {
-    for mode in [
-        l2q_service::ServeMode::Reactor,
-        l2q_service::ServeMode::Threads,
-    ] {
-        let mut handle = start_server(ServerConfig {
-            workers: 1,
-            queue_cap: 32,
-            serve_mode: mode,
-            ..ServerConfig::default()
-        });
-        let addr = handle.addr();
-        let mut client = Client::connect(addr).expect("connect");
-
-        // Both sessions exist before the single worker gets busy.
-        let blocker = client
-            .create(0, "RESEARCH", "sleep=600", Some(4), 0)
-            .expect("create blocker");
-        let victim = client
-            .create(1, "RESEARCH", "l2qbal", Some(3), 0)
-            .expect("create victim");
-
-        // Occupy the only worker with the 600ms sleeping batch.
-        let blocker_thread = std::thread::spawn(move || {
-            let mut c = Client::connect(addr).expect("connect blocker client");
-            let _ = c.step(blocker, 1, 0);
-        });
-        std::thread::sleep(Duration::from_millis(100));
-
-        let started = std::time::Instant::now();
-        let err = client
-            .step_with_deadline(victim, 1, 0, 100)
-            .expect_err("queued step must miss its 100ms deadline");
-        let elapsed = started.elapsed();
-        assert!(
-            err.to_string().contains("deadline"),
-            "[{mode:?}] unexpected error: {err}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(450),
-            "[{mode:?}] deadline ignored queue wait: errored only after {elapsed:?}"
-        );
-
-        // The victim's batch still runs once the worker frees up.
-        let mut stepped = false;
-        for _ in 0..150 {
-            std::thread::sleep(Duration::from_millis(20));
-            let status = client.status(victim).expect("status");
-            if status.steps_taken.unwrap_or(0) >= 1 {
-                stepped = true;
-                break;
-            }
-        }
-        assert!(
-            stepped,
-            "[{mode:?}] cut-short batch never ran in background"
-        );
-
-        blocker_thread.join().expect("blocker thread");
-        handle.shutdown();
-    }
-}
-
-/// A/B guard for the legacy path: with `--serve-mode threads` the
-/// thread-per-connection engine must keep every boundary semantic the
-/// reactor (now the default everywhere else in this suite) is tested
-/// for — slow writers survive read-timeout slices, oversized lines get
-/// a polite refusal + close, and garbage does not poison a connection.
-#[test]
-fn threads_mode_keeps_the_hardening_semantics() {
+fn queue_wait_counts_against_the_deadline() {
     let mut handle = start_server(ServerConfig {
-        max_line_bytes: 4096,
-        serve_mode: l2q_service::ServeMode::Threads,
-        ..default_cfg()
+        workers: 1,
+        queue_cap: 32,
+        ..ServerConfig::default()
     });
     let addr = handle.addr();
+    let mut client = Client::connect(addr).expect("connect");
 
-    // Slow writer: byte-at-a-time with pauses past the read slice.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = b"{\"op\":\"ping\",\"request_id\":9}\n";
-    for &b in &request[..4] {
-        stream.write_all(&[b]).expect("write byte");
-        std::thread::sleep(Duration::from_millis(250));
-    }
-    stream.write_all(&request[4..]).expect("write rest");
-    let resp = read_line_raw(&mut stream, Duration::from_secs(5)).expect("response");
-    assert!(resp.contains("\"ok\":true"), "slow ping corrupted: {resp}");
+    // Both sessions exist before the single worker gets busy.
+    let blocker = client
+        .create(0, "RESEARCH", "sleep=600", Some(4), 0)
+        .expect("create blocker");
+    let victim = client
+        .create(1, "RESEARCH", "l2qbal", Some(3), 0)
+        .expect("create victim");
 
-    // Garbage, then a valid request on the same connection.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(b"not json\n").expect("garbage");
-    let first = read_line_raw(&mut stream, Duration::from_secs(5)).expect("error");
-    assert!(first.contains("bad request"), "unexpected: {first}");
-    stream
-        .write_all(b"{\"op\":\"ping\",\"request_id\":3}\n")
-        .expect("valid request");
-    let second = read_line_raw(&mut stream, Duration::from_secs(5)).expect("pong");
-    assert!(second.contains("\"ok\":true"), "poisoned: {second}");
+    // Occupy the only worker with the 600ms sleeping batch.
+    let blocker_thread = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).expect("connect blocker client");
+        let _ = c.step(blocker, 1, 0);
+    });
+    std::thread::sleep(Duration::from_millis(100));
 
-    // Oversized line: polite refusal, then EOF.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let mut line = vec![b'x'; 64 * 1024];
-    line.push(b'\n');
-    stream.write_all(&line).expect("write oversized");
-    let resp = read_line_raw(&mut stream, Duration::from_secs(5)).expect("refusal");
-    assert!(resp.contains("exceeds"), "unexpected: {resp}");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut rest = Vec::new();
+    let started = std::time::Instant::now();
+    let err = client
+        .step_with_deadline(victim, 1, 0, 100)
+        .expect_err("queued step must miss its 100ms deadline");
+    let elapsed = started.elapsed();
     assert!(
-        stream.read_to_end(&mut rest).is_ok() && rest.is_empty(),
-        "oversized connection not closed gracefully"
+        err.to_string().contains("deadline"),
+        "unexpected error: {err}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(450),
+        "deadline ignored queue wait: errored only after {elapsed:?}"
     );
 
+    // The victim's batch still runs once the worker frees up.
+    let mut stepped = false;
+    for _ in 0..150 {
+        std::thread::sleep(Duration::from_millis(20));
+        let status = client.status(victim).expect("status");
+        if status.steps_taken.unwrap_or(0) >= 1 {
+            stepped = true;
+            break;
+        }
+    }
+    assert!(stepped, "cut-short batch never ran in background");
+
+    blocker_thread.join().expect("blocker thread");
     handle.shutdown();
 }

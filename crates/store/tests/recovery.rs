@@ -13,6 +13,16 @@ use l2q_store::{
     SESSION_FORMAT_VERSION,
 };
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// The metrics counters these tests assert exact deltas on are
+/// process-global, and every test here bumps them, so the tests of this
+/// file run one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("l2q-store-recovery-{}-{tag}", std::process::id()));
@@ -63,6 +73,7 @@ fn step(id: u64, i: u64) -> WalRecord {
 /// never errors, and never resurrects partial data.
 #[test]
 fn truncation_at_every_offset_of_final_record_recovers_committed_prefix() {
+    let _serial = serial();
     let dir = test_dir("every-offset");
     let store = SessionStore::open(&dir, StoreConfig::default()).unwrap();
 
@@ -125,6 +136,7 @@ fn truncation_at_every_offset_of_final_record_recovers_committed_prefix() {
 /// still succeeds; the failure is counted.
 #[test]
 fn corrupt_mid_log_record_is_rejected_and_counted() {
+    let _serial = serial();
     let dir = test_dir("crc-reject");
     let store = SessionStore::open(&dir, StoreConfig::default()).unwrap();
 
@@ -159,6 +171,7 @@ fn corrupt_mid_log_record_is_rejected_and_counted() {
 /// Torn-tail discards increment their counter, and recoveries are counted.
 #[test]
 fn torn_tail_and_recoveries_are_counted() {
+    let _serial = serial();
     let dir = test_dir("torn-metrics");
     let store = SessionStore::open(&dir, StoreConfig::default()).unwrap();
 
@@ -191,6 +204,7 @@ fn torn_tail_and_recoveries_are_counted() {
 /// WAL tail still replays on top of it.
 #[test]
 fn damaged_newest_snapshot_falls_back_to_older_generation() {
+    let _serial = serial();
     let dir = test_dir("snap-fallback");
     let store = SessionStore::open(
         &dir,
