@@ -1,5 +1,5 @@
 //! RAII scope timing: a [`SpanTimer`] records its lifetime into a
-//! histogram when dropped. The [`span!`](crate::span) macro is the
+//! histogram when dropped. The [`span!`](crate::span!) macro is the
 //! ergonomic front end over the global registry.
 //!
 //! A timer started through one of the `start_named*` constructors is also

@@ -7,7 +7,7 @@
 //! fields). Inside a process the active context lives in a thread-local
 //! stack: [`enter`] adopts a context for the current thread (RAII guard),
 //! and every [`SpanTimer`](crate::SpanTimer) started through the
-//! [`span!`](crate::span) macro while a context is active appends one
+//! [`span!`](crate::span!) macro while a context is active appends one
 //! [`SpanRecord`] — a child of whatever span was current — into the
 //! process-wide [`TraceBuffer`] when it drops.
 //!

@@ -21,6 +21,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
+/// How long a rolling restart waits for a restarted shard to answer
+/// again before aborting.
+const RESTART_RECOVERY_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Router policy knobs.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
@@ -35,17 +39,10 @@ pub struct RouterConfig {
     pub client: ClientConfig,
     /// Concurrent client connections the router front door accepts.
     pub max_connections: usize,
-    /// Request-line byte cap on the front door.
-    pub max_line_bytes: usize,
-    /// How long shutdown waits for in-flight connections.
-    pub drain_timeout: Duration,
     /// Threads forwarding requests to shards (each forward blocks on
     /// shard I/O, so they live in their own pool, not on the reactor
     /// thread).
     pub forward_workers: usize,
-    /// Bounded forward-queue capacity; a full queue answers `Overloaded`
-    /// with a retry hint.
-    pub forward_queue_cap: usize,
     /// Load-rebalancer cadence; `Duration::ZERO` disables the
     /// background task (`rebalance_once` stays callable).
     pub rebalance_interval: Duration,
@@ -55,9 +52,6 @@ pub struct RouterConfig {
     pub rebalance_min_gap: u64,
     /// Migration budget per rebalancer pass.
     pub rebalance_budget: usize,
-    /// How long a rolling restart waits for a restarted shard to answer
-    /// again before aborting.
-    pub restart_recovery_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -68,14 +62,10 @@ impl Default for RouterConfig {
             fail_threshold: 2,
             client: ClientConfig::default(),
             max_connections: 256,
-            max_line_bytes: l2q_service::framing::DEFAULT_MAX_LINE_BYTES,
-            drain_timeout: Duration::from_secs(5),
             forward_workers: 16,
-            forward_queue_cap: 64,
             rebalance_interval: Duration::ZERO,
             rebalance_min_gap: 2,
             rebalance_budget: 4,
-            restart_recovery_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -330,20 +320,9 @@ impl RouterCore {
     pub fn dispatch(&self, req: &Request) -> Response {
         let (requests, latency) = op_obs(&req.op);
         requests.inc();
-        // The router is the trace edge: a `trace:true` request starts a
-        // fresh trace here (its id is echoed in the response), an incoming
-        // `trace_id` is adopted (e.g. a client propagating its own ids).
-        // The `trace` op is exempt — there `trace_id` is the lookup key.
-        let ctx = if req.op == "trace" {
-            None
-        } else {
-            match req.trace_id {
-                Some(tid) => Some(l2q_obs::TraceContext::remote(tid, req.parent_span_id)),
-                None if req.trace == Some(true) => Some(l2q_obs::TraceContext::new_root()),
-                None => None,
-            }
-        };
-        let _trace_guard = ctx.map(l2q_obs::trace::enter);
+        // The router is the trace edge: a `trace:true` request roots its
+        // trace here, and the id is echoed in the response.
+        let _trace_guard = req.trace_context().map(l2q_obs::trace::enter);
         let known_op = ROUTER_OPS
             .iter()
             .copied()
@@ -888,7 +867,7 @@ impl RouterCore {
                     ..Response::default()
                 };
             };
-            let deadline = Instant::now() + self.cfg.restart_recovery_timeout;
+            let deadline = Instant::now() + RESTART_RECOVERY_TIMEOUT;
             let mut recovered = false;
             while Instant::now() < deadline {
                 if shard.probe(&self.cfg.client) {
@@ -903,7 +882,7 @@ impl RouterCore {
                     restarted: Some(cycled),
                     error: Some(format!(
                         "aborted: shard '{name}' did not answer within {:?} of restart",
-                        self.cfg.restart_recovery_timeout
+                        RESTART_RECOVERY_TIMEOUT
                     )),
                     state: Some("aborted".into()),
                     ..Response::default()

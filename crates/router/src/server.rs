@@ -1,32 +1,37 @@
-//! The router's front door: accept loop + health prober.
+//! The router's front door: the reactor engine plus the health prober
+//! and the optional rebalancer.
 //!
 //! Speaks the same line-delimited JSON protocol as `l2q-serve`, so any
-//! existing client points at the router unchanged. Accepted connections
-//! are served by the same readiness-loop engine as the shards
-//! ([`l2q_service::reactor`]): local ops run inline, and every op that
-//! touches a shard is forwarded through [`RouterCore`] from a bounded
-//! pool of forward workers. A background prober pings every registered
-//! shard on a jittered schedule so the whole fleet never probes in
-//! lockstep and a dead shard is noticed within a couple of intervals.
+//! existing client points at the router unchanged. The same
+//! readiness-loop engine as the shards ([`l2q_service::reactor`]) owns
+//! accept, admission (a `"router at capacity"` refusal past
+//! `max_connections`) and every connection: local ops run inline, and
+//! every op that touches a shard is forwarded through [`RouterCore`]
+//! from a bounded pool of forward workers. A background prober pings
+//! every registered shard on a jittered schedule so the whole fleet never
+//! probes in lockstep and a dead shard is noticed within a couple of
+//! intervals.
 
 use crate::router::RouterCore;
 use crate::shard::Shard;
-use l2q_service::reactor::{
-    spawn_engine, EngineConfig, EngineHandle, Injector, ReplyHandle, TaskPool, WireHandler,
-};
-use l2q_service::{Request, Response};
+use l2q_service::framing::DEFAULT_MAX_LINE_BYTES;
+use l2q_service::reactor::{spawn_engine, EngineConfig, EngineHandle, ReplyHandle, WireHandler};
+use l2q_service::{Request, Response, Scheduler};
 use std::collections::HashMap;
 use std::net::{TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Bounded forward-queue capacity; a full queue answers `Overloaded`
+/// with a retry hint.
+const FORWARD_QUEUE_CAP: usize = 64;
 
 /// A running router; dropping the handle shuts it down.
 pub struct RouterHandle {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
     prober_thread: Option<JoinHandle<()>>,
     rebalancer_thread: Option<JoinHandle<()>>,
     engine: EngineHandle,
@@ -45,14 +50,9 @@ impl RouterHandle {
     }
 
     /// Stop accepting, drain in-flight connections (the reactor bounds
-    /// the drain by the configured drain timeout), join the prober;
-    /// idempotent.
+    /// the drain), join the prober; idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.engine.wake(); // start the reactor's bounded drain promptly
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
         self.engine.join();
         if let Some(h) = self.prober_thread.take() {
             let _ = h.join();
@@ -69,7 +69,7 @@ impl Drop for RouterHandle {
     }
 }
 
-/// The router server: binds, spawns the accept loop and the prober.
+/// The router server: binds, spawns the engine and the prober.
 pub struct RouterServer;
 
 impl RouterServer {
@@ -77,7 +77,6 @@ impl RouterServer {
     /// the returned handle shuts down.
     pub fn spawn(core: Arc<RouterCore>, addr: impl ToSocketAddrs) -> std::io::Result<RouterHandle> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let cfg = core.config().clone();
@@ -85,22 +84,21 @@ impl RouterServer {
         let engine = spawn_engine(
             Arc::new(RouterWire {
                 core: core.clone(),
-                pool: TaskPool::new(cfg.forward_workers, cfg.forward_queue_cap, "l2q-router-fwd"),
+                pool: Scheduler::forwarder(
+                    cfg.forward_workers,
+                    FORWARD_QUEUE_CAP,
+                    "l2q-router-fwd",
+                ),
             }),
+            listener,
             EngineConfig {
                 name: "l2q-router-reactor".into(),
-                max_line_bytes: cfg.max_line_bytes.max(1),
-                drain_timeout: cfg.drain_timeout,
+                max_line_bytes: DEFAULT_MAX_LINE_BYTES,
+                max_connections: cfg.max_connections,
+                at_capacity: "router at capacity",
                 stop: stop.clone(),
             },
         )?;
-        let injector = engine.injector();
-
-        let max_connections = cfg.max_connections.max(1);
-        let accept_stop = stop.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("l2q-router-accept".into())
-            .spawn(move || accept_loop(listener, max_connections, accept_stop, injector))?;
 
         let probe_core = core.clone();
         let probe_stop = stop.clone();
@@ -125,7 +123,6 @@ impl RouterServer {
         Ok(RouterHandle {
             addr: local,
             stop,
-            accept_thread: Some(accept_thread),
             prober_thread: Some(prober_thread),
             rebalancer_thread,
             engine,
@@ -138,7 +135,7 @@ impl RouterServer {
 /// it is forwarded from a dedicated bounded pool.
 struct RouterWire {
     core: Arc<RouterCore>,
-    pool: TaskPool,
+    pool: Scheduler,
 }
 
 impl WireHandler for RouterWire {
@@ -156,74 +153,8 @@ impl WireHandler for RouterWire {
     }
 
     fn dispatch(&self, req: Request, reply: ReplyHandle) {
-        // Reply stays outside the closure until the pool accepts the
-        // task, so a full forward queue answers `Overloaded`.
-        let slot = Arc::new(Mutex::new(Some(reply)));
-        let task_slot = slot.clone();
         let core = self.core.clone();
-        let task: Box<dyn FnOnce() + Send> = Box::new(move || {
-            let reply = task_slot.lock().unwrap_or_else(|e| e.into_inner()).take();
-            if let Some(reply) = reply {
-                reply.complete(core.dispatch(&req));
-            }
-        });
-        if let Err(e) = self.pool.submit(task) {
-            if let Some(reply) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                reply.complete(Response::err(&e));
-            }
-        }
-    }
-}
-
-/// Releases one front-door admission count however the reactor closes
-/// the connection.
-struct RouterConnGuard {
-    connections: Arc<AtomicUsize>,
-}
-
-impl Drop for RouterConnGuard {
-    fn drop(&mut self) {
-        self.connections.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Admission: count the connection and hand it to the reactor (whose
-/// guard releases the count on every close path), or hand it over with a
-/// one-shot refusal line when the front door is full.
-fn accept_loop(
-    listener: TcpListener,
-    max_connections: usize,
-    stop: Arc<AtomicBool>,
-    injector: Injector,
-) {
-    let connections = Arc::new(AtomicUsize::new(0));
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if connections.load(Ordering::SeqCst) >= max_connections {
-                    injector.hand_off(stream, None, Some(capacity_refusal()));
-                    continue;
-                }
-                connections.fetch_add(1, Ordering::SeqCst);
-                let guard = RouterConnGuard {
-                    connections: connections.clone(),
-                };
-                injector.hand_off(stream, Some(Box::new(guard)), None);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn capacity_refusal() -> Response {
-    Response {
-        ok: false,
-        error: Some("router at capacity".into()),
-        retry_after_ms: Some(100),
-        ..Response::default()
+        self.pool.dispatch(reply, move || core.dispatch(&req));
     }
 }
 

@@ -22,6 +22,8 @@ use l2q_service::{
     ServerHandle, ServingBundle,
 };
 use l2q_store::{SessionStore, StoreConfig};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -968,4 +970,67 @@ fn rolling_restart_cycles_every_shard_and_keeps_sessions_stepping() {
     assert!(!resp.ok, "restart below quorum must abort");
     assert_eq!(resp.state.as_deref(), Some("aborted"));
     assert_eq!(resp.restarted, Some(0));
+}
+
+/// One response line off a raw socket (empty once the peer has closed).
+fn read_raw_line(conn: &TcpStream) -> std::io::Result<String> {
+    conn.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let mut line = String::new();
+    BufReader::new(conn).read_line(&mut line)?;
+    Ok(line)
+}
+
+fn raw_ping(conn: &mut TcpStream) -> std::io::Result<String> {
+    conn.write_all(b"{\"op\":\"ping\"}\n")?;
+    read_raw_line(conn)
+}
+
+/// The router's front door admits up to `max_connections`: the next
+/// connection gets the `"router at capacity"` refusal with a retry hint
+/// and a clean close, a freed slot admits again, and nothing is served
+/// after shutdown. No shards are needed: `ping` runs inline.
+#[test]
+fn router_front_door_refuses_past_the_cap() {
+    let core = Arc::new(RouterCore::new(RouterConfig {
+        max_connections: 2,
+        ..RouterConfig::default()
+    }));
+    let mut router = RouterServer::spawn(core, "127.0.0.1:0").expect("bind router");
+    let addr = router.addr();
+
+    let mut held: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    for conn in held.iter_mut() {
+        let resp = raw_ping(conn).expect("pong");
+        assert!(resp.contains("\"ok\":true"), "holder not served: {resp}");
+    }
+
+    let extra = TcpStream::connect(addr).unwrap();
+    let refusal = read_raw_line(&extra).expect("refusal line");
+    assert!(
+        refusal.contains("router at capacity"),
+        "expected capacity refusal: {refusal}"
+    );
+    assert!(
+        refusal.contains("\"retry_after_ms\":"),
+        "no retry hint: {refusal}"
+    );
+    let mut rest = Vec::new();
+    assert!(
+        (&extra).read_to_end(&mut rest).is_ok() && rest.is_empty(),
+        "refused connection not closed cleanly"
+    );
+
+    // The reactor releases the slot once it reads the holder's FIN.
+    drop(held.pop());
+    let admitted = (0..50).any(|_| {
+        std::thread::sleep(Duration::from_millis(20));
+        let mut conn = TcpStream::connect(addr).unwrap();
+        raw_ping(&mut conn).is_ok_and(|resp| resp.contains("\"ok\":true"))
+    });
+    assert!(admitted, "freed slot never re-admitted a connection");
+
+    router.shutdown();
+    let served = TcpStream::connect(addr)
+        .is_ok_and(|mut conn| raw_ping(&mut conn).is_ok_and(|resp| !resp.is_empty()));
+    assert!(!served, "a connection was served after shutdown");
 }

@@ -756,8 +756,9 @@ fn probe_capacity(addr: &str, cap: usize) -> Result<(), String> {
     for _ in 0..cap {
         held.push(TcpStream::connect(addr).map_err(|e| e.to_string())?);
     }
-    // ...then the next one must be politely refused. The refusal races
-    // the accept loop's slot accounting, so allow a few tries.
+    // ...then the next one must be politely refused. The held ones sit
+    // ahead of it in the accept queue, so the first try should see the
+    // refusal; a few more keep the probe tolerant of a slow server.
     let mut last = String::new();
     for _ in 0..20 {
         let mut extra = TcpStream::connect(addr).map_err(|e| e.to_string())?;

@@ -85,7 +85,6 @@ fn run() -> Result<(), String> {
         max_line_bytes: parse_num("--max-line-bytes", &args, defaults.max_line_bytes)?.max(64),
         request_deadline_ms: parse_num("--request-deadline-ms", &args, 0u64)?,
         shard_id: parse("--shard-id", &args),
-        ..defaults
     };
 
     eprintln!(

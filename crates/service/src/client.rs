@@ -36,7 +36,8 @@ pub struct ClientConfig {
     pub max_backoff_ms: u64,
     /// Local backoff base used only when a refusal carries no
     /// `retry_after_ms` hint — a server-provided hint always takes
-    /// precedence (see [`retry_delay`]).
+    /// precedence. Either base escalates exponentially with the attempt
+    /// count, capped at `max_backoff_ms`.
     pub default_backoff_ms: u64,
 }
 

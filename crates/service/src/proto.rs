@@ -111,6 +111,24 @@ impl Request {
             ..Self::default()
         }
     }
+
+    /// The trace context this request runs under: an incoming `trace_id`
+    /// is adopted (a router hop, or a client propagating its own ids),
+    /// `trace: true` roots a fresh trace, and anything else stays on the
+    /// untraced fast path. The `trace` op is exempt: there `trace_id` is
+    /// the lookup key, and adopting it would append the fetch's spans to
+    /// the trace being fetched. Each call mints a new root, so call this
+    /// once per request.
+    pub fn trace_context(&self) -> Option<l2q_obs::TraceContext> {
+        if self.op == "trace" {
+            return None;
+        }
+        match self.trace_id {
+            Some(tid) => Some(l2q_obs::TraceContext::remote(tid, self.parent_span_id)),
+            None if self.trace == Some(true) => Some(l2q_obs::TraceContext::new_root()),
+            None => None,
+        }
+    }
 }
 
 /// A server response (one JSON line).

@@ -1,7 +1,8 @@
 //! The event-driven serving engine: one reactor thread multiplexing
-//! every connection over an epoll readiness loop (vendored `mio`
-//! subset). It is the only wire engine of both `l2q-serve` and
-//! `l2q-router`.
+//! the listener and every connection over an epoll readiness loop
+//! (vendored `mio` subset). It is the whole front door of both
+//! `l2q-serve` and `l2q-router`: accept, admission, framing, dispatch
+//! and writes all happen on this thread.
 //!
 //! Each connection is a nonblocking state machine: readable bytes feed
 //! the bounded [`LineBuffer`] incrementally, complete request lines
@@ -21,14 +22,19 @@
 //! * **Oversized lines** — an `ok:false` error line, then a bounded
 //!   drain to the line's terminating newline so the close is a graceful
 //!   FIN.
-//! * **Admission control** — refused connections are handed to the
-//!   reactor with a one-shot refusal response written through the same
-//!   nonblocking writer (no thread, no blocking write), and admitted
-//!   connections carry their admission guard (the service's `ConnSlot`),
-//!   released when the reactor closes them — on socket error included.
-//! * **Bounded drain on shutdown** — in-flight requests finish and
-//!   flush within the drain timeout; everything else closes.
-//! * **Panic isolation** — pool dispatch runs under the scheduler's
+//! * **Admission control** — the listener is registered under its own
+//!   token and accepted on readiness. Admitted connections are counted
+//!   on this thread at accept and released in `close`, on every close
+//!   path (socket errors included), so the count needs no atomics. A
+//!   connection past the cap is never registered: it gets the one
+//!   capacity-refusal line in a single nonblocking write, then a close.
+//!   An accept error other than `WouldBlock` (e.g. `EMFILE`) parks the
+//!   listener for `ACCEPT_PAUSE` rather than spinning on its
+//!   level-triggered readiness.
+//! * **Bounded drain on shutdown** — once the stop flag is set the
+//!   listener closes, in-flight requests finish and flush within
+//!   `DRAIN_TIMEOUT`, and everything else closes.
+//! * **Panic isolation** — pool dispatch runs under the worker pool's
 //!   `catch_unwind`, and a reply handle dropped without completing
 //!   (any backstop path) still delivers an internal-error response
 //!   instead of hanging the connection.
@@ -42,10 +48,8 @@
 use crate::framing::{Frame, LineBuffer};
 use crate::proto::{Request, Response};
 use crate::session::ServiceError;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use mio::net::TcpStream;
+use mio::net::{TcpListener, TcpStream};
 use mio::{Events, Interest, Poll, Token, Waker};
-use std::any::Any;
 use std::io::{self, ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -53,6 +57,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const WAKER_TOKEN: Token = Token(0);
+const LISTENER_TOKEN: Token = Token(1);
+/// Connection slab index `i` polls under `Token(i + CONN_TOKEN_BASE)`.
+const CONN_TOKEN_BASE: usize = 2;
 /// Idle poll tick: the upper bound on how stale a deadline/stop check
 /// can get when no readiness events arrive.
 const TICK: Duration = Duration::from_millis(200);
@@ -62,9 +69,15 @@ const READ_CHUNK: usize = 4096;
 const MAX_OUT_BUFFER: usize = 256 * 1024;
 /// How long an oversized-line drain may wait for the terminator.
 const OVERSIZED_DRAIN: Duration = Duration::from_secs(2);
-/// How long a capacity-refusal line may take to flush before the
-/// socket is closed anyway.
-const REFUSAL_LINGER: Duration = Duration::from_millis(500);
+/// Backoff hint carried by the capacity refusal.
+const REFUSAL_RETRY_AFTER_MS: u64 = 100;
+/// How long the listener stays parked after an accept error other than
+/// `WouldBlock` (e.g. `EMFILE`): the pending connection stays queued,
+/// so level-triggered readiness would otherwise fire again at once.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(5);
+/// Shutdown drain bound: in-flight requests get this long to finish and
+/// flush before their connections are closed anyway.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Reactor metrics, registered once per process.
 struct ReactorObs {
@@ -102,8 +115,9 @@ pub trait WireHandler: Send + Sync + 'static {
 
     /// Execute `req` off the reactor thread and complete `reply` with
     /// the response. Must not block the calling (reactor) thread: hand
-    /// the work to a pool and return. On queue overload, complete the
-    /// reply immediately with the overload error.
+    /// the work to a pool with
+    /// [`Scheduler::dispatch`](crate::Scheduler::dispatch), which answers
+    /// a queue refusal (`Overloaded`) immediately.
     fn dispatch(&self, req: Request, reply: ReplyHandle);
 
     /// A request line exceeded the configured cap (metrics hook).
@@ -111,6 +125,13 @@ pub trait WireHandler: Send + Sync + 'static {
 
     /// A dispatched request missed its deadline (metrics hook).
     fn on_deadline(&self) {}
+
+    /// The admitted-connection count moved by `delta`: `+1` at admission,
+    /// `-1` when an admitted connection closes (metrics hook).
+    fn on_admission(&self, _delta: i64) {}
+
+    /// A connection past the cap got the capacity refusal (metrics hook).
+    fn on_refused(&self) {}
 }
 
 struct Completion {
@@ -120,29 +141,12 @@ struct Completion {
     resp: Response,
 }
 
-/// A connection handed to the reactor by an accept loop.
-struct Incoming {
-    stream: std::net::TcpStream,
-    /// Held until the reactor closes the connection (admission slot /
-    /// connection counter); released on every close path, socket
-    /// errors included.
-    guard: Option<Box<dyn Any + Send>>,
-    /// `Some` = refuse: write exactly this response (nonblocking,
-    /// bounded linger) and close. The connection holds no guard slot.
-    refusal: Option<Response>,
-}
-
 struct Shared {
-    injections: Mutex<Vec<Incoming>>,
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
 }
 
 impl Shared {
-    fn wake(&self) {
-        let _ = self.waker.wake();
-    }
-
     fn complete(&self, token: usize, gen: u64, seq: u64, resp: Response) {
         self.completions
             .lock()
@@ -153,7 +157,7 @@ impl Shared {
                 seq,
                 resp,
             });
-        self.wake();
+        let _ = self.waker.wake();
     }
 }
 
@@ -190,40 +194,6 @@ impl Drop for ReplyHandle {
     }
 }
 
-/// Cloneable handoff side of an engine: what accept loops hold.
-#[derive(Clone)]
-pub struct Injector {
-    shared: Arc<Shared>,
-}
-
-impl Injector {
-    /// Hand an accepted connection to the reactor. `guard` is dropped
-    /// when the reactor closes the connection; `refusal` short-circuits
-    /// the connection to one response line and a close.
-    pub fn hand_off(
-        &self,
-        stream: std::net::TcpStream,
-        guard: Option<Box<dyn Any + Send>>,
-        refusal: Option<Response>,
-    ) {
-        self.shared
-            .injections
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Incoming {
-                stream,
-                guard,
-                refusal,
-            });
-        self.shared.wake();
-    }
-
-    /// Nudge the reactor (e.g. after flipping the stop flag).
-    pub fn wake(&self) {
-        self.shared.wake();
-    }
-}
-
 /// Engine sizing and policy.
 pub struct EngineConfig {
     /// Reactor thread name.
@@ -231,35 +201,28 @@ pub struct EngineConfig {
     /// Request-line byte cap: a longer line gets an `ok:false` error and
     /// a graceful close.
     pub max_line_bytes: usize,
-    /// Shutdown drain bound: in-flight requests get this long to finish
-    /// and flush before their connections are closed anyway.
-    pub drain_timeout: Duration,
-    /// Shared stop flag; the engine drains and exits once it is set.
+    /// Admission cap: a connection accepted while this many are open
+    /// gets the capacity refusal and a close.
+    pub max_connections: usize,
+    /// The capacity refusal's error text, e.g. `"server at capacity"`.
+    pub at_capacity: &'static str,
+    /// Shared stop flag; the engine stops accepting, drains and exits
+    /// once it is set.
     pub stop: Arc<AtomicBool>,
 }
 
 /// A running reactor engine; join via [`EngineHandle::join`] after
 /// setting the stop flag.
 pub struct EngineHandle {
-    injector: Injector,
+    shared: Arc<Shared>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl EngineHandle {
-    /// The handoff handle for accept loops.
-    pub fn injector(&self) -> Injector {
-        self.injector.clone()
-    }
-
-    /// Wake the reactor so it notices external state (stop flag).
-    pub fn wake(&self) {
-        self.injector.wake();
-    }
-
-    /// Join the reactor thread (idempotent). The engine exits on its
-    /// own once the stop flag is set and the drain completes.
+    /// Wake the reactor and join its thread (idempotent). The engine
+    /// exits on its own once the stop flag is set and the drain completes.
     pub fn join(&mut self) {
-        self.wake();
+        let _ = self.shared.waker.wake();
         if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
@@ -272,36 +235,42 @@ impl Drop for EngineHandle {
     }
 }
 
-/// Spawn the reactor thread serving `handler` under `cfg`.
-pub fn spawn_engine(handler: Arc<dyn WireHandler>, cfg: EngineConfig) -> io::Result<EngineHandle> {
+/// Spawn the reactor thread serving `handler` on `listener` under `cfg`.
+pub fn spawn_engine(
+    handler: Arc<dyn WireHandler>,
+    listener: std::net::TcpListener,
+    cfg: EngineConfig,
+) -> io::Result<EngineHandle> {
     let poll = Poll::new()?;
     let waker = Waker::new(poll.registry(), WAKER_TOKEN)?;
+    let mut listener = TcpListener::from_std(listener)?;
+    poll.registry()
+        .register(&mut listener, LISTENER_TOKEN, Interest::READABLE)?;
     let shared = Arc::new(Shared {
-        injections: Mutex::new(Vec::new()),
         completions: Mutex::new(Vec::new()),
         waker,
     });
-    let injector = Injector {
-        shared: shared.clone(),
-    };
-    let name = cfg.name.clone();
     let mut engine = Engine {
         poll,
         handler,
-        shared,
+        shared: shared.clone(),
+        listener: Some(listener),
+        accept_paused_until: None,
+        admitted: 0,
+        max_connections: cfg.max_connections.max(1),
+        at_capacity: cfg.at_capacity,
         conns: Vec::new(),
         free: Vec::new(),
         next_gen: 1,
         max_line_bytes: cfg.max_line_bytes.max(1),
-        drain_timeout: cfg.drain_timeout,
         stop: cfg.stop,
         drain_deadline: None,
     };
     let thread = std::thread::Builder::new()
-        .name(name)
+        .name(cfg.name)
         .spawn(move || engine.run())?;
     Ok(EngineHandle {
-        injector,
+        shared,
         thread: Some(thread),
     })
 }
@@ -314,9 +283,6 @@ enum ConnState {
     Draining { deadline: Instant },
     /// Flush whatever is buffered, then close.
     Closing,
-    /// Capacity refusal: flush the one refusal line (bounded by
-    /// `deadline`), then close. Never reads.
-    Refusal { deadline: Instant },
 }
 
 struct Pending {
@@ -343,7 +309,6 @@ struct Conn {
     /// Peer sent FIN; close once in-flight work and writes finish.
     eof: bool,
     interest: Interest,
-    _guard: Option<Box<dyn Any + Send>>,
 }
 
 impl Conn {
@@ -360,7 +325,7 @@ impl Conn {
         let want_read = match self.state {
             ConnState::Open => self.pending.is_none() && !self.backlogged() && !self.eof,
             ConnState::Draining { .. } => true,
-            ConnState::Closing | ConnState::Refusal { .. } => false,
+            ConnState::Closing => false,
         };
         match (want_read, want_write) {
             (true, true) => Interest::READABLE | Interest::WRITABLE,
@@ -378,11 +343,19 @@ struct Engine {
     poll: Poll,
     handler: Arc<dyn WireHandler>,
     shared: Arc<Shared>,
+    /// `None` once the stop flag is seen: the socket closes and new
+    /// connections are refused by the kernel.
+    listener: Option<TcpListener>,
+    /// Set while the listener is parked after an accept error.
+    accept_paused_until: Option<Instant>,
+    /// Open connections; every registered connection was admitted.
+    admitted: usize,
+    max_connections: usize,
+    at_capacity: &'static str,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u64,
     max_line_bytes: usize,
-    drain_timeout: Duration,
     stop: Arc<AtomicBool>,
     drain_deadline: Option<Instant>,
 }
@@ -404,13 +377,19 @@ impl Engine {
             }
             let obs = reactor_obs();
             ready.clear();
+            let mut acceptable = false;
             for ev in &events {
                 if ev.token() == WAKER_TOKEN {
                     obs.wakeups.inc();
                     continue;
                 }
                 obs.readiness_events.inc();
-                ready.push((ev.token().0 - 1, ev.is_readable(), ev.is_writable()));
+                if ev.token() == LISTENER_TOKEN {
+                    acceptable = true;
+                    continue;
+                }
+                let idx = ev.token().0 - CONN_TOKEN_BASE;
+                ready.push((idx, ev.is_readable(), ev.is_writable()));
             }
             for &(idx, readable, writable) in &ready {
                 if self.conns.get(idx).map(Option::is_some) != Some(true) {
@@ -424,7 +403,11 @@ impl Engine {
                 }
                 self.settle(idx);
             }
-            self.drain_injections();
+            // After the batch: a slot closed above may be reused, and this
+            // batch's events must not reach the connection that takes it.
+            if acceptable {
+                self.accept_ready();
+            }
             self.drain_completions();
             self.check_deadlines();
         }
@@ -438,9 +421,12 @@ impl Engine {
         if !self.stop.load(Ordering::SeqCst) {
             return false;
         }
+        if let Some(mut listener) = self.listener.take() {
+            let _ = self.poll.registry().deregister(&mut listener);
+        }
         let deadline = *self
             .drain_deadline
-            .get_or_insert_with(|| Instant::now() + self.drain_timeout);
+            .get_or_insert_with(|| Instant::now() + DRAIN_TIMEOUT);
         let expired = Instant::now() >= deadline;
         for idx in 0..self.conns.len() {
             let Some(conn) = &self.conns[idx] else {
@@ -451,57 +437,94 @@ impl Engine {
                 self.close(idx);
             }
         }
-        let live = self.conns.iter().flatten().count();
-        if live == 0 {
-            for idx in 0..self.conns.len() {
-                self.close(idx);
-            }
-            return true;
-        }
-        false
+        self.conns.iter().all(Option::is_none)
     }
 
     fn next_timeout(&self) -> Duration {
-        let mut next: Option<Instant> = self.drain_deadline;
-        let mut consider = |d: Instant| match next {
-            Some(n) if n <= d => {}
-            _ => next = Some(d),
-        };
-        for conn in self.conns.iter().flatten() {
-            if let Some(p) = &conn.pending {
-                if let Some(d) = p.deadline {
-                    consider(d);
-                }
-            }
-            match conn.state {
-                ConnState::Draining { deadline } | ConnState::Refusal { deadline } => {
-                    consider(deadline)
-                }
-                _ => {}
-            }
-        }
+        let conn_deadlines = self.conns.iter().flatten().flat_map(|conn| {
+            let state = match conn.state {
+                ConnState::Draining { deadline } => Some(deadline),
+                _ => None,
+            };
+            [conn.pending.as_ref().and_then(|p| p.deadline), state]
+        });
+        let next = [self.drain_deadline, self.accept_paused_until]
+            .into_iter()
+            .chain(conn_deadlines)
+            .flatten()
+            .min();
         match next {
             Some(d) => d.saturating_duration_since(Instant::now()).min(TICK),
             None => TICK,
         }
     }
 
-    fn register_incoming(&mut self, incoming: Incoming) {
-        let Incoming {
-            stream,
-            guard,
-            refusal,
-        } = incoming;
-        let Ok(stream) = TcpStream::from_std(stream) else {
-            return; // guard drops, slot freed
+    /// Accept every queued connection. Admission is decided here, on the
+    /// reactor thread: under the cap the connection is admitted and
+    /// counted; at the cap it gets the capacity refusal.
+    fn accept_ready(&mut self) {
+        while let Some(listener) = &self.listener {
+            match listener.accept() {
+                Ok((stream, _peer)) if self.admitted >= self.max_connections => self.refuse(stream),
+                Ok((stream, _peer)) => self.register(stream),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(_) => {
+                    self.set_listener_interest(Interest::NONE);
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Re-arm (or park, with `Interest::NONE`) the listener. A listener
+    /// that cannot be re-armed is closed: accepting stops rather than
+    /// spins.
+    fn set_listener_interest(&mut self, interest: Interest) {
+        if let Some(listener) = self.listener.as_mut() {
+            if self
+                .poll
+                .registry()
+                .reregister(listener, LISTENER_TOKEN, interest)
+                .is_err()
+            {
+                self.listener = None;
+            }
+        }
+    }
+
+    /// Past the cap: one refusal line, then a close. The short line
+    /// always fits the empty send buffer of a fresh socket, so a single
+    /// nonblocking write queues all of it ahead of the close.
+    fn refuse(&self, mut stream: TcpStream) {
+        self.handler.on_refused();
+        let mut line = Vec::new();
+        let resp = Response {
+            ok: false,
+            error: Some(self.at_capacity.into()),
+            retry_after_ms: Some(REFUSAL_RETRY_AFTER_MS),
+            ..Response::default()
         };
+        push_response(&mut line, &resp);
+        let _ = stream.write_all(&line);
+    }
+
+    fn register(&mut self, mut stream: TcpStream) {
         let idx = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
         });
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let mut conn = Conn {
+        let token = Token(idx + CONN_TOKEN_BASE);
+        if self
+            .poll
+            .registry()
+            .register(&mut stream, token, Interest::READABLE)
+            .is_err()
+        {
+            self.free.push(idx);
+            return; // the socket closes as `stream` drops
+        }
+        self.conns[idx] = Some(Conn {
             stream,
             buf: LineBuffer::new(self.max_line_bytes),
             out: Vec::new(),
@@ -510,52 +533,14 @@ impl Engine {
             pending: None,
             discard_through: 0,
             seq: 0,
-            gen,
+            gen: self.next_gen,
             eof: false,
             interest: Interest::READABLE,
-            _guard: guard,
-        };
-        if let Some(resp) = refusal {
-            conn.state = ConnState::Refusal {
-                deadline: Instant::now() + REFUSAL_LINGER,
-            };
-            push_response(&mut conn.out, &resp);
-            conn.interest = Interest::WRITABLE;
-        }
-        let interest = conn.interest;
-        if self
-            .poll
-            .registry()
-            .register(&mut conn.stream, Token(idx + 1), interest)
-            .is_err()
-        {
-            self.free.push(idx);
-            return; // conn (and guard) drop here
-        }
-        self.conns[idx] = Some(conn);
+        });
+        self.next_gen += 1;
         reactor_obs().registered.inc();
-        // Refusal lines usually flush in one write; try immediately.
-        self.flush(idx);
-        self.settle(idx);
-    }
-
-    fn drain_injections(&mut self) {
-        loop {
-            let batch: Vec<Incoming> = {
-                let mut q = self
-                    .shared
-                    .injections
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                std::mem::take(&mut *q)
-            };
-            if batch.is_empty() {
-                return;
-            }
-            for incoming in batch {
-                self.register_incoming(incoming);
-            }
-        }
+        self.admitted += 1;
+        self.handler.on_admission(1);
     }
 
     fn drain_completions(&mut self) {
@@ -598,25 +583,19 @@ impl Engine {
 
     fn check_deadlines(&mut self) {
         let now = Instant::now();
+        if self.accept_paused_until.is_some_and(|t| now >= t) {
+            self.accept_paused_until = None;
+            self.set_listener_interest(Interest::READABLE);
+        }
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
             };
-            match conn.state {
-                ConnState::Draining { deadline } if now >= deadline => {
-                    // The oversized line never terminated in time; the
-                    // error response is flushed (or never will be).
-                    conn.state = ConnState::Closing;
-                }
-                ConnState::Refusal { deadline } if now >= deadline => {
-                    self.close(idx);
-                    continue;
-                }
-                _ => {}
+            if matches!(conn.state, ConnState::Draining { deadline } if now >= deadline) {
+                // The oversized line never terminated in time; the error
+                // response is flushed (or never will be).
+                conn.state = ConnState::Closing;
             }
-            let Some(conn) = self.conns[idx].as_mut() else {
-                continue;
-            };
             let expired = conn
                 .pending
                 .as_ref()
@@ -641,12 +620,6 @@ impl Engine {
     }
 
     fn read_ready(&mut self, idx: usize) {
-        if matches!(
-            self.conns[idx].as_ref().map(|c| &c.state),
-            Some(ConnState::Refusal { .. }) | Some(ConnState::Closing)
-        ) {
-            return;
-        }
         if self.stop.load(Ordering::SeqCst) {
             return; // draining: no new requests
         }
@@ -660,7 +633,7 @@ impl Engine {
             let paused = match conn.state {
                 ConnState::Open => conn.pending.is_some() || conn.backlogged(),
                 ConnState::Draining { .. } => false,
-                _ => true,
+                ConnState::Closing => true,
             };
             if paused || conn.eof {
                 return;
@@ -857,8 +830,7 @@ impl Engine {
         let Some(conn) = self.conns[idx].as_mut() else {
             return;
         };
-        let done = !conn.has_output()
-            && matches!(conn.state, ConnState::Closing | ConnState::Refusal { .. });
+        let done = !conn.has_output() && matches!(conn.state, ConnState::Closing);
         if done {
             self.close(idx);
             return;
@@ -869,7 +841,7 @@ impl Engine {
             if self
                 .poll
                 .registry()
-                .reregister(&mut conn.stream, Token(idx + 1), desired)
+                .reregister(&mut conn.stream, Token(idx + CONN_TOKEN_BASE), desired)
                 .is_err()
             {
                 self.close(idx);
@@ -884,7 +856,9 @@ impl Engine {
         let _ = self.poll.registry().deregister(&mut conn.stream);
         reactor_obs().registered.dec();
         self.free.push(idx);
-        // conn drops here: socket closes, guard releases the slot.
+        self.admitted -= 1;
+        self.handler.on_admission(-1);
+        // conn drops here: the socket closes.
     }
 }
 
@@ -892,74 +866,4 @@ fn push_response(out: &mut Vec<u8>, resp: &Response) {
     let line = serde_json::to_string(resp).unwrap_or_else(|_| "{\"ok\":false}".into());
     out.extend_from_slice(line.as_bytes());
     out.push(b'\n');
-}
-
-/// A small blocking-work pool for handlers whose dispatch does I/O (the
-/// router's shard forwards): fixed threads over a bounded queue, the
-/// same backpressure shape as the scheduler. Used where the scheduler's
-/// CPU-bound pool would be the wrong place to park blocking calls.
-pub struct TaskPool {
-    tx: Option<Sender<Task>>,
-    workers: Vec<JoinHandle<()>>,
-    retry_after_ms: u64,
-}
-
-/// A queued unit of blocking work.
-type Task = Box<dyn FnOnce() + Send>;
-
-impl TaskPool {
-    /// Spawn `workers` threads draining a queue of capacity `queue_cap`.
-    pub fn new(workers: usize, queue_cap: usize, name: &str) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx): (Sender<Task>, Receiver<Task>) = channel::bounded(queue_cap.max(1));
-        let handles = (0..workers)
-            .map(|i| {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || {
-                        while let Ok(task) = rx.recv() {
-                            // A panicking task must not shrink the pool.
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                        }
-                    })
-                    .expect("spawn task pool worker")
-            })
-            .collect();
-        Self {
-            tx: Some(tx),
-            workers: handles,
-            retry_after_ms: 25,
-        }
-    }
-
-    /// Enqueue a task; `Overloaded` with a retry hint when the queue is
-    /// full (the task is dropped — callers keep their reply handle
-    /// outside the closure to deliver the error).
-    pub fn submit(&self, task: Box<dyn FnOnce() + Send>) -> Result<(), ServiceError> {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(ServiceError::Canceled);
-        };
-        match tx.try_send(task) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => Err(ServiceError::Overloaded {
-                retry_after_ms: self.retry_after_ms,
-            }),
-            Err(TrySendError::Disconnected(_)) => Err(ServiceError::Canceled),
-        }
-    }
-
-    /// Disconnect the queue and join the workers; queued tasks drain.
-    pub fn shutdown(&mut self) {
-        self.tx.take();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TaskPool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }

@@ -1,11 +1,12 @@
-//! The worker pool: a fixed set of threads draining jobs from one
-//! bounded crossbeam channel.
+//! The worker pool: a fixed set of threads draining closures from one
+//! bounded crossbeam channel. It is the only pool in the serving stack:
+//! `l2q-serve` runs its wire ops on one (a `step` runs its batch right
+//! there), and `l2q-router` forwards to shards from another.
 //!
-//! Two kinds of job share the queue. The wire server's reactor hands
-//! every request that may block to the pool as a closure
-//! ([`Scheduler::submit_task`]) that executes the op — a `step` runs its
-//! batch right there — and completes the reply itself. In-process
-//! callers enqueue a step batch directly ([`Scheduler::submit`], or
+//! The wire path hands a request over with [`Scheduler::dispatch`], which
+//! completes the reactor's reply with the op's response — or, when the
+//! queue refuses the job, with the refusal itself. In-process callers
+//! enqueue a step batch directly ([`Scheduler::submit`], or
 //! [`Scheduler::run`] to wait for the report).
 //!
 //! The bounded channel is the backpressure mechanism — when it is full,
@@ -14,46 +15,31 @@
 //! session for its duration, so steps of one session serialize while
 //! distinct sessions run on distinct workers.
 //!
-//! Workers are panic-isolated: a batch that panics is caught with
-//! `catch_unwind`, the session's poisoned mutex is recovered into a
-//! terminal `Failed` state, the caller gets a
+//! Workers are panic-isolated: every job runs inside `catch_unwind`, so
+//! a worker thread never dies and the pool never shrinks. A step batch
+//! that panics is caught inside the batch: the session's poisoned
+//! mutex is recovered into a terminal `Failed` state, the caller gets a
 //! [`ServiceError::SessionFailed`] reply instead of a hang, and
-//! `worker_panics_total` counts the event. The worker thread itself
-//! survives (and an outer supervisor loop respawns the drain loop if a
-//! panic ever escapes it), so one poisonous session cannot silently
-//! shrink the pool for the rest of the process.
+//! `worker_panics_total` counts the event.
 
+use crate::proto::Response;
+use crate::reactor::ReplyHandle;
 use crate::session::{lock_recover, ServiceError, ServiceMetrics, Session, StepReport};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use l2q_obs::MetricsRegistry;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A unit of work for the pool.
-enum JobKind {
-    /// Run up to `steps` selector iterations of one session and send the
-    /// report to `reply`.
-    Step {
-        session: Arc<Mutex<Session>>,
-        steps: usize,
-        reply: Sender<Result<StepReport, ServiceError>>,
-    },
-    /// An opaque closure (the reactor's dispatch path). The closure owns
-    /// its own reply channel; panics are caught so the worker survives.
-    Task(Box<dyn FnOnce() + Send>),
-}
+/// Backoff hint carried by an `Overloaded` refusal.
+const RETRY_AFTER_MS: u64 = 25;
 
-struct Job {
-    kind: JobKind,
-    enqueued: Instant,
-    /// Trace context captured on the submitting thread; the worker
-    /// re-enters it so batch/step spans land in the caller's trace.
-    trace: Option<l2q_obs::TraceContext>,
-}
+/// A queued unit of work.
+type Task = Box<dyn FnOnce() + Send>;
 
-/// Global-registry handles shared by every scheduler in the process
-/// (resolved once; the hot path pays only relaxed atomics).
+/// Pool metric handles, resolved once; the hot path pays only relaxed
+/// atomics.
 struct SchedulerObs {
     queue_depth: Arc<l2q_obs::Gauge>,
     queue_wait_seconds: Arc<l2q_obs::Histogram>,
@@ -61,58 +47,80 @@ struct SchedulerObs {
     jobs_total: Arc<l2q_obs::Counter>,
     jobs_rejected_total: Arc<l2q_obs::Counter>,
     worker_panics_total: Arc<l2q_obs::Counter>,
-    worker_respawns_total: Arc<l2q_obs::Counter>,
 }
 
-fn scheduler_obs() -> &'static SchedulerObs {
-    static M: OnceLock<SchedulerObs> = OnceLock::new();
-    M.get_or_init(|| {
-        let reg = l2q_obs::global();
-        SchedulerObs {
+impl SchedulerObs {
+    fn registered_in(reg: &MetricsRegistry) -> Self {
+        Self {
             queue_depth: reg.gauge("scheduler_queue_depth"),
             queue_wait_seconds: reg.histogram("scheduler_queue_wait_seconds"),
             batch_seconds: reg.histogram("scheduler_batch_seconds"),
             jobs_total: reg.counter("scheduler_jobs_total"),
             jobs_rejected_total: reg.counter("scheduler_jobs_rejected_total"),
             worker_panics_total: reg.counter("worker_panics_total"),
-            worker_respawns_total: reg.counter("worker_respawns_total"),
         }
-    })
+    }
+}
+
+/// The step schedulers' series, in the global registry.
+fn scheduler_obs() -> &'static SchedulerObs {
+    static M: OnceLock<SchedulerObs> = OnceLock::new();
+    M.get_or_init(|| SchedulerObs::registered_in(l2q_obs::global()))
+}
+
+/// Forward pools' series, kept in a registry nothing renders so the
+/// exported `scheduler_*` series describe step scheduling alone.
+fn forwarder_obs() -> &'static SchedulerObs {
+    static UNRENDERED: MetricsRegistry = MetricsRegistry::new();
+    static M: OnceLock<SchedulerObs> = OnceLock::new();
+    M.get_or_init(|| SchedulerObs::registered_in(&UNRENDERED))
 }
 
 /// Fixed worker pool over a bounded job queue.
 pub struct Scheduler {
-    tx: Option<Sender<Job>>,
+    tx: Option<Sender<Task>>,
     workers: Vec<JoinHandle<()>>,
     metrics: Arc<ServiceMetrics>,
-    retry_after_ms: u64,
+    obs: &'static SchedulerObs,
 }
 
 impl Scheduler {
-    /// Spawn `workers` threads draining a queue of capacity `queue_cap`.
+    /// The step scheduler: `workers` threads draining a queue of capacity
+    /// `queue_cap`, recording the `scheduler_*` series and `metrics`.
     pub fn new(workers: usize, queue_cap: usize, metrics: Arc<ServiceMetrics>) -> Self {
         assert!(workers > 0, "need at least one worker");
         assert!(queue_cap > 0, "need a positive queue capacity");
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = channel::bounded(queue_cap);
-        let handles = (0..workers)
+        Self::spawn(workers, queue_cap, "l2q-worker", metrics, scheduler_obs())
+    }
+
+    /// A forward pool for handlers whose jobs block on I/O (the router's
+    /// shard forwards), with threads named `{name}-{i}`. Its metrics are
+    /// not exported.
+    pub fn forwarder(workers: usize, queue_cap: usize, name: &str) -> Self {
+        let workers = workers.max(1);
+        Self::spawn(workers, queue_cap, name, Arc::default(), forwarder_obs())
+    }
+
+    fn spawn(
+        workers: usize,
+        queue_cap: usize,
+        name: &str,
+        metrics: Arc<ServiceMetrics>,
+        obs: &'static SchedulerObs,
+    ) -> Self {
+        let (tx, rx): (Sender<Task>, Receiver<Task>) = channel::bounded(queue_cap);
+        let workers = (0..workers)
             .map(|i| {
                 let rx = rx.clone();
-                let metrics = metrics.clone();
                 std::thread::Builder::new()
-                    .name(format!("l2q-worker-{i}"))
+                    .name(format!("{name}-{i}"))
                     .spawn(move || {
-                        // Supervisor loop: per-job panics are caught inside
-                        // worker_loop; should one ever escape it, respawn
-                        // the drain loop instead of silently shrinking the
-                        // pool. A clean return (channel disconnected) ends
-                        // the thread.
-                        loop {
-                            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                worker_loop(rx.clone(), metrics.clone())
-                            }));
-                            match result {
-                                Ok(()) => break,
-                                Err(_) => scheduler_obs().worker_respawns_total.inc(),
+                        while let Ok(task) = rx.recv() {
+                            // The job's reply path still answers (a dropped
+                            // `ReplyHandle` sends an internal error), and
+                            // the worker lives on.
+                            if std::panic::catch_unwind(AssertUnwindSafe(task)).is_err() {
+                                obs.worker_panics_total.inc();
                             }
                         }
                     })
@@ -121,9 +129,34 @@ impl Scheduler {
             .collect();
         Self {
             tx: Some(tx),
-            workers: handles,
+            workers,
             metrics,
-            retry_after_ms: 25,
+            obs,
+        }
+    }
+
+    /// Run `work` on a worker and complete `reply` with its response.
+    /// A refused submission answers at once with the refusal:
+    /// `Overloaded` with a retry hint on a full queue, `Canceled` after
+    /// shutdown.
+    pub fn dispatch(&self, reply: ReplyHandle, work: impl FnOnce() -> Response + Send + 'static) {
+        // The reply stays reachable here until the queue accepts the job:
+        // a refused job is dropped unrun, and dropping the reply with it
+        // would answer a dropped-reply internal error instead.
+        let slot = Arc::new(Mutex::new(Some(reply)));
+        let job_slot = slot.clone();
+        let take = |slot: &Mutex<Option<ReplyHandle>>| {
+            slot.lock().unwrap_or_else(|e| e.into_inner()).take()
+        };
+        let job = move || {
+            if let Some(reply) = take(&job_slot) {
+                reply.complete(work());
+            }
+        };
+        if let Err(e) = self.enqueue(job) {
+            if let Some(reply) = take(&slot) {
+                reply.complete(Response::err(&e));
+            }
         }
     }
 
@@ -136,54 +169,13 @@ impl Scheduler {
         steps: usize,
     ) -> Result<Receiver<Result<StepReport, ServiceError>>, ServiceError> {
         let (reply_tx, reply_rx) = channel::unbounded();
-        self.enqueue(JobKind::Step {
-            session,
-            steps,
-            reply: reply_tx,
+        let metrics = self.metrics.clone();
+        self.enqueue(move || {
+            // The client may have hung up; a dead reply receiver is not
+            // an error.
+            let _ = reply_tx.send(execute_batch(&session, steps, &metrics));
         })?;
         Ok(reply_rx)
-    }
-
-    /// Enqueue an opaque closure on the same bounded queue (the
-    /// reactor's dispatch path) — in-process step batches and reactor
-    /// tasks share one backpressure boundary. The closure is responsible
-    /// for delivering its own reply; a panic inside it is caught by the
-    /// worker.
-    pub fn submit_task(&self, task: Box<dyn FnOnce() + Send>) -> Result<(), ServiceError> {
-        self.enqueue(JobKind::Task(task))
-    }
-
-    fn enqueue(&self, kind: JobKind) -> Result<(), ServiceError> {
-        let Some(tx) = self.tx.as_ref() else {
-            return Err(ServiceError::Canceled);
-        };
-        let job = Job {
-            kind,
-            enqueued: Instant::now(),
-            trace: l2q_obs::trace::current(),
-        };
-        let obs = scheduler_obs();
-        // Inc before the send so the gauge never under-reports a queued
-        // job; undone on the failure paths below.
-        obs.queue_depth.inc();
-        match tx.try_send(job) {
-            Ok(()) => {
-                obs.jobs_total.inc();
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => {
-                obs.queue_depth.dec();
-                obs.jobs_rejected_total.inc();
-                ServiceMetrics::add(&self.metrics.jobs_rejected, 1);
-                Err(ServiceError::Overloaded {
-                    retry_after_ms: self.retry_after_ms,
-                })
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                obs.queue_depth.dec();
-                Err(ServiceError::Canceled)
-            }
-        }
     }
 
     /// Enqueue and wait for the report (convenience over [`submit`]).
@@ -197,6 +189,52 @@ impl Scheduler {
         self.submit(session, steps)?
             .recv()
             .map_err(|_| ServiceError::Canceled)?
+    }
+
+    fn enqueue(&self, job: impl FnOnce() + Send + 'static) -> Result<(), ServiceError> {
+        let Some(tx) = self.tx.as_ref() else {
+            return Err(ServiceError::Canceled);
+        };
+        let obs = self.obs;
+        let enqueued = Instant::now();
+        // The submitter's trace context, re-entered on the worker so the
+        // queue-wait span and the job's spans join the caller's trace.
+        let trace = l2q_obs::trace::current();
+        let task: Task = Box::new(move || {
+            obs.queue_depth.dec();
+            let _trace_guard = trace.map(l2q_obs::trace::enter);
+            let wait = enqueued.elapsed();
+            match trace {
+                Some(ctx) => {
+                    obs.queue_wait_seconds
+                        .record_with_exemplar(wait.as_secs_f64(), ctx.trace_id);
+                    l2q_obs::trace::record_span("scheduler_queue_wait", wait);
+                }
+                None => obs.queue_wait_seconds.record_duration(wait),
+            }
+            job();
+        });
+        // Inc before the send so the gauge never under-reports a queued
+        // job; undone on the failure paths below.
+        obs.queue_depth.inc();
+        match tx.try_send(task) {
+            Ok(()) => {
+                obs.jobs_total.inc();
+                Ok(())
+            }
+            Err(TrySendError::Full(_)) => {
+                obs.queue_depth.dec();
+                obs.jobs_rejected_total.inc();
+                ServiceMetrics::add(&self.metrics.jobs_rejected, 1);
+                Err(ServiceError::Overloaded {
+                    retry_after_ms: RETRY_AFTER_MS,
+                })
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                obs.queue_depth.dec();
+                Err(ServiceError::Canceled)
+            }
+        }
     }
 
     /// Jobs currently waiting (not yet picked up by a worker).
@@ -225,68 +263,18 @@ impl Drop for Scheduler {
     }
 }
 
-fn worker_loop(rx: Receiver<Job>, metrics: Arc<ServiceMetrics>) {
-    let obs = scheduler_obs();
-    while let Ok(job) = rx.recv() {
-        obs.queue_depth.dec();
-        // Adopt the submitter's trace context for the whole batch so the
-        // queue-wait and batch spans (and everything under the harvest
-        // step) join the caller's trace.
-        let _trace_guard = job.trace.map(l2q_obs::trace::enter);
-        let wait = job.enqueued.elapsed();
-        match l2q_obs::trace::current() {
-            Some(ctx) => {
-                obs.queue_wait_seconds
-                    .record_with_exemplar(wait.as_secs_f64(), ctx.trace_id);
-                l2q_obs::trace::record_span("scheduler_queue_wait", wait);
-            }
-            None => obs.queue_wait_seconds.record_duration(wait),
-        }
-        match job.kind {
-            JobKind::Step {
-                session,
-                steps,
-                reply,
-            } => {
-                let result = execute_batch_spanned(&session, steps, &metrics);
-                // The client may have hung up; a dead reply receiver is
-                // not an error.
-                let _ = reply.send(result);
-            }
-            JobKind::Task(task) => {
-                // The closure delivers its own reply (step panics are
-                // already converted inside execute_batch; this guard
-                // only covers dispatch plumbing).
-                if std::panic::catch_unwind(AssertUnwindSafe(task)).is_err() {
-                    obs.worker_panics_total.inc();
-                }
-            }
-        }
-    }
-}
-
-/// [`execute_batch`] under the scheduler's batch span, so queued step
-/// jobs and the reactor's in-task `step` execution record identical
-/// `scheduler_batch` latency and tracing.
-pub(crate) fn execute_batch_spanned(
+/// Run one step batch under the scheduler's batch span, converting a
+/// panic into a `SessionFailed` reply: the poisoned session mutex is
+/// recovered, the session is marked terminally `Failed`, and the panic
+/// stops here instead of killing the worker. In-process step jobs and
+/// the wire `step` op both run here.
+pub(crate) fn execute_batch(
     session: &Arc<Mutex<Session>>,
     steps: usize,
     metrics: &ServiceMetrics,
 ) -> Result<StepReport, ServiceError> {
     let _batch_span =
         l2q_obs::SpanTimer::start_named(scheduler_obs().batch_seconds.clone(), "scheduler_batch");
-    execute_batch(session, steps, metrics)
-}
-
-/// Run one step batch, converting a panic into a `SessionFailed` reply:
-/// the poisoned session mutex is recovered, the session is marked
-/// terminally `Failed`, and the panic stops here instead of killing the
-/// worker.
-fn execute_batch(
-    session: &Arc<Mutex<Session>>,
-    steps: usize,
-    metrics: &ServiceMetrics,
-) -> Result<StepReport, ServiceError> {
     {
         let guard = lock_recover(session);
         if let Some(message) = guard.failure().map(str::to_owned) {

@@ -1,14 +1,13 @@
-//! The TCP front end: accept loop, wire dispatch, idle sweeper.
+//! The TCP front end: wire dispatch and the idle sweeper.
 //!
-//! The listener runs nonblocking and polls a shutdown flag between
-//! accepts, so `ServerHandle::shutdown` stops the server without a
-//! sentinel connection. Accepted connections are handed to the
-//! [`reactor`](crate::reactor): one thread multiplexes every connection
-//! over an epoll readiness loop, reads newline-delimited JSON requests,
-//! and writes one JSON response line per request. Ops that never block
-//! run inline on the reactor thread; everything else (step batches,
-//! session and store ops) runs on the shared [`Scheduler`]'s workers,
-//! so neither a slow session nor a slow peer starves the others.
+//! The [`reactor`](crate::reactor) owns the whole front door: one thread
+//! accepts on the listener's readiness, admits or refuses each
+//! connection, reads newline-delimited JSON requests over an epoll
+//! readiness loop, and writes one JSON response line per request. Ops
+//! that never block run inline on the reactor thread; everything else
+//! (step batches, session and store ops) runs on the shared
+//! [`Scheduler`]'s workers, so neither a slow session nor a slow peer
+//! starves the others.
 //!
 //! The wire boundary is hardened against misbehaving peers: request
 //! framing is a bounded [`LineBuffer`](crate::framing::LineBuffer)
@@ -23,7 +22,7 @@
 use crate::bundle::ServingBundle;
 use crate::framing::DEFAULT_MAX_LINE_BYTES;
 use crate::proto::{Request, Response, StatsBody};
-use crate::reactor::{EngineConfig, EngineHandle, Injector, ReplyHandle, WireHandler};
+use crate::reactor::{EngineConfig, EngineHandle, ReplyHandle, WireHandler};
 use crate::scheduler::Scheduler;
 use crate::session::{
     lock_recover, SelectorKind, ServiceError, ServiceMetrics, SessionManager, SessionSpec,
@@ -31,10 +30,15 @@ use crate::session::{
 };
 use l2q_corpus::{AspectId, EntityId};
 use std::net::{TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// How often the sweeper scans for idle sessions.
+const SWEEP_INTERVAL: Duration = Duration::from_secs(5);
+/// Hard cap on `steps` per request (protects the queue from hogs).
+const MAX_STEPS_PER_REQUEST: usize = 64;
 
 /// Server sizing and policy knobs.
 #[derive(Clone, Debug)]
@@ -45,10 +49,6 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Sessions idle longer than this are evicted.
     pub idle_timeout: Duration,
-    /// How often the sweeper scans for idle sessions.
-    pub sweep_interval: Duration,
-    /// Hard cap on `steps` per request (protects the queue from hogs).
-    pub max_steps_per_request: usize,
     /// Concurrent-connection cap; connections beyond it get a one-line
     /// `"server at capacity"` refusal and a close.
     pub max_connections: usize,
@@ -58,9 +58,6 @@ pub struct ServerConfig {
     /// Default `step` deadline in milliseconds (0 = wait indefinitely);
     /// requests may override with their own `deadline_ms`.
     pub request_deadline_ms: u64,
-    /// How long `shutdown` waits for in-flight connections to finish
-    /// before returning anyway.
-    pub drain_timeout: Duration,
     /// Fleet identity of this server (`l2q-serve --shard-id`), echoed in
     /// `stats` so a router can tell which shard answered. None = not a
     /// fleet member.
@@ -73,12 +70,9 @@ impl Default for ServerConfig {
             workers: 4,
             queue_cap: 64,
             idle_timeout: Duration::from_secs(300),
-            sweep_interval: Duration::from_secs(5),
-            max_steps_per_request: 64,
             max_connections: 256,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             request_deadline_ms: 0,
-            drain_timeout: Duration::from_secs(5),
             shard_id: None,
         }
     }
@@ -88,8 +82,6 @@ impl Default for ServerConfig {
 pub struct ServerHandle {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    connections: Arc<AtomicUsize>,
-    accept_thread: Option<JoinHandle<()>>,
     sweeper_thread: Option<JoinHandle<()>>,
     engine: EngineHandle,
 }
@@ -101,25 +93,16 @@ impl ServerHandle {
     }
 
     /// Whether shutdown has been requested (e.g. by a client's
-    /// `shutdown` op) — the accept loop is stopping or stopped.
+    /// `shutdown` op) — the reactor has stopped accepting or soon will.
     pub fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Connections currently admitted (the admission-control count).
-    pub fn active_connections(&self) -> usize {
-        self.connections.load(Ordering::SeqCst)
-    }
-
     /// Stop accepting, drain in-flight connections (the reactor bounds
-    /// the drain by the configured drain timeout), join service threads.
-    /// In-flight requests finish and flush first; idempotent.
+    /// the drain), join service threads. In-flight requests finish and
+    /// flush first; idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.engine.wake(); // start the reactor's bounded drain promptly
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
         self.engine.join();
         if let Some(h) = self.sweeper_thread.take() {
             let _ = h.join();
@@ -138,12 +121,8 @@ struct ServerCore {
     manager: SessionManager,
     scheduler: Scheduler,
     metrics: Arc<ServiceMetrics>,
-    max_steps_per_request: usize,
-    max_connections: usize,
     request_deadline_ms: u64,
     shard_id: Option<String>,
-    /// Connections currently being served (admission-control semaphore).
-    connections: Arc<AtomicUsize>,
 }
 
 /// Wire-boundary hardening metrics, registered once per process.
@@ -165,45 +144,6 @@ fn wire_boundary_obs() -> &'static WireObs {
             deadline_exceeded: reg.counter("wire_deadline_exceeded_total"),
         }
     })
-}
-
-/// An occupied admission slot; releases the connection count (and the
-/// active gauge) however the reactor closes the connection.
-struct ConnSlot {
-    connections: Arc<AtomicUsize>,
-}
-
-impl ConnSlot {
-    /// Try to occupy a slot; `None` means the server is at capacity.
-    fn acquire(connections: &Arc<AtomicUsize>, max: usize) -> Option<Self> {
-        let mut current = connections.load(Ordering::SeqCst);
-        loop {
-            if current >= max {
-                return None;
-            }
-            match connections.compare_exchange(
-                current,
-                current + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    wire_boundary_obs().connections_active.inc();
-                    return Some(Self {
-                        connections: connections.clone(),
-                    });
-                }
-                Err(observed) => current = observed,
-            }
-        }
-    }
-}
-
-impl Drop for ConnSlot {
-    fn drop(&mut self) {
-        self.connections.fetch_sub(1, Ordering::SeqCst);
-        wire_boundary_obs().connections_active.dec();
-    }
 }
 
 /// A server over a bundle.
@@ -231,55 +171,42 @@ impl HarvestServer {
         addr: impl ToSocketAddrs,
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let connections = Arc::new(AtomicUsize::new(0));
         let metrics = Arc::new(ServiceMetrics::default());
         let core = Arc::new(ServerCore {
             manager: SessionManager::with_store(bundle, cfg.idle_timeout, metrics.clone(), store),
             scheduler: Scheduler::new(cfg.workers, cfg.queue_cap, metrics.clone()),
             metrics,
-            max_steps_per_request: cfg.max_steps_per_request.max(1),
-            max_connections: cfg.max_connections.max(1),
             request_deadline_ms: cfg.request_deadline_ms,
             shard_id: cfg.shard_id.clone(),
-            connections: connections.clone(),
         });
 
         let engine = crate::reactor::spawn_engine(
             Arc::new(ServiceWire { core: core.clone() }),
+            listener,
             EngineConfig {
                 name: "l2q-reactor".into(),
-                max_line_bytes: cfg.max_line_bytes.max(1),
-                drain_timeout: cfg.drain_timeout,
+                max_line_bytes: cfg.max_line_bytes,
+                max_connections: cfg.max_connections,
+                at_capacity: "server at capacity",
                 stop: stop.clone(),
             },
         )?;
-        let injector = engine.injector();
 
-        let accept_core = core.clone();
-        let accept_stop = stop.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("l2q-accept".into())
-            .spawn(move || accept_loop(listener, accept_core, accept_stop, injector))?;
-
-        let sweep_core = core;
         let sweep_stop = stop.clone();
-        let sweep_every = cfg.sweep_interval;
         let sweeper_thread = std::thread::Builder::new()
             .name("l2q-sweeper".into())
             .spawn(move || {
-                // Poll in short slices so shutdown is prompt even with a
-                // long sweep interval.
-                let slice = Duration::from_millis(20).min(sweep_every);
+                // Poll in short slices so shutdown is prompt.
+                let slice = Duration::from_millis(20);
                 let mut slept = Duration::ZERO;
                 while !sweep_stop.load(Ordering::SeqCst) {
                     std::thread::sleep(slice);
                     slept += slice;
-                    if slept >= sweep_every {
+                    if slept >= SWEEP_INTERVAL {
                         slept = Duration::ZERO;
-                        sweep_core.manager.evict_idle();
+                        core.manager.evict_idle();
                     }
                 }
             })?;
@@ -287,50 +214,9 @@ impl HarvestServer {
         Ok(ServerHandle {
             addr: local,
             stop,
-            connections,
-            accept_thread: Some(accept_thread),
             sweeper_thread: Some(sweeper_thread),
             engine,
         })
-    }
-}
-
-/// Admission: occupy a slot and hand the socket to the reactor (which
-/// releases the slot on every close path, socket errors included), or
-/// hand it over with a one-shot refusal line written by the reactor's
-/// nonblocking writer — the accept thread never blocks on a peer either
-/// way.
-fn accept_loop(
-    listener: TcpListener,
-    core: Arc<ServerCore>,
-    stop: Arc<AtomicBool>,
-    injector: Injector,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                match ConnSlot::acquire(&core.connections, core.max_connections) {
-                    Some(slot) => injector.hand_off(stream, Some(Box::new(slot)), None),
-                    None => {
-                        wire_boundary_obs().connections_refused.inc();
-                        injector.hand_off(stream, None, Some(capacity_refusal()));
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-fn capacity_refusal() -> Response {
-    Response {
-        ok: false,
-        error: Some("server at capacity".into()),
-        retry_after_ms: Some(100),
-        ..Response::default()
     }
 }
 
@@ -345,7 +231,7 @@ impl WireHandler for ServiceWire {
     fn run_inline(&self, req: &Request) -> Option<Response> {
         match req.op.as_str() {
             "ping" | "stats" | "metrics" | "trace" | "shutdown" => {
-                Some(dispatch(req, &self.core, trace_ctx_for(req)))
+                Some(dispatch(req, &self.core, req.trace_context()))
             }
             _ => None,
         }
@@ -362,28 +248,15 @@ impl WireHandler for ServiceWire {
     }
 
     fn dispatch(&self, req: Request, reply: ReplyHandle) {
-        // The reply stays outside the closure until submission succeeds,
-        // so a full queue answers `Overloaded` with a retry hint instead
-        // of a dropped-reply internal error.
-        let slot = Arc::new(Mutex::new(Some(reply)));
-        let task_slot = slot.clone();
-        let core = self.core.clone();
         // One trace context for the whole request: entered here so the
-        // scheduler captures it at enqueue (queue-wait spans join the
-        // caller's trace), re-entered by the worker when the task runs.
-        let ctx = trace_ctx_for(&req);
-        let task: Box<dyn FnOnce() + Send> = Box::new(move || {
-            let reply = task_slot.lock().unwrap_or_else(|e| e.into_inner()).take();
-            if let Some(reply) = reply {
-                reply.complete(dispatch(&req, &core, ctx));
-            }
-        });
+        // scheduler captures it at enqueue (the queue-wait span joins the
+        // caller's trace), re-entered by the worker for the op itself.
+        let ctx = req.trace_context();
         let _trace_guard = ctx.map(l2q_obs::trace::enter);
-        if let Err(e) = self.core.scheduler.submit_task(task) {
-            if let Some(reply) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                reply.complete(Response::err(&e));
-            }
-        }
+        let core = self.core.clone();
+        self.core
+            .scheduler
+            .dispatch(reply, move || dispatch(&req, &core, ctx));
     }
 
     fn on_oversized(&self) {
@@ -392,6 +265,14 @@ impl WireHandler for ServiceWire {
 
     fn on_deadline(&self) {
         wire_boundary_obs().deadline_exceeded.inc();
+    }
+
+    fn on_admission(&self, delta: i64) {
+        wire_boundary_obs().connections_active.add(delta);
+    }
+
+    fn on_refused(&self) {
+        wire_boundary_obs().connections_refused.inc();
     }
 }
 
@@ -436,22 +317,6 @@ fn wire_obs(op: &str) -> &'static (Arc<l2q_obs::Counter>, Arc<l2q_obs::Histogram
         .position(|&known| known == op)
         .unwrap_or(WIRE_OPS.len() - 1);
     &by_op[idx]
-}
-
-/// Adopt an incoming trace context (router-forwarded request), or start
-/// a fresh trace when the client asked for one; otherwise stay on the
-/// untraced fast path where span timers only feed histograms. The
-/// `trace` op is exempt: there `trace_id` is the lookup key, and
-/// adopting it would append fetch spans to the trace being fetched.
-fn trace_ctx_for(req: &Request) -> Option<l2q_obs::TraceContext> {
-    if req.op == "trace" {
-        return None;
-    }
-    match req.trace_id {
-        Some(tid) => Some(l2q_obs::TraceContext::remote(tid, req.parent_span_id)),
-        None if req.trace == Some(true) => Some(l2q_obs::TraceContext::new_root()),
-        None => None,
-    }
 }
 
 fn dispatch(req: &Request, core: &ServerCore, ctx: Option<l2q_obs::TraceContext>) -> Response {
@@ -552,9 +417,9 @@ fn handle_create(req: &Request, core: &ServerCore) -> Result<Response, ServiceEr
 /// keeps running and its completion is tombstoned.
 fn handle_step(req: &Request, core: &ServerCore) -> Result<Response, ServiceError> {
     let id = want_session(req)?;
-    let steps = (req.steps.unwrap_or(1) as usize).clamp(1, core.max_steps_per_request);
+    let steps = (req.steps.unwrap_or(1) as usize).clamp(1, MAX_STEPS_PER_REQUEST);
     let session = core.manager.get(id)?;
-    let report = crate::scheduler::execute_batch_spanned(&session, steps, &core.metrics)?;
+    let report = crate::scheduler::execute_batch(&session, steps, &core.metrics)?;
     let mut resp = status_response(core, &report.status);
     resp.advanced = Some(report.advanced as u64);
     resp.new_pages = Some(report.new_pages as u64);

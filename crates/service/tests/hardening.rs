@@ -280,8 +280,8 @@ fn connections_past_the_cap_are_politely_refused() {
     assert!(resp.contains("retry_after_ms"), "no retry hint: {resp}");
 
     // Releasing a slot re-admits: drop one holder, then a fresh
-    // connection gets served (allow the accept loop a few tries to
-    // observe the freed slot).
+    // connection gets served (allow the reactor a few tries to read the
+    // holder's FIN and free its slot).
     drop(held.pop());
     let mut admitted = false;
     for _ in 0..50 {

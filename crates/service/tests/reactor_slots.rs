@@ -113,9 +113,8 @@ fn conn_slot_churn_leaves_no_leaked_slots() {
 
         // The next connection gets the one-line refusal with a retry
         // hint, written by the nonblocking writer, then a graceful
-        // close. The refusal races the accept loop's slot accounting
-        // only in the other direction (a freed slot admitting), so with
-        // both slots held this must refuse on the first try.
+        // close. The reactor counts slots as it accepts, so with both
+        // slots held this must refuse on the first try.
         let mut extra = TcpStream::connect(addr).expect("connect extra");
         let refusal = read_line_raw(&mut extra, Duration::from_secs(5)).expect("refusal line");
         assert!(
