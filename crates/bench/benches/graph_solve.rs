@@ -2,9 +2,7 @@
 //! graphs (the per-iteration cost is O(|V| + |E|), paper Sect. III).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use l2q_graph::{
-    solve, solve_with_scheme, GraphBuilder, Regularization, Scheme, UtilityKind, WalkConfig,
-};
+use l2q_graph::{solve, GraphBuilder, Regularization, UtilityKind, WalkConfig};
 
 /// Build a synthetic tripartite graph: `n` pages, 4n queries, n/2
 /// templates, ~3 edges per query.
@@ -46,16 +44,6 @@ fn bench_solver(c: &mut Criterion) {
             let reg = Regularization::recall_from_relevance(&g, &relevant);
             bench.iter(|| solve(&g, UtilityKind::Recall, &reg, &cfg));
         });
-        group.bench_with_input(
-            BenchmarkId::new("precision_gauss_seidel", n),
-            &n,
-            |bench, _| {
-                let reg = Regularization::precision_from_relevance(&g, &relevant);
-                bench.iter(|| {
-                    solve_with_scheme(&g, UtilityKind::Precision, &reg, &cfg, Scheme::GaussSeidel)
-                });
-            },
-        );
     }
     group.finish();
 }

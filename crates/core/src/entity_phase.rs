@@ -54,7 +54,7 @@ use crate::template::{templates_of, Template, TemplateMode};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, PageId};
 use l2q_graph::{
-    solve_detailed, FusedTruncatedSolver, GraphBuilder, Regularization, ReinforcementGraph, Scheme,
+    solve_detailed, FusedTruncatedSolver, GraphBuilder, Regularization, ReinforcementGraph,
     StaticBoundsContext, Utilities, UtilityKind,
 };
 use l2q_text::Bow;
@@ -634,14 +634,7 @@ impl<'a> EntityPhase<'a> {
         let (kind, reg) = self.reg_for(walk);
         let warm = self.warm_vector(walk, &reg);
         let warmed = warm.is_some();
-        let (u, sweeps) = solve_detailed(
-            &self.graph,
-            kind,
-            &reg,
-            &self.cfg.walk,
-            Scheme::Jacobi,
-            warm,
-        );
+        let (u, sweeps) = solve_detailed(&self.graph, kind, &reg, &self.cfg.walk, warm);
         (u, sweeps, warmed)
     }
 
@@ -739,37 +732,25 @@ impl<'a> EntityPhase<'a> {
         mut certified: impl FnMut(&ContextProbe<'_>) -> bool,
     ) -> (ContextWalks, bool) {
         const WALKS: [Walk; 3] = [Walk::Recall, Walk::RecallGathered, Walk::RecallAll];
-        let regs: Vec<Regularization> = WALKS
-            .iter()
-            .map(|&w| {
-                let (kind, reg) = self.reg_for(w);
-                debug_assert_eq!(kind, UtilityKind::Recall);
-                // The grouping in `certifiable_groups` relies on the
-                // query side carrying no regularization.
-                debug_assert!(reg.queries.iter().all(|&x| x == 0.0));
-                reg
-            })
-            .collect();
-        let warms: Vec<Option<Utilities>> = WALKS
-            .iter()
-            .zip(&regs)
-            .map(|(&w, reg)| self.warm_vector(w, reg))
-            .collect();
-        let warmed: Vec<bool> = warms.iter().map(|w| w.is_some()).collect();
+        let regs: [Regularization; 3] = WALKS.map(|w| {
+            let (kind, reg) = self.reg_for(w);
+            debug_assert_eq!(kind, UtilityKind::Recall);
+            // The grouping in `certifiable_groups` relies on the
+            // query side carrying no regularization.
+            debug_assert!(reg.queries.iter().all(|&x| x == 0.0));
+            reg
+        });
+        let warms: [Option<Utilities>; 3] =
+            std::array::from_fn(|i| self.warm_vector(WALKS[i], &regs[i]));
+        let warmed: [bool; 3] = std::array::from_fn(|i| warms[i].is_some());
         // The in-strength half of the bound is a graph constant: scan
         // the edges once per phase and derive each walk's bounds from
         // its regularization.
-        let ctx = self.bounds_ctx.get_or_init(|| {
-            StaticBoundsContext::new(&self.graph, UtilityKind::Recall, &self.cfg.walk)
-        });
+        let ctx = self
+            .bounds_ctx
+            .get_or_init(|| StaticBoundsContext::new(&self.graph, &self.cfg.walk));
         let bounds: Vec<Vec<f64>> = regs.iter().map(|reg| ctx.query_upper_bounds(reg)).collect();
-        let mut solver = FusedTruncatedSolver::new(
-            &self.graph,
-            UtilityKind::Recall,
-            regs,
-            &self.cfg.walk,
-            warms,
-        );
+        let mut solver = FusedTruncatedSolver::new(&self.graph, regs, &self.cfg.walk, warms);
         let mut early = false;
         while solver.sweep() {
             if solver.all_converged() {
@@ -801,15 +782,12 @@ impl<'a> EntityPhase<'a> {
                 self.note_solved(st, w, u, *sweeps, warm);
             }
         }
-        let mut it = results.into_iter();
-        let recall = it.next().expect("three walks").0.queries;
-        let recall_gathered = it.next().expect("three walks").0.queries;
-        let recall_all = it.next().expect("three walks").0.queries;
+        let [(recall, _), (recall_gathered, _), (recall_all, _)] = results;
         (
             ContextWalks {
-                recall,
-                recall_gathered,
-                recall_all,
+                recall: recall.queries,
+                recall_gathered: recall_gathered.queries,
+                recall_all: recall_all.queries,
             },
             early,
         )

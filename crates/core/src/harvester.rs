@@ -346,7 +346,7 @@ impl HarvestState {
         let search_span =
             l2q_obs::SpanTimer::start_named(m.search_seconds.clone(), "harvest_search");
         let results = search.search(self.entity, query.words());
-        let search_elapsed = search_span.finish();
+        search_span.finish();
         m.queries_fired.inc();
         let mut new_pages = Vec::new();
         for p in results {
@@ -364,22 +364,6 @@ impl HarvestState {
         let n_new = new_pages.len();
         m.steps.inc();
         m.pages_gained.add(n_new as u64);
-        if l2q_obs::events_enabled() {
-            l2q_obs::emit(
-                "harvest_step",
-                &[
-                    ("entity", self.entity.0.into()),
-                    ("aspect", self.aspect.0.into()),
-                    ("step", self.iterations.len().into()),
-                    ("query", query.render(&h.corpus.symbols).into()),
-                    ("candidates", candidates.len().into()),
-                    ("new_pages", n_new.into()),
-                    ("gathered", self.gathered.len().into()),
-                    ("select_us", (select_elapsed.as_micros() as u64).into()),
-                    ("search_us", (search_elapsed.as_micros() as u64).into()),
-                ],
-            );
-        }
         drop(step_timer); // record the step's full wall-clock
         self.iterations.push(IterationSnapshot {
             query,

@@ -1,32 +1,32 @@
-//! Certified truncation bounds for the utility-inference fixpoint.
+//! Certified truncation bounds for the context walks' fixpoints.
 //!
-//! The selection argmax only ever consumes the *query* block of the walk
-//! fixpoints, and the Jacobi update map is a restart-damped contraction.
-//! Both facts combine into cheap, rigorous control over a truncated
-//! solve:
+//! The selection argmax only ever consumes the *query* block of the three
+//! Recall context walks, and the Jacobi update map is a restart-damped
+//! contraction. Both facts combine into cheap, rigorous control over a
+//! truncated solve:
 //!
-//! * [`FusedTruncatedSolver`] solves several same-kind fixpoints on one
-//!   graph together, one caller-paced Jacobi sweep at a time: each sweep
-//!   loads every edge once and applies it to all still-unconverged
-//!   systems, and afterwards exposes a **certified tail bound** on how
-//!   far each system's current query iterate can still move before
-//!   convergence. Run to completion it is bitwise identical to
-//!   per-system [`solve_detailed`](crate::solve_detailed) — a system's
-//!   update reads only its own iterate, its per-vertex accumulation runs
-//!   over edges in the solo sweep's order, and it stops the moment its
-//!   own L1 delta crosses the tolerance — so a caller that stops early
-//!   only ever trades a *known* error for sweeps, never correctness.
-//! * [`static_query_upper_bounds`] bounds each query's true fixpoint
-//!   utility from per-vertex in-strengths of the graph alone, without
-//!   running a single sweep.
+//! * [`FusedTruncatedSolver`] solves the three walks on one graph
+//!   together, one caller-paced Jacobi sweep at a time: each sweep loads
+//!   every edge once and applies it to all three systems, and afterwards
+//!   exposes a **certified tail bound** on how far each system's current
+//!   query iterate can still move before convergence. Run to completion
+//!   it is bitwise identical to per-system
+//!   [`solve_detailed`](crate::solve_detailed) — a system's update reads
+//!   only its own iterate, its per-vertex accumulation runs over edges in
+//!   the solo sweep's order, and it stops the moment its own L1 delta
+//!   crosses the tolerance (later sweeps still compute its new iterate
+//!   but never swap it in) — so a caller that stops early only ever
+//!   trades a *known* error for sweeps, never correctness.
+//! * [`StaticBoundsContext`] bounds each query's true fixpoint utility
+//!   from per-vertex in-strengths of the graph alone, without running a
+//!   single sweep.
 //!
-//! Tail-bound derivation. Write one Jacobi sweep's block deltas as
-//! `d_P, d_Q, d_T` (pages / queries / templates; L1 for Recall whose
-//! sender-normalized coefficient columns sum to 1, L∞ for Precision
-//! whose receiver averages have unit coefficient sums). With
-//! `keep = 1 − α` and page/template side weights `B_P, B_T` (the balance
-//! split when a missing side contributes zero, else 1), one more sweep
-//! contracts the blocks jointly:
+//! Tail-bound derivation. Write one Jacobi sweep's block L1 deltas as
+//! `d_P, d_Q, d_T` (pages / queries / templates; Recall's
+//! sender-normalized coefficient columns sum to 1, so block L1 norms
+//! contract). With `keep = 1 − α` and page/template side weights
+//! `B_P, B_T` (the balance split when a missing side contributes zero,
+//! else 1), one more sweep contracts the blocks jointly:
 //!
 //! ```text
 //! d_P' ≤ keep·d_Q      d_T' ≤ keep·d_Q      d_Q' ≤ keep·(B_P·d_P + B_T·d_T)
@@ -65,65 +65,29 @@
 
 use crate::graph::ReinforcementGraph;
 use crate::solver::{
-    l1_delta, step_fused, step_fused3_recall, sweeps_histogram, Regularization, Utilities,
-    UtilityKind, WalkConfig,
+    l1, start_iterate, step_fused3_recall, sweeps_histogram, Regularization, Utilities, WalkConfig,
 };
 
-/// Per-block iterate movement of one sweep, in both norms the bounds
-/// need. The L1 blocks are accumulated in exactly the order of the
-/// solver's `l1_delta` fold so `total_l1()` reproduces its convergence
-/// decision bit for bit.
+/// Per-block L1 movement of one sweep, summed in the solo solver's
+/// convergence order so `total()` reproduces its decision bit for bit.
 #[derive(Clone, Copy, Debug)]
 struct BlockDeltas {
-    l1_pages: f64,
-    l1_queries: f64,
-    l1_templates: f64,
-    linf_pages: f64,
-    linf_queries: f64,
-    linf_templates: f64,
+    pages: f64,
+    queries: f64,
+    templates: f64,
 }
 
 impl BlockDeltas {
-    fn total_l1(&self) -> f64 {
-        self.l1_pages + self.l1_queries + self.l1_templates
+    fn between(a: &Utilities, b: &Utilities) -> Self {
+        Self {
+            pages: l1(&a.pages, &b.pages),
+            queries: l1(&a.queries, &b.queries),
+            templates: l1(&a.templates, &b.templates),
+        }
     }
-}
 
-fn block_deltas(a: &Utilities, b: &Utilities, kind: UtilityKind) -> BlockDeltas {
-    // Recall tails only ever read the L1 blocks (see [`tail`]), so skip
-    // the L∞ fold on that — much hotter — path; convergence needs L1
-    // either way.
-    fn block(x: &[f64], y: &[f64]) -> (f64, f64) {
-        let mut l1 = 0.0f64;
-        let mut linf = 0.0f64;
-        for (u, v) in x.iter().zip(y) {
-            let d = (u - v).abs();
-            l1 += d;
-            linf = linf.max(d);
-        }
-        (l1, linf)
-    }
-    fn block_l1(x: &[f64], y: &[f64]) -> (f64, f64) {
-        let mut l1 = 0.0f64;
-        for (u, v) in x.iter().zip(y) {
-            l1 += (u - v).abs();
-        }
-        (l1, 0.0)
-    }
-    let block = match kind {
-        UtilityKind::Recall => block_l1,
-        UtilityKind::Precision => block,
-    };
-    let (l1_pages, linf_pages) = block(&a.pages, &b.pages);
-    let (l1_queries, linf_queries) = block(&a.queries, &b.queries);
-    let (l1_templates, linf_templates) = block(&a.templates, &b.templates);
-    BlockDeltas {
-        l1_pages,
-        l1_queries,
-        l1_templates,
-        linf_pages,
-        linf_queries,
-        linf_templates,
+    fn total(&self) -> f64 {
+        self.pages + self.queries + self.templates
     }
 }
 
@@ -141,87 +105,41 @@ fn side_weights(cfg: &WalkConfig) -> (f64, f64, f64) {
     (bp, bt, keep * keep * (bp + bt))
 }
 
-/// Several same-kind fixpoints on one graph, solved together in
+/// The three Recall context walks on one graph, solved together in
 /// caller-paced fused Jacobi sweeps with a certified per-sweep tail
 /// bound on each system's query block (see the module docs).
-///
-/// [`solve_detailed`]: crate::solve_detailed
 pub struct FusedTruncatedSolver<'g> {
     g: &'g ReinforcementGraph,
-    kind: UtilityKind,
-    regs: Vec<Regularization>,
+    regs: [Regularization; 3],
     cfg: WalkConfig,
-    curs: Vec<Utilities>,
-    nexts: Vec<Utilities>,
-    sweeps: Vec<usize>,
-    active: Vec<bool>,
-    deltas: Vec<Option<BlockDeltas>>,
+    curs: [Utilities; 3],
+    nexts: [Utilities; 3],
+    sweeps: [usize; 3],
+    active: [bool; 3],
+    deltas: [Option<BlockDeltas>; 3],
     iters: usize,
     span: l2q_obs::SpanTimer,
     /// Per-query maximum incoming coefficient from the page / template
-    /// side (Recall only; the per-query tail refinement needs them).
+    /// side (the per-query tail refinement needs them).
     mx_page_in: Vec<f64>,
     mx_tmpl_in: Vec<f64>,
 }
 
 impl<'g> FusedTruncatedSolver<'g> {
-    /// Start `regs.len()` same-kind systems exactly as
-    /// [`solve_detailed`] would start each one: warm iterate when given,
-    /// else the regularization vector.
+    /// Start the three Recall systems exactly as [`solve_detailed`]
+    /// would start each one: warm iterate when given, else the
+    /// regularization vector.
     ///
     /// [`solve_detailed`]: crate::solve_detailed
     pub fn new(
         g: &'g ReinforcementGraph,
-        kind: UtilityKind,
-        regs: Vec<Regularization>,
+        regs: [Regularization; 3],
         cfg: &WalkConfig,
-        warms: Vec<Option<Utilities>>,
+        mut warms: [Option<Utilities>; 3],
     ) -> Self {
-        let k = regs.len();
-        assert_eq!(warms.len(), k, "one warm-start slot per system");
-        assert!((0.0..=1.0).contains(&cfg.alpha), "alpha out of range");
-        for reg in &regs {
-            assert_eq!(reg.pages.len(), g.n_pages(), "page regularization shape");
-            assert_eq!(
-                reg.queries.len(),
-                g.n_queries(),
-                "query regularization shape"
-            );
-            assert_eq!(
-                reg.templates.len(),
-                g.n_templates(),
-                "template regularization shape"
-            );
-        }
         let span = l2q_obs::span!("graph_solve");
-        let curs: Vec<Utilities> = regs
-            .iter()
-            .zip(warms)
-            .map(|(reg, warm)| match warm {
-                Some(w) => {
-                    assert_eq!(w.pages.len(), g.n_pages(), "warm-start page shape");
-                    assert_eq!(w.queries.len(), g.n_queries(), "warm-start query shape");
-                    assert_eq!(
-                        w.templates.len(),
-                        g.n_templates(),
-                        "warm-start template shape"
-                    );
-                    w
-                }
-                None => Utilities {
-                    pages: reg.pages.clone(),
-                    queries: reg.queries.clone(),
-                    templates: reg.templates.clone(),
-                },
-            })
-            .collect();
-        let nexts: Vec<Utilities> = (0..k)
-            .map(|_| Utilities {
-                pages: vec![0.0; g.n_pages()],
-                queries: vec![0.0; g.n_queries()],
-                templates: vec![0.0; g.n_templates()],
-            })
-            .collect();
+        let curs = std::array::from_fn(|i| start_iterate(g, &regs[i], cfg, warms[i].take()));
+        let nexts = std::array::from_fn(|_| Utilities::zeros(g));
         // Max incoming coefficient per *sender*, not per edge: parallel
         // edges from the same page (or template) act as one sender whose
         // coefficients add, and the bound must cover that sum.
@@ -238,27 +156,21 @@ impl<'g> FusedTruncatedSolver<'g> {
             }
             m
         };
-        let (mx_page_in, mx_tmpl_in) = match kind {
-            UtilityKind::Recall => (
-                (0..g.n_queries())
-                    .map(|q| mx(g.query_pages(q), g.query_pages_nrm(q)))
-                    .collect(),
-                (0..g.n_queries())
-                    .map(|q| mx(g.query_templates(q), g.query_templates_nrm(q)))
-                    .collect(),
-            ),
-            UtilityKind::Precision => (Vec::new(), Vec::new()),
-        };
+        let mx_page_in = (0..g.n_queries())
+            .map(|q| mx(g.query_pages(q), g.query_pages_nrm(q)))
+            .collect();
+        let mx_tmpl_in = (0..g.n_queries())
+            .map(|q| mx(g.query_templates(q), g.query_templates_nrm(q)))
+            .collect();
         Self {
             g,
-            kind,
             regs,
             cfg: *cfg,
             curs,
             nexts,
-            sweeps: vec![0; k],
-            active: vec![true; k],
-            deltas: vec![None; k],
+            sweeps: [0; 3],
+            active: [true; 3],
+            deltas: [None; 3],
             iters: 0,
             span,
             mx_page_in,
@@ -270,33 +182,20 @@ impl<'g> FusedTruncatedSolver<'g> {
     /// sweeping — once every system converged or the sweep cap is hit,
     /// mirroring a solo solve's loop exit conditions.
     pub fn sweep(&mut self) -> bool {
-        if self.iters >= self.cfg.max_iters || !self.active.iter().any(|&x| x) {
+        if self.iters >= self.cfg.max_iters || self.all_converged() {
             return false;
         }
-        let k = self.regs.len();
-        if matches!(self.kind, UtilityKind::Recall) && k == 3 && self.active.iter().all(|&x| x) {
-            step_fused3_recall(self.g, &self.regs, &self.cfg, &self.curs, &mut self.nexts);
-        } else {
-            step_fused(
-                self.g,
-                self.kind,
-                &self.regs,
-                &self.cfg,
-                &self.curs,
-                &mut self.nexts,
-                &self.active,
-            );
-        }
+        step_fused3_recall(self.g, &self.regs, &self.cfg, &self.curs, &mut self.nexts);
         self.iters += 1;
-        for i in 0..k {
+        for i in 0..3 {
             if !self.active[i] {
+                // Converged: this sweep's new iterate is discarded.
                 continue;
             }
             self.sweeps[i] += 1;
-            let d = block_deltas(&self.curs[i], &self.nexts[i], self.kind);
-            debug_assert_eq!(d.total_l1(), l1_delta(&self.curs[i], &self.nexts[i]));
+            let d = BlockDeltas::between(&self.curs[i], &self.nexts[i]);
             std::mem::swap(&mut self.curs[i], &mut self.nexts[i]);
-            if d.total_l1() < self.cfg.tolerance {
+            if d.total() < self.cfg.tolerance {
                 self.active[i] = false;
             }
             self.deltas[i] = Some(d);
@@ -327,40 +226,27 @@ impl<'g> FusedTruncatedSolver<'g> {
         if !rho.is_finite() || rho >= 1.0 {
             return f64::INFINITY;
         }
-        let (dp, dq, dt) = match self.kind {
-            // Recall coefficients sum to 1 down each sender column, so
-            // block L1 norms contract; Precision averages have unit
-            // coefficient sums per receiver, so block L∞ norms do.
-            UtilityKind::Recall => (d.l1_pages, d.l1_queries, d.l1_templates),
-            UtilityKind::Precision => (d.linf_pages, d.linf_queries, d.linf_templates),
-        };
-        (keep * (bp * dp + bt * dt) + rho * dq) / (1.0 - rho)
+        (keep * (bp * d.pages + bt * d.templates) + rho * d.queries) / (1.0 - rho)
     }
 
     /// Scalar coefficients `(a, b)` of system `i`'s per-query tail
     /// refinement: `tail_q = min(a·mxP_q + b·mxT_q, tail(i))` with the
     /// per-query maxima from [`Self::max_in_coeffs`] — so one sweep's
     /// refinement costs O(1) per inspected query instead of O(n).
-    /// `None` when the refinement doesn't apply (Precision systems,
-    /// ρ ≥ 1, or no sweep yet): every query then falls back to the
-    /// block tail.
+    /// `None` when the refinement doesn't apply (ρ ≥ 1 or no sweep
+    /// yet): every query then falls back to the block tail.
     pub fn query_tail_coeffs(&self, i: usize) -> Option<(f64, f64)> {
         let t = self.tail(i);
-        match (&self.deltas[i], self.kind) {
-            (Some(d), UtilityKind::Recall) if t.is_finite() => {
-                let keep = 1.0 - self.cfg.alpha;
-                let (bp, bt, _) = side_weights(&self.cfg);
-                let s_p = d.l1_pages + keep * (d.l1_queries + t);
-                let s_t = d.l1_templates + keep * (d.l1_queries + t);
-                Some((keep * bp * s_p, keep * bt * s_t))
-            }
-            _ => None,
-        }
+        let d = self.deltas[i].as_ref().filter(|_| t.is_finite())?;
+        let keep = 1.0 - self.cfg.alpha;
+        let (bp, bt, _) = side_weights(&self.cfg);
+        let s_p = d.pages + keep * (d.queries + t);
+        let s_t = d.templates + keep * (d.queries + t);
+        Some((keep * bp * s_p, keep * bt * s_t))
     }
 
     /// Per-query maximum incoming coefficient from the page / template
-    /// side (empty for Precision systems, where the refinement is
-    /// disabled).
+    /// side.
     pub fn max_in_coeffs(&self) -> (&[f64], &[f64]) {
         (&self.mx_page_in, &self.mx_tmpl_in)
     }
@@ -368,8 +254,7 @@ impl<'g> FusedTruncatedSolver<'g> {
     /// Per-query certified tails of system `i`, written into `out` (one
     /// entry per query, `min(block tail, per-query refinement)`; see the
     /// module docs). Falls back to the block tail for every query when
-    /// the refinement doesn't apply (Precision systems, ρ ≥ 1, or no
-    /// sweep yet).
+    /// the refinement doesn't apply (ρ ≥ 1 or no sweep yet).
     pub fn query_tails_into(&self, i: usize, out: &mut Vec<f64>) {
         let t = self.tail(i);
         out.clear();
@@ -394,8 +279,8 @@ impl<'g> FusedTruncatedSolver<'g> {
     /// Finish the solve: record per-system sweep counts, mark the span
     /// `truncated` (stopped early by the caller) or `maxed` (hit the
     /// sweep cap), and hand back `(utilities, sweeps)` in input order.
-    pub fn finish(mut self) -> Vec<(Utilities, usize)> {
-        if self.active.iter().any(|&x| x) {
+    pub fn finish(mut self) -> [(Utilities, usize); 3] {
+        if !self.all_converged() {
             self.span.set_status(if self.iters >= self.cfg.max_iters {
                 "maxed"
             } else {
@@ -409,7 +294,8 @@ impl<'g> FusedTruncatedSolver<'g> {
             curs, sweeps, span, ..
         } = self;
         drop(span); // records graph_solve_seconds for the whole solve
-        curs.into_iter().zip(sweeps).collect()
+        let [c0, c1, c2] = curs;
+        [(c0, sweeps[0]), (c1, sweeps[1]), (c2, sweeps[2])]
     }
 }
 
@@ -423,16 +309,15 @@ fn mul0(c: f64, m: f64) -> f64 {
     }
 }
 
-/// Per-query upper bounds on the *true fixpoint* query utilities, from
-/// graph structure and regularization alone (no sweeps).
+/// Per-query upper bounds on the *true fixpoint* query utilities of the
+/// Recall walks over one graph, from graph structure and regularization
+/// alone (no sweeps).
 ///
-/// Let `s_in(v)` be a vertex's incoming coefficient sum (Recall: sum of
-/// sender-normalized weights into `v`; Precision: 1 if the side has
-/// edges, else 0 — a receiver average of bounded values is bounded).
-/// Taking block maxima `M_P, M_Q, M_T` of the fixpoint and bounding each
-/// update by in-strength × block max yields a linear system in the
-/// maxima whose solution gives, per query `q` with side in-strengths
-/// `sP_q, sT_q`:
+/// Let `s_in(v)` be a vertex's incoming coefficient sum (the sum of
+/// sender-normalized weights into `v`). Taking block maxima
+/// `M_P, M_Q, M_T` of the fixpoint and bounding each update by
+/// in-strength × block max yields a linear system in the maxima whose
+/// solution gives, per query `q` with side in-strengths `sP_q, sT_q`:
 ///
 /// ```text
 /// ub_q = keep·(B_P·sP_q·M_P + B_T·sT_q·M_T) + α·Û_q
@@ -443,22 +328,11 @@ fn mul0(c: f64, m: f64) -> f64 {
 /// singular-or-worse (`denom ≤ 0`), in which case connected queries get
 /// `INFINITY` — a valid, useless bound. A disconnected query's bound is
 /// exactly its fixpoint `α·Û_q`.
-pub fn static_query_upper_bounds(
-    g: &ReinforcementGraph,
-    kind: UtilityKind,
-    reg: &Regularization,
-    cfg: &WalkConfig,
-) -> Vec<f64> {
-    StaticBoundsContext::new(g, kind, cfg).query_upper_bounds(reg)
-}
-
-/// The regularization-independent half of [`static_query_upper_bounds`]:
-/// per-vertex in-strengths and their block maxima are graph constants,
-/// so callers bounding several walks over the *same* graph (the
-/// context-aware selection step solves three) build this once and derive
-/// each walk's bounds from its regularization maxima alone — an
-/// O(pages + templates + queries) scan instead of an O(edges) sweep per
-/// walk.
+///
+/// The in-strengths and their block maxima are graph constants, so the
+/// context is built once per graph and each walk's bounds derive from its
+/// regularization maxima alone — an O(pages + templates + queries) scan
+/// instead of an O(edges) sweep per walk.
 pub struct StaticBoundsContext {
     alpha: f64,
     bp: f64,
@@ -476,42 +350,26 @@ pub struct StaticBoundsContext {
 }
 
 impl StaticBoundsContext {
-    /// Scan the graph's in-strengths once; see [`static_query_upper_bounds`].
-    pub fn new(g: &ReinforcementGraph, kind: UtilityKind, cfg: &WalkConfig) -> Self {
-        // In-strengths per receiving vertex, by class.
-        let gate = |deg: f64| if deg > 0.0 { 1.0 } else { 0.0 };
-        let (s_pages, s_templates, s_q_pages, s_q_templates): (
-            Vec<f64>,
-            Vec<f64>,
-            Vec<f64>,
-            Vec<f64>,
-        ) = match kind {
-            UtilityKind::Recall => (
-                (0..g.n_pages())
-                    .map(|p| g.page_queries_nrm(p).iter().sum())
-                    .collect(),
-                (0..g.n_templates())
-                    .map(|t| g.template_queries_nrm(t).iter().sum())
-                    .collect(),
-                (0..g.n_queries())
-                    .map(|q| g.query_pages_nrm(q).iter().sum())
-                    .collect(),
-                (0..g.n_queries())
-                    .map(|q| g.query_templates_nrm(q).iter().sum())
-                    .collect(),
-            ),
-            UtilityKind::Precision => (
-                g.page_deg.iter().map(|&d| gate(d)).collect(),
-                g.template_deg.iter().map(|&d| gate(d)).collect(),
-                g.query_page_deg.iter().map(|&d| gate(d)).collect(),
-                g.query_template_deg.iter().map(|&d| gate(d)).collect(),
-            ),
-        };
+    /// Scan the graph's in-strengths once.
+    pub fn new(g: &ReinforcementGraph, cfg: &WalkConfig) -> Self {
+        let s_pages: Vec<f64> = (0..g.n_pages())
+            .map(|p| g.page_queries_nrm(p).iter().sum())
+            .collect();
+        let s_templates: Vec<f64> = (0..g.n_templates())
+            .map(|t| g.template_queries_nrm(t).iter().sum())
+            .collect();
+        let s_q_pages: Vec<f64> = (0..g.n_queries())
+            .map(|q| g.query_pages_nrm(q).iter().sum())
+            .collect();
+        let s_q_templates: Vec<f64> = (0..g.n_queries())
+            .map(|q| g.query_templates_nrm(q).iter().sum())
+            .collect();
         let max = |v: &[f64]| v.iter().fold(0.0f64, |m, &x| m.max(x));
+        let (bp, bt, _) = side_weights(cfg);
         Self {
             alpha: cfg.alpha,
-            bp: side_weights(cfg).0,
-            bt: side_weights(cfg).1,
+            bp,
+            bt,
             n_pages: g.n_pages(),
             n_templates: g.n_templates(),
             c_p: max(&s_pages), // strongest page receiver
@@ -578,7 +436,7 @@ impl StaticBoundsContext {
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-    use crate::solver::{solve_detailed, Scheme};
+    use crate::solver::{solve_detailed, UtilityKind};
 
     /// Fig. 2 pages/queries plus two templates so every block is live.
     fn fixture() -> ReinforcementGraph {
@@ -601,8 +459,8 @@ mod tests {
         vec![true, true, true, true, false, false]
     }
 
-    fn context_regs(g: &ReinforcementGraph) -> Vec<Regularization> {
-        let mut regs = vec![
+    fn context_regs(g: &ReinforcementGraph) -> [Regularization; 3] {
+        let mut regs = [
             Regularization::recall_from_relevance(g, &relevance()),
             Regularization::recall_from_relevance(g, &[true, false, true, false, true, false]),
             Regularization::recall_from_relevance(g, &vec![true; g.n_pages()]),
@@ -615,14 +473,13 @@ mod tests {
     /// must reproduce bit for bit.
     fn solo_solves(
         g: &ReinforcementGraph,
-        kind: UtilityKind,
         regs: &[Regularization],
         cfg: &WalkConfig,
-        warms: Vec<Option<Utilities>>,
+        warms: [Option<Utilities>; 3],
     ) -> Vec<(Utilities, usize)> {
         regs.iter()
             .zip(warms)
-            .map(|(r, w)| solve_detailed(g, kind, r, cfg, Scheme::Jacobi, w))
+            .map(|(r, w)| solve_detailed(g, UtilityKind::Recall, r, cfg, w))
             .collect()
     }
 
@@ -630,78 +487,74 @@ mod tests {
     fn run_to_completion_matches_solo_solves_bitwise() {
         let g = fixture();
         let cfg = WalkConfig::default();
-        for kind in [UtilityKind::Recall, UtilityKind::Precision] {
-            let regs = context_regs(&g);
-            let reference = solo_solves(&g, kind, &regs, &cfg, vec![None, None, None]);
-            // Mixed warm/cold second round, as the incremental phase produces.
-            let warms = vec![Some(reference[0].0.clone()), None, None];
-            let reference_warm = solo_solves(&g, kind, &regs, &cfg, warms.clone());
+        let regs = context_regs(&g);
+        let reference = solo_solves(&g, &regs, &cfg, [None, None, None]);
+        // Mixed warm/cold second round, as the incremental phase produces.
+        let warms = [Some(reference[0].0.clone()), None, None];
+        let reference_warm = solo_solves(&g, &regs, &cfg, warms.clone());
 
-            for (warm_set, want) in [
-                (vec![None, None, None], &reference),
-                (warms, &reference_warm),
-            ] {
-                let mut s = FusedTruncatedSolver::new(&g, kind, context_regs(&g), &cfg, warm_set);
-                s.run_to_completion();
-                let got = s.finish();
-                for ((gu, gs), (wu, ws)) in got.iter().zip(want.iter()) {
-                    assert_eq!(gs, ws, "sweep counts diverged");
-                    assert_eq!(gu.pages, wu.pages);
-                    assert_eq!(gu.queries, wu.queries);
-                    assert_eq!(gu.templates, wu.templates);
-                }
+        for (warm_set, want) in [([None, None, None], &reference), (warms, &reference_warm)] {
+            let mut s = FusedTruncatedSolver::new(&g, context_regs(&g), &cfg, warm_set);
+            s.run_to_completion();
+            let got = s.finish();
+            for ((gu, gs), (wu, ws)) in got.iter().zip(want.iter()) {
+                assert_eq!(gs, ws, "sweep counts diverged");
+                assert_eq!(gu.pages, wu.pages);
+                assert_eq!(gu.queries, wu.queries);
+                assert_eq!(gu.templates, wu.templates);
             }
         }
+    }
+
+    /// A solve far below the operating tolerance, standing in for the
+    /// true fixpoint.
+    fn exact(g: &ReinforcementGraph, reg: &Regularization) -> Utilities {
+        let tight = WalkConfig {
+            max_iters: 2000,
+            tolerance: 1e-14,
+            ..WalkConfig::default()
+        };
+        solve_detailed(g, UtilityKind::Recall, reg, &tight, None).0
     }
 
     #[test]
     fn tail_dominates_the_true_truncation_error_at_every_sweep() {
         let g = fixture();
         let cfg = WalkConfig::default();
-        let tight = WalkConfig {
-            max_iters: 2000,
-            tolerance: 1e-14,
-            ..cfg
-        };
-        for kind in [UtilityKind::Recall, UtilityKind::Precision] {
-            let regs = context_regs(&g);
-            let exact: Vec<Utilities> = regs
-                .iter()
-                .map(|r| solve_detailed(&g, kind, r, &tight, Scheme::Jacobi, None).0)
-                .collect();
-            let mut s = FusedTruncatedSolver::new(&g, kind, regs, &cfg, vec![None, None, None]);
-            assert!(s.tail(0).is_infinite(), "no bound before the first sweep");
-            let mut prev = [f64::INFINITY; 3];
-            let mut qtails = Vec::new();
-            while s.sweep() {
-                for i in 0..3 {
-                    let tail = s.tail(i);
-                    s.query_tails_into(i, &mut qtails);
-                    for (q, ((&a, &b), &tq)) in s
-                        .queries(i)
-                        .iter()
-                        .zip(&exact[i].queries)
-                        .zip(&qtails)
-                        .enumerate()
-                    {
-                        let err = (a - b).abs();
-                        assert!(
-                            err <= tail,
-                            "{kind:?} system {i}: true error {err} above tail {tail}"
-                        );
-                        assert!(
-                            err <= tq,
-                            "{kind:?} system {i} q{q}: error {err} above query tail {tq}"
-                        );
-                        assert!(tq <= tail, "query tails refine the block tail");
-                    }
-                    // Monotone up to float rounding in the delta folds.
+        let regs = context_regs(&g);
+        let fixpoints: Vec<Utilities> = regs.iter().map(|r| exact(&g, r)).collect();
+        let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
+        assert!(s.tail(0).is_infinite(), "no bound before the first sweep");
+        let mut prev = [f64::INFINITY; 3];
+        let mut qtails = Vec::new();
+        while s.sweep() {
+            for i in 0..3 {
+                let tail = s.tail(i);
+                s.query_tails_into(i, &mut qtails);
+                for (q, ((&a, &b), &tq)) in s
+                    .queries(i)
+                    .iter()
+                    .zip(&fixpoints[i].queries)
+                    .zip(&qtails)
+                    .enumerate()
+                {
+                    let err = (a - b).abs();
                     assert!(
-                        tail <= prev[i] * (1.0 + 1e-12),
-                        "tail must shrink monotonically"
+                        err <= tail,
+                        "system {i}: true error {err} above tail {tail}"
                     );
-                    prev[i] = tail;
+                    assert!(
+                        err <= tq,
+                        "system {i} q{q}: error {err} above query tail {tq}"
+                    );
+                    assert!(tq <= tail, "query tails refine the block tail");
                 }
+                // Monotone up to float rounding in the delta folds.
+                assert!(
+                    tail <= prev[i] * (1.0 + 1e-12),
+                    "tail must shrink monotonically"
+                );
+                prev[i] = tail;
             }
         }
     }
@@ -711,9 +564,8 @@ mod tests {
         let g = fixture();
         let cfg = WalkConfig::default();
         let regs = context_regs(&g);
-        let want = solo_solves(&g, UtilityKind::Recall, &regs, &cfg, vec![None, None, None]);
-        let mut s =
-            FusedTruncatedSolver::new(&g, UtilityKind::Recall, regs, &cfg, vec![None, None, None]);
+        let want = solo_solves(&g, &regs, &cfg, [None, None, None]);
+        let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
         for _ in 0..5 {
             assert!(s.sweep(), "fixture needs more than 5 sweeps");
         }
@@ -729,19 +581,12 @@ mod tests {
     #[test]
     fn static_bounds_dominate_the_solved_utilities() {
         let g = fixture();
-        let cfg = WalkConfig::default();
-        let tight = WalkConfig {
-            max_iters: 2000,
-            tolerance: 1e-14,
-            ..cfg
-        };
-        for kind in [UtilityKind::Recall, UtilityKind::Precision] {
-            for reg in context_regs(&g) {
-                let ub = static_query_upper_bounds(&g, kind, &reg, &cfg);
-                let u = solve_detailed(&g, kind, &reg, &tight, Scheme::Jacobi, None).0;
-                for (q, (&b, &x)) in ub.iter().zip(&u.queries).enumerate() {
-                    assert!(b >= x, "{kind:?} q{q}: bound {b} below utility {x}");
-                }
+        let ctx = StaticBoundsContext::new(&g, &WalkConfig::default());
+        for reg in context_regs(&g) {
+            let ub = ctx.query_upper_bounds(&reg);
+            let u = exact(&g, &reg);
+            for (q, (&b, &x)) in ub.iter().zip(&u.queries).enumerate() {
+                assert!(b >= x, "q{q}: bound {b} below utility {x}");
             }
         }
     }
@@ -755,9 +600,9 @@ mod tests {
         let cfg = WalkConfig::default();
         let mut reg = Regularization::zeros(&g);
         reg.queries[2] = 0.8;
-        let ub = static_query_upper_bounds(&g, UtilityKind::Recall, &reg, &cfg);
+        let ub = StaticBoundsContext::new(&g, &cfg).query_upper_bounds(&reg);
         assert_eq!(ub[2], cfg.alpha * 0.8);
-        let u = solve_detailed(&g, UtilityKind::Recall, &reg, &cfg, Scheme::Jacobi, None).0;
+        let u = solve_detailed(&g, UtilityKind::Recall, &reg, &cfg, None).0;
         assert_eq!(u.queries[2], ub[2], "disconnected bound must be tight");
     }
 
@@ -769,9 +614,8 @@ mod tests {
             ..WalkConfig::default()
         };
         let regs = context_regs(&g);
-        let want = solo_solves(&g, UtilityKind::Recall, &regs, &cfg, vec![None, None, None]);
-        let mut s =
-            FusedTruncatedSolver::new(&g, UtilityKind::Recall, regs, &cfg, vec![None, None, None]);
+        let want = solo_solves(&g, &regs, &cfg, [None, None, None]);
+        let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
         while s.sweep() {
             for i in 0..3 {
                 assert!(s.tail(i).is_infinite(), "ρ ≥ 1 must never certify");

@@ -24,9 +24,6 @@ pub mod bounds;
 pub mod graph;
 pub mod solver;
 
-pub use bounds::{static_query_upper_bounds, FusedTruncatedSolver, StaticBoundsContext};
+pub use bounds::{FusedTruncatedSolver, StaticBoundsContext};
 pub use graph::{Edge, GraphBuilder, PageIdx, QueryIdx, ReinforcementGraph, TemplateIdx};
-pub use solver::{
-    solve, solve_detailed, solve_with_scheme, Regularization, Scheme, Utilities, UtilityKind,
-    WalkConfig,
-};
+pub use solver::{solve, solve_detailed, Regularization, Utilities, UtilityKind, WalkConfig};

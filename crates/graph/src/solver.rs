@@ -21,6 +21,13 @@
 //! regularization Û. The solver runs standard iterative updating to the
 //! stationary distribution — "it typically converges in 50 iterations",
 //! and each iteration is `O(|V| + |E|)`.
+//!
+//! There are two solvers, each with one synchronous (Jacobi) sweep
+//! kernel: `step` updates a single system of either kind behind [`solve`]
+//! and [`solve_detailed`], and `step_fused3_recall` updates the three
+//! Recall context walks at once behind [`crate::FusedTruncatedSolver`].
+//! The fused kernel repeats the solo kernel's per-system arithmetic in
+//! the same edge order, so the two agree bit for bit.
 
 use crate::graph::ReinforcementGraph;
 use std::sync::OnceLock;
@@ -77,6 +84,17 @@ pub struct Utilities {
     pub templates: Vec<f64>,
 }
 
+impl Utilities {
+    /// All-zero utilities shaped for `g` (a sweep's output buffer).
+    pub(crate) fn zeros(g: &ReinforcementGraph) -> Self {
+        Self {
+            pages: vec![0.0; g.n_pages()],
+            queries: vec![0.0; g.n_queries()],
+            templates: vec![0.0; g.n_templates()],
+        }
+    }
+}
+
 /// Utility regularization Û per vertex class (entries default to 0 = "no
 /// regularization", paper Sect. III).
 #[derive(Clone, Debug, Default)]
@@ -129,29 +147,14 @@ impl Regularization {
     }
 }
 
-/// Iteration scheme for the fixpoint solver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Scheme {
-    /// Synchronous (Jacobi) sweeps: every vertex updates from the previous
-    /// iterate. Matches the paper's "standard iterative updating".
-    #[default]
-    Jacobi,
-    /// In-place (Gauss–Seidel) sweeps: each vertex class updates in order
-    /// (pages, templates, queries) reading already-updated values. Same
-    /// fixpoint — the update map is a contraction with a unique fixed
-    /// point — reached in roughly half the sweeps. The efficiency knob the
-    /// paper defers to the personalized-PageRank literature it cites.
-    GaussSeidel,
-}
-
-/// Solve the fixpoint for the requested utility (Jacobi scheme).
+/// Solve the fixpoint for the requested utility from a cold start.
 pub fn solve(
     g: &ReinforcementGraph,
     kind: UtilityKind,
     reg: &Regularization,
     cfg: &WalkConfig,
 ) -> Utilities {
-    solve_with_scheme(g, kind, reg, cfg, Scheme::Jacobi)
+    solve_detailed(g, kind, reg, cfg, None).0
 }
 
 /// Sweeps-executed histogram of the global metrics registry (count-shaped
@@ -167,19 +170,8 @@ pub(crate) fn sweeps_histogram() -> &'static std::sync::Arc<l2q_obs::Histogram> 
     })
 }
 
-/// Solve the fixpoint with an explicit iteration scheme.
-pub fn solve_with_scheme(
-    g: &ReinforcementGraph,
-    kind: UtilityKind,
-    reg: &Regularization,
-    cfg: &WalkConfig,
-    scheme: Scheme,
-) -> Utilities {
-    solve_detailed(g, kind, reg, cfg, scheme, None).0
-}
-
-/// Solve the fixpoint with an explicit scheme and an optional warm-start
-/// iterate, returning the fixpoint plus the number of sweeps executed.
+/// Solve the fixpoint with an optional warm-start iterate, returning the
+/// fixpoint plus the number of sweeps executed.
 ///
 /// `warm` replaces the default cold start (the regularization vector).
 /// Because the update map is a contraction with a unique fixed point, any
@@ -191,9 +183,42 @@ pub fn solve_detailed(
     kind: UtilityKind,
     reg: &Regularization,
     cfg: &WalkConfig,
-    scheme: Scheme,
     warm: Option<Utilities>,
 ) -> (Utilities, usize) {
+    let mut span = l2q_obs::span!("graph_solve");
+    let mut cur = start_iterate(g, reg, cfg, warm);
+    let mut next = Utilities::zeros(g);
+    let mut sweeps = 0usize;
+    let mut converged = false;
+    for _ in 0..cfg.max_iters {
+        step(g, kind, reg, cfg, &cur, &mut next);
+        sweeps += 1;
+        let delta = l1_delta(&cur, &next);
+        std::mem::swap(&mut cur, &mut next);
+        if delta < cfg.tolerance {
+            converged = true;
+            break;
+        }
+    }
+    if !converged {
+        // Surfaces in the traced span (not the histogram): this solve hit
+        // the sweep cap before crossing the tolerance.
+        span.set_status("maxed");
+    }
+    sweeps_histogram().record(sweeps as f64);
+    (cur, sweeps)
+}
+
+/// Check one system's inputs against `g` and return the iterate its solve
+/// starts from: `warm` when given, else the regularization (any start
+/// converges; the regularization is closest to the fixpoint among cheap
+/// cold starts).
+pub(crate) fn start_iterate(
+    g: &ReinforcementGraph,
+    reg: &Regularization,
+    cfg: &WalkConfig,
+    warm: Option<Utilities>,
+) -> Utilities {
     assert_eq!(reg.pages.len(), g.n_pages(), "page regularization shape");
     assert_eq!(
         reg.queries.len(),
@@ -206,15 +231,7 @@ pub fn solve_detailed(
         "template regularization shape"
     );
     assert!((0.0..=1.0).contains(&cfg.alpha), "alpha out of range");
-
-    let mut span = l2q_obs::span!("graph_solve");
-    let mut sweeps = 0usize;
-    let mut converged = false;
-
-    // Initialize at the warm iterate when given, else at the
-    // regularization (any start converges; the regularization is closest
-    // to the fixpoint among cheap cold starts).
-    let mut cur = match warm {
+    match warm {
         Some(w) => {
             assert_eq!(w.pages.len(), g.n_pages(), "warm-start page shape");
             assert_eq!(w.queries.len(), g.n_queries(), "warm-start query shape");
@@ -230,74 +247,28 @@ pub fn solve_detailed(
             queries: reg.queries.clone(),
             templates: reg.templates.clone(),
         },
-    };
-
-    let mut next = Utilities {
-        pages: vec![0.0; g.n_pages()],
-        queries: vec![0.0; g.n_queries()],
-        templates: vec![0.0; g.n_templates()],
-    };
-
-    match scheme {
-        Scheme::Jacobi => {
-            for _ in 0..cfg.max_iters {
-                step(g, kind, reg, cfg, &cur, &mut next);
-                sweeps += 1;
-                let delta = l1_delta(&cur, &next);
-                std::mem::swap(&mut cur, &mut next);
-                if delta < cfg.tolerance {
-                    converged = true;
-                    break;
-                }
-            }
-        }
-        Scheme::GaussSeidel => {
-            let _ = next; // single-buffer scheme
-            for _ in 0..cfg.max_iters {
-                let prev = cur.clone();
-                step_inplace(g, kind, reg, cfg, &mut cur);
-                sweeps += 1;
-                if l1_delta(&prev, &cur) < cfg.tolerance {
-                    converged = true;
-                    break;
-                }
-            }
-        }
     }
-    if !converged {
-        // Surfaces in the traced span (not the histogram): this solve hit
-        // the sweep cap before crossing the tolerance.
-        span.set_status("maxed");
-    }
-    sweeps_histogram().record(sweeps as f64);
-    (cur, sweeps)
 }
 
-/// [`step_fused`] specialized for the hot case — three Recall systems,
-/// all still active. The context walks of a selection step are exactly
-/// this shape, and with scalar accumulators and a fixed unroll the
-/// compiler keeps all three running sums in registers while the edge
-/// list streams through once. Per-system arithmetic and edge order are
-/// unchanged from [`step`], so the results stay bitwise equal to a solo
-/// sweep.
+/// One synchronous sweep of the three Recall context walks, the only
+/// shape the fused solver takes. Each vertex's edge list streams through
+/// once while scalar accumulators keep all three running sums in
+/// registers. Per-system arithmetic and edge order are unchanged from
+/// [`step`], so each system's new iterate is bitwise equal to a solo
+/// sweep's. All three are always computed; the caller discards the new
+/// iterate of a system that has already converged.
 pub(crate) fn step_fused3_recall(
     g: &ReinforcementGraph,
-    regs: &[Regularization],
+    regs: &[Regularization; 3],
     cfg: &WalkConfig,
-    curs: &[Utilities],
-    nexts: &mut [Utilities],
+    curs: &[Utilities; 3],
+    nexts: &mut [Utilities; 3],
 ) {
     let a = cfg.alpha;
     let keep = 1.0 - a;
-    let [c0, c1, c2] = curs else {
-        unreachable!("fused3 takes exactly three systems")
-    };
-    let [n0, n1, n2] = nexts else {
-        unreachable!("fused3 takes exactly three systems")
-    };
-    let [r0, r1, r2] = regs else {
-        unreachable!("fused3 takes exactly three systems")
-    };
+    let [c0, c1, c2] = curs;
+    let [n0, n1, n2] = nexts;
+    let [r0, r1, r2] = regs;
 
     for p in 0..g.n_pages() {
         let (mut a0, mut a1, mut a2) = (0.0f64, 0.0f64, 0.0f64);
@@ -350,173 +321,6 @@ pub(crate) fn step_fused3_recall(
         n0.queries[q] = keep * f0 + a * r0.queries[q];
         n1.queries[q] = keep * f1 + a * r1.queries[q];
         n2.queries[q] = keep * f2 + a * r2.queries[q];
-    }
-}
-
-/// One fused synchronous sweep: per vertex, accumulate every active
-/// system's neighbor aggregate while walking the edge list once. Each
-/// system's additions happen in the same edge order as [`step`]'s, so
-/// the per-system float results are bitwise equal to a solo sweep.
-pub(crate) fn step_fused(
-    g: &ReinforcementGraph,
-    kind: UtilityKind,
-    regs: &[Regularization],
-    cfg: &WalkConfig,
-    curs: &[Utilities],
-    nexts: &mut [Utilities],
-    active: &[bool],
-) {
-    let a = cfg.alpha;
-    let keep = 1.0 - a;
-    let k = curs.len();
-    // Page/template-side and template-side accumulators, reused per vertex.
-    let mut acc = vec![0.0f64; k];
-    let mut acc2 = vec![0.0f64; k];
-    let live = |i: usize| active[i];
-
-    match kind {
-        UtilityKind::Precision => {
-            for p in 0..g.n_pages() {
-                acc.fill(0.0);
-                let deg = g.page_deg[p];
-                for e in g.page_queries(p) {
-                    let q = e.to as usize;
-                    for i in 0..k {
-                        if live(i) {
-                            acc[i] += e.weight * curs[i].queries[q];
-                        }
-                    }
-                }
-                for i in 0..k {
-                    if live(i) {
-                        let f = if deg > 0.0 { acc[i] / deg } else { 0.0 };
-                        nexts[i].pages[p] = keep * f + a * regs[i].pages[p];
-                    }
-                }
-            }
-            for t in 0..g.n_templates() {
-                acc.fill(0.0);
-                let deg = g.template_deg[t];
-                for e in g.template_queries(t) {
-                    let q = e.to as usize;
-                    for i in 0..k {
-                        if live(i) {
-                            acc[i] += e.weight * curs[i].queries[q];
-                        }
-                    }
-                }
-                for i in 0..k {
-                    if live(i) {
-                        let f = if deg > 0.0 { acc[i] / deg } else { 0.0 };
-                        nexts[i].templates[t] = keep * f + a * regs[i].templates[t];
-                    }
-                }
-            }
-            for q in 0..g.n_queries() {
-                acc.fill(0.0);
-                acc2.fill(0.0);
-                let pdeg = g.query_page_deg[q];
-                let tdeg = g.query_template_deg[q];
-                for e in g.query_pages(q) {
-                    let p = e.to as usize;
-                    for i in 0..k {
-                        if live(i) {
-                            acc[i] += e.weight * curs[i].pages[p];
-                        }
-                    }
-                }
-                for e in g.query_templates(q) {
-                    let t = e.to as usize;
-                    for i in 0..k {
-                        if live(i) {
-                            acc2[i] += e.weight * curs[i].templates[t];
-                        }
-                    }
-                }
-                for i in 0..k {
-                    if live(i) {
-                        let page_est = (pdeg > 0.0).then(|| acc[i] / pdeg);
-                        let tmpl_est = (tdeg > 0.0).then(|| acc2[i] / tdeg);
-                        let f = combine(
-                            page_est,
-                            tmpl_est,
-                            cfg.page_template_balance,
-                            cfg.missing_side_is_zero,
-                        );
-                        nexts[i].queries[q] = keep * f + a * regs[i].queries[q];
-                    }
-                }
-            }
-        }
-        UtilityKind::Recall => {
-            for p in 0..g.n_pages() {
-                acc.fill(0.0);
-                for (e, &c) in g.page_queries(p).iter().zip(g.page_queries_nrm(p)) {
-                    let q = e.to as usize;
-                    for i in 0..k {
-                        if live(i) {
-                            acc[i] += c * curs[i].queries[q];
-                        }
-                    }
-                }
-                for i in 0..k {
-                    if live(i) {
-                        nexts[i].pages[p] = keep * acc[i] + a * regs[i].pages[p];
-                    }
-                }
-            }
-            for t in 0..g.n_templates() {
-                acc.fill(0.0);
-                for (e, &c) in g.template_queries(t).iter().zip(g.template_queries_nrm(t)) {
-                    let q = e.to as usize;
-                    for i in 0..k {
-                        if live(i) {
-                            acc[i] += c * curs[i].queries[q];
-                        }
-                    }
-                }
-                for i in 0..k {
-                    if live(i) {
-                        nexts[i].templates[t] = keep * acc[i] + a * regs[i].templates[t];
-                    }
-                }
-            }
-            for q in 0..g.n_queries() {
-                acc.fill(0.0);
-                acc2.fill(0.0);
-                let pdeg = g.query_page_deg[q];
-                let tdeg = g.query_template_deg[q];
-                for (e, &c) in g.query_pages(q).iter().zip(g.query_pages_nrm(q)) {
-                    let p = e.to as usize;
-                    for i in 0..k {
-                        if live(i) {
-                            acc[i] += c * curs[i].pages[p];
-                        }
-                    }
-                }
-                for (e, &c) in g.query_templates(q).iter().zip(g.query_templates_nrm(q)) {
-                    let t = e.to as usize;
-                    for i in 0..k {
-                        if live(i) {
-                            acc2[i] += c * curs[i].templates[t];
-                        }
-                    }
-                }
-                for i in 0..k {
-                    if live(i) {
-                        let from_pages = (pdeg > 0.0).then_some(acc[i]);
-                        let from_templates = (tdeg > 0.0).then_some(acc2[i]);
-                        let f = combine(
-                            from_pages,
-                            from_templates,
-                            cfg.page_template_balance,
-                            cfg.missing_side_is_zero,
-                        );
-                        nexts[i].queries[q] = keep * f + a * regs[i].queries[q];
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -660,136 +464,6 @@ fn step(
     }
 }
 
-/// One Gauss–Seidel sweep: updates `u` in place, class by class (pages,
-/// then templates, then queries), so later classes read freshly updated
-/// values. Within a class no vertex reads another vertex of the same
-/// class, so in-place updates are well-defined.
-fn step_inplace(
-    g: &ReinforcementGraph,
-    kind: UtilityKind,
-    reg: &Regularization,
-    cfg: &WalkConfig,
-    u: &mut Utilities,
-) {
-    let a = cfg.alpha;
-    let keep = 1.0 - a;
-
-    match kind {
-        UtilityKind::Precision => {
-            for p in 0..g.n_pages() {
-                let deg = g.page_deg[p];
-                let f = if deg > 0.0 {
-                    g.page_queries(p)
-                        .iter()
-                        .map(|e| e.weight * u.queries[e.to as usize])
-                        .sum::<f64>()
-                        / deg
-                } else {
-                    0.0
-                };
-                u.pages[p] = keep * f + a * reg.pages[p];
-            }
-            for t in 0..g.n_templates() {
-                let deg = g.template_deg[t];
-                let f = if deg > 0.0 {
-                    g.template_queries(t)
-                        .iter()
-                        .map(|e| e.weight * u.queries[e.to as usize])
-                        .sum::<f64>()
-                        / deg
-                } else {
-                    0.0
-                };
-                u.templates[t] = keep * f + a * reg.templates[t];
-            }
-            for q in 0..g.n_queries() {
-                let pdeg = g.query_page_deg[q];
-                let tdeg = g.query_template_deg[q];
-                let page_est = if pdeg > 0.0 {
-                    Some(
-                        g.query_pages(q)
-                            .iter()
-                            .map(|e| e.weight * u.pages[e.to as usize])
-                            .sum::<f64>()
-                            / pdeg,
-                    )
-                } else {
-                    None
-                };
-                let tmpl_est = if tdeg > 0.0 {
-                    Some(
-                        g.query_templates(q)
-                            .iter()
-                            .map(|e| e.weight * u.templates[e.to as usize])
-                            .sum::<f64>()
-                            / tdeg,
-                    )
-                } else {
-                    None
-                };
-                let f = combine(
-                    page_est,
-                    tmpl_est,
-                    cfg.page_template_balance,
-                    cfg.missing_side_is_zero,
-                );
-                u.queries[q] = keep * f + a * reg.queries[q];
-            }
-        }
-        UtilityKind::Recall => {
-            for p in 0..g.n_pages() {
-                let f = g
-                    .page_queries(p)
-                    .iter()
-                    .zip(g.page_queries_nrm(p))
-                    .map(|(e, &c)| c * u.queries[e.to as usize])
-                    .sum::<f64>();
-                u.pages[p] = keep * f + a * reg.pages[p];
-            }
-            for t in 0..g.n_templates() {
-                let f = g
-                    .template_queries(t)
-                    .iter()
-                    .zip(g.template_queries_nrm(t))
-                    .map(|(e, &c)| c * u.queries[e.to as usize])
-                    .sum::<f64>();
-                u.templates[t] = keep * f + a * reg.templates[t];
-            }
-            for q in 0..g.n_queries() {
-                let from_pages = if g.query_page_deg[q] > 0.0 {
-                    Some(
-                        g.query_pages(q)
-                            .iter()
-                            .zip(g.query_pages_nrm(q))
-                            .map(|(e, &c)| c * u.pages[e.to as usize])
-                            .sum::<f64>(),
-                    )
-                } else {
-                    None
-                };
-                let from_templates = if g.query_template_deg[q] > 0.0 {
-                    Some(
-                        g.query_templates(q)
-                            .iter()
-                            .zip(g.query_templates_nrm(q))
-                            .map(|(e, &c)| c * u.templates[e.to as usize])
-                            .sum::<f64>(),
-                    )
-                } else {
-                    None
-                };
-                let f = combine(
-                    from_pages,
-                    from_templates,
-                    cfg.page_template_balance,
-                    cfg.missing_side_is_zero,
-                );
-                u.queries[q] = keep * f + a * reg.queries[q];
-            }
-        }
-    }
-}
-
 /// Combine page-side and template-side estimates with balance `b` (share
 /// of the page side). With `missing_zero` a missing side contributes 0 to
 /// the average; otherwise the present side takes full weight.
@@ -814,9 +488,13 @@ fn combine(page: Option<f64>, template: Option<f64>, b: f64, missing_zero: bool)
     }
 }
 
-pub(crate) fn l1_delta(a: &Utilities, b: &Utilities) -> f64 {
-    let d = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(u, v)| (u - v).abs()).sum::<f64>();
-    d(&a.pages, &b.pages) + d(&a.queries, &b.queries) + d(&a.templates, &b.templates)
+/// L1 distance between two iterates of one vertex block.
+pub(crate) fn l1(x: &[f64], y: &[f64]) -> f64 {
+    x.iter().zip(y).map(|(u, v)| (u - v).abs()).sum()
+}
+
+fn l1_delta(a: &Utilities, b: &Utilities) -> f64 {
+    l1(&a.pages, &b.pages) + l1(&a.queries, &b.queries) + l1(&a.templates, &b.templates)
 }
 
 #[cfg(test)]
@@ -992,77 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn gauss_seidel_reaches_the_same_fixpoint() {
-        let g = fig2_graph();
-        let cfg = WalkConfig {
-            max_iters: 400,
-            ..Default::default()
-        };
-        for kind in [UtilityKind::Precision, UtilityKind::Recall] {
-            let reg = match kind {
-                UtilityKind::Precision => {
-                    Regularization::precision_from_relevance(&g, &fig2_relevance())
-                }
-                UtilityKind::Recall => Regularization::recall_from_relevance(&g, &fig2_relevance()),
-            };
-            let jacobi = solve_with_scheme(&g, kind, &reg, &cfg, Scheme::Jacobi);
-            let gs = solve_with_scheme(&g, kind, &reg, &cfg, Scheme::GaussSeidel);
-            for (a, b) in jacobi
-                .pages
-                .iter()
-                .chain(&jacobi.queries)
-                .zip(gs.pages.iter().chain(&gs.queries))
-            {
-                assert!((a - b).abs() < 1e-6, "schemes disagree: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn gauss_seidel_converges_in_fewer_sweeps() {
-        // At a tight sweep budget, Gauss–Seidel should be closer to the
-        // converged fixpoint than Jacobi.
-        let g = fig2_graph();
-        let reg = Regularization::precision_from_relevance(&g, &fig2_relevance());
-        let exact = solve_with_scheme(
-            &g,
-            UtilityKind::Precision,
-            &reg,
-            &WalkConfig {
-                max_iters: 500,
-                ..Default::default()
-            },
-            Scheme::Jacobi,
-        );
-        let budget = WalkConfig {
-            max_iters: 8,
-            tolerance: 0.0,
-            ..Default::default()
-        };
-        let jac = solve_with_scheme(&g, UtilityKind::Precision, &reg, &budget, Scheme::Jacobi);
-        let gs = solve_with_scheme(
-            &g,
-            UtilityKind::Precision,
-            &reg,
-            &budget,
-            Scheme::GaussSeidel,
-        );
-        let err = |u: &Utilities| {
-            u.queries
-                .iter()
-                .zip(&exact.queries)
-                .map(|(a, b)| (a - b).abs())
-                .sum::<f64>()
-        };
-        assert!(
-            err(&gs) < err(&jac),
-            "GS residual {} should beat Jacobi {}",
-            err(&gs),
-            err(&jac)
-        );
-    }
-
-    #[test]
     fn warm_start_reaches_the_same_fixpoint_in_fewer_sweeps() {
         let g = fig2_graph();
         let cfg = WalkConfig::default();
@@ -1073,10 +680,9 @@ mod tests {
                 }
                 UtilityKind::Recall => Regularization::recall_from_relevance(&g, &fig2_relevance()),
             };
-            let (cold, cold_sweeps) = solve_detailed(&g, kind, &reg, &cfg, Scheme::Jacobi, None);
+            let (cold, cold_sweeps) = solve_detailed(&g, kind, &reg, &cfg, None);
             // Restarting from the converged fixpoint must stay there.
-            let (warm, warm_sweeps) =
-                solve_detailed(&g, kind, &reg, &cfg, Scheme::Jacobi, Some(cold.clone()));
+            let (warm, warm_sweeps) = solve_detailed(&g, kind, &reg, &cfg, Some(cold.clone()));
             assert!(
                 warm_sweeps <= cold_sweeps,
                 "warm {warm_sweeps} vs cold {cold_sweeps} sweeps"
@@ -1107,21 +713,13 @@ mod tests {
         let g = fig2_graph();
         let cfg = WalkConfig::default();
         let reg = Regularization::precision_from_relevance(&g, &fig2_relevance());
-        let (cold, _) =
-            solve_detailed(&g, UtilityKind::Precision, &reg, &cfg, Scheme::Jacobi, None);
+        let (cold, _) = solve_detailed(&g, UtilityKind::Precision, &reg, &cfg, None);
         let bad = Utilities {
             pages: vec![0.9; g.n_pages()],
             queries: vec![0.1; g.n_queries()],
             templates: vec![0.0; g.n_templates()],
         };
-        let (warm, _) = solve_detailed(
-            &g,
-            UtilityKind::Precision,
-            &reg,
-            &cfg,
-            Scheme::Jacobi,
-            Some(bad),
-        );
+        let (warm, _) = solve_detailed(&g, UtilityKind::Precision, &reg, &cfg, Some(bad));
         for (a, b) in cold.queries.iter().zip(&warm.queries) {
             assert!((a - b).abs() < 1e-6, "fixpoint not unique? {a} vs {b}");
         }
@@ -1137,7 +735,6 @@ mod tests {
             UtilityKind::Precision,
             &reg,
             &WalkConfig::default(),
-            Scheme::Jacobi,
             Some(Utilities::default()),
         );
     }
@@ -1145,12 +742,11 @@ mod tests {
     /// The fused truncated solver, never stopped early.
     fn fused_to_completion(
         g: &ReinforcementGraph,
-        kind: UtilityKind,
-        regs: &[Regularization],
+        regs: &[Regularization; 3],
         cfg: &WalkConfig,
-        warms: Vec<Option<Utilities>>,
-    ) -> Vec<(Utilities, usize)> {
-        let mut s = crate::FusedTruncatedSolver::new(g, kind, regs.to_vec(), cfg, warms);
+        warms: [Option<Utilities>; 3],
+    ) -> [(Utilities, usize); 3] {
+        let mut s = crate::FusedTruncatedSolver::new(g, regs.clone(), cfg, warms);
         s.run_to_completion();
         s.finish()
     }
@@ -1159,42 +755,47 @@ mod tests {
     fn fused_solves_match_solo_solves_bitwise() {
         let g = fig2_graph();
         let cfg = WalkConfig::default();
-        for kind in [UtilityKind::Precision, UtilityKind::Recall] {
-            // Three systems with genuinely different regularizations —
-            // the shape the context walks produce.
-            let mut regs = vec![
-                Regularization::precision_from_relevance(&g, &fig2_relevance()),
-                Regularization::recall_from_relevance(&g, &fig2_relevance()),
-                Regularization::recall_from_relevance(&g, &vec![true; g.n_pages()]),
-            ];
-            regs[0].queries[1] = 0.25; // break any accidental symmetry
-            let solo: Vec<(Utilities, usize)> = regs
-                .iter()
-                .map(|r| solve_detailed(&g, kind, r, &cfg, Scheme::Jacobi, None))
-                .collect();
-            let fused = fused_to_completion(&g, kind, &regs, &cfg, vec![None, None, None]);
-            for ((su, ss), (fu, fs)) in solo.iter().zip(&fused) {
-                assert_eq!(ss, fs, "sweep counts diverged");
-                assert_eq!(su.pages, fu.pages);
-                assert_eq!(su.queries, fu.queries);
-                assert_eq!(su.templates, fu.templates);
-            }
+        // Three Recall systems with genuinely different regularizations —
+        // the shape the context walks produce.
+        let mut regs = [
+            Regularization::recall_from_relevance(&g, &fig2_relevance()),
+            Regularization::recall_from_relevance(&g, &[true, false, true, false, true, false]),
+            Regularization::recall_from_relevance(&g, &vec![true; g.n_pages()]),
+        ];
+        regs[0].queries[1] = 0.25; // break any accidental symmetry
+        let solo_solve = |r: &Regularization, w: Option<Utilities>| {
+            solve_detailed(&g, UtilityKind::Recall, r, &cfg, w)
+        };
+        let solo: Vec<(Utilities, usize)> = regs.iter().map(|r| solo_solve(r, None)).collect();
+        let fused = fused_to_completion(&g, &regs, &cfg, [None, None, None]);
+        for ((su, ss), (fu, fs)) in solo.iter().zip(&fused) {
+            assert_eq!(ss, fs, "sweep counts diverged");
+            assert_eq!(su.pages, fu.pages);
+            assert_eq!(su.queries, fu.queries);
+            assert_eq!(su.templates, fu.templates);
+        }
 
-            // Warm-started systems (one warm, one cold, one at the solo
-            // fixpoint — the mixed convergence exercises the active mask).
-            let warms = vec![Some(solo[0].0.clone()), None, Some(solo[2].0.clone())];
-            let solo_warm: Vec<(Utilities, usize)> = regs
-                .iter()
-                .zip(warms.clone())
-                .map(|(r, w)| solve_detailed(&g, kind, r, &cfg, Scheme::Jacobi, w))
-                .collect();
-            let fused_warm = fused_to_completion(&g, kind, &regs, &cfg, warms);
-            for ((su, ss), (fu, fs)) in solo_warm.iter().zip(&fused_warm) {
-                assert_eq!(ss, fs, "warm sweep counts diverged");
-                assert_eq!(su.pages, fu.pages);
-                assert_eq!(su.queries, fu.queries);
-                assert_eq!(su.templates, fu.templates);
-            }
+        // Mixed starts: one warm (from another system's fixpoint), one
+        // cold, one at its own fixpoint. The systems converge at
+        // different sweeps, so the later sweeps run with converged
+        // systems whose new iterates must be discarded.
+        let warms = [Some(solo[1].0.clone()), None, Some(solo[2].0.clone())];
+        let solo_warm: Vec<(Utilities, usize)> = regs
+            .iter()
+            .zip(warms.clone())
+            .map(|(r, w)| solo_solve(r, w))
+            .collect();
+        let fused_warm = fused_to_completion(&g, &regs, &cfg, warms);
+        let counts: Vec<usize> = fused_warm.iter().map(|(_, s)| *s).collect();
+        assert!(
+            counts.iter().any(|&c| c != counts[0]),
+            "mixed starts must converge at different sweeps: {counts:?}"
+        );
+        for ((su, ss), (fu, fs)) in solo_warm.iter().zip(&fused_warm) {
+            assert_eq!(ss, fs, "warm sweep counts diverged");
+            assert_eq!(su.pages, fu.pages);
+            assert_eq!(su.queries, fu.queries);
+            assert_eq!(su.templates, fu.templates);
         }
     }
 

@@ -2,8 +2,8 @@
 //! (page–query–template) graphs with weighted edges.
 
 use l2q_graph::{
-    solve, solve_detailed, solve_with_scheme, static_query_upper_bounds, FusedTruncatedSolver,
-    GraphBuilder, Regularization, Scheme, Utilities, UtilityKind, WalkConfig,
+    solve, solve_detailed, FusedTruncatedSolver, GraphBuilder, Regularization, StaticBoundsContext,
+    Utilities, UtilityKind, WalkConfig,
 };
 use proptest::prelude::*;
 
@@ -111,28 +111,6 @@ proptest! {
         }
     }
 
-    /// Jacobi and Gauss–Seidel converge to the same fixpoint on any
-    /// weighted tripartite graph.
-    #[test]
-    fn schemes_agree_at_convergence(
-        (np, nq, nt, pq, qt, rel) in arb_tripartite()
-    ) {
-        let g = build(np, nq, nt, &pq, &qt);
-        let cfg = WalkConfig { max_iters: 400, ..Default::default() };
-        for kind in [UtilityKind::Precision, UtilityKind::Recall] {
-            let reg = match kind {
-                UtilityKind::Precision =>
-                    Regularization::precision_from_relevance(&g, &rel),
-                UtilityKind::Recall => Regularization::recall_from_relevance(&g, &rel),
-            };
-            let a = solve_with_scheme(&g, kind, &reg, &cfg, Scheme::Jacobi);
-            let b = solve_with_scheme(&g, kind, &reg, &cfg, Scheme::GaussSeidel);
-            for (x, y) in a.queries.iter().zip(&b.queries) {
-                prop_assert!((x - y).abs() < 1e-6, "{x} vs {y}");
-            }
-        }
-    }
-
     /// Monotonicity in relevance: marking one more page relevant never
     /// decreases any precision utility (precision regularization is
     /// monotone and the update is a monotone map).
@@ -164,21 +142,21 @@ proptest! {
     }
 }
 
-/// A tightly converged reference fixpoint (well below the solver's
-/// operating tolerance, so it can stand in for the true fixpoint).
-fn exact(g: &l2q_graph::ReinforcementGraph, kind: UtilityKind, reg: &Regularization) -> Utilities {
+/// A tightly converged Recall fixpoint (well below the solver's operating
+/// tolerance, so it can stand in for the true fixpoint).
+fn exact(g: &l2q_graph::ReinforcementGraph, reg: &Regularization) -> Utilities {
     let tight = WalkConfig {
         max_iters: 4000,
         tolerance: 1e-14,
         ..Default::default()
     };
-    solve_detailed(g, kind, reg, &tight, Scheme::Jacobi, None).0
+    solve_detailed(g, UtilityKind::Recall, reg, &tight, None).0
 }
 
 /// The three-system regularization shape the context walks produce.
-fn walk_regs(g: &l2q_graph::ReinforcementGraph, rel: &[bool]) -> Vec<Regularization> {
+fn walk_regs(g: &l2q_graph::ReinforcementGraph, rel: &[bool]) -> [Regularization; 3] {
     let inverted: Vec<bool> = rel.iter().map(|&r| !r).collect();
-    vec![
+    [
         Regularization::recall_from_relevance(g, rel),
         Regularization::recall_from_relevance(g, &inverted),
         Regularization::recall_from_relevance(g, &vec![true; g.n_pages()]),
@@ -186,25 +164,18 @@ fn walk_regs(g: &l2q_graph::ReinforcementGraph, rel: &[bool]) -> Vec<Regularizat
 }
 
 proptest! {
-    /// The static per-query upper bound dominates the solved utility on
-    /// any weighted tripartite graph, for both walk kinds.
+    /// The static per-query upper bound dominates the solved Recall
+    /// utility on any weighted tripartite graph.
     #[test]
     fn static_bounds_dominate_solved_utilities(
         (np, nq, nt, pq, qt, rel) in arb_tripartite()
     ) {
         let g = build(np, nq, nt, &pq, &qt);
-        let cfg = WalkConfig::default();
-        for kind in [UtilityKind::Precision, UtilityKind::Recall] {
-            let reg = match kind {
-                UtilityKind::Precision =>
-                    Regularization::precision_from_relevance(&g, &rel),
-                UtilityKind::Recall => Regularization::recall_from_relevance(&g, &rel),
-            };
-            let ub = static_query_upper_bounds(&g, kind, &reg, &cfg);
-            let u = exact(&g, kind, &reg);
-            for (q, (&b, &x)) in ub.iter().zip(&u.queries).enumerate() {
-                prop_assert!(b >= x - 1e-12, "{kind:?} q{q}: bound {b} below utility {x}");
-            }
+        let reg = Regularization::recall_from_relevance(&g, &rel);
+        let ub = StaticBoundsContext::new(&g, &WalkConfig::default()).query_upper_bounds(&reg);
+        let u = exact(&g, &reg);
+        for (q, (&b, &x)) in ub.iter().zip(&u.queries).enumerate() {
+            prop_assert!(b >= x - 1e-12, "q{q}: bound {b} below utility {x}");
         }
     }
 
@@ -217,17 +188,8 @@ proptest! {
         let g = build(np, nq, nt, &pq, &qt);
         let cfg = WalkConfig::default();
         let regs = walk_regs(&g, &rel);
-        let fixpoints: Vec<Utilities> = regs
-            .iter()
-            .map(|r| exact(&g, UtilityKind::Recall, r))
-            .collect();
-        let mut s = FusedTruncatedSolver::new(
-            &g,
-            UtilityKind::Recall,
-            regs,
-            &cfg,
-            vec![None, None, None],
-        );
+        let fixpoints: Vec<Utilities> = regs.iter().map(|r| exact(&g, r)).collect();
+        let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
         let mut qtails = Vec::new();
         while s.sweep() {
             #[allow(clippy::needless_range_loop)]
@@ -268,10 +230,7 @@ proptest! {
         let g = build(np, nq, nt, &pq, &qt);
         let cfg = WalkConfig::default();
         let regs = walk_regs(&g, &rel);
-        let fixpoints: Vec<Utilities> = regs
-            .iter()
-            .map(|r| exact(&g, UtilityKind::Recall, r))
-            .collect();
+        let fixpoints: Vec<Utilities> = regs.iter().map(|r| exact(&g, r)).collect();
         // Perturb every block of the first system's fixpoint; leave the
         // second cold and the third exactly at its fixpoint.
         let mut bad = fixpoints[0].clone();
@@ -284,8 +243,8 @@ proptest! {
         {
             *v = (*v + noise[i % noise.len()]).max(0.0);
         }
-        let warms = vec![Some(bad), None, Some(fixpoints[2].clone())];
-        let mut s = FusedTruncatedSolver::new(&g, UtilityKind::Recall, regs, &cfg, warms);
+        let warms = [Some(bad), None, Some(fixpoints[2].clone())];
+        let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, warms);
         let mut qtails = Vec::new();
         while s.sweep() {
             #[allow(clippy::needless_range_loop)]
@@ -321,14 +280,13 @@ proptest! {
 /// solver must reproduce.
 fn solo_solves(
     g: &l2q_graph::ReinforcementGraph,
-    kind: UtilityKind,
     regs: &[Regularization],
     cfg: &WalkConfig,
-    warms: Vec<Option<Utilities>>,
+    warms: [Option<Utilities>; 3],
 ) -> Vec<(Utilities, usize)> {
     regs.iter()
         .zip(warms)
-        .map(|(r, w)| solve_detailed(g, kind, r, cfg, Scheme::Jacobi, w))
+        .map(|(r, w)| solve_detailed(g, UtilityKind::Recall, r, cfg, w))
         .collect()
 }
 
@@ -345,9 +303,8 @@ fn bits(u: &Utilities) -> Vec<u64> {
 proptest! {
     /// The fused truncated solver run to completion is bitwise equal to
     /// per-system solo solves — every utility and every sweep count — on
-    /// any weighted tripartite graph, for both walk kinds, from cold
-    /// starts and from mixed starts (one warm, one cold, one at its
-    /// fixpoint).
+    /// any weighted tripartite graph, from cold starts and from mixed
+    /// starts (one warm, one at its fixpoint, one cold).
     #[test]
     fn fused_solver_matches_solo_solves_bitwise(
         (np, nq, nt, pq, qt, rel) in arb_tripartite(),
@@ -355,38 +312,36 @@ proptest! {
     ) {
         let g = build(np, nq, nt, &pq, &qt);
         let cfg = WalkConfig::default();
-        for kind in [UtilityKind::Precision, UtilityKind::Recall] {
-            let regs = match kind {
-                UtilityKind::Recall => walk_regs(&g, &rel),
-                UtilityKind::Precision => {
-                    let inverted: Vec<bool> = rel.iter().map(|&r| !r).collect();
-                    vec![
-                        Regularization::precision_from_relevance(&g, &rel),
-                        Regularization::precision_from_relevance(&g, &inverted),
-                        Regularization::precision_from_relevance(&g, &vec![true; np]),
-                    ]
-                }
-            };
-            let cold = solo_solves(&g, kind, &regs, &cfg, vec![None, None, None]);
-            let mut warm = cold[0].0.clone();
-            for (i, v) in warm
-                .pages
-                .iter_mut()
-                .chain(&mut warm.queries)
-                .chain(&mut warm.templates)
-                .enumerate()
-            {
-                *v = (*v + noise[i % noise.len()]).max(0.0);
+        let regs = walk_regs(&g, &rel);
+        let cold = solo_solves(&g, &regs, &cfg, [None, None, None]);
+        let mut warm = cold[0].0.clone();
+        for (i, v) in warm
+            .pages
+            .iter_mut()
+            .chain(&mut warm.queries)
+            .chain(&mut warm.templates)
+            .enumerate()
+        {
+            *v = (*v + noise[i % noise.len()]).max(0.0);
+        }
+        // The cold system is the all-pages walk: its first sweep moves
+        // its page block by 1 − α, so it runs long after the system
+        // started at its fixpoint has converged.
+        let mixed = [Some(warm), Some(cold[1].0.clone()), None];
+        for (warms, is_mixed) in [([None, None, None], false), (mixed, true)] {
+            let want = solo_solves(&g, &regs, &cfg, warms.clone());
+            let mut s = FusedTruncatedSolver::new(&g, regs.clone(), &cfg, warms);
+            s.run_to_completion();
+            let got = s.finish();
+            if is_mixed {
+                prop_assert!(
+                    got.iter().any(|(_, n)| *n != got[0].1),
+                    "mixed starts must converge at different sweeps"
+                );
             }
-            let mixed = vec![Some(warm), None, Some(cold[2].0.clone())];
-            for warms in [vec![None, None, None], mixed] {
-                let want = solo_solves(&g, kind, &regs, &cfg, warms.clone());
-                let mut s = FusedTruncatedSolver::new(&g, kind, regs.clone(), &cfg, warms);
-                s.run_to_completion();
-                for (i, ((gu, gs), (wu, ws))) in s.finish().iter().zip(&want).enumerate() {
-                    prop_assert_eq!(gs, ws, "{:?} system {}: sweep counts diverged", kind, i);
-                    prop_assert!(bits(gu) == bits(wu), "{:?} system {}: utilities diverged", kind, i);
-                }
+            for (i, ((gu, gs), (wu, ws))) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(gs, ws, "system {}: sweep counts diverged", i);
+                prop_assert!(bits(gu) == bits(wu), "system {}: utilities diverged", i);
             }
         }
     }
@@ -408,21 +363,16 @@ fn zero_weight_edges_leave_bounds_at_the_disconnected_value() {
     let g2 = without.build();
 
     let cfg = WalkConfig::default();
-    for kind in [UtilityKind::Precision, UtilityKind::Recall] {
-        let reg = {
-            let mut r = Regularization::zeros(&g1);
-            r.pages = vec![1.0, 0.0, 1.0];
-            r.queries = vec![0.0, 0.3, 0.7];
-            r
-        };
-        let ub1 = static_query_upper_bounds(&g1, kind, &reg, &cfg);
-        let ub2 = static_query_upper_bounds(&g2, kind, &reg, &cfg);
-        assert_eq!(ub1, ub2, "weightless edges changed the bounds");
-        // Queries 1 and 2 are disconnected: the bound is the fixpoint.
-        let u = solve(&g1, kind, &reg, &cfg);
-        assert_eq!(ub1[1], cfg.alpha * 0.3);
-        assert_eq!(u.queries[1], ub1[1]);
-        assert_eq!(ub1[2], cfg.alpha * 0.7);
-        assert_eq!(u.queries[2], ub1[2]);
-    }
+    let mut reg = Regularization::zeros(&g1);
+    reg.pages = vec![1.0, 0.0, 1.0];
+    reg.queries = vec![0.0, 0.3, 0.7];
+    let ub1 = StaticBoundsContext::new(&g1, &cfg).query_upper_bounds(&reg);
+    let ub2 = StaticBoundsContext::new(&g2, &cfg).query_upper_bounds(&reg);
+    assert_eq!(ub1, ub2, "weightless edges changed the bounds");
+    // Queries 1 and 2 are disconnected: the bound is the fixpoint.
+    let u = solve(&g1, UtilityKind::Recall, &reg, &cfg);
+    assert_eq!(ub1[1], cfg.alpha * 0.3);
+    assert_eq!(u.queries[1], ub1[1]);
+    assert_eq!(ub1[2], cfg.alpha * 0.7);
+    assert_eq!(u.queries[2], ub1[2]);
 }

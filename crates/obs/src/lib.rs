@@ -21,9 +21,6 @@
 //!   across process boundaries on the wire, a thread-local context stack,
 //!   and the bounded overwrite-oldest [`trace::TraceBuffer`] ring that
 //!   the `trace` wire op serves span trees from.
-//! * [`events`] — an optional structured JSON event sink for per-step
-//!   harvest traces. Disabled by default; the fast path is one relaxed
-//!   atomic load.
 //!
 //! Histogram quantiles (p50/p95/p99) are estimated by linear interpolation
 //! within the bucket containing the rank — exact at bucket boundaries,
@@ -33,14 +30,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod metrics;
 pub mod span;
 pub mod trace;
 
-pub use events::{
-    emit, events_enabled, set_event_sink, to_json_line, EventSink, FieldValue, JsonLinesSink,
-};
 pub use metrics::{
     quantile_from_buckets, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
     RegistrySnapshot,

@@ -102,6 +102,25 @@ pass `--local` for the router's own registry. `step --trace` prints a
 trace id for `trace --id` (stitched across router and shards).
 ";
 
+/// Write to stdout. A reader that hangs up early (`| head`, `| grep -q`)
+/// already has what it wanted, so a broken pipe ends the process quietly
+/// with success instead of a panic.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn parse(key: &str, args: &[String]) -> Option<String> {
     args.iter()
         .position(|a| a == key)
@@ -122,7 +141,7 @@ fn parse_num<T: std::str::FromStr>(key: &str, args: &[String]) -> Result<Option<
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
+        write_stdout(format_args!("{USAGE}"));
         return Ok(());
     }
     let addr = parse("--addr", &args)
@@ -165,7 +184,7 @@ fn run() -> Result<(), String> {
             client
                 .request(&l2q_service::Request::op("ping"))
                 .map_err(|e| e.to_string())?;
-            println!("pong");
+            outln!("pong");
         }
         "harvest" => {
             let entity: u32 = parse_num("--entity", &args)?.ok_or("--entity is required")?;
@@ -181,7 +200,7 @@ fn run() -> Result<(), String> {
                 let resp = client.step(session, 8, 40).map_err(|e| e.to_string())?;
                 let state = resp.state.as_deref().unwrap_or("running");
                 if state != "running" {
-                    println!(
+                    outln!(
                         "{state}: {} queries, {} pages",
                         resp.steps_taken.unwrap_or(0),
                         resp.gathered.unwrap_or(0)
@@ -191,9 +210,9 @@ fn run() -> Result<(), String> {
             }
             let snap = client.snapshot(session).map_err(|e| e.to_string())?;
             for q in snap.queries.unwrap_or_default() {
-                println!("query: {q}");
+                outln!("query: {q}");
             }
-            println!("pages: {:?}", snap.pages.unwrap_or_default());
+            outln!("pages: {:?}", snap.pages.unwrap_or_default());
             client.close(session).map_err(|e| e.to_string())?;
         }
         "create" => {
@@ -205,7 +224,7 @@ fn run() -> Result<(), String> {
             let session = client
                 .create(entity, &aspect, &selector, n_queries, domain_size)
                 .map_err(|e| e.to_string())?;
-            println!("session: {session}");
+            outln!("session: {session}");
         }
         "step" => {
             let session: u64 = parse_num("--session", &args)?.ok_or("--session is required")?;
@@ -217,7 +236,7 @@ fn run() -> Result<(), String> {
                 client.step(session, steps, 40)
             }
             .map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "{}: {} queries, {} pages (+{} steps, +{} pages){}",
                 resp.state.as_deref().unwrap_or("running"),
                 resp.steps_taken.unwrap_or(0),
@@ -227,15 +246,15 @@ fn run() -> Result<(), String> {
                 shard_suffix(&resp),
             );
             if let Some(tid) = resp.trace_id {
-                println!("trace: {:#x}", tid);
+                outln!("trace: {:#x}", tid);
             } else if traced {
-                println!("trace: none (server did not echo a trace id)");
+                outln!("trace: none (server did not echo a trace id)");
             }
         }
         "status" => {
             let session: u64 = parse_num("--session", &args)?.ok_or("--session is required")?;
             let resp = client.status(session).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "session {session}: {} {} queries, {} pages{}",
                 resp.state.as_deref().unwrap_or("running"),
                 resp.steps_taken.unwrap_or(0),
@@ -247,14 +266,14 @@ fn run() -> Result<(), String> {
             let session: u64 = parse_num("--session", &args)?.ok_or("--session is required")?;
             let snap = client.snapshot(session).map_err(|e| e.to_string())?;
             for q in snap.queries.unwrap_or_default() {
-                println!("query: {q}");
+                outln!("query: {q}");
             }
-            println!("pages: {:?}", snap.pages.unwrap_or_default());
+            outln!("pages: {:?}", snap.pages.unwrap_or_default());
         }
         "persist" => {
             let session: u64 = parse_num("--session", &args)?.ok_or("--session is required")?;
             let resp = client.persist(session).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "persisted session {session}: {} queries, {} pages",
                 resp.steps_taken.unwrap_or(0),
                 resp.gathered.unwrap_or(0)
@@ -263,7 +282,7 @@ fn run() -> Result<(), String> {
         "restore" => {
             let session: u64 = parse_num("--session", &args)?.ok_or("--session is required")?;
             let resp = client.restore(session).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "restored session {session}: {}: {} queries, {} pages",
                 resp.state.as_deref().unwrap_or("running"),
                 resp.steps_taken.unwrap_or(0),
@@ -274,7 +293,7 @@ fn run() -> Result<(), String> {
             let resp = client.list_sessions().map_err(|e| e.to_string())?;
             let entries = resp.sessions.unwrap_or_default();
             if entries.is_empty() {
-                println!("no sessions");
+                outln!("no sessions");
             }
             for e in entries {
                 // Prefer the restorability class from fleet-aware servers;
@@ -284,11 +303,11 @@ fn run() -> Result<(), String> {
                     .clone()
                     .unwrap_or_else(|| if e.resident { "resident" } else { "stored" }.into());
                 match (e.steps_taken, e.gathered, e.state.as_deref()) {
-                    (Some(steps), Some(pages), Some(state)) => println!(
+                    (Some(steps), Some(pages), Some(state)) => outln!(
                         "session {}: {place} {state} {steps} queries {pages} pages",
                         e.session
                     ),
-                    _ => println!("session {}: {place}", e.session),
+                    _ => outln!("session {}: {place}", e.session),
                 }
             }
         }
@@ -305,7 +324,7 @@ fn run() -> Result<(), String> {
             let resp = client.stats().map_err(|e| e.to_string())?;
             let body = serde_json::to_string_pretty(&resp.stats.unwrap_or_default())
                 .map_err(|e| e.to_string())?;
-            println!("{body}");
+            outln!("{body}");
         }
         "metrics" => {
             // A --router target gets the fleet-merged plane by default;
@@ -325,18 +344,18 @@ fn run() -> Result<(), String> {
             .map_err(|e| e.to_string())?;
             if format == "json" {
                 let body = resp.metrics.ok_or("metrics response missing body")?;
-                println!(
+                outln!(
                     "{}",
                     serde_json::to_string_pretty(&body).map_err(|e| e.to_string())?
                 );
             } else {
-                print!("{}", resp.metrics_text.unwrap_or_default());
+                write_stdout(format_args!("{}", resp.metrics_text.unwrap_or_default()));
             }
         }
         "trace" => run_trace(&mut client, &args)?,
         "shutdown" => {
             client.shutdown_server().map_err(|e| e.to_string())?;
-            println!("server shutting down");
+            outln!("server shutting down");
         }
         other => return Err(format!("unknown command '{other}'")),
     }
@@ -393,13 +412,13 @@ fn run_trace(client: &mut Client, args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
         let spans = resp.spans.unwrap_or_default();
         if spans.is_empty() {
-            println!("no spans buffered");
+            outln!("no spans buffered");
             return Ok(());
         }
         for s in &spans {
-            println!("{:#014x} {}", s.trace_id, span_line(s));
+            outln!("{:#014x} {}", s.trace_id, span_line(s));
         }
-        println!(
+        outln!(
             "{} {} span(s); fetch a tree with: trace --id 0x<id>",
             if slow { "slowest" } else { "newest" },
             spans.len()
@@ -437,7 +456,7 @@ fn run_trace(client: &mut Client, args: &[String]) -> Result<(), String> {
             },
         }
     }
-    println!(
+    outln!(
         "trace {:#014x}: spans={} roots={} orphans={}",
         trace_id,
         spans.len(),
@@ -450,7 +469,7 @@ fn run_trace(client: &mut Client, args: &[String]) -> Result<(), String> {
         spans: &[l2q_service::proto::SpanBody],
         children: &[Vec<usize>],
     ) {
-        println!("{}{}", "  ".repeat(depth + 1), span_line(&spans[idx]));
+        outln!("{}{}", "  ".repeat(depth + 1), span_line(&spans[idx]));
         for &c in &children[idx] {
             render(c, depth + 1, spans, children);
         }
@@ -475,15 +494,15 @@ fn run_fleet(client: &mut Client, sub: &str, args: &[String]) -> Result<(), Stri
         "status" => {
             let resp = client.fleet_status().map_err(|e| e.to_string())?;
             let fleet = resp.fleet.ok_or("fleet_status response missing body")?;
-            println!(
+            outln!(
                 "fleet: {} shard(s), {} vnodes",
                 fleet.shards.len(),
                 fleet.vnodes
             );
             for s in fleet.shards {
                 match s.active_sessions {
-                    Some(n) => println!("  {} at {}: {} ({n} resident)", s.name, s.addr, s.health),
-                    None => println!("  {} at {}: {} (unreachable)", s.name, s.addr, s.health),
+                    Some(n) => outln!("  {} at {}: {} ({n} resident)", s.name, s.addr, s.health),
+                    None => outln!("  {} at {}: {} (unreachable)", s.name, s.addr, s.health),
                 }
             }
         }
@@ -493,17 +512,17 @@ fn run_fleet(client: &mut Client, sub: &str, args: &[String]) -> Result<(), Stri
             client
                 .join_shard(&shard, &addr)
                 .map_err(|e| e.to_string())?;
-            println!("shard {shard} joined at {addr}");
+            outln!("shard {shard} joined at {addr}");
         }
         "drain" => {
             let shard = parse("--shard", args).ok_or("--shard is required")?;
             let resp = client.drain_shard(&shard).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "shard {shard} draining: {} session(s) migrated",
                 resp.migrated.unwrap_or(0)
             );
             if let Some(err) = resp.error {
-                println!("warning: {err}");
+                outln!("warning: {err}");
             }
         }
         "migrate" => {
@@ -512,7 +531,7 @@ fn run_fleet(client: &mut Client, sub: &str, args: &[String]) -> Result<(), Stri
             let resp = client
                 .migrate(session, target.as_deref())
                 .map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "session {session} migrated to shard {}: {} {} queries, {} pages",
                 resp.shard.as_deref().unwrap_or("?"),
                 resp.state.as_deref().unwrap_or("running"),
@@ -524,7 +543,7 @@ fn run_fleet(client: &mut Client, sub: &str, args: &[String]) -> Result<(), Stri
             let resp = client.rolling_restart().map_err(|e| e.to_string())?;
             let cycled = resp.restarted.unwrap_or(0);
             if resp.ok {
-                println!("rolling restart completed: {cycled} shard(s) cycled");
+                outln!("rolling restart completed: {cycled} shard(s) cycled");
             } else {
                 return Err(format!(
                     "rolling restart {} after {cycled} shard(s): {}",
@@ -539,7 +558,7 @@ fn run_fleet(client: &mut Client, sub: &str, args: &[String]) -> Result<(), Stri
                 return Err(resp.error.unwrap_or_else(|| "unspecified".into()));
             }
             let rows = resp.supervised.unwrap_or_default();
-            println!("supervisor: {} child(ren)", rows.len());
+            outln!("supervisor: {} child(ren)", rows.len());
             for r in rows {
                 let pid = r
                     .pid
@@ -555,9 +574,13 @@ fn run_fleet(client: &mut Client, sub: &str, args: &[String]) -> Result<(), Stri
                 if let Some(exit) = r.last_exit {
                     extras.push_str(&format!(", last exit: {exit}"));
                 }
-                println!(
+                outln!(
                     "  {} at {}: {} ({}; {})",
-                    r.name, r.addr, r.health, pid, extras
+                    r.name,
+                    r.addr,
+                    r.health,
+                    pid,
+                    extras
                 );
             }
         }
@@ -610,7 +633,7 @@ fn probe_oversized(addr: &str, line_bytes: usize) -> Result<(), String> {
     stream.write_all(&line).map_err(|e| e.to_string())?;
     let resp = read_raw_line(&mut stream, Duration::from_secs(10))?;
     if resp.contains("\"ok\":false") && resp.contains("exceeds") {
-        println!("probe oversized: ok ({line_bytes}-byte line refused politely)");
+        outln!("probe oversized: ok ({line_bytes}-byte line refused politely)");
         Ok(())
     } else {
         Err(format!("oversized probe got unexpected response: {resp}"))
@@ -633,7 +656,7 @@ fn probe_garbage(addr: &str) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let second = read_raw_line(&mut stream, Duration::from_secs(10))?;
     if second.contains("\"ok\":true") && second.contains("\"request_id\":7") {
-        println!("probe garbage: ok (bad request reported, connection stayed usable)");
+        outln!("probe garbage: ok (bad request reported, connection stayed usable)");
         Ok(())
     } else {
         Err(format!(
@@ -668,7 +691,7 @@ fn probe_panic(addr: &str) -> Result<(), String> {
     client
         .step(healthy, 4, 10)
         .map_err(|e| format!("step after panic failed: {e}"))?;
-    println!("probe panic: ok (session failed terminally, server survived)");
+    outln!("probe panic: ok (session failed terminally, server survived)");
     Ok(())
 }
 
@@ -681,7 +704,7 @@ fn probe_deadline(addr: &str) -> Result<(), String> {
         .map_err(|e| format!("create with sleep selector failed: {e}"))?;
     match client.step_with_deadline(session, 1, 0, 50) {
         Err(e) if e.to_string().contains("deadline") => {
-            println!("probe deadline: ok (50ms deadline cut a 400ms batch short)");
+            outln!("probe deadline: ok (50ms deadline cut a 400ms batch short)");
             Ok(())
         }
         other => Err(format!(
@@ -741,7 +764,7 @@ fn probe_slowloris(addr: &str, conns: usize, hold_ms: u64) -> Result<(), String>
     for w in writers {
         w.join().map_err(|_| "slow writer thread panicked")??;
     }
-    println!(
+    outln!(
         "probe slowloris: ok ({conns} dribbling connections held {hold_ms}ms; \
          {pings} concurrent pings served, worst {worst:?}; all dribbles completed)"
     );
@@ -765,7 +788,7 @@ fn probe_capacity(addr: &str, cap: usize) -> Result<(), String> {
         let _ = extra.write_all(b"{\"op\":\"ping\"}\n");
         match read_raw_line(&mut extra, Duration::from_secs(2)) {
             Ok(resp) if resp.contains("server at capacity") => {
-                println!(
+                outln!(
                     "probe capacity: ok (connection {} refused politely)",
                     cap + 1
                 );
@@ -818,7 +841,7 @@ fn run_probes(addr: &str, args: &[String]) -> Result<(), String> {
             "unknown battery '{battery}' (all|oversized|garbage|panic|deadline|slowloris|capacity)"
         ));
     }
-    println!("probe: {ran} batteries passed");
+    outln!("probe: {ran} batteries passed");
     Ok(())
 }
 
