@@ -417,7 +417,7 @@ fn main() {
         ),
     ];
     if emit_metrics {
-        let rendered = l2q_obs::global().render_json();
+        let rendered = l2q_obs::global().snapshot().render_json();
         doc.push((
             "metrics".to_string(),
             serde_json::parse_value(&rendered).unwrap_or(Value::Null),

@@ -9,10 +9,9 @@
 //! L2QP > P+t (context helps); mirrored for recall.
 
 use l2q_baselines::{DomainQuerySelector, RndSelector};
-use l2q_bench::harness::merge_evals;
 use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
 use l2q_core::{L2qSelector, QuerySelector, Strategy};
-use l2q_eval::{render_table, MethodEval, Series};
+use l2q_eval::{merge_method_evals, render_table, MethodEval, Series};
 
 type Factory = Box<dyn Fn() -> Box<dyn QuerySelector> + Sync>;
 
@@ -38,7 +37,7 @@ fn run_method(splits: &[SplitEval<'_>], method: &Method) -> MethodEval {
             Method::L2q(strategy) => se.evaluate_l2q(*strategy),
         })
         .collect();
-    merge_evals(&per_split)
+    merge_method_evals(&per_split)
 }
 
 fn main() {

@@ -6,10 +6,9 @@
 //! monotone-ish improvement, with the steepest gain between 0% and 5% —
 //! "even a small number of domain entities can be quite useful".
 
-use l2q_bench::harness::merge_evals;
 use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
 use l2q_core::Strategy;
-use l2q_eval::{render_table, Series};
+use l2q_eval::{merge_method_evals, render_table, Series};
 
 const FRACTIONS: [f64; 5] = [0.0, 0.05, 0.10, 0.25, 1.0];
 
@@ -54,13 +53,13 @@ fn main() {
                 })
                 .collect();
             prec_values.push(
-                merge_evals(&evals_p)
+                merge_method_evals(&evals_p)
                     .at(cfg.n_queries)
                     .map(|it| it.normalized.precision)
                     .unwrap_or(0.0),
             );
             rec_values.push(
-                merge_evals(&evals_r)
+                merge_method_evals(&evals_r)
                     .at(cfg.n_queries)
                     .map(|it| it.normalized.recall)
                     .unwrap_or(0.0),

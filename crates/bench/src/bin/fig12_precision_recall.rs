@@ -8,10 +8,9 @@
 //! saturates.
 
 use l2q_baselines::{AqSelector, HrSelector, LmSelector, MqSelector};
-use l2q_bench::harness::merge_evals;
 use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
 use l2q_core::{QuerySelector, Strategy};
-use l2q_eval::{render_table, MethodEval, Series};
+use l2q_eval::{merge_method_evals, render_table, MethodEval, Series};
 
 const MAX_QUERIES: usize = 5;
 
@@ -35,13 +34,13 @@ fn main() {
             .collect();
 
         // L2QP / L2QR with cross-validated r0.
-        let l2qp = merge_evals(
+        let l2qp = merge_method_evals(
             &splits
                 .iter()
                 .map(|se| se.evaluate_l2q(Strategy::Precision))
                 .collect::<Vec<_>>(),
         );
-        let l2qr = merge_evals(
+        let l2qr = merge_method_evals(
             &splits
                 .iter()
                 .map(|se| se.evaluate_l2q(Strategy::Recall))
@@ -61,7 +60,7 @@ fn main() {
             .unwrap_or(4);
         let mut evals: Vec<MethodEval> = vec![l2qp, l2qr];
         for (with_domain, factory) in &baselines {
-            let merged = merge_evals(
+            let merged = merge_method_evals(
                 &splits
                     .iter()
                     .map(|se| se.evaluate_parallel(factory.as_ref(), *with_domain, threads))

@@ -7,10 +7,9 @@
 //! +10% over the manual one in average F-score — the headline numbers.
 
 use l2q_baselines::{AqSelector, HrSelector, LmSelector, MqSelector};
-use l2q_bench::harness::merge_evals;
 use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
 use l2q_core::{QuerySelector, Strategy};
-use l2q_eval::{render_table, MethodEval, Series};
+use l2q_eval::{merge_method_evals, render_table, MethodEval, Series};
 
 const MAX_QUERIES: usize = 5;
 
@@ -34,7 +33,7 @@ fn main() {
             .map(|s| SplitEval::prepare(&setup, s, &opts, cfg))
             .collect();
 
-        let l2qbal = merge_evals(
+        let l2qbal = merge_method_evals(
             &splits
                 .iter()
                 .map(|se| se.evaluate_l2q(Strategy::Balanced))
@@ -52,7 +51,7 @@ fn main() {
             .unwrap_or(4);
         let mut evals: Vec<MethodEval> = vec![l2qbal];
         for (with_domain, factory) in &baselines {
-            evals.push(merge_evals(
+            evals.push(merge_method_evals(
                 &splits
                     .iter()
                     .map(|se| se.evaluate_parallel(factory.as_ref(), *with_domain, threads))

@@ -7,9 +7,9 @@
 //! directly; fetch is simulated with the paper's reported per-domain
 //! latency since there is no remote server in the loop (DESIGN.md §2).
 
-use l2q_bench::harness::merge_evals;
 use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
 use l2q_core::{L2qSelector, Strategy};
+use l2q_eval::merge_method_evals;
 
 /// Paper-reported fetch latency per query (seconds): researchers ~18,
 /// cars ~8.
@@ -44,7 +44,7 @@ fn main() {
                     se.evaluate(&mut sel, true)
                 })
                 .collect();
-            let merged = merge_evals(&evals);
+            let merged = merge_method_evals(&evals);
             cols.push(merged.selection_time_per_query().as_secs_f64());
         }
 

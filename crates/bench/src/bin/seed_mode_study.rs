@@ -10,9 +10,9 @@
 //! is preserved — query selection is robust to the focusing mechanism.
 
 use l2q_baselines::MqSelector;
-use l2q_bench::harness::merge_evals;
 use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
 use l2q_core::L2qSelector;
+use l2q_eval::merge_method_evals;
 use l2q_retrieval::{EngineConfig, SeedMode};
 
 fn main() {
@@ -45,8 +45,8 @@ fn main() {
                 let mut mq = MqSelector::new();
                 mq_evals.push(se.evaluate(&mut mq, false));
             }
-            let bal = merge_evals(&bal_evals);
-            let mq = merge_evals(&mq_evals);
+            let bal = merge_method_evals(&bal_evals);
+            let mq = merge_method_evals(&mq_evals);
             let at = |e: &l2q_eval::MethodEval| {
                 e.at(cfg.n_queries)
                     .map(|it| (it.normalized.f1, it.pairs))

@@ -273,46 +273,10 @@ pub fn emit_metrics_if_requested(opts: &BenchOpts) {
     let Some(path) = opts.emit_metrics.as_deref() else {
         return;
     };
-    let body = l2q_obs::global().render_json();
+    let body = l2q_obs::global().snapshot().render_json();
     match std::fs::write(path, &body) {
         Ok(()) => eprintln!("metrics written to {path}"),
         Err(e) => eprintln!("failed to write metrics to {path}: {e}"),
-    }
-}
-
-/// Merge per-split `MethodEval`s of the same method into a cross-split
-/// average (weighted by contributing pairs).
-pub fn merge_evals(evals: &[MethodEval]) -> MethodEval {
-    assert!(!evals.is_empty());
-    let name = evals[0].name.clone();
-    let n_iters = evals.iter().map(|e| e.per_iter.len()).max().unwrap_or(0);
-    let mut per_iter = Vec::with_capacity(n_iters);
-    for i in 0..n_iters {
-        let mut raw = l2q_eval::MetricsAccumulator::new();
-        let mut norm = l2q_eval::MetricsAccumulator::new();
-        let mut pairs = 0usize;
-        for e in evals {
-            if let Some(it) = e.per_iter.get(i) {
-                // Weight by pair count: re-expand the mean.
-                for _ in 0..it.pairs {
-                    raw.push(it.raw);
-                    norm.push(it.normalized);
-                }
-                pairs += it.pairs;
-            }
-        }
-        per_iter.push(l2q_eval::IterStats {
-            n_queries: i + 1,
-            raw: raw.mean(),
-            normalized: norm.mean(),
-            pairs,
-        });
-    }
-    MethodEval {
-        name,
-        per_iter,
-        selection_time: evals.iter().map(|e| e.selection_time).sum(),
-        runs: evals.iter().map(|e| e.runs).sum(),
     }
 }
 
@@ -348,26 +312,5 @@ mod tests {
         let eval = se.evaluate(&mut sel, false);
         assert_eq!(eval.per_iter.len(), se.cfg().n_queries);
         assert!(eval.per_iter[0].pairs > 0);
-    }
-
-    #[test]
-    fn merge_weights_by_pairs() {
-        use l2q_eval::{IterStats, MethodEval, Metrics};
-        use std::time::Duration;
-        let mk = |p: f64, pairs: usize| MethodEval {
-            name: "X".into(),
-            per_iter: vec![IterStats {
-                n_queries: 1,
-                raw: Metrics::new(p, p),
-                normalized: Metrics::new(p, p),
-                pairs,
-            }],
-            selection_time: Duration::from_millis(1),
-            runs: pairs,
-        };
-        let merged = merge_evals(&[mk(1.0, 1), mk(0.0, 3)]);
-        assert!((merged.per_iter[0].normalized.precision - 0.25).abs() < 1e-12);
-        assert_eq!(merged.per_iter[0].pairs, 4);
-        assert_eq!(merged.runs, 4);
     }
 }

@@ -514,4 +514,24 @@ mod tests {
         );
         assert!(grid.contains(&r0));
     }
+
+    #[test]
+    fn merge_weights_by_pairs() {
+        let mk = |p: f64, pairs: usize| MethodEval {
+            name: "X".into(),
+            per_iter: vec![IterStats {
+                n_queries: 1,
+                raw: Metrics::new(p, p),
+                normalized: Metrics::new(p, p),
+                pairs,
+            }],
+            selection_time: Duration::from_millis(1),
+            runs: pairs,
+        };
+        let merged = merge_method_evals(&[mk(1.0, 1), mk(0.0, 3)]);
+        assert!((merged.per_iter[0].normalized.precision - 0.25).abs() < 1e-12);
+        assert_eq!(merged.per_iter[0].pairs, 4);
+        assert_eq!(merged.runs, 4);
+        assert_eq!(merged.selection_time, Duration::from_millis(2));
+    }
 }

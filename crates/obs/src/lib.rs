@@ -8,9 +8,13 @@
 //!   histograms. Registration takes a short lock; the returned handles are
 //!   `Arc`'d atomics, so the hot path (increment / record) is lock-free.
 //! * [`global()`] — the process-wide registry every instrumented crate
-//!   records into, rendered two ways: [`MetricsRegistry::render_json`]
-//!   (the `metrics` wire op) and [`MetricsRegistry::render_text`]
-//!   (Prometheus-style exposition).
+//!   records into.
+//! * [`RegistrySnapshot`] — the one form metrics leave a registry in
+//!   ([`MetricsRegistry::snapshot`]). It renders two ways,
+//!   [`RegistrySnapshot::render_json`] (the `metrics` wire op) and
+//!   [`RegistrySnapshot::render_text`] (Prometheus-style exposition),
+//!   and [`RegistrySnapshot::merge`] folds several processes' snapshots
+//!   into one fleet view (the router's `fleet_metrics` op).
 //! * [`span!`] — an RAII timer: `let _s = span!("graph_solve");` records
 //!   the scope's wall-clock into the `graph_solve_seconds` histogram of
 //!   the global registry when the guard drops. While a [`trace`] context
@@ -24,8 +28,17 @@
 //!
 //! Histogram quantiles (p50/p95/p99) are estimated by linear interpolation
 //! within the bucket containing the rank — exact at bucket boundaries,
-//! bounded by the bucket's width otherwise (buckets grow ×2, so the
-//! relative error of a quantile estimate is at most ~2×).
+//! bounded by the bucket's width otherwise (latency buckets grow by √2,
+//! so a point mass's quantiles land within √2 of it).
+//!
+//! Renderings list histogram buckets sparsely, under one rule: every
+//! occupied bucket comes with the bound just below it, listed with count
+//! 0 when that bucket is empty (the text lists every bucket from there
+//! on, cumulatively). Percentiles re-derived from a rendering — by the
+//! router's fleet merge, or by Prometheus' `histogram_quantile` over the
+//! text — therefore interpolate from the same lower edge as the live
+//! histogram, and a one-shard fleet reports exactly the shard's own
+//! p50/p95/p99.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +48,8 @@ pub mod span;
 pub mod trace;
 
 pub use metrics::{
-    quantile_from_buckets, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
-    RegistrySnapshot,
+    quantile_from_buckets, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue,
+    MetricsRegistry, RegistrySnapshot,
 };
 pub use span::SpanTimer;
 pub use trace::{SpanRecord, TraceBuffer, TraceContext};

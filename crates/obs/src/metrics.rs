@@ -3,9 +3,19 @@
 //! Registration (name → handle) takes a short `RwLock`; handles are
 //! `Arc`'d atomics so recording never locks. Metrics are keyed by name
 //! plus an optional, order-insensitive label set, mirroring the Prometheus
-//! data model closely enough that [`MetricsRegistry::render_text`] is a
+//! data model closely enough that [`RegistrySnapshot::render_text`] is a
 //! valid scrape body.
+//!
+//! Everything that leaves a registry goes through a [`RegistrySnapshot`]:
+//! it is the one form rendered (JSON for the `metrics` wire op,
+//! Prometheus text for scrapers) and the one form merged into a fleet
+//! view ([`RegistrySnapshot::merge`]). Renderings list buckets sparsely,
+//! but every occupied bucket comes with the bound just below it (count 0
+//! when that bucket is empty), so a reader that re-derives percentiles
+//! from the listed buckets interpolates from the same lower edge as the
+//! live histogram.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -206,8 +216,8 @@ impl Histogram {
     /// Quantile estimate by linear interpolation inside the bucket holding
     /// the rank (`q` clamped to [0, 1]; 0 when empty). The overflow bucket
     /// reports the last bound. Delegates to [`quantile_from_buckets`] —
-    /// the same arithmetic the router uses on bucket-wise merged fleet
-    /// histograms.
+    /// the same arithmetic [`RegistrySnapshot::merge`] uses on bucket-wise
+    /// merged fleet histograms.
     pub fn quantile(&self, q: f64) -> f64 {
         let buckets: Vec<(f64, u64)> = self
             .bounds
@@ -226,9 +236,9 @@ impl Histogram {
             labels: labels.to_vec(),
             count: self.count(),
             sum: self.sum(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
+            p50: 0.0,
+            p95: 0.0,
+            p99: 0.0,
             buckets: self
                 .bounds
                 .iter()
@@ -247,6 +257,7 @@ impl Histogram {
                 })
                 .collect(),
         }
+        .with_quantiles()
     }
 }
 
@@ -254,14 +265,14 @@ impl Histogram {
 /// in ascending bound order, plus an overflow count past the last bound.
 ///
 /// This is the single quantile kernel: [`Histogram::quantile`] feeds it a
-/// live histogram's buckets, and the router's `fleet_metrics` feeds it
-/// bucket-wise *merged* shard histograms, so fleet-wide percentiles are
+/// live histogram's buckets, and [`RegistrySnapshot::merge`] feeds it
+/// bucket-wise *merged* histograms, so fleet-wide percentiles are
 /// computed exactly like local ones. `q` is clamped to [0, 1]; an empty
 /// distribution reports 0; ranks landing in the overflow bucket report
-/// the last finite bound. The interpolation lower edge of bucket `i` is
-/// the listed bound of bucket `i - 1` (0 for the first), so callers
-/// merging sparse renderings should pass the union of all occupied
-/// bounds.
+/// the last listed bound. The interpolation lower edge of bucket `i` is
+/// the listed bound of bucket `i - 1` (0 for the first). Sparse
+/// renderings list the bound below every occupied bucket, so the union
+/// of the bounds they list interpolates exactly like the dense buckets.
 pub fn quantile_from_buckets(q: f64, buckets: &[(f64, u64)], overflow: u64) -> f64 {
     let total: u64 = buckets.iter().map(|&(_, n)| n).sum::<u64>() + overflow;
     if total == 0 || buckets.is_empty() {
@@ -303,19 +314,6 @@ impl Key {
             name: name.to_string(),
             labels,
         }
-    }
-
-    /// `name` or `name{k="v",...}` — the Prometheus series identity.
-    fn render(&self) -> String {
-        if self.labels.is_empty() {
-            return self.name.clone();
-        }
-        let body: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{v}\""))
-            .collect();
-        format!("{}{{{}}}", self.name, body.join(","))
     }
 }
 
@@ -399,7 +397,7 @@ impl MetricsRegistry {
         let value_of = |k: &Key, v: f64| MetricValue {
             name: k.name.clone(),
             labels: k.labels.clone(),
-            series: k.render(),
+            series: render_series(&k.name, &k.labels),
             value: v,
         };
         let counters = self
@@ -429,167 +427,6 @@ impl MetricsRegistry {
             histograms,
         }
     }
-
-    /// Render the registry as a JSON object:
-    /// `{"counters": {series: value}, "gauges": {...}, "histograms":
-    /// {series: {count, sum, mean, p50, p95, p99, buckets}}}`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"counters\":{");
-        {
-            let counters = self.counters.read().expect("registry poisoned");
-            for (i, (k, c)) in counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_str(&mut out, &k.render());
-                out.push(':');
-                out.push_str(&c.get().to_string());
-            }
-        }
-        out.push_str("},\"gauges\":{");
-        {
-            let gauges = self.gauges.read().expect("registry poisoned");
-            for (i, (k, g)) in gauges.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_str(&mut out, &k.render());
-                out.push(':');
-                out.push_str(&g.get().to_string());
-            }
-        }
-        out.push_str("},\"histograms\":{");
-        {
-            let histograms = self.histograms.read().expect("registry poisoned");
-            for (i, (k, h)) in histograms.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let s = h.snapshot(&k.name, &k.labels);
-                push_json_str(&mut out, &k.render());
-                out.push_str(&format!(
-                    ":{{\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-                    s.count,
-                    json_num(s.sum),
-                    json_num(if s.count == 0 { 0.0 } else { s.sum / s.count as f64 }),
-                    json_num(s.p50),
-                    json_num(s.p95),
-                    json_num(s.p99),
-                ));
-                let mut first = true;
-                for &(le, n) in &s.buckets {
-                    if n == 0 {
-                        continue; // sparse: only occupied buckets
-                    }
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    out.push_str(&format!("[{},{}]", json_num(le), n));
-                }
-                if s.overflow > 0 {
-                    if !first {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("[null,{}]", s.overflow));
-                }
-                out.push(']');
-                if !s.exemplars.is_empty() {
-                    out.push_str(",\"exemplars\":[");
-                    for (j, &(le, tid)) in s.exemplars.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        // Overflow exemplar renders with a null bound.
-                        if le.is_finite() {
-                            out.push_str(&format!("[{},{}]", json_num(le), tid));
-                        } else {
-                            out.push_str(&format!("[null,{tid}]"));
-                        }
-                    }
-                    out.push(']');
-                }
-                out.push('}');
-            }
-        }
-        out.push_str("}}");
-        out
-    }
-
-    /// Render the registry as Prometheus text exposition (version 0.0.4):
-    /// `# TYPE` comments, one `series value` line per counter/gauge, and
-    /// cumulative `_bucket{le=...}` / `_sum` / `_count` lines per
-    /// histogram.
-    pub fn render_text(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let mut last_name = String::new();
-        {
-            let counters = self.counters.read().expect("registry poisoned");
-            for (k, c) in counters.iter() {
-                if k.name != last_name {
-                    out.push_str(&format!("# TYPE {} counter\n", k.name));
-                    last_name = k.name.clone();
-                }
-                out.push_str(&format!("{} {}\n", k.render(), c.get()));
-            }
-        }
-        last_name.clear();
-        {
-            let gauges = self.gauges.read().expect("registry poisoned");
-            for (k, g) in gauges.iter() {
-                if k.name != last_name {
-                    out.push_str(&format!("# TYPE {} gauge\n", k.name));
-                    last_name = k.name.clone();
-                }
-                out.push_str(&format!("{} {}\n", k.render(), g.get()));
-            }
-        }
-        last_name.clear();
-        {
-            let histograms = self.histograms.read().expect("registry poisoned");
-            for (k, h) in histograms.iter() {
-                if k.name != last_name {
-                    out.push_str(&format!("# TYPE {} histogram\n", k.name));
-                    last_name = k.name.clone();
-                }
-                let s = h.snapshot(&k.name, &k.labels);
-                let mut cum = 0u64;
-                for &(le, n) in &s.buckets {
-                    cum += n;
-                    if n == 0 && cum == 0 {
-                        continue; // skip the empty low tail
-                    }
-                    let mut labels: Vec<(String, String)> = k.labels.clone();
-                    labels.push(("le".into(), format_le(le)));
-                    out.push_str(&format!(
-                        "{} {}\n",
-                        render_series(&format!("{}_bucket", k.name), &labels),
-                        cum
-                    ));
-                }
-                cum += s.overflow;
-                let mut labels: Vec<(String, String)> = k.labels.clone();
-                labels.push(("le".into(), "+Inf".into()));
-                out.push_str(&format!(
-                    "{} {}\n",
-                    render_series(&format!("{}_bucket", k.name), &labels),
-                    cum
-                ));
-                out.push_str(&format!(
-                    "{} {}\n",
-                    render_series(&format!("{}_sum", k.name), &k.labels),
-                    json_num(s.sum)
-                ));
-                out.push_str(&format!(
-                    "{} {}\n",
-                    render_series(&format!("{}_count", k.name), &k.labels),
-                    s.count
-                ));
-            }
-        }
-        out
-    }
 }
 
 impl Default for MetricsRegistry {
@@ -598,6 +435,7 @@ impl Default for MetricsRegistry {
     }
 }
 
+/// `name` or `name{k="v",...}` — the Prometheus series identity.
 fn render_series(name: &str, labels: &[(String, String)]) -> String {
     if labels.is_empty() {
         return name.to_string();
@@ -606,14 +444,8 @@ fn render_series(name: &str, labels: &[(String, String)]) -> String {
     format!("{}{{{}}}", name, body.join(","))
 }
 
-fn format_le(le: f64) -> String {
-    if le.is_infinite() {
-        "+Inf".into()
-    } else {
-        format!("{le}")
-    }
-}
-
+/// A JSON number; non-finite values (an overflow bucket's bound) render
+/// as `null`.
 fn json_num(v: f64) -> String {
     if !v.is_finite() {
         "null".into()
@@ -638,6 +470,17 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// `[bound,n],...`; an infinite bound (the overflow bucket) renders as
+/// `null`.
+fn push_json_pairs(out: &mut String, pairs: impl Iterator<Item = (f64, u64)>) {
+    for (i, (le, n)) in pairs.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!("[{},{n}]", json_num(le)));
+    }
+}
+
 /// One counter or gauge in a [`RegistrySnapshot`].
 #[derive(Clone, Debug)]
 pub struct MetricValue {
@@ -649,6 +492,27 @@ pub struct MetricValue {
     pub series: String,
     /// Current value.
     pub value: f64,
+}
+
+impl MetricValue {
+    /// This series with a `shard="source"` label, replacing any `shard`
+    /// label it had.
+    fn with_shard(&self, source: &str) -> Self {
+        let mut labels: Vec<(String, String)> = self
+            .labels
+            .iter()
+            .filter(|(k, _)| k != "shard")
+            .cloned()
+            .chain(std::iter::once(("shard".to_string(), source.to_string())))
+            .collect();
+        labels.sort();
+        Self {
+            name: self.name.clone(),
+            series: render_series(&self.name, &labels),
+            labels,
+            value: self.value,
+        }
+    }
 }
 
 /// Point-in-time copy of one histogram.
@@ -668,7 +532,9 @@ pub struct HistogramSnapshot {
     pub p95: f64,
     /// Interpolated 99th percentile.
     pub p99: f64,
-    /// `(upper bound, non-cumulative count)` per bucket.
+    /// `(upper bound, non-cumulative count)` per bucket, ascending: every
+    /// bucket of a live histogram; only the listed ones of a snapshot
+    /// read back from a rendering, and their union after a merge.
     pub buckets: Vec<(f64, u64)>,
     /// Observations past the last bound.
     pub overflow: u64,
@@ -677,8 +543,58 @@ pub struct HistogramSnapshot {
     pub exemplars: Vec<(f64, u64)>,
 }
 
-/// Point-in-time copy of a whole registry.
-#[derive(Clone, Debug)]
+impl HistogramSnapshot {
+    /// This snapshot with p50/p95/p99 computed from its buckets.
+    fn with_quantiles(mut self) -> Self {
+        let q = |q| quantile_from_buckets(q, &self.buckets, self.overflow);
+        (self.p50, self.p95, self.p99) = (q(0.50), q(0.95), q(0.99));
+        self
+    }
+
+    /// Fold in another snapshot of the same series: counts, sums and
+    /// buckets (matched by bound) add; `other`'s exemplar wins a bound
+    /// both hold one for.
+    fn absorb(&mut self, other: &HistogramSnapshot) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.overflow += other.overflow;
+        self.buckets = union_by_bound(&self.buckets, &other.buckets, |a, b| a + b);
+        self.exemplars = union_by_bound(&self.exemplars, &other.exemplars, |_, b| b);
+    }
+
+    /// `(bound, count, count of the bucket above)` per bucket; the
+    /// overflow bucket is above the last one.
+    fn rows(&self) -> impl Iterator<Item = (f64, u64, u64)> + '_ {
+        self.buckets.iter().enumerate().map(|(i, &(le, n))| {
+            let above = self.buckets.get(i + 1).map_or(self.overflow, |b| b.1);
+            (le, n, above)
+        })
+    }
+}
+
+/// The ascending union of two ascending `(bound, value)` lists; where
+/// both hold a bound, the values combine as `join(a's, b's)`.
+fn union_by_bound(
+    a: &[(f64, u64)],
+    b: &[(f64, u64)],
+    join: impl Fn(u64, u64) -> u64,
+) -> Vec<(f64, u64)> {
+    let mut out: Vec<(f64, u64)> = a.iter().chain(b).copied().collect();
+    // Stable: at a shared bound, a's entry stays ahead of b's.
+    out.sort_by(|x, y| x.0.total_cmp(&y.0));
+    out.dedup_by(|next, kept| {
+        let shared = next.0 == kept.0;
+        if shared {
+            kept.1 = join(kept.1, next.1);
+        }
+        shared
+    });
+    out
+}
+
+/// Point-in-time copy of a whole registry, and the one form metrics are
+/// rendered and merged from.
+#[derive(Clone, Debug, Default)]
 pub struct RegistrySnapshot {
     /// All counters.
     pub counters: Vec<MetricValue>,
@@ -686,6 +602,159 @@ pub struct RegistrySnapshot {
     pub gauges: Vec<MetricValue>,
     /// All histograms.
     pub histograms: Vec<HistogramSnapshot>,
+}
+
+impl RegistrySnapshot {
+    /// The fleet view of several registries, given as `(source,
+    /// snapshot)` pairs:
+    ///
+    /// * Counters and gauges are **never summed**. Each series gains a
+    ///   `shard="source"` label (replacing any `shard` label it had), so
+    ///   every source's value stays inspectable and a scraper can sum
+    ///   when it wants to.
+    /// * Histograms keep their series and merge bucket-wise: count, sum,
+    ///   overflow and each bucket (matched by bound) add, exemplars are
+    ///   unioned (a later source's trace id wins a shared bucket), and
+    ///   p50/p95/p99 are recomputed from the merged buckets with
+    ///   [`quantile_from_buckets`]. A one-source merge therefore reports
+    ///   exactly that source's percentiles.
+    pub fn merge<'a>(sources: impl IntoIterator<Item = (&'a str, &'a RegistrySnapshot)>) -> Self {
+        let mut merged = Self::default();
+        let mut histograms: BTreeMap<Key, HistogramSnapshot> = BTreeMap::new();
+        for (source, snapshot) in sources {
+            merged
+                .counters
+                .extend(snapshot.counters.iter().map(|m| m.with_shard(source)));
+            merged
+                .gauges
+                .extend(snapshot.gauges.iter().map(|m| m.with_shard(source)));
+            for h in &snapshot.histograms {
+                let key = Key {
+                    name: h.name.clone(),
+                    labels: h.labels.clone(),
+                };
+                match histograms.entry(key) {
+                    Entry::Occupied(mut slot) => slot.get_mut().absorb(h),
+                    Entry::Vacant(slot) => {
+                        slot.insert(h.clone());
+                    }
+                }
+            }
+        }
+        for values in [&mut merged.counters, &mut merged.gauges] {
+            values.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        }
+        merged.histograms = histograms
+            .into_values()
+            .map(HistogramSnapshot::with_quantiles)
+            .collect();
+        merged
+    }
+
+    /// Render as the `metrics` op's JSON object: `{"counters": {series:
+    /// value}, "gauges": {...}, "histograms": {series: {count, sum, mean,
+    /// p50, p95, p99, buckets, exemplars}}}`. `buckets` lists `[bound,
+    /// count]` for every occupied bucket and the bucket just below it,
+    /// then `[null, count]` for a non-empty overflow; `exemplars`
+    /// (omitted when no bucket holds one) lists `[bound, trace id]`, with
+    /// a `null` bound for the overflow.
+    pub fn render_json(&self) -> String {
+        let mut out = String::with_capacity(1024);
+        for (open, values) in [
+            ("{\"counters\":{", &self.counters),
+            ("},\"gauges\":{", &self.gauges),
+        ] {
+            out.push_str(open);
+            for (i, m) in values.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_json_str(&mut out, &m.series);
+                out.push(':');
+                out.push_str(&json_num(m.value));
+            }
+        }
+        out.push_str("},\"histograms\":{");
+        for (i, h) in self.histograms.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_json_str(&mut out, &render_series(&h.name, &h.labels));
+            let mean = if h.count == 0 {
+                0.0
+            } else {
+                h.sum / h.count as f64
+            };
+            out.push_str(&format!(
+                ":{{\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
+                h.count,
+                json_num(h.sum),
+                json_num(mean),
+                json_num(h.p50),
+                json_num(h.p95),
+                json_num(h.p99),
+            ));
+            let listed = h
+                .rows()
+                .filter(|&(_, n, above)| n > 0 || above > 0)
+                .map(|(le, n, _)| (le, n));
+            let overflow = (h.overflow > 0).then_some((f64::INFINITY, h.overflow));
+            push_json_pairs(&mut out, listed.chain(overflow));
+            out.push(']');
+            if !h.exemplars.is_empty() {
+                out.push_str(",\"exemplars\":[");
+                push_json_pairs(&mut out, h.exemplars.iter().copied());
+                out.push(']');
+            }
+            out.push('}');
+        }
+        out.push_str("}}");
+        out
+    }
+
+    /// Render as Prometheus text exposition (version 0.0.4): a `# TYPE`
+    /// line per metric name, one `series value` line per counter and
+    /// gauge, and per histogram cumulative `_bucket{le=...}` lines from
+    /// the bucket just below the first occupied one, then
+    /// `_bucket{le="+Inf"}`, `_sum` and `_count`.
+    pub fn render_text(&self) -> String {
+        let mut out = String::with_capacity(1024);
+        for (kind, values) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            let mut last = "";
+            for m in values {
+                if m.name != last {
+                    out.push_str(&format!("# TYPE {} {kind}\n", m.name));
+                    last = &m.name;
+                }
+                out.push_str(&format!("{} {}\n", m.series, json_num(m.value)));
+            }
+        }
+        let mut last = "";
+        for h in &self.histograms {
+            if h.name != last {
+                out.push_str(&format!("# TYPE {} histogram\n", h.name));
+                last = &h.name;
+            }
+            let bucket = |le: String| {
+                let mut labels = h.labels.clone();
+                labels.push(("le".into(), le));
+                render_series(&format!("{}_bucket", h.name), &labels)
+            };
+            let mut cum = 0u64;
+            for (le, n, above) in h.rows() {
+                cum += n;
+                if cum > 0 || above > 0 {
+                    out.push_str(&format!("{} {cum}\n", bucket(format!("{le}"))));
+                }
+            }
+            out.push_str(&format!("{} {}\n", bucket("+Inf".into()), cum + h.overflow));
+            for (suffix, value) in [("_sum", json_num(h.sum)), ("_count", h.count.to_string())] {
+                let series = render_series(&format!("{}{suffix}", h.name), &h.labels);
+                out.push_str(&format!("{series} {value}\n"));
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -1024,7 +1093,7 @@ mod tests {
         let r = MetricsRegistry::new();
         let hr = r.histogram("ex_seconds");
         hr.record_with_exemplar(0.003, 77);
-        let json = r.render_json();
+        let json = r.snapshot().render_json();
         assert!(
             json.contains("\"exemplars\":[[0.004096,77]]"),
             "json: {json}"
@@ -1032,7 +1101,7 @@ mod tests {
         // Untouched histograms render no exemplars key.
         let r2 = MetricsRegistry::new();
         r2.histogram("plain_seconds").record(0.1);
-        assert!(!r2.render_json().contains("exemplars"));
+        assert!(!r2.snapshot().render_json().contains("exemplars"));
     }
 
     #[test]
@@ -1044,7 +1113,7 @@ mod tests {
         let h = r.histogram("lat_seconds");
         h.record(0.01);
         h.record(0.02);
-        let text = r.render_text();
+        let text = r.snapshot().render_text();
         assert!(text.contains("# TYPE steps_total counter\nsteps_total 7\n"));
         assert!(text.contains("req_total{op=\"step\"} 2\n"));
         assert!(text.contains("# TYPE queue_depth gauge\nqueue_depth 3\n"));
@@ -1065,7 +1134,7 @@ mod tests {
         r.counter("a_total").inc();
         r.gauge("g").set(-2);
         r.histogram("h_seconds").record(0.5);
-        let json = r.render_json();
+        let json = r.snapshot().render_json();
         // Shape checks without a JSON parser (obs is dependency-free).
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.contains("\"a_total\":1"));
@@ -1091,5 +1160,142 @@ mod tests {
         assert_eq!(s.gauges[0].value, 9.0);
         assert_eq!(s.histograms[0].count, 1);
         assert!(s.histograms[0].p50 > 0.0);
+    }
+    /// Pins both renderings of one small fixed registry byte for byte:
+    /// series order, number formatting, the JSON's sparse buckets (each
+    /// occupied bucket, the overflow included, comes with the bound just
+    /// below it: `[0.125,0]`, `[1,0]`, `[4,0]`; the empty 0.5 bucket is
+    /// no lower edge and is left out), the overflow pair and exemplars,
+    /// and the text's cumulative buckets from just below the first
+    /// occupied one.
+    #[test]
+    fn renderings_of_a_fixed_registry_are_pinned() {
+        let r = MetricsRegistry::new();
+        r.counter("steps_total").add(7);
+        r.counter_with("req_total", &[("op", "step")]).add(2);
+        r.gauge("queue_depth").set(-1);
+        let h = r.histogram_with_bounds("lat_seconds", vec![0.125, 0.25, 0.5, 1.0, 2.0, 4.0]);
+        h.record(0.1875);
+        h.record(0.1875);
+        h.record_with_exemplar(1.5, 77);
+        h.record_with_exemplar(8.0, 99);
+        let s = r.snapshot();
+        assert_eq!(
+            s.render_json(),
+            concat!(
+                r#"{"counters":{"req_total{op=\"step\"}":2,"steps_total":7},"#,
+                r#""gauges":{"queue_depth":-1},"#,
+                r#""histograms":{"lat_seconds":{"count":4,"sum":9.875,"mean":2.46875,"#,
+                r#""p50":0.25,"p95":4,"p99":4,"#,
+                r#""buckets":[[0.125,0],[0.25,2],[1,0],[2,1],[4,0],[null,1]],"#,
+                r#""exemplars":[[2,77],[null,99]]}}}"#,
+            )
+        );
+        assert_eq!(
+            s.render_text(),
+            concat!(
+                "# TYPE req_total counter\n",
+                "req_total{op=\"step\"} 2\n",
+                "# TYPE steps_total counter\n",
+                "steps_total 7\n",
+                "# TYPE queue_depth gauge\n",
+                "queue_depth -1\n",
+                "# TYPE lat_seconds histogram\n",
+                "lat_seconds_bucket{le=\"0.125\"} 0\n",
+                "lat_seconds_bucket{le=\"0.25\"} 2\n",
+                "lat_seconds_bucket{le=\"0.5\"} 2\n",
+                "lat_seconds_bucket{le=\"1\"} 2\n",
+                "lat_seconds_bucket{le=\"2\"} 3\n",
+                "lat_seconds_bucket{le=\"4\"} 3\n",
+                "lat_seconds_bucket{le=\"+Inf\"} 4\n",
+                "lat_seconds_sum 9.875\n",
+                "lat_seconds_count 4\n",
+            )
+        );
+    }
+
+    /// One shard's registry with every quantity scaled by `scale`: two
+    /// counters (one labeled), a gauge, and a two-bucket histogram with
+    /// an exemplar in its first bucket.
+    fn shard_snapshot(scale: u64) -> RegistrySnapshot {
+        let r = MetricsRegistry::new();
+        r.counter("steps_total").add(10 * scale);
+        r.counter_with("wire_requests_total", &[("op", "step")])
+            .add(7 * scale);
+        r.counter_with("stale_total", &[("shard", "old")]).inc();
+        r.gauge("sessions_active").set(3 * scale as i64);
+        let h = r.histogram_with_bounds("harvest_step_seconds", vec![0.064, 0.256]);
+        h.record_with_exemplar(0.05, 42 * scale);
+        for _ in 1..4 * scale {
+            h.record(0.05);
+        }
+        for _ in 0..2 * scale {
+            h.record(0.2);
+        }
+        r.snapshot()
+    }
+
+    fn value_of(values: &[MetricValue], series: &str) -> Option<f64> {
+        values.iter().find(|m| m.series == series).map(|m| m.value)
+    }
+
+    #[test]
+    fn counters_become_shard_labeled_series_never_summed() {
+        let (a, b) = (shard_snapshot(1), shard_snapshot(2));
+        let fleet = RegistrySnapshot::merge([("a", &a), ("b", &b)]);
+        let c = &fleet.counters;
+        assert_eq!(value_of(c, "steps_total{shard=\"a\"}"), Some(10.0));
+        assert_eq!(value_of(c, "steps_total{shard=\"b\"}"), Some(20.0));
+        assert!(
+            c.iter().all(|m| m.labels.iter().any(|(k, _)| k == "shard")),
+            "unlabeled sum must not exist"
+        );
+        // Existing labels survive, sorted together with the shard label;
+        // a stale shard label is replaced, not duplicated.
+        assert_eq!(
+            value_of(c, "wire_requests_total{op=\"step\",shard=\"a\"}"),
+            Some(7.0)
+        );
+        assert_eq!(value_of(c, "stale_total{shard=\"b\"}"), Some(1.0));
+        assert_eq!(
+            value_of(&fleet.gauges, "sessions_active{shard=\"b\"}"),
+            Some(6.0)
+        );
+        // Same-name series stay together, so the text has one TYPE line
+        // per name.
+        let text = fleet.render_text();
+        assert_eq!(text.matches("# TYPE steps_total counter").count(), 1);
+    }
+
+    #[test]
+    fn histograms_merge_bucket_wise() {
+        let (a, b) = (shard_snapshot(1), shard_snapshot(2));
+        let fleet = RegistrySnapshot::merge([("a", &a), ("b", &b)]);
+        let h = &fleet.histograms[0];
+        assert_eq!((h.name.as_str(), h.count), ("harvest_step_seconds", 18));
+        assert!((h.sum - 1.8).abs() < 1e-9);
+        assert_eq!(h.buckets, vec![(0.064, 12), (0.256, 6)]);
+        assert_eq!(h.overflow, 0);
+        // Exemplars unioned per bucket; the later source wins.
+        assert_eq!(h.exemplars, vec![(0.064, 84)]);
+        // An empty overflow renders no `[null,0]` pair.
+        assert!(fleet
+            .render_json()
+            .contains(r#""buckets":[[0.064,12],[0.256,6]],"exemplars":[[0.064,84]]"#));
+    }
+
+    #[test]
+    fn fleet_percentiles_match_hand_merged_buckets() {
+        let (a, b) = (shard_snapshot(1), shard_snapshot(2));
+        let h = &RegistrySnapshot::merge([("a", &a), ("b", &b)]).histograms[0];
+        // Hand-merge: 12 samples ≤ 0.064, 6 more ≤ 0.256, 18 total.
+        let hand = [(0.064, 12u64), (0.256, 6u64)];
+        for (q, got) in [(0.50, h.p50), (0.95, h.p95), (0.99, h.p99)] {
+            assert_eq!(got, quantile_from_buckets(q, &hand, 0), "q{q}");
+        }
+        // p50 target rank 9 lies inside the first bucket (lower edge 0).
+        assert!(h.p50 > 0.0 && h.p50 <= 0.064, "p50 {}", h.p50);
+        // p99 target rank 18 lands in the second bucket.
+        assert!(h.p99 > 0.064 && h.p99 <= 0.256, "p99 {}", h.p99);
     }
 }

@@ -50,6 +50,8 @@ USAGE:
   spawns and supervises the shard's process (auto-restart with capped
   exponential backoff; a crash-loop circuit breaker gives up after
   --supervise-breaker rapid crashes). At least one of the two is required.
+  Shard names become metric labels, so they may only use A-Z, a-z, 0-9,
+  '_', '.' and '-'.
 
   --rebalance-interval-ms enables the background load rebalancer: each
   interval it migrates up to --rebalance-budget sessions off the hottest

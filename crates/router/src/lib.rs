@@ -21,10 +21,14 @@
 //!   `join_shard`, `drain_shard`, `migrate`), aggregated `stats`,
 //!   merged `list_sessions`, stitched `trace`, and the merged
 //!   `fleet_metrics` plane.
-//! * [`metrics`] — the `fleet_metrics` merge: counters/gauges become
-//!   `shard`-labeled series (never silently summed), histograms merge
-//!   bucket-wise so fleet percentiles come from the same quantile
-//!   kernel a single shard uses.
+//! * [`metrics`] — reads each shard's `metrics` JSON back into an
+//!   [`l2q_obs::RegistrySnapshot`]. There is no second merge or
+//!   renderer: `fleet_metrics` merges those snapshots and the router's
+//!   own with [`l2q_obs::RegistrySnapshot::merge`] (counters and gauges
+//!   become `shard`-labeled series, never silently summed; histograms
+//!   merge bucket-wise, so fleet percentiles come from the same
+//!   quantile kernel a single shard uses) and renders the result like
+//!   any snapshot.
 //! * [`server`] — the TCP front door, the jittered health prober, and
 //!   the background load rebalancer (opt-in via
 //!   `RouterConfig::rebalance_interval`).

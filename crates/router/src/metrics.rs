@@ -1,438 +1,250 @@
-//! Fleet-wide metrics merging for the `fleet_metrics` router op.
+//! Reading a shard's `metrics` body back into a [`RegistrySnapshot`].
 //!
-//! Each shard renders its registry as JSON (`metrics` op); the router
-//! parses those renderings and merges them into one fleet view:
-//!
-//! * **Counters and gauges** become per-shard labeled series — a
-//!   `shard="name"` label is added and the values are **never summed**.
-//!   Summing would silently conflate restarts, uneven shard ages, and
-//!   double-count a router that also serves; labeling keeps every
-//!   shard's value inspectable and lets a scraper sum when it wants to.
-//! * **Histograms** are merged bucket-wise under the original series
-//!   name: per-`le` counts, overflow, total count, and sum add across
-//!   shards, and fleet percentiles are recomputed from the merged
-//!   buckets with [`l2q_obs::quantile_from_buckets`] — the same kernel a
-//!   single shard uses, so a one-shard fleet reports identical
-//!   quantiles. Tail exemplars are unioned per bucket (any shard's
-//!   trace id wins; exemplars are samples, not statistics).
-//!
-//! The merged view renders back out as the same JSON shape the shards
-//! produce, or as Prometheus text.
+//! The router's `fleet_metrics` op merges and renders snapshots through
+//! `l2q-obs` like any registry ([`RegistrySnapshot::merge`]); the only
+//! router-side step is parsing each shard's JSON rendering
+//! ([`RegistrySnapshot::render_json`]) back into the snapshot it came
+//! from. A parsed histogram holds the buckets the shard listed: every
+//! occupied one plus the bound just below it, which is all the merge and
+//! the quantile kernel need.
 
+use l2q_obs::{HistogramSnapshot, MetricValue, RegistrySnapshot};
 use serde_json::Value;
-use std::collections::BTreeMap;
 
-/// A histogram being merged across shards.
-///
-/// Bucket keys are the `f64` bit patterns of the upper bounds; bounds
-/// are positive finite, for which bit order equals numeric order, so a
-/// `BTreeMap` keeps buckets sorted without an `Ord` wrapper.
-#[derive(Default, Debug)]
-struct MergedHistogram {
-    count: u64,
-    sum: f64,
-    buckets: BTreeMap<u64, u64>,
-    overflow: u64,
-    exemplars: BTreeMap<u64, u64>,
-    overflow_exemplar: Option<u64>,
-}
-
-impl MergedHistogram {
-    /// Fold one shard's rendering of this histogram into the merge.
-    /// Bucket arrays are sparse `[le, n]` pairs with the overflow bucket
-    /// as `[null, n]`, exactly as the obs registry renders them.
-    fn absorb(&mut self, body: &Value) {
-        self.count += body.get("count").and_then(Value::as_u64).unwrap_or(0);
-        self.sum += body.get("sum").and_then(Value::as_f64).unwrap_or(0.0);
-        for pair in body.get("buckets").and_then(Value::as_array).unwrap_or(&[]) {
-            let Some([le, n]) = pair.as_array().and_then(|a| a.first_chunk()) else {
-                continue;
-            };
-            let Some(n) = n.as_u64() else { continue };
-            match le.as_f64() {
-                Some(bound) => *self.buckets.entry(bound.to_bits()).or_insert(0) += n,
-                None => self.overflow += n,
-            }
-        }
-        for pair in body
-            .get("exemplars")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
-        {
-            let Some([le, tid]) = pair.as_array().and_then(|a| a.first_chunk()) else {
-                continue;
-            };
-            let Some(tid) = tid.as_u64() else { continue };
-            match le.as_f64() {
-                Some(bound) => {
-                    self.exemplars.insert(bound.to_bits(), tid);
-                }
-                None => self.overflow_exemplar = Some(tid),
-            }
-        }
-    }
-
-    /// `(le, count)` pairs sorted ascending — the shape
-    /// [`l2q_obs::quantile_from_buckets`] consumes.
-    fn sorted_buckets(&self) -> Vec<(f64, u64)> {
-        self.buckets
+/// The snapshot a shard's `metrics` JSON body was rendered from.
+/// Malformed entries are skipped rather than failing the whole scrape.
+pub fn parse_snapshot(body: &Value) -> RegistrySnapshot {
+    let values = |section: &str| -> Vec<MetricValue> {
+        entries(body, section)
             .iter()
-            .map(|(&bits, &n)| (f64::from_bits(bits), n))
-            .collect()
-    }
-
-    fn quantile(&self, q: f64) -> f64 {
-        l2q_obs::quantile_from_buckets(q, &self.sorted_buckets(), self.overflow)
-    }
-
-    fn render_json(&self) -> Value {
-        let mut buckets: Vec<Value> = self
-            .sorted_buckets()
-            .iter()
-            .map(|&(le, n)| Value::Array(vec![Value::Num(le), Value::Num(n as f64)]))
-            .collect();
-        buckets.push(Value::Array(vec![
-            Value::Null,
-            Value::Num(self.overflow as f64),
-        ]));
-        let mean = if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        };
-        let mut body = vec![
-            ("count".to_owned(), Value::Num(self.count as f64)),
-            ("sum".to_owned(), Value::Num(self.sum)),
-            ("mean".to_owned(), Value::Num(mean)),
-            ("p50".to_owned(), Value::Num(self.quantile(0.50))),
-            ("p95".to_owned(), Value::Num(self.quantile(0.95))),
-            ("p99".to_owned(), Value::Num(self.quantile(0.99))),
-            ("buckets".to_owned(), Value::Array(buckets)),
-        ];
-        if !self.exemplars.is_empty() || self.overflow_exemplar.is_some() {
-            let mut ex: Vec<Value> = self
-                .exemplars
-                .iter()
-                .map(|(&bits, &tid)| {
-                    Value::Array(vec![
-                        Value::Num(f64::from_bits(bits)),
-                        Value::Num(tid as f64),
-                    ])
+            .filter_map(|(series, v)| {
+                let (name, labels) = parse_series(series);
+                Some(MetricValue {
+                    name,
+                    labels,
+                    series: series.clone(),
+                    value: v.as_f64()?,
                 })
-                .collect();
-            if let Some(tid) = self.overflow_exemplar {
-                ex.push(Value::Array(vec![Value::Null, Value::Num(tid as f64)]));
-            }
-            body.push(("exemplars".to_owned(), Value::Array(ex)));
-        }
-        Value::Object(body)
+            })
+            .collect()
+    };
+    RegistrySnapshot {
+        counters: values("counters"),
+        gauges: values("gauges"),
+        histograms: entries(body, "histograms")
+            .iter()
+            .map(|(series, h)| parse_histogram(series, h))
+            .collect(),
     }
 }
 
-/// The fleet-wide merged view; feed it one shard rendering at a time
-/// with [`FleetMetrics::merge_shard`], then render.
-#[derive(Default, Debug)]
-pub struct FleetMetrics {
-    counters: BTreeMap<String, Value>,
-    gauges: BTreeMap<String, Value>,
-    histograms: BTreeMap<String, MergedHistogram>,
+fn entries<'a>(body: &'a Value, section: &str) -> &'a [(String, Value)] {
+    body.get(section)
+        .and_then(Value::as_object)
+        .unwrap_or_default()
+}
+
+fn parse_histogram(series: &str, body: &Value) -> HistogramSnapshot {
+    let (name, labels) = parse_series(series);
+    let num = |key: &str| body.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+    let mut buckets = Vec::new();
+    let mut overflow = 0;
+    for (le, n) in pairs(body, "buckets") {
+        match le {
+            Some(le) => buckets.push((le, n)),
+            None => overflow += n,
+        }
+    }
+    HistogramSnapshot {
+        name,
+        labels,
+        count: body.get("count").and_then(Value::as_u64).unwrap_or(0),
+        sum: num("sum"),
+        p50: num("p50"),
+        p95: num("p95"),
+        p99: num("p99"),
+        buckets,
+        overflow,
+        exemplars: pairs(body, "exemplars")
+            .map(|(le, tid)| (le.unwrap_or(f64::INFINITY), tid))
+            .collect(),
+    }
+}
+
+/// The `[bound, n]` pairs of a histogram array; a `null` bound (the
+/// overflow bucket) comes back as `None`.
+fn pairs<'a>(body: &'a Value, key: &str) -> impl Iterator<Item = (Option<f64>, u64)> + 'a {
+    body.get(key)
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|pair| match pair.as_array()? {
+            [le, n] => Some((le.as_f64(), n.as_u64()?)),
+            _ => None,
+        })
 }
 
 /// Split a rendered series (`name` or `name{k="v",...}`) into its name
-/// and label pairs.
+/// and label pairs. Label values never contain `,` or `"`: they are op
+/// names, reasons and shard names, and `add_shard` refuses any other.
 fn parse_series(series: &str) -> (String, Vec<(String, String)>) {
-    let Some(brace) = series.find('{') else {
+    let Some((name, inner)) = series.split_once('{') else {
         return (series.to_owned(), Vec::new());
     };
-    let name = series[..brace].to_owned();
-    let inner = series[brace + 1..].trim_end_matches('}');
-    let mut labels = Vec::new();
-    for part in inner.split(',') {
-        let Some((k, v)) = part.split_once('=') else {
-            continue;
-        };
-        labels.push((k.to_owned(), v.trim_matches('"').to_owned()));
-    }
-    (name, labels)
-}
-
-/// Render a series with sorted labels, matching the obs registry's
-/// `name{k="v",...}` shape.
-fn render_series(name: &str, labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return name.to_owned();
-    }
-    let mut sorted = labels.to_vec();
-    sorted.sort();
-    let inner: Vec<String> = sorted.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-    format!("{}{{{}}}", name, inner.join(","))
-}
-
-/// A scalar metric value as Prometheus text (integral floats render
-/// without a trailing `.0`, matching the obs registry).
-fn render_scalar(v: &Value) -> String {
-    serde_json::to_string(v).unwrap_or_else(|_| "0".into())
-}
-
-impl FleetMetrics {
-    /// Fold one shard's `metrics` JSON rendering into the fleet view.
-    pub fn merge_shard(&mut self, shard: &str, metrics: &Value) {
-        for (section, out) in [
-            ("counters", &mut self.counters),
-            ("gauges", &mut self.gauges),
-        ] {
-            for (series, value) in metrics
-                .get(section)
-                .and_then(Value::as_object)
-                .unwrap_or(&[])
-            {
-                let (name, mut labels) = parse_series(series);
-                labels.retain(|(k, _)| k != "shard");
-                labels.push(("shard".to_owned(), shard.to_owned()));
-                out.insert(render_series(&name, &labels), value.clone());
-            }
-        }
-        for (series, body) in metrics
-            .get("histograms")
-            .and_then(Value::as_object)
-            .unwrap_or(&[])
-        {
-            self.histograms
-                .entry(series.clone())
-                .or_default()
-                .absorb(body);
-        }
-    }
-
-    /// The merged view in the same JSON shape a single shard renders.
-    pub fn render_json(&self) -> Value {
-        let section = |map: &BTreeMap<String, Value>| {
-            Value::Object(map.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-        };
-        Value::Object(vec![
-            ("counters".to_owned(), section(&self.counters)),
-            ("gauges".to_owned(), section(&self.gauges)),
-            (
-                "histograms".to_owned(),
-                Value::Object(
-                    self.histograms
-                        .iter()
-                        .map(|(series, h)| (series.clone(), h.render_json()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// The merged view as Prometheus text exposition.
-    pub fn render_text(&self) -> String {
-        fn le_label(le: f64) -> String {
-            if le == (le as u64) as f64 {
-                format!("{}", le as u64)
-            } else {
-                format!("{le}")
-            }
-        }
-        let mut out = String::with_capacity(1024);
-        let mut last_name = String::new();
-        for (kind, map) in [("counter", &self.counters), ("gauge", &self.gauges)] {
-            last_name.clear();
-            for (series, value) in map {
-                let (name, _) = parse_series(series);
-                if name != last_name {
-                    out.push_str(&format!("# TYPE {name} {kind}\n"));
-                    last_name = name;
-                }
-                out.push_str(&format!("{series} {}\n", render_scalar(value)));
-            }
-        }
-        last_name.clear();
-        for (series, h) in &self.histograms {
-            let (name, labels) = parse_series(series);
-            if name != last_name {
-                out.push_str(&format!("# TYPE {name} histogram\n"));
-                last_name = name.clone();
-            }
-            let mut cum = 0u64;
-            for (le, n) in h.sorted_buckets() {
-                cum += n;
-                let mut with_le = labels.clone();
-                with_le.push(("le".to_owned(), le_label(le)));
-                out.push_str(&format!(
-                    "{} {}\n",
-                    render_series(&format!("{name}_bucket"), &with_le),
-                    cum
-                ));
-            }
-            cum += h.overflow;
-            let mut with_le = labels.clone();
-            with_le.push(("le".to_owned(), "+Inf".to_owned()));
-            out.push_str(&format!(
-                "{} {}\n",
-                render_series(&format!("{name}_bucket"), &with_le),
-                cum
-            ));
-            out.push_str(&format!(
-                "{} {}\n",
-                render_series(&format!("{name}_sum"), &labels),
-                render_scalar(&Value::Num(h.sum))
-            ));
-            out.push_str(&format!(
-                "{} {}\n",
-                render_series(&format!("{name}_count"), &labels),
-                h.count
-            ));
-        }
-        out
-    }
+    let labels = inner
+        .trim_end_matches('}')
+        .split(',')
+        .filter_map(|part| part.split_once('='))
+        .map(|(k, v)| (k.to_owned(), v.trim_matches('"').to_owned()))
+        .collect();
+    (name.to_owned(), labels)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use l2q_obs::MetricsRegistry;
 
-    /// A shard rendering with every quantity scaled by `scale`, in the
-    /// exact JSON shape `MetricsRegistry::render_json` produces.
-    fn shard_json(scale: u64) -> Value {
-        serde_json::parse_value(&format!(
-            r#"{{
-                "counters": {{
-                    "steps_total": {steps},
-                    "wire_requests_total{{op=\"step\"}}": {wire}
-                }},
-                "gauges": {{ "sessions_active": {gauge} }},
-                "histograms": {{
-                    "harvest_step_seconds": {{
-                        "count": {count}, "sum": {sum}, "mean": 0.1,
-                        "p50": 0.1, "p95": 0.1, "p99": 0.1,
-                        "buckets": [[0.064, {b0}], [0.256, {b1}], [null, 0]],
-                        "exemplars": [[0.064, {tid}]]
-                    }}
-                }}
-            }}"#,
-            steps = 10 * scale,
-            wire = 7 * scale,
-            gauge = 3 * scale,
-            count = 6 * scale,
-            sum = 0.6 * scale as f64,
-            b0 = 4 * scale,
-            b1 = 2 * scale,
-            tid = 42 * scale,
-        ))
-        .expect("fixture JSON")
+    /// `reg`'s JSON rendering, parsed back the way the router reads a
+    /// shard's `metrics` body.
+    fn scrape(reg: &MetricsRegistry) -> (Value, RegistrySnapshot) {
+        let body = serde_json::parse_value(&reg.snapshot().render_json()).unwrap();
+        let parsed = parse_snapshot(&body);
+        (body, parsed)
     }
 
-    fn num(v: &Value, path: &[&str]) -> f64 {
-        let mut cur = v;
-        for key in path {
-            cur = cur.get(key).unwrap_or_else(|| panic!("missing {key}"));
+    /// A one-shard fleet, end to end: the shard's snapshot → its JSON →
+    /// parse → merge → render. The fleet must report exactly the shard's
+    /// own p50/p95/p99, and its JSON must be the shard's with
+    /// `shard="only"` added to every counter and gauge series (the
+    /// fixtures' label keys all sort before `shard`) — histograms
+    /// included byte for byte, so no extra `[null,0]` overflow pair.
+    fn assert_one_shard_fleet_matches(shard: &MetricsRegistry) {
+        let own = shard.snapshot();
+        let (body, parsed) = scrape(shard);
+        let fleet = RegistrySnapshot::merge([("only", &parsed)]);
+        assert_eq!(fleet.histograms.len(), own.histograms.len());
+        for (f, s) in fleet.histograms.iter().zip(&own.histograms) {
+            assert_eq!(
+                (f.p50, f.p95, f.p99),
+                (s.p50, s.p95, s.p99),
+                "{}: fleet percentiles differ from the shard's",
+                f.name
+            );
         }
-        cur.as_f64().expect("number")
-    }
-
-    #[test]
-    fn counters_become_shard_labeled_series_never_summed() {
-        let mut fleet = FleetMetrics::default();
-        fleet.merge_shard("a", &shard_json(1));
-        fleet.merge_shard("b", &shard_json(2));
-        let json = fleet.render_json();
-        let counters = json.get("counters").unwrap();
-        assert_eq!(num(counters, &["steps_total{shard=\"a\"}"]), 10.0);
-        assert_eq!(num(counters, &["steps_total{shard=\"b\"}"]), 20.0);
-        assert!(
-            counters.get("steps_total").is_none(),
-            "unlabeled sum must not exist"
-        );
-        // Existing labels survive, sorted together with the shard label.
-        assert_eq!(
-            num(counters, &["wire_requests_total{op=\"step\",shard=\"a\"}"]),
-            7.0
-        );
-        assert_eq!(num(&json, &["gauges", "sessions_active{shard=\"b\"}"]), 6.0);
-    }
-
-    #[test]
-    fn histograms_merge_bucket_wise() {
-        let mut fleet = FleetMetrics::default();
-        fleet.merge_shard("a", &shard_json(1));
-        fleet.merge_shard("b", &shard_json(2));
-        let json = fleet.render_json();
-        let h = json
-            .get("histograms")
-            .and_then(|v| v.get("harvest_step_seconds"))
-            .unwrap();
-        assert_eq!(num(h, &["count"]), 18.0);
-        assert!((num(h, &["sum"]) - 1.8).abs() < 1e-9);
-        let buckets = h.get("buckets").and_then(Value::as_array).unwrap();
-        let pair = |v: &Value| {
-            let a = v.as_array().unwrap();
-            (a[0].as_f64(), a[1].as_u64().unwrap())
-        };
-        assert_eq!(pair(&buckets[0]), (Some(0.064), 12));
-        assert_eq!(pair(&buckets[1]), (Some(0.256), 6));
-        assert_eq!(pair(&buckets[2]), (None, 0));
-        // Exemplar unioned (last shard wins per bucket).
-        let ex = h.get("exemplars").and_then(Value::as_array).unwrap();
-        assert_eq!(pair(&ex[0]), (Some(0.064), 84));
-    }
-
-    #[test]
-    fn fleet_percentiles_match_hand_merged_buckets() {
-        let mut fleet = FleetMetrics::default();
-        fleet.merge_shard("a", &shard_json(1));
-        fleet.merge_shard("b", &shard_json(2));
-        let json = fleet.render_json();
-        let h = json
-            .get("histograms")
-            .and_then(|v| v.get("harvest_step_seconds"))
-            .unwrap();
-        // Hand-merge: 12 samples ≤ 0.064, 6 more ≤ 0.256, 18 total.
-        let hand = [(0.064, 12u64), (0.256, 6u64)];
-        for (q, key) in [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")] {
-            let expect = l2q_obs::quantile_from_buckets(q, &hand, 0);
-            assert_eq!(num(h, &[key]), expect, "{key} mismatch");
+        let fleet_json = serde_json::parse_value(&fleet.render_json()).unwrap();
+        for section in ["counters", "gauges"] {
+            let mut expected: Vec<(String, Value)> = entries(&body, section)
+                .iter()
+                .map(|(series, v)| {
+                    let labeled = match series.strip_suffix('}') {
+                        Some(open) => format!("{open},shard=\"only\"}}"),
+                        None => format!("{series}{{shard=\"only\"}}"),
+                    };
+                    (labeled, v.clone())
+                })
+                .collect();
+            let mut got = entries(&fleet_json, section).to_vec();
+            expected.sort_by(|a, b| a.0.cmp(&b.0));
+            got.sort_by(|a, b| a.0.cmp(&b.0));
+            assert_eq!(got, expected, "{section}");
         }
-        // p50 target rank 9 lies inside the first bucket (lower edge 0).
-        let p50 = num(h, &["p50"]);
-        assert!(p50 > 0.0 && p50 <= 0.064, "p50 {p50} out of bucket");
-        // p99 target rank 18 lands in the second bucket.
-        let p99 = num(h, &["p99"]);
-        assert!(p99 > 0.064 && p99 <= 0.256, "p99 {p99} out of bucket");
+        assert_eq!(fleet_json.get("histograms"), body.get("histograms"));
+    }
+
+    /// A registry with a labeled counter and a gauge beside `samples`
+    /// recorded into one latency histogram.
+    fn shard_with(samples: &[(usize, f64)]) -> MetricsRegistry {
+        let reg = MetricsRegistry::new();
+        reg.counter("steps_total").add(100);
+        reg.counter_with("wire_requests_total", &[("op", "step")])
+            .add(100);
+        reg.gauge("sessions_active").set(2);
+        let h = reg.histogram_with("step_seconds", &[("op", "step")]);
+        for &(n, v) in samples {
+            for _ in 0..n {
+                h.record(v);
+            }
+        }
+        reg
+    }
+
+    /// 100 samples at 3.5 ms fill one bucket whose lower edge is not 0;
+    /// a fleet that interpolates from 0 reports p50 2.05 ms instead of
+    /// the shard's 3.50 ms.
+    #[test]
+    fn one_shard_fleet_reports_the_shards_percentiles_for_a_point_mass() {
+        let shard = shard_with(&[(100, 0.0035)]);
+        let p50 = shard.snapshot().histograms[0].p50;
+        assert!((p50 - 0.0035).abs() < 1e-4, "shard p50 {p50}");
+        assert_one_shard_fleet_matches(&shard);
+    }
+
+    /// 98 samples at 1 ms and 2 at 28 ms: p99 falls in the slow bucket,
+    /// with empty buckets between the two modes. A fleet that takes the
+    /// 1 ms bucket as the slow bucket's lower edge reports p99 16.9 ms
+    /// instead of the shard's 28.0 ms.
+    #[test]
+    fn one_shard_fleet_reports_the_shards_percentiles_for_a_slow_tail() {
+        let shard = shard_with(&[(98, 0.001), (2, 0.028)]);
+        let p99 = shard.snapshot().histograms[0].p99;
+        assert!((p99 - 0.028).abs() < 1e-3, "shard p99 {p99}");
+        assert_one_shard_fleet_matches(&shard);
     }
 
     #[test]
     fn one_shard_fleet_quantiles_match_the_live_histogram() {
         // A single-shard fleet must reproduce the shard's own quantiles:
         // same kernel, same buckets.
-        let reg = l2q_obs::MetricsRegistry::new();
+        let reg = MetricsRegistry::new();
         let h = reg.histogram("solo_seconds");
         for i in 1..=100u64 {
             h.record(i as f64 / 1000.0);
         }
-        let own: Value = serde_json::parse_value(&reg.render_json()).unwrap();
-        let mut fleet = FleetMetrics::default();
-        fleet.merge_shard("only", &own);
-        let merged = fleet.render_json();
+        let (_, parsed) = scrape(&reg);
+        let fleet = RegistrySnapshot::merge([("only", &parsed)]);
         let live = h.snapshot("solo_seconds", &[]);
-        let got = merged
-            .get("histograms")
-            .and_then(|v| v.get("solo_seconds"))
-            .unwrap();
-        assert_eq!(num(got, &["p50"]), live.p50);
-        assert_eq!(num(got, &["p95"]), live.p95);
-        assert_eq!(num(got, &["p99"]), live.p99);
-        assert_eq!(num(got, &["count"]), live.count as f64);
+        let got = &fleet.histograms[0];
+        assert_eq!((got.p50, got.p95, got.p99), (live.p50, live.p95, live.p99));
+        assert_eq!(got.count, live.count);
+    }
+
+    /// Two shards whose occupied buckets differ: merging their sparse
+    /// renderings gives the percentiles of one histogram fed both
+    /// streams, overflow included.
+    #[test]
+    fn sparse_shard_renderings_merge_like_one_histogram() {
+        let a = shard_with(&[(50, 0.0009), (3, 0.2)]);
+        let b = shard_with(&[(40, 0.004), (7, 0.03), (1, 1e9)]);
+        let both = shard_with(&[(50, 0.0009), (3, 0.2), (40, 0.004), (7, 0.03), (1, 1e9)]);
+        let (_, pa) = scrape(&a);
+        let (_, pb) = scrape(&b);
+        let fleet = RegistrySnapshot::merge([("a", &pa), ("b", &pb)]);
+        let (got, truth) = (&fleet.histograms[0], &both.snapshot().histograms[0]);
+        assert_eq!((got.count, got.overflow), (truth.count, truth.overflow));
+        assert_eq!(
+            (got.p50, got.p95, got.p99),
+            (truth.p50, truth.p95, truth.p99)
+        );
     }
 
     #[test]
-    fn render_text_is_prometheus_shaped() {
-        let mut fleet = FleetMetrics::default();
-        fleet.merge_shard("a", &shard_json(1));
-        let text = fleet.render_text();
-        assert!(text.contains("# TYPE steps_total counter"));
-        assert!(text.contains("steps_total{shard=\"a\"} 10"));
-        assert!(text.contains("# TYPE harvest_step_seconds histogram"));
-        assert!(text.contains("harvest_step_seconds_bucket{le=\"+Inf\"} 6"));
-        assert!(text.contains("harvest_step_seconds_count 6"));
+    fn parse_keeps_labels_exemplars_and_the_overflow() {
+        let reg = MetricsRegistry::new();
+        reg.histogram_with_bounds("h_seconds", vec![1.0, 2.0])
+            .record_with_exemplar(9.0, 7);
+        reg.gauge_with("g", &[("a", "1"), ("b", "x.y-z")]).set(-3);
+        let (_, parsed) = scrape(&reg);
+        let g = &parsed.gauges[0];
+        assert_eq!(g.name, "g");
+        assert_eq!(
+            g.labels,
+            vec![("a".into(), "1".into()), ("b".into(), "x.y-z".into())]
+        );
+        assert_eq!(g.value, -3.0);
+        let h = &parsed.histograms[0];
+        assert_eq!(h.buckets, vec![(2.0, 0)]);
+        assert_eq!((h.count, h.overflow), (1, 1));
+        assert_eq!(h.exemplars, vec![(f64::INFINITY, 7)]);
     }
 }

@@ -14,6 +14,8 @@ use crate::lock::{lock_recover, read_recover, write_recover};
 use crate::ring::HashRing;
 use crate::shard::{Health, Shard};
 use crate::supervise::Supervisor;
+use l2q_obs::RegistrySnapshot;
+use l2q_service::ops::{self, OpTable};
 use l2q_service::proto::{FleetStatusBody, ShardStatusBody};
 use l2q_service::{ClientConfig, Request, Response, SessionEntryBody, StatsBody};
 use std::collections::HashMap;
@@ -70,32 +72,37 @@ impl Default for RouterConfig {
     }
 }
 
-/// Router ops with a catch-all bucket, for bounded metric-label
-/// cardinality (mirrors the service's `WIRE_OPS` discipline).
-const ROUTER_OPS: [&str; 22] = [
-    "ping",
-    "create",
-    "step",
-    "status",
-    "snapshot",
-    "close",
-    "stats",
-    "metrics",
-    "fleet_metrics",
-    "trace",
-    "persist",
-    "restore",
-    "detach",
-    "list_sessions",
-    "fleet_status",
-    "join_shard",
-    "drain_shard",
-    "migrate",
-    "rolling_restart",
-    "supervisor_status",
-    "shutdown",
-    "unknown",
-];
+/// Per-op router instrumentation: `router_requests_total{op}`,
+/// `router_op_seconds{op}` and a `router_dispatch` span per request.
+static ROUTER_OPS: OpTable = OpTable::new(
+    "router_dispatch",
+    "router_requests_total",
+    "router_op_seconds",
+    &[
+        "ping",
+        "create",
+        "step",
+        "status",
+        "snapshot",
+        "close",
+        "stats",
+        "metrics",
+        "fleet_metrics",
+        "trace",
+        "persist",
+        "restore",
+        "detach",
+        "list_sessions",
+        "fleet_status",
+        "join_shard",
+        "drain_shard",
+        "migrate",
+        "rolling_restart",
+        "supervisor_status",
+        "shutdown",
+        "unknown",
+    ],
+);
 
 /// Session-targeted ops the router proxies with failover.
 const SESSION_OPS: [&str; 7] = [
@@ -134,34 +141,18 @@ fn router_obs() -> &'static RouterObs {
     })
 }
 
-/// Per-op request counter + latency histogram.
-fn op_obs(op: &str) -> &'static (Arc<l2q_obs::Counter>, Arc<l2q_obs::Histogram>) {
-    type Handles = Vec<(Arc<l2q_obs::Counter>, Arc<l2q_obs::Histogram>)>;
-    static M: OnceLock<Handles> = OnceLock::new();
-    let by_op = M.get_or_init(|| {
-        let reg = l2q_obs::global();
-        ROUTER_OPS
-            .iter()
-            .map(|&op| {
-                (
-                    reg.counter_with("router_requests_total", &[("op", op)]),
-                    reg.histogram_with("router_op_seconds", &[("op", op)]),
-                )
-            })
-            .collect()
-    });
-    let idx = ROUTER_OPS
-        .iter()
-        .position(|&known| known == op)
-        .unwrap_or(ROUTER_OPS.len() - 1);
-    &by_op[idx]
-}
-
-fn err_resp(msg: impl Into<String>) -> Response {
-    Response {
-        ok: false,
-        error: Some(msg.into()),
-        ..Response::default()
+/// Shard names become metric label values and trace sources, so they
+/// may only use `[A-Za-z0-9_.-]`.
+pub(crate) fn check_shard_name(name: &str) -> Result<(), String> {
+    if name
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-'))
+    {
+        Ok(())
+    } else {
+        Err(format!(
+            "shard name '{name}' may only contain A-Z, a-z, 0-9, '_', '.' and '-'"
+        ))
     }
 }
 
@@ -215,10 +206,12 @@ impl RouterCore {
     /// Register a shard and add it to the ring. Best-effort seeds the
     /// session-id allocator from the shard's known sessions so routed
     /// `create`s never collide with recovered or pre-existing ids.
+    /// Names must match `[A-Za-z0-9_.-]+` (they become metric labels).
     pub fn add_shard(&self, name: &str, addr: &str) -> Result<(), String> {
         if name.is_empty() || addr.is_empty() {
             return Err("shard name and address must be non-empty".into());
         }
+        check_shard_name(name)?;
         {
             let mut shards = write_recover(&self.shards);
             if shards.contains_key(name) {
@@ -318,28 +311,14 @@ impl RouterCore {
     /// Dispatch one request (the router's front door calls this per
     /// line; tests call it directly).
     pub fn dispatch(&self, req: &Request) -> Response {
-        let (requests, latency) = op_obs(&req.op);
-        requests.inc();
         // The router is the trace edge: a `trace:true` request roots its
         // trace here, and the id is echoed in the response.
-        let _trace_guard = req.trace_context().map(l2q_obs::trace::enter);
-        let known_op = ROUTER_OPS
-            .iter()
-            .copied()
-            .find(|&known| known == req.op)
-            .unwrap_or("unknown");
-        let _timer = l2q_obs::SpanTimer::start_named_labeled(
-            latency.clone(),
-            "router_dispatch",
-            &[("op", known_op)],
-        );
-        let trace_id = _timer.trace_context().map(|c| c.trace_id);
-        let mut resp = match req.op.as_str() {
+        ROUTER_OPS.run(&req.op, req.trace_context(), || match req.op.as_str() {
             "ping" => Response::ok(),
             "create" => self.handle_create(req),
             op if SESSION_OPS.contains(&op) => self.forward_session_op(req),
             "stats" => self.handle_stats(),
-            "metrics" => self.handle_metrics(req),
+            "metrics" => ops::metrics(req, &l2q_obs::global().snapshot()),
             "fleet_metrics" => self.handle_fleet_metrics(req),
             "trace" => self.handle_trace(req),
             "list_sessions" => self.handle_list_sessions(),
@@ -354,12 +333,8 @@ impl RouterCore {
                 state: Some("shutting_down".into()),
                 ..Response::default()
             },
-            other => err_resp(format!("unknown op '{other}'")),
-        };
-        if resp.trace_id.is_none() {
-            resp.trace_id = trace_id;
-        }
-        resp
+            other => Response::fail(format!("unknown op '{other}'")),
+        })
     }
 
     /// One shard attempt with the active trace context injected on the
@@ -388,7 +363,7 @@ impl RouterCore {
     /// last committed step.
     fn forward_session_op(&self, req: &Request) -> Response {
         let Some(id) = req.session else {
-            return err_resp("missing 'session'");
+            return Response::fail("missing 'session'");
         };
         let mut skipped_unroutable = 0usize;
         let mut transport_failures = 0usize;
@@ -416,7 +391,7 @@ impl RouterCore {
                 }
             }
         }
-        err_resp(if last_err.is_empty() {
+        Response::fail(if last_err.is_empty() {
             format!("no routable shard for session {id}")
         } else {
             format!("no routable shard for session {id} (last error: {last_err})")
@@ -452,7 +427,7 @@ impl RouterCore {
                 }
             }
         }
-        err_resp(if last_err.is_empty() {
+        Response::fail(if last_err.is_empty() {
             "no routable shard for create".to_string()
         } else {
             format!("no routable shard for create (last error: {last_err})")
@@ -492,7 +467,7 @@ impl RouterCore {
             agg.eviction_refusals += s.eviction_refusals;
         }
         if reachable == 0 {
-            return err_resp("no reachable shard for stats");
+            return Response::fail("no reachable shard for stats");
         }
         let total = agg.retrieval_cache_hits + agg.retrieval_cache_misses;
         agg.retrieval_cache_hit_rate = if total == 0 {
@@ -507,41 +482,15 @@ impl RouterCore {
         }
     }
 
-    /// The router's own metrics registry (routing latency, failovers,
-    /// shard health); shard-local metrics stay on the shards.
-    fn handle_metrics(&self, req: &Request) -> Response {
-        let reg = l2q_obs::global();
-        match req.format.as_deref().unwrap_or("json") {
-            "text" | "prometheus" => Response {
-                ok: true,
-                metrics_text: Some(reg.render_text()),
-                ..Response::default()
-            },
-            "json" => match serde_json::from_str(&reg.render_json()) {
-                Ok(v) => Response {
-                    ok: true,
-                    metrics: Some(v),
-                    ..Response::default()
-                },
-                Err(e) => err_resp(format!("metrics render failed: {e}")),
-            },
-            other => err_resp(format!("unknown metrics format '{other}' (json|text)")),
-        }
-    }
-
-    /// Fleet-merged metrics: every reachable shard's registry plus the
-    /// router's own, merged by [`crate::metrics::FleetMetrics`] —
-    /// counters and gauges as `shard`-labeled series, histograms
-    /// bucket-wise for fleet percentiles.
+    /// Fleet-merged metrics: the router's own registry plus every
+    /// reachable shard's `metrics` body, merged by
+    /// [`RegistrySnapshot::merge`] (counters and gauges as
+    /// `shard`-labeled series, histograms bucket-wise) and rendered like
+    /// any other snapshot.
     fn handle_fleet_metrics(&self, req: &Request) -> Response {
-        let mut fleet = crate::metrics::FleetMetrics::default();
-        match serde_json::from_str(&l2q_obs::global().render_json()) {
-            Ok(own) => fleet.merge_shard("router", &own),
-            Err(e) => return err_resp(format!("router metrics render failed: {e}")),
-        }
+        let mut sources = vec![("router".to_owned(), l2q_obs::global().snapshot())];
         let mut shards = self.all_shards();
         shards.sort_by(|a, b| a.name().cmp(b.name()));
-        let mut reachable = 0usize;
         for shard in shards {
             if shard.health() == Health::Dead {
                 continue;
@@ -550,91 +499,42 @@ impl RouterCore {
                 continue;
             };
             let Some(m) = resp.metrics else { continue };
-            reachable += 1;
-            fleet.merge_shard(shard.name(), &m);
+            sources.push((shard.name().to_owned(), crate::metrics::parse_snapshot(&m)));
         }
-        if reachable == 0 {
-            return err_resp("no reachable shard for fleet_metrics");
+        if sources.len() == 1 {
+            return Response::fail("no reachable shard for fleet_metrics");
         }
-        match req.format.as_deref().unwrap_or("json") {
-            "json" => Response {
-                ok: true,
-                metrics: Some(fleet.render_json()),
-                ..Response::default()
-            },
-            "text" | "prometheus" => Response {
-                ok: true,
-                metrics_text: Some(fleet.render_text()),
-                ..Response::default()
-            },
-            other => err_resp(format!("unknown metrics format '{other}' (json|text)")),
-        }
+        let fleet = RegistrySnapshot::merge(sources.iter().map(|(name, s)| (name.as_str(), s)));
+        ops::metrics(req, &fleet)
     }
 
-    /// `trace` op at the fleet edge. `by_id` stitches one trace from the
-    /// router's own ring buffer plus every reachable shard's, deduped by
-    /// span id (an in-process fleet shares one buffer) and ordered by
-    /// start time; `recent`/`slow` query the router's own buffer.
+    /// `trace` op at the fleet edge: the router's own buffer, as on any
+    /// shard ([`ops::local_trace`]). A `by_id` lookup also fans out to
+    /// every live shard and stitches one trace, deduped by span id (an
+    /// in-process fleet shares one buffer) and ordered by start time.
     fn handle_trace(&self, req: &Request) -> Response {
-        use l2q_service::proto::SpanBody;
-        let buffer = l2q_obs::trace::buffer();
-        let limit = req.limit.unwrap_or(32).clamp(1, 4096) as usize;
-        let default_mode = if req.trace_id.is_some() {
-            "by_id"
-        } else {
-            "recent"
+        let mut resp = ops::local_trace(req, "router");
+        let by_id = resp.ok && req.mode.as_deref().unwrap_or("by_id") == "by_id";
+        let Some(tid) = req.trace_id.filter(|_| by_id) else {
+            return resp;
         };
-        match req.mode.as_deref().unwrap_or(default_mode) {
-            "by_id" => {
-                let Some(tid) = req.trace_id else {
-                    return err_resp("trace mode 'by_id' requires 'trace_id'");
-                };
-                let mut spans: Vec<SpanBody> = buffer
-                    .by_trace(tid)
-                    .iter()
-                    .map(|r| SpanBody::from_record(r, "router"))
-                    .collect();
-                let mut fetch = Request::op("trace");
-                fetch.trace_id = Some(tid);
-                fetch.mode = Some("by_id".into());
-                for shard in self.all_shards() {
-                    if shard.health() == Health::Dead {
-                        continue;
-                    }
-                    let Ok(resp) = shard.request(&self.cfg.client, &fetch) else {
-                        continue;
-                    };
-                    spans.extend(resp.spans.unwrap_or_default());
-                }
-                let mut seen = std::collections::HashSet::new();
-                spans.retain(|s| seen.insert(s.span_id));
-                spans.sort_by_key(|s| s.start_unix_ns);
-                Response {
-                    ok: true,
-                    trace_id: Some(tid),
-                    spans: Some(spans),
-                    ..Response::default()
-                }
+        let mut fetch = Request::op("trace");
+        fetch.trace_id = Some(tid);
+        fetch.mode = Some("by_id".into());
+        let spans = resp.spans.get_or_insert_with(Vec::new);
+        for shard in self.all_shards() {
+            if shard.health() == Health::Dead {
+                continue;
             }
-            mode @ ("recent" | "slow") => {
-                let records = if mode == "recent" {
-                    buffer.recent(limit)
-                } else {
-                    buffer.slow_roots(limit)
-                };
-                Response {
-                    ok: true,
-                    spans: Some(
-                        records
-                            .iter()
-                            .map(|r| SpanBody::from_record(r, "router"))
-                            .collect(),
-                    ),
-                    ..Response::default()
-                }
-            }
-            other => err_resp(format!("unknown trace mode '{other}' (by_id|recent|slow)")),
+            let Ok(shard_resp) = shard.request(&self.cfg.client, &fetch) else {
+                continue;
+            };
+            spans.extend(shard_resp.spans.unwrap_or_default());
         }
+        let mut seen = std::collections::HashSet::new();
+        spans.retain(|s| seen.insert(s.span_id));
+        spans.sort_by_key(|s| s.start_unix_ns);
+        resp
     }
 
     /// Union of every shard's sessions. All shards see the same stored
@@ -666,7 +566,7 @@ impl RouterCore {
             }
         }
         if reachable == 0 {
-            return err_resp("no reachable shard for list_sessions");
+            return Response::fail("no reachable shard for list_sessions");
         }
         let mut sessions: Vec<SessionEntryBody> = by_id.into_values().collect();
         sessions.sort_by_key(|s| s.session);
@@ -712,7 +612,7 @@ impl RouterCore {
 
     fn handle_join_shard(&self, req: &Request) -> Response {
         let (Some(name), Some(addr)) = (req.shard.as_deref(), req.shard_addr.as_deref()) else {
-            return err_resp("join_shard needs 'shard' and 'shard_addr'");
+            return Response::fail("join_shard needs 'shard' and 'shard_addr'");
         };
         match self.add_shard(name, addr) {
             Ok(()) => Response {
@@ -720,7 +620,7 @@ impl RouterCore {
                 shard: Some(name.to_owned()),
                 ..Response::default()
             },
-            Err(e) => err_resp(e),
+            Err(e) => Response::fail(e),
         }
     }
 
@@ -728,7 +628,7 @@ impl RouterCore {
     /// resident sessions to their ring-chosen new owners.
     fn handle_drain_shard(&self, req: &Request) -> Response {
         let Some(name) = req.shard.as_deref() else {
-            return err_resp("drain_shard needs 'shard'");
+            return Response::fail("drain_shard needs 'shard'");
         };
         match self.drain_shard_inner(name) {
             Ok((moved, last_err)) => Response {
@@ -738,7 +638,7 @@ impl RouterCore {
                 error: last_err,
                 ..Response::default()
             },
-            Err(e) => err_resp(e),
+            Err(e) => Response::fail(e),
         }
     }
 
@@ -789,7 +689,7 @@ impl RouterCore {
                 supervised: Some(sup.status()),
                 ..Response::default()
             },
-            None => err_resp("router runs without --supervise; no supervisor"),
+            None => Response::fail("router runs without --supervise; no supervisor"),
         }
     }
 
@@ -809,7 +709,7 @@ impl RouterCore {
             .collect();
         names.sort();
         if names.is_empty() {
-            return err_resp("no shards registered");
+            return Response::fail("no shards registered");
         }
         let mut cycled = 0u64;
         for name in &names {
@@ -972,7 +872,7 @@ impl RouterCore {
 
     fn handle_migrate(&self, req: &Request) -> Response {
         let Some(id) = req.session else {
-            return err_resp("missing 'session'");
+            return Response::fail("missing 'session'");
         };
         match self.migrate_session(id, req.shard.as_deref()) {
             Ok((target, mut resp)) => {
@@ -980,7 +880,7 @@ impl RouterCore {
                 resp.migrated = Some(1);
                 resp
             }
-            Err(e) => err_resp(e),
+            Err(e) => Response::fail(e),
         }
     }
 

@@ -58,6 +58,7 @@ impl ShardSpec {
                 "--supervise expects NAME=HOST:PORT=CMD ARG..., got '{spec}'"
             ));
         }
+        crate::router::check_shard_name(name)?;
         Ok(Self {
             name: name.to_owned(),
             addr: addr.to_owned(),
@@ -394,6 +395,8 @@ mod tests {
         assert!(ShardSpec::parse("alpha=127.0.0.1:4401").is_err());
         assert!(ShardSpec::parse("=addr=cmd").is_err());
         assert!(ShardSpec::parse("alpha=addr=").is_err());
+        // A name that could not be a metric label value.
+        assert!(ShardSpec::parse("al pha=127.0.0.1:4401=l2q-serve").is_err());
     }
 
     #[test]

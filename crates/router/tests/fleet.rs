@@ -559,6 +559,36 @@ fn join_shard_expands_the_fleet_at_runtime() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Shard names become metric label values and trace sources, so the wire
+/// `join_shard` refuses any name outside `[A-Za-z0-9_.-]+` — here one
+/// that would forge an `op` label in the router's text scrape — and
+/// leaves the ring untouched, while the names fleets use still join.
+#[test]
+fn join_shard_refuses_a_name_outside_the_label_charset() {
+    let dir = test_dir("join-name");
+    let b = bundle();
+    let shard = start_shard(&b, &dir, "alpha");
+    let addr = shard.addr().to_string();
+    let (_core, mut router) = start_router(&[]);
+    let mut client = Client::connect(router.addr()).unwrap();
+
+    let shard_names = |client: &mut Client| -> Vec<String> {
+        let fleet = client.fleet_status().unwrap().fleet.unwrap();
+        fleet.shards.into_iter().map(|s| s.name).collect()
+    };
+    for bad in ["a\"b,op=\"x", "a b", "alpha}", "\u{3b2}eta"] {
+        let err = client.join_shard(bad, &addr).unwrap_err().to_string();
+        assert!(err.contains("may only contain"), "{bad:?}: {err}");
+    }
+    assert!(shard_names(&mut client).is_empty());
+
+    client.join_shard("alpha-1.eu_W", &addr).unwrap();
+    assert_eq!(shard_names(&mut client), ["alpha-1.eu_W"]);
+
+    router.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Split-brain failover: **two** routers independently walk their rings
 /// for the same dead session and restore it on *different* survivors.
 /// Store fencing must pick exactly one owner — the survivor fenced last

@@ -22,6 +22,8 @@
 //!   ends of the wire.
 //! * [`proto`] / [`server`] / [`client`] — the wire front end, hardened
 //!   against slow, oversized, and misbehaving peers (see `server` docs).
+//! * [`ops`] — op handling `l2q-router` shares with the server: per-op
+//!   instrumentation, the `metrics` op, and the local `trace` lookup.
 //!
 //! Concurrency does not change harvest outcomes: sessions only share
 //! immutable state and caches whose hits are bit-identical to their
@@ -34,6 +36,7 @@
 pub mod bundle;
 pub mod client;
 pub mod framing;
+pub mod ops;
 pub mod proto;
 pub mod reactor;
 pub mod scheduler;

@@ -388,6 +388,15 @@ impl Response {
         }
     }
 
+    /// A failure carrying `msg` as its error text.
+    pub fn fail(msg: impl Into<String>) -> Self {
+        Self {
+            ok: false,
+            error: Some(msg.into()),
+            ..Self::default()
+        }
+    }
+
     /// A failure carrying the error text (and retry hint on overload).
     pub fn err(e: &ServiceError) -> Self {
         Self {

@@ -21,6 +21,7 @@
 
 use crate::bundle::ServingBundle;
 use crate::framing::DEFAULT_MAX_LINE_BYTES;
+use crate::ops::{self, OpTable};
 use crate::proto::{Request, Response, StatsBody};
 use crate::reactor::{EngineConfig, EngineHandle, ReplyHandle, WireHandler};
 use crate::scheduler::Scheduler;
@@ -276,65 +277,33 @@ impl WireHandler for ServiceWire {
     }
 }
 
-/// The wire ops, plus a catch-all bucket so arbitrary client-supplied op
-/// strings cannot inflate metric-label cardinality.
-const WIRE_OPS: [&str; 15] = [
-    "ping",
-    "create",
-    "step",
-    "status",
-    "snapshot",
-    "close",
-    "stats",
-    "metrics",
-    "trace",
-    "persist",
-    "restore",
-    "detach",
-    "list_sessions",
-    "shutdown",
-    "unknown",
-];
-
-/// Per-op request counter + latency histogram, resolved once per process.
-fn wire_obs(op: &str) -> &'static (Arc<l2q_obs::Counter>, Arc<l2q_obs::Histogram>) {
-    type Handles = Vec<(Arc<l2q_obs::Counter>, Arc<l2q_obs::Histogram>)>;
-    static M: OnceLock<Handles> = OnceLock::new();
-    let by_op = M.get_or_init(|| {
-        let reg = l2q_obs::global();
-        WIRE_OPS
-            .iter()
-            .map(|&op| {
-                (
-                    reg.counter_with("wire_requests_total", &[("op", op)]),
-                    reg.histogram_with("wire_request_seconds", &[("op", op)]),
-                )
-            })
-            .collect()
-    });
-    let idx = WIRE_OPS
-        .iter()
-        .position(|&known| known == op)
-        .unwrap_or(WIRE_OPS.len() - 1);
-    &by_op[idx]
-}
+/// Per-op wire instrumentation: `wire_requests_total{op}`,
+/// `wire_request_seconds{op}` and a `wire_request` span per request.
+static WIRE_OPS: OpTable = OpTable::new(
+    "wire_request",
+    "wire_requests_total",
+    "wire_request_seconds",
+    &[
+        "ping",
+        "create",
+        "step",
+        "status",
+        "snapshot",
+        "close",
+        "stats",
+        "metrics",
+        "trace",
+        "persist",
+        "restore",
+        "detach",
+        "list_sessions",
+        "shutdown",
+        "unknown",
+    ],
+);
 
 fn dispatch(req: &Request, core: &ServerCore, ctx: Option<l2q_obs::TraceContext>) -> Response {
-    let (requests, latency) = wire_obs(&req.op);
-    requests.inc();
-    let _trace_guard = ctx.map(l2q_obs::trace::enter);
-    let known_op = WIRE_OPS
-        .iter()
-        .copied()
-        .find(|&known| known == req.op)
-        .unwrap_or("unknown");
-    let _timer = l2q_obs::SpanTimer::start_named_labeled(
-        latency.clone(),
-        "wire_request",
-        &[("op", known_op)],
-    );
-    let trace_id = _timer.trace_context().map(|c| c.trace_id);
-    let mut resp = match req.op.as_str() {
+    WIRE_OPS.run(&req.op, ctx, || match req.op.as_str() {
         "ping" => Response::ok(),
         "create" => handle_create(req, core).unwrap_or_else(|e| Response::err(&e)),
         "step" => handle_step(req, core).unwrap_or_else(|e| Response::err(&e)),
@@ -342,8 +311,8 @@ fn dispatch(req: &Request, core: &ServerCore, ctx: Option<l2q_obs::TraceContext>
         "snapshot" => with_session_status(req, core, true).unwrap_or_else(|e| Response::err(&e)),
         "close" => handle_close(req, core).unwrap_or_else(|e| Response::err(&e)),
         "stats" => handle_stats(core),
-        "metrics" => handle_metrics(req),
-        "trace" => handle_trace(req, core),
+        "metrics" => ops::metrics(req, &l2q_obs::global().snapshot()),
+        "trace" => ops::local_trace(req, core.shard_id.as_deref().unwrap_or("local")),
         "persist" => handle_persist(req, core).unwrap_or_else(|e| Response::err(&e)),
         "restore" => handle_restore(req, core).unwrap_or_else(|e| Response::err(&e)),
         "detach" => handle_detach(req, core).unwrap_or_else(|e| Response::err(&e)),
@@ -353,16 +322,8 @@ fn dispatch(req: &Request, core: &ServerCore, ctx: Option<l2q_obs::TraceContext>
             state: Some("shutting_down".into()),
             ..Response::default()
         },
-        other => Response {
-            ok: false,
-            error: Some(format!("unknown op '{other}'")),
-            ..Response::default()
-        },
-    };
-    if resp.trace_id.is_none() {
-        resp.trace_id = trace_id;
-    }
-    resp
+        other => Response::fail(format!("unknown op '{other}'")),
+    })
 }
 
 fn want_session(req: &Request) -> Result<u64, ServiceError> {
@@ -472,83 +433,6 @@ fn handle_list_sessions(core: &ServerCore) -> Response {
     Response {
         ok: true,
         sessions: Some(entries.iter().map(Into::into).collect()),
-        ..Response::default()
-    }
-}
-
-fn handle_metrics(req: &Request) -> Response {
-    let reg = l2q_obs::global();
-    match req.format.as_deref().unwrap_or("json") {
-        "text" | "prometheus" => Response {
-            ok: true,
-            metrics_text: Some(reg.render_text()),
-            ..Response::default()
-        },
-        "json" => match serde_json::from_str(&reg.render_json()) {
-            Ok(v) => Response {
-                ok: true,
-                metrics: Some(v),
-                ..Response::default()
-            },
-            Err(e) => Response {
-                ok: false,
-                error: Some(format!("metrics render failed: {e}")),
-                ..Response::default()
-            },
-        },
-        other => Response {
-            ok: false,
-            error: Some(format!("unknown metrics format '{other}' (json|text)")),
-            ..Response::default()
-        },
-    }
-}
-
-/// `trace` op: query this process's in-memory span ring buffer.
-///
-/// Modes: `by_id` (default when `trace_id` is present) returns every
-/// buffered span of one trace ordered by start time; `recent` returns the
-/// newest spans; `slow` returns the slowest root spans. `limit` bounds the
-/// `recent`/`slow` result count (default 32).
-fn handle_trace(req: &Request, core: &ServerCore) -> Response {
-    let source = core.shard_id.as_deref().unwrap_or("local");
-    let buffer = l2q_obs::trace::buffer();
-    let limit = req.limit.unwrap_or(32).clamp(1, 4096) as usize;
-    let default_mode = if req.trace_id.is_some() {
-        "by_id"
-    } else {
-        "recent"
-    };
-    let records = match req.mode.as_deref().unwrap_or(default_mode) {
-        "by_id" => match req.trace_id {
-            Some(tid) => buffer.by_trace(tid),
-            None => {
-                return Response {
-                    ok: false,
-                    error: Some("trace mode 'by_id' requires 'trace_id'".into()),
-                    ..Response::default()
-                }
-            }
-        },
-        "recent" => buffer.recent(limit),
-        "slow" => buffer.slow_roots(limit),
-        other => {
-            return Response {
-                ok: false,
-                error: Some(format!("unknown trace mode '{other}' (by_id|recent|slow)")),
-                ..Response::default()
-            }
-        }
-    };
-    Response {
-        ok: true,
-        trace_id: req.trace_id,
-        spans: Some(
-            records
-                .iter()
-                .map(|r| crate::proto::SpanBody::from_record(r, source))
-                .collect(),
-        ),
         ..Response::default()
     }
 }
