@@ -1,6 +1,5 @@
 //! Criterion bench: serving throughput — harvest steps/sec through the
-//! scheduler's worker pool as the pool grows, plus the retrieval cache's
-//! effect on repeated harvests.
+//! scheduler's worker pool as the pool grows.
 //!
 //! Each iteration creates a fresh batch of sessions over the shared
 //! bundle and drives every one to completion through the bounded queue,
@@ -47,17 +46,6 @@ fn bundle() -> Arc<ServingBundle> {
 /// the scheduler, interleaving 2-step batches round-robin the way the
 /// wire front end does.
 fn drive_fleet(manager: &SessionManager, scheduler: &Scheduler) {
-    drive_fleet_inner(manager, scheduler, false)
-}
-
-/// Same workload, but every step batch is submitted under a fresh trace
-/// root, so each harvest step records its span tree into the ring
-/// buffer — the traced/untraced gap is the tracing tax.
-fn drive_fleet_traced(manager: &SessionManager, scheduler: &Scheduler) {
-    drive_fleet_inner(manager, scheduler, true)
-}
-
-fn drive_fleet_inner(manager: &SessionManager, scheduler: &Scheduler, traced: bool) {
     let aspect = manager.bundle().corpus.aspect_by_name("RESEARCH").unwrap();
     let ids: Vec<u64> = (0..SESSIONS)
         .map(|i| {
@@ -77,7 +65,6 @@ fn drive_fleet_inner(manager: &SessionManager, scheduler: &Scheduler, traced: bo
     while !open.is_empty() {
         let mut still_open = Vec::with_capacity(open.len());
         for id in open {
-            let _trace = traced.then(|| l2q_obs::trace::enter(l2q_obs::TraceContext::new_root()));
             let report = scheduler
                 .run(manager.get(id).expect("session"), 2)
                 .expect("step batch");
@@ -108,131 +95,5 @@ fn bench_steps_vs_workers(c: &mut Criterion) {
     group.finish();
 }
 
-/// The durability tax: the same 8-session fleet with no store, with the
-/// store at the default group-commit policy (fsync every 8 batches), at
-/// `always` (per-batch fdatasync — the power-crash-durable ceiling), and
-/// with fsync off. The budget is <10% regression for the default policy;
-/// `always` is informational: the fleet serializes ~24 batch commits, so
-/// per-batch fdatasync pays the full device-sync latency each time.
-fn bench_store_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("service_throughput_store");
-    group.sample_size(30);
-
-    let no_store_metrics = Arc::new(ServiceMetrics::default());
-    let no_store_manager =
-        SessionManager::new(bundle(), Duration::from_secs(300), no_store_metrics.clone());
-    let no_store_scheduler = Scheduler::new(2, 64, no_store_metrics);
-    group.bench_function("fleet_of_8/no_store", |b| {
-        b.iter(|| drive_fleet(&no_store_manager, &no_store_scheduler))
-    });
-
-    for (tag, fsync) in [
-        ("store_default_fsync", l2q_store::FsyncPolicy::default()),
-        ("store_fsync_always", l2q_store::FsyncPolicy::Always),
-        ("store_no_fsync", l2q_store::FsyncPolicy::Never),
-    ] {
-        let dir = std::env::temp_dir().join(format!(
-            "l2q-bench-store-overhead-{}-{tag}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = Arc::new(
-            l2q_store::SessionStore::open(
-                &dir,
-                l2q_store::StoreConfig {
-                    fsync,
-                    ..l2q_store::StoreConfig::default()
-                },
-            )
-            .expect("open store"),
-        );
-        let metrics = Arc::new(ServiceMetrics::default());
-        let manager = SessionManager::with_store(
-            bundle(),
-            Duration::from_secs(300),
-            metrics.clone(),
-            Some(store),
-        );
-        let scheduler = Scheduler::new(2, 64, metrics);
-        group.bench_function(format!("fleet_of_8/{tag}"), |b| {
-            b.iter(|| drive_fleet(&manager, &scheduler))
-        });
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    group.finish();
-}
-
-/// The tracing tax at the scheduler layer: the same 8-session fleet
-/// driven untraced (spans compile to a context check that finds nothing)
-/// vs with every step batch rooted in a fresh trace, so each harvest
-/// step records its full span tree into the ring buffer. The budget for
-/// the traced/untraced gap is ≤5%.
-fn bench_trace_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("service_throughput_traced");
-    group.sample_size(30);
-
-    for (tag, traced) in [("untraced", false), ("traced", true)] {
-        let metrics = Arc::new(ServiceMetrics::default());
-        let manager = SessionManager::new(bundle(), Duration::from_secs(300), metrics.clone());
-        let scheduler = Scheduler::new(2, 64, metrics);
-        // Warm the caches once so both arms measure the steady state.
-        drive_fleet(&manager, &scheduler);
-        group.bench_function(format!("fleet_of_8/{tag}"), |b| {
-            b.iter(|| {
-                if traced {
-                    drive_fleet_traced(&manager, &scheduler)
-                } else {
-                    drive_fleet(&manager, &scheduler)
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_retrieval_cache_effect(c: &mut Criterion) {
-    let mut group = c.benchmark_group("retrieval_cache");
-    group.sample_size(10);
-
-    // Cold: a cache too small to hold anything, so every fire computes.
-    let cold = bundle();
-    let cold_metrics = Arc::new(ServiceMetrics::default());
-    let cold_manager = SessionManager::new(
-        Arc::new(ServingBundle::with_oracle(
-            cold.corpus.clone(),
-            Vec::new(),
-            RelevanceOracle::from_truth(&cold.corpus),
-            L2qConfig::default(),
-            BundleConfig {
-                cache_shards: 1,
-                cache_capacity: 1,
-            },
-        )),
-        Duration::from_secs(300),
-        cold_metrics.clone(),
-    );
-    let cold_scheduler = Scheduler::new(2, 64, cold_metrics);
-    group.bench_function("fleet_of_8/cold", |b| {
-        b.iter(|| drive_fleet(&cold_manager, &cold_scheduler))
-    });
-
-    // Warm: default cache; after the first fleet every repeat is a hit.
-    let warm_metrics = Arc::new(ServiceMetrics::default());
-    let warm_manager =
-        SessionManager::new(bundle(), Duration::from_secs(300), warm_metrics.clone());
-    let warm_scheduler = Scheduler::new(2, 64, warm_metrics);
-    drive_fleet(&warm_manager, &warm_scheduler);
-    group.bench_function("fleet_of_8/warm", |b| {
-        b.iter(|| drive_fleet(&warm_manager, &warm_scheduler))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_steps_vs_workers,
-    bench_store_overhead,
-    bench_trace_overhead,
-    bench_retrieval_cache_effect
-);
+criterion_group!(benches, bench_steps_vs_workers);
 criterion_main!(benches);

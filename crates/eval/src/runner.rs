@@ -170,6 +170,35 @@ pub fn evaluate_selector(
     cfg: &L2qConfig,
     bounds: &IdealBounds,
 ) -> MethodEval {
+    let harvested = harvest_pairs(ctx, domain, entities, aspects, selector, cfg, bounds);
+    fold_pairs(harvested, cfg.n_queries)
+}
+
+/// Metrics of one harvested pair after 1..=n_queries fired queries: the
+/// raw metrics, or None where the pair has none, each with its
+/// normalized metrics, or None where the ideal has no bound.
+type PairRun = Vec<Option<(Metrics, Option<Metrics>)>>;
+
+/// Every harvested pair of one selector, in entity-then-aspect order.
+struct Harvested {
+    name: String,
+    pairs: Vec<PairRun>,
+    selection_time: Duration,
+}
+
+/// Harvest each (entity, aspect) pair that has an ideal bound and keep
+/// its per-budget metrics unaggregated, so that callers can average them
+/// in one fixed order.
+#[allow(clippy::too_many_arguments)]
+fn harvest_pairs(
+    ctx: &EvalContext<'_>,
+    domain: Option<&DomainModel>,
+    entities: &[EntityId],
+    aspects: Option<&[AspectId]>,
+    selector: &mut dyn QuerySelector,
+    cfg: &L2qConfig,
+    bounds: &IdealBounds,
+) -> Harvested {
     let harvester = Harvester {
         corpus: ctx.corpus,
         engine: ctx.engine,
@@ -182,11 +211,8 @@ pub fn evaluate_selector(
         None => ctx.corpus.aspects().collect(),
     };
 
-    let mut raw_acc: Vec<MetricsAccumulator> = vec![MetricsAccumulator::new(); cfg.n_queries];
-    let mut norm_acc: Vec<MetricsAccumulator> = vec![MetricsAccumulator::new(); cfg.n_queries];
+    let mut pairs = Vec::new();
     let mut selection_time = Duration::ZERO;
-    let mut runs = 0usize;
-
     for &e in entities {
         for &a in &aspect_list {
             // Skip pairs without an ideal bound (no relevant pages).
@@ -195,20 +221,41 @@ pub fn evaluate_selector(
             }
             let rec = harvester.run(e, a, selector);
             selection_time += rec.selection_time;
-            runs += 1;
-            for i in 1..=cfg.n_queries {
-                let Some(m) = page_metrics(ctx.corpus, ctx.oracle, e, a, &rec.cumulative(i)) else {
-                    continue;
-                };
-                raw_acc[i - 1].push(m);
-                if let Some(ideal) = bounds.get(e, a, i) {
-                    norm_acc[i - 1].push(normalize(m, ideal));
-                }
+            pairs.push(
+                (1..=cfg.n_queries)
+                    .map(|i| {
+                        let m = page_metrics(ctx.corpus, ctx.oracle, e, a, &rec.cumulative(i))?;
+                        Some((m, bounds.get(e, a, i).map(|ideal| normalize(m, ideal))))
+                    })
+                    .collect(),
+            );
+        }
+    }
+    Harvested {
+        name: selector.name(),
+        pairs,
+        selection_time,
+    }
+}
+
+/// Average harvested pairs in the order given. Float sums depend on
+/// their order, so both evaluators fold in entity order.
+fn fold_pairs(harvested: Harvested, n_queries: usize) -> MethodEval {
+    let mut raw_acc: Vec<MetricsAccumulator> = vec![MetricsAccumulator::new(); n_queries];
+    let mut norm_acc: Vec<MetricsAccumulator> = vec![MetricsAccumulator::new(); n_queries];
+    for run in &harvested.pairs {
+        for (i, metrics) in run.iter().enumerate() {
+            let Some((raw, normalized)) = metrics else {
+                continue;
+            };
+            raw_acc[i].push(*raw);
+            if let Some(n) = normalized {
+                norm_acc[i].push(*n);
             }
         }
     }
 
-    let per_iter = (1..=cfg.n_queries)
+    let per_iter = (1..=n_queries)
         .map(|i| IterStats {
             n_queries: i,
             raw: raw_acc[i - 1].mean(),
@@ -218,10 +265,10 @@ pub fn evaluate_selector(
         .collect();
 
     MethodEval {
-        name: selector.name(),
+        name: harvested.name,
         per_iter,
-        selection_time,
-        runs,
+        selection_time: harvested.selection_time,
+        runs: harvested.pairs.len(),
     }
 }
 
@@ -239,10 +286,11 @@ fn normalize(m: Metrics, ideal: Metrics) -> Metrics {
 }
 
 /// Parallel variant of [`evaluate_selector`]: splits the entities across
-/// worker threads, each with its own selector from `factory`, and merges
-/// the per-chunk statistics. Results are identical to the sequential
-/// version (selectors are reset per harvest run; entity runs are
-/// independent), modulo the aggregation being order-insensitive.
+/// worker threads, each with its own selector from `factory`. Workers
+/// only harvest; the caller averages their pairs in entity order, so the
+/// result is bit-identical to the sequential version for any thread
+/// count (selectors are reset per harvest run; entity runs are
+/// independent).
 ///
 /// This is the paper's own efficiency note made concrete: "they can be
 /// further improved by various techniques, such as parallelizing over
@@ -262,13 +310,13 @@ pub fn evaluate_selector_parallel(
     let chunk = entities.len().div_ceil(threads);
     let chunks: Vec<&[EntityId]> = entities.chunks(chunk.max(1)).collect();
 
-    let partials: Vec<MethodEval> = crossbeam::thread::scope(|scope| {
+    let partials: Vec<Harvested> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|slice| {
                 scope.spawn(move |_| {
                     let mut selector = factory();
-                    evaluate_selector(ctx, domain, slice, aspects, selector.as_mut(), cfg, bounds)
+                    harvest_pairs(ctx, domain, slice, aspects, selector.as_mut(), cfg, bounds)
                 })
             })
             .collect();
@@ -279,7 +327,13 @@ pub fn evaluate_selector_parallel(
     })
     .expect("scope");
 
-    merge_method_evals(&partials)
+    let mut partials = partials.into_iter();
+    let mut all = partials.next().expect("nothing to evaluate");
+    for part in partials {
+        all.pairs.extend(part.pairs);
+        all.selection_time += part.selection_time;
+    }
+    fold_pairs(all, cfg.n_queries)
 }
 
 /// Merge per-chunk [`MethodEval`]s (pair-count weighted).
@@ -471,21 +525,30 @@ mod tests {
             &cfg,
             &bounds,
         );
-        let par = evaluate_selector_parallel(
-            &ctx,
-            None,
-            &entities,
-            None,
-            &|| Box::new(L2qSelector::precision_templates()),
-            &cfg,
-            &bounds,
-            3,
-        );
-        assert_eq!(seq.runs, par.runs);
-        for (a, b) in seq.per_iter.iter().zip(&par.per_iter) {
-            assert_eq!(a.pairs, b.pairs);
-            assert!((a.normalized.f1 - b.normalized.f1).abs() < 1e-12);
-            assert!((a.raw.precision - b.raw.precision).abs() < 1e-12);
+        let bits = |m: &Metrics| [m.precision, m.recall, m.f1].map(f64::to_bits);
+        for threads in 1..=4 {
+            let par = evaluate_selector_parallel(
+                &ctx,
+                None,
+                &entities,
+                None,
+                &|| Box::new(L2qSelector::precision_templates()),
+                &cfg,
+                &bounds,
+                threads,
+            );
+            assert_eq!(seq.name, par.name);
+            assert_eq!(seq.runs, par.runs, "{threads} threads");
+            assert_eq!(seq.per_iter.len(), par.per_iter.len());
+            for (a, b) in seq.per_iter.iter().zip(&par.per_iter) {
+                assert_eq!(a.pairs, b.pairs, "{threads} threads");
+                assert_eq!(bits(&a.raw), bits(&b.raw), "{threads} threads, raw");
+                assert_eq!(
+                    bits(&a.normalized),
+                    bits(&b.normalized),
+                    "{threads} threads, normalized"
+                );
+            }
         }
     }
 

@@ -18,7 +18,6 @@ use crate::index::{DocId, InvertedIndex};
 use crate::lm::{top_k, DirichletParams};
 use l2q_corpus::{Corpus, EntityId, PageId};
 use l2q_text::{Bow, Sym};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How the seed query focuses retrieval on the target entity.
@@ -104,11 +103,6 @@ impl SearchEngine {
         &self.corpus
     }
 
-    /// A shared handle to the corpus (cheap to clone).
-    pub fn corpus_arc(&self) -> &Arc<Corpus> {
-        &self.corpus
-    }
-
     /// Fire `query` for `entity`, returning up to `top_k` page ids, best
     /// first. The seed query is applied per the configured [`SeedMode`].
     pub fn search(&self, entity: EntityId, query: &[Sym]) -> Vec<PageId> {
@@ -147,67 +141,9 @@ impl SearchEngine {
         results
     }
 
-    /// The entity-local index (used by utilities that need statistics over
-    /// the entity's slice, e.g. the AQ baseline).
-    pub fn entity_index(&self, entity: EntityId) -> &InvertedIndex {
-        &self.per_entity[entity.index()]
-    }
-
-    /// The global index.
-    pub fn global_index(&self) -> &InvertedIndex {
-        &self.global
-    }
-
     /// Map an entity-local [`DocId`] to its corpus [`PageId`].
     pub fn to_page_id(&self, entity: EntityId, d: DocId) -> PageId {
         PageId(self.entity_base[entity.index()] + d.0)
-    }
-}
-
-/// A memoizing cache for fired queries, keyed by `(entity, query words)`.
-///
-/// The harvest loop and the ideal-solution oracle both fire many queries;
-/// the cache also counts fires, which the timing experiment (Fig. 14) uses
-/// to model fetch cost.
-#[derive(Default, Debug)]
-pub struct QueryCache {
-    map: HashMap<(EntityId, Box<[Sym]>), Vec<PageId>>,
-    fires: u64,
-    hits: u64,
-}
-
-impl QueryCache {
-    /// Create an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Search through the cache.
-    pub fn search(
-        &mut self,
-        engine: &SearchEngine,
-        entity: EntityId,
-        query: &[Sym],
-    ) -> Vec<PageId> {
-        let key = (entity, query.to_vec().into_boxed_slice());
-        if let Some(hit) = self.map.get(&key) {
-            self.hits += 1;
-            return hit.clone();
-        }
-        self.fires += 1;
-        let res = engine.search(entity, query);
-        self.map.insert(key, res.clone());
-        res
-    }
-
-    /// Number of engine fires (cache misses).
-    pub fn fires(&self) -> u64 {
-        self.fires
-    }
-
-    /// Number of cache hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 }
 
@@ -270,20 +206,6 @@ mod tests {
         // A symbol id beyond anything interned.
         let res = engine.search(EntityId(0), &[Sym(10_000_000)]);
         assert!(res.is_empty());
-    }
-
-    #[test]
-    fn cache_memoizes_and_counts() {
-        let c = corpus();
-        let engine = SearchEngine::with_defaults(c.clone());
-        let mut cache = QueryCache::new();
-        let e = EntityId(0);
-        let seed = c.seed_query(e).to_vec();
-        let a = cache.search(&engine, e, &seed);
-        let b = cache.search(&engine, e, &seed);
-        assert_eq!(a, b);
-        assert_eq!(cache.fires(), 1);
-        assert_eq!(cache.hits(), 1);
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub mod index;
 pub mod lm;
 
 pub use cache::{CachedSearch, SearchBackend, ShardedQueryCache};
-pub use engine::{EngineConfig, QueryCache, SearchEngine, SeedMode};
+pub use engine::{EngineConfig, SearchEngine, SeedMode};
 pub use index::{DocId, InvertedIndex, Posting};
 pub use lm::{doc_prob, score_doc, top_k, DirichletParams};

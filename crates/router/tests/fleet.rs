@@ -111,6 +111,10 @@ fn counter(name: &str) -> u64 {
     l2q_obs::global().counter(name).get()
 }
 
+fn histogram_count(name: &str) -> u64 {
+    l2q_obs::global().histogram(name).count()
+}
+
 /// The uninterrupted reference: one plain server, no router, no store.
 /// Determinism means every fleet scenario must reproduce these exact
 /// fired queries and pages for the same session spec.
@@ -282,6 +286,7 @@ fn live_migration_loses_no_steps_and_sticks_to_target() {
     let target = if owner == "alpha" { "beta" } else { "alpha" };
 
     let migrations_before = counter("router_migrations_total");
+    let pauses_before = histogram_count("router_migration_pause_seconds");
     let moved = client.migrate(id, Some(target)).unwrap();
     assert_eq!(moved.shard.as_deref(), Some(target), "landed on the target");
     assert_eq!(moved.migrated, Some(1));
@@ -292,6 +297,12 @@ fn live_migration_loses_no_steps_and_sticks_to_target() {
         moved.steps_taken
     );
     assert!(counter("router_migrations_total") > migrations_before);
+    // Other tests in this binary migrate too, so the pause count only
+    // has a floor.
+    assert!(
+        histogram_count("router_migration_pause_seconds") > pauses_before,
+        "migration pause not recorded"
+    );
 
     // Routing now sticks to the target (placement override beats ring).
     let resp = client.step(id, 1, 40).unwrap();
@@ -968,6 +979,7 @@ fn rolling_restart_cycles_every_shard_and_keeps_sessions_stepping() {
     }
 
     let restarts_before = counter("router_rolling_restarts_total");
+    let drains_before = histogram_count("router_drain_seconds");
     let resp = core.rolling_restart();
     assert!(resp.ok, "rolling restart failed: {:?}", resp.error);
     assert_eq!(resp.state.as_deref(), Some("completed"));
@@ -975,6 +987,12 @@ fn rolling_restart_cycles_every_shard_and_keeps_sessions_stepping() {
     assert_eq!(
         counter("router_rolling_restarts_total") - restarts_before,
         2
+    );
+    // One drain pause per cycled shard; other tests in this binary drain
+    // too, so this is a floor.
+    assert!(
+        histogram_count("router_drain_seconds") - drains_before >= 2,
+        "drain pauses not recorded for both shards"
     );
 
     // The whole fleet is routable again and sessions still step.

@@ -190,11 +190,6 @@ impl Client {
         })
     }
 
-    /// The server address this client is connected to.
-    pub fn remote_addr(&self) -> std::net::SocketAddr {
-        self.remote
-    }
-
     /// Re-dial the remembered server address, replacing the (possibly
     /// dead) connection. The request-id counter keeps counting up so ids
     /// stay unique across the reconnect.

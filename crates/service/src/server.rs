@@ -104,6 +104,9 @@ impl ServerHandle {
     /// flush first; idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        if let Some(h) = &self.sweeper_thread {
+            h.thread().unpark();
+        }
         self.engine.join();
         if let Some(h) = self.sweeper_thread.take() {
             let _ = h.join();
@@ -199,16 +202,14 @@ impl HarvestServer {
         let sweeper_thread = std::thread::Builder::new()
             .name("l2q-sweeper".into())
             .spawn(move || {
-                // Poll in short slices so shutdown is prompt.
-                let slice = Duration::from_millis(20);
-                let mut slept = Duration::ZERO;
-                while !sweep_stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(slice);
-                    slept += slice;
-                    if slept >= SWEEP_INTERVAL {
-                        slept = Duration::ZERO;
-                        core.manager.evict_idle();
+                // Parked between sweeps; `ServerHandle::shutdown` unparks
+                // it. A spurious wake-up only sweeps early.
+                loop {
+                    std::thread::park_timeout(SWEEP_INTERVAL);
+                    if sweep_stop.load(Ordering::SeqCst) {
+                        break;
                     }
+                    core.manager.evict_idle();
                 }
             })?;
 
