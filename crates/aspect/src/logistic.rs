@@ -98,11 +98,6 @@ impl Logistic {
         }
         z
     }
-
-    /// Number of non-zero feature weights.
-    pub fn nnz(&self) -> usize {
-        self.weights.len()
-    }
 }
 
 impl BinaryClassifier for Logistic {

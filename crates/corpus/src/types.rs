@@ -165,11 +165,6 @@ impl TypeSystem {
         &self.vocab[t.index()]
     }
 
-    /// Total dictionary size across types.
-    pub fn dict_len(&self) -> usize {
-        self.dict.len()
-    }
-
     /// Build the tokenizer phrase dictionary from all multi-word entries.
     pub fn phrase_dict(&self) -> PhraseDict {
         let mut d = PhraseDict::new();

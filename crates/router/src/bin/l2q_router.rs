@@ -3,10 +3,8 @@
 //! ```text
 //! l2q-router [--port P] --shard NAME=HOST:PORT [--shard NAME=HOST:PORT ...]
 //!            [--supervise NAME=HOST:PORT=CMD ARG...]
-//!            [--vnodes N] [--probe-interval-ms MS] [--fail-threshold N]
-//!            [--max-connections N] [--trace-buffer N] [--forward-workers N]
-//!            [--rebalance-interval-ms MS] [--rebalance-min-gap N]
-//!            [--rebalance-budget N]
+//!            [--probe-interval-ms MS] [--max-connections N] [--trace-buffer N]
+//!            [--rebalance-interval-ms MS]
 //!            [--supervise-backoff-ms MS] [--supervise-breaker N]
 //!            [--supervise-min-uptime-ms MS]
 //! ```
@@ -39,10 +37,8 @@ l2q-router — sharded harvest fleet front door (Learning to Query)
 USAGE:
   l2q-router [--port P] --shard NAME=HOST:PORT [--shard NAME=HOST:PORT ...]
              [--supervise NAME=HOST:PORT=CMD ARG...]
-             [--vnodes N] [--probe-interval-ms MS] [--fail-threshold N]
-             [--max-connections N] [--trace-buffer N] [--forward-workers N]
-             [--rebalance-interval-ms MS] [--rebalance-min-gap N]
-             [--rebalance-budget N]
+             [--probe-interval-ms MS] [--max-connections N] [--trace-buffer N]
+             [--rebalance-interval-ms MS]
              [--supervise-backoff-ms MS] [--supervise-breaker N]
              [--supervise-min-uptime-ms MS]
 
@@ -54,13 +50,14 @@ USAGE:
   '_', '.' and '-'.
 
   --rebalance-interval-ms enables the background load rebalancer: each
-  interval it migrates up to --rebalance-budget sessions off the hottest
-  shard while the hot/cold resident-count gap exceeds
-  --rebalance-min-gap.
+  interval it migrates up to 4 sessions off the hottest shard while the
+  hot/cold resident-count gap exceeds 2.
 
-  Every client connection is served from one epoll readiness loop;
-  requests bound for a shard are forwarded from a bounded pool of
-  --forward-workers threads.
+  Every router places sessions on a ring of 64 virtual nodes per shard,
+  so routers over the same shards agree on each session's owner. A shard
+  is marked dead after 2 consecutive failed probes or requests. Every
+  client connection is served from one epoll readiness loop; requests
+  bound for a shard are forwarded from a bounded pool of 16 threads.
 ";
 
 fn parse_num<T: std::str::FromStr>(key: &str, args: &[String], default: T) -> Result<T, String> {
@@ -133,7 +130,6 @@ fn run() -> Result<(), String> {
     let port: u16 = parse_num("--port", &args, 4418)?;
     let defaults = RouterConfig::default();
     let cfg = RouterConfig {
-        vnodes: parse_num("--vnodes", &args, defaults.vnodes)?.max(1),
         probe_interval: Duration::from_millis(
             parse_num(
                 "--probe-interval-ms",
@@ -142,17 +138,12 @@ fn run() -> Result<(), String> {
             )?
             .max(50),
         ),
-        fail_threshold: parse_num("--fail-threshold", &args, defaults.fail_threshold)?.max(1),
         max_connections: parse_num("--max-connections", &args, defaults.max_connections)?.max(1),
-        forward_workers: parse_num("--forward-workers", &args, defaults.forward_workers)?.max(1),
         rebalance_interval: Duration::from_millis(parse_num(
             "--rebalance-interval-ms",
             &args,
             0u64,
         )?),
-        rebalance_min_gap: parse_num("--rebalance-min-gap", &args, defaults.rebalance_min_gap)?
-            .max(1),
-        rebalance_budget: parse_num("--rebalance-budget", &args, defaults.rebalance_budget)?.max(1),
         ..defaults
     };
 

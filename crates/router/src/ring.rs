@@ -7,7 +7,9 @@
 //! sessions elsewhere keep their owner, which is the whole reason to
 //! prefer a ring over `hash % N`.
 
-/// Default virtual nodes per shard.
+/// Virtual nodes per shard. Every router builds its ring with this
+/// count, so two routers over the same shard names agree on each
+/// session's owner.
 pub const DEFAULT_VNODES: usize = 64;
 
 /// splitmix64 finalizer — cheap, well-mixed 64-bit hashing with no

@@ -27,47 +27,39 @@ use std::time::{Duration, Instant};
 /// again before aborting.
 const RESTART_RECOVERY_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Consecutive transport failures before a shard is marked dead.
+const FAIL_THRESHOLD: u32 = 2;
+
+/// Rebalancer hysteresis: only migrate while the hottest and coldest
+/// shards' resident-session counts differ by more than this gap, so a
+/// converged fleet never thrashes.
+const REBALANCE_MIN_GAP: usize = 2;
+
+/// Migration budget per rebalancer pass.
+const REBALANCE_BUDGET: usize = 4;
+
 /// Router policy knobs.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
     /// Interval between health probes per shard (jittered per shard so a
     /// fleet of probes never fires in lockstep).
     pub probe_interval: Duration,
-    /// Consecutive transport failures before a shard is marked dead.
-    pub fail_threshold: u32,
     /// Socket/retry policy for shard connections.
     pub client: ClientConfig,
     /// Concurrent client connections the router front door accepts.
     pub max_connections: usize,
-    /// Threads forwarding requests to shards (each forward blocks on
-    /// shard I/O, so they live in their own pool, not on the reactor
-    /// thread).
-    pub forward_workers: usize,
     /// Load-rebalancer cadence; `Duration::ZERO` disables the
     /// background task (`rebalance_once` stays callable).
     pub rebalance_interval: Duration,
-    /// Rebalancer hysteresis: only migrate while the hottest and coldest
-    /// shards' resident-session counts differ by more than this gap, so
-    /// a converged fleet never thrashes.
-    pub rebalance_min_gap: u64,
-    /// Migration budget per rebalancer pass.
-    pub rebalance_budget: usize,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         Self {
-            vnodes: crate::ring::DEFAULT_VNODES,
             probe_interval: Duration::from_secs(2),
-            fail_threshold: 2,
             client: ClientConfig::default(),
             max_connections: 256,
-            forward_workers: 16,
             rebalance_interval: Duration::ZERO,
-            rebalance_min_gap: 2,
-            rebalance_budget: 4,
         }
     }
 }
@@ -175,10 +167,9 @@ pub struct RouterCore {
 impl RouterCore {
     /// An empty fleet; register shards with [`RouterCore::add_shard`].
     pub fn new(cfg: RouterConfig) -> Self {
-        let vnodes = cfg.vnodes;
         Self {
             cfg,
-            ring: RwLock::new(HashRing::new(vnodes)),
+            ring: RwLock::new(HashRing::new(crate::ring::DEFAULT_VNODES)),
             shards: RwLock::new(HashMap::new()),
             placements: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -266,7 +257,7 @@ impl RouterCore {
     /// the metric is registered once).
     pub fn note_probe_failure(&self, shard: &Shard) {
         router_obs().probe_failures.inc();
-        shard.note_failure(self.cfg.fail_threshold);
+        shard.note_failure(FAIL_THRESHOLD);
     }
 
     /// The shards that may serve `session`, most-preferred first: an
@@ -342,7 +333,8 @@ impl RouterCore {
     /// shard, so failovers show up as sibling spans under the dispatch.
     fn forward(&self, shard: &Shard, req: &Request) -> Result<Response, l2q_service::ClientError> {
         let span = l2q_obs::span!("router_forward", "shard" => shard.name());
-        match span.trace_context() {
+        let traced;
+        let req = match span.trace_context() {
             Some(ctx) => {
                 let (trace_id, parent_span_id) = ctx.wire_parent();
                 let mut routed = req.clone();
@@ -350,52 +342,64 @@ impl RouterCore {
                 routed.parent_span_id = parent_span_id;
                 // Downstream decides tracing by `trace_id`, not the flag.
                 routed.trace = None;
-                shard.request(&self.cfg.client, &routed)
+                traced = routed;
+                &traced
             }
-            None => shard.request(&self.cfg.client, req),
-        }
+            None => req,
+        };
+        shard.request(&self.cfg.client, req)
     }
 
-    /// Proxy a session op to its owner, failing over down the preference
-    /// order on transport errors. No handoff is needed: the next shard
-    /// restores the session from the shared durable store on first touch
-    /// (fencing the old owner), so the retried request continues from the
-    /// last committed step.
-    fn forward_session_op(&self, req: &Request) -> Response {
-        let Some(id) = req.session else {
-            return Response::fail("missing 'session'");
-        };
-        let mut skipped_unroutable = 0usize;
-        let mut transport_failures = 0usize;
+    /// The failover walk behind `create` and every session op: send
+    /// `req` to the first routable shard in `session`'s preference
+    /// order, and on a transport error count the failure against that
+    /// shard and try the next. An answer from anywhere but the first
+    /// candidate counts as a failover. No handoff is needed: the next
+    /// shard restores the session from the shared durable store on first
+    /// touch (fencing the old owner), so the retried request continues
+    /// from the last committed step. `target` names what was routed in
+    /// the refusal when no shard answers.
+    fn route(&self, session: u64, req: &Request, target: std::fmt::Arguments) -> Response {
+        let mut failed_over = false;
         let mut last_err = String::new();
-        for shard in self.candidates(id) {
+        for shard in self.candidates(session) {
             if !shard.routable() {
-                skipped_unroutable += 1;
+                failed_over = true;
                 continue;
             }
             match self.forward(&shard, req) {
                 Ok(mut resp) => {
-                    if skipped_unroutable + transport_failures > 0 {
+                    if failed_over {
                         router_obs().failovers.inc();
-                    }
-                    if req.op == "close" && resp.ok {
-                        lock_recover(&self.placements).remove(&id);
                     }
                     resp.shard = Some(shard.name().to_owned());
                     return resp;
                 }
                 Err(e) => {
-                    shard.note_failure(self.cfg.fail_threshold);
-                    transport_failures += 1;
+                    shard.note_failure(FAIL_THRESHOLD);
+                    failed_over = true;
                     last_err = e.to_string();
                 }
             }
         }
         Response::fail(if last_err.is_empty() {
-            format!("no routable shard for session {id}")
+            format!("no routable shard for {target}")
         } else {
-            format!("no routable shard for session {id} (last error: {last_err})")
+            format!("no routable shard for {target} (last error: {last_err})")
         })
+    }
+
+    /// Proxy a session op to its owner; a successful `close` also drops
+    /// the session's placement override.
+    fn forward_session_op(&self, req: &Request) -> Response {
+        let Some(id) = req.session else {
+            return Response::fail("missing 'session'");
+        };
+        let resp = self.route(id, req, format_args!("session {id}"));
+        if req.op == "close" && resp.ok {
+            lock_recover(&self.placements).remove(&id);
+        }
+        resp
     }
 
     /// Create with a router-allocated fleet-wide id, placed by the ring.
@@ -405,33 +409,28 @@ impl RouterCore {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut routed = req.clone();
         routed.session = Some(id);
-        let mut failed_over = false;
-        let mut last_err = String::new();
-        for shard in self.candidates(id) {
-            if !shard.routable() {
-                failed_over = true;
-                continue;
-            }
-            match self.forward(&shard, &routed) {
-                Ok(mut resp) => {
-                    if failed_over {
-                        router_obs().failovers.inc();
-                    }
-                    resp.shard = Some(shard.name().to_owned());
-                    return resp;
-                }
-                Err(e) => {
-                    shard.note_failure(self.cfg.fail_threshold);
-                    failed_over = true;
-                    last_err = e.to_string();
-                }
-            }
-        }
-        Response::fail(if last_err.is_empty() {
-            "no routable shard for create".to_string()
-        } else {
-            format!("no routable shard for create (last error: {last_err})")
-        })
+        self.route(id, &routed, format_args!("create"))
+    }
+
+    /// The fan-out behind every fleet-wide read: ask each registered
+    /// shard that is not `Dead` for `req`, one after another in name
+    /// order. Draining shards are asked too, since they hold sessions,
+    /// metrics and spans until the drain has moved them. Every shard
+    /// comes back, with `None` when it is dead or did not answer.
+    fn fan_out(&self, req: &Request) -> Vec<(Arc<Shard>, Option<Response>)> {
+        let mut shards = self.all_shards();
+        shards.sort_by(|a, b| a.name().cmp(b.name()));
+        shards
+            .into_iter()
+            .map(|shard| {
+                let resp = if shard.health() == Health::Dead {
+                    None
+                } else {
+                    shard.request(&self.cfg.client, req).ok()
+                };
+                (shard, resp)
+            })
+            .collect()
     }
 
     /// Fleet-aggregated stats: sums across reachable shards (hit rate
@@ -439,14 +438,8 @@ impl RouterCore {
     fn handle_stats(&self) -> Response {
         let mut agg = StatsBody::default();
         let mut reachable = 0usize;
-        for shard in self.all_shards() {
-            if shard.health() == Health::Dead {
-                continue;
-            }
-            let Ok(resp) = shard.request(&self.cfg.client, &Request::op("stats")) else {
-                continue;
-            };
-            let Some(s) = resp.stats else { continue };
+        let answers = self.fan_out(&Request::op("stats"));
+        for s in answers.into_iter().filter_map(|(_, resp)| resp?.stats) {
             reachable += 1;
             agg.active_sessions += s.active_sessions;
             agg.sessions_created += s.sessions_created;
@@ -489,18 +482,14 @@ impl RouterCore {
     /// any other snapshot.
     fn handle_fleet_metrics(&self, req: &Request) -> Response {
         let mut sources = vec![("router".to_owned(), l2q_obs::global().snapshot())];
-        let mut shards = self.all_shards();
-        shards.sort_by(|a, b| a.name().cmp(b.name()));
-        for shard in shards {
-            if shard.health() == Health::Dead {
-                continue;
-            }
-            let Ok(resp) = shard.request(&self.cfg.client, &Request::op("metrics")) else {
-                continue;
-            };
-            let Some(m) = resp.metrics else { continue };
-            sources.push((shard.name().to_owned(), crate::metrics::parse_snapshot(&m)));
-        }
+        let answers = self.fan_out(&Request::op("metrics"));
+        sources.extend(answers.into_iter().filter_map(|(shard, resp)| {
+            let body = resp?.metrics?;
+            Some((
+                shard.name().to_owned(),
+                crate::metrics::parse_snapshot(&body),
+            ))
+        }));
         if sources.len() == 1 {
             return Response::fail("no reachable shard for fleet_metrics");
         }
@@ -522,14 +511,8 @@ impl RouterCore {
         fetch.trace_id = Some(tid);
         fetch.mode = Some("by_id".into());
         let spans = resp.spans.get_or_insert_with(Vec::new);
-        for shard in self.all_shards() {
-            if shard.health() == Health::Dead {
-                continue;
-            }
-            let Ok(shard_resp) = shard.request(&self.cfg.client, &fetch) else {
-                continue;
-            };
-            spans.extend(shard_resp.spans.unwrap_or_default());
+        for (_, shard_resp) in self.fan_out(&fetch) {
+            spans.extend(shard_resp.and_then(|r| r.spans).unwrap_or_default());
         }
         let mut seen = std::collections::HashSet::new();
         spans.retain(|s| seen.insert(s.span_id));
@@ -543,13 +526,8 @@ impl RouterCore {
     fn handle_list_sessions(&self) -> Response {
         let mut by_id: HashMap<u64, SessionEntryBody> = HashMap::new();
         let mut reachable = 0usize;
-        for shard in self.all_shards() {
-            if !shard.routable() && shard.health() != Health::Draining {
-                continue;
-            }
-            let Ok(resp) = shard.request(&self.cfg.client, &Request::op("list_sessions")) else {
-                continue;
-            };
+        let answers = self.fan_out(&Request::op("list_sessions"));
+        for resp in answers.into_iter().filter_map(|(_, resp)| resp) {
             reachable += 1;
             for row in resp.sessions.unwrap_or_default() {
                 let live = row.health.as_deref() != Some("stored");
@@ -577,35 +555,23 @@ impl RouterCore {
         }
     }
 
+    /// One row per registered shard; `active_sessions` is absent for a
+    /// shard that is dead or did not answer.
     fn handle_fleet_status(&self) -> Response {
         let vnodes = read_recover(&self.ring).vnodes() as u64;
-        let mut rows: Vec<ShardStatusBody> = Vec::new();
-        let mut shards = self.all_shards();
-        shards.sort_by(|a, b| a.name().cmp(b.name()));
-        for shard in shards {
-            let health = shard.health();
-            let active_sessions = if health == Health::Dead {
-                None
-            } else {
-                shard
-                    .request(&self.cfg.client, &Request::op("stats"))
-                    .ok()
-                    .and_then(|r| r.stats)
-                    .map(|s| s.active_sessions)
-            };
-            rows.push(ShardStatusBody {
+        let shards = self
+            .fan_out(&Request::op("stats"))
+            .into_iter()
+            .map(|(shard, resp)| ShardStatusBody {
                 name: shard.name().to_owned(),
                 addr: shard.addr().to_owned(),
                 health: shard.health().as_str().to_owned(),
-                active_sessions,
-            });
-        }
+                active_sessions: resp.and_then(|r| r.stats).map(|s| s.active_sessions),
+            })
+            .collect();
         Response {
             ok: true,
-            fleet: Some(FleetStatusBody {
-                vnodes,
-                shards: rows,
-            }),
+            fleet: Some(FleetStatusBody { vnodes, shards }),
             ..Response::default()
         }
     }
@@ -653,19 +619,9 @@ impl RouterCore {
         };
         let started = Instant::now();
         shard.set_health(Health::Draining);
-        let resident: Vec<u64> =
-            match shard.request(&self.cfg.client, &Request::op("list_sessions")) {
-                Ok(resp) => resp
-                    .sessions
-                    .unwrap_or_default()
-                    .iter()
-                    .filter(|r| r.health.as_deref() == Some("resident"))
-                    .map(|r| r.session)
-                    .collect(),
-                // Unreachable while draining: nothing resident to move — its
-                // sessions already fail over on next touch.
-                Err(_) => Vec::new(),
-            };
+        // Unreachable while draining: nothing resident to move — its
+        // sessions already fail over on next touch.
+        let resident = self.resident_sessions(&shard).unwrap_or_default();
         let mut moved = 0u64;
         let mut last_err = None;
         for id in resident {
@@ -711,85 +667,18 @@ impl RouterCore {
         if names.is_empty() {
             return Response::fail("no shards registered");
         }
+        let total = names.len() as u64;
         let mut cycled = 0u64;
         for name in &names {
-            // Majority quorum: taking `name` down must leave at least
-            // ceil(total/2) routable shards serving.
-            let total = names.len() as u64;
-            let routable_others = self
-                .all_shards()
-                .iter()
-                .filter(|s| s.name() != name && s.routable())
-                .count() as u64;
-            let needed = total.div_ceil(2);
-            if routable_others < needed {
+            if let Err(error) = self.restart_cycle(name, total) {
                 return Response {
                     ok: false,
                     restarted: Some(cycled),
-                    error: Some(format!(
-                        "aborted before '{name}': only {routable_others} routable shards \
-                         would remain (quorum {needed} of {total})"
-                    )),
+                    error: Some(error),
                     state: Some("aborted".into()),
                     ..Response::default()
                 };
             }
-            if let Err(e) = self.drain_shard_inner(name) {
-                return Response {
-                    ok: false,
-                    restarted: Some(cycled),
-                    error: Some(format!("aborted at '{name}': {e}")),
-                    state: Some("aborted".into()),
-                    ..Response::default()
-                };
-            }
-            if let Some(sup) = self.supervisor() {
-                if sup.supervises(name) {
-                    if let Err(e) = sup.restart(name) {
-                        return Response {
-                            ok: false,
-                            restarted: Some(cycled),
-                            error: Some(format!("aborted at '{name}': {e}")),
-                            state: Some("aborted".into()),
-                            ..Response::default()
-                        };
-                    }
-                }
-            }
-            // Wait for the (re)started shard to answer, then undrain it
-            // so it takes routed traffic again.
-            let Some(shard) = self.shard(name) else {
-                return Response {
-                    ok: false,
-                    restarted: Some(cycled),
-                    error: Some(format!("aborted: shard '{name}' vanished mid-restart")),
-                    state: Some("aborted".into()),
-                    ..Response::default()
-                };
-            };
-            let deadline = Instant::now() + RESTART_RECOVERY_TIMEOUT;
-            let mut recovered = false;
-            while Instant::now() < deadline {
-                if shard.probe(&self.cfg.client) {
-                    recovered = true;
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            if !recovered {
-                return Response {
-                    ok: false,
-                    restarted: Some(cycled),
-                    error: Some(format!(
-                        "aborted: shard '{name}' did not answer within {:?} of restart",
-                        RESTART_RECOVERY_TIMEOUT
-                    )),
-                    state: Some("aborted".into()),
-                    ..Response::default()
-                };
-            }
-            shard.set_health(Health::Healthy);
-            router_obs().rolling_restarts.inc();
             cycled += 1;
         }
         Response {
@@ -798,6 +687,50 @@ impl RouterCore {
             state: Some("completed".into()),
             ..Response::default()
         }
+    }
+
+    /// One shard's turn in a rolling restart over `total` shards: quorum
+    /// check, drain, supervised restart, wait until it answers, undrain.
+    /// `Err` carries the reason the whole restart aborts.
+    fn restart_cycle(&self, name: &str, total: u64) -> Result<(), String> {
+        // Majority quorum: taking `name` down must leave at least
+        // ceil(total/2) routable shards serving.
+        let routable_others = self
+            .all_shards()
+            .iter()
+            .filter(|s| s.name() != name && s.routable())
+            .count() as u64;
+        let needed = total.div_ceil(2);
+        if routable_others < needed {
+            return Err(format!(
+                "aborted before '{name}': only {routable_others} routable shards \
+                 would remain (quorum {needed} of {total})"
+            ));
+        }
+        self.drain_shard_inner(name)
+            .map_err(|e| format!("aborted at '{name}': {e}"))?;
+        if let Some(sup) = self.supervisor().filter(|sup| sup.supervises(name)) {
+            sup.restart(name)
+                .map_err(|e| format!("aborted at '{name}': {e}"))?;
+        }
+        // Wait for the (re)started shard to answer, then undrain it so
+        // it takes routed traffic again.
+        let shard = self
+            .shard(name)
+            .ok_or_else(|| format!("aborted: shard '{name}' vanished mid-restart"))?;
+        let deadline = Instant::now() + RESTART_RECOVERY_TIMEOUT;
+        while !shard.probe(&self.cfg.client) {
+            if Instant::now() >= deadline {
+                return Err(format!(
+                    "aborted: shard '{name}' did not answer within {:?} of restart",
+                    RESTART_RECOVERY_TIMEOUT
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        shard.set_health(Health::Healthy);
+        router_obs().rolling_restarts.inc();
+        Ok(())
     }
 
     /// One load-rebalancer pass: read every routable shard's resident
@@ -809,30 +742,17 @@ impl RouterCore {
     /// target via the placement override).
     pub fn rebalance_once(&self) -> usize {
         router_obs().rebalancer_passes.inc();
-        let mut loads: Vec<(String, Vec<u64>)> = Vec::new();
-        for shard in self.all_shards() {
-            if !shard.routable() {
-                continue;
-            }
-            let Ok(resp) = shard.request(&self.cfg.client, &Request::op("list_sessions")) else {
-                continue;
-            };
-            let mut resident: Vec<u64> = resp
-                .sessions
-                .unwrap_or_default()
-                .iter()
-                .filter(|r| r.health.as_deref() == Some("resident"))
-                .map(|r| r.session)
-                .collect();
-            resident.sort_unstable();
-            loads.push((shard.name().to_owned(), resident));
-        }
+        let mut loads: Vec<(String, Vec<u64>)> = self
+            .all_shards()
+            .iter()
+            .filter(|shard| shard.routable())
+            .filter_map(|shard| Some((shard.name().to_owned(), self.resident_sessions(shard)?)))
+            .collect();
         if loads.len() < 2 {
             return 0;
         }
-        let min_gap = self.cfg.rebalance_min_gap.max(1) as usize;
         let mut moved = 0usize;
-        while moved < self.cfg.rebalance_budget {
+        while moved < REBALANCE_BUDGET {
             let hot = loads
                 .iter()
                 .enumerate()
@@ -845,7 +765,7 @@ impl RouterCore {
                 .min_by_key(|(_, (_, v))| v.len())
                 .map(|(i, _)| i)
                 .unwrap_or(0);
-            if loads[hot].1.len().saturating_sub(loads[cold].1.len()) <= min_gap {
+            if loads[hot].1.len().saturating_sub(loads[cold].1.len()) <= REBALANCE_MIN_GAP {
                 break;
             }
             // Deterministic pick: the hottest shard's highest session id.
@@ -888,23 +808,30 @@ impl RouterCore {
     /// shards in preference order (draining shards included — drains are
     /// exactly when sessions must be found and moved).
     fn resident_owner(&self, session: u64) -> Option<Arc<Shard>> {
-        for shard in self.candidates(session) {
-            if shard.health() == Health::Dead {
-                continue;
-            }
-            let Ok(resp) = shard.request(&self.cfg.client, &Request::op("list_sessions")) else {
-                continue;
-            };
-            let resident = resp
-                .sessions
-                .unwrap_or_default()
-                .iter()
-                .any(|r| r.session == session && r.health.as_deref() == Some("resident"));
-            if resident {
-                return Some(shard);
-            }
-        }
-        None
+        self.candidates(session)
+            .into_iter()
+            .filter(|shard| shard.health() != Health::Dead)
+            .find(|shard| {
+                self.resident_sessions(shard)
+                    .is_some_and(|ids| ids.contains(&session))
+            })
+    }
+
+    /// The ids `shard` holds resident, ascending; `None` when it does
+    /// not answer.
+    fn resident_sessions(&self, shard: &Shard) -> Option<Vec<u64>> {
+        let resp = shard
+            .request(&self.cfg.client, &Request::op("list_sessions"))
+            .ok()?;
+        let mut ids: Vec<u64> = resp
+            .sessions
+            .unwrap_or_default()
+            .iter()
+            .filter(|r| r.health.as_deref() == Some("resident"))
+            .map(|r| r.session)
+            .collect();
+        ids.sort_unstable();
+        Some(ids)
     }
 
     /// Live migration: `detach` on the source (drains the in-flight step

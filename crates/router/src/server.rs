@@ -24,6 +24,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Threads forwarding requests to shards. Each forward blocks on shard
+/// I/O, so they live in their own pool, not on the reactor thread.
+const FORWARD_WORKERS: usize = 16;
+
 /// Bounded forward-queue capacity; a full queue answers `Overloaded`
 /// with a retry hint.
 const FORWARD_QUEUE_CAP: usize = 64;
@@ -84,11 +88,7 @@ impl RouterServer {
         let engine = spawn_engine(
             Arc::new(RouterWire {
                 core: core.clone(),
-                pool: Scheduler::forwarder(
-                    cfg.forward_workers,
-                    FORWARD_QUEUE_CAP,
-                    "l2q-router-fwd",
-                ),
+                pool: Scheduler::forwarder(FORWARD_WORKERS, FORWARD_QUEUE_CAP, "l2q-router-fwd"),
             }),
             listener,
             EngineConfig {

@@ -265,6 +265,9 @@ impl Supervisor {
 
     /// One monitor pass over every child.
     fn tick(&self, now: Instant) {
+        // Children alive but not yet seen answering, with the restart
+        // count that identifies each spawn.
+        let mut awaiting: Vec<(String, u64)> = Vec::new();
         let mut children = lock_recover(&self.children);
         for state in children.iter_mut() {
             if state.breaker_open {
@@ -274,17 +277,7 @@ impl Supervisor {
                 Some(child) => match child.try_wait() {
                     Ok(Some(status)) => self.on_exit(state, status, now),
                     Ok(None) if state.awaiting_recovery => {
-                        // Child alive but not yet confirmed serving: ping
-                        // it; success flips the shard healthy, rejoining
-                        // it to routing.
-                        if let Some(shard) = self.core.shard(&state.spec.name) {
-                            if shard.probe(&self.core.config().client) {
-                                state.awaiting_recovery = false;
-                                if now.duration_since(state.started_at) >= self.cfg.min_uptime {
-                                    state.streak = 0;
-                                }
-                            }
-                        }
+                        awaiting.push((state.spec.name.clone(), state.restarts));
                     }
                     Ok(None) => {
                         // Stable uptime clears the rapid-crash streak.
@@ -316,6 +309,34 @@ impl Supervisor {
                             }
                         }
                     }
+                }
+            }
+        }
+        drop(children);
+
+        // Ping each awaiting child outside the lock: a child that accepts
+        // but never answers holds its ping for the client's whole response
+        // timeout, and `status`, `restart` and crash detection for every
+        // other child must not wait on it. Success flips the shard healthy,
+        // rejoining it to routing.
+        for (name, restarts) in awaiting {
+            let answered = self
+                .core
+                .shard(&name)
+                .is_some_and(|shard| shard.probe(&self.core.config().client));
+            if !answered {
+                continue;
+            }
+            let mut children = lock_recover(&self.children);
+            // A child respawned while its ping was in flight is a new
+            // spawn; the answer belonged to the old one.
+            let same_spawn = children
+                .iter_mut()
+                .find(|c| c.spec.name == name && c.restarts == restarts);
+            if let Some(state) = same_spawn {
+                state.awaiting_recovery = false;
+                if now.duration_since(state.started_at) >= self.cfg.min_uptime {
+                    state.streak = 0;
                 }
             }
         }

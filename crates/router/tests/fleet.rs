@@ -23,9 +23,11 @@ use l2q_service::{
 };
 use l2q_store::{SessionStore, StoreConfig};
 use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpListener;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Duration;
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -80,7 +82,6 @@ fn start_shard(b: &Arc<ServingBundle>, dir: &Path, shard_id: &str) -> ServerHand
 fn start_router(shards: &[(&str, std::net::SocketAddr)]) -> (Arc<RouterCore>, RouterHandle) {
     let core = Arc::new(RouterCore::new(RouterConfig {
         probe_interval: Duration::from_millis(200),
-        fail_threshold: 2,
         client: ClientConfig {
             connect_timeout: Duration::from_millis(500),
             ..ClientConfig::default()
@@ -795,12 +796,18 @@ fn stale_placement_to_a_dead_shard_is_dropped_and_never_resurrects() {
     }
 }
 
+/// `router_supervisor_restarts_total` is process-global: the tests that
+/// respawn children take this lock, so one test's respawns never land in
+/// another's counted delta.
+static RESTARTS: Mutex<()> = Mutex::new(());
+
 /// Supervisor crash loop: a child that dies instantly is restarted on
 /// the capped exponential backoff schedule until the circuit breaker
 /// trips, at which point the supervisor gives up and removes the shard
 /// from the ring. The restart counter records every respawn.
 #[test]
 fn supervisor_crash_loop_trips_the_breaker_after_the_backoff_schedule() {
+    let _serial = RESTARTS.lock().unwrap_or_else(|e| e.into_inner());
     let core = bare_core(&[]);
     let restarts_before = counter("router_supervisor_restarts_total");
 
@@ -860,6 +867,7 @@ fn supervisor_crash_loop_trips_the_breaker_after_the_backoff_schedule() {
 /// supervisor respawn it (one restart, breaker closed, fresh pid).
 #[test]
 fn supervisor_respawns_a_killed_child() {
+    let _serial = RESTARTS.lock().unwrap_or_else(|e| e.into_inner());
     let core = bare_core(&[]);
     let spec = ShardSpec::parse("sleeper=127.0.0.1:1=/bin/sleep 600").unwrap();
     let sup = Supervisor::start(
@@ -1081,4 +1089,206 @@ fn router_front_door_refuses_past_the_cap() {
     let served = TcpStream::connect(addr)
         .is_ok_and(|mut conn| raw_ping(&mut conn).is_ok_and(|resp| !resp.is_empty()));
     assert!(!served, "a connection was served after shutdown");
+}
+
+/// A wedged shard's address: connections complete in the kernel's
+/// accept backlog and no request is ever answered.
+fn wedged_listener() -> TcpListener {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    listener
+}
+
+/// Take every connection waiting on a [`wedged_listener`] into `held`,
+/// which keeps it open and unanswered.
+fn hold_waiting(listener: &TcpListener, held: &mut Vec<TcpStream>) {
+    while let Ok((conn, _)) = listener.accept() {
+        held.push(conn);
+    }
+}
+
+/// A relay for the one connection a bare core keeps pooled to
+/// `upstream`. It passes requests and replies through unchanged, and on
+/// join (after the core is dropped) returns every request line it saw.
+fn recording_relay(
+    upstream: std::net::SocketAddr,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<Vec<String>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let relay = std::thread::spawn(move || {
+        let (router, _) = listener.accept().unwrap();
+        let mut shard = TcpStream::connect(upstream).unwrap();
+        let mut replies = BufReader::new(shard.try_clone().unwrap());
+        let mut lines = Vec::new();
+        for line in BufReader::new(&router).lines().map_while(Result::ok) {
+            writeln!(shard, "{line}").unwrap();
+            let mut reply = String::new();
+            replies.read_line(&mut reply).unwrap();
+            (&router).write_all(reply.as_bytes()).unwrap();
+            lines.push(line);
+        }
+        lines
+    });
+    (addr, relay)
+}
+
+/// The fleet-wide reads (`stats`, `fleet_metrics`, `trace` by id,
+/// `list_sessions` and `fleet_status`) share one fan-out. It must skip a
+/// `Dead` shard without connecting to it (this one never answers, so
+/// asking it would stall the op for the 2 s response timeout) and must
+/// still ask a `Draining` shard, whose resident sessions, metrics and
+/// spans belong to the fleet until the drain moves them.
+#[test]
+fn fleet_reads_skip_dead_shards_and_include_draining_ones() {
+    let dir = test_dir("fan-out");
+    let b = bundle();
+    let shard_a = start_shard(&b, &dir, "alpha");
+    let shard_b = start_shard(&b, &dir, "beta");
+    let (beta_addr, relay) = recording_relay(shard_b.addr());
+    let ghost = wedged_listener();
+    let core = Arc::new(RouterCore::new(RouterConfig {
+        client: ClientConfig {
+            connect_timeout: Duration::from_millis(300),
+            response_timeout: Duration::from_secs(2),
+            ..ClientConfig::default()
+        },
+        ..RouterConfig::default()
+    }));
+    core.add_shard("alpha", &shard_a.addr().to_string())
+        .unwrap();
+    core.add_shard("beta", &beta_addr.to_string()).unwrap();
+    // Registering the ghost waits out one response timeout.
+    core.add_shard("ghost", &ghost.local_addr().unwrap().to_string())
+        .unwrap();
+    core.shard("ghost").unwrap().set_health(Health::Dead);
+    let mut held = Vec::new();
+    hold_waiting(&ghost, &mut held);
+    let registered = held.len();
+
+    // One session, resident on beta, with a traced step behind it.
+    let (session, _) = create_via(&core, 1);
+    let mut migrate = Request::for_session("migrate", session);
+    migrate.shard = Some("beta".into());
+    assert!(core.dispatch(&migrate).ok, "migrate to beta");
+    let mut traced = Request::for_session("step", session);
+    traced.steps = Some(1);
+    traced.trace = Some(true);
+    let stepped = core.dispatch(&traced);
+    assert_eq!(stepped.shard.as_deref(), Some("beta"));
+    let trace_id = stepped.trace_id.expect("traced step echoes a trace id");
+    core.shard("beta").unwrap().set_health(Health::Draining);
+
+    let timed = |req: Request| {
+        let started = std::time::Instant::now();
+        let resp = core.dispatch(&req);
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_secs(2),
+            "{} took {waited:?}",
+            req.op
+        );
+        assert!(resp.ok, "{} failed: {:?}", req.op, resp.error);
+        resp
+    };
+
+    let stats = timed(Request::op("stats")).stats.unwrap();
+    assert_eq!(stats.active_sessions, 1, "beta's resident session counted");
+    assert_eq!(stats.workers, 4, "2 workers on each live shard");
+
+    let mut fleet_metrics = Request::op("fleet_metrics");
+    fleet_metrics.format = Some("json".into());
+    let body = timed(fleet_metrics).metrics.unwrap();
+    let counters = body.get("counters").and_then(|v| v.as_object()).unwrap();
+    for source in ["alpha", "beta"] {
+        assert!(
+            counters
+                .iter()
+                .any(|(k, _)| k.contains(&format!("shard=\"{source}\""))),
+            "no counter series from {source}"
+        );
+    }
+    assert!(!counters.iter().any(|(k, _)| k.contains("shard=\"ghost\"")));
+
+    let mut trace = Request::op("trace");
+    trace.trace_id = Some(trace_id);
+    trace.mode = Some("by_id".into());
+    let spans = timed(trace).spans.unwrap();
+    assert!(spans.iter().any(|s| s.name == "harvest_step"));
+
+    let listed = timed(Request::op("list_sessions")).sessions.unwrap();
+    let row = listed.iter().find(|r| r.session == session).unwrap();
+    assert_eq!(row.health.as_deref(), Some("resident"), "beta's row wins");
+
+    let fleet = timed(Request::op("fleet_status")).fleet.unwrap();
+    assert_eq!(fleet.vnodes, 64);
+    let row = |name: &str| fleet.shards.iter().find(|s| s.name == name).unwrap();
+    assert_eq!(row("alpha").active_sessions, Some(0));
+    assert_eq!(row("beta").health, "draining");
+    assert_eq!(row("beta").active_sessions, Some(1));
+    assert_eq!(row("ghost").health, "dead");
+    assert_eq!(row("ghost").active_sessions, None);
+
+    hold_waiting(&ghost, &mut held);
+    assert_eq!(held.len(), registered, "the dead shard was contacted");
+    // In-process, every span sits in one buffer, so only the relay shows
+    // that the trace lookup reached the draining shard.
+    drop(core);
+    let lines = relay.join().expect("relay");
+    assert!(
+        lines.iter().any(|l| l.contains("\"op\":\"trace\"")),
+        "trace never reached the draining shard"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The supervisor pings a respawned child outside its `children` lock.
+/// A child that accepts connections and never answers holds each ping
+/// for the client's response timeout (2 s here); `status()`, and with it
+/// `supervisor_status`, rolling restarts and crash detection for every
+/// other child, must not wait that out.
+#[test]
+fn supervisor_status_does_not_wait_on_a_wedged_child() {
+    let child = wedged_listener();
+    let core = Arc::new(RouterCore::new(RouterConfig {
+        client: ClientConfig {
+            connect_timeout: Duration::from_millis(300),
+            response_timeout: Duration::from_secs(2),
+            ..ClientConfig::default()
+        },
+        ..RouterConfig::default()
+    }));
+    let addr = child.local_addr().unwrap();
+    let spec = ShardSpec::parse(&format!("wedged={addr}=/bin/sleep 600")).unwrap();
+    // Registration's own request waits out one response timeout; the
+    // monitor starts after it.
+    let sup = Supervisor::start(
+        core,
+        vec![spec],
+        SupervisorConfig {
+            poll_interval: Duration::from_millis(10),
+            ..SupervisorConfig::default()
+        },
+    )
+    .expect("start supervisor");
+
+    // The second connection is the monitor's recovery ping, now waiting.
+    let mut held = Vec::new();
+    for _ in 0..300 {
+        hold_waiting(&child, &mut held);
+        if held.len() >= 2 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(held.len() >= 2, "the monitor never pinged the child");
+
+    let started = std::time::Instant::now();
+    let status = sup.status();
+    let waited = started.elapsed();
+    assert_eq!(status.len(), 1);
+    assert!(
+        waited < Duration::from_secs(1),
+        "status() waited {waited:?} behind a wedged child's ping"
+    );
+    sup.shutdown();
 }

@@ -207,11 +207,6 @@ impl<R: Read> LineReader<R> {
         }
     }
 
-    /// The wrapped stream (e.g. to adjust socket timeouts).
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
-
     /// Advance the framer by at most one line. Never blocks longer than
     /// the stream's own read timeout.
     pub fn read_line(&mut self) -> io::Result<ReadOutcome> {

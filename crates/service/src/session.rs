@@ -254,9 +254,6 @@ pub struct Session {
     domain_size: usize,
     cfg: L2qConfig,
     store: Option<Arc<SessionStore>>,
-    /// Step records already appended to the WAL (== the durable step
-    /// count; new records start at this ordinal).
-    logged_steps: usize,
     /// Whether the finish record has been appended.
     finish_logged: bool,
     /// Whether the WAL (or a snapshot) already holds a base for this
@@ -311,7 +308,6 @@ impl Session {
             domain_size: spec.domain_size,
             cfg,
             store,
-            logged_steps: 0,
             finish_logged: false,
             genesis_logged: false,
             failed: None,
@@ -369,7 +365,6 @@ impl Session {
             selector.restore_collective(c);
         }
         let domain = domain_for(&bundle, state.entity(), p.domain_size as usize);
-        let logged_steps = state.steps_taken();
         let finish_logged = state.stop_reason().is_some();
         Ok(Self {
             id: p.id,
@@ -381,7 +376,6 @@ impl Session {
             domain_size: p.domain_size as usize,
             cfg,
             store,
-            logged_steps,
             finish_logged,
             // Restored sessions were loaded from a snapshot or a WAL
             // genesis — a durable base already exists.
@@ -447,14 +441,9 @@ impl Session {
                 },
             );
         }
-        let steps = records
-            .iter()
-            .filter(|r| r.finished.is_none() && r.genesis.is_none())
-            .count();
         let finished = records.iter().any(|r| r.finished.is_some());
         match store.append_steps(self.id, &records) {
             Ok(()) => {
-                self.logged_steps += steps;
                 self.finish_logged |= finished;
                 self.genesis_logged = true;
             }
@@ -987,6 +976,7 @@ impl SessionManager {
             .remove(&id)
             .is_some()
         {
+            store.release(id);
             ServiceMetrics::add(&self.metrics.sessions_spilled, 1);
             let obs = session_obs();
             obs.spilled.inc();
@@ -1110,6 +1100,8 @@ impl SessionManager {
         // drop or refuse idle sessions in place; with one, just collect the
         // candidates to spill. Failed sessions are dropped either way — the
         // panic left their state suspect, so spilling would persist garbage.
+        // `released` collects the stored sessions that leave residency.
+        let mut released: Vec<u64> = Vec::new();
         let candidates: Vec<(u64, Arc<Mutex<Session>>)> = {
             let mut map = self.sessions.lock().expect("session map poisoned");
             if self.store.is_some() {
@@ -1126,6 +1118,7 @@ impl SessionManager {
                         // copy belongs to another shard. Neither must be
                         // written back — drop the resident copy.
                         evicted += 1;
+                        released.push(id);
                         return false;
                     }
                     spill_candidates.push((id, slot.clone()));
@@ -1178,8 +1171,14 @@ impl SessionManager {
             });
             if still_idle {
                 map.remove(&id);
+                released.push(id);
                 spilled += 1;
                 evicted += 1;
+            }
+        }
+        if let Some(store) = &self.store {
+            for id in released {
+                store.release(id);
             }
         }
 

@@ -99,6 +99,50 @@ fn evicted_session_resumes_with_prior_context_intact() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Open file descriptors of this process.
+#[cfg(target_os = "linux")]
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").unwrap().count()
+}
+
+/// A session that leaves residency closes its WAL: create → step →
+/// detach and create → step → idle-eviction cycles leave the process's
+/// fd count flat instead of keeping one `wal.log` open per session ever
+/// served. Other tests in this binary open files concurrently, so the
+/// bound is on growth per cycle.
+#[cfg(target_os = "linux")]
+#[test]
+fn sessions_leaving_residency_close_their_wal() {
+    const CYCLES: usize = 200;
+    let dir = test_dir("fd-flat");
+    let b = bundle();
+    let cfg = StoreConfig {
+        fsync: FsyncPolicy::Never,
+        ..StoreConfig::default()
+    };
+    let store = Arc::new(SessionStore::open(&dir, cfg).unwrap());
+    let m = manager(&b, Duration::ZERO, Some(store));
+
+    let before = open_fds();
+    for cycle in 0..CYCLES {
+        let id = m.create(&spec(&b)).unwrap().id;
+        let report = m.get(id).unwrap().lock().unwrap().run_steps(1);
+        assert_eq!(report.advanced, 1);
+        if cycle % 2 == 0 {
+            m.detach(id).unwrap();
+        } else {
+            assert_eq!(m.evict_idle(), 1);
+        }
+    }
+    assert_eq!(m.active(), 0);
+    let grown = open_fds().saturating_sub(before);
+    assert!(
+        grown * 4 < CYCLES,
+        "{grown} more open fds after {CYCLES} sessions left residency"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Without a store, evicting a session with stepped progress would lose
 /// data — the sweeper must refuse (and still evict fresh sessions).
 #[test]

@@ -32,15 +32,27 @@ impl Default for StoreConfig {
     }
 }
 
-/// Per-session open file state.
+/// Per-session file state.
 struct SessionFiles {
-    wal: Wal,
+    /// The open WAL, or `None` once [`SessionStore::release`] closed it
+    /// (the next write reopens it).
+    wal: Option<Wal>,
     steps_since_snapshot: usize,
     /// Generation token this process owns for the session. Writes are
     /// rejected once the on-disk generation moves past it (another shard
     /// fenced the session away). `0` = the pre-fencing world: no `gen`
     /// file exists and every writer is accepted.
     owned_gen: u64,
+}
+
+impl SessionFiles {
+    /// The session's WAL under `dir`, reopened if it was released.
+    fn wal(&mut self, dir: &Path, policy: FsyncPolicy) -> io::Result<&mut Wal> {
+        if self.wal.is_none() {
+            self.wal = Some(Wal::open(dir.join("wal.log"), policy)?);
+        }
+        Ok(self.wal.as_mut().expect("opened above"))
+    }
 }
 
 /// Read the session's on-disk generation token (0 when none exists).
@@ -72,8 +84,9 @@ pub struct RecoveredSession {
 
 /// The store: one directory per session under `<root>/sessions/`, each
 /// holding a WAL and a bounded set of snapshots. All methods take `&self`;
-/// per-session file handles live behind a mutex so the serving layer can
-/// share one store across its worker threads.
+/// per-session file state lives behind a mutex so the serving layer can
+/// share one store across its worker threads. A session's WAL stays open
+/// while it is resident and is closed by [`SessionStore::release`].
 pub struct SessionStore {
     root: PathBuf,
     cfg: StoreConfig,
@@ -139,13 +152,12 @@ impl SessionStore {
         if let std::collections::hash_map::Entry::Vacant(slot) = open.entry(id) {
             let dir = self.session_dir(id);
             fs::create_dir_all(&dir)?;
-            let wal = Wal::open(dir.join("wal.log"), self.cfg.fsync)?;
             // Inherit whatever generation is on disk at open time: a
             // single-store deployment never bumps it, and a fleet shard
             // acquires ownership explicitly through `fence` before writing.
             let owned_gen = read_gen(&dir);
             slot.insert(SessionFiles {
-                wal,
+                wal: None,
                 steps_since_snapshot: 0,
                 owned_gen,
             });
@@ -202,7 +214,8 @@ impl SessionStore {
         let obs = store_obs();
         self.with_files(id, |files| {
             self.check_fence(id, files)?;
-            let bytes = files.wal.append_batch(records)?;
+            let wal = files.wal(&self.session_dir(id), self.cfg.fsync)?;
+            let bytes = wal.append_batch(records)?;
             files.steps_since_snapshot += records
                 .iter()
                 .filter(|r| r.finished.is_none() && r.genesis.is_none())
@@ -258,8 +271,9 @@ impl SessionStore {
 
             // A fresh session's WAL is already empty — skip the
             // truncate-and-sync on the create path.
-            if files.wal.len_bytes()? > 0 {
-                files.wal.truncate()?;
+            let wal = files.wal(&dir, self.cfg.fsync)?;
+            if wal.len_bytes()? > 0 {
+                wal.truncate()?;
             }
             files.steps_since_snapshot = 0;
             Ok(())
@@ -307,7 +321,11 @@ impl SessionStore {
             // so without this, post-recovery batches would land after the
             // garbage and every later scan would stop short of them —
             // silently dropping acknowledged writes on the next recovery.
-            self.with_files(id, |files| files.wal.truncate_to(scan.valid_bytes))?;
+            self.with_files(id, |files| {
+                files
+                    .wal(&dir, self.cfg.fsync)?
+                    .truncate_to(scan.valid_bytes)
+            })?;
         }
 
         // No valid snapshot: bootstrap from the genesis record the
@@ -351,6 +369,18 @@ impl SessionStore {
             session,
             replayed_steps: replayed,
         }))
+    }
+
+    /// Close the session's WAL once it is no longer resident in this
+    /// process (detached or evicted), so a long-lived server holds one
+    /// open log per resident session, not one per session it ever
+    /// served. The generation token stays: a batch still queued for the
+    /// departed copy is fenced exactly as before, and the next write
+    /// reopens the log.
+    pub fn release(&self, id: u64) {
+        if let Some(files) = self.open.lock().expect("store lock").get_mut(&id) {
+            files.wal = None;
+        }
     }
 
     /// Delete every trace of the session (closed and not worth keeping).
@@ -620,6 +650,30 @@ mod tests {
         let fresh = SessionStore::open(&dir, StoreConfig::default()).unwrap();
         let got = fresh.load(21).unwrap().unwrap();
         assert_eq!(got.session.state.iterations.len(), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A released session keeps its generation token: after another
+    /// store fences it, the departed copy's next write reopens the WAL and
+    /// is still refused, while the new owner writes across its own
+    /// release.
+    #[test]
+    fn released_session_stays_fenced() {
+        let dir = crate::test_dir("store-release");
+        let shard_a = SessionStore::open(&dir, StoreConfig::default()).unwrap();
+        let shard_b = SessionStore::open(&dir, StoreConfig::default()).unwrap();
+        shard_a.fence(31).unwrap();
+        let batch = [genesis(&base_session(31)), step(31, 0)];
+        shard_a.append_steps(31, &batch).unwrap();
+        shard_a.release(31);
+
+        shard_b.fence(31).unwrap();
+        let err = shard_a.append_steps(31, &[step(31, 1)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+
+        shard_b.release(31);
+        shard_b.append_steps(31, &[step(31, 1)]).unwrap();
+        assert_eq!(shard_b.load(31).unwrap().unwrap().replayed_steps, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
