@@ -1,5 +1,7 @@
 //! Command-line options shared by the figure binaries.
 
+use l2q_service::cli::Spec;
+
 /// Parsed command-line options.
 #[derive(Clone, Debug)]
 pub struct BenchOpts {
@@ -37,54 +39,52 @@ impl Default for BenchOpts {
     }
 }
 
+const SPEC: Spec = Spec {
+    numbers: &["--seed", "--splits", "--max-test", "--entities"],
+    values: &["--emit-metrics"],
+    repeated: &[],
+    bare: &["--quick", "--paper-scale", "--json"],
+    words: &[],
+};
+
 impl BenchOpts {
-    /// Parse from `std::env::args` (skipping the binary name). Unknown
-    /// flags abort with a usage message.
+    /// Parse from `std::env::args` (skipping the binary name). A bad
+    /// command line aborts with a usage message.
     pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
-    /// Parse from an explicit iterator (testable).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let mut opts = Self::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--quick" => {
-                    opts.quick = true;
-                    opts.splits = 1;
-                    opts.max_test_entities = 6;
-                }
-                "--paper-scale" => {
-                    opts.paper_scale = true;
-                    opts.splits = 10;
-                    opts.max_test_entities = usize::MAX;
-                }
-                "--json" => opts.json = true,
-                "--seed" => opts.seed = Self::value(&mut it, "--seed"),
-                "--splits" => opts.splits = Self::value(&mut it, "--splits"),
-                "--max-test" => opts.max_test_entities = Self::value(&mut it, "--max-test"),
-                "--entities" => opts.entities = Some(Self::value(&mut it, "--entities")),
-                "--emit-metrics" => {
-                    opts.emit_metrics = Some(Self::value(&mut it, "--emit-metrics"))
-                }
-                "--help" | "-h" => {
-                    eprintln!("{}", Self::usage());
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown flag: {other}\n{}", Self::usage());
-                    std::process::exit(2);
-                }
-            }
-        }
-        opts
-    }
-
-    fn value<T: std::str::FromStr, I: Iterator<Item = String>>(it: &mut I, flag: &str) -> T {
-        it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{flag} requires a value\n{}", Self::usage());
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{}", Self::usage());
             std::process::exit(2);
+        })
+    }
+
+    /// Parse from an explicit iterator (testable); `--help` prints the
+    /// usage and exits. `--paper-scale` and `--quick` set the split and
+    /// test-entity defaults that `--splits` and `--max-test` override.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        let args = SPEC.parse(args)?;
+        if args.help() {
+            eprintln!("{}", Self::usage());
+            std::process::exit(0);
+        }
+        let quick = args.has("--quick");
+        let paper_scale = args.has("--paper-scale");
+        let defaults = Self::default();
+        let (splits, max_test_entities) = if paper_scale {
+            (10, usize::MAX)
+        } else if quick {
+            (1, 6)
+        } else {
+            (defaults.splits, defaults.max_test_entities)
+        };
+        Ok(Self {
+            quick,
+            paper_scale,
+            seed: args.num("--seed")?.unwrap_or(defaults.seed),
+            splits: args.num("--splits")?.unwrap_or(splits),
+            max_test_entities: args.num("--max-test")?.unwrap_or(max_test_entities),
+            entities: args.num("--entities")?,
+            json: args.has("--json"),
+            emit_metrics: args.get("--emit-metrics").map(str::to_owned),
         })
     }
 
@@ -125,7 +125,13 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> BenchOpts {
-        BenchOpts::parse(args.iter().map(|s| s.to_string()))
+        BenchOpts::parse(args.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    #[test]
+    fn usage_lists_every_declared_flag() {
+        let usage = l2q_service::cli::usage_flags(BenchOpts::usage());
+        assert_eq!(usage, SPEC.flags());
     }
 
     #[test]
@@ -146,6 +152,9 @@ mod tests {
 
         let o = parse(&["--emit-metrics", "/tmp/m.json"]);
         assert_eq!(o.emit_metrics.as_deref(), Some("/tmp/m.json"));
+
+        let err = BenchOpts::parse(["--quik".to_string()]).unwrap_err();
+        assert_eq!(err, "unknown flag '--quik'");
     }
 
     #[test]

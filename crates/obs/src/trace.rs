@@ -29,7 +29,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// round-trips bit-exactly (f64 is integral-exact through 2^53).
 const ID_MASK: u64 = (1 << 48) - 1;
 
-/// Default ring capacity (spans); override with [`configure_capacity`].
+/// Capacity (spans) of the process-wide ring [`buffer`].
 pub const DEFAULT_BUFFER_CAPACITY: usize = 8192;
 
 /// The cross-process trace coordinates of the *current* span.
@@ -353,17 +353,10 @@ impl TraceBuffer {
 }
 
 static BUFFER: OnceLock<TraceBuffer> = OnceLock::new();
-static CONFIGURED_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_BUFFER_CAPACITY);
-
-/// Set the global buffer's capacity. Effective only before the first
-/// span is recorded (the ring is built once); later calls are ignored.
-pub fn configure_capacity(capacity: usize) {
-    CONFIGURED_CAPACITY.store(capacity.max(1), Ordering::Relaxed);
-}
 
 /// The process-wide span ring buffer.
 pub fn buffer() -> &'static TraceBuffer {
-    BUFFER.get_or_init(|| TraceBuffer::new(CONFIGURED_CAPACITY.load(Ordering::Relaxed)))
+    BUFFER.get_or_init(|| TraceBuffer::new(DEFAULT_BUFFER_CAPACITY))
 }
 
 #[cfg(test)]

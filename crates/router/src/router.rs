@@ -162,6 +162,9 @@ pub struct RouterCore {
     /// The shard supervisor, when this router spawned its own children
     /// (`--supervise`); `rolling_restart` and `supervisor_status` use it.
     supervisor: OnceLock<Arc<Supervisor>>,
+    /// The health prober's thread, unparked when a shard joins so the
+    /// newcomer need not wait out the prober's current park.
+    prober: OnceLock<std::thread::Thread>,
 }
 
 impl RouterCore {
@@ -174,7 +177,14 @@ impl RouterCore {
             placements: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             supervisor: OnceLock::new(),
+            prober: OnceLock::new(),
         }
+    }
+
+    /// Attach the health prober's thread (once, when the router server
+    /// starts).
+    pub(crate) fn set_prober(&self, prober: std::thread::Thread) {
+        let _ = self.prober.set(prober);
     }
 
     /// Attach the shard supervisor (once, at startup). Enables the
@@ -225,6 +235,9 @@ impl RouterCore {
                     .unwrap_or(0);
                 self.next_id.fetch_max(max + 1, Ordering::Relaxed);
             }
+        }
+        if let Some(prober) = self.prober.get() {
+            prober.unpark();
         }
         Ok(())
     }

@@ -47,16 +47,24 @@ impl RouterHandle {
         self.addr
     }
 
-    /// Whether shutdown has been requested (e.g. by a client's
-    /// `shutdown` op).
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+    /// Block until a client's `shutdown` op stops the router (the
+    /// reactor drains and exits), then join the background loops.
+    pub fn wait(mut self) {
+        self.engine.join();
+        self.shutdown();
     }
 
     /// Stop accepting, drain in-flight connections (the reactor bounds
-    /// the drain), join the prober; idempotent.
+    /// the drain), wake and join the prober and the rebalancer;
+    /// idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        for h in [&self.prober_thread, &self.rebalancer_thread]
+            .into_iter()
+            .flatten()
+        {
+            h.thread().unpark();
+        }
         self.engine.join();
         if let Some(h) = self.prober_thread.take() {
             let _ = h.join();
@@ -105,6 +113,7 @@ impl RouterServer {
         let prober_thread = std::thread::Builder::new()
             .name("l2q-router-prober".into())
             .spawn(move || prober_loop(probe_core, probe_stop))?;
+        core.set_prober(prober_thread.thread().clone());
 
         // The load rebalancer is opt-in: a zero interval keeps the fleet
         // placement purely ring + explicit migrations.
@@ -174,29 +183,28 @@ fn probe_jitter(name: &str, round: u64, interval: Duration) -> Duration {
 fn prober_loop(core: Arc<RouterCore>, stop: Arc<AtomicBool>) {
     let interval = core.config().probe_interval;
     let client_cfg = core.config().client;
-    // Per-shard next-probe deadline; new shards (join_shard) get probed
-    // within one interval of appearing.
+    // Per-shard next-probe deadline. The loop parks until the earliest
+    // one; `RouterCore::add_shard` unparks it, so a shard that joins is
+    // scheduled at once and first probed within a quarter interval.
     let mut schedule: HashMap<String, (Instant, u64)> = HashMap::new();
     while !stop.load(Ordering::SeqCst) {
         let now = Instant::now();
+        let mut wake = now + interval;
         for shard in core.all_shards() {
             let (due, round) = *schedule
                 .entry(shard.name().to_owned())
                 .or_insert_with(|| (now + probe_jitter(shard.name(), 0, interval), 0));
             if now < due {
+                wake = wake.min(due);
                 continue;
             }
             probe_one(&core, &shard, &client_cfg);
             let next_round = round + 1;
-            schedule.insert(
-                shard.name().to_owned(),
-                (
-                    now + interval + probe_jitter(shard.name(), next_round, interval),
-                    next_round,
-                ),
-            );
+            let next_due = now + interval + probe_jitter(shard.name(), next_round, interval);
+            wake = wake.min(next_due);
+            schedule.insert(shard.name().to_owned(), (next_due, next_round));
         }
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::park_timeout(wake.saturating_duration_since(Instant::now()));
     }
 }
 
@@ -210,8 +218,8 @@ fn probe_one(core: &Arc<RouterCore>, shard: &Arc<Shard>, cfg: &l2q_service::Clie
 
 /// Background load rebalancer: one [`RouterCore::rebalance_once`] pass
 /// per interval. Hysteresis and the per-pass budget live in the core;
-/// this loop only paces it (and sleeps in short slices so shutdown never
-/// waits out a long interval).
+/// this loop only paces it, parked between passes
+/// (`RouterHandle::shutdown` unparks it).
 fn rebalancer_loop(core: Arc<RouterCore>, stop: Arc<AtomicBool>) {
     let interval = core.config().rebalance_interval;
     let mut next = Instant::now() + interval;
@@ -220,6 +228,6 @@ fn rebalancer_loop(core: Arc<RouterCore>, stop: Arc<AtomicBool>) {
             core.rebalance_once();
             next = Instant::now() + interval;
         }
-        std::thread::sleep(Duration::from_millis(50).min(interval));
+        std::thread::park_timeout(next.saturating_duration_since(Instant::now()));
     }
 }

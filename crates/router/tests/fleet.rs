@@ -601,6 +601,45 @@ fn join_shard_refuses_a_name_outside_the_label_charset() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The prober and the rebalancer park between passes. A shard that
+/// joins wakes the prober, so it is probed within a quarter interval
+/// (its first-round jitter) rather than after the prober's current park,
+/// and shutdown wakes both loops instead of waiting out their intervals.
+#[test]
+fn joined_shard_is_probed_promptly_and_shutdown_wakes_parked_loops() {
+    let interval = Duration::from_secs(6);
+    let core = Arc::new(RouterCore::new(RouterConfig {
+        probe_interval: interval,
+        rebalance_interval: Duration::from_secs(60),
+        ..RouterConfig::default()
+    }));
+    let mut router = RouterServer::spawn(core.clone(), "127.0.0.1:0").expect("bind router");
+    // Let the prober park on an empty fleet first.
+    std::thread::sleep(Duration::from_millis(100));
+
+    // Nothing listens on port 1, so the first probe fails and marks the
+    // shard suspect.
+    core.add_shard("ghost", "127.0.0.1:1").unwrap();
+    let joined = std::time::Instant::now();
+    let ghost = core.shard("ghost").unwrap();
+    while ghost.health() == Health::Healthy {
+        assert!(
+            joined.elapsed() < interval / 2,
+            "joined shard not probed within half an interval"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(ghost.health(), Health::Suspect);
+
+    let stopping = std::time::Instant::now();
+    router.shutdown();
+    assert!(
+        stopping.elapsed() < Duration::from_secs(2),
+        "shutdown took {:?}",
+        stopping.elapsed()
+    );
+}
+
 /// Split-brain failover: **two** routers independently walk their rings
 /// for the same dead session and restore it on *different* survivors.
 /// Store fencing must pick exactly one owner — the survivor fenced last

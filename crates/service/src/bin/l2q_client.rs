@@ -1,33 +1,10 @@
 //! `l2q-client` — drive a running harvest server from the command line.
 //!
-//! ```text
-//! l2q-client --addr HOST:PORT ping
-//! l2q-client --addr HOST:PORT harvest --entity N --aspect NAME
-//!            [--selector l2qp|l2qr|l2qbal|l2qw=W] [--queries N] [--domain-size N]
-//! l2q-client --addr HOST:PORT create --entity N --aspect NAME [...]
-//! l2q-client --addr HOST:PORT step --session ID [--steps N] [--trace]
-//! l2q-client --addr HOST:PORT status --session ID
-//! l2q-client --addr HOST:PORT snapshot --session ID
-//! l2q-client --addr HOST:PORT persist --session ID
-//! l2q-client --addr HOST:PORT restore --session ID
-//! l2q-client --addr HOST:PORT sessions
-//! l2q-client --addr HOST:PORT stats
-//! l2q-client --addr HOST:PORT metrics [--json] [--local]
-//! l2q-client --addr HOST:PORT trace --id TRACE_ID
-//! l2q-client --addr HOST:PORT trace --slow|--recent [--limit N]
-//! l2q-client --addr HOST:PORT probe [--battery all|oversized|garbage|panic|deadline|slowloris|capacity]
-//!            [--line-bytes N] [--connections N] [--slow-conns N] [--hold-ms MS]
-//! l2q-client --addr HOST:PORT shutdown
-//! l2q-client --router HOST:PORT fleet status
-//! l2q-client --router HOST:PORT fleet join --shard NAME --shard-addr HOST:PORT
-//! l2q-client --router HOST:PORT fleet drain --shard NAME
-//! l2q-client --router HOST:PORT fleet migrate --session ID [--target NAME]
-//! l2q-client --router HOST:PORT fleet rolling-restart
-//! l2q-client --router HOST:PORT fleet supervise
-//! ```
+//! Takes the commands and flags in [`USAGE`] (`l2q-client --help`) and
+//! refuses any other.
 //!
 //! `--router` is an alias for `--addr`: an `l2q-router` front door speaks
-//! the same protocol, so every command above works against a fleet
+//! the same protocol, so every command works against a fleet
 //! unchanged (routed responses additionally name the serving shard). The
 //! `fleet` subcommands drive the router's admin ops: topology + health,
 //! runtime shard join, drain (migrate everything off a shard), and live
@@ -60,6 +37,7 @@
 //! connections past `--connections` must be refused with
 //! `"server at capacity"`.
 
+use l2q_service::cli::{Args, Spec};
 use l2q_service::Client;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -102,6 +80,56 @@ pass `--local` for the router's own registry. `step --trace` prints a
 trace id for `trace --id` (stitched across router and shards).
 ";
 
+const SPEC: Spec = Spec {
+    numbers: &[
+        "--entity",
+        "--queries",
+        "--domain-size",
+        "--session",
+        "--steps",
+        "--limit",
+        "--line-bytes",
+        "--connections",
+        "--slow-conns",
+        "--hold-ms",
+    ],
+    values: &[
+        "--addr",
+        "--router",
+        "--aspect",
+        "--selector",
+        "--id",
+        "--battery",
+        "--shard",
+        "--shard-addr",
+        "--target",
+    ],
+    repeated: &[],
+    bare: &["--trace", "--json", "--local", "--slow", "--recent"],
+    words: &[
+        "ping",
+        "harvest",
+        "create",
+        "step",
+        "status",
+        "snapshot",
+        "persist",
+        "restore",
+        "sessions",
+        "stats",
+        "metrics",
+        "trace",
+        "probe",
+        "shutdown",
+        "fleet",
+        "join",
+        "drain",
+        "migrate",
+        "rolling-restart",
+        "supervise",
+    ],
+};
+
 /// Write to stdout. A reader that hangs up early (`| head`, `| grep -q`)
 /// already has what it wanted, so a broken pipe ends the process quietly
 /// with success instead of a panic.
@@ -121,65 +149,37 @@ macro_rules! outln {
     };
 }
 
-fn parse(key: &str, args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn parse_num<T: std::str::FromStr>(key: &str, args: &[String]) -> Result<Option<T>, String> {
-    match parse(key, args) {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{key} expects a number, got '{v}'")),
-    }
-}
-
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
+    let args = SPEC.parse(std::env::args().skip(1))?;
+    if args.help() || std::env::args().len() == 1 {
         write_stdout(format_args!("{USAGE}"));
         return Ok(());
     }
-    let addr = parse("--addr", &args)
-        .or_else(|| parse("--router", &args))
+    let addr = args
+        .get("--addr")
+        .or(args.get("--router"))
         .ok_or("--addr (or --router) is required")?;
-    let command = args
-        .iter()
-        .find(|a| {
-            matches!(
-                a.as_str(),
-                "ping"
-                    | "harvest"
-                    | "create"
-                    | "step"
-                    | "status"
-                    | "snapshot"
-                    | "persist"
-                    | "restore"
-                    | "sessions"
-                    | "stats"
-                    | "metrics"
-                    | "trace"
-                    | "probe"
-                    | "fleet"
-                    | "shutdown"
+    let (command, fleet_sub) = match args.words() {
+        [] => return Err(
+            "missing command (ping|harvest|create|step|status|snapshot|persist|restore|sessions|stats|metrics|trace|probe|fleet|shutdown)".into(),
+        ),
+        ["fleet"] => {
+            return Err(
+                "fleet needs a subcommand (status|join|drain|migrate|rolling-restart|supervise)"
+                    .into(),
             )
-        })
-        .cloned()
-        .ok_or(
-            "missing command (ping|harvest|create|step|status|snapshot|persist|restore|sessions|stats|metrics|trace|probe|fleet|shutdown)",
-        )?;
+        }
+        ["fleet", sub] => ("fleet", *sub),
+        [command] => (*command, ""),
+        [_, extra, ..] => return Err(format!("unexpected argument '{extra}'")),
+    };
 
     if command == "probe" {
-        return run_probes(&addr, &args);
+        return run_probes(addr, &args);
     }
 
-    let mut client = Client::connect(&addr).map_err(|e| e.to_string())?;
-    match command.as_str() {
+    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
+    match command {
         "ping" => {
             client
                 .request(&l2q_service::Request::op("ping"))
@@ -187,14 +187,14 @@ fn run() -> Result<(), String> {
             outln!("pong");
         }
         "harvest" => {
-            let entity: u32 = parse_num("--entity", &args)?.ok_or("--entity is required")?;
-            let aspect = parse("--aspect", &args).ok_or("--aspect is required")?;
-            let selector = parse("--selector", &args).unwrap_or_else(|| "l2qbal".into());
-            let n_queries: Option<u32> = parse_num("--queries", &args)?;
-            let domain_size: u32 = parse_num("--domain-size", &args)?.unwrap_or(0);
+            let entity: u32 = args.num("--entity")?.ok_or("--entity is required")?;
+            let aspect = args.get("--aspect").ok_or("--aspect is required")?;
+            let selector = args.get("--selector").unwrap_or("l2qbal");
+            let n_queries: Option<u32> = args.num("--queries")?;
+            let domain_size: u32 = args.num("--domain-size")?.unwrap_or(0);
 
             let session = client
-                .create(entity, &aspect, &selector, n_queries, domain_size)
+                .create(entity, aspect, selector, n_queries, domain_size)
                 .map_err(|e| e.to_string())?;
             loop {
                 let resp = client.step(session, 8, 40).map_err(|e| e.to_string())?;
@@ -216,20 +216,20 @@ fn run() -> Result<(), String> {
             client.close(session).map_err(|e| e.to_string())?;
         }
         "create" => {
-            let entity: u32 = parse_num("--entity", &args)?.ok_or("--entity is required")?;
-            let aspect = parse("--aspect", &args).ok_or("--aspect is required")?;
-            let selector = parse("--selector", &args).unwrap_or_else(|| "l2qbal".into());
-            let n_queries: Option<u32> = parse_num("--queries", &args)?;
-            let domain_size: u32 = parse_num("--domain-size", &args)?.unwrap_or(0);
+            let entity: u32 = args.num("--entity")?.ok_or("--entity is required")?;
+            let aspect = args.get("--aspect").ok_or("--aspect is required")?;
+            let selector = args.get("--selector").unwrap_or("l2qbal");
+            let n_queries: Option<u32> = args.num("--queries")?;
+            let domain_size: u32 = args.num("--domain-size")?.unwrap_or(0);
             let session = client
-                .create(entity, &aspect, &selector, n_queries, domain_size)
+                .create(entity, aspect, selector, n_queries, domain_size)
                 .map_err(|e| e.to_string())?;
             outln!("session: {session}");
         }
         "step" => {
-            let session: u64 = parse_num("--session", &args)?.ok_or("--session is required")?;
-            let steps: u32 = parse_num("--steps", &args)?.unwrap_or(1);
-            let traced = args.iter().any(|a| a == "--trace");
+            let session: u64 = args.num("--session")?.ok_or("--session is required")?;
+            let steps: u32 = args.num("--steps")?.unwrap_or(1);
+            let traced = args.has("--trace");
             let resp = if traced {
                 client.step_traced(session, steps, 40)
             } else {
@@ -252,7 +252,7 @@ fn run() -> Result<(), String> {
             }
         }
         "status" => {
-            let session: u64 = parse_num("--session", &args)?.ok_or("--session is required")?;
+            let session: u64 = args.num("--session")?.ok_or("--session is required")?;
             let resp = client.status(session).map_err(|e| e.to_string())?;
             outln!(
                 "session {session}: {} {} queries, {} pages{}",
@@ -263,7 +263,7 @@ fn run() -> Result<(), String> {
             );
         }
         "snapshot" => {
-            let session: u64 = parse_num("--session", &args)?.ok_or("--session is required")?;
+            let session: u64 = args.num("--session")?.ok_or("--session is required")?;
             let snap = client.snapshot(session).map_err(|e| e.to_string())?;
             for q in snap.queries.unwrap_or_default() {
                 outln!("query: {q}");
@@ -271,7 +271,7 @@ fn run() -> Result<(), String> {
             outln!("pages: {:?}", snap.pages.unwrap_or_default());
         }
         "persist" => {
-            let session: u64 = parse_num("--session", &args)?.ok_or("--session is required")?;
+            let session: u64 = args.num("--session")?.ok_or("--session is required")?;
             let resp = client.persist(session).map_err(|e| e.to_string())?;
             outln!(
                 "persisted session {session}: {} queries, {} pages",
@@ -280,7 +280,7 @@ fn run() -> Result<(), String> {
             );
         }
         "restore" => {
-            let session: u64 = parse_num("--session", &args)?.ok_or("--session is required")?;
+            let session: u64 = args.num("--session")?.ok_or("--session is required")?;
             let resp = client.restore(session).map_err(|e| e.to_string())?;
             outln!(
                 "restored session {session}: {}: {} queries, {} pages",
@@ -311,15 +311,7 @@ fn run() -> Result<(), String> {
                 }
             }
         }
-        "fleet" => {
-            let sub = args
-                .iter()
-                .position(|a| a == "fleet")
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-                .ok_or("fleet needs a subcommand (status|join|drain|migrate|rolling-restart|supervise)")?;
-            run_fleet(&mut client, &sub, &args)?;
-        }
+        "fleet" => run_fleet(&mut client, fleet_sub, &args)?,
         "stats" => {
             let resp = client.stats().map_err(|e| e.to_string())?;
             let body = serde_json::to_string_pretty(&resp.stats.unwrap_or_default())
@@ -330,12 +322,8 @@ fn run() -> Result<(), String> {
             // A --router target gets the fleet-merged plane by default;
             // --local asks for the target's own registry (the only
             // behavior --addr targets have).
-            let fleet = parse("--router", &args).is_some() && !args.iter().any(|a| a == "--local");
-            let format = if args.iter().any(|a| a == "--json") {
-                "json"
-            } else {
-                "text"
-            };
+            let fleet = args.get("--router").is_some() && !args.has("--local");
+            let format = if args.has("--json") { "json" } else { "text" };
             let resp = if fleet {
                 client.fleet_metrics(format)
             } else {
@@ -400,10 +388,10 @@ fn span_line(s: &l2q_service::proto::SpanBody) -> String {
 /// The `trace` command: fetch one stitched trace (`--id`) and render it
 /// as an indented duration tree, or list the slowest roots (`--slow`) /
 /// newest spans (`--recent`) from the target's ring buffer.
-fn run_trace(client: &mut Client, args: &[String]) -> Result<(), String> {
-    let limit: u64 = parse_num("--limit", args)?.unwrap_or(16);
-    if args.iter().any(|a| a == "--slow") || args.iter().any(|a| a == "--recent") {
-        let slow = args.iter().any(|a| a == "--slow");
+fn run_trace(client: &mut Client, args: &Args) -> Result<(), String> {
+    let limit: u64 = args.num("--limit")?.unwrap_or(16);
+    if args.has("--slow") || args.has("--recent") {
+        let slow = args.has("--slow");
         let resp = if slow {
             client.trace_slow(limit)
         } else {
@@ -425,8 +413,10 @@ fn run_trace(client: &mut Client, args: &[String]) -> Result<(), String> {
         );
         return Ok(());
     }
-    let id_arg = parse("--id", args).ok_or("trace needs --id TRACE_ID (or --slow/--recent)")?;
-    let trace_id = parse_trace_id(&id_arg)?;
+    let id_arg = args
+        .get("--id")
+        .ok_or("trace needs --id TRACE_ID (or --slow/--recent)")?;
+    let trace_id = parse_trace_id(id_arg)?;
     let resp = client.trace_by_id(trace_id).map_err(|e| e.to_string())?;
     let spans = resp.spans.unwrap_or_default();
     if spans.is_empty() {
@@ -489,7 +479,7 @@ fn shard_suffix(resp: &l2q_service::Response) -> String {
 }
 
 /// The router admin surface: `fleet status|join|drain|migrate`.
-fn run_fleet(client: &mut Client, sub: &str, args: &[String]) -> Result<(), String> {
+fn run_fleet(client: &mut Client, sub: &str, args: &Args) -> Result<(), String> {
     match sub {
         "status" => {
             let resp = client.fleet_status().map_err(|e| e.to_string())?;
@@ -507,16 +497,14 @@ fn run_fleet(client: &mut Client, sub: &str, args: &[String]) -> Result<(), Stri
             }
         }
         "join" => {
-            let shard = parse("--shard", args).ok_or("--shard is required")?;
-            let addr = parse("--shard-addr", args).ok_or("--shard-addr is required")?;
-            client
-                .join_shard(&shard, &addr)
-                .map_err(|e| e.to_string())?;
+            let shard = args.get("--shard").ok_or("--shard is required")?;
+            let addr = args.get("--shard-addr").ok_or("--shard-addr is required")?;
+            client.join_shard(shard, addr).map_err(|e| e.to_string())?;
             outln!("shard {shard} joined at {addr}");
         }
         "drain" => {
-            let shard = parse("--shard", args).ok_or("--shard is required")?;
-            let resp = client.drain_shard(&shard).map_err(|e| e.to_string())?;
+            let shard = args.get("--shard").ok_or("--shard is required")?;
+            let resp = client.drain_shard(shard).map_err(|e| e.to_string())?;
             outln!(
                 "shard {shard} draining: {} session(s) migrated",
                 resp.migrated.unwrap_or(0)
@@ -526,10 +514,9 @@ fn run_fleet(client: &mut Client, sub: &str, args: &[String]) -> Result<(), Stri
             }
         }
         "migrate" => {
-            let session: u64 = parse_num("--session", args)?.ok_or("--session is required")?;
-            let target = parse("--target", args);
+            let session: u64 = args.num("--session")?.ok_or("--session is required")?;
             let resp = client
-                .migrate(session, target.as_deref())
+                .migrate(session, args.get("--target"))
                 .map_err(|e| e.to_string())?;
             outln!(
                 "session {session} migrated to shard {}: {} {} queries, {} pages",
@@ -802,30 +789,30 @@ fn probe_capacity(addr: &str, cap: usize) -> Result<(), String> {
     Err(format!("capacity probe never saw a refusal; last: {last}"))
 }
 
-fn run_probes(addr: &str, args: &[String]) -> Result<(), String> {
-    let battery = parse("--battery", args).unwrap_or_else(|| "all".into());
-    let line_bytes: usize = parse_num("--line-bytes", args)?.unwrap_or(512 * 1024);
-    let connections: Option<usize> = parse_num("--connections", args)?;
+fn run_probes(addr: &str, args: &Args) -> Result<(), String> {
+    let battery = args.get("--battery").unwrap_or("all");
+    let line_bytes: usize = args.num("--line-bytes")?.unwrap_or(512 * 1024);
+    let connections: Option<usize> = args.num("--connections")?;
     let mut ran = 0;
-    if matches!(battery.as_str(), "all" | "oversized") {
+    if matches!(battery, "all" | "oversized") {
         probe_oversized(addr, line_bytes)?;
         ran += 1;
     }
-    if matches!(battery.as_str(), "all" | "garbage") {
+    if matches!(battery, "all" | "garbage") {
         probe_garbage(addr)?;
         ran += 1;
     }
-    if matches!(battery.as_str(), "all" | "panic") {
+    if matches!(battery, "all" | "panic") {
         probe_panic(addr)?;
         ran += 1;
     }
-    if matches!(battery.as_str(), "all" | "deadline") {
+    if matches!(battery, "all" | "deadline") {
         probe_deadline(addr)?;
         ran += 1;
     }
-    if matches!(battery.as_str(), "all" | "slowloris") {
-        let conns: usize = parse_num("--slow-conns", args)?.unwrap_or(8);
-        let hold_ms: u64 = parse_num("--hold-ms", args)?.unwrap_or(3000);
+    if matches!(battery, "all" | "slowloris") {
+        let conns: usize = args.num("--slow-conns")?.unwrap_or(8);
+        let hold_ms: u64 = args.num("--hold-ms")?.unwrap_or(3000);
         probe_slowloris(addr, conns, hold_ms)?;
         ran += 1;
     }
@@ -853,5 +840,15 @@ fn main() -> ExitCode {
             eprint!("{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_declared_flag() {
+        assert_eq!(l2q_service::cli::usage_flags(USAGE), SPEC.flags());
     }
 }

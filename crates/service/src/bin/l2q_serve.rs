@@ -1,19 +1,9 @@
 //! `l2q-serve` — stand up a harvest server over a synthetic corpus.
 //!
-//! ```text
-//! l2q-serve [--domain researchers|cars] [--entities N] [--pages N] [--seed N]
-//!           [--port P] [--workers N] [--queue-cap N] [--idle-timeout SECS]
-//!           [--max-connections N] [--max-line-bytes N]
-//!           [--request-deadline-ms MS] [--metrics-interval SECS]
-//!           [--data-dir PATH] [--fsync always|never|every=N] [--snapshot-every N]
-//!           [--shard-id NAME] [--trace-buffer N]
-//! ```
-//!
-//! Prints `listening on <addr>` once ready (`--port 0` picks an
+//! Takes the flags in [`USAGE`] (`l2q-serve --help`) and refuses any
+//! other. Prints `listening on <addr>` once ready (`--port 0` picks an
 //! ephemeral port), then serves every connection from one epoll
 //! readiness loop until a client sends `{"op":"shutdown"}`.
-//! With `--metrics-interval N`, a one-line summary (active sessions, qps,
-//! p95 step latency) is logged to stderr every N seconds.
 //!
 //! With `--data-dir`, every session is durably checkpointed (WAL +
 //! snapshots) and sessions from a previous run of the same directory are
@@ -22,6 +12,7 @@
 //! to make sense.
 
 use l2q_corpus::{cars_domain, generate, researchers_domain, CorpusConfig};
+use l2q_service::cli::Spec;
 use l2q_service::{BundleConfig, HarvestServer, ServerConfig, ServingBundle};
 use l2q_store::{FsyncPolicy, SessionStore, StoreConfig};
 use std::process::ExitCode;
@@ -33,58 +24,70 @@ l2q-serve — concurrent harvest server (Learning to Query)
 
 USAGE:
   l2q-serve [--domain researchers|cars] [--entities N] [--pages N] [--seed N]
-            [--port P] [--workers N] [--queue-cap N] [--idle-timeout SECS]
+            [--port P] [--workers N] [--idle-timeout SECS]
             [--max-connections N] [--max-line-bytes N]
-            [--request-deadline-ms MS] [--metrics-interval SECS]
-            [--data-dir PATH] [--fsync always|never|every=N] [--snapshot-every N]
-            [--shard-id NAME] [--trace-buffer N]
+            [--data-dir PATH [--fsync always|never|every=N]] [--shard-id NAME]
 ";
 
-fn parse(key: &str, args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn parse_num<T: std::str::FromStr>(key: &str, args: &[String], default: T) -> Result<T, String> {
-    match parse(key, args) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{key} expects a number, got '{v}'")),
-    }
-}
+const SPEC: Spec = Spec {
+    numbers: &[
+        "--entities",
+        "--pages",
+        "--seed",
+        "--port",
+        "--workers",
+        "--idle-timeout",
+        "--max-connections",
+        "--max-line-bytes",
+    ],
+    values: &["--domain", "--data-dir", "--fsync", "--shard-id"],
+    repeated: &[],
+    bare: &[],
+    words: &[],
+};
 
 fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    let args = SPEC.parse(std::env::args().skip(1))?;
+    if args.help() {
         print!("{USAGE}");
         return Ok(());
     }
 
-    let domain = parse("--domain", &args).unwrap_or_else(|| "researchers".into());
-    let spec = match domain.as_str() {
+    let domain = args.get("--domain").unwrap_or("researchers");
+    let spec = match domain {
         "researchers" => researchers_domain(),
         "cars" => cars_domain(),
         other => return Err(format!("unknown domain '{other}' (researchers|cars)")),
     };
     let corpus_cfg = CorpusConfig {
-        n_entities: parse_num("--entities", &args, 40)?,
-        pages_per_entity: parse_num("--pages", &args, 20)?,
-        seed: parse_num("--seed", &args, 42u64)?,
+        n_entities: args.num("--entities")?.unwrap_or(40),
+        pages_per_entity: args.num("--pages")?.unwrap_or(20),
+        seed: args.num("--seed")?.unwrap_or(42),
         ..CorpusConfig::default()
     };
-    let port: u16 = parse_num("--port", &args, 4417)?;
+    let port: u16 = args.num("--port")?.unwrap_or(4417);
     let defaults = ServerConfig::default();
     let server_cfg = ServerConfig {
-        workers: parse_num("--workers", &args, 4usize)?.max(1),
-        queue_cap: parse_num("--queue-cap", &args, 64usize)?.max(1),
-        idle_timeout: Duration::from_secs(parse_num("--idle-timeout", &args, 300u64)?),
-        max_connections: parse_num("--max-connections", &args, defaults.max_connections)?.max(1),
-        max_line_bytes: parse_num("--max-line-bytes", &args, defaults.max_line_bytes)?.max(64),
-        request_deadline_ms: parse_num("--request-deadline-ms", &args, 0u64)?,
-        shard_id: parse("--shard-id", &args),
+        workers: args.num("--workers")?.unwrap_or(defaults.workers).max(1),
+        idle_timeout: args
+            .num("--idle-timeout")?
+            .map_or(defaults.idle_timeout, Duration::from_secs),
+        max_connections: args
+            .num("--max-connections")?
+            .unwrap_or(defaults.max_connections)
+            .max(1),
+        max_line_bytes: args
+            .num("--max-line-bytes")?
+            .unwrap_or(defaults.max_line_bytes)
+            .max(64),
+        shard_id: args.get("--shard-id").map(str::to_owned),
+        ..defaults
+    };
+    let fsync = match (args.get("--fsync"), args.get("--data-dir")) {
+        (None, _) => FsyncPolicy::default(),
+        (Some(_), None) => return Err("--fsync needs --data-dir".into()),
+        (Some(v), Some(_)) => FsyncPolicy::parse(v)
+            .ok_or_else(|| format!("--fsync expects always|never|every=N, got '{v}'"))?,
     };
 
     eprintln!(
@@ -99,29 +102,14 @@ fn run() -> Result<(), String> {
         BundleConfig::default(),
     ));
 
-    let metrics_interval: u64 = parse_num("--metrics-interval", &args, 0u64)?;
-
-    // Size the trace ring buffer before the first traced request touches
-    // it (the capacity freezes on first use; 0 keeps the default).
-    let trace_buffer: usize = parse_num("--trace-buffer", &args, 0usize)?;
-    if trace_buffer > 0 {
-        l2q_obs::trace::configure_capacity(trace_buffer);
-    }
-
-    let store = match parse("--data-dir", &args) {
+    let store = match args.get("--data-dir") {
         None => None,
         Some(dir) => {
-            let fsync = match parse("--fsync", &args) {
-                None => FsyncPolicy::default(),
-                Some(v) => FsyncPolicy::parse(&v)
-                    .ok_or_else(|| format!("--fsync expects always|never|every=N, got '{v}'"))?,
-            };
             let store_cfg = StoreConfig {
                 fsync,
-                snapshot_every: parse_num("--snapshot-every", &args, 8usize)?.max(1),
                 ..StoreConfig::default()
             };
-            let store = SessionStore::open(&dir, store_cfg)
+            let store = SessionStore::open(dir, store_cfg)
                 .map_err(|e| format!("cannot open data dir '{dir}': {e}"))?;
             let stored = store.list_sessions();
             eprintln!(
@@ -137,33 +125,12 @@ fn run() -> Result<(), String> {
         }
     };
 
-    let mut handle =
-        HarvestServer::spawn_with_store(bundle, server_cfg, store, ("127.0.0.1", port))
-            .map_err(|e| format!("bind failed: {e}"))?;
+    let handle = HarvestServer::spawn_with_store(bundle, server_cfg, store, ("127.0.0.1", port))
+        .map_err(|e| format!("bind failed: {e}"))?;
     println!("listening on {}", handle.addr());
 
-    // Serve until a client requests shutdown (or the process is killed),
-    // logging a metrics summary every --metrics-interval seconds.
-    let mut last_report = std::time::Instant::now();
-    let mut last_queries = 0u64;
-    while !handle.is_stopped() {
-        std::thread::sleep(Duration::from_millis(100));
-        if metrics_interval > 0 && last_report.elapsed() >= Duration::from_secs(metrics_interval) {
-            let reg = l2q_obs::global();
-            let queries = reg.counter("harvest_queries_fired_total").get();
-            let qps = (queries - last_queries) as f64 / last_report.elapsed().as_secs_f64();
-            let step_p95 = reg.histogram("harvest_step_seconds").quantile(0.95);
-            eprintln!(
-                "metrics: sessions={} qps={qps:.1} step_p95={:.1}ms queue_depth={}",
-                reg.gauge("service_sessions_active").get(),
-                step_p95 * 1e3,
-                reg.gauge("scheduler_queue_depth").get(),
-            );
-            last_queries = queries;
-            last_report = std::time::Instant::now();
-        }
-    }
-    handle.shutdown();
+    // Serve until a client requests shutdown (or the process is killed).
+    handle.wait();
     eprintln!("server stopped");
     Ok(())
 }
@@ -176,5 +143,16 @@ fn main() -> ExitCode {
             eprint!("{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_every_declared_flag() {
+        assert_eq!(l2q_service::cli::usage_flags(USAGE), SPEC.flags());
+        assert_eq!(SPEC.flags().len(), 12);
     }
 }

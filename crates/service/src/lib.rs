@@ -24,6 +24,8 @@
 //!   against slow, oversized, and misbehaving peers (see `server` docs).
 //! * [`ops`] — op handling `l2q-router` shares with the server: per-op
 //!   instrumentation, the `metrics` op, and the local `trace` lookup.
+//! * [`cli`] — the argv parser every binary in the workspace declares
+//!   its flags to.
 //!
 //! Concurrency does not change harvest outcomes: sessions only share
 //! immutable state and caches whose hits are bit-identical to their
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod bundle;
+pub mod cli;
 pub mod client;
 pub mod framing;
 pub mod ops;

@@ -68,8 +68,8 @@ pub struct Request {
     pub request_id: Option<u64>,
     /// Per-request deadline in milliseconds (`step`). When the batch
     /// misses it the server answers `ok:false` with a deadline error and
-    /// the batch finishes in the background; 0 or absent falls back to
-    /// the server's `--request-deadline-ms` default.
+    /// the batch finishes in the background; 0 or absent waits for the
+    /// batch however long it takes.
     pub deadline_ms: Option<u64>,
     /// Shard name (`join_shard`/`drain_shard`, and the optional explicit
     /// target of `migrate`). Router-only; ignored by `l2q-serve`.

@@ -56,9 +56,6 @@ pub struct ServerConfig {
     /// Hard cap on one request line's bytes; an oversized line gets an
     /// `ok:false` error and the connection is closed.
     pub max_line_bytes: usize,
-    /// Default `step` deadline in milliseconds (0 = wait indefinitely);
-    /// requests may override with their own `deadline_ms`.
-    pub request_deadline_ms: u64,
     /// Fleet identity of this server (`l2q-serve --shard-id`), echoed in
     /// `stats` so a router can tell which shard answered. None = not a
     /// fleet member.
@@ -73,7 +70,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(300),
             max_connections: 256,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            request_deadline_ms: 0,
             shard_id: None,
         }
     }
@@ -93,10 +89,11 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Whether shutdown has been requested (e.g. by a client's
-    /// `shutdown` op) — the reactor has stopped accepting or soon will.
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+    /// Block until a client's `shutdown` op stops the server (the
+    /// reactor drains and exits), then join the other service threads.
+    pub fn wait(mut self) {
+        self.engine.join();
+        self.shutdown();
     }
 
     /// Stop accepting, drain in-flight connections (the reactor bounds
@@ -125,7 +122,6 @@ struct ServerCore {
     manager: SessionManager,
     scheduler: Scheduler,
     metrics: Arc<ServiceMetrics>,
-    request_deadline_ms: u64,
     shard_id: Option<String>,
 }
 
@@ -182,7 +178,6 @@ impl HarvestServer {
             manager: SessionManager::with_store(bundle, cfg.idle_timeout, metrics.clone(), store),
             scheduler: Scheduler::new(cfg.workers, cfg.queue_cap, metrics.clone()),
             metrics,
-            request_deadline_ms: cfg.request_deadline_ms,
             shard_id: cfg.shard_id.clone(),
         });
 
@@ -241,9 +236,7 @@ impl WireHandler for ServiceWire {
 
     fn deadline_ms(&self, req: &Request) -> u64 {
         if req.op == "step" {
-            req.deadline_ms
-                .filter(|&d| d > 0)
-                .unwrap_or(self.core.request_deadline_ms)
+            req.deadline_ms.unwrap_or(0)
         } else {
             0
         }

@@ -202,11 +202,14 @@ fn client_shutdown_op_stops_the_server() {
     let handle = start_server(corpus);
     let mut client = Client::connect(handle.addr()).expect("connect");
     client.shutdown_server().expect("shutdown");
-    for _ in 0..100 {
-        if handle.is_stopped() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("server did not observe the shutdown op");
+    // `wait` is what `l2q-serve` blocks in: it returns once the op has
+    // stopped the reactor and the service threads are joined.
+    let (done, waited) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.wait();
+        done.send(()).ok();
+    });
+    waited
+        .recv_timeout(Duration::from_secs(10))
+        .expect("server did not stop after the shutdown op");
 }

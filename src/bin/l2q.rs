@@ -1,18 +1,10 @@
 //! `l2q` — command-line interface to the Learning-to-Query pipeline.
 //!
-//! ```text
-//! l2q corpus   --domain researchers [--entities N] [--seed N]
-//! l2q aspects  --domain cars        [--entities N] [--seed N]
-//! l2q harvest  --domain researchers --entity 45 --aspect RESEARCH
-//!              [--method l2qbal|l2qp|l2qr|p|r|p+t|r+t|lm|aq|hr|mq|rnd|ideal]
-//!              [--queries N] [--paragraphs] [--model FILE]
-//! l2q export-model --domain researchers --out model.json
-//! ```
-//!
-//! Everything runs on the built-in synthetic corpora (deterministic per
-//! seed); `harvest` prints the fired queries and the resulting
-//! precision/recall, `export-model` persists a learned domain model as
-//! portable JSON that `harvest --model` can reload.
+//! Takes the commands and flags in [`USAGE`] (`l2q help`) and refuses
+//! any other. Everything runs on the built-in synthetic corpora
+//! (deterministic per seed); `harvest` prints the fired queries and the
+//! resulting precision/recall, `export-model` persists a learned domain
+//! model as portable JSON that `harvest --model` can reload.
 
 use l2q::aspect::{train_aspect_models, RelevanceOracle, TrainConfig};
 use l2q::baselines::{
@@ -25,78 +17,55 @@ use l2q::corpus::{
 };
 use l2q::eval::{page_metrics, IdealSelector};
 use l2q::retrieval::SearchEngine;
-use std::collections::HashMap;
+use l2q_service::cli::{Args, Spec};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
 l2q — Learning to Query (ICDE 2016 reproduction)
 
 USAGE:
-  l2q corpus        --domain <researchers|cars> [--entities N] [--seed N]
-  l2q aspects       --domain <researchers|cars> [--entities N] [--seed N]
+  l2q corpus        --domain <researchers|cars> [--entities N] [--pages N] [--seed N]
+  l2q aspects       --domain <researchers|cars> [--entities N] [--pages N] [--seed N]
   l2q harvest       --domain <researchers|cars> --entity <INDEX> --aspect <NAME>
                     [--method NAME] [--queries N] [--seed N] [--entities N]
-                    [--paragraphs] [--model FILE]
+                    [--pages N] [--paragraphs] [--model FILE]
   l2q eval          --domain <researchers|cars> [--methods a,b,c] [--queries N]
-                    [--test N] [--entities N] [--seed N] [--paragraphs]
-  l2q export-model  --domain <researchers|cars> --out FILE [--entities N] [--seed N]
+                    [--test N] [--entities N] [--pages N] [--seed N] [--paragraphs]
+  l2q export-model  --domain <researchers|cars> --out FILE [--entities N] [--pages N]
+                    [--seed N]
 
 METHODS:
   l2qbal (default), l2qp, l2qr, p, r, p+t, r+t, p+q, r+q, lm, aq, hr, mq, rnd, ideal
 ";
 
-/// Minimal `--key value` / `--flag` parser.
-struct Args {
-    values: HashMap<String, String>,
-    flags: Vec<String>,
-    command: Option<String>,
-}
-
-impl Args {
-    fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut it = args.into_iter().peekable();
-        let command = it.next();
-        let mut values = HashMap::new();
-        let mut flags = Vec::new();
-        while let Some(arg) = it.next() {
-            let Some(key) = arg.strip_prefix("--") else {
-                return Err(format!("unexpected argument '{arg}'"));
-            };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    values.insert(key.to_owned(), it.next().expect("peeked"));
-                }
-                _ => flags.push(key.to_owned()),
-            }
-        }
-        Ok(Self {
-            values,
-            flags,
-            command,
-        })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects a number, got '{v}'")),
-        }
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
-
-    fn require(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("--{key} is required"))
-    }
-}
+const SPEC: Spec = Spec {
+    numbers: &[
+        "--entities",
+        "--pages",
+        "--seed",
+        "--entity",
+        "--queries",
+        "--test",
+    ],
+    values: &[
+        "--domain",
+        "--aspect",
+        "--method",
+        "--model",
+        "--methods",
+        "--out",
+    ],
+    repeated: &[],
+    bare: &["--paragraphs"],
+    words: &[
+        "corpus",
+        "aspects",
+        "harvest",
+        "eval",
+        "export-model",
+        "help",
+    ],
+};
 
 struct Session {
     corpus: std::sync::Arc<Corpus>,
@@ -105,7 +74,7 @@ struct Session {
 }
 
 fn build_session(args: &Args) -> Result<Session, String> {
-    let domain = args.require("domain")?;
+    let domain = args.get("--domain").ok_or("--domain is required")?;
     let spec = match domain {
         "researchers" => researchers_domain(),
         "cars" => cars_domain(),
@@ -113,13 +82,13 @@ fn build_session(args: &Args) -> Result<Session, String> {
     };
     let default_entities = if domain == "researchers" { 100 } else { 80 };
     let config = CorpusConfig {
-        n_entities: args.parsed("entities", default_entities)?,
-        pages_per_entity: args.parsed("pages", 30)?,
-        seed: args.parsed("seed", 42u64)?,
+        n_entities: args.num("--entities")?.unwrap_or(default_entities),
+        pages_per_entity: args.num("--pages")?.unwrap_or(30),
+        seed: args.num("--seed")?.unwrap_or(42),
         ..CorpusConfig::default()
     };
     let base = generate(&spec, &config).map_err(|e| e.to_string())?;
-    let corpus = if args.flag("paragraphs") {
+    let corpus = if args.has("--paragraphs") {
         explode_to_paragraphs(&base).0
     } else {
         base
@@ -190,10 +159,7 @@ fn cmd_aspects(args: &Args) -> Result<(), String> {
 fn cmd_harvest(args: &Args) -> Result<(), String> {
     let s = build_session(args)?;
     let c = &s.corpus;
-    let entity_idx: u32 = args
-        .require("entity")?
-        .parse()
-        .map_err(|_| "--entity expects an index".to_owned())?;
+    let entity_idx: u32 = args.num("--entity")?.ok_or("--entity is required")?;
     if entity_idx as usize >= c.entities.len() {
         return Err(format!(
             "entity index {entity_idx} out of range (corpus has {})",
@@ -201,14 +167,14 @@ fn cmd_harvest(args: &Args) -> Result<(), String> {
         ));
     }
     let entity = EntityId(entity_idx);
-    let aspect_name = args.require("aspect")?;
+    let aspect_name = args.get("--aspect").ok_or("--aspect is required")?;
     let aspect = c
         .aspect_by_name(aspect_name)
         .ok_or_else(|| format!("unknown aspect '{aspect_name}'"))?;
-    let method = args.get("method").unwrap_or("l2qbal").to_lowercase();
+    let method = args.get("--method").unwrap_or("l2qbal").to_lowercase();
 
     let engine = SearchEngine::with_defaults(s.corpus.clone());
-    let cfg = L2qConfig::default().with_n_queries(args.parsed("queries", 3usize)?);
+    let cfg = L2qConfig::default().with_n_queries(args.num("--queries")?.unwrap_or(3));
 
     // Domain phase from the other half of the corpus (excluding target).
     let domain_entities: Vec<EntityId> = c
@@ -216,7 +182,7 @@ fn cmd_harvest(args: &Args) -> Result<(), String> {
         .filter(|&e| e != entity)
         .take(c.entities.len() / 2)
         .collect();
-    let domain = match args.get("model") {
+    let domain = match args.get("--model") {
         Some(path) => {
             let json =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -240,7 +206,7 @@ fn cmd_harvest(args: &Args) -> Result<(), String> {
         domain: Some(&domain),
         cfg,
     };
-    let mut selector = make_selector(&method, args.parsed("seed", 42u64)?)?;
+    let mut selector = make_selector(&method, args.num("--seed")?.unwrap_or(42))?;
     let rec = harvester.run(entity, aspect, selector.as_mut());
 
     println!(
@@ -281,14 +247,14 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     let s = build_session(args)?;
     let c = &s.corpus;
     let engine = SearchEngine::with_defaults(s.corpus.clone());
-    let cfg = L2qConfig::default().with_n_queries(args.parsed("queries", 3usize)?);
-    let seed: u64 = args.parsed("seed", 42)?;
+    let cfg = L2qConfig::default().with_n_queries(args.num("--queries")?.unwrap_or(3));
+    let seed: u64 = args.num("--seed")?.unwrap_or(42);
 
     let split = make_splits(c.entities.len(), 1, seed ^ 0x51)
         .pop()
         .expect("one split");
     let mut test = split.test.clone();
-    test.truncate(args.parsed("test", 8usize)?);
+    test.truncate(args.num("--test")?.unwrap_or(8));
     let domain = learn_domain(c, &split.domain, &s.oracle, &cfg);
 
     let ctx = EvalContext {
@@ -302,7 +268,7 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     let bounds = ideal_bounds_parallel(&ctx, Some(&domain), &test, &cfg, threads);
 
     let methods: Vec<String> = args
-        .get("methods")
+        .get("--methods")
         .unwrap_or("l2qbal,l2qp,l2qr,lm,aq,hr,mq,rnd")
         .split(',')
         .map(|m| m.trim().to_lowercase())
@@ -348,7 +314,7 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
 
 fn cmd_export_model(args: &Args) -> Result<(), String> {
     let s = build_session(args)?;
-    let out = args.require("out")?;
+    let out = args.get("--out").ok_or("--out is required")?;
     let cfg = L2qConfig::default();
     let domain_entities: Vec<EntityId> = s
         .corpus
@@ -369,18 +335,22 @@ fn cmd_export_model(args: &Args) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::parse(std::env::args().skip(1))?;
-    match args.command.as_deref() {
-        Some("corpus") => cmd_corpus(&args),
-        Some("aspects") => cmd_aspects(&args),
-        Some("harvest") => cmd_harvest(&args),
-        Some("eval") => cmd_eval(&args),
-        Some("export-model") => cmd_export_model(&args),
-        Some("help") | None => {
+    let args = SPEC.parse(std::env::args().skip(1))?;
+    if args.help() {
+        println!("{USAGE}");
+        return Ok(());
+    }
+    match args.words() {
+        [] | ["help"] => {
             println!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
+        ["corpus"] => cmd_corpus(&args),
+        ["aspects"] => cmd_aspects(&args),
+        ["harvest"] => cmd_harvest(&args),
+        ["eval"] => cmd_eval(&args),
+        ["export-model"] => cmd_export_model(&args),
+        [.., extra] => Err(format!("unexpected argument '{extra}'")),
     }
 }
 
@@ -398,39 +368,9 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(parts: &[&str]) -> Args {
-        Args::parse(parts.iter().map(|s| s.to_string())).unwrap()
-    }
-
     #[test]
-    fn args_parse_values_and_flags() {
-        let a = parse(&[
-            "harvest",
-            "--domain",
-            "cars",
-            "--entity",
-            "3",
-            "--paragraphs",
-        ]);
-        assert_eq!(a.command.as_deref(), Some("harvest"));
-        assert_eq!(a.get("domain"), Some("cars"));
-        assert_eq!(a.get("entity"), Some("3"));
-        assert!(a.flag("paragraphs"));
-        assert!(!a.flag("json"));
-        assert_eq!(a.parsed("entity", 0u32).unwrap(), 3);
-        assert!(a.require("domain").is_ok());
-        assert!(a.require("missing").is_err());
-    }
-
-    #[test]
-    fn args_reject_positional_garbage() {
-        assert!(Args::parse(["harvest".into(), "oops".into()]).is_err());
-    }
-
-    #[test]
-    fn parsed_rejects_non_numeric() {
-        let a = parse(&["corpus", "--entities", "abc"]);
-        assert!(a.parsed("entities", 1usize).is_err());
+    fn usage_lists_every_declared_flag() {
+        assert_eq!(l2q_service::cli::usage_flags(USAGE), SPEC.flags());
     }
 
     #[test]
