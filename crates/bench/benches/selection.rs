@@ -161,7 +161,16 @@ fn sweep_counts(f: &Fixture, cfg: &L2qConfig) -> (Vec<u64>, Vec<u64>) {
             let candidates =
                 l2q_core::selector::page_candidates(&f.corpus, pages, &fired, run_cfg, &mut stops);
             let phase = EntityPhase::build_incremental(
-                &f.corpus, aspect, pages, &f.oracle, candidates, None, true, run_cfg, state,
+                &f.corpus,
+                aspect,
+                pages,
+                &f.oracle,
+                &candidates,
+                &fired,
+                None,
+                true,
+                run_cfg,
+                state,
             );
             let _ = phase.precision_with(Some(state));
             let _ = phase.recall_with(Some(state));
@@ -343,7 +352,8 @@ fn main() {
         aspect,
         &gathered,
         &f.oracle,
-        phase_candidates,
+        &phase_candidates,
+        &[],
         Some(&domain),
         true,
         &f.cfg,

@@ -8,10 +8,10 @@
 //! with at least 50 domain entities"), which is handled by the domain
 //! phase's [`crate::domain_phase::DomainModel`].
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::query::Query;
 use l2q_corpus::{Corpus, Page};
 use l2q_text::{is_stopword, ngrams, Sym};
-use std::collections::{HashMap, HashSet};
 
 /// Candidate enumeration configuration.
 #[derive(Clone, Copy, Debug)]
@@ -40,7 +40,7 @@ impl Default for CandidateConfig {
 /// Memoized per-symbol stopword test (string lookups done once per symbol).
 #[derive(Default, Debug)]
 pub struct StopwordCache {
-    map: HashMap<Sym, bool>,
+    map: FxHashMap<Sym, bool>,
 }
 
 impl StopwordCache {
@@ -61,6 +61,14 @@ impl StopwordCache {
     pub fn all_stop(&mut self, corpus: &Corpus, words: &[Sym]) -> bool {
         words.iter().all(|&w| self.is_stop(corpus, w))
     }
+
+    /// [`crate::selector::subset_of_seed`] through the cache: whether
+    /// every word of `q` is a seed word or a stopword.
+    pub(crate) fn subset_of_seed(&mut self, corpus: &Corpus, q: &Query, seed: &Query) -> bool {
+        q.words()
+            .iter()
+            .all(|&w| seed.words().contains(&w) || self.is_stop(corpus, w))
+    }
 }
 
 /// Enumerate the distinct candidate queries of one page (all-stopword
@@ -71,7 +79,7 @@ pub fn page_queries(
     max_len: usize,
     stops: &mut StopwordCache,
 ) -> Vec<Query> {
-    let mut seen: HashSet<Query> = HashSet::new();
+    let mut seen: FxHashSet<Query> = FxHashSet::default();
     let mut out = Vec::new();
     for para in &page.paragraphs {
         for gram in ngrams(&para.words, max_len) {
@@ -98,7 +106,7 @@ pub fn pages_queries<'a, I>(
 where
     I: IntoIterator<Item = &'a Page>,
 {
-    let mut seen: HashSet<Query> = HashSet::new();
+    let mut seen: FxHashSet<Query> = FxHashSet::default();
     let mut out = Vec::new();
     for page in pages {
         for q in page_queries(corpus, page, max_len, stops) {
@@ -110,19 +118,33 @@ where
     out
 }
 
-/// Cross-step candidate enumerator: because [`pages_queries`] dedupes in
-/// first-occurrence order over pages in order, enumerating only the pages
-/// added since the last step and appending their unseen queries yields
-/// exactly the same list as re-enumerating everything — without re-scanning
-/// the pages already processed.
+/// Cross-step page-candidate list: the harvester's
+/// [`crate::selector::page_candidates`] kept live across steps.
 ///
-/// Only valid while the page list grows by appending (the harvest loop's
-/// invariant); call [`IncrementalCandidates::reset`] if that ever breaks.
+/// [`pages_queries`] dedupes in first-occurrence order over pages in
+/// order, so enumerating only the pages added since the last step and
+/// appending their unseen queries yields the same list as enumerating
+/// everything again. The fired and seed-subset filters are applied the
+/// same way: a query is seed-tested once, when it first appears, and a
+/// fired query leaves the list once, when it fires. A query fired
+/// before any page enumerates it counts as already seen, so its later
+/// enumeration never adds it. A step therefore costs the new pages'
+/// enumeration plus one list removal, not a pass over every candidate.
+///
+/// Only valid while the page list and the fired list grow by appending
+/// (the harvest loop's invariant); a shorter list or a different seed
+/// resets the enumerator.
 #[derive(Default, Debug)]
 pub struct IncrementalCandidates {
-    seen: HashSet<Query>,
-    ordered: Vec<Query>,
+    /// Every query enumerated or fired so far.
+    seen: FxHashSet<Query>,
+    /// Enumerated, never fired and not a seed subset, in first-occurrence
+    /// order.
+    live: Vec<Query>,
+    /// The seed (`fired[0]`) the live list was filtered against.
+    seed: Option<Query>,
     pages_done: usize,
+    fired_done: usize,
 }
 
 impl IncrementalCandidates {
@@ -131,13 +153,15 @@ impl IncrementalCandidates {
         Self::default()
     }
 
-    /// Fold the pages beyond the already-processed prefix into the
-    /// candidate list. `pages` must extend the previously passed list by
-    /// appending; a shorter list resets the enumerator.
+    /// Fold the pages and fired queries beyond the already-processed
+    /// prefixes into the live list. `pages` and `fired` must extend the
+    /// previously passed lists by appending; a shorter list or another
+    /// seed resets the enumerator first.
     pub fn update<'a, I>(
         &mut self,
         corpus: &Corpus,
         pages: I,
+        fired: &[Query],
         max_len: usize,
         stops: &mut StopwordCache,
     ) where
@@ -145,31 +169,52 @@ impl IncrementalCandidates {
         I::IntoIter: ExactSizeIterator,
     {
         let iter = pages.into_iter();
-        if iter.len() < self.pages_done {
+        let seed = fired.first();
+        if iter.len() < self.pages_done
+            || fired.len() < self.fired_done
+            || seed != self.seed.as_ref()
+        {
             self.reset();
+            self.seed = seed.cloned();
         }
+        for q in &fired[self.fired_done..] {
+            if !self.seen.insert(q.clone()) {
+                // Enumerated before it fired: it leaves the live list.
+                if let Some(i) = self.live.iter().position(|c| c == q) {
+                    self.live.remove(i);
+                }
+            }
+        }
+        self.fired_done = fired.len();
         let skip = self.pages_done;
         self.pages_done = iter.len();
         for page in iter.skip(skip) {
             for q in page_queries(corpus, page, max_len, stops) {
-                if self.seen.insert(q.clone()) {
-                    self.ordered.push(q);
+                if self.seen.contains(&q) {
+                    continue;
+                }
+                self.seen.insert(q.clone());
+                if !seed.is_some_and(|s| stops.subset_of_seed(corpus, &q, s)) {
+                    self.live.push(q);
                 }
             }
         }
     }
 
-    /// All distinct candidates so far, in first-occurrence order —
-    /// identical to [`pages_queries`] over the full page list.
+    /// The live candidates, in first-occurrence order — identical to
+    /// [`crate::selector::page_candidates`] over the same pages and fired
+    /// queries (and to [`pages_queries`] when nothing has fired).
     pub fn queries(&self) -> &[Query] {
-        &self.ordered
+        &self.live
     }
 
     /// Forget everything (next [`IncrementalCandidates::update`] starts over).
     pub fn reset(&mut self) {
         self.seen.clear();
-        self.ordered.clear();
+        self.live.clear();
+        self.seed = None;
         self.pages_done = 0;
+        self.fired_done = 0;
     }
 }
 
@@ -177,6 +222,7 @@ impl IncrementalCandidates {
 mod tests {
     use super::*;
     use l2q_corpus::{generate, researchers_domain, CorpusConfig, EntityId};
+    use std::collections::HashSet;
 
     fn corpus() -> Corpus {
         generate(&researchers_domain(), &CorpusConfig::tiny()).unwrap()
@@ -240,10 +286,42 @@ mod tests {
         let mut inc = IncrementalCandidates::new();
         let mut stops = StopwordCache::new();
         for k in 1..=pages.len() {
-            inc.update(&c, pages[..k].iter(), 3, &mut stops);
+            inc.update(&c, pages[..k].iter(), &[], 3, &mut stops);
             let batch = pages_queries(&c, pages[..k].iter(), 3, &mut StopwordCache::new());
             assert_eq!(inc.queries(), &batch[..], "diverged at prefix {k}");
         }
+    }
+
+    /// The live list equals the cold `page_candidates` at every prefix
+    /// while queries fire: one fired before any page enumerates it (it
+    /// must never join), one fired after it was listed (it must leave).
+    #[test]
+    fn live_list_matches_page_candidates_as_queries_fire() {
+        use crate::config::L2qConfig;
+        use crate::selector::page_candidates;
+        let c = corpus();
+        let cfg = L2qConfig::default();
+        let entity = EntityId(2);
+        let pages = c.pages_of(entity);
+        let seed = Query::new(c.seed_query(entity));
+        let mut stops = StopwordCache::new();
+        let early = pages_queries(&c, pages[..pages.len() - 1].iter(), 3, &mut stops);
+        let late = page_queries(&c, &pages[pages.len() - 1], 3, &mut stops)
+            .into_iter()
+            .find(|q| !early.contains(q) && !stops.subset_of_seed(&c, q, &seed))
+            .expect("the last page enumerates a query of its own");
+        let mut fired = vec![seed, late.clone()];
+        let mut inc = IncrementalCandidates::new();
+        for k in 1..=pages.len() {
+            if k == 3 {
+                fired.push(inc.queries()[0].clone());
+            }
+            inc.update(&c, pages[..k].iter(), &fired, 3, &mut stops);
+            let ids: Vec<_> = pages[..k].iter().map(|p| p.id).collect();
+            let cold = page_candidates(&c, &ids, &fired, &cfg, &mut StopwordCache::new());
+            assert_eq!(inc.queries(), &cold[..], "diverged at prefix {k}");
+        }
+        assert!(!inc.queries().contains(&late));
     }
 
     #[test]
@@ -253,8 +331,8 @@ mod tests {
         assert!(pages.len() >= 2);
         let mut inc = IncrementalCandidates::new();
         let mut stops = StopwordCache::new();
-        inc.update(&c, pages.iter(), 3, &mut stops);
-        inc.update(&c, pages[..1].iter(), 3, &mut stops);
+        inc.update(&c, pages.iter(), &[], 3, &mut stops);
+        inc.update(&c, pages[..1].iter(), &[], 3, &mut stops);
         let batch = pages_queries(&c, pages[..1].iter(), 3, &mut StopwordCache::new());
         assert_eq!(inc.queries(), &batch[..]);
     }

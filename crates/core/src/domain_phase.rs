@@ -14,13 +14,15 @@
 
 use crate::candidates::{page_queries, StopwordCache};
 use crate::config::L2qConfig;
+use crate::fxhash::FxHashMap;
 use crate::query::Query;
 use crate::template::{templates_of, Template};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId};
 use l2q_graph::{solve, GraphBuilder, Regularization, UtilityKind};
 use l2q_retrieval::{DocId, InvertedIndex};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Precision and recall utility of one vertex.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -51,10 +53,14 @@ pub struct AspectDomainData {
 /// output), domain query statistics and the frequent-query candidate pool.
 #[derive(Debug, Default)]
 pub struct DomainModel {
+    /// Process-unique identity of this model's contents (0 for the empty
+    /// default): caches derived from a model compare ids, never
+    /// addresses, which a later model may reuse.
+    id: u64,
     queries: Vec<Query>,
-    query_index: HashMap<Query, u32>,
+    query_index: FxHashMap<Query, u32>,
     templates: Vec<Template>,
-    template_index: HashMap<Template, u32>,
+    template_index: FxHashMap<Template, u32>,
     /// Distinct-entity support per query.
     support: Vec<u32>,
     /// Query indices with support ≥ threshold, most supported first.
@@ -68,7 +74,19 @@ pub struct DomainModel {
     n_domain_entities: usize,
 }
 
+/// A fresh [`DomainModel::id`]; models are immutable once built, so a
+/// new id per built model identifies its contents.
+fn next_model_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 impl DomainModel {
+    /// Process-unique identity of this model's contents.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
     /// Number of distinct domain queries.
     pub fn query_count(&self) -> usize {
         self.queries.len()
@@ -124,6 +142,11 @@ impl DomainModel {
         self.frequent.iter().map(|&i| &self.queries[i as usize])
     }
 
+    /// The `k`-th of [`DomainModel::frequent_queries`].
+    pub(crate) fn frequent_query(&self, k: usize) -> &Query {
+        &self.queries[self.frequent[k] as usize]
+    }
+
     /// Rebuild a model from its parts (used by portable import).
     pub(crate) fn from_parts(
         queries: Vec<Query>,
@@ -145,6 +168,7 @@ impl DomainModel {
             .map(|(i, t)| (t.clone(), i as u32))
             .collect();
         Self {
+            id: next_model_id(),
             queries,
             query_index,
             templates,
@@ -246,7 +270,7 @@ pub fn learn_domain(
 
     // Enumerate queries, track per-entity support.
     let mut queries: Vec<Query> = Vec::new();
-    let mut query_index: HashMap<Query, u32> = HashMap::new();
+    let mut query_index: FxHashMap<Query, u32> = FxHashMap::default();
     let mut support: Vec<u32> = Vec::new();
     let mut last_entity: Vec<u32> = Vec::new();
     for page in &pages {
@@ -276,7 +300,7 @@ pub fn learn_domain(
 
     // Templates.
     let mut templates: Vec<Template> = Vec::new();
-    let mut template_index: HashMap<Template, u32> = HashMap::new();
+    let mut template_index: FxHashMap<Template, u32> = FxHashMap::default();
     let mut qt_edges: Vec<(u32, u32)> = Vec::new();
     for (qi, q) in queries.iter().enumerate() {
         for t in templates_of(q, corpus, cfg.template_mode) {
@@ -386,6 +410,7 @@ pub fn learn_domain(
     frequent.truncate(cfg.candidates.max_domain_queries);
 
     DomainModel {
+        id: next_model_id(),
         queries,
         query_index,
         templates,

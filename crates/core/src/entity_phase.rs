@@ -26,30 +26,47 @@
 //!
 //! ## Incremental rebuilds and warm starts
 //!
-//! A harvest step adds at most top-k new pages and removes one fired
-//! candidate, yet the naive phase re-tests every (candidate, page)
-//! containment pair and re-enumerates every template on every step. An
-//! [`EntityPhaseState`] carried across steps memoizes both: only new
-//! pages × all candidates and new candidates × all pages are
-//! containment-tested, and `templates_of` runs once per distinct
-//! candidate. The graph itself is reassembled each step by replaying the
-//! cached edges in exactly the cold build's insertion order (candidates
-//! in pool order, each candidate's pages ascending, templates in
-//! first-occurrence order over the pool), so solver float summation —
-//! and therefore every utility — is bit-identical to a from-scratch
-//! build. The state also keeps each walk's previous fixpoint; mapped
-//! onto the current vertex set it becomes a warm start for
-//! [`l2q_graph::solve_detailed`], which converges to the same fixpoint
-//! (the update map is a contraction) in far fewer sweeps.
+//! A harvest step adds at most top-k new pages and a few dozen new
+//! candidates and fires one query, yet a from-scratch phase re-derives
+//! the pool QE, containment-tests every (candidate, page) pair and
+//! enumerates and looks up every template on every step. An
+//! [`EntityPhaseState`] carried across a session's steps is a
+//! per-session candidate table instead. Each distinct candidate gets one
+//! slot the first time it enters the pool — its bag, its page-containment
+//! list and its interned template ids — and each distinct template one
+//! slot holding its λ-scaled domain regularization, looked up once. The
+//! pool is carried too. Its page part follows the harvester's live
+//! candidate list, which only drops fired queries and appends new ones,
+//! so a merge keeps every surviving slot. Its domain part (the frequent
+//! domain queries that are not fired, not seed subsets and not page
+//! candidates) only ever loses the query that fires and the queries a
+//! new page enumerates. A step therefore containment-tests only new
+//! pages × all candidates and new candidates × all pages, hashes only
+//! new candidates and templates, and otherwise makes plain array passes.
 //!
-//! The state invalidates itself — falling back to a full rebuild — when
-//! the aspect or template mode changes, or when the cached page list is
-//! no longer a prefix of the current one.
+//! The graph is reassembled each step by replaying the table in exactly
+//! the cold build's insertion order (candidates in pool order, each
+//! candidate's pages ascending, templates in first-occurrence order over
+//! the pool), so solver float summation — and therefore every utility —
+//! is bit-identical to a from-scratch [`EntityPhase::build`]. The state
+//! also keeps each walk's previous fixpoint; mapped onto the current
+//! vertex set it becomes a warm start for [`l2q_graph::solve_detailed`],
+//! which converges to the same fixpoint (the update map is a
+//! contraction) in far fewer sweeps.
+//!
+//! The state resets itself — the build falls back to a full one — when
+//! any input its table depends on changes: the aspect, the template
+//! mode, the domain model, λ, a fired list that does not extend the
+//! previous one, a page list the cached one is not a prefix of, or page
+//! candidates that changed other than by dropping newly fired queries
+//! and appending. A restored session starts from an empty state, so its
+//! first step is a full build.
 
 use crate::config::L2qConfig;
 use crate::domain_phase::DomainModel;
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::query::Query;
+use crate::selector::subset_of_seed;
 use crate::template::{templates_of, Template, TemplateMode};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, PageId};
@@ -58,6 +75,8 @@ use l2q_graph::{
     StaticBoundsContext, Utilities, UtilityKind,
 };
 use l2q_text::Bow;
+use std::collections::hash_map::Entry;
+use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
 
 /// Resolved-once metric handles for the phase-build hot path.
@@ -93,21 +112,53 @@ enum Walk {
 
 const N_WALKS: usize = 4;
 
-/// Per-candidate memo inside [`EntityPhaseState`].
+/// The walks of a context-aware selection, in [`ContextProbe`] order.
+const CONTEXT_WALKS: [Walk; 3] = [Walk::Recall, Walk::RecallGathered, Walk::RecallAll];
+
+/// The inputs an [`EntityPhaseState`]'s table is derived from, besides
+/// the page, fired and page-candidate lists (checked as prefixes); any
+/// change resets the state.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct TableKey {
+    aspect: AspectId,
+    template_mode: TemplateMode,
+    /// [`DomainModel::id`] of the domain, if any.
+    domain: Option<u64>,
+    /// λ, compared by bits.
+    lambda_bits: u64,
+}
+
+/// One distinct candidate of a session, created the first time it
+/// enters the pool.
 #[derive(Debug)]
-struct QueryCacheEntry {
+struct Slot {
+    query: Query,
     /// The candidate's own bag (left operand of containment tests).
     bow: Bow,
-    /// Ascending indices (into the cached page list) of pages whose bag
+    /// Ascending indices (into the state's page list) of pages whose bag
     /// contains this candidate.
     pages: Vec<u32>,
-    /// How many cached pages have been containment-tested (a prefix).
+    /// How many of the state's pages have been containment-tested (a
+    /// prefix).
     tested: usize,
-    /// Memoized `templates_of` output (`None` until first needed).
-    templates: Option<Vec<Template>>,
-    /// Pool index at generation `idx_gen` (for warm-start remapping).
-    idx: u32,
-    idx_gen: u64,
+    /// Interned template ids (into `EntityPhaseState::templates`),
+    /// enumerated the first time the candidate's templates are needed.
+    templates: Option<Box<[u32]>>,
+    /// Pool index in build `pos_gen`: the previous build's index maps
+    /// warm starts, the current build's marks pool membership.
+    pos: u32,
+    pos_gen: u64,
+}
+
+/// One distinct template of a session.
+#[derive(Debug)]
+struct TemplateSlot {
+    template: Template,
+    /// [`template_reg`] of the template.
+    reg: [f64; 3],
+    /// Vertex index in build `vertex_gen` (same role as `Slot::pos`).
+    vertex: u32,
+    vertex_gen: u64,
 }
 
 /// A walk's converged fixpoint, tagged with the build it belongs to.
@@ -127,21 +178,30 @@ struct WarmInit {
     templates: Vec<Option<f64>>,
 }
 
-/// Persistent cross-step cache for [`EntityPhase::build_incremental`].
+/// Persistent cross-step cache for [`EntityPhase::build_incremental`]:
+/// the session's candidate table (see the module docs) plus each walk's
+/// previous fixpoint.
 ///
 /// Owned by whoever owns the harvest loop (the harvester keeps one per
 /// session inside `HarvestState`); a default/empty state is always valid
 /// and simply makes the first build a full one.
 #[derive(Debug, Default)]
 pub struct EntityPhaseState {
-    aspect: Option<AspectId>,
-    template_mode: Option<TemplateMode>,
+    key: Option<TableKey>,
+    /// Fired queries of the last build; the next build's must extend them.
+    fired: Vec<Query>,
     /// Pages diffed so far — must stay a prefix of each step's page list.
     pages: Vec<PageId>,
     relevant: Vec<bool>,
-    queries: FxHashMap<Query, QueryCacheEntry>,
-    /// Template → vertex index of the previous build.
-    prev_template_index: FxHashMap<Template, u32>,
+    slots: Vec<Slot>,
+    slot_of: FxHashMap<Query, u32>,
+    templates: Vec<TemplateSlot>,
+    template_of: FxHashMap<Template, u32>,
+    /// Slots of the last build's page candidates, in order.
+    page_part: Vec<u32>,
+    /// The last build's domain part: `(slot, index into the domain's
+    /// frequent queries)`, in frequency order.
+    domain_part: Vec<(u32, u32)>,
     /// Per-walk previous fixpoint.
     warm: [Option<WarmFixpoint>; N_WALKS],
     /// Sweep count of each walk's first (cold) solve in this session —
@@ -166,7 +226,7 @@ impl EntityPhaseState {
 
     /// Number of distinct candidates ever cached.
     pub fn cached_queries(&self) -> usize {
-        self.queries.len()
+        self.slots.len()
     }
 
     /// Sweep counts of each walk's first (cold) solve, indexed
@@ -181,31 +241,117 @@ impl EntityPhaseState {
     pub fn last_sweeps(&self) -> [Option<usize>; N_WALKS] {
         self.last_sweeps
     }
+
+    /// The slot of `q`, created on first sight.
+    fn slot(&mut self, q: &Query) -> u32 {
+        if let Some(&s) = self.slot_of.get(q) {
+            return s;
+        }
+        let s = self.slots.len() as u32;
+        self.slots.push(Slot {
+            query: q.clone(),
+            bow: Bow::from_words(q.words()),
+            pages: Vec::new(),
+            tested: 0,
+            templates: None,
+            pos: 0,
+            pos_gen: 0,
+        });
+        self.slot_of.insert(q.clone(), s);
+        s
+    }
+
+    /// The interned id of `t`, created (and its regularization looked
+    /// up) on first sight.
+    fn template(
+        &mut self,
+        t: Template,
+        aspect: AspectId,
+        domain: Option<&DomainModel>,
+        lambda: f64,
+    ) -> u32 {
+        if let Some(&i) = self.template_of.get(&t) {
+            return i;
+        }
+        let i = self.templates.len() as u32;
+        self.template_of.insert(t.clone(), i);
+        self.templates.push(TemplateSlot {
+            reg: template_reg(&t, aspect, domain, lambda),
+            template: t,
+            vertex: 0,
+            vertex_gen: 0,
+        });
+        i
+    }
+
+    /// Carry the last build's page part over to `page_candidates`: each
+    /// candidate still in place keeps its slot (pushed to `kept`), and
+    /// every one that dropped out must be newly fired. `false` when the
+    /// list changed any other way.
+    fn carry_page_part(
+        &self,
+        page_candidates: &[Query],
+        newly_fired: &[Query],
+        kept: &mut Vec<u32>,
+    ) -> bool {
+        for &s in &self.page_part {
+            let q = &self.slots[s as usize].query;
+            if page_candidates.get(kept.len()) == Some(q) {
+                kept.push(s);
+            } else if !newly_fired.contains(q) {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 /// Template regularization from the domain (Eq. 21–22): λ·P_D(t),
-/// λ·R_D(t), and λ·R*_D(t) per template, zero where the domain is silent.
-fn template_regs(
-    templates: &[Template],
+/// λ·R_D(t) and λ·R*_D(t), zero where the domain is silent.
+fn template_reg(
+    t: &Template,
     aspect: AspectId,
     domain: Option<&DomainModel>,
-    cfg: &L2qConfig,
-) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let mut treg_p = vec![0.0; templates.len()];
-    let mut treg_r = vec![0.0; templates.len()];
-    let mut treg_star = vec![0.0; templates.len()];
+    lambda: f64,
+) -> [f64; 3] {
+    let mut reg = [0.0; 3];
     if let Some(dm) = domain {
-        for (i, t) in templates.iter().enumerate() {
-            if let Some(u) = dm.template_utility(aspect, t) {
-                treg_p[i] = cfg.lambda * u.precision;
-                treg_r[i] = cfg.lambda * u.recall;
+        if let Some(u) = dm.template_utility(aspect, t) {
+            reg[0] = lambda * u.precision;
+            reg[1] = lambda * u.recall;
+        }
+        if let Some(rs) = dm.template_recall_star(t) {
+            reg[2] = lambda * rs;
+        }
+    }
+    reg
+}
+
+/// The candidate pool QE, from scratch: the page candidates (fired
+/// queries already removed, see [`crate::selector::page_candidates`]),
+/// then, with a domain, each frequent domain query that is not fired,
+/// not a seed subset and not already pooled, in frequency order.
+fn candidate_pool<'q>(
+    corpus: &Corpus,
+    page_candidates: &'q [Query],
+    fired: &[Query],
+    domain: Option<&'q DomainModel>,
+) -> Vec<&'q Query> {
+    let mut pool: Vec<&Query> = page_candidates.iter().collect();
+    if let Some(dm) = domain {
+        let seed = fired.first();
+        let fired: FxHashSet<&Query> = fired.iter().collect();
+        let mut seen: FxHashSet<&Query> = pool.iter().copied().collect();
+        for q in dm.frequent_queries() {
+            if fired.contains(q) || seed.is_some_and(|s| subset_of_seed(q, s, corpus)) {
+                continue;
             }
-            if let Some(rs) = dm.template_recall_star(t) {
-                treg_star[i] = cfg.lambda * rs;
+            if seen.insert(q) {
+                pool.push(q);
             }
         }
     }
-    (treg_p, treg_r, treg_star)
+    pool
 }
 
 /// Query scores of the three walks a context-aware selection needs.
@@ -264,41 +410,40 @@ pub struct EntityPhase<'a> {
     aspect: AspectId,
     pages: Vec<PageId>,
     relevant: Vec<bool>,
-    candidates: Vec<Query>,
+    candidates: Vec<&'a Query>,
     templates: Vec<Template>,
     graph: ReinforcementGraph,
-    /// λ·P_D(t), λ·R_D(t) per template (0 where the domain has no utility).
-    template_reg: (Vec<f64>, Vec<f64>),
-    /// λ·R*_D(t) per template — domain knowledge for the Y*-walk, so the
-    /// collective-precision denominator is estimated with the same
-    /// machinery as its numerator.
-    template_reg_star: Vec<f64>,
+    /// λ·P_D(t), λ·R_D(t) and λ·R*_D(t) per template (0 where the domain
+    /// has no utility). The last one is domain knowledge for the
+    /// Y*-walk, so the collective-precision denominator is estimated
+    /// with the same machinery as its numerator.
+    template_reg: [Vec<f64>; 3],
     /// Per-walk warm-start inits mapped from the previous step's
     /// fixpoints (populated by [`EntityPhase::build_incremental`]).
     warm: [Option<WarmInit>; N_WALKS],
-    /// Graph-constant half of the static bound computation, built on
-    /// the first context-walk solve.
-    bounds_ctx: OnceLock<StaticBoundsContext>,
+    /// Static bounds of the context walks, computed on first use.
+    bounds: OnceLock<[Vec<f64>; 3]>,
 }
 
 impl<'a> EntityPhase<'a> {
     /// Build the entity graph from scratch.
     ///
     /// `pages` are the current result pages PE (deduplicated, in gathering
-    /// order); `candidates` the query pool QE (the caller decides whether
-    /// frequent domain queries are included — that is what distinguishes
-    /// the domain-aware selectors from the Sect. III ablations). When
-    /// `domain` is `None` (or `use_templates` is false via an empty
-    /// candidate template set) the graph degenerates to the paper's
-    /// template-free Sect. III model.
+    /// order). The query pool QE is `page_candidates` (fired queries
+    /// already removed) plus, when `domain` is given, the frequent domain
+    /// queries that are not fired (`fired[0]` is the seed) and not seed
+    /// subsets — the caller passes `domain: None` for the Sect. III
+    /// ablations. When `domain` is `None` (or `use_templates` is false)
+    /// the graph degenerates to the paper's template-free Sect. III model.
     #[allow(clippy::too_many_arguments)] // mirrors the paper's Eq. 20 inputs
     pub fn build(
         corpus: &Corpus,
         aspect: AspectId,
         pages: &[PageId],
         oracle: &RelevanceOracle,
-        candidates: Vec<Query>,
-        domain: Option<&DomainModel>,
+        page_candidates: &'a [Query],
+        fired: &[Query],
+        domain: Option<&'a DomainModel>,
         use_templates: bool,
         cfg: &'a L2qConfig,
     ) -> Self {
@@ -308,6 +453,7 @@ impl<'a> EntityPhase<'a> {
         // ascending, templates in first-occurrence order), so the two
         // builds are bit-identical. `incremental_build_matches_cold_build_bitwise`
         // holds the paths together.
+        let candidates = candidate_pool(corpus, page_candidates, fired, domain);
         let n_pages = pages.len();
         let relevant: Vec<bool> = pages
             .iter()
@@ -352,7 +498,10 @@ impl<'a> EntityPhase<'a> {
         }
         let graph = builder.build();
 
-        let (treg_p, treg_r, treg_star) = template_regs(&templates, aspect, domain, cfg);
+        let regs: Vec<[f64; 3]> = templates
+            .iter()
+            .map(|t| template_reg(t, aspect, domain, cfg.lambda))
+            .collect();
 
         Self {
             cfg,
@@ -362,50 +511,62 @@ impl<'a> EntityPhase<'a> {
             candidates,
             templates,
             graph,
-            template_reg: (treg_p, treg_r),
-            template_reg_star: treg_star,
+            template_reg: std::array::from_fn(|w| regs.iter().map(|r| r[w]).collect()),
             warm: [None, None, None, None],
-            bounds_ctx: OnceLock::new(),
+            bounds: OnceLock::new(),
         }
     }
 
-    /// Build the entity graph, diffing against `state` from the previous
-    /// step: only new pages × all candidates and new candidates × all
-    /// pages are containment-tested, and template enumeration runs once
-    /// per distinct candidate. The resulting graph — and every utility
-    /// solved on it — is bit-identical to [`EntityPhase::build`] on the
-    /// same inputs.
+    /// Build the entity graph through `state`, the session's candidate
+    /// table from the previous step (see the module docs): only new
+    /// pages × all candidates and new candidates × all pages are
+    /// containment-tested, and only new candidates and templates are
+    /// looked up. The resulting pool, graph and every utility solved on
+    /// it are bit-identical to [`EntityPhase::build`] on the same inputs.
     ///
-    /// A state that cannot be reused (different aspect or template mode,
-    /// or a page list the cached one is not a prefix of) is reset and the
-    /// build falls back to a full one, counted by
-    /// `entity_phase_rebuilds_total`.
+    /// A state that cannot be carried over (another aspect, template
+    /// mode, domain or λ; a page or fired list the cached one is not a
+    /// prefix of; page candidates that changed other than by dropping
+    /// newly fired queries and appending) is reset and the build falls
+    /// back to a full one, counted by `entity_phase_rebuilds_total`.
     #[allow(clippy::too_many_arguments)] // the Eq. 20 inputs plus the cache
     pub fn build_incremental(
         corpus: &Corpus,
         aspect: AspectId,
         pages: &[PageId],
         oracle: &RelevanceOracle,
-        candidates: Vec<Query>,
-        domain: Option<&DomainModel>,
+        page_candidates: &'a [Query],
+        fired: &[Query],
+        domain: Option<&'a DomainModel>,
         use_templates: bool,
         cfg: &'a L2qConfig,
         state: &mut EntityPhaseState,
     ) -> Self {
         let m = phase_metrics();
+        let key = TableKey {
+            aspect,
+            template_mode: cfg.template_mode,
+            domain: domain.map(DomainModel::id),
+            lambda_bits: cfg.lambda.to_bits(),
+        };
+        let mut page_part: Vec<u32> = Vec::with_capacity(page_candidates.len());
         let reusable = state.generation > 0
-            && state.aspect == Some(aspect)
-            && state.template_mode == Some(cfg.template_mode)
-            && pages.len() >= state.pages.len()
-            && pages[..state.pages.len()] == state.pages[..];
+            && state.key == Some(key)
+            && pages.starts_with(&state.pages)
+            && fired.starts_with(&state.fired)
+            && state.carry_page_part(page_candidates, &fired[state.fired.len()..], &mut page_part);
         if reusable {
             m.reuses.inc();
         } else {
-            *state = EntityPhaseState::new();
-            state.aspect = Some(aspect);
-            state.template_mode = Some(cfg.template_mode);
+            *state = EntityPhaseState {
+                key: Some(key),
+                ..EntityPhaseState::new()
+            };
+            page_part.clear();
             m.rebuilds.inc();
         }
+        let newly_fired = &fired[state.fired.len()..];
+        state.fired.extend_from_slice(newly_fired);
 
         // Extend the diffed page prefix (and its relevance labels) with
         // this step's new pages.
@@ -417,64 +578,116 @@ impl<'a> EntityPhase<'a> {
         let bows: Vec<&Bow> = pages.iter().map(|&p| corpus.page(p).bow()).collect();
 
         let prev_gen = state.generation;
-        let new_gen = prev_gen + 1;
+        let gen = prev_gen + 1;
 
-        // Pass 1 — cache update: containment-test only untested
-        // (candidate, page) combinations, enumerate templates once per
-        // distinct candidate, and record each candidate's previous pool
-        // index for warm-start remapping.
-        let mut prev_query_of: Vec<Option<u32>> = Vec::with_capacity(candidates.len());
-        let mut templates: Vec<Template> = Vec::new();
-        let mut template_index: FxHashMap<Template, u32> = FxHashMap::default();
-        let mut qt_edges: Vec<(u32, u32)> = Vec::new();
-        let mut n_pq_edges = 0usize;
-        for (qi, q) in candidates.iter().enumerate() {
-            if !state.queries.contains_key(q) {
-                state.queries.insert(
-                    q.clone(),
-                    QueryCacheEntry {
-                        bow: Bow::from_words(q.words()),
-                        pages: Vec::new(),
-                        tested: 0,
-                        templates: None,
-                        idx: 0,
-                        idx_gen: 0,
-                    },
-                );
-            }
-            let entry = state.queries.get_mut(q).expect("inserted above");
-            prev_query_of.push((prev_gen > 0 && entry.idx_gen == prev_gen).then_some(entry.idx));
-            entry.idx = qi as u32;
-            entry.idx_gen = new_gen;
-            for (pi, bow) in bows.iter().enumerate().skip(entry.tested) {
-                if bow.contains_all(&entry.bow) {
-                    entry.pages.push(pi as u32);
+        // Pool, page part: the carried slots, then the appended page
+        // candidates (looked up, or new slots). Each pooled slot records
+        // its previous pool index for warm-start remapping.
+        for q in &page_candidates[page_part.len()..] {
+            let s = state.slot(q);
+            page_part.push(s);
+        }
+        let mut pool: Vec<u32> = Vec::with_capacity(page_part.len() + state.domain_part.len());
+        let mut prev_pos: Vec<Option<u32>> = Vec::with_capacity(pool.capacity());
+        let mut enter = |slot: &mut Slot, pool: &mut Vec<u32>, s: u32| {
+            prev_pos.push((prev_gen > 0 && slot.pos_gen == prev_gen).then_some(slot.pos));
+            slot.pos = pool.len() as u32;
+            slot.pos_gen = gen;
+            pool.push(s);
+        };
+        for &s in &page_part {
+            enter(&mut state.slots[s as usize], &mut pool, s);
+        }
+        // Pool, domain part: derived once per table; after that only the
+        // newly fired query and the queries new pages enumerate leave it.
+        let mut domain_part = std::mem::take(&mut state.domain_part);
+        if let Some(dm) = domain {
+            if prev_gen == 0 {
+                let seed = fired.first();
+                let fired: FxHashSet<&Query> = fired.iter().collect();
+                for (k, q) in dm.frequent_queries().enumerate() {
+                    if fired.contains(q) || seed.is_some_and(|s| subset_of_seed(q, s, corpus)) {
+                        continue;
+                    }
+                    let s = state.slot(q);
+                    if state.slots[s as usize].pos_gen != gen {
+                        enter(&mut state.slots[s as usize], &mut pool, s);
+                        domain_part.push((s, k as u32));
+                    }
+                }
+            } else {
+                domain_part.retain(|&(s, _)| {
+                    let slot = &state.slots[s as usize];
+                    slot.pos_gen != gen && !newly_fired.contains(&slot.query)
+                });
+                for &(s, _) in &domain_part {
+                    enter(&mut state.slots[s as usize], &mut pool, s);
                 }
             }
-            entry.tested = n_pages;
-            n_pq_edges += entry.pages.len();
-            if use_templates {
-                let ts = entry
+        }
+        let mut candidates: Vec<&'a Query> = page_candidates.iter().collect();
+        if let Some(dm) = domain {
+            candidates.extend(
+                domain_part
+                    .iter()
+                    .map(|&(_, k)| dm.frequent_query(k as usize)),
+            );
+        }
+
+        // Table update: containment-test the untested (candidate, page)
+        // pairs and intern the templates of candidates that have none
+        // yet.
+        let mut n_pq_edges = 0usize;
+        for &s in &pool {
+            let slot = &mut state.slots[s as usize];
+            for (pi, bow) in bows.iter().enumerate().skip(slot.tested) {
+                if bow.contains_all(&slot.bow) {
+                    slot.pages.push(pi as u32);
+                }
+            }
+            slot.tested = n_pages;
+            n_pq_edges += slot.pages.len();
+            if use_templates && slot.templates.is_none() {
+                let ts = templates_of(&slot.query, corpus, cfg.template_mode);
+                let ids = ts
+                    .into_iter()
+                    .map(|t| state.template(t, aspect, domain, cfg.lambda))
+                    .collect();
+                state.slots[s as usize].templates = Some(ids);
+            }
+        }
+        // Template vertices in first-occurrence order over the pool.
+        let mut build_templates: Vec<u32> = Vec::new();
+        let mut prev_vertex: Vec<Option<u32>> = Vec::new();
+        let mut qt_edges: Vec<(u32, u32)> = Vec::new();
+        if use_templates {
+            for (qi, &s) in pool.iter().enumerate() {
+                for &t in state.slots[s as usize]
                     .templates
-                    .get_or_insert_with(|| templates_of(q, corpus, cfg.template_mode));
-                for t in ts.iter() {
-                    let ti = *template_index.entry(t.clone()).or_insert_with(|| {
-                        templates.push(t.clone());
-                        (templates.len() - 1) as u32
-                    });
-                    qt_edges.push((qi as u32, ti));
+                    .as_deref()
+                    .unwrap_or_default()
+                {
+                    let ts = &mut state.templates[t as usize];
+                    if ts.vertex_gen != gen {
+                        prev_vertex
+                            .push((prev_gen > 0 && ts.vertex_gen == prev_gen).then_some(ts.vertex));
+                        ts.vertex = build_templates.len() as u32;
+                        ts.vertex_gen = gen;
+                        build_templates.push(t);
+                    }
+                    qt_edges.push((qi as u32, ts.vertex));
                 }
             }
         }
 
-        // Pass 2 — graph assembly: replay the cached edges in exactly the
-        // cold build's insertion order (candidates in pool order, each
-        // candidate's pages ascending) so solver float summation is
-        // bit-identical to a from-scratch build.
-        let mut builder = GraphBuilder::new(n_pages, candidates.len(), templates.len());
+        // Graph assembly: replay the table in exactly the cold build's
+        // insertion order (candidates in pool order, each candidate's
+        // pages ascending) so solver float summation is bit-identical to
+        // a from-scratch build.
+        let mut builder = GraphBuilder::new(n_pages, pool.len(), build_templates.len());
         builder.reserve(n_pq_edges, qt_edges.len());
-        for (qi, q) in candidates.iter().enumerate() {
-            for &pi in &state.queries[q].pages {
+        for (qi, &s) in pool.iter().enumerate() {
+            for &pi in &state.slots[s as usize].pages {
                 builder.page_query(pi, qi as u32, 1.0);
             }
         }
@@ -483,13 +696,10 @@ impl<'a> EntityPhase<'a> {
         }
         let graph = builder.build();
 
-        let (treg_p, treg_r, treg_star) = template_regs(&templates, aspect, domain, cfg);
-
         // Map the previous step's fixpoints onto the new vertex set:
-        // pages are a stable prefix, queries map via their previous pool
-        // index, templates via the previous template index. Vertices new
-        // to this build stay `None` and cold-start at their
-        // regularization.
+        // pages are a stable prefix, queries and templates map via their
+        // previous vertex index. Vertices new to this build stay `None`
+        // and cold-start at their regularization.
         let mut warm: [Option<WarmInit>; N_WALKS] = [None, None, None, None];
         if cfg.warm_start && prev_gen > 0 {
             for (slot, fix) in state.warm.iter().enumerate() {
@@ -499,24 +709,30 @@ impl<'a> EntityPhase<'a> {
                 }
                 warm[slot] = Some(WarmInit {
                     pages: fix.u.pages.clone(),
-                    queries: prev_query_of
+                    queries: prev_pos
                         .iter()
                         .map(|p| p.map(|j| fix.u.queries[j as usize]))
                         .collect(),
-                    templates: templates
+                    templates: prev_vertex
                         .iter()
-                        .map(|t| {
-                            state
-                                .prev_template_index
-                                .get(t)
-                                .map(|&j| fix.u.templates[j as usize])
-                        })
+                        .map(|p| p.map(|j| fix.u.templates[j as usize]))
                         .collect(),
                 });
             }
         }
-        state.prev_template_index = template_index;
-        state.generation = new_gen;
+        let template_reg = std::array::from_fn(|w| {
+            build_templates
+                .iter()
+                .map(|&t| state.templates[t as usize].reg[w])
+                .collect()
+        });
+        let templates = build_templates
+            .iter()
+            .map(|&t| state.templates[t as usize].template.clone())
+            .collect();
+        state.page_part = page_part;
+        state.domain_part = domain_part;
+        state.generation = gen;
 
         Self {
             cfg,
@@ -526,15 +742,14 @@ impl<'a> EntityPhase<'a> {
             candidates,
             templates,
             graph,
-            template_reg: (treg_p, treg_r),
-            template_reg_star: treg_star,
+            template_reg,
             warm,
-            bounds_ctx: OnceLock::new(),
+            bounds: OnceLock::new(),
         }
     }
 
     /// The candidate queries (vertex order of all per-query outputs).
-    pub fn candidates(&self) -> &[Query] {
+    pub fn candidates(&self) -> &[&'a Query] {
         &self.candidates
     }
 
@@ -564,8 +779,12 @@ impl<'a> EntityPhase<'a> {
     /// would be the meaningless "status quo" ratio.
     pub fn connected(&self) -> Vec<bool> {
         (0..self.candidates.len())
-            .map(|q| self.graph.query_page_deg[q] > 0.0 || self.graph.query_template_deg[q] > 0.0)
+            .map(|q| self.is_connected(q))
             .collect()
+    }
+
+    fn is_connected(&self, q: usize) -> bool {
+        self.graph.query_page_deg[q] > 0.0 || self.graph.query_template_deg[q] > 0.0
     }
 
     /// Graph statistics `(pages, queries, templates, edges)`.
@@ -583,12 +802,12 @@ impl<'a> EntityPhase<'a> {
         match walk {
             Walk::Precision => {
                 let mut reg = Regularization::precision_from_relevance(&self.graph, &self.relevant);
-                reg.templates.clone_from(&self.template_reg.0);
+                reg.templates.clone_from(&self.template_reg[0]);
                 (UtilityKind::Precision, reg)
             }
             Walk::Recall => {
                 let mut reg = Regularization::recall_from_relevance(&self.graph, &self.relevant);
-                reg.templates.clone_from(&self.template_reg.1);
+                reg.templates.clone_from(&self.template_reg[1]);
                 (UtilityKind::Recall, reg)
             }
             Walk::RecallGathered => (
@@ -598,7 +817,7 @@ impl<'a> EntityPhase<'a> {
             Walk::RecallAll => {
                 let all = vec![true; self.pages.len()];
                 let mut reg = Regularization::recall_from_relevance(&self.graph, &all);
-                reg.templates.clone_from(&self.template_reg_star);
+                reg.templates.clone_from(&self.template_reg[2]);
                 (UtilityKind::Recall, reg)
             }
         }
@@ -731,8 +950,7 @@ impl<'a> EntityPhase<'a> {
         state: Option<&mut EntityPhaseState>,
         mut certified: impl FnMut(&ContextProbe<'_>) -> bool,
     ) -> (ContextWalks, bool) {
-        const WALKS: [Walk; 3] = [Walk::Recall, Walk::RecallGathered, Walk::RecallAll];
-        let regs: [Regularization; 3] = WALKS.map(|w| {
+        let regs: [Regularization; 3] = CONTEXT_WALKS.map(|w| {
             let (kind, reg) = self.reg_for(w);
             debug_assert_eq!(kind, UtilityKind::Recall);
             // The grouping in `certifiable_groups` relies on the
@@ -741,15 +959,9 @@ impl<'a> EntityPhase<'a> {
             reg
         });
         let warms: [Option<Utilities>; 3] =
-            std::array::from_fn(|i| self.warm_vector(WALKS[i], &regs[i]));
+            std::array::from_fn(|i| self.warm_vector(CONTEXT_WALKS[i], &regs[i]));
         let warmed: [bool; 3] = std::array::from_fn(|i| warms[i].is_some());
-        // The in-strength half of the bound is a graph constant: scan
-        // the edges once per phase and derive each walk's bounds from
-        // its regularization.
-        let ctx = self
-            .bounds_ctx
-            .get_or_init(|| StaticBoundsContext::new(&self.graph, &self.cfg.walk));
-        let bounds: Vec<Vec<f64>> = regs.iter().map(|reg| ctx.query_upper_bounds(reg)).collect();
+        let bounds = self.static_bounds();
         let mut solver = FusedTruncatedSolver::new(&self.graph, regs, &self.cfg.walk, warms);
         let mut early = false;
         while solver.sweep() {
@@ -778,7 +990,7 @@ impl<'a> EntityPhase<'a> {
         }
         let results = solver.finish();
         if let Some(st) = state {
-            for ((&w, &warm), (u, sweeps)) in WALKS.iter().zip(&warmed).zip(&results) {
+            for ((&w, &warm), (u, sweeps)) in CONTEXT_WALKS.iter().zip(&warmed).zip(&results) {
                 self.note_solved(st, w, u, *sweeps, warm);
             }
         }
@@ -793,6 +1005,18 @@ impl<'a> EntityPhase<'a> {
         )
     }
 
+    /// Static per-candidate upper bounds on the context walks' true
+    /// fixpoints, indexed like [`ContextProbe::bounds`]. The in-strength
+    /// half of each bound is a graph constant, so the edges are scanned
+    /// once per phase and each walk's bounds derived from its
+    /// regularization; computed on first use.
+    pub(crate) fn static_bounds(&self) -> &[Vec<f64>; 3] {
+        self.bounds.get_or_init(|| {
+            let ctx = StaticBoundsContext::new(&self.graph, &self.cfg.walk);
+            CONTEXT_WALKS.map(|w| ctx.query_upper_bounds(&self.reg_for(w).1))
+        })
+    }
+
     /// Partition the *connected* candidates into classes whose context
     /// walk iterates are provably bitwise-identical at every sweep: same
     /// incident edge targets with the same sender-normalized
@@ -803,43 +1027,112 @@ impl<'a> EntityPhase<'a> {
     /// whole class, and a selection tie inside a class resolves the same
     /// way in the pruned and unpruned paths.
     ///
-    /// Classes are sorted by their lowest member; members ascend.
+    /// Candidates are bucketed by a hash of that signature and compared
+    /// exactly within a bucket, so a hash collision can
+    /// never merge two classes. Classes are sorted by their lowest
+    /// member; members ascend.
     pub fn certifiable_groups(&self) -> Vec<Vec<usize>> {
-        let connected = self.connected();
-        let mut classes: FxHashMap<Vec<u64>, Vec<usize>> = FxHashMap::default();
-        for (q, &conn) in connected.iter().enumerate() {
-            if !conn {
-                continue;
-            }
-            let pe = self.graph.query_pages(q);
-            let te = self.graph.query_templates(q);
-            let mut key: Vec<u64> = Vec::with_capacity(2 * (pe.len() + te.len()) + 5);
-            key.push(pe.len() as u64);
-            for (e, &c) in pe.iter().zip(self.graph.query_pages_nrm(q)) {
-                key.push(e.to as u64);
-                key.push(c.to_bits());
-            }
-            key.push(te.len() as u64);
-            for (e, &c) in te.iter().zip(self.graph.query_templates_nrm(q)) {
-                key.push(e.to as u64);
-                key.push(c.to_bits());
-            }
-            for walk in [Walk::Recall, Walk::RecallGathered, Walk::RecallAll] {
-                // Init at the warm value where one exists, else at the
-                // regularization — which is 0 on the query side of every
-                // context walk (asserted in the certified solve).
-                let init = self.warm[walk as usize]
+        let g = &self.graph;
+        let inits = |q: usize| -> [u64; 3] {
+            // Init at the warm value where one exists, else at the
+            // regularization — which is 0 on the query side of every
+            // context walk (asserted in the certified solve).
+            CONTEXT_WALKS.map(|walk| {
+                self.warm[walk as usize]
                     .as_ref()
                     .and_then(|w| w.queries.get(q).copied().flatten())
-                    .unwrap_or(0.0);
-                key.push(init.to_bits());
+                    .unwrap_or(0.0)
+                    .to_bits()
+            })
+        };
+        let fingerprint = |q: usize| -> u64 {
+            let mut h = FxHasher::default();
+            for (edges, nrm) in [
+                (g.query_pages(q), g.query_pages_nrm(q)),
+                (g.query_templates(q), g.query_templates_nrm(q)),
+            ] {
+                h.write_usize(edges.len());
+                for (e, &c) in edges.iter().zip(nrm) {
+                    h.write_u32(e.to);
+                    h.write_u64(c.to_bits());
+                }
             }
-            classes.entry(key).or_default().push(q);
-        }
-        let mut groups: Vec<Vec<usize>> = classes.into_values().collect();
-        groups.sort_by_key(|g| g[0]);
-        groups
+            for bits in inits(q) {
+                h.write_u64(bits);
+            }
+            h.finish()
+        };
+        let same_class = |a: usize, b: usize| -> bool {
+            let same_side =
+                |ea: &[l2q_graph::Edge], na: &[f64], eb: &[l2q_graph::Edge], nb: &[f64]| {
+                    ea.len() == eb.len()
+                        && ea.iter().zip(eb).all(|(x, y)| x.to == y.to)
+                        && na.iter().zip(nb).all(|(x, y)| x.to_bits() == y.to_bits())
+                };
+            same_side(
+                g.query_pages(a),
+                g.query_pages_nrm(a),
+                g.query_pages(b),
+                g.query_pages_nrm(b),
+            ) && same_side(
+                g.query_templates(a),
+                g.query_templates_nrm(a),
+                g.query_templates(b),
+                g.query_templates_nrm(b),
+            ) && inits(a) == inits(b)
+        };
+        partition(
+            (0..self.candidates.len()).filter(|&q| self.is_connected(q)),
+            fingerprint,
+            same_class,
+        )
     }
+}
+
+/// Partition `items` into the classes of the equivalence `same`, in
+/// order of each class's first item, members in item order. Items are
+/// bucketed by `fingerprint` (equal for items of one class) and compared
+/// with `same` only within a bucket, so a fingerprint collision splits
+/// the bucket rather than merging two classes.
+fn partition(
+    items: impl Iterator<Item = usize>,
+    fingerprint: impl Fn(usize) -> u64,
+    same: impl Fn(usize, usize) -> bool,
+) -> Vec<Vec<usize>> {
+    // Fingerprint → its first class; `next[c]` links the classes that
+    // share class `c`'s fingerprint.
+    let mut first: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut next: Vec<Option<usize>> = Vec::new();
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    for item in items {
+        let mut c = match first.entry(fingerprint(item)) {
+            Entry::Vacant(slot) => {
+                slot.insert(classes.len());
+                None
+            }
+            Entry::Occupied(slot) => Some(*slot.get()),
+        };
+        loop {
+            match c {
+                None => {
+                    next.push(None);
+                    classes.push(vec![item]);
+                    break;
+                }
+                Some(ci) if same(classes[ci][0], item) => {
+                    classes[ci].push(item);
+                    break;
+                }
+                Some(ci) => {
+                    c = next[ci];
+                    if c.is_none() {
+                        next[ci] = Some(classes.len());
+                    }
+                }
+            }
+        }
+    }
+    classes
 }
 
 #[cfg(test)]
@@ -847,6 +1140,7 @@ mod tests {
     use super::*;
     use crate::candidates::{pages_queries, StopwordCache};
     use crate::domain_phase::learn_domain;
+    use crate::selector::subset_of_seed;
     use l2q_corpus::{generate, researchers_domain, CorpusConfig, EntityId};
 
     fn setup() -> (Corpus, RelevanceOracle) {
@@ -898,7 +1192,7 @@ mod tests {
         let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let (pages, candidates) = phase_for(&c, &o, &cfg, None);
-        let phase = EntityPhase::build(&c, aspect, &pages, &o, candidates, None, true, &cfg);
+        let phase = EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, true, &cfg);
         let (np, nq, nt, ne) = phase.shape();
         assert_eq!(np, pages.len());
         assert!(nq > 50);
@@ -918,7 +1212,7 @@ mod tests {
         let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let (pages, candidates) = phase_for(&c, &o, &cfg, None);
-        let phase = EntityPhase::build(&c, aspect, &pages, &o, candidates, None, true, &cfg);
+        let phase = EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, true, &cfg);
         let p = phase.precision();
 
         // Average precision of queries contained only in relevant pages
@@ -968,12 +1262,14 @@ mod tests {
             aspect,
             &pages,
             &o,
-            candidates.clone(),
+            &candidates,
+            &[],
             Some(&dm),
             true,
             &cfg,
         );
-        let without = EntityPhase::build(&c, aspect, &pages, &o, candidates, None, true, &cfg);
+        let without =
+            EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, true, &cfg);
         let pw = with.precision();
         let po = without.precision();
         // Domain regularization must change the scores of some candidates.
@@ -991,7 +1287,7 @@ mod tests {
         let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("CONTACT").unwrap();
         let (pages, candidates) = phase_for(&c, &o, &cfg, None);
-        let phase = EntityPhase::build(&c, aspect, &pages, &o, candidates, None, true, &cfg);
+        let phase = EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, true, &cfg);
         let r_all = phase.recall_all();
         let r_gathered = phase.recall_gathered();
         assert_eq!(r_all.len(), phase.candidates().len());
@@ -1009,7 +1305,7 @@ mod tests {
         let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let (pages, candidates) = phase_for(&c, &o, &cfg, None);
-        let phase = EntityPhase::build(&c, aspect, &pages, &o, candidates, None, false, &cfg);
+        let phase = EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, false, &cfg);
         let (_, _, nt, _) = phase.shape();
         assert_eq!(nt, 0);
         assert!(phase.precision().iter().all(|v| v.is_finite()));
@@ -1020,14 +1316,17 @@ mod tests {
         let (c, o) = setup();
         let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
-        let phase = EntityPhase::build(&c, aspect, &[], &o, Vec::new(), None, true, &cfg);
+        let phase = EntityPhase::build(&c, aspect, &[], &o, &[], &[], None, true, &cfg);
         assert!(phase.precision().is_empty());
         assert!(phase.recall().is_empty());
     }
 
     /// Growing the page set step by step through one persistent state must
-    /// reproduce the cold build bit for bit: same shape, same edges, same
+    /// reproduce the cold build bit for bit: same pool, shape, edges and
     /// solved utilities (graph assembly replays the cold insertion order).
+    /// Without a domain, and with one while a query fires every step
+    /// (alternately the pool's first and last candidate), so the carried
+    /// pool loses fired queries from both its page and domain parts.
     #[test]
     fn incremental_build_matches_cold_build_bitwise() {
         let (c, o) = setup();
@@ -1038,39 +1337,61 @@ mod tests {
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
         assert!(all_pages.len() >= 6);
+        let domain_entities: Vec<EntityId> = c.entity_ids().take(4).collect();
+        let dm = learn_domain(&c, &domain_entities, &o, &cfg);
 
-        let mut state = EntityPhaseState::new();
-        for k in [2usize, 4, 5, all_pages.len().min(8)] {
-            let pages = &all_pages[..k];
-            let candidates = candidates_for(&c, pages, &cfg);
-            let inc = EntityPhase::build_incremental(
-                &c,
-                aspect,
-                pages,
-                &o,
-                candidates.clone(),
-                None,
-                true,
-                &cfg,
-                &mut state,
-            );
-            let cold = EntityPhase::build(&c, aspect, pages, &o, candidates, None, true, &cfg);
-            assert_eq!(inc.shape(), cold.shape(), "shape diverged at k={k}");
-            assert_eq!(inc.relevant(), cold.relevant());
-            assert_eq!(inc.templates(), cold.templates());
-            assert_eq!(inc.connected(), cold.connected());
-            // Bitwise equality of every walk.
-            assert_eq!(inc.precision(), cold.precision(), "precision at k={k}");
-            assert_eq!(inc.recall(), cold.recall(), "recall at k={k}");
-            assert_eq!(
-                inc.recall_gathered(),
-                cold.recall_gathered(),
-                "recall_gathered at k={k}"
-            );
-            assert_eq!(inc.recall_all(), cold.recall_all(), "recall_all at k={k}");
+        for domain in [None, Some(&dm)] {
+            let mut fired = vec![Query::new(c.seed_query(EntityId(6)))];
+            let mut state = EntityPhaseState::new();
+            for (i, k) in [2usize, 4, 5, all_pages.len().min(8)]
+                .into_iter()
+                .enumerate()
+            {
+                let pages = &all_pages[..k];
+                let candidates = crate::selector::page_candidates(
+                    &c,
+                    pages,
+                    &fired,
+                    &cfg,
+                    &mut StopwordCache::new(),
+                );
+                let inc = EntityPhase::build_incremental(
+                    &c,
+                    aspect,
+                    pages,
+                    &o,
+                    &candidates,
+                    &fired,
+                    domain,
+                    true,
+                    &cfg,
+                    &mut state,
+                );
+                let cold = EntityPhase::build(
+                    &c,
+                    aspect,
+                    pages,
+                    &o,
+                    &candidates,
+                    &fired,
+                    domain,
+                    true,
+                    &cfg,
+                );
+                let label = format!("k={k} domain={}", domain.is_some());
+                assert_eq!(inc.relevant(), cold.relevant(), "{label}");
+                assert_same_phase(&inc, &cold, &mut state, &label);
+                let pick = if i % 2 == 0 {
+                    cold.candidates().first()
+                } else {
+                    cold.candidates().last()
+                };
+                fired.push((*pick.expect("non-empty pool")).clone());
+            }
+            // A reset restarts the count: the table was carried every step.
+            assert_eq!(state.generation(), 4);
+            assert!(state.cached_queries() > 0);
         }
-        assert_eq!(state.generation(), 4);
-        assert!(state.cached_queries() > 0);
     }
 
     /// Warm-started solves must land on the cold fixpoint (same graph,
@@ -1092,7 +1413,8 @@ mod tests {
                 aspect,
                 pages,
                 &o,
-                candidates.clone(),
+                &candidates,
+                &[],
                 None,
                 true,
                 &cfg,
@@ -1100,7 +1422,8 @@ mod tests {
             );
             let warm_p = inc.precision_with(Some(&mut state));
             let warm_r = inc.recall_with(Some(&mut state));
-            let cold = EntityPhase::build(&c, aspect, pages, &o, candidates, None, true, &cfg);
+            let cold =
+                EntityPhase::build(&c, aspect, pages, &o, &candidates, &[], None, true, &cfg);
             let cold_p = cold.precision();
             let cold_r = cold.recall();
             for (a, b) in warm_p.iter().zip(&cold_p) {
@@ -1133,7 +1456,8 @@ mod tests {
                 aspect,
                 pages,
                 &o,
-                candidates.clone(),
+                &candidates,
+                &[],
                 None,
                 true,
                 &cfg,
@@ -1148,7 +1472,8 @@ mod tests {
                 aspect,
                 pages,
                 &o,
-                candidates,
+                &candidates,
+                &[],
                 None,
                 true,
                 &cfg,
@@ -1180,7 +1505,8 @@ mod tests {
             aspect,
             first,
             &o,
-            candidates_for(&c, first, &cfg),
+            &candidates_for(&c, first, &cfg),
+            &[],
             None,
             true,
             &cfg,
@@ -1197,7 +1523,8 @@ mod tests {
             aspect,
             &reversed,
             &o,
-            candidates.clone(),
+            &candidates,
+            &[],
             None,
             true,
             &cfg,
@@ -1205,7 +1532,17 @@ mod tests {
         );
         assert!(phase_metrics().rebuilds.get() > rebuilds_before);
         assert_eq!(state.generation(), 1, "reset state restarts generations");
-        let cold = EntityPhase::build(&c, aspect, &reversed, &o, candidates, None, true, &cfg);
+        let cold = EntityPhase::build(
+            &c,
+            aspect,
+            &reversed,
+            &o,
+            &candidates,
+            &[],
+            None,
+            true,
+            &cfg,
+        );
         assert_eq!(inc.precision(), cold.precision());
     }
 
@@ -1230,7 +1567,8 @@ mod tests {
             research,
             &pages,
             &o,
-            candidates.clone(),
+            &candidates,
+            &[],
             None,
             true,
             &cfg,
@@ -1241,15 +1579,155 @@ mod tests {
             contact,
             &pages,
             &o,
-            candidates.clone(),
+            &candidates,
+            &[],
             None,
             true,
             &cfg,
             &mut state,
         );
-        let cold = EntityPhase::build(&c, contact, &pages, &o, candidates, None, true, &cfg);
+        let cold = EntityPhase::build(&c, contact, &pages, &o, &candidates, &[], None, true, &cfg);
         assert_eq!(inc.precision(), cold.precision());
         assert_eq!(inc.relevant(), cold.relevant());
+    }
+
+    /// Two builds agree bit for bit: pool, graph, templates, classes and
+    /// every walk. `state` threads the incremental build's fixpoints, so
+    /// a table wrongly carried over would also show in its warm starts.
+    fn assert_same_phase(
+        inc: &EntityPhase<'_>,
+        cold: &EntityPhase<'_>,
+        state: &mut EntityPhaseState,
+        label: &str,
+    ) {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(inc.candidates(), cold.candidates(), "{label}: pool");
+        assert_eq!(inc.shape(), cold.shape(), "{label}: shape");
+        assert_eq!(inc.templates(), cold.templates(), "{label}: templates");
+        assert_eq!(inc.connected(), cold.connected(), "{label}: connected");
+        assert_eq!(
+            inc.certifiable_groups(),
+            cold.certifiable_groups(),
+            "{label}: classes"
+        );
+        assert_eq!(
+            bits(inc.precision_with(Some(state))),
+            bits(cold.precision()),
+            "{label}: precision"
+        );
+        let (a, _) = inc.context_walks_certified(Some(state), |_| false);
+        let (b, _) = cold.context_walks_certified(None, |_| false);
+        assert_eq!(bits(a.recall), bits(b.recall), "{label}: recall");
+        assert_eq!(
+            bits(a.recall_gathered),
+            bits(b.recall_gathered),
+            "{label}: recall_gathered"
+        );
+        assert_eq!(
+            bits(a.recall_all),
+            bits(b.recall_all),
+            "{label}: recall_all"
+        );
+    }
+
+    /// The per-session table must not outlive its inputs. One state fed
+    /// domain A, then domain B, then no domain, then another λ — and,
+    /// from a carried build on domain B, each input changed alone:
+    /// another domain, no domain, another λ, another seed, and another
+    /// fired query with the same page candidates (a fired list that does
+    /// not extend the last one). Every build must equal a cold build on
+    /// the new inputs, bit for bit, and be a rebuild.
+    #[test]
+    fn table_memo_cannot_outlive_its_inputs() {
+        let (c, o) = setup();
+        let cfg = L2qConfig::default();
+        let other_lambda = cfg.with_lambda(2.5);
+        let aspect = c.aspect_by_name("RESEARCH").unwrap();
+        let entities: Vec<EntityId> = c.entity_ids().collect();
+        let dm_a = learn_domain(&c, &entities[..4], &o, &cfg);
+        let dm_b = learn_domain(&c, &entities[2..6], &o, &cfg);
+        let entity = EntityId(6);
+        let all_pages: Vec<PageId> = c.pages_of(entity).iter().map(|p| p.id).collect();
+        let seed = Query::new(c.seed_query(entity));
+        let other_seed = Query::new(c.seed_query(EntityId(7)));
+        // Two pooled domain queries no page of the first five lists.
+        let listed = crate::selector::page_candidates(
+            &c,
+            &all_pages[..5],
+            std::slice::from_ref(&seed),
+            &cfg,
+            &mut StopwordCache::new(),
+        );
+        let unlisted: Vec<&Query> = dm_b
+            .frequent_queries()
+            .filter(|q| !listed.contains(q) && !subset_of_seed(q, &seed, &c))
+            .take(2)
+            .collect();
+        assert_eq!(unlisted.len(), 2, "domain B pools two unlisted queries");
+        let fired_one = vec![seed.clone(), unlisted[0].clone()];
+        let fired_other = vec![seed.clone(), unlisted[1].clone()];
+        let just_seed = vec![seed.clone()];
+        let just_other_seed = vec![other_seed];
+        let base = ("domain B", Some(&dm_b), &cfg, &just_seed);
+        let sequences = [
+            vec![
+                ("domain A", Some(&dm_a), &cfg, &just_seed),
+                base,
+                ("no domain", None, &cfg, &just_seed),
+                ("other lambda", None, &other_lambda, &just_seed),
+            ],
+            vec![base, ("domain A", Some(&dm_a), &cfg, &just_seed)],
+            vec![base, ("no domain", None, &cfg, &just_seed)],
+            vec![
+                base,
+                ("other lambda", Some(&dm_b), &other_lambda, &just_seed),
+            ],
+            vec![base, ("other seed", Some(&dm_b), &cfg, &just_other_seed)],
+            vec![
+                ("one fired", Some(&dm_b), &cfg, &fired_one),
+                ("another fired", Some(&dm_b), &cfg, &fired_other),
+            ],
+        ];
+        for sequence in sequences {
+            let mut state = EntityPhaseState::new();
+            for (k, (label, domain, cfg, fired)) in sequence.into_iter().enumerate() {
+                // The page list keeps growing, so only the changed input
+                // can stop the table from being carried over.
+                let pages = &all_pages[..4 + k];
+                let candidates = crate::selector::page_candidates(
+                    &c,
+                    pages,
+                    fired,
+                    cfg,
+                    &mut StopwordCache::new(),
+                );
+                let inc = EntityPhase::build_incremental(
+                    &c,
+                    aspect,
+                    pages,
+                    &o,
+                    &candidates,
+                    fired,
+                    domain,
+                    true,
+                    cfg,
+                    &mut state,
+                );
+                let cold = EntityPhase::build(
+                    &c,
+                    aspect,
+                    pages,
+                    &o,
+                    &candidates,
+                    fired,
+                    domain,
+                    true,
+                    cfg,
+                );
+                assert_same_phase(&inc, &cold, &mut state, label);
+                assert_eq!(state.generation(), 1, "{label}: table carried over");
+            }
+        }
     }
 
     /// Reuse/rebuild counters move as documented.
@@ -1270,7 +1748,8 @@ mod tests {
                 aspect,
                 pages,
                 &o,
-                candidates_for(&c, pages, &cfg),
+                &candidates_for(&c, pages, &cfg),
+                &[],
                 None,
                 true,
                 &cfg,
@@ -1292,7 +1771,7 @@ mod tests {
         let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let (pages, candidates) = phase_for(&c, &o, &cfg, None);
-        let phase = EntityPhase::build(&c, aspect, &pages, &o, candidates, None, true, &cfg);
+        let phase = EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, true, &cfg);
         let full = ContextWalks {
             recall: phase.recall(),
             recall_gathered: phase.recall_gathered(),
@@ -1342,6 +1821,22 @@ mod tests {
         }
     }
 
+    /// Colliding fingerprints split a bucket instead of merging classes,
+    /// and classes come out in order of their first member.
+    #[test]
+    fn partition_resolves_fingerprint_collisions_exactly() {
+        let same = |a: usize, b: usize| a % 3 == b % 3;
+        let expected = vec![vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]];
+        assert_eq!(partition(0..10, |_| 0, same), expected, "all collide");
+        assert_eq!(partition(0..10, |i| (i % 3) as u64, same), expected);
+        assert_eq!(
+            partition(0..10, |i| u64::from(i % 3 == 2), same),
+            expected,
+            "a bucket holding two classes"
+        );
+        assert!(partition(std::iter::empty(), |_| 0, same).is_empty());
+    }
+
     /// Candidate classes group only provably identical candidates: the
     /// solved walk scores inside one class are bitwise equal, and every
     /// connected candidate appears in exactly one class.
@@ -1351,7 +1846,7 @@ mod tests {
         let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let (pages, candidates) = phase_for(&c, &o, &cfg, None);
-        let phase = EntityPhase::build(&c, aspect, &pages, &o, candidates, None, true, &cfg);
+        let phase = EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, true, &cfg);
         let groups = phase.certifiable_groups();
         let connected = phase.connected();
         let n_connected = connected.iter().filter(|&&x| x).count();

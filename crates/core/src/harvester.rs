@@ -16,13 +16,29 @@
 //!   interleaved steps from different sessions over one shared engine, and
 //!   can route the fired queries through a retrieval cache by passing a
 //!   [`SearchBackend`].
+//!
+//! A session carries two caches across its steps (with
+//! `cfg.incremental_phase`, the default), so a step's selection
+//! bookkeeping is proportional to what changed since the previous step:
+//! the pages the last query gathered and the query it fired.
+//!
+//! * [`IncrementalCandidates`] keeps the page candidates live: it
+//!   enumerates only new pages, seed-tests each new candidate once and
+//!   drops the fired query, and hands the selector a slice that equals
+//!   [`page_candidates`] over everything (the cold reference).
+//! * [`EntityPhaseState`] is the selector's per-session candidate table:
+//!   one slot per distinct candidate and template, carried from build to
+//!   build (see [`crate::entity_phase`]).
+//!
+//! Neither is persisted: a restored session starts both empty, and its
+//! first step rebuilds them from scratch.
 
 use crate::candidates::{IncrementalCandidates, StopwordCache};
 use crate::config::L2qConfig;
 use crate::domain_phase::DomainModel;
 use crate::entity_phase::EntityPhaseState;
 use crate::query::Query;
-use crate::selector::{page_candidates, subset_of_seed, QuerySelector, SelectionInput};
+use crate::selector::{page_candidates, QuerySelector, SelectionInput};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId, PageId};
 use l2q_retrieval::{SearchBackend, SearchEngine};
@@ -200,8 +216,8 @@ pub struct HarvestState {
     pub(crate) selection_time: Duration,
     pub(crate) barren_streak: usize,
     pub(crate) stops: StopwordCache,
-    /// Cross-step candidate enumerator (gathered pages only ever grow by
-    /// appending, so incremental enumeration is exact).
+    /// Live page-candidate list (gathered pages and fired queries only
+    /// ever grow by appending, so it stays equal to `page_candidates`).
     pub(crate) enumerated: IncrementalCandidates,
     /// Cross-step entity-phase cache handed to the selector when
     /// `cfg.incremental_phase` is on. `Mutex` (never contended — locked
@@ -284,34 +300,30 @@ impl HarvestState {
         let m = harvest_metrics();
         let step_timer = l2q_obs::SpanTimer::start_named(m.step_seconds.clone(), "harvest_step");
 
-        let candidates = if h.cfg.incremental_phase {
-            // Enumerate only the pages gathered since the last step (the
-            // result is identical to a full re-enumeration — dedup is
-            // first-occurrence over pages in order), then apply the same
-            // fired/seed-subset filters as `page_candidates`.
+        let cold_candidates;
+        let candidates: &[Query] = if h.cfg.incremental_phase {
+            // Fold in only the pages gathered and the query fired since
+            // the last step: the live list is identical to
+            // `page_candidates` over everything (see
+            // `IncrementalCandidates`).
             let pages = self.gathered.iter().map(|&p| h.corpus.page(p));
-            self.enumerated
-                .update(h.corpus, pages, h.cfg.candidates.max_len, &mut self.stops);
-            let fired_set: HashSet<&Query> = self.fired.iter().collect();
-            let seed = self.fired.first();
-            self.enumerated
-                .queries()
-                .iter()
-                .filter(|q| !fired_set.contains(*q))
-                .filter(|q| {
-                    seed.map(|s| !subset_of_seed(q, s, h.corpus))
-                        .unwrap_or(true)
-                })
-                .cloned()
-                .collect()
+            self.enumerated.update(
+                h.corpus,
+                pages,
+                &self.fired,
+                h.cfg.candidates.max_len,
+                &mut self.stops,
+            );
+            self.enumerated.queries()
         } else {
-            page_candidates(
+            cold_candidates = page_candidates(
                 h.corpus,
                 &self.gathered,
                 &self.fired,
                 &h.cfg,
                 &mut self.stops,
-            )
+            );
+            &cold_candidates
         };
         let relevant: Vec<bool> = self
             .gathered
@@ -325,7 +337,7 @@ impl HarvestState {
             gathered: &self.gathered,
             relevant: &relevant,
             fired: &self.fired,
-            page_candidates: &candidates,
+            page_candidates: candidates,
             domain: h.domain,
             oracle: h.oracle,
             engine: h.engine,

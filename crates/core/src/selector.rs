@@ -27,7 +27,10 @@ pub struct SelectionInput<'a> {
     pub relevant: &'a [bool],
     /// The context Φ: every query fired so far, seed first.
     pub fired: &'a [Query],
-    /// Candidates enumerated from the current pages (fired ones removed).
+    /// Candidates enumerated from the current pages, fired ones and
+    /// seed subsets removed ([`page_candidates`]). The harvester hands
+    /// over its live list, which only drops fired queries and appends
+    /// new ones from step to step.
     pub page_candidates: &'a [Query],
     /// The learned domain model, if the pipeline is domain-aware.
     pub domain: Option<&'a DomainModel>,
@@ -91,8 +94,16 @@ fn lock_recover(m: &Mutex<EntityPhaseState>) -> MutexGuard<'_, EntityPhaseState>
     }
 }
 
-/// Resolved-once handles for the bound-and-prune selection metrics.
+/// Resolved-once handles for the selection spans and the bound-and-prune
+/// selection metrics.
 struct SelectionMetrics {
+    /// Pool and phase update (`harvest_select_phase` span).
+    phase_seconds: Arc<l2q_obs::Histogram>,
+    /// Certifier set-up: candidate classes and static bounds
+    /// (`harvest_select_setup` span).
+    setup_seconds: Arc<l2q_obs::Histogram>,
+    /// Scores, argmax and Φ commit (`harvest_select_score` span).
+    score_seconds: Arc<l2q_obs::Histogram>,
     pruned: Arc<l2q_obs::Counter>,
     exact: Arc<l2q_obs::Counter>,
     fallbacks: Arc<l2q_obs::Counter>,
@@ -104,6 +115,9 @@ fn selection_metrics() -> &'static SelectionMetrics {
     M.get_or_init(|| {
         let reg = l2q_obs::global();
         SelectionMetrics {
+            phase_seconds: reg.histogram("harvest_select_phase_seconds"),
+            setup_seconds: reg.histogram("harvest_select_setup_seconds"),
+            score_seconds: reg.histogram("harvest_select_score_seconds"),
             pruned: reg.counter("selection_candidates_pruned_total"),
             exact: reg.counter("selection_exact_solves_total"),
             fallbacks: reg.counter("selection_bound_fallbacks_total"),
@@ -372,40 +386,6 @@ impl L2qSelector {
     pub fn is_context_aware(&self) -> bool {
         self.context_aware
     }
-
-    /// Assemble the candidate pool for this configuration. Works on
-    /// borrowed queries throughout — the fired set is built once up
-    /// front, dedup is by reference — and clones each surviving query
-    /// exactly once on the way out.
-    fn candidate_pool(&self, input: &SelectionInput<'_>) -> Vec<Query> {
-        let fired: FxHashSet<&Query> = input.fired.iter().collect();
-        let mut pool: Vec<&Query> = input
-            .page_candidates
-            .iter()
-            .filter(|q| !fired.contains(q))
-            .collect();
-        if self.domain_aware {
-            if let Some(dm) = input.domain {
-                let seed = input.fired.first();
-                let mut seen: FxHashSet<&Query> = pool.iter().copied().collect();
-                for q in dm.frequent_queries() {
-                    if fired.contains(q) {
-                        continue;
-                    }
-                    if seed
-                        .map(|s| subset_of_seed(q, s, input.corpus))
-                        .unwrap_or(false)
-                    {
-                        continue;
-                    }
-                    if seen.insert(q) {
-                        pool.push(q);
-                    }
-                }
-            }
-        }
-        pool.into_iter().cloned().collect()
-    }
 }
 
 impl QuerySelector for L2qSelector {
@@ -438,16 +418,14 @@ impl QuerySelector for L2qSelector {
     }
 
     fn select(&mut self, input: &SelectionInput<'_>) -> Option<Query> {
-        let candidates = self.candidate_pool(input);
-        if candidates.is_empty() {
-            return None;
-        }
-
+        let m = selection_metrics();
         let domain = if self.domain_aware {
             input.domain
         } else {
             None
         };
+        let phase_span =
+            l2q_obs::SpanTimer::start_named(m.phase_seconds.clone(), "harvest_select_phase");
         let mut guard = input.phase_state.map(lock_recover);
         let phase = match guard.as_deref_mut() {
             Some(state) => EntityPhase::build_incremental(
@@ -455,7 +433,8 @@ impl QuerySelector for L2qSelector {
                 input.aspect,
                 input.gathered,
                 input.oracle,
-                candidates,
+                input.page_candidates,
+                input.fired,
                 domain,
                 self.domain_aware,
                 input.cfg,
@@ -466,22 +445,31 @@ impl QuerySelector for L2qSelector {
                 input.aspect,
                 input.gathered,
                 input.oracle,
-                candidates,
+                input.page_candidates,
+                input.fired,
                 domain,
                 self.domain_aware,
                 input.cfg,
             ),
         };
+        phase_span.finish();
+        if phase.candidates().is_empty() {
+            return None;
+        }
 
         let scores: Vec<f64> = if self.context_aware {
             let state = *self
                 .state
                 .get_or_insert_with(|| CollectiveState::new(input.cfg.r0));
-            let walks = if input.cfg.prune {
-                let mut cert = Certifier::new(state, self.strategy, phase.certifiable_groups());
+            let setup_span =
+                l2q_obs::SpanTimer::start_named(m.setup_seconds.clone(), "harvest_select_setup");
+            let groups = input.cfg.prune.then(|| phase.certifiable_groups());
+            phase.static_bounds();
+            setup_span.finish();
+            let walks = if let Some(groups) = groups {
+                let mut cert = Certifier::new(state, self.strategy, groups);
                 let (walks, _early) =
                     phase.context_walks_certified(guard.as_deref_mut(), |p| cert.check(p));
-                let m = selection_metrics();
                 let total = phase.candidates().len() as u64;
                 match cert.winner {
                     Some(w) => {
@@ -508,6 +496,8 @@ impl QuerySelector for L2qSelector {
                     .context_walks_certified(guard.as_deref_mut(), |_| false)
                     .0
             };
+            let _score_span =
+                l2q_obs::SpanTimer::start_named(m.score_seconds.clone(), "harvest_select_score");
             let (r, r_tilde, rstar) = (walks.recall, walks.recall_gathered, walks.recall_all);
             let connected = phase.connected();
             // Primary score per strategy, with the complementary collective
@@ -560,13 +550,15 @@ impl QuerySelector for L2qSelector {
             }
         };
 
+        let _score_span =
+            l2q_obs::SpanTimer::start_named(m.score_seconds.clone(), "harvest_select_score");
         argmax(&scores, phase.candidates()).map(|i| phase.candidates()[i].clone())
     }
 }
 
 /// Argmax over (primary, secondary) score pairs; final ties break toward
 /// the lexicographically smallest query so selection is deterministic.
-pub(crate) fn argmax_pairs(scores: &[(f64, f64)], queries: &[Query]) -> Option<usize> {
+pub(crate) fn argmax_pairs(scores: &[(f64, f64)], queries: &[&Query]) -> Option<usize> {
     let mut best: Option<usize> = None;
     for i in 0..scores.len() {
         match best {
@@ -585,7 +577,7 @@ pub(crate) fn argmax_pairs(scores: &[(f64, f64)], queries: &[Query]) -> Option<u
 
 /// Index of the maximum score; ties break toward the lexicographically
 /// smallest query so selection is deterministic.
-pub(crate) fn argmax(scores: &[f64], queries: &[Query]) -> Option<usize> {
+pub(crate) fn argmax(scores: &[f64], queries: &[&Query]) -> Option<usize> {
     let mut best: Option<usize> = None;
     for i in 0..scores.len() {
         match best {
@@ -714,11 +706,12 @@ mod tests {
     #[test]
     fn argmax_breaks_ties_lexicographically() {
         use l2q_text::Sym;
-        let queries = vec![
+        let queries = [
             Query::new(&[Sym(5)]),
             Query::new(&[Sym(2)]),
             Query::new(&[Sym(9)]),
         ];
+        let queries: Vec<&Query> = queries.iter().collect();
         let scores = vec![1.0, 1.0, 0.5];
         assert_eq!(argmax(&scores, &queries), Some(1));
         assert_eq!(argmax(&[], &[]), None);

@@ -15,10 +15,15 @@
 //! equality with per-walk solo solves is pinned in `l2q-graph`.
 
 use l2q_aspect::RelevanceOracle;
-use l2q_core::{learn_domain, HarvestRecord, Harvester, L2qConfig, L2qSelector, QuerySelector};
+use l2q_core::selector::page_candidates;
+use l2q_core::{
+    learn_domain, pages_queries, CollectiveState, HarvestRecord, HarvestState, Harvester,
+    L2qConfig, L2qSelector, Query, QuerySelector, SelectionInput, StopwordCache,
+};
 use l2q_corpus::spec::DomainSpec;
 use l2q_corpus::{cars_domain, generate, researchers_domain, CorpusConfig, EntityId};
 use l2q_retrieval::SearchEngine;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn harvest_all(spec: &DomainSpec, cfg: L2qConfig) -> Vec<(String, HarvestRecord)> {
@@ -116,4 +121,158 @@ fn each_speed_knob_is_individually_lossless() {
             assert_eq!(a.gathered, b.gathered, "{label}: gathered diverged");
         }
     }
+}
+
+/// Checks, at every selection, that the page candidates the harvester
+/// hands over are the cold `selector::page_candidates` over the same
+/// pages and fired queries, in the same order; then selects with the
+/// wrapped L2Q selector. Also counts fired queries that no gathered page
+/// enumerated when they fired but a later page does: the live list has
+/// to keep those out without ever having listed them.
+struct ColdChecked {
+    inner: L2qSelector,
+    label: String,
+    /// Fired queries no gathered page had enumerated yet.
+    unlisted: Vec<Query>,
+    selections: usize,
+    enumerated_after_firing: usize,
+}
+
+impl ColdChecked {
+    fn new(inner: L2qSelector, label: String) -> Self {
+        Self {
+            inner,
+            label,
+            unlisted: Vec::new(),
+            selections: 0,
+            enumerated_after_firing: 0,
+        }
+    }
+}
+
+impl QuerySelector for ColdChecked {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+        self.unlisted.clear();
+    }
+
+    fn select(&mut self, input: &SelectionInput<'_>) -> Option<Query> {
+        let mut stops = StopwordCache::new();
+        let cold = page_candidates(
+            input.corpus,
+            input.gathered,
+            input.fired,
+            input.cfg,
+            &mut stops,
+        );
+        assert_eq!(
+            input.page_candidates,
+            &cold[..],
+            "{}: live page candidates diverged from the cold list after {} fired",
+            self.label,
+            input.fired.len()
+        );
+        let enumerated: HashSet<Query> = pages_queries(
+            input.corpus,
+            input.gathered.iter().map(|&p| input.corpus.page(p)),
+            input.cfg.candidates.max_len,
+            &mut stops,
+        )
+        .into_iter()
+        .collect();
+        let before = self.unlisted.len();
+        self.unlisted.retain(|q| !enumerated.contains(q));
+        self.enumerated_after_firing += before - self.unlisted.len();
+        self.selections += 1;
+        let chosen = self.inner.select(input);
+        if let Some(q) = chosen.as_ref().filter(|q| !enumerated.contains(*q)) {
+            self.unlisted.push(q.clone());
+        }
+        chosen
+    }
+
+    fn collective_state(&self) -> Option<CollectiveState> {
+        self.inner.collective_state()
+    }
+
+    fn restore_collective(&mut self, state: CollectiveState) {
+        self.inner.restore_collective(state)
+    }
+}
+
+/// The harvester's live candidate list equals its cold reference at every
+/// step: full harvests of every non-domain entity on both domains with
+/// all three L2Q selectors, plus one session exported and re-imported
+/// mid-harvest (its restored list is rebuilt from scratch, then carried
+/// again). At a 10-query budget, cars harvests fire domain queries that
+/// a later page enumerates.
+#[test]
+fn live_page_candidates_match_the_cold_list_at_every_step() {
+    let (mut selections, mut enumerated_after_firing) = (0, 0);
+    for (spec, name) in [
+        (researchers_domain(), "researchers"),
+        (cars_domain(), "cars"),
+    ] {
+        let cfg = L2qConfig::default();
+        assert!(cfg.incremental_phase, "the live list is the default path");
+        let corpus = Arc::new(generate(&spec, &CorpusConfig::tiny()).unwrap());
+        let engine = SearchEngine::with_defaults(corpus.clone());
+        let oracle = RelevanceOracle::from_truth(&corpus);
+        let domain_entities: Vec<EntityId> = corpus.entity_ids().take(4).collect();
+        let domain = learn_domain(&corpus, &domain_entities, &oracle, &cfg);
+        let harvester = Harvester {
+            corpus: &corpus,
+            engine: &engine,
+            oracle: &oracle,
+            domain: Some(&domain),
+            cfg: cfg.with_n_queries(10),
+        };
+        for aspect in corpus.aspects() {
+            for (entity, inner) in (4..8).flat_map(|e| {
+                [
+                    L2qSelector::l2qp(),
+                    L2qSelector::l2qr(),
+                    L2qSelector::l2qbal(),
+                ]
+                .map(|s| (EntityId(e), s))
+            }) {
+                let label = format!("{name}/{}/{aspect:?}/{entity:?}", inner.name());
+                let mut sel = ColdChecked::new(inner, label);
+                let _ = harvester.run(entity, aspect, &mut sel);
+                selections += sel.selections;
+                enumerated_after_firing += sel.enumerated_after_firing;
+            }
+        }
+
+        // Export after two steps, import, and continue on fresh caches.
+        let aspect = corpus.aspects().next().unwrap();
+        let mut sel = ColdChecked::new(L2qSelector::l2qbal(), format!("{name}/restored"));
+        sel.reset();
+        let mut state = HarvestState::begin(&harvester, EntityId(6), aspect);
+        for _ in 0..2 {
+            state.step(&harvester, &mut sel);
+        }
+        let json = state.export_json(&corpus, sel.collective_state());
+        let (mut state, collective) = HarvestState::import_json(&json, &corpus).unwrap();
+        let mut sel = ColdChecked::new(L2qSelector::l2qbal(), format!("{name}/restored"));
+        sel.reset();
+        if let Some(c) = collective {
+            sel.restore_collective(c);
+        }
+        while !state.is_finished() {
+            state.step(&harvester, &mut sel);
+        }
+        assert!(sel.selections > 1, "{name}: the restored session stepped");
+        selections += sel.selections;
+    }
+    assert!(selections > 0);
+    assert!(
+        enumerated_after_firing > 0,
+        "no fired query was first enumerated on a later page: the \
+         fired-before-enumerated case went unexercised"
+    );
 }

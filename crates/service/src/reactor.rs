@@ -60,9 +60,6 @@ const WAKER_TOKEN: Token = Token(0);
 const LISTENER_TOKEN: Token = Token(1);
 /// Connection slab index `i` polls under `Token(i + CONN_TOKEN_BASE)`.
 const CONN_TOKEN_BASE: usize = 2;
-/// Idle poll tick: the upper bound on how stale a deadline/stop check
-/// can get when no readiness events arrive.
-const TICK: Duration = Duration::from_millis(200);
 /// Per-read granularity off a ready socket.
 const READ_CHUNK: usize = 4096;
 /// Response bytes buffered for a slow reader before parsing pauses.
@@ -368,8 +365,12 @@ impl Engine {
             if self.shutdown_pass() {
                 break;
             }
-            let timeout = self.next_timeout();
-            if self.poll.poll(&mut events, Some(timeout)).is_err() {
+            // Block until readiness, a wake-up or the next timer. Every
+            // off-thread stop wakes the poller (`EngineHandle::join`) and
+            // the stop paths on this thread loop straight back to
+            // `shutdown_pass`, so with no timer pending there is nothing
+            // to poll for.
+            if self.poll.poll(&mut events, self.next_timeout()).is_err() {
                 // A failing selector is unrecoverable; drain and exit so
                 // the process does not serve half-dead sockets forever.
                 self.stop.store(true, Ordering::SeqCst);
@@ -440,7 +441,10 @@ impl Engine {
         self.conns.iter().all(Option::is_none)
     }
 
-    fn next_timeout(&self) -> Duration {
+    /// Time until the earliest pending timer: a request deadline, an
+    /// oversized-line drain, the shutdown drain or the accept pause.
+    /// `None` when no timer is pending.
+    fn next_timeout(&self) -> Option<Duration> {
         let conn_deadlines = self.conns.iter().flatten().flat_map(|conn| {
             let state = match conn.state {
                 ConnState::Draining { deadline } => Some(deadline),
@@ -448,15 +452,12 @@ impl Engine {
             };
             [conn.pending.as_ref().and_then(|p| p.deadline), state]
         });
-        let next = [self.drain_deadline, self.accept_paused_until]
+        [self.drain_deadline, self.accept_paused_until]
             .into_iter()
             .chain(conn_deadlines)
             .flatten()
-            .min();
-        match next {
-            Some(d) => d.saturating_duration_since(Instant::now()).min(TICK),
-            None => TICK,
-        }
+            .min()
+            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// Accept every queued connection. Admission is decided here, on the
