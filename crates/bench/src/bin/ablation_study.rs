@@ -13,14 +13,16 @@
 //! For each variant, reports L2QBAL's normalized F at the default 3-query
 //! budget on the researchers domain.
 
-use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
-use l2q_core::{L2qSelector, TemplateMode};
+use l2q_bench::{build_domain, BenchOpts, DomainKind};
+use l2q_core::TemplateMode;
+use l2q_eval::{Method, SplitEval};
 
 fn main() {
     let opts = BenchOpts::from_args();
     let setup = build_domain(DomainKind::Researchers, &opts);
     let base_cfg = setup.l2q_config();
     let splits = setup.splits(&opts);
+    let l2qbal = Method::named("l2qbal", 0).expect("a method in the table");
 
     println!("Ablation study — L2QBAL normalized F on researchers, 3 queries\n");
     println!("{:44} {:>8}", "variant", "F");
@@ -29,9 +31,14 @@ fn main() {
         let mut f_sum = 0.0f64;
         let mut n = 0.0f64;
         for split in &splits {
-            let se = SplitEval::prepare(&setup, split, &opts, cfg);
-            let mut sel = L2qSelector::l2qbal();
-            let eval = se.evaluate(&mut sel, true);
+            let se = SplitEval::prepare(
+                &setup.engine,
+                &setup.oracle,
+                split,
+                opts.max_test_entities,
+                cfg,
+            );
+            let eval = se.evaluate(l2qbal);
             if let Some(it) = eval.at(cfg.n_queries) {
                 f_sum += it.normalized.f1;
                 n += 1.0;

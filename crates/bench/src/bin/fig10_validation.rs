@@ -8,33 +8,30 @@
 //! P+t > P+q (templates beat raw domain queries under entity variation),
 //! L2QP > P+t (context helps); mirrored for recall.
 
-use l2q_baselines::{DomainQuerySelector, RndSelector};
-use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
-use l2q_core::{L2qSelector, QuerySelector, Strategy};
-use l2q_eval::{merge_method_evals, render_table, MethodEval, Series};
+use l2q_bench::{build_domain, BenchOpts, DomainKind};
+use l2q_core::Strategy;
+use l2q_eval::{merge_method_evals, render_table, Method, MethodEval, Series, SplitEval};
 
-type Factory = Box<dyn Fn() -> Box<dyn QuerySelector> + Sync>;
+/// RND's seed.
+const RND_SEED: u64 = 11;
 
 /// How a method is run per split.
-enum Method {
-    /// Fresh selector per split, with/without domain model.
-    Plain(bool, Factory),
+enum Run {
+    /// A method from the table at the split's configuration.
+    Plain(&'static str),
     /// Full L2Q with per-split cross-validated r0.
     L2q(Strategy),
 }
 
 /// Evaluate one method across all splits and return its merged result.
-fn run_method(splits: &[SplitEval<'_>], method: &Method) -> MethodEval {
+fn run_method(splits: &[SplitEval<'_>], run: &Run) -> MethodEval {
     let per_split: Vec<MethodEval> = splits
         .iter()
-        .map(|se| match method {
-            Method::Plain(with_domain, factory) => {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4);
-                se.evaluate_parallel(factory.as_ref(), *with_domain, threads)
+        .map(|se| match run {
+            Run::Plain(name) => {
+                se.evaluate(Method::named(name, RND_SEED).expect("a method in the table"))
             }
-            Method::L2q(strategy) => se.evaluate_l2q(*strategy),
+            Run::L2q(strategy) => se.evaluate_l2q(*strategy),
         })
         .collect();
     merge_method_evals(&per_split)
@@ -54,57 +51,29 @@ fn main() {
         let raw_splits = setup.splits(&opts);
         let splits: Vec<SplitEval<'_>> = raw_splits
             .iter()
-            .map(|s| SplitEval::prepare(&setup, s, &opts, cfg))
+            .map(|s| {
+                SplitEval::prepare(&setup.engine, &setup.oracle, s, opts.max_test_entities, cfg)
+            })
             .collect();
 
-        let precision_side: Vec<(&str, Method)> = vec![
-            (
-                "RND",
-                Method::Plain(false, Box::new(|| Box::new(RndSelector::new(11)))),
-            ),
-            (
-                "P",
-                Method::Plain(false, Box::new(|| Box::new(L2qSelector::precision_only()))),
-            ),
-            (
-                "P+q",
-                Method::Plain(
-                    true,
-                    Box::new(|| Box::new(DomainQuerySelector::precision())),
-                ),
-            ),
-            (
-                "P+t",
-                Method::Plain(
-                    true,
-                    Box::new(|| Box::new(L2qSelector::precision_templates())),
-                ),
-            ),
-            ("L2QP", Method::L2q(Strategy::Precision)),
+        let precision_side = [
+            ("RND", Run::Plain("rnd")),
+            ("P", Run::Plain("p")),
+            ("P+q", Run::Plain("p+q")),
+            ("P+t", Run::Plain("p+t")),
+            ("L2QP", Run::L2q(Strategy::Precision)),
         ];
-        let recall_side: Vec<(&str, Method)> = vec![
-            (
-                "RND",
-                Method::Plain(false, Box::new(|| Box::new(RndSelector::new(11)))),
-            ),
-            (
-                "R",
-                Method::Plain(false, Box::new(|| Box::new(L2qSelector::recall_only()))),
-            ),
-            (
-                "R+q",
-                Method::Plain(true, Box::new(|| Box::new(DomainQuerySelector::recall()))),
-            ),
-            (
-                "R+t",
-                Method::Plain(true, Box::new(|| Box::new(L2qSelector::recall_templates()))),
-            ),
-            ("L2QR", Method::L2q(Strategy::Recall)),
+        let recall_side = [
+            ("RND", Run::Plain("rnd")),
+            ("R", Run::Plain("r")),
+            ("R+q", Run::Plain("r+q")),
+            ("R+t", Run::Plain("r+t")),
+            ("L2QR", Run::L2q(Strategy::Recall)),
         ];
 
         let mut prec_rows = Vec::new();
-        for (label, method) in &precision_side {
-            let merged = run_method(&splits, method);
+        for (label, run) in &precision_side {
+            let merged = run_method(&splits, run);
             let at = merged.at(cfg.n_queries).expect("evaluated budget");
             prec_rows.push(Series {
                 label: (*label).to_string(),
@@ -112,8 +81,8 @@ fn main() {
             });
         }
         let mut rec_rows = Vec::new();
-        for (label, method) in &recall_side {
-            let merged = run_method(&splits, method);
+        for (label, run) in &recall_side {
+            let merged = run_method(&splits, run);
             let at = merged.at(cfg.n_queries).expect("evaluated budget");
             rec_rows.push(Series {
                 label: (*label).to_string(),

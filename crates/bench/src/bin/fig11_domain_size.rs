@@ -6,9 +6,9 @@
 //! monotone-ish improvement, with the steepest gain between 0% and 5% —
 //! "even a small number of domain entities can be quite useful".
 
-use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
+use l2q_bench::{build_domain, BenchOpts, DomainKind};
 use l2q_core::Strategy;
-use l2q_eval::{merge_method_evals, render_table, Series};
+use l2q_eval::{merge_method_evals, render_table, Series, SplitEval};
 
 const FRACTIONS: [f64; 5] = [0.0, 0.05, 0.10, 0.25, 1.0];
 
@@ -36,22 +36,23 @@ fn main() {
         let mut prec_values = Vec::with_capacity(FRACTIONS.len());
         let mut rec_values = Vec::with_capacity(FRACTIONS.len());
         for &fraction in &FRACTIONS {
-            let evals_p: Vec<_> = splits
+            let (evals_p, evals_r): (Vec<_>, Vec<_>) = splits
                 .iter()
                 .map(|s| {
                     let sub = s.with_domain_fraction(fraction);
-                    let se = SplitEval::prepare(&setup, &sub, &opts, cfg);
-                    se.evaluate_l2q(Strategy::Precision)
+                    let se = SplitEval::prepare(
+                        &setup.engine,
+                        &setup.oracle,
+                        &sub,
+                        opts.max_test_entities,
+                        cfg,
+                    );
+                    (
+                        se.evaluate_l2q(Strategy::Precision),
+                        se.evaluate_l2q(Strategy::Recall),
+                    )
                 })
-                .collect();
-            let evals_r: Vec<_> = splits
-                .iter()
-                .map(|s| {
-                    let sub = s.with_domain_fraction(fraction);
-                    let se = SplitEval::prepare(&setup, &sub, &opts, cfg);
-                    se.evaluate_l2q(Strategy::Recall)
-                })
-                .collect();
+                .unzip();
             prec_values.push(
                 merge_method_evals(&evals_p)
                     .at(cfg.n_queries)

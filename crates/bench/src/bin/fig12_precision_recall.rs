@@ -7,14 +7,14 @@
 //! drifts slightly down with more queries as the pool of relevant pages
 //! saturates.
 
-use l2q_baselines::{AqSelector, HrSelector, LmSelector, MqSelector};
-use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
-use l2q_core::{QuerySelector, Strategy};
-use l2q_eval::{merge_method_evals, render_table, MethodEval, Series};
+use l2q_bench::{build_domain, BenchOpts, DomainKind};
+use l2q_core::Strategy;
+use l2q_eval::{merge_method_evals, render_table, Method, MethodEval, Series, SplitEval};
 
 const MAX_QUERIES: usize = 5;
 
-type Factory = Box<dyn Fn() -> Box<dyn QuerySelector> + Sync>;
+/// The independent baselines, in the paper's order.
+const BASELINES: [&str; 4] = ["lm", "aq", "hr", "mq"];
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -30,7 +30,9 @@ fn main() {
         let splits_raw = setup.splits(&opts);
         let splits: Vec<SplitEval<'_>> = splits_raw
             .iter()
-            .map(|s| SplitEval::prepare(&setup, s, &opts, cfg))
+            .map(|s| {
+                SplitEval::prepare(&setup.engine, &setup.oracle, s, opts.max_test_entities, cfg)
+            })
             .collect();
 
         // L2QP / L2QR with cross-validated r0.
@@ -47,26 +49,15 @@ fn main() {
                 .collect::<Vec<_>>(),
         );
 
-        // Baselines (HR gets the domain model — "only HR exploits domain
-        // data"; LM/AQ/MQ do not).
-        let baselines: Vec<(bool, Factory)> = vec![
-            (false, Box::new(|| Box::new(LmSelector::new()))),
-            (false, Box::new(|| Box::new(AqSelector::new()))),
-            (true, Box::new(|| Box::new(HrSelector::new()))),
-            (false, Box::new(|| Box::new(MqSelector::new()))),
-        ];
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
         let mut evals: Vec<MethodEval> = vec![l2qp, l2qr];
-        for (with_domain, factory) in &baselines {
-            let merged = merge_method_evals(
+        for name in BASELINES {
+            let method = Method::named(name, 0).expect("a method in the table");
+            evals.push(merge_method_evals(
                 &splits
                     .iter()
-                    .map(|se| se.evaluate_parallel(factory.as_ref(), *with_domain, threads))
+                    .map(|se| se.evaluate(method))
                     .collect::<Vec<_>>(),
-            );
-            evals.push(merged);
+            ));
         }
 
         let series = |metric: fn(&l2q_eval::IterStats) -> f64| -> Vec<Series> {

@@ -7,9 +7,8 @@
 //! directly; fetch is simulated with the paper's reported per-domain
 //! latency since there is no remote server in the loop (DESIGN.md §2).
 
-use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
-use l2q_core::{L2qSelector, Strategy};
-use l2q_eval::merge_method_evals;
+use l2q_bench::{build_domain, BenchOpts, DomainKind};
+use l2q_eval::{merge_method_evals, Method, SplitEval};
 
 /// Paper-reported fetch latency per query (seconds): researchers ~18,
 /// cars ~8.
@@ -32,18 +31,18 @@ fn main() {
     for kind in DomainKind::both() {
         let setup = build_domain(kind, &opts);
         let cfg = setup.l2q_config();
-        let splits = setup.splits(&opts);
+        let raw_splits = setup.splits(&opts);
+        let splits: Vec<SplitEval<'_>> = raw_splits
+            .iter()
+            .map(|s| {
+                SplitEval::prepare(&setup.engine, &setup.oracle, s, opts.max_test_entities, cfg)
+            })
+            .collect();
 
         let mut cols = Vec::new();
-        for strategy in [Strategy::Precision, Strategy::Recall, Strategy::Balanced] {
-            let evals: Vec<_> = splits
-                .iter()
-                .map(|s| {
-                    let se = SplitEval::prepare(&setup, s, &opts, cfg);
-                    let mut sel = L2qSelector::custom(strategy, true, true);
-                    se.evaluate(&mut sel, true)
-                })
-                .collect();
+        for name in ["l2qp", "l2qr", "l2qbal"] {
+            let method = Method::named(name, 0).expect("a method in the table");
+            let evals: Vec<_> = splits.iter().map(|se| se.evaluate(method)).collect();
             let merged = merge_method_evals(&evals);
             cols.push(merged.selection_time_per_query().as_secs_f64());
         }

@@ -9,11 +9,9 @@
 //! (leaked pages are irrelevant by definition) while the method ordering
 //! is preserved — query selection is robust to the focusing mechanism.
 
-use l2q_baselines::MqSelector;
-use l2q_bench::{build_domain, BenchOpts, DomainKind, SplitEval};
-use l2q_core::L2qSelector;
-use l2q_eval::merge_method_evals;
-use l2q_retrieval::{EngineConfig, SeedMode};
+use l2q_bench::{build_domain, BenchOpts, DomainKind};
+use l2q_eval::{merge_method_evals, Method, SplitEval};
+use l2q_retrieval::{EngineConfig, SearchEngine, SeedMode};
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -23,6 +21,8 @@ fn main() {
         "Domain", "mode", "L2QBAL F", "MQ F", "pairs"
     );
 
+    let l2qbal = Method::named("l2qbal", 0).expect("a method in the table");
+    let mq = Method::named("mq", 0).expect("a method in the table");
     for kind in DomainKind::both() {
         let setup = build_domain(kind, &opts);
         let cfg = setup.l2q_config();
@@ -32,28 +32,29 @@ fn main() {
             ("HardFilter", SeedMode::HardFilter),
             ("SoftAppend", SeedMode::SoftAppend),
         ] {
-            let engine_cfg = EngineConfig {
-                seed_mode: mode,
-                ..EngineConfig::default()
-            };
+            let engine = SearchEngine::new(
+                setup.corpus.clone(),
+                EngineConfig {
+                    seed_mode: mode,
+                    ..EngineConfig::default()
+                },
+            );
             let mut bal_evals = Vec::new();
             let mut mq_evals = Vec::new();
             for split in &splits {
-                let se = SplitEval::prepare_with_engine(&setup, split, &opts, cfg, engine_cfg);
-                let mut bal = L2qSelector::l2qbal();
-                bal_evals.push(se.evaluate(&mut bal, true));
-                let mut mq = MqSelector::new();
-                mq_evals.push(se.evaluate(&mut mq, false));
+                let se =
+                    SplitEval::prepare(&engine, &setup.oracle, split, opts.max_test_entities, cfg);
+                bal_evals.push(se.evaluate(l2qbal));
+                mq_evals.push(se.evaluate(mq));
             }
-            let bal = merge_method_evals(&bal_evals);
-            let mq = merge_method_evals(&mq_evals);
-            let at = |e: &l2q_eval::MethodEval| {
-                e.at(cfg.n_queries)
+            let at = |evals: &[l2q_eval::MethodEval]| {
+                merge_method_evals(evals)
+                    .at(cfg.n_queries)
                     .map(|it| (it.normalized.f1, it.pairs))
                     .unwrap_or((0.0, 0))
             };
-            let (bf, pairs) = at(&bal);
-            let (mf, _) = at(&mq);
+            let (bf, pairs) = at(&bal_evals);
+            let (mf, _) = at(&mq_evals);
             println!(
                 "{:12} {:14} {:>10.4} {:>10.4} {:>10}",
                 kind.name(),

@@ -30,5 +30,5 @@
 pub mod harness;
 pub mod opts;
 
-pub use harness::{build_domain, DomainKind, DomainSetup, SplitEval};
+pub use harness::{build_domain, DomainKind, DomainSetup};
 pub use opts::BenchOpts;

@@ -18,8 +18,6 @@ pub struct BenchOpts {
     pub max_test_entities: usize,
     /// Override the entity count of both domains.
     pub entities: Option<usize>,
-    /// Emit results as JSON instead of tables.
-    pub json: bool,
     /// Dump the global metrics registry as JSON to this path after a run.
     pub emit_metrics: Option<String>,
 }
@@ -33,7 +31,6 @@ impl Default for BenchOpts {
             splits: 3,
             max_test_entities: 10,
             entities: None,
-            json: false,
             emit_metrics: None,
         }
     }
@@ -43,7 +40,7 @@ const SPEC: Spec = Spec {
     numbers: &["--seed", "--splits", "--max-test", "--entities"],
     values: &["--emit-metrics"],
     repeated: &[],
-    bare: &["--quick", "--paper-scale", "--json"],
+    bare: &["--quick", "--paper-scale"],
     words: &[],
 };
 
@@ -83,7 +80,6 @@ impl BenchOpts {
             splits: args.num("--splits")?.unwrap_or(splits),
             max_test_entities: args.num("--max-test")?.unwrap_or(max_test_entities),
             entities: args.num("--entities")?,
-            json: args.has("--json"),
             emit_metrics: args.get("--emit-metrics").map(str::to_owned),
         })
     }
@@ -91,7 +87,7 @@ impl BenchOpts {
     /// Usage text.
     pub fn usage() -> &'static str {
         "usage: <fig binary> [--quick] [--paper-scale] [--seed N] [--splits N] \
-         [--max-test N] [--entities N] [--json] [--emit-metrics PATH]"
+         [--max-test N] [--entities N] [--emit-metrics PATH]"
     }
 
     /// Entity count for a domain given the flags.
@@ -140,9 +136,8 @@ mod tests {
         assert!(!o.quick);
         assert_eq!(o.splits, 3);
 
-        let o = parse(&["--quick", "--seed", "7", "--json"]);
+        let o = parse(&["--quick", "--seed", "7"]);
         assert!(o.quick);
-        assert!(o.json);
         assert_eq!(o.seed, 7);
         assert_eq!(o.splits, 1);
 
@@ -155,6 +150,8 @@ mod tests {
 
         let err = BenchOpts::parse(["--quik".to_string()]).unwrap_err();
         assert_eq!(err, "unknown flag '--quik'");
+        let err = BenchOpts::parse(["--json".to_string()]).unwrap_err();
+        assert_eq!(err, "unknown flag '--json'");
     }
 
     #[test]

@@ -7,11 +7,10 @@
 
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId, PageId};
-use serde::Serialize;
 use std::collections::HashSet;
 
 /// Precision / recall / F1 of a gathered page set.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Metrics {
     /// Fraction of gathered pages that are relevant.
     pub precision: f64,
@@ -105,14 +104,6 @@ impl MetricsAccumulator {
             f1: self.sum_f / n,
         }
     }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &MetricsAccumulator) {
-        self.sum_p += other.sum_p;
-        self.sum_r += other.sum_r;
-        self.sum_f += other.sum_f;
-        self.n += other.n;
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_averages_and_merges() {
+    fn accumulator_averages_and_counts() {
         let mut a = MetricsAccumulator::new();
         a.push(Metrics::new(1.0, 0.0));
         a.push(Metrics::new(0.0, 1.0));
@@ -176,12 +167,6 @@ mod tests {
         assert!((m.precision - 0.5).abs() < 1e-12);
         assert!((m.recall - 0.5).abs() < 1e-12);
         assert_eq!(a.count(), 2);
-
-        let mut b = MetricsAccumulator::new();
-        b.push(Metrics::new(1.0, 1.0));
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert!(a.mean().precision > 0.5);
 
         assert_eq!(MetricsAccumulator::new().mean(), Metrics::default());
     }

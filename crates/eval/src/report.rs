@@ -1,11 +1,7 @@
-//! Plain-text table/series rendering for the figure binaries, plus JSON
-//! export so EXPERIMENTS.md can embed machine-readable results.
-
-use crate::runner::MethodEval;
-use serde::Serialize;
+//! Plain-text table/series rendering for the figure binaries.
 
 /// A rendered experiment: a title and rows of `(label, series)` values.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Series {
     /// Row label (method name, aspect name, …).
     pub label: String,
@@ -39,38 +35,6 @@ pub fn render_table(title: &str, x_labels: &[String], rows: &[Series]) -> String
     out
 }
 
-/// Extract a per-iteration normalized metric series from a method eval.
-pub fn metric_series(eval: &MethodEval, metric: MetricKind) -> Series {
-    Series {
-        label: eval.name.clone(),
-        values: eval
-            .per_iter
-            .iter()
-            .map(|it| match metric {
-                MetricKind::Precision => it.normalized.precision,
-                MetricKind::Recall => it.normalized.recall,
-                MetricKind::F1 => it.normalized.f1,
-            })
-            .collect(),
-    }
-}
-
-/// Which metric to extract.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Normalized precision.
-    Precision,
-    /// Normalized recall.
-    Recall,
-    /// Normalized F-score.
-    F1,
-}
-
-/// Serialize any result to pretty JSON (for EXPERIMENTS.md appendices).
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("serializable result")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,15 +56,5 @@ mod tests {
         assert!(t.contains("L2QP"));
         assert!(t.contains("0.6000"));
         assert_eq!(t.lines().count(), 4);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let s = Series {
-            label: "x".into(),
-            values: vec![1.0],
-        };
-        let j = to_json(&s);
-        assert!(j.contains("\"label\""));
     }
 }

@@ -2,7 +2,7 @@
 //! children.
 //!
 //! The supervisor owns one child process per [`ShardSpec`]. A monitor
-//! thread polls every child: a crashed child is respawned after a capped
+//! thread checks every child: a crashed child is respawned after a capped
 //! exponential backoff, a child that keeps crashing before reaching
 //! stable uptime trips a crash-loop circuit breaker (the shard is then
 //! removed from the ring and left for an operator), and a freshly
@@ -81,7 +81,9 @@ pub struct SupervisorConfig {
     /// Uptime after which a child counts as stable and the crash streak
     /// resets.
     pub min_uptime: Duration,
-    /// Monitor poll cadence.
+    /// Monitor cadence while a respawned child has not yet answered a
+    /// ping. Otherwise the monitor parks until the next respawn is due,
+    /// and checks for exited children every 2 s.
     pub poll_interval: Duration,
 }
 
@@ -96,6 +98,9 @@ impl Default for SupervisorConfig {
         }
     }
 }
+
+/// How often an otherwise idle monitor checks for exited children.
+const IDLE_CHECK: Duration = Duration::from_secs(2);
 
 /// Capped exponential backoff before respawn attempt `streak` (1-based):
 /// `base << (streak-1)`, saturating at `cap`. Pure so tests can assert
@@ -239,6 +244,11 @@ impl Supervisor {
         state.awaiting_recovery = true;
         state.last_exit = Some("restarted (rolling)".into());
         restart_counter().inc();
+        // The new child awaits its first answer: ping it at the poll
+        // cadence, not after the idle check.
+        if let Some(handle) = lock_recover(&self.monitor).as_ref() {
+            handle.thread().unpark();
+        }
         Ok(())
     }
 
@@ -246,6 +256,7 @@ impl Supervisor {
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = lock_recover(&self.monitor).take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         for state in lock_recover(&self.children).iter_mut() {
@@ -256,15 +267,19 @@ impl Supervisor {
         }
     }
 
+    /// Parked between passes until the next due event: a respawn
+    /// deadline, the next ping of a child that has not answered yet, or
+    /// the idle check. `restart` and `shutdown` unpark it.
     fn monitor_loop(&self) {
         while !self.stop.load(Ordering::SeqCst) {
-            self.tick(Instant::now());
-            std::thread::sleep(self.cfg.poll_interval);
+            let wake = self.tick(Instant::now());
+            std::thread::park_timeout(wake.saturating_duration_since(Instant::now()));
         }
     }
 
-    /// One monitor pass over every child.
-    fn tick(&self, now: Instant) {
+    /// One monitor pass over every child; returns when the next is due.
+    fn tick(&self, now: Instant) -> Instant {
+        let mut wake = now + IDLE_CHECK;
         // Children alive but not yet seen answering, with the restart
         // count that identifies each spawn.
         let mut awaiting: Vec<(String, u64)> = Vec::new();
@@ -278,6 +293,7 @@ impl Supervisor {
                     Ok(Some(status)) => self.on_exit(state, status, now),
                     Ok(None) if state.awaiting_recovery => {
                         awaiting.push((state.spec.name.clone(), state.restarts));
+                        wake = wake.min(now + self.cfg.poll_interval);
                     }
                     Ok(None) => {
                         // Stable uptime clears the rapid-crash streak.
@@ -300,6 +316,7 @@ impl Supervisor {
                                 state.next_respawn = None;
                                 state.awaiting_recovery = true;
                                 restart_counter().inc();
+                                wake = wake.min(now + self.cfg.poll_interval);
                             }
                             Err(e) => {
                                 // Spawn failure counts like a rapid crash:
@@ -310,6 +327,9 @@ impl Supervisor {
                         }
                     }
                 }
+            }
+            if let Some(due) = state.next_respawn {
+                wake = wake.min(due);
             }
         }
         drop(children);
@@ -340,6 +360,7 @@ impl Supervisor {
                 }
             }
         }
+        wake
     }
 
     fn on_exit(&self, state: &mut ChildState, status: std::process::ExitStatus, now: Instant) {

@@ -12,14 +12,9 @@
 //! researchers and all seven aspects.
 
 use l2q::aspect::{train_aspect_models, RelevanceOracle, TrainConfig};
-use l2q::baselines::{
-    AqSelector, DomainQuerySelector, HrSelector, LmSelector, MqSelector, RndSelector,
-};
-use l2q::core::{learn_domain, L2qConfig, L2qSelector, QuerySelector};
+use l2q::core::L2qConfig;
 use l2q::corpus::{generate, researchers_domain, CorpusConfig};
-use l2q::eval::{
-    evaluate_selector, ideal_bounds_parallel, make_splits, EvalContext, IdealSelector,
-};
+use l2q::eval::{make_splits, Method, SplitEval};
 use l2q::retrieval::SearchEngine;
 
 fn main() {
@@ -36,56 +31,18 @@ fn main() {
     let split = make_splits(corpus.entities.len(), 1, 7)
         .pop()
         .expect("split");
-    let domain = learn_domain(&corpus, &split.domain, &oracle, &cfg);
-    let test = &split.test[..10.min(split.test.len())];
-
-    let ctx = EvalContext {
-        corpus: &corpus,
-        engine: &engine,
-        oracle: &oracle,
-    };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let bounds = ideal_bounds_parallel(&ctx, Some(&domain), test, &cfg, threads);
-
-    // (selector, sees domain model?) — RND/P/R/LM/AQ/MQ are domain-blind.
-    let contenders: Vec<(Box<dyn QuerySelector>, bool)> = vec![
-        (Box::new(IdealSelector::new()), true),
-        (Box::new(L2qSelector::l2qbal()), true),
-        (Box::new(L2qSelector::l2qp()), true),
-        (Box::new(L2qSelector::l2qr()), true),
-        (Box::new(L2qSelector::precision_templates()), true),
-        (Box::new(L2qSelector::recall_templates()), true),
-        (Box::new(L2qSelector::precision_only()), false),
-        (Box::new(L2qSelector::recall_only()), false),
-        (Box::new(DomainQuerySelector::precision()), true),
-        (Box::new(DomainQuerySelector::recall()), true),
-        (Box::new(LmSelector::new()), false),
-        (Box::new(AqSelector::new()), false),
-        (Box::new(HrSelector::new()), true),
-        (Box::new(MqSelector::new()), false),
-        (Box::new(RndSelector::new(7)), false),
-    ];
+    let se = SplitEval::prepare(&engine, &oracle, &split, 10, cfg);
 
     println!(
         "shoot-out: {} test entities × {} aspects, {} queries, normalized vs ideal\n",
-        test.len(),
+        se.test_entities().len(),
         corpus.aspect_count(),
         cfg.n_queries
     );
 
     let mut board: Vec<(String, f64, f64, f64)> = Vec::new();
-    for (mut sel, with_domain) in contenders {
-        let eval = evaluate_selector(
-            &ctx,
-            if with_domain { Some(&domain) } else { None },
-            test,
-            None,
-            sel.as_mut(),
-            &cfg,
-            &bounds,
-        );
+    for name in Method::names() {
+        let eval = se.evaluate(Method::named(name, 7).expect("a method in the table"));
         if let Some(it) = eval.at(cfg.n_queries) {
             board.push((
                 eval.name.clone(),

@@ -7,15 +7,12 @@
 //! model as portable JSON that `harvest --model` can reload.
 
 use l2q::aspect::{train_aspect_models, RelevanceOracle, TrainConfig};
-use l2q::baselines::{
-    AqSelector, DomainQuerySelector, HrSelector, LmSelector, MqSelector, RndSelector,
-};
-use l2q::core::{learn_domain, DomainModel, Harvester, L2qConfig, L2qSelector, QuerySelector};
+use l2q::core::{learn_domain, DomainModel, Harvester, L2qConfig};
 use l2q::corpus::{
     cars_domain, explode_to_paragraphs, generate, researchers_domain, Corpus, CorpusConfig,
     EntityId,
 };
-use l2q::eval::{page_metrics, IdealSelector};
+use l2q::eval::{make_splits, page_metrics, Method, SplitEval};
 use l2q::retrieval::SearchEngine;
 use l2q_service::cli::{Args, Spec};
 use std::process::ExitCode;
@@ -104,27 +101,6 @@ fn build_session(args: &Args) -> Result<Session, String> {
     })
 }
 
-fn make_selector(name: &str, seed: u64) -> Result<Box<dyn QuerySelector>, String> {
-    Ok(match name {
-        "l2qbal" => Box::new(L2qSelector::l2qbal()),
-        "l2qp" => Box::new(L2qSelector::l2qp()),
-        "l2qr" => Box::new(L2qSelector::l2qr()),
-        "p" => Box::new(L2qSelector::precision_only()),
-        "r" => Box::new(L2qSelector::recall_only()),
-        "p+t" => Box::new(L2qSelector::precision_templates()),
-        "r+t" => Box::new(L2qSelector::recall_templates()),
-        "p+q" => Box::new(DomainQuerySelector::precision()),
-        "r+q" => Box::new(DomainQuerySelector::recall()),
-        "lm" => Box::new(LmSelector::new()),
-        "aq" => Box::new(AqSelector::new()),
-        "hr" => Box::new(HrSelector::new()),
-        "mq" => Box::new(MqSelector::new()),
-        "rnd" => Box::new(RndSelector::new(seed)),
-        "ideal" => Box::new(IdealSelector::new()),
-        other => return Err(format!("unknown method '{other}'")),
-    })
-}
-
 fn cmd_corpus(args: &Args) -> Result<(), String> {
     let s = build_session(args)?;
     let c = &s.corpus;
@@ -171,7 +147,10 @@ fn cmd_harvest(args: &Args) -> Result<(), String> {
     let aspect = c
         .aspect_by_name(aspect_name)
         .ok_or_else(|| format!("unknown aspect '{aspect_name}'"))?;
-    let method = args.get("--method").unwrap_or("l2qbal").to_lowercase();
+    let method = Method::named(
+        &args.get("--method").unwrap_or("l2qbal").to_lowercase(),
+        args.num("--seed")?.unwrap_or(42),
+    )?;
 
     let engine = SearchEngine::with_defaults(s.corpus.clone());
     let cfg = L2qConfig::default().with_n_queries(args.num("--queries")?.unwrap_or(3));
@@ -203,10 +182,10 @@ fn cmd_harvest(args: &Args) -> Result<(), String> {
         corpus: c,
         engine: &engine,
         oracle: &s.oracle,
-        domain: Some(&domain),
+        domain: method.domain(&domain),
         cfg,
     };
-    let mut selector = make_selector(&method, args.num("--seed")?.unwrap_or(42))?;
+    let mut selector = method.selector();
     let rec = harvester.run(entity, aspect, selector.as_mut());
 
     println!(
@@ -243,41 +222,28 @@ fn cmd_harvest(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_eval(args: &Args) -> Result<(), String> {
-    use l2q::eval::{evaluate_selector, ideal_bounds_parallel, make_splits, EvalContext};
     let s = build_session(args)?;
     let c = &s.corpus;
     let engine = SearchEngine::with_defaults(s.corpus.clone());
     let cfg = L2qConfig::default().with_n_queries(args.num("--queries")?.unwrap_or(3));
     let seed: u64 = args.num("--seed")?.unwrap_or(42);
+    let methods = args
+        .get("--methods")
+        .unwrap_or("l2qbal,l2qp,l2qr,lm,aq,hr,mq,rnd")
+        .split(',')
+        .map(|m| Method::named(&m.trim().to_lowercase(), seed))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let split = make_splits(c.entities.len(), 1, seed ^ 0x51)
         .pop()
         .expect("one split");
-    let mut test = split.test.clone();
-    test.truncate(args.num("--test")?.unwrap_or(8));
-    let domain = learn_domain(c, &split.domain, &s.oracle, &cfg);
-
-    let ctx = EvalContext {
-        corpus: c,
-        engine: &engine,
-        oracle: &s.oracle,
-    };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let bounds = ideal_bounds_parallel(&ctx, Some(&domain), &test, &cfg, threads);
-
-    let methods: Vec<String> = args
-        .get("--methods")
-        .unwrap_or("l2qbal,l2qp,l2qr,lm,aq,hr,mq,rnd")
-        .split(',')
-        .map(|m| m.trim().to_lowercase())
-        .collect();
+    let test_cap = args.num("--test")?.unwrap_or(8);
+    let se = SplitEval::prepare(&engine, &s.oracle, &split, test_cap, cfg);
 
     println!(
         "evaluating {} methods on {} test entities × {} aspects ({} queries, normalized)\n",
         methods.len(),
-        test.len(),
+        se.test_entities().len(),
         c.aspect_count(),
         cfg.n_queries
     );
@@ -285,19 +251,8 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
         "{:10} {:>10} {:>8} {:>8} {:>8}",
         "method", "precision", "recall", "F1", "pairs"
     );
-    for m in &methods {
-        // Domain-free baselines must not see the domain model.
-        let with_domain = !matches!(m.as_str(), "rnd" | "p" | "r" | "lm" | "aq" | "mq");
-        let mut sel = make_selector(m, seed)?;
-        let eval = evaluate_selector(
-            &ctx,
-            if with_domain { Some(&domain) } else { None },
-            &test,
-            None,
-            sel.as_mut(),
-            &cfg,
-            &bounds,
-        );
+    for method in methods {
+        let eval = se.evaluate(method);
         if let Some(it) = eval.at(cfg.n_queries) {
             println!(
                 "{:10} {:>10.4} {:>8.4} {:>8.4} {:>8}",
@@ -375,12 +330,14 @@ mod tests {
 
     #[test]
     fn every_documented_method_resolves() {
-        for m in [
-            "l2qbal", "l2qp", "l2qr", "p", "r", "p+t", "r+t", "p+q", "r+q", "lm", "aq", "hr", "mq",
-            "rnd", "ideal",
-        ] {
-            assert!(make_selector(m, 1).is_ok(), "method {m} failed");
-        }
-        assert!(make_selector("nope", 1).is_err());
+        let documented: Vec<&str> = USAGE
+            .split("METHODS:")
+            .nth(1)
+            .expect("a METHODS section")
+            .split(',')
+            .map(|m| m.trim().trim_end_matches(" (default)"))
+            .collect();
+        assert_eq!(documented, Method::names().collect::<Vec<_>>());
+        assert!(Method::named("nope", 1).is_err());
     }
 }

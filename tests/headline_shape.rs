@@ -11,10 +11,9 @@
 //! ```
 
 use l2q::aspect::{train_aspect_models, RelevanceOracle, TrainConfig};
-use l2q::baselines::{LmSelector, RndSelector};
-use l2q::core::{learn_domain, L2qConfig, L2qSelector, QuerySelector};
+use l2q::core::L2qConfig;
 use l2q::corpus::{generate, researchers_domain, CorpusConfig};
-use l2q::eval::{evaluate_selector, ideal_bounds_parallel, make_splits, EvalContext};
+use l2q::eval::{make_splits, Method, SplitEval};
 use l2q::retrieval::SearchEngine;
 
 #[test]
@@ -28,35 +27,19 @@ fn l2q_beats_uninformed_and_template_free_baselines() {
     let cfg = L2qConfig::default();
 
     let split = make_splits(corpus.entities.len(), 1, 3).pop().unwrap();
-    let domain = learn_domain(&corpus, &split.domain, &oracle, &cfg);
-    let test = &split.test[..8.min(split.test.len())];
+    let se = SplitEval::prepare(&engine, &oracle, &split, 8, cfg);
 
-    let ctx = EvalContext {
-        corpus: &corpus,
-        engine: &engine,
-        oracle: &oracle,
-    };
-    let bounds = ideal_bounds_parallel(&ctx, Some(&domain), test, &cfg, 8);
-
-    let run = |sel: &mut dyn QuerySelector, with_domain: bool| {
-        let eval = evaluate_selector(
-            &ctx,
-            if with_domain { Some(&domain) } else { None },
-            test,
-            None,
-            sel,
-            &cfg,
-            &bounds,
-        );
+    let run = |name: &str| {
+        let eval = se.evaluate(Method::named(name, 5).unwrap());
         let it = eval.at(cfg.n_queries).expect("default budget");
         (it.normalized.precision, it.normalized.f1)
     };
 
-    let (_, f_bal) = run(&mut L2qSelector::l2qbal(), true);
-    let (p_l2qp, _) = run(&mut L2qSelector::l2qp(), true);
-    let (p_rnd, f_rnd) = run(&mut RndSelector::new(5), false);
-    let (p_lm, _) = run(&mut LmSelector::new(), false);
-    let (_, f_p_only) = run(&mut L2qSelector::precision_only(), false);
+    let (_, f_bal) = run("l2qbal");
+    let (p_l2qp, _) = run("l2qp");
+    let (p_rnd, f_rnd) = run("rnd");
+    let (p_lm, _) = run("lm");
+    let (_, f_p_only) = run("p");
 
     assert!(
         f_bal > f_rnd,

@@ -2,10 +2,9 @@
 //! phase → harvest → evaluation, across crates.
 
 use l2q::aspect::{train_aspect_models, RelevanceOracle, TrainConfig};
-use l2q::baselines::{AqSelector, HrSelector, LmSelector, MqSelector, RndSelector};
-use l2q::core::{learn_domain, Harvester, L2qConfig, L2qSelector, QuerySelector};
+use l2q::core::{learn_domain, Harvester, L2qConfig, L2qSelector};
 use l2q::corpus::{cars_domain, generate, researchers_domain, Corpus, CorpusConfig, EntityId};
-use l2q::eval::{evaluate_selector, ideal_bounds, page_metrics, EvalContext, IdealSelector};
+use l2q::eval::{page_metrics, Method, Split, SplitEval};
 use l2q::retrieval::SearchEngine;
 
 struct Pipeline {
@@ -69,31 +68,17 @@ fn every_selector_runs_on_every_aspect() {
     let cfg = L2qConfig::default();
     let domain_entities: Vec<EntityId> = p.corpus.entity_ids().take(8).collect();
     let domain = learn_domain(&p.corpus, &domain_entities, &p.oracle, &cfg);
-    let harvester = Harvester {
-        corpus: &p.corpus,
-        engine: &engine,
-        oracle: &p.oracle,
-        domain: Some(&domain),
-        cfg,
-    };
-
-    let selectors: Vec<Box<dyn QuerySelector>> = vec![
-        Box::new(L2qSelector::l2qp()),
-        Box::new(L2qSelector::l2qr()),
-        Box::new(L2qSelector::l2qbal()),
-        Box::new(L2qSelector::precision_only()),
-        Box::new(L2qSelector::recall_only()),
-        Box::new(L2qSelector::precision_templates()),
-        Box::new(L2qSelector::recall_templates()),
-        Box::new(RndSelector::new(3)),
-        Box::new(LmSelector::new()),
-        Box::new(AqSelector::new()),
-        Box::new(HrSelector::new()),
-        Box::new(MqSelector::new()),
-        Box::new(IdealSelector::new()),
-    ];
     let aspect = p.corpus.aspect_by_name("RESEARCH").unwrap();
-    for mut sel in selectors {
+    for name in Method::names() {
+        let method = Method::named(name, 3).unwrap();
+        let harvester = Harvester {
+            corpus: &p.corpus,
+            engine: &engine,
+            oracle: &p.oracle,
+            domain: method.domain(&domain),
+            cfg,
+        };
+        let mut sel = method.selector();
         let rec = harvester.run(EntityId(10), aspect, sel.as_mut());
         assert!(
             !rec.seed_results.is_empty(),
@@ -113,18 +98,15 @@ fn every_selector_runs_on_every_aspect() {
 fn evaluation_normalizes_methods_between_zero_and_ideal() {
     let p = researcher_pipeline();
     let engine = SearchEngine::with_defaults(p.corpus.clone());
-    let ctx = EvalContext {
-        corpus: &p.corpus,
-        engine: &engine,
-        oracle: &p.oracle,
+    let split = Split {
+        domain: p.corpus.entity_ids().take(8).collect(),
+        validation: Vec::new(),
+        test: p.corpus.entity_ids().skip(8).take(4).collect(),
     };
-    let cfg = L2qConfig::default();
-    let entities: Vec<EntityId> = p.corpus.entity_ids().skip(8).take(4).collect();
-    let bounds = ideal_bounds(&ctx, None, &entities, &cfg);
-    assert!(!bounds.is_empty());
+    let se = SplitEval::prepare(&engine, &p.oracle, &split, 4, L2qConfig::default());
 
-    let mut sel = L2qSelector::precision_only();
-    let eval = evaluate_selector(&ctx, None, &entities, None, &mut sel, &cfg, &bounds);
+    let eval = se.evaluate(Method::named("p", 0).unwrap());
+    assert_eq!(eval.name, "P");
     for it in &eval.per_iter {
         assert!(it.pairs > 0);
         assert!(it.raw.precision >= 0.0 && it.raw.precision <= 1.0);
