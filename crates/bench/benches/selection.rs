@@ -10,6 +10,8 @@
 //! * `context_walks` — the three context walks of one selection, solved
 //!   to convergence by the fused solver.
 //! * exact solver sweeps per solve, cold vs warm-started.
+//! * query classes per query vertex over every fused solve of the run
+//!   (`graph_fused_classes_total` / `graph_fused_queries_total`).
 //!
 //! This bench owns its `main` (the vendored criterion harness doesn't
 //! expose medians programmatically) and always writes a canonical
@@ -374,6 +376,9 @@ fn main() {
     let trajectory_match_cars = pruned_trajectory_matches(&cars_domain());
     println!("pruned_trajectory_match/researchers                {trajectory_match_researchers}");
     println!("pruned_trajectory_match/cars                       {trajectory_match_cars}");
+    let classes = reg.counter("graph_fused_classes_total").get();
+    let queries = reg.counter("graph_fused_queries_total").get();
+    println!("fused_solve classes/queries                        {classes}/{queries}");
 
     // Canonical perf-trajectory artifact at the repo root.
     use serde_json::Value;

@@ -64,7 +64,7 @@
 
 use crate::config::L2qConfig;
 use crate::domain_phase::DomainModel;
-use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::query::Query;
 use crate::selector::subset_of_seed;
 use crate::template::{templates_of, Template, TemplateMode};
@@ -72,11 +72,9 @@ use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, PageId};
 use l2q_graph::{
     solve_detailed, FusedTruncatedSolver, GraphBuilder, Regularization, ReinforcementGraph,
-    StaticBoundsContext, Utilities, UtilityKind,
+    Utilities, UtilityKind,
 };
 use l2q_text::Bow;
-use std::collections::hash_map::Entry;
-use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
 
 /// Resolved-once metric handles for the phase-build hot path.
@@ -367,40 +365,50 @@ pub struct ContextWalks {
 
 /// A mid-solve snapshot of the three context walks, handed to the
 /// certification callback of [`EntityPhase::context_walks_certified`]
-/// after every fused sweep.
+/// after every fused sweep. It reads the solver's query classes:
+/// candidates whose iterates are bitwise-identical at every sweep (see
+/// [`FusedTruncatedSolver`]), so one score, tail and bound stands for
+/// every member of a class. Walks are indexed `[recall,
+/// recall_gathered, recall_all]`.
 pub struct ContextProbe<'a> {
-    /// Current (truncated) query iterate of the `R_E` walk.
-    pub recall: &'a [f64],
-    /// Current iterate of the `R^(Ỹ)_E` walk.
-    pub recall_gathered: &'a [f64],
-    /// Current iterate of the `R^(Y*)_E` walk.
-    pub recall_all: &'a [f64],
-    /// Certified max-per-query distance of each iterate from its true
-    /// fixpoint, indexed `[recall, recall_gathered, recall_all]`
-    /// (`INFINITY` while uncertifiable).
-    pub tails: [f64; 3],
-    /// Scalar coefficients of each walk's per-query tail refinement
-    /// (see [`ContextProbe::qtail`]); `None` when a walk's refinement
-    /// doesn't apply and the block tail stands for every query.
-    qtail_coeffs: [Option<(f64, f64)>; 3],
-    /// Per-candidate maximum incoming coefficient from the page /
-    /// template side (shared by all three walks — same graph).
-    mx_page_in: &'a [f64],
-    mx_tmpl_in: &'a [f64],
-    /// Static per-query upper bounds on each walk's true fixpoint, same
-    /// indexing as `tails`.
-    pub bounds: [&'a [f64]; 3],
+    solver: &'a FusedTruncatedSolver,
+    classes: &'a [u32],
 }
 
 impl ContextProbe<'_> {
-    /// Certified distance of candidate `q`'s walk-`w` iterate from its
-    /// true fixpoint — the per-candidate refinement of `tails[w]`
-    /// (always ≤ it), in O(1).
-    pub fn qtail(&self, w: usize, q: usize) -> f64 {
-        match self.qtail_coeffs[w] {
-            Some((a, b)) => (a * self.mx_page_in[q] + b * self.mx_tmpl_in[q]).min(self.tails[w]),
-            None => self.tails[w],
-        }
+    /// The classes of connected candidates, in order of their first
+    /// member. Candidates without an edge carry no evidence and belong
+    /// to none of them.
+    pub fn classes(&self) -> &[u32] {
+        self.classes
+    }
+
+    /// Number of candidates in class `c`.
+    pub fn class_len(&self, c: u32) -> usize {
+        self.solver.class_len(c as usize)
+    }
+
+    /// Current (truncated) iterate of class `c` in each walk.
+    pub fn scores(&self, c: u32) -> [f64; 3] {
+        self.solver.class_values(c as usize)
+    }
+
+    /// Static upper bounds on class `c`'s true fixpoint in each walk.
+    pub fn bounds(&self, c: u32) -> [f64; 3] {
+        self.solver.class_bounds(c as usize)
+    }
+
+    /// Certified max-per-candidate distance of each walk's iterate from
+    /// its true fixpoint (`INFINITY` while uncertifiable).
+    pub fn tails(&self) -> [f64; 3] {
+        std::array::from_fn(|w| self.solver.tail(w))
+    }
+
+    /// Certified distance of class `c`'s walk-`w` iterate from its true
+    /// fixpoint — the per-class refinement of `tails()[w]` (always ≤
+    /// it), in O(1).
+    pub fn qtail(&self, w: usize, c: u32) -> f64 {
+        self.solver.class_tail(w, c as usize)
     }
 }
 
@@ -421,8 +429,6 @@ pub struct EntityPhase<'a> {
     /// Per-walk warm-start inits mapped from the previous step's
     /// fixpoints (populated by [`EntityPhase::build_incremental`]).
     warm: [Option<WarmInit>; N_WALKS],
-    /// Static bounds of the context walks, computed on first use.
-    bounds: OnceLock<[Vec<f64>; 3]>,
 }
 
 impl<'a> EntityPhase<'a> {
@@ -513,7 +519,6 @@ impl<'a> EntityPhase<'a> {
             graph,
             template_reg: std::array::from_fn(|w| regs.iter().map(|r| r[w]).collect()),
             warm: [None, None, None, None],
-            bounds: OnceLock::new(),
         }
     }
 
@@ -744,7 +749,6 @@ impl<'a> EntityPhase<'a> {
             graph,
             template_reg,
             warm,
-            bounds: OnceLock::new(),
         }
     }
 
@@ -934,54 +938,32 @@ impl<'a> EntityPhase<'a> {
 
     /// The three walks a context-aware selection needs (R, R^(Ỹ),
     /// R^(Y*)), solved together by one fused traversal that updates all
-    /// three systems per edge load, with a certified early exit: after
-    /// every sweep, `certified` inspects the truncated iterates and their
-    /// error bounds (see [`ContextProbe`]) and returns `true` to stop the
-    /// solve early. Returns the walks plus whether the solve was
-    /// truncated.
+    /// three walks of each class of interchangeable candidates at once,
+    /// with a certified early exit: after every sweep, `certified`
+    /// inspects the truncated iterates and their error bounds (see
+    /// [`ContextProbe`]) and returns `true` to stop the solve early.
+    /// Returns the walks plus whether the solve was truncated.
     ///
     /// A callback that never certifies (`|_| false`) is the full solve:
     /// bit for bit, sweep counts included, the same as three solo
     /// [`EntityPhase::recall`]-style walks. A callback that certifies
     /// trades the remaining sweeps for query scores that are provably
-    /// within `tails[w]` of the full solve's.
+    /// within `tails()[w]` of the full solve's.
     pub fn context_walks_certified(
         &self,
         state: Option<&mut EntityPhaseState>,
         mut certified: impl FnMut(&ContextProbe<'_>) -> bool,
     ) -> (ContextWalks, bool) {
-        let regs: [Regularization; 3] = CONTEXT_WALKS.map(|w| {
-            let (kind, reg) = self.reg_for(w);
-            debug_assert_eq!(kind, UtilityKind::Recall);
-            // The grouping in `certifiable_groups` relies on the
-            // query side carrying no regularization.
-            debug_assert!(reg.queries.iter().all(|&x| x == 0.0));
-            reg
-        });
-        let warms: [Option<Utilities>; 3] =
-            std::array::from_fn(|i| self.warm_vector(CONTEXT_WALKS[i], &regs[i]));
-        let warmed: [bool; 3] = std::array::from_fn(|i| warms[i].is_some());
-        let bounds = self.static_bounds();
-        let mut solver = FusedTruncatedSolver::new(&self.graph, regs, &self.cfg.walk, warms);
+        let (mut solver, warmed) = self.context_solver();
+        let classes = self.connected_classes(&solver);
         let mut early = false;
         while solver.sweep() {
             if solver.all_converged() {
                 break;
             }
-            let (mx_page_in, mx_tmpl_in) = solver.max_in_coeffs();
             let probe = ContextProbe {
-                recall: solver.queries(0),
-                recall_gathered: solver.queries(1),
-                recall_all: solver.queries(2),
-                tails: [solver.tail(0), solver.tail(1), solver.tail(2)],
-                qtail_coeffs: [
-                    solver.query_tail_coeffs(0),
-                    solver.query_tail_coeffs(1),
-                    solver.query_tail_coeffs(2),
-                ],
-                mx_page_in,
-                mx_tmpl_in,
-                bounds: [&bounds[0], &bounds[1], &bounds[2]],
+                solver: &solver,
+                classes: &classes,
             };
             if certified(&probe) {
                 early = true;
@@ -1005,134 +987,30 @@ impl<'a> EntityPhase<'a> {
         )
     }
 
-    /// Static per-candidate upper bounds on the context walks' true
-    /// fixpoints, indexed like [`ContextProbe::bounds`]. The in-strength
-    /// half of each bound is a graph constant, so the edges are scanned
-    /// once per phase and each walk's bounds derived from its
-    /// regularization; computed on first use.
-    pub(crate) fn static_bounds(&self) -> &[Vec<f64>; 3] {
-        self.bounds.get_or_init(|| {
-            let ctx = StaticBoundsContext::new(&self.graph, &self.cfg.walk);
-            CONTEXT_WALKS.map(|w| ctx.query_upper_bounds(&self.reg_for(w).1))
-        })
-    }
-
-    /// Partition the *connected* candidates into classes whose context
-    /// walk iterates are provably bitwise-identical at every sweep: same
-    /// incident edge targets with the same sender-normalized
-    /// coefficients (compared exactly, by bits) and the same warm-start
-    /// init value in all three walks. By induction over Jacobi sweeps,
-    /// two such candidates receive the same floating-point update
-    /// forever — so one representative's scores and bounds stand for the
-    /// whole class, and a selection tie inside a class resolves the same
-    /// way in the pruned and unpruned paths.
-    ///
-    /// Candidates are bucketed by a hash of that signature and compared
-    /// exactly within a bucket, so a hash collision can
-    /// never merge two classes. Classes are sorted by their lowest
-    /// member; members ascend.
-    pub fn certifiable_groups(&self) -> Vec<Vec<usize>> {
-        let g = &self.graph;
-        let inits = |q: usize| -> [u64; 3] {
-            // Init at the warm value where one exists, else at the
-            // regularization — which is 0 on the query side of every
-            // context walk (asserted in the certified solve).
-            CONTEXT_WALKS.map(|walk| {
-                self.warm[walk as usize]
-                    .as_ref()
-                    .and_then(|w| w.queries.get(q).copied().flatten())
-                    .unwrap_or(0.0)
-                    .to_bits()
-            })
-        };
-        let fingerprint = |q: usize| -> u64 {
-            let mut h = FxHasher::default();
-            for (edges, nrm) in [
-                (g.query_pages(q), g.query_pages_nrm(q)),
-                (g.query_templates(q), g.query_templates_nrm(q)),
-            ] {
-                h.write_usize(edges.len());
-                for (e, &c) in edges.iter().zip(nrm) {
-                    h.write_u32(e.to);
-                    h.write_u64(c.to_bits());
-                }
-            }
-            for bits in inits(q) {
-                h.write_u64(bits);
-            }
-            h.finish()
-        };
-        let same_class = |a: usize, b: usize| -> bool {
-            let same_side =
-                |ea: &[l2q_graph::Edge], na: &[f64], eb: &[l2q_graph::Edge], nb: &[f64]| {
-                    ea.len() == eb.len()
-                        && ea.iter().zip(eb).all(|(x, y)| x.to == y.to)
-                        && na.iter().zip(nb).all(|(x, y)| x.to_bits() == y.to_bits())
-                };
-            same_side(
-                g.query_pages(a),
-                g.query_pages_nrm(a),
-                g.query_pages(b),
-                g.query_pages_nrm(b),
-            ) && same_side(
-                g.query_templates(a),
-                g.query_templates_nrm(a),
-                g.query_templates(b),
-                g.query_templates_nrm(b),
-            ) && inits(a) == inits(b)
-        };
-        partition(
-            (0..self.candidates.len()).filter(|&q| self.is_connected(q)),
-            fingerprint,
-            same_class,
+    /// The fused solver of the context walks, set up from their
+    /// regularizations and warm starts, and which walks start warm.
+    fn context_solver(&self) -> (FusedTruncatedSolver, [bool; 3]) {
+        let regs: [Regularization; 3] = CONTEXT_WALKS.map(|w| {
+            let (kind, reg) = self.reg_for(w);
+            debug_assert_eq!(kind, UtilityKind::Recall);
+            reg
+        });
+        let warms: [Option<Utilities>; 3] =
+            std::array::from_fn(|i| self.warm_vector(CONTEXT_WALKS[i], &regs[i]));
+        let warmed = std::array::from_fn(|i| warms[i].is_some());
+        (
+            FusedTruncatedSolver::new(&self.graph, regs, &self.cfg.walk, warms),
+            warmed,
         )
     }
-}
 
-/// Partition `items` into the classes of the equivalence `same`, in
-/// order of each class's first item, members in item order. Items are
-/// bucketed by `fingerprint` (equal for items of one class) and compared
-/// with `same` only within a bucket, so a fingerprint collision splits
-/// the bucket rather than merging two classes.
-fn partition(
-    items: impl Iterator<Item = usize>,
-    fingerprint: impl Fn(usize) -> u64,
-    same: impl Fn(usize, usize) -> bool,
-) -> Vec<Vec<usize>> {
-    // Fingerprint → its first class; `next[c]` links the classes that
-    // share class `c`'s fingerprint.
-    let mut first: FxHashMap<u64, usize> = FxHashMap::default();
-    let mut next: Vec<Option<usize>> = Vec::new();
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for item in items {
-        let mut c = match first.entry(fingerprint(item)) {
-            Entry::Vacant(slot) => {
-                slot.insert(classes.len());
-                None
-            }
-            Entry::Occupied(slot) => Some(*slot.get()),
-        };
-        loop {
-            match c {
-                None => {
-                    next.push(None);
-                    classes.push(vec![item]);
-                    break;
-                }
-                Some(ci) if same(classes[ci][0], item) => {
-                    classes[ci].push(item);
-                    break;
-                }
-                Some(ci) => {
-                    c = next[ci];
-                    if c.is_none() {
-                        next[ci] = Some(classes.len());
-                    }
-                }
-            }
-        }
+    /// The solver's classes of connected candidates, the field the
+    /// certifier races, in class order.
+    fn connected_classes(&self, solver: &FusedTruncatedSolver) -> Vec<u32> {
+        (0..solver.n_classes() as u32)
+            .filter(|&c| solver.class_connected(c as usize))
+            .collect()
     }
-    classes
 }
 
 #[cfg(test)]
@@ -1606,8 +1484,8 @@ mod tests {
         assert_eq!(inc.templates(), cold.templates(), "{label}: templates");
         assert_eq!(inc.connected(), cold.connected(), "{label}: connected");
         assert_eq!(
-            inc.certifiable_groups(),
-            cold.certifiable_groups(),
+            certifier_classes(inc),
+            certifier_classes(cold),
             "{label}: classes"
         );
         assert_eq!(
@@ -1781,14 +1659,16 @@ mod tests {
         let mut probes = 0usize;
         let (walks, early) = phase.context_walks_certified(None, |p| {
             probes += 1;
-            assert!(p.tails.iter().all(|t| *t >= 0.0));
-            for w in 0..3 {
-                let scores = [p.recall, p.recall_gathered, p.recall_all][w];
-                for (q, &s) in scores.iter().enumerate() {
-                    assert!(p.bounds[w][q] >= 0.0 && s <= p.bounds[w][q] + p.tails[w]);
+            let tails = p.tails();
+            assert!(tails.iter().all(|t| *t >= 0.0));
+            assert!(!p.classes().is_empty());
+            for &c in p.classes() {
+                let (scores, bounds) = (p.scores(c), p.bounds(c));
+                for (w, (&s, &ub)) in scores.iter().zip(&bounds).enumerate() {
+                    assert!(ub >= 0.0 && s <= ub + tails[w]);
                     assert!(
-                        p.qtail(w, q) >= 0.0 && p.qtail(w, q) <= p.tails[w],
-                        "per-query tail must refine the block tail"
+                        p.qtail(w, c) >= 0.0 && p.qtail(w, c) <= tails[w],
+                        "per-class tail must refine the block tail"
                     );
                 }
             }
@@ -1803,7 +1683,7 @@ mod tests {
         // Truncate once every tail drops below 1e-6: the walks must agree
         // with the full solve to that tolerance.
         let (truncated, early) =
-            phase.context_walks_certified(None, |p| p.tails.iter().all(|t| *t <= 1e-6));
+            phase.context_walks_certified(None, |p| p.tails().iter().all(|t| *t <= 1e-6));
         assert!(early, "tails must eventually certify");
         for (a, b) in truncated
             .recall
@@ -1821,49 +1701,150 @@ mod tests {
         }
     }
 
-    /// Colliding fingerprints split a bucket instead of merging classes,
-    /// and classes come out in order of their first member.
-    #[test]
-    fn partition_resolves_fingerprint_collisions_exactly() {
-        let same = |a: usize, b: usize| a % 3 == b % 3;
-        let expected = vec![vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]];
-        assert_eq!(partition(0..10, |_| 0, same), expected, "all collide");
-        assert_eq!(partition(0..10, |i| (i % 3) as u64, same), expected);
-        assert_eq!(
-            partition(0..10, |i| u64::from(i % 3 == 2), same),
-            expected,
-            "a bucket holding two classes"
-        );
-        assert!(partition(std::iter::empty(), |_| 0, same).is_empty());
+    /// The classes the certifier races on `phase`'s context solve, as
+    /// ascending member lists in class order.
+    fn certifier_classes(phase: &EntityPhase<'_>) -> Vec<Vec<usize>> {
+        let (solver, _) = phase.context_solver();
+        let mut members = vec![Vec::new(); solver.n_classes()];
+        for (q, &c) in solver.class_of().iter().enumerate() {
+            members[c as usize].push(q);
+        }
+        phase
+            .connected_classes(&solver)
+            .into_iter()
+            .map(|c| std::mem::take(&mut members[c as usize]))
+            .collect()
     }
 
-    /// Candidate classes group only provably identical candidates: the
-    /// solved walk scores inside one class are bitwise equal, and every
-    /// connected candidate appears in exactly one class.
+    /// The O(n²) reference partition of the connected candidates: equal
+    /// page and template neighbour ids and coefficient bits in edge
+    /// order, and equal start bits in all three context walks, in order
+    /// of each class's first member.
+    fn brute_force_classes(phase: &EntityPhase<'_>) -> Vec<Vec<usize>> {
+        let g = &phase.graph;
+        let starts: Vec<Vec<f64>> = CONTEXT_WALKS
+            .iter()
+            .map(|&w| {
+                let reg = phase.reg_for(w).1;
+                phase
+                    .warm_vector(w, &reg)
+                    .map_or(reg.queries, |u| u.queries)
+            })
+            .collect();
+        let side = |edges: &[l2q_graph::Edge], nrm: &[f64]| -> Vec<(u32, u64)> {
+            edges
+                .iter()
+                .zip(nrm)
+                .map(|(e, c)| (e.to, c.to_bits()))
+                .collect()
+        };
+        let key = |q: usize| {
+            (
+                side(g.query_pages(q), g.query_pages_nrm(q)),
+                side(g.query_templates(q), g.query_templates_nrm(q)),
+                starts.iter().map(|s| s[q].to_bits()).collect::<Vec<_>>(),
+            )
+        };
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for q in (0..phase.candidates().len()).filter(|&q| phase.is_connected(q)) {
+            match classes.iter_mut().find(|c| key(c[0]) == key(q)) {
+                Some(c) => c.push(q),
+                None => classes.push(vec![q]),
+            }
+        }
+        classes
+    }
+
+    /// The certifier's classes group only provably identical candidates:
+    /// they equal the brute-force partition, the solved walk scores
+    /// inside one class are bitwise equal, and every connected candidate
+    /// appears in exactly one class. Checked on a cold phase, on a
+    /// warm-started one, and on one whose warm starts split every
+    /// structural class with several members.
     #[test]
-    fn certifiable_groups_partition_connected_candidates_into_equal_scores() {
+    fn certifier_classes_partition_connected_candidates_into_equal_scores() {
         let (c, o) = setup();
         let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let (pages, candidates) = phase_for(&c, &o, &cfg, None);
-        let phase = EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, true, &cfg);
-        let groups = phase.certifiable_groups();
-        let connected = phase.connected();
-        let n_connected = connected.iter().filter(|&&x| x).count();
-        assert_eq!(groups.iter().map(|g| g.len()).sum::<usize>(), n_connected);
-        let mut seen = std::collections::HashSet::new();
-        for g in &groups {
-            for &q in g {
-                assert!(connected[q]);
-                assert!(seen.insert(q), "candidate {q} in two classes");
-            }
+        let cold = EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, true, &cfg);
+
+        let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
+        let mut state = EntityPhaseState::new();
+        let first = candidates_for(&c, &all_pages[..4], &cfg);
+        EntityPhase::build_incremental(
+            &c,
+            aspect,
+            &all_pages[..4],
+            &o,
+            &first,
+            &[],
+            None,
+            true,
+            &cfg,
+            &mut state,
+        )
+        .context_walks_certified(Some(&mut state), |_| false);
+        let second = candidates_for(&c, &all_pages[..6], &cfg);
+        let warm = EntityPhase::build_incremental(
+            &c,
+            aspect,
+            &all_pages[..6],
+            &o,
+            &second,
+            &[],
+            None,
+            true,
+            &cfg,
+            &mut state,
+        );
+        assert!(
+            warm.warm.iter().any(Option::is_some),
+            "second build starts warm"
+        );
+        // Warm starts that move the first member of every structural
+        // class with several members: each such class must split.
+        let structural = certifier_classes(&cold);
+        let mut moved = vec![None; cold.candidates().len()];
+        for g in structural.iter().filter(|g| g.len() > 1) {
+            moved[g[0]] = Some(0.5);
         }
-        let (walks, _) = phase.context_walks_certified(None, |_| false);
-        for g in &groups {
-            for &q in &g[1..] {
-                assert_eq!(walks.recall[g[0]], walks.recall[q]);
-                assert_eq!(walks.recall_gathered[g[0]], walks.recall_gathered[q]);
-                assert_eq!(walks.recall_all[g[0]], walks.recall_all[q]);
+        let mut split =
+            EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, true, &cfg);
+        for w in CONTEXT_WALKS {
+            split.warm[w as usize] = Some(WarmInit {
+                pages: Vec::new(),
+                queries: moved.clone(),
+                templates: Vec::new(),
+            });
+        }
+        let n_split = structural.iter().filter(|g| g.len() > 1).count();
+        assert_eq!(certifier_classes(&split).len(), structural.len() + n_split);
+
+        for (label, phase) in [("cold", &cold), ("warm", &warm), ("split", &split)] {
+            let groups = certifier_classes(phase);
+            assert_eq!(groups, brute_force_classes(phase), "{label}");
+            assert!(
+                groups.iter().any(|g| g.len() > 1),
+                "{label}: no class has several members"
+            );
+            let connected = phase.connected();
+            let n_connected = connected.iter().filter(|&&x| x).count();
+            assert_eq!(groups.iter().map(|g| g.len()).sum::<usize>(), n_connected);
+            let mut seen = std::collections::HashSet::new();
+            for g in &groups {
+                for &q in g {
+                    assert!(connected[q]);
+                    assert!(seen.insert(q), "{label}: candidate {q} in two classes");
+                }
+            }
+            let (walks, _) = phase.context_walks_certified(None, |_| false);
+            for g in &groups {
+                for &q in &g[1..] {
+                    assert_eq!(walks.recall[g[0]], walks.recall[q]);
+                    assert_eq!(walks.recall_gathered[g[0]], walks.recall_gathered[q]);
+                    assert_eq!(walks.recall_all[g[0]], walks.recall_all[q]);
+                }
             }
         }
     }

@@ -99,9 +99,6 @@ fn lock_recover(m: &Mutex<EntityPhaseState>) -> MutexGuard<'_, EntityPhaseState>
 struct SelectionMetrics {
     /// Pool and phase update (`harvest_select_phase` span).
     phase_seconds: Arc<l2q_obs::Histogram>,
-    /// Certifier set-up: candidate classes and static bounds
-    /// (`harvest_select_setup` span).
-    setup_seconds: Arc<l2q_obs::Histogram>,
     /// Scores, argmax and Φ commit (`harvest_select_score` span).
     score_seconds: Arc<l2q_obs::Histogram>,
     pruned: Arc<l2q_obs::Counter>,
@@ -116,7 +113,6 @@ fn selection_metrics() -> &'static SelectionMetrics {
         let reg = l2q_obs::global();
         SelectionMetrics {
             phase_seconds: reg.histogram("harvest_select_phase_seconds"),
-            setup_seconds: reg.histogram("harvest_select_setup_seconds"),
             score_seconds: reg.histogram("harvest_select_score_seconds"),
             pruned: reg.counter("selection_candidates_pruned_total"),
             exact: reg.counter("selection_exact_solves_total"),
@@ -151,33 +147,33 @@ const CERT_MARGIN: f64 = 1e-8;
 /// Field size below which racing every sweep is cheaper than skipping.
 const CHEAP_FIELD: usize = 16;
 
-/// Active-set state of one pruned selection: candidate classes (from
-/// [`EntityPhase::certifiable_groups`]) race against each other on
-/// certified score intervals; a class is killed when its best possible
-/// primary score provably trails some class's worst possible one, and
-/// the walk solves stop the moment a single class survives.
+/// Active-set state of one pruned selection: the solver's classes of
+/// connected candidates (see [`ContextProbe::classes`]) race against
+/// each other on certified score intervals; a class is killed when its
+/// best possible primary score provably trails some class's worst
+/// possible one, and the walk solves stop the moment a single class
+/// survives.
 struct Certifier {
     state: CollectiveState,
     strategy: Strategy,
-    groups: Vec<Vec<usize>>,
-    alive: Vec<bool>,
+    /// Whether each of the probe's classes is still in the race (filled
+    /// from the first probe).
+    alive: Option<Vec<bool>>,
     n_alive: usize,
     /// Tail level that triggers the next full interval race while the
     /// field is still wide (halving cadence).
     next_race_tail: f64,
-    /// Index into `groups` once certified.
+    /// Member count of the winning class once certified.
     winner: Option<usize>,
 }
 
 impl Certifier {
-    fn new(state: CollectiveState, strategy: Strategy, groups: Vec<Vec<usize>>) -> Self {
-        let n = groups.len();
+    fn new(state: CollectiveState, strategy: Strategy) -> Self {
         Self {
             state,
             strategy,
-            groups,
-            alive: vec![true; n],
-            n_alive: n,
+            alive: None,
+            n_alive: 0,
             next_race_tail: f64::INFINITY,
             winner: None,
         }
@@ -187,12 +183,18 @@ impl Certifier {
     /// winner. Kills are permanent — they are statements about the true
     /// fixpoint scores, which do not move between sweeps.
     fn check(&mut self, probe: &ContextProbe<'_>) -> bool {
-        if self.groups.is_empty() {
+        let classes = probe.classes();
+        let alive = self.alive.get_or_insert_with(|| {
+            self.n_alive = classes.len();
+            vec![true; classes.len()]
+        });
+        if classes.is_empty() {
             // No connected candidate: the selection returns None either
             // way; let the solve run to convergence (exact fallback).
             return false;
         }
-        let tmax = probe.tails.iter().fold(0.0f64, |m, &t| m.max(t));
+        let tails = probe.tails();
+        let tmax = tails.iter().fold(0.0f64, |m, &t| m.max(t));
         if !tmax.is_finite() {
             // Uncertifiable sweep (ρ ≥ 1 or warm-up): every interval
             // would span [0, ub] and nothing can be killed.
@@ -209,37 +211,31 @@ impl Certifier {
         self.next_race_tail = tmax * 0.5;
         let mut best_lo = f64::NEG_INFINITY;
         let mut his: Vec<(usize, f64)> = Vec::with_capacity(self.n_alive);
-        for (gi, g) in self.groups.iter().enumerate() {
-            if !self.alive[gi] {
+        for (i, &c) in classes.iter().enumerate() {
+            if !alive[i] {
                 continue;
             }
-            let q = g[0];
-            let r = interval(probe.recall[q], probe.qtail(0, q), probe.bounds[0][q]);
-            let rt = interval(
-                probe.recall_gathered[q],
-                probe.qtail(1, q),
-                probe.bounds[1][q],
-            );
-            let rs = interval(probe.recall_all[q], probe.qtail(2, q), probe.bounds[2][q]);
+            let (scores, bounds) = (probe.scores(c), probe.bounds(c));
+            let [r, rt, rs] =
+                std::array::from_fn(|w| interval(scores[w], probe.qtail(w, c), bounds[w]));
             let (lo, hi) = primary_interval(&self.state, self.strategy, r, rt, rs);
             if lo > best_lo {
                 best_lo = lo;
             }
-            his.push((gi, hi));
+            his.push((i, hi));
         }
-        for &(gi, hi) in &his {
+        for &(i, hi) in &his {
             if hi + CERT_MARGIN < best_lo {
-                self.alive[gi] = false;
+                alive[i] = false;
                 self.n_alive -= 1;
             }
         }
         if self.n_alive == 1 {
-            let gi = self.alive.iter().position(|&a| a).expect("one alive");
+            let c = classes[alive.iter().position(|&a| a).expect("one alive")];
             // Stop only once the lone survivor's own committed scores
             // are converged to within COMMIT_TOL.
-            let q = self.groups[gi][0];
-            if (0..3).all(|w| probe.qtail(w, q) <= COMMIT_TOL) {
-                self.winner = Some(gi);
+            if (0..3).all(|w| probe.qtail(w, c) <= COMMIT_TOL) {
+                self.winner = Some(probe.class_len(c));
                 return true;
             }
         }
@@ -461,21 +457,16 @@ impl QuerySelector for L2qSelector {
             let state = *self
                 .state
                 .get_or_insert_with(|| CollectiveState::new(input.cfg.r0));
-            let setup_span =
-                l2q_obs::SpanTimer::start_named(m.setup_seconds.clone(), "harvest_select_setup");
-            let groups = input.cfg.prune.then(|| phase.certifiable_groups());
-            phase.static_bounds();
-            setup_span.finish();
-            let walks = if let Some(groups) = groups {
-                let mut cert = Certifier::new(state, self.strategy, groups);
+            let walks = if input.cfg.prune {
+                let mut cert = Certifier::new(state, self.strategy);
                 let (walks, _early) =
                     phase.context_walks_certified(guard.as_deref_mut(), |p| cert.check(p));
                 let total = phase.candidates().len() as u64;
                 match cert.winner {
-                    Some(w) => {
+                    Some(members) => {
                         // Certified: only the winner class's utilities
                         // were needed at (near-)full accuracy.
-                        let exact = cert.groups[w].len() as u64;
+                        let exact = members as u64;
                         m.exact.add(exact);
                         m.pruned.add(total - exact);
                         if total > 0 {

@@ -1,32 +1,57 @@
-//! Certified truncation bounds for the context walks' fixpoints.
+//! The three Recall context walks, solved together over classes of
+//! interchangeable queries, with certified truncation bounds.
 //!
 //! The selection argmax only ever consumes the *query* block of the three
 //! Recall context walks, and the Jacobi update map is a restart-damped
 //! contraction. Both facts combine into cheap, rigorous control over a
-//! truncated solve:
+//! truncated solve: [`FusedTruncatedSolver`] solves the three walks on
+//! one graph together, one caller-paced Jacobi sweep at a time, and after
+//! each sweep exposes a **certified tail bound** on how far each walk's
+//! current query iterate can still move before convergence, plus static
+//! upper bounds on every query's fixpoint.
 //!
-//! * [`FusedTruncatedSolver`] solves the three walks on one graph
-//!   together, one caller-paced Jacobi sweep at a time: each sweep loads
-//!   every edge once and applies it to all three systems, and afterwards
-//!   exposes a **certified tail bound** on how far each system's current
-//!   query iterate can still move before convergence. Run to completion
-//!   it is bitwise identical to per-system
-//!   [`solve_detailed`](crate::solve_detailed) — a system's update reads
-//!   only its own iterate, its per-vertex accumulation runs over edges in
-//!   the solo sweep's order, and it stops the moment its own L1 delta
-//!   crosses the tolerance (later sweeps still compute its new iterate
-//!   but never swap it in) — so a caller that stops early only ever
-//!   trades a *known* error for sweeps, never correctness.
-//! * [`StaticBoundsContext`] bounds each query's true fixpoint utility
-//!   from per-vertex in-strengths of the graph alone, without running a
-//!   single sweep.
+//! ## Query classes
 //!
-//! Tail-bound derivation. Write one Jacobi sweep's block L1 deltas as
-//! `d_P, d_Q, d_T` (pages / queries / templates; Recall's
-//! sender-normalized coefficient columns sum to 1, so block L1 norms
-//! contract). With `keep = 1 − α` and page/template side weights
-//! `B_P, B_T` (the balance split when a missing side contributes zero,
-//! else 1), one more sweep contracts the blocks jointly:
+//! Many candidate queries are interchangeable: they retrieve the same
+//! pages and are abstracted by the same templates. Two queries with the
+//! same page and template neighbour ids, the same sender-normalized
+//! coefficient bits in edge order, and the same start value and query
+//! regularization bits in all three walks receive bitwise-identical
+//! updates at every sweep (by induction over the sweeps: a Jacobi update
+//! reads only the neighbours' previous iterates, in edge order). At
+//! construction the solver partitions the query vertices into these
+//! classes — numbered in order of their first member; candidates are
+//! bucketed by a hash of the signature and compared exactly within a
+//! bucket, so a hash collision can split a bucket but never merge two
+//! classes — and then updates one representative per class. Pages and
+//! templates keep one vertex each and read their query neighbours'
+//! classes, edge by edge in the graph's order.
+//!
+//! ## Layout and fold order
+//!
+//! The three walks are interleaved: each page, template and class holds
+//! one `[f64; 3]`, so one edge load feeds all three walks. A sweep runs
+//! pages, then templates, then classes, reading only the previous
+//! iterate. The block L1 deltas are folded into those loops: pages and
+//! templates in vertex order, and the query block in candidate order
+//! through the class map (each candidate adds its class's movement), so
+//! every sum runs over the same operands in the same order as a solo
+//! sweep's `l1`. Run to completion the solver is therefore bitwise
+//! identical to per-walk [`solve_detailed`](crate::solve_detailed) —
+//! utilities and sweep counts: each walk stops the moment its own L1
+//! delta crosses the tolerance and keeps its converged iterate while the
+//! others sweep on. A caller that stops early only ever trades a *known*
+//! error for sweeps, never correctness. The adjacency copies and
+//! iterates are solve-local and freed by [`FusedTruncatedSolver::finish`].
+//!
+//! ## Tail bounds
+//!
+//! Write one Jacobi sweep's block L1 deltas as `d_P, d_Q, d_T` (pages /
+//! queries / templates; Recall's sender-normalized coefficient columns
+//! sum to 1, so block L1 norms contract). With `keep = 1 − α` and
+//! page/template side weights `B_P, B_T` (the balance split when a
+//! missing side contributes zero, else 1), one more sweep contracts the
+//! blocks jointly:
 //!
 //! ```text
 //! d_P' ≤ keep·d_Q      d_T' ≤ keep·d_Q      d_Q' ≤ keep·(B_P·d_P + B_T·d_T)
@@ -46,12 +71,12 @@
 //! exact solve — truncation is then never certified, still never wrong.
 //!
 //! The block tail bounds the *sum* of all query errors, which is wildly
-//! conservative for any single query. [`FusedTruncatedSolver::query_tails_into`]
-//! refines it per query: query `q`'s update touches its neighbors'
+//! conservative for any single query. [`FusedTruncatedSolver::class_tail`]
+//! refines it per class: a query `q`'s update touches its neighbours'
 //! iterates through coefficients no larger than `mx_q` (its maximum
-//! incoming coefficient), so each of its future per-sweep moves is at
-//! most `keep · mx_q ·` (the sending block's L1 delta), and summing the
-//! same geometric series over *block* L1 deltas gives
+//! incoming coefficient per sender), so each of its future per-sweep
+//! moves is at most `keep · mx_q ·` (the sending block's L1 delta), and
+//! summing the same geometric series over *block* L1 deltas gives
 //!
 //! ```text
 //! tail_q = keep·(B_P·mxP_q·S_P + B_T·mxT_q·S_T)
@@ -62,11 +87,34 @@
 //! block deltas). `tail_q ≤ tail` whenever `mx_q` is small — the common
 //! case, since sender normalization spreads each page's unit mass over
 //! all its candidate queries.
+//!
+//! ## Static bounds
+//!
+//! [`FusedTruncatedSolver::class_bounds`] bounds each class's true
+//! fixpoint from in-strengths alone, without running a single sweep. Let
+//! `s_in(v)` be a vertex's incoming coefficient sum. Taking block maxima
+//! `M_P, M_Q, M_T` of the fixpoint and bounding each update by
+//! in-strength × block max yields a linear system in the maxima whose
+//! solution gives, per query `q` with side in-strengths `sP_q, sT_q`:
+//!
+//! ```text
+//! ub_q = keep·(B_P·sP_q·M_P + B_T·sT_q·M_T) + α·Û_q
+//! ```
+//!
+//! It requires non-negative regularization (all of this crate's
+//! regularizations are). On dense graphs the linear system can be
+//! singular-or-worse (`denom ≤ 0`), in which case connected queries get
+//! `INFINITY` — a valid, useless bound. A disconnected query's bound is
+//! exactly its fixpoint `α·Û_q`.
 
-use crate::graph::ReinforcementGraph;
+use crate::graph::{Edge, ReinforcementGraph};
 use crate::solver::{
-    l1, start_iterate, step_fused3_recall, sweeps_histogram, Regularization, Utilities, WalkConfig,
+    combine, start_iterate, sweeps_histogram, Regularization, Utilities, WalkConfig,
 };
+use std::sync::{Arc, OnceLock};
+
+/// One value per walk, side by side.
+type Tri = [f64; 3];
 
 /// Per-block L1 movement of one sweep, summed in the solo solver's
 /// convergence order so `total()` reproduces its decision bit for bit.
@@ -78,14 +126,6 @@ struct BlockDeltas {
 }
 
 impl BlockDeltas {
-    fn between(a: &Utilities, b: &Utilities) -> Self {
-        Self {
-            pages: l1(&a.pages, &b.pages),
-            queries: l1(&a.queries, &b.queries),
-            templates: l1(&a.templates, &b.templates),
-        }
-    }
-
     fn total(&self) -> f64 {
         self.pages + self.queries + self.templates
     }
@@ -105,76 +145,377 @@ fn side_weights(cfg: &WalkConfig) -> (f64, f64, f64) {
     (bp, bt, keep * keep * (bp + bt))
 }
 
-/// The three Recall context walks on one graph, solved together in
-/// caller-paced fused Jacobi sweeps with a certified per-sweep tail
-/// bound on each system's query block (see the module docs).
-pub struct FusedTruncatedSolver<'g> {
-    g: &'g ReinforcementGraph,
-    regs: [Regularization; 3],
+/// Class and query-vertex counters of the fused solves, resolved once.
+fn class_counters() -> &'static (Arc<l2q_obs::Counter>, Arc<l2q_obs::Counter>) {
+    static C: OnceLock<(Arc<l2q_obs::Counter>, Arc<l2q_obs::Counter>)> = OnceLock::new();
+    C.get_or_init(|| {
+        let reg = l2q_obs::global();
+        (
+            reg.counter("graph_fused_classes_total"),
+            reg.counter("graph_fused_queries_total"),
+        )
+    })
+}
+
+/// The three walks' values on every page, template and query class.
+struct Blocks {
+    pages: Vec<Tri>,
+    templates: Vec<Tri>,
+    classes: Vec<Tri>,
+}
+
+/// One adjacency direction of the sweep: each source's targets and
+/// sender-normalized coefficients, in the graph's edge order.
+struct Csr {
+    off: Vec<u32>,
+    to: Vec<u32>,
+    coef: Vec<f64>,
+}
+
+impl Csr {
+    /// Copy `rows(v)` for every source `v < n`, mapping each target
+    /// through `target`.
+    fn build<'a>(
+        n: usize,
+        rows: impl Fn(usize) -> (&'a [Edge], &'a [f64]),
+        target: impl Fn(u32) -> u32,
+    ) -> Self {
+        let edges: usize = (0..n).map(|v| rows(v).0.len()).sum();
+        let mut off = Vec::with_capacity(n + 1);
+        let (mut to, mut coef) = (Vec::with_capacity(edges), Vec::with_capacity(edges));
+        off.push(0);
+        for v in 0..n {
+            let (edges, nrm) = rows(v);
+            to.extend(edges.iter().map(|e| target(e.to)));
+            coef.extend_from_slice(nrm);
+            off.push(to.len() as u32);
+        }
+        Self { off, to, coef }
+    }
+
+    #[inline]
+    fn row(&self, v: usize) -> (&[u32], &[f64]) {
+        let r = self.off[v] as usize..self.off[v + 1] as usize;
+        (&self.to[r.clone()], &self.coef[r])
+    }
+}
+
+/// Interleave three per-vertex vectors into one `[f64; 3]` per vertex.
+fn interleave(v: [&[f64]; 3]) -> Vec<Tri> {
+    (0..v[0].len())
+        .map(|i| [v[0][i], v[1][i], v[2][i]])
+        .collect()
+}
+
+/// Fold one word into a fingerprint. The multiply depends only on the
+/// word, so it stays off the running hash's dependency chain.
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    h.rotate_left(5) ^ word.wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Partition `0..n` into the classes of the equivalence `same`, numbered
+/// in order of their first item. Items are placed by `fingerprint`
+/// (equal for items of one class) in an open-addressing table and
+/// compared with `same` only against classes of equal fingerprint, so a
+/// fingerprint collision splits a bucket and never merges two classes.
+/// Returns each item's class and each class's first item.
+fn partition(
+    n: usize,
+    fingerprint: impl Fn(usize) -> u64,
+    same: impl Fn(usize, usize) -> bool,
+) -> (Vec<u32>, Vec<u32>) {
+    if n == 0 {
+        return (Vec::new(), Vec::new());
+    }
+    assert!(n < u32::MAX as usize, "{n} items overflow u32 class ids");
+    // At least twice as many slots as items: probing always ends.
+    let slots = (2 * n).next_power_of_two();
+    let shift = 64 - slots.trailing_zeros();
+    let mut table = vec![u32::MAX; slots];
+    let mut class_fp: Vec<u64> = Vec::new();
+    let mut first: Vec<u32> = Vec::new();
+    let mut class_of = Vec::with_capacity(n);
+    for item in 0..n {
+        let fp = fingerprint(item);
+        let mut slot = (fp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        let class = loop {
+            let c = table[slot];
+            if c == u32::MAX {
+                table[slot] = first.len() as u32;
+                class_fp.push(fp);
+                first.push(item as u32);
+                break table[slot];
+            }
+            if class_fp[c as usize] == fp && same(first[c as usize] as usize, item) {
+                break c;
+            }
+            slot = (slot + 1) & (slots - 1);
+        };
+        class_of.push(class);
+    }
+    (class_of, first)
+}
+
+/// Maximum incoming coefficient per *sender*, not per edge: parallel
+/// edges from the same page (or template) act as one sender whose
+/// coefficients add, and the bound must cover that sum. `acc` is zeroed
+/// scratch indexed by sender, left zeroed.
+fn max_per_sender(edges: &[Edge], nrm: &[f64], acc: &mut [f64]) -> f64 {
+    for (e, &c) in edges.iter().zip(nrm) {
+        acc[e.to as usize] += c;
+    }
+    let mut m = 0.0f64;
+    for e in edges {
+        let s = &mut acc[e.to as usize];
+        m = m.max(*s);
+        *s = 0.0;
+    }
+    m
+}
+
+/// `c * m` treating an absent contribution (`c == 0`) as exactly zero
+/// even when the bound `m` is infinite.
+fn mul0(c: f64, m: f64) -> f64 {
+    if c == 0.0 {
+        0.0
+    } else {
+        c * m
+    }
+}
+
+/// Largest value of `values` (0 when empty), asserting the static
+/// bounds' non-negativity requirement on the way.
+fn max_nonneg(values: impl Iterator<Item = f64>) -> f64 {
+    values.fold(0.0f64, |m, x| {
+        assert!(x >= 0.0, "static bounds need non-negative regularization");
+        m.max(x)
+    })
+}
+
+/// Static upper bounds on each class's true fixpoint in each walk (see
+/// the module docs): `strength[c]` holds the class's page-side and
+/// template-side in-strengths, `receivers` the strongest page and
+/// template in-strengths.
+fn static_bounds(
+    cfg: &WalkConfig,
+    reg: &Blocks,
+    strength: &[[f64; 2]],
+    receivers: [f64; 2],
+) -> Vec<Tri> {
+    let a = cfg.alpha;
+    let keep = 1.0 - a;
+    let (bp, bt, _) = side_weights(cfg);
+    let [c_p, c_t] = receivers;
+    let i_p = strength.iter().fold(0.0f64, |m, s| m.max(s[0]));
+    let i_t = strength.iter().fold(0.0f64, |m, s| m.max(s[1]));
+    let block_max = |w: usize| -> (f64, f64) {
+        let mr_p = max_nonneg(reg.pages.iter().map(|r| r[w]));
+        let mr_t = max_nonneg(reg.templates.iter().map(|r| r[w]));
+        let mr_q = max_nonneg(reg.classes.iter().map(|r| r[w]));
+        // Fixpoint block maxima: M_P ≤ keep·c_p·M_Q + α·mr_p (same for
+        // templates), M_Q ≤ keep·(B_P·i_p·M_P + B_T·i_t·M_T) + α·mr_q.
+        let denom = 1.0 - keep * keep * (bp * i_p * c_p + bt * i_t * c_t);
+        let m_q = if denom > 0.0 {
+            (keep * a * (bp * i_p * mr_p + bt * i_t * mr_t) + a * mr_q) / denom
+        } else {
+            f64::INFINITY
+        };
+        (
+            mul0(keep * c_p, m_q) + a * mr_p,
+            mul0(keep * c_t, m_q) + a * mr_t,
+        )
+    };
+    let maxima: [(f64, f64); 3] = std::array::from_fn(block_max);
+    strength
+        .iter()
+        .zip(&reg.classes)
+        .map(|(s, r)| {
+            std::array::from_fn(|w| {
+                let (m_p, m_t) = maxima[w];
+                keep * (mul0(bp * s[0], m_p) + mul0(bt * s[1], m_t)) + a * r[w]
+            })
+        })
+        .collect()
+}
+
+/// The three Recall context walks on one graph, solved together over
+/// classes of interchangeable queries in caller-paced Jacobi sweeps, with
+/// a certified per-sweep tail bound on each walk's query block (see the
+/// module docs).
+pub struct FusedTruncatedSolver {
     cfg: WalkConfig,
-    curs: [Utilities; 3],
-    nexts: [Utilities; 3],
+    /// Class of each query vertex.
+    class_of: Vec<u32>,
+    /// Member count of each class.
+    class_len: Vec<u32>,
+    /// Pages and templates read their query neighbours' classes; each
+    /// class reads its first member's page and template neighbours.
+    page_classes: Csr,
+    template_classes: Csr,
+    class_pages: Csr,
+    class_templates: Csr,
+    reg: Blocks,
+    cur: Blocks,
+    next: Blocks,
+    /// Each class's movement in the last sweep, folded in candidate order.
+    class_delta: Vec<Tri>,
+    /// Per class: maximum incoming coefficient per sender from the page
+    /// and the template side (the per-class tail refinement needs them).
+    mx_in: Vec<[f64; 2]>,
+    /// Per class: static upper bound on the true fixpoint of each walk.
+    bounds: Vec<Tri>,
     sweeps: [usize; 3],
     active: [bool; 3],
     deltas: [Option<BlockDeltas>; 3],
+    /// Each walk's block tail and per-class refinement coefficients after
+    /// the last sweep.
+    tails: Tri,
+    tail_coeffs: [Option<(f64, f64)>; 3],
     iters: usize,
     span: l2q_obs::SpanTimer,
-    /// Per-query maximum incoming coefficient from the page / template
-    /// side (the per-query tail refinement needs them).
-    mx_page_in: Vec<f64>,
-    mx_tmpl_in: Vec<f64>,
 }
 
-impl<'g> FusedTruncatedSolver<'g> {
+impl FusedTruncatedSolver {
     /// Start the three Recall systems exactly as [`solve_detailed`]
     /// would start each one: warm iterate when given, else the
-    /// regularization vector.
+    /// regularization vector. The set-up pass (`graph_solve_setup` span)
+    /// partitions the queries into classes and copies the adjacency the
+    /// sweeps read.
+    ///
+    /// # Panics
+    /// On a regularization or warm start not shaped for `g`, and on
+    /// negative regularization, which the static bounds rule out.
     ///
     /// [`solve_detailed`]: crate::solve_detailed
     pub fn new(
-        g: &'g ReinforcementGraph,
+        g: &ReinforcementGraph,
         regs: [Regularization; 3],
         cfg: &WalkConfig,
         mut warms: [Option<Utilities>; 3],
     ) -> Self {
         let span = l2q_obs::span!("graph_solve");
-        let curs = std::array::from_fn(|i| start_iterate(g, &regs[i], cfg, warms[i].take()));
-        let nexts = std::array::from_fn(|_| Utilities::zeros(g));
-        // Max incoming coefficient per *sender*, not per edge: parallel
-        // edges from the same page (or template) act as one sender whose
-        // coefficients add, and the bound must cover that sum.
-        let mut acc = vec![0.0f64; g.n_pages().max(g.n_templates())];
-        let mut mx = |edges: &[crate::graph::Edge], nrm: &[f64]| -> f64 {
-            for (e, &c) in edges.iter().zip(nrm) {
-                acc[e.to as usize] += c;
-            }
-            let mut m = 0.0f64;
-            for e in edges {
-                let s = &mut acc[e.to as usize];
-                m = m.max(*s);
-                *s = 0.0;
-            }
-            m
+        let setup = l2q_obs::span!("graph_solve_setup");
+        let starts: [Utilities; 3] =
+            std::array::from_fn(|i| start_iterate(g, &regs[i], cfg, warms[i].take()));
+        let q_start = interleave(std::array::from_fn(|i| starts[i].queries.as_slice()));
+        let q_reg = interleave(std::array::from_fn(|i| regs[i].queries.as_slice()));
+
+        let sides = |q: usize| {
+            [
+                (g.query_pages(q), g.query_pages_nrm(q)),
+                (g.query_templates(q), g.query_templates_nrm(q)),
+            ]
         };
-        let mx_page_in = (0..g.n_queries())
-            .map(|q| mx(g.query_pages(q), g.query_pages_nrm(q)))
-            .collect();
-        let mx_tmpl_in = (0..g.n_queries())
-            .map(|q| mx(g.query_templates(q), g.query_templates_nrm(q)))
-            .collect();
+        let bits = |x: &Tri| x.map(f64::to_bits);
+        let fingerprint = |q: usize| -> u64 {
+            let mut h = 0u64;
+            for (edges, nrm) in sides(q) {
+                h = mix(h, edges.len() as u64);
+                for (e, &c) in edges.iter().zip(nrm) {
+                    h = mix(h, c.to_bits() ^ (u64::from(e.to) << 32));
+                }
+            }
+            for b in bits(&q_start[q]).into_iter().chain(bits(&q_reg[q])) {
+                h = mix(h, b);
+            }
+            h
+        };
+        let same = |a: usize, b: usize| -> bool {
+            bits(&q_start[a]) == bits(&q_start[b])
+                && bits(&q_reg[a]) == bits(&q_reg[b])
+                && sides(a).iter().zip(sides(b)).all(|(&(ea, na), (eb, nb))| {
+                    ea.len() == eb.len()
+                        && ea.iter().zip(eb).all(|(x, y)| x.to == y.to)
+                        && na.iter().zip(nb).all(|(x, y)| x.to_bits() == y.to_bits())
+                })
+        };
+        let (class_of, first) = partition(g.n_queries(), fingerprint, same);
+        let mut class_len = vec![0u32; first.len()];
+        for &c in &class_of {
+            class_len[c as usize] += 1;
+        }
+        let (classes, queries) = class_counters();
+        classes.add(first.len() as u64);
+        queries.add(class_of.len() as u64);
+
+        let rep = |c: usize| first[c] as usize;
+        let page_classes = Csr::build(
+            g.n_pages(),
+            |p| (g.page_queries(p), g.page_queries_nrm(p)),
+            |q| class_of[q as usize],
+        );
+        let template_classes = Csr::build(
+            g.n_templates(),
+            |t| (g.template_queries(t), g.template_queries_nrm(t)),
+            |q| class_of[q as usize],
+        );
+        let class_pages = Csr::build(
+            first.len(),
+            |c| (g.query_pages(rep(c)), g.query_pages_nrm(rep(c))),
+            |p| p,
+        );
+        let class_templates = Csr::build(
+            first.len(),
+            |c| (g.query_templates(rep(c)), g.query_templates_nrm(rep(c))),
+            |t| t,
+        );
+
+        let mut acc = vec![0.0f64; g.n_pages().max(g.n_templates())];
+        let mut strength = Vec::with_capacity(first.len());
+        let mut mx_in = Vec::with_capacity(first.len());
+        for c in 0..first.len() {
+            let [(pe, pn), (te, tn)] = sides(rep(c));
+            strength.push([pn.iter().sum(), tn.iter().sum()]);
+            mx_in.push([
+                max_per_sender(pe, pn, &mut acc),
+                max_per_sender(te, tn, &mut acc),
+            ]);
+        }
+        // The strongest page and template receivers.
+        let receivers = [
+            (0..g.n_pages()).fold(0.0f64, |m, p| m.max(g.page_queries_nrm(p).iter().sum())),
+            (0..g.n_templates()).fold(0.0f64, |m, t| m.max(g.template_queries_nrm(t).iter().sum())),
+        ];
+
+        let reg = Blocks {
+            pages: interleave(std::array::from_fn(|i| regs[i].pages.as_slice())),
+            templates: interleave(std::array::from_fn(|i| regs[i].templates.as_slice())),
+            classes: first.iter().map(|&q| q_reg[q as usize]).collect(),
+        };
+        let cur = Blocks {
+            pages: interleave(std::array::from_fn(|i| starts[i].pages.as_slice())),
+            templates: interleave(std::array::from_fn(|i| starts[i].templates.as_slice())),
+            classes: first.iter().map(|&q| q_start[q as usize]).collect(),
+        };
+        let next = Blocks {
+            pages: vec![[0.0; 3]; cur.pages.len()],
+            templates: vec![[0.0; 3]; cur.templates.len()],
+            classes: vec![[0.0; 3]; cur.classes.len()],
+        };
+        let bounds = static_bounds(cfg, &reg, &strength, receivers);
+        setup.finish();
         Self {
-            g,
-            regs,
             cfg: *cfg,
-            curs,
-            nexts,
+            class_delta: vec![[0.0; 3]; first.len()],
+            class_of,
+            class_len,
+            page_classes,
+            template_classes,
+            class_pages,
+            class_templates,
+            reg,
+            cur,
+            next,
+            mx_in,
+            bounds,
             sweeps: [0; 3],
             active: [true; 3],
             deltas: [None; 3],
+            tails: [f64::INFINITY; 3],
+            tail_coeffs: [None; 3],
             iters: 0,
             span,
-            mx_page_in,
-            mx_tmpl_in,
         }
     }
 
@@ -185,22 +526,109 @@ impl<'g> FusedTruncatedSolver<'g> {
         if self.iters >= self.cfg.max_iters || self.all_converged() {
             return false;
         }
-        step_fused3_recall(self.g, &self.regs, &self.cfg, &self.curs, &mut self.nexts);
+        let deltas = self.sweep_blocks();
+        std::mem::swap(&mut self.cur, &mut self.next);
         self.iters += 1;
-        for i in 0..3 {
+        for (i, d) in deltas.into_iter().enumerate() {
             if !self.active[i] {
-                // Converged: this sweep's new iterate is discarded.
+                // Converged: this sweep kept its iterate.
                 continue;
             }
             self.sweeps[i] += 1;
-            let d = BlockDeltas::between(&self.curs[i], &self.nexts[i]);
-            std::mem::swap(&mut self.curs[i], &mut self.nexts[i]);
             if d.total() < self.cfg.tolerance {
                 self.active[i] = false;
             }
             self.deltas[i] = Some(d);
         }
+        for i in 0..3 {
+            self.tails[i] = self.block_tail(i);
+            self.tail_coeffs[i] = self.class_tail_coeffs(i);
+        }
         true
+    }
+
+    /// One Jacobi sweep of every active walk from `cur` into `next`; a
+    /// converged walk's lane of `next` copies `cur`. Returns each walk's
+    /// block L1 deltas.
+    fn sweep_blocks(&mut self) -> [BlockDeltas; 3] {
+        let a = self.cfg.alpha;
+        let keep = 1.0 - a;
+        let (bal, zero) = (
+            self.cfg.page_template_balance,
+            self.cfg.missing_side_is_zero,
+        );
+        let active = self.active;
+        let update = |old: Tri, f: Tri, r: Tri| -> Tri {
+            std::array::from_fn(|w| {
+                if active[w] {
+                    keep * f[w] + a * r[w]
+                } else {
+                    old[w]
+                }
+            })
+        };
+        let (cur, next, reg) = (&self.cur, &mut self.next, &self.reg);
+        let d_pages = gather(
+            &self.page_classes,
+            &cur.classes,
+            &cur.pages,
+            &reg.pages,
+            &mut next.pages,
+            update,
+        );
+        let d_templates = gather(
+            &self.template_classes,
+            &cur.classes,
+            &cur.templates,
+            &reg.templates,
+            &mut next.templates,
+            update,
+        );
+        for c in 0..cur.classes.len() {
+            let (pages, pk) = self.class_pages.row(c);
+            let mut from_pages = [0.0f64; 3];
+            for (&p, &k) in pages.iter().zip(pk) {
+                let x = &cur.pages[p as usize];
+                from_pages[0] += k * x[0];
+                from_pages[1] += k * x[1];
+                from_pages[2] += k * x[2];
+            }
+            let (templates, tk) = self.class_templates.row(c);
+            let mut from_templates = [0.0f64; 3];
+            for (&t, &k) in templates.iter().zip(tk) {
+                let x = &cur.templates[t as usize];
+                from_templates[0] += k * x[0];
+                from_templates[1] += k * x[1];
+                from_templates[2] += k * x[2];
+            }
+            // Edge weights are positive, so a side has edges exactly
+            // when its degree is positive (the solo sweep's test).
+            let (has_p, has_t) = (!pages.is_empty(), !templates.is_empty());
+            let f = std::array::from_fn(|w| {
+                combine(
+                    has_p.then_some(from_pages[w]),
+                    has_t.then_some(from_templates[w]),
+                    bal,
+                    zero,
+                )
+            });
+            let old = cur.classes[c];
+            let new = update(old, f, reg.classes[c]);
+            next.classes[c] = new;
+            self.class_delta[c] = std::array::from_fn(|w| (old[w] - new[w]).abs());
+        }
+        let mut d_queries = [0.0f64; 3];
+        for &c in &self.class_of {
+            let d = &self.class_delta[c as usize];
+            d_queries[0] += d[0];
+            d_queries[1] += d[1];
+            d_queries[2] += d[2];
+        }
+        std::array::from_fn(|w| BlockDeltas {
+            pages: d_pages[w],
+            queries: d_queries[w],
+            templates: d_templates[w],
+        })
     }
 
     /// True once every system's L1 delta crossed the tolerance.
@@ -208,9 +636,37 @@ impl<'g> FusedTruncatedSolver<'g> {
         !self.active.iter().any(|&x| x)
     }
 
-    /// System `i`'s current query iterate.
-    pub fn queries(&self, i: usize) -> &[f64] {
-        &self.curs[i].queries
+    /// Number of query classes.
+    pub fn n_classes(&self) -> usize {
+        self.class_len.len()
+    }
+
+    /// The class of each query vertex; classes are numbered in order of
+    /// their first member.
+    pub fn class_of(&self) -> &[u32] {
+        &self.class_of
+    }
+
+    /// Number of query vertices in class `c`.
+    pub fn class_len(&self, c: usize) -> usize {
+        self.class_len[c] as usize
+    }
+
+    /// Whether class `c`'s queries have any page or template edge.
+    pub fn class_connected(&self, c: usize) -> bool {
+        !self.class_pages.row(c).0.is_empty() || !self.class_templates.row(c).0.is_empty()
+    }
+
+    /// Class `c`'s current iterate in each system — the iterate of every
+    /// query in the class.
+    pub fn class_values(&self, c: usize) -> [f64; 3] {
+        self.cur.classes[c]
+    }
+
+    /// Static upper bounds on class `c`'s true fixpoint in each system
+    /// (see the module docs).
+    pub fn class_bounds(&self, c: usize) -> [f64; 3] {
+        self.bounds[c]
     }
 
     /// Certified bound on `max_q |queries(i)[q] − fixpoint_q|`: no query
@@ -218,6 +674,24 @@ impl<'g> FusedTruncatedSolver<'g> {
     /// fixpoint value. `INFINITY` before the system's first sweep or
     /// when the contraction factor ρ ≥ 1 (see module docs).
     pub fn tail(&self, i: usize) -> f64 {
+        self.tails[i]
+    }
+
+    /// Certified distance of class `c`'s system-`i` iterate from its
+    /// true fixpoint: `min(tail(i), a·mxP_c + b·mxT_c)` (see the module
+    /// docs), in O(1). The block tail when the refinement doesn't apply
+    /// (ρ ≥ 1 or no sweep yet).
+    pub fn class_tail(&self, i: usize, c: usize) -> f64 {
+        match self.tail_coeffs[i] {
+            Some((a, b)) => {
+                let [mp, mt] = self.mx_in[c];
+                (a * mp + b * mt).min(self.tails[i])
+            }
+            None => self.tails[i],
+        }
+    }
+
+    fn block_tail(&self, i: usize) -> f64 {
         let Some(d) = &self.deltas[i] else {
             return f64::INFINITY;
         };
@@ -229,42 +703,16 @@ impl<'g> FusedTruncatedSolver<'g> {
         (keep * (bp * d.pages + bt * d.templates) + rho * d.queries) / (1.0 - rho)
     }
 
-    /// Scalar coefficients `(a, b)` of system `i`'s per-query tail
-    /// refinement: `tail_q = min(a·mxP_q + b·mxT_q, tail(i))` with the
-    /// per-query maxima from [`Self::max_in_coeffs`] — so one sweep's
-    /// refinement costs O(1) per inspected query instead of O(n).
-    /// `None` when the refinement doesn't apply (ρ ≥ 1 or no sweep
-    /// yet): every query then falls back to the block tail.
-    pub fn query_tail_coeffs(&self, i: usize) -> Option<(f64, f64)> {
-        let t = self.tail(i);
+    /// Scalar coefficients `(a, b)` of system `i`'s per-class tail
+    /// refinement; `None` when it doesn't apply.
+    fn class_tail_coeffs(&self, i: usize) -> Option<(f64, f64)> {
+        let t = self.tails[i];
         let d = self.deltas[i].as_ref().filter(|_| t.is_finite())?;
         let keep = 1.0 - self.cfg.alpha;
         let (bp, bt, _) = side_weights(&self.cfg);
         let s_p = d.pages + keep * (d.queries + t);
         let s_t = d.templates + keep * (d.queries + t);
         Some((keep * bp * s_p, keep * bt * s_t))
-    }
-
-    /// Per-query maximum incoming coefficient from the page / template
-    /// side.
-    pub fn max_in_coeffs(&self) -> (&[f64], &[f64]) {
-        (&self.mx_page_in, &self.mx_tmpl_in)
-    }
-
-    /// Per-query certified tails of system `i`, written into `out` (one
-    /// entry per query, `min(block tail, per-query refinement)`; see the
-    /// module docs). Falls back to the block tail for every query when
-    /// the refinement doesn't apply (ρ ≥ 1 or no sweep yet).
-    pub fn query_tails_into(&self, i: usize, out: &mut Vec<f64>) {
-        let t = self.tail(i);
-        out.clear();
-        let n = self.g.n_queries();
-        match self.query_tail_coeffs(i) {
-            Some((a, b)) => {
-                out.extend((0..n).map(|q| (a * self.mx_page_in[q] + b * self.mx_tmpl_in[q]).min(t)))
-            }
-            None => out.extend(std::iter::repeat_n(t, n)),
-        }
     }
 
     /// Sweep the remaining systems to convergence (or the cap). After
@@ -278,7 +726,8 @@ impl<'g> FusedTruncatedSolver<'g> {
 
     /// Finish the solve: record per-system sweep counts, mark the span
     /// `truncated` (stopped early by the caller) or `maxed` (hit the
-    /// sweep cap), and hand back `(utilities, sweeps)` in input order.
+    /// sweep cap), and hand back `(utilities, sweeps)` in input order,
+    /// each query at its class's iterate.
     pub fn finish(mut self) -> [(Utilities, usize); 3] {
         if !self.all_converged() {
             self.span.set_status(if self.iters >= self.cfg.max_iters {
@@ -290,146 +739,52 @@ impl<'g> FusedTruncatedSolver<'g> {
         for &s in &self.sweeps {
             sweeps_histogram().record(s as f64);
         }
-        let Self {
-            curs, sweeps, span, ..
-        } = self;
-        drop(span); // records graph_solve_seconds for the whole solve
-        let [c0, c1, c2] = curs;
-        [(c0, sweeps[0]), (c1, sweeps[1]), (c2, sweeps[2])]
+        let lane = |block: &[Tri], w: usize| block.iter().map(|x| x[w]).collect();
+        let out = std::array::from_fn(|w| {
+            let u = Utilities {
+                pages: lane(&self.cur.pages, w),
+                queries: self
+                    .class_of
+                    .iter()
+                    .map(|&c| self.cur.classes[c as usize][w])
+                    .collect(),
+                templates: lane(&self.cur.templates, w),
+            };
+            (u, self.sweeps[w])
+        });
+        drop(self); // records graph_solve_seconds for the whole solve
+        out
     }
 }
 
-/// `c * m` treating an absent contribution (`c == 0`) as exactly zero
-/// even when the bound `m` is infinite.
-fn mul0(c: f64, m: f64) -> f64 {
-    if c == 0.0 {
-        0.0
-    } else {
-        c * m
-    }
-}
-
-/// Per-query upper bounds on the *true fixpoint* query utilities of the
-/// Recall walks over one graph, from graph structure and regularization
-/// alone (no sweeps).
-///
-/// Let `s_in(v)` be a vertex's incoming coefficient sum (the sum of
-/// sender-normalized weights into `v`). Taking block maxima
-/// `M_P, M_Q, M_T` of the fixpoint and bounding each update by
-/// in-strength × block max yields a linear system in the maxima whose
-/// solution gives, per query `q` with side in-strengths `sP_q, sT_q`:
-///
-/// ```text
-/// ub_q = keep·(B_P·sP_q·M_P + B_T·sT_q·M_T) + α·Û_q
-/// ```
-///
-/// Requires non-negative regularization (all of this crate's
-/// regularizations are); on dense graphs the linear system can be
-/// singular-or-worse (`denom ≤ 0`), in which case connected queries get
-/// `INFINITY` — a valid, useless bound. A disconnected query's bound is
-/// exactly its fixpoint `α·Û_q`.
-///
-/// The in-strengths and their block maxima are graph constants, so the
-/// context is built once per graph and each walk's bounds derive from its
-/// regularization maxima alone — an O(pages + templates + queries) scan
-/// instead of an O(edges) sweep per walk.
-pub struct StaticBoundsContext {
-    alpha: f64,
-    bp: f64,
-    bt: f64,
-    n_pages: usize,
-    n_templates: usize,
-    /// Per-query page-side / template-side in-strengths.
-    s_q_pages: Vec<f64>,
-    s_q_templates: Vec<f64>,
-    /// Block maxima of the receiver in-strengths.
-    c_p: f64,
-    c_t: f64,
-    i_p: f64,
-    i_t: f64,
-}
-
-impl StaticBoundsContext {
-    /// Scan the graph's in-strengths once.
-    pub fn new(g: &ReinforcementGraph, cfg: &WalkConfig) -> Self {
-        let s_pages: Vec<f64> = (0..g.n_pages())
-            .map(|p| g.page_queries_nrm(p).iter().sum())
-            .collect();
-        let s_templates: Vec<f64> = (0..g.n_templates())
-            .map(|t| g.template_queries_nrm(t).iter().sum())
-            .collect();
-        let s_q_pages: Vec<f64> = (0..g.n_queries())
-            .map(|q| g.query_pages_nrm(q).iter().sum())
-            .collect();
-        let s_q_templates: Vec<f64> = (0..g.n_queries())
-            .map(|q| g.query_templates_nrm(q).iter().sum())
-            .collect();
-        let max = |v: &[f64]| v.iter().fold(0.0f64, |m, &x| m.max(x));
-        let (bp, bt, _) = side_weights(cfg);
-        Self {
-            alpha: cfg.alpha,
-            bp,
-            bt,
-            n_pages: g.n_pages(),
-            n_templates: g.n_templates(),
-            c_p: max(&s_pages), // strongest page receiver
-            c_t: max(&s_templates),
-            i_p: max(&s_q_pages), // strongest query page-side receiver
-            i_t: max(&s_q_templates),
-            s_q_pages,
-            s_q_templates,
+/// Update one page or template block from the class iterates, each
+/// vertex summing over its edges in order; returns the block's L1 delta
+/// per walk, folded in vertex order.
+fn gather(
+    adj: &Csr,
+    classes: &[Tri],
+    cur: &[Tri],
+    reg: &[Tri],
+    next: &mut [Tri],
+    update: impl Fn(Tri, Tri, Tri) -> Tri,
+) -> Tri {
+    let mut d = [0.0f64; 3];
+    for (v, ((&old, &r), out)) in cur.iter().zip(reg).zip(next.iter_mut()).enumerate() {
+        let (to, coef) = adj.row(v);
+        let mut acc = [0.0f64; 3];
+        for (&c, &k) in to.iter().zip(coef) {
+            let x = &classes[c as usize];
+            acc[0] += k * x[0];
+            acc[1] += k * x[1];
+            acc[2] += k * x[2];
+        }
+        let new = update(old, acc, r);
+        *out = new;
+        for ((d, o), n) in d.iter_mut().zip(old).zip(new) {
+            *d += (o - n).abs();
         }
     }
-
-    /// Bounds for one walk's regularization over the context's graph.
-    pub fn query_upper_bounds(&self, reg: &Regularization) -> Vec<f64> {
-        assert_eq!(reg.pages.len(), self.n_pages, "page regularization shape");
-        assert_eq!(
-            reg.queries.len(),
-            self.s_q_pages.len(),
-            "query regularization shape"
-        );
-        assert_eq!(
-            reg.templates.len(),
-            self.n_templates,
-            "template regularization shape"
-        );
-        assert!(
-            reg.pages
-                .iter()
-                .chain(&reg.queries)
-                .chain(&reg.templates)
-                .all(|&x| x >= 0.0),
-            "static bounds need non-negative regularization"
-        );
-
-        let a = self.alpha;
-        let keep = 1.0 - a;
-        let (bp, bt) = (self.bp, self.bt);
-        let (c_p, c_t, i_p, i_t) = (self.c_p, self.c_t, self.i_p, self.i_t);
-        let max = |v: &[f64]| v.iter().fold(0.0f64, |m, &x| m.max(x));
-        let mr_p = max(&reg.pages);
-        let mr_t = max(&reg.templates);
-        let mr_q = max(&reg.queries);
-
-        // Fixpoint block maxima: M_P ≤ keep·c_p·M_Q + α·mr_p (same for
-        // templates), M_Q ≤ keep·(B_P·i_p·M_P + B_T·i_t·M_T) + α·mr_q.
-        let denom = 1.0 - keep * keep * (bp * i_p * c_p + bt * i_t * c_t);
-        let m_q = if denom > 0.0 {
-            (keep * a * (bp * i_p * mr_p + bt * i_t * mr_t) + a * mr_q) / denom
-        } else {
-            f64::INFINITY
-        };
-        let m_p = mul0(keep * c_p, m_q) + a * mr_p;
-        let m_t = mul0(keep * c_t, m_q) + a * mr_t;
-
-        (0..self.s_q_pages.len())
-            .map(|q| {
-                keep * (mul0(bp * self.s_q_pages[q], m_p) + mul0(bt * self.s_q_templates[q], m_t))
-                    + a * reg.queries[q]
-            })
-            .collect()
-    }
+    d
 }
 
 #[cfg(test)]
@@ -483,6 +838,20 @@ mod tests {
             .collect()
     }
 
+    /// A class-level quantity spread over the query vertices.
+    fn per_query(s: &FusedTruncatedSolver, f: impl Fn(usize) -> f64) -> Vec<f64> {
+        s.class_of().iter().map(|&c| f(c as usize)).collect()
+    }
+
+    fn assert_matches_solo(got: &[(Utilities, usize); 3], want: &[(Utilities, usize)]) {
+        for ((gu, gs), (wu, ws)) in got.iter().zip(want) {
+            assert_eq!(gs, ws, "sweep counts diverged");
+            assert_eq!(gu.pages, wu.pages);
+            assert_eq!(gu.queries, wu.queries);
+            assert_eq!(gu.templates, wu.templates);
+        }
+    }
+
     #[test]
     fn run_to_completion_matches_solo_solves_bitwise() {
         let g = fixture();
@@ -496,13 +865,7 @@ mod tests {
         for (warm_set, want) in [([None, None, None], &reference), (warms, &reference_warm)] {
             let mut s = FusedTruncatedSolver::new(&g, context_regs(&g), &cfg, warm_set);
             s.run_to_completion();
-            let got = s.finish();
-            for ((gu, gs), (wu, ws)) in got.iter().zip(want.iter()) {
-                assert_eq!(gs, ws, "sweep counts diverged");
-                assert_eq!(gu.pages, wu.pages);
-                assert_eq!(gu.queries, wu.queries);
-                assert_eq!(gu.templates, wu.templates);
-            }
+            assert_matches_solo(&s.finish(), want);
         }
     }
 
@@ -526,15 +889,14 @@ mod tests {
         let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
         assert!(s.tail(0).is_infinite(), "no bound before the first sweep");
         let mut prev = [f64::INFINITY; 3];
-        let mut qtails = Vec::new();
         while s.sweep() {
-            for i in 0..3 {
+            for (i, fixpoint) in fixpoints.iter().enumerate() {
                 let tail = s.tail(i);
-                s.query_tails_into(i, &mut qtails);
-                for (q, ((&a, &b), &tq)) in s
-                    .queries(i)
+                let values = per_query(&s, |c| s.class_values(c)[i]);
+                let qtails = per_query(&s, |c| s.class_tail(i, c));
+                for (q, ((&a, &b), &tq)) in values
                     .iter()
-                    .zip(&fixpoints[i].queries)
+                    .zip(&fixpoint.queries)
                     .zip(&qtails)
                     .enumerate()
                 {
@@ -571,22 +933,20 @@ mod tests {
         }
         // A caller that inspected tails and declined to certify resumes.
         s.run_to_completion();
-        let got = s.finish();
-        for ((gu, gs), (wu, ws)) in got.iter().zip(want.iter()) {
-            assert_eq!(gs, ws);
-            assert_eq!(gu.queries, wu.queries);
-        }
+        assert_matches_solo(&s.finish(), &want);
     }
 
     #[test]
     fn static_bounds_dominate_the_solved_utilities() {
         let g = fixture();
-        let ctx = StaticBoundsContext::new(&g, &WalkConfig::default());
-        for reg in context_regs(&g) {
-            let ub = ctx.query_upper_bounds(&reg);
-            let u = exact(&g, &reg);
+        let regs = context_regs(&g);
+        let s =
+            FusedTruncatedSolver::new(&g, regs.clone(), &WalkConfig::default(), [None, None, None]);
+        for (i, reg) in regs.iter().enumerate() {
+            let ub = per_query(&s, |c| s.class_bounds(c)[i]);
+            let u = exact(&g, reg);
             for (q, (&b, &x)) in ub.iter().zip(&u.queries).enumerate() {
-                assert!(b >= x, "q{q}: bound {b} below utility {x}");
+                assert!(b >= x, "system {i} q{q}: bound {b} below utility {x}");
             }
         }
     }
@@ -600,8 +960,11 @@ mod tests {
         let cfg = WalkConfig::default();
         let mut reg = Regularization::zeros(&g);
         reg.queries[2] = 0.8;
-        let ub = StaticBoundsContext::new(&g, &cfg).query_upper_bounds(&reg);
+        let regs = [reg.clone(), reg.clone(), reg.clone()];
+        let s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
+        let ub = per_query(&s, |c| s.class_bounds(c)[0]);
         assert_eq!(ub[2], cfg.alpha * 0.8);
+        assert!(!s.class_connected(s.class_of()[2] as usize));
         let u = solve_detailed(&g, UtilityKind::Recall, &reg, &cfg, None).0;
         assert_eq!(u.queries[2], ub[2], "disconnected bound must be tight");
     }
@@ -619,11 +982,68 @@ mod tests {
         while s.sweep() {
             for i in 0..3 {
                 assert!(s.tail(i).is_infinite(), "ρ ≥ 1 must never certify");
+                assert!(s.class_tail(i, 0).is_infinite());
             }
         }
-        let got = s.finish();
-        for ((gu, _), (wu, _)) in got.iter().zip(want.iter()) {
-            assert_eq!(gu.queries, wu.queries);
+        assert_matches_solo(&s.finish(), &want);
+    }
+
+    /// Colliding fingerprints split a bucket instead of merging classes,
+    /// and classes are numbered in order of their first member.
+    #[test]
+    fn partition_resolves_fingerprint_collisions_exactly() {
+        let same = |a: usize, b: usize| a % 3 == b % 3;
+        let expected = (vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0], vec![0, 1, 2]);
+        assert_eq!(partition(10, |_| 0, same), expected, "all collide");
+        assert_eq!(partition(10, |i| (i % 3) as u64, same), expected);
+        assert_eq!(
+            partition(10, |i| u64::from(i % 3 == 2), same),
+            expected,
+            "a bucket holding two classes"
+        );
+        assert_eq!(partition(0, |_| 0, same), (vec![], vec![]));
+    }
+
+    /// Queries with one neighbourhood share a class and one update; a
+    /// warm start that moves one of them splits it off. Either way the
+    /// solve equals three solo solves bit for bit.
+    #[test]
+    fn interchangeable_queries_share_a_class_until_a_start_splits_them() {
+        // q0, q1 and q3 retrieve pages 0 and 1 and share template 0; q2
+        // retrieves page 2; q4 has no edge.
+        let mut b = GraphBuilder::new(3, 5, 1);
+        for q in [0, 1, 3] {
+            b.page_query(0, q, 1.0)
+                .page_query(1, q, 1.0)
+                .query_template(q, 0, 1.0);
         }
+        b.page_query(2, 2, 1.0);
+        let g = b.build();
+        let cfg = WalkConfig::default();
+        let regs = [
+            Regularization::recall_from_relevance(&g, &[true, false, true]),
+            Regularization::recall_from_relevance(&g, &[false, true, false]),
+            Regularization::recall_from_relevance(&g, &[true; 3]),
+        ];
+        let cold = FusedTruncatedSolver::new(&g, regs.clone(), &cfg, [None, None, None]);
+        assert_eq!(cold.class_of(), [0, 0, 1, 0, 2]);
+        assert_eq!(
+            (0..3).map(|c| cold.class_len(c)).collect::<Vec<_>>(),
+            [3, 1, 1]
+        );
+        assert!(cold.class_connected(0) && cold.class_connected(1) && !cold.class_connected(2));
+        let want = solo_solves(&g, &regs, &cfg, [None, None, None]);
+        let mut cold = cold;
+        cold.run_to_completion();
+        assert_matches_solo(&cold.finish(), &want);
+
+        let mut moved = want[1].0.clone();
+        moved.queries[1] += 0.25;
+        let warms = [None, Some(moved), None];
+        let mut split = FusedTruncatedSolver::new(&g, regs.clone(), &cfg, warms.clone());
+        assert_eq!(split.class_of(), [0, 1, 2, 0, 3]);
+        let want = solo_solves(&g, &regs, &cfg, warms);
+        split.run_to_completion();
+        assert_matches_solo(&split.finish(), &want);
     }
 }

@@ -23,11 +23,13 @@
 //! and each iteration is `O(|V| + |E|)`.
 //!
 //! There are two solvers, each with one synchronous (Jacobi) sweep
-//! kernel: `step` updates a single system of either kind behind [`solve`]
-//! and [`solve_detailed`], and `step_fused3_recall` updates the three
-//! Recall context walks at once behind [`crate::FusedTruncatedSolver`].
-//! The fused kernel repeats the solo kernel's per-system arithmetic in
-//! the same edge order, so the two agree bit for bit.
+//! kernel. `step` updates a single system of either kind behind [`solve`]
+//! and [`solve_detailed`]; it is the reference. [`crate::FusedTruncatedSolver`]
+//! updates the three Recall context walks at once, interleaved, over
+//! classes of queries whose iterates are bitwise-identical at every sweep
+//! (see [`crate::bounds`]). It repeats the solo kernel's per-vertex
+//! arithmetic in the same edge order and folds its convergence deltas in
+//! the solo order, so the two agree bit for bit.
 
 use crate::graph::ReinforcementGraph;
 use std::sync::OnceLock;
@@ -250,80 +252,6 @@ pub(crate) fn start_iterate(
     }
 }
 
-/// One synchronous sweep of the three Recall context walks, the only
-/// shape the fused solver takes. Each vertex's edge list streams through
-/// once while scalar accumulators keep all three running sums in
-/// registers. Per-system arithmetic and edge order are unchanged from
-/// [`step`], so each system's new iterate is bitwise equal to a solo
-/// sweep's. All three are always computed; the caller discards the new
-/// iterate of a system that has already converged.
-pub(crate) fn step_fused3_recall(
-    g: &ReinforcementGraph,
-    regs: &[Regularization; 3],
-    cfg: &WalkConfig,
-    curs: &[Utilities; 3],
-    nexts: &mut [Utilities; 3],
-) {
-    let a = cfg.alpha;
-    let keep = 1.0 - a;
-    let [c0, c1, c2] = curs;
-    let [n0, n1, n2] = nexts;
-    let [r0, r1, r2] = regs;
-
-    for p in 0..g.n_pages() {
-        let (mut a0, mut a1, mut a2) = (0.0f64, 0.0f64, 0.0f64);
-        for (e, &c) in g.page_queries(p).iter().zip(g.page_queries_nrm(p)) {
-            let q = e.to as usize;
-            a0 += c * c0.queries[q];
-            a1 += c * c1.queries[q];
-            a2 += c * c2.queries[q];
-        }
-        n0.pages[p] = keep * a0 + a * r0.pages[p];
-        n1.pages[p] = keep * a1 + a * r1.pages[p];
-        n2.pages[p] = keep * a2 + a * r2.pages[p];
-    }
-    for t in 0..g.n_templates() {
-        let (mut a0, mut a1, mut a2) = (0.0f64, 0.0f64, 0.0f64);
-        for (e, &c) in g.template_queries(t).iter().zip(g.template_queries_nrm(t)) {
-            let q = e.to as usize;
-            a0 += c * c0.queries[q];
-            a1 += c * c1.queries[q];
-            a2 += c * c2.queries[q];
-        }
-        n0.templates[t] = keep * a0 + a * r0.templates[t];
-        n1.templates[t] = keep * a1 + a * r1.templates[t];
-        n2.templates[t] = keep * a2 + a * r2.templates[t];
-    }
-    for q in 0..g.n_queries() {
-        let pdeg = g.query_page_deg[q];
-        let tdeg = g.query_template_deg[q];
-        let (mut a0, mut a1, mut a2) = (0.0f64, 0.0f64, 0.0f64);
-        for (e, &c) in g.query_pages(q).iter().zip(g.query_pages_nrm(q)) {
-            let p = e.to as usize;
-            a0 += c * c0.pages[p];
-            a1 += c * c1.pages[p];
-            a2 += c * c2.pages[p];
-        }
-        let (mut b0, mut b1, mut b2) = (0.0f64, 0.0f64, 0.0f64);
-        for (e, &c) in g.query_templates(q).iter().zip(g.query_templates_nrm(q)) {
-            let t = e.to as usize;
-            b0 += c * c0.templates[t];
-            b1 += c * c1.templates[t];
-            b2 += c * c2.templates[t];
-        }
-        let has_p = pdeg > 0.0;
-        let has_t = tdeg > 0.0;
-        let bal = cfg.page_template_balance;
-        let zero = cfg.missing_side_is_zero;
-        let f0 = combine(has_p.then_some(a0), has_t.then_some(b0), bal, zero);
-        let f1 = combine(has_p.then_some(a1), has_t.then_some(b1), bal, zero);
-        let f2 = combine(has_p.then_some(a2), has_t.then_some(b2), bal, zero);
-        n0.queries[q] = keep * f0 + a * r0.queries[q];
-        n1.queries[q] = keep * f1 + a * r1.queries[q];
-        n2.queries[q] = keep * f2 + a * r2.queries[q];
-    }
-}
-
 /// One synchronous update of all vertices.
 fn step(
     g: &ReinforcementGraph,
@@ -467,7 +395,7 @@ fn step(
 /// Combine page-side and template-side estimates with balance `b` (share
 /// of the page side). With `missing_zero` a missing side contributes 0 to
 /// the average; otherwise the present side takes full weight.
-fn combine(page: Option<f64>, template: Option<f64>, b: f64, missing_zero: bool) -> f64 {
+pub(crate) fn combine(page: Option<f64>, template: Option<f64>, b: f64, missing_zero: bool) -> f64 {
     match (page, template) {
         (Some(p), Some(t)) => b * p + (1.0 - b) * t,
         (Some(p), None) => {
@@ -489,7 +417,7 @@ fn combine(page: Option<f64>, template: Option<f64>, b: f64, missing_zero: bool)
 }
 
 /// L1 distance between two iterates of one vertex block.
-pub(crate) fn l1(x: &[f64], y: &[f64]) -> f64 {
+fn l1(x: &[f64], y: &[f64]) -> f64 {
     x.iter().zip(y).map(|(u, v)| (u - v).abs()).sum()
 }
 

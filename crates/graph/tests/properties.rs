@@ -2,8 +2,8 @@
 //! (page–query–template) graphs with weighted edges.
 
 use l2q_graph::{
-    solve, solve_detailed, FusedTruncatedSolver, GraphBuilder, Regularization, StaticBoundsContext,
-    Utilities, UtilityKind, WalkConfig,
+    solve, solve_detailed, FusedTruncatedSolver, GraphBuilder, Regularization, Utilities,
+    UtilityKind, WalkConfig,
 };
 use proptest::prelude::*;
 
@@ -153,6 +153,60 @@ fn exact(g: &l2q_graph::ReinforcementGraph, reg: &Regularization) -> Utilities {
     solve_detailed(g, UtilityKind::Recall, reg, &tight, None).0
 }
 
+/// A class-level quantity of a fused solve spread over the query
+/// vertices.
+fn per_query(s: &FusedTruncatedSolver, f: impl Fn(usize) -> f64) -> Vec<f64> {
+    s.class_of().iter().map(|&c| f(c as usize)).collect()
+}
+
+/// Static upper bounds of `reg`'s walk, from a fused solver set up with
+/// it in all three systems.
+fn static_bounds(
+    g: &l2q_graph::ReinforcementGraph,
+    reg: &Regularization,
+    cfg: &WalkConfig,
+) -> Vec<f64> {
+    let regs = [reg.clone(), reg.clone(), reg.clone()];
+    let s = FusedTruncatedSolver::new(g, regs, cfg, [None, None, None]);
+    per_query(&s, |c| s.class_bounds(c)[0])
+}
+
+/// After every sweep of `s`, each system's query iterate is within its
+/// per-query tails of the true fixpoint, and those within the block
+/// tail.
+fn assert_tails_dominate(
+    mut s: FusedTruncatedSolver,
+    fixpoints: &[Utilities],
+) -> Result<(), TestCaseError> {
+    while s.sweep() {
+        for (i, fixpoint) in fixpoints.iter().enumerate() {
+            let tail = s.tail(i);
+            let values = per_query(&s, |c| s.class_values(c)[i]);
+            let qtails = per_query(&s, |c| s.class_tail(i, c));
+            let mut err = 0.0f64;
+            for (q, ((&a, &b), &tq)) in values
+                .iter()
+                .zip(&fixpoint.queries)
+                .zip(&qtails)
+                .enumerate()
+            {
+                let e = (a - b).abs();
+                err = err.max(e);
+                prop_assert!(
+                    e <= tq * (1.0 + 1e-9) + 1e-12,
+                    "system {i} q{q}: error {e} above query tail {tq}"
+                );
+                prop_assert!(tq <= tail, "query tails refine the block tail");
+            }
+            prop_assert!(
+                err <= tail * (1.0 + 1e-9) + 1e-12,
+                "system {i}: true error {err} above tail {tail}"
+            );
+        }
+    }
+    Ok(())
+}
+
 /// The three-system regularization shape the context walks produce.
 fn walk_regs(g: &l2q_graph::ReinforcementGraph, rel: &[bool]) -> [Regularization; 3] {
     let inverted: Vec<bool> = rel.iter().map(|&r| !r).collect();
@@ -172,7 +226,7 @@ proptest! {
     ) {
         let g = build(np, nq, nt, &pq, &qt);
         let reg = Regularization::recall_from_relevance(&g, &rel);
-        let ub = StaticBoundsContext::new(&g, &WalkConfig::default()).query_upper_bounds(&reg);
+        let ub = static_bounds(&g, &reg, &WalkConfig::default());
         let u = exact(&g, &reg);
         for (q, (&b, &x)) in ub.iter().zip(&u.queries).enumerate() {
             prop_assert!(b >= x - 1e-12, "q{q}: bound {b} below utility {x}");
@@ -189,35 +243,8 @@ proptest! {
         let cfg = WalkConfig::default();
         let regs = walk_regs(&g, &rel);
         let fixpoints: Vec<Utilities> = regs.iter().map(|r| exact(&g, r)).collect();
-        let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
-        let mut qtails = Vec::new();
-        while s.sweep() {
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..3 {
-                let tail = s.tail(i);
-                s.query_tails_into(i, &mut qtails);
-                let mut err = 0.0f64;
-                for (q, ((&a, &b), &tq)) in s
-                    .queries(i)
-                    .iter()
-                    .zip(&fixpoints[i].queries)
-                    .zip(&qtails)
-                    .enumerate()
-                {
-                    let e = (a - b).abs();
-                    err = err.max(e);
-                    prop_assert!(
-                        e <= tq * (1.0 + 1e-9) + 1e-12,
-                        "system {i} q{q}: error {e} above query tail {tq}"
-                    );
-                    prop_assert!(tq <= tail, "query tails refine the block tail");
-                }
-                prop_assert!(
-                    err <= tail * (1.0 + 1e-9) + 1e-12,
-                    "system {i}: true error {err} above tail {tail}"
-                );
-            }
-        }
+        let s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
+        assert_tails_dominate(s, &fixpoints)?;
     }
 
     /// Tails stay valid when the solve warm-starts from an adversarially
@@ -244,35 +271,8 @@ proptest! {
             *v = (*v + noise[i % noise.len()]).max(0.0);
         }
         let warms = [Some(bad), None, Some(fixpoints[2].clone())];
-        let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, warms);
-        let mut qtails = Vec::new();
-        while s.sweep() {
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..3 {
-                let tail = s.tail(i);
-                s.query_tails_into(i, &mut qtails);
-                let mut err = 0.0f64;
-                for (q, ((&a, &b), &tq)) in s
-                    .queries(i)
-                    .iter()
-                    .zip(&fixpoints[i].queries)
-                    .zip(&qtails)
-                    .enumerate()
-                {
-                    let e = (a - b).abs();
-                    err = err.max(e);
-                    prop_assert!(
-                        e <= tq * (1.0 + 1e-9) + 1e-12,
-                        "system {i} q{q}: error {e} above query tail {tq}"
-                    );
-                    prop_assert!(tq <= tail, "query tails refine the block tail");
-                }
-                prop_assert!(
-                    err <= tail * (1.0 + 1e-9) + 1e-12,
-                    "system {i}: true error {err} above tail {tail}"
-                );
-            }
-        }
+        let s = FusedTruncatedSolver::new(&g, regs, &cfg, warms);
+        assert_tails_dominate(s, &fixpoints)?;
     }
 }
 
@@ -347,6 +347,88 @@ proptest! {
     }
 }
 
+/// Tripartite graph whose queries draw their neighbourhood from a few
+/// shared ones, all with unit weights: queries of one neighbourhood have
+/// the same neighbour ids and coefficient bits, so they form real
+/// multi-member classes. Each neighbourhood is `(pages, templates)`;
+/// `nq` exceeds the neighbourhood count, so at least one is shared.
+type SharedNeighbourhoods = (
+    usize,
+    usize,
+    Vec<(Vec<u32>, Vec<u32>)>,
+    Vec<usize>,
+    Vec<bool>,
+);
+
+fn arb_shared_neighbourhoods() -> impl Strategy<Value = SharedNeighbourhoods> {
+    (2usize..7, 1usize..4, 1usize..5).prop_flat_map(|(np, nt, k)| {
+        let hood = (
+            proptest::collection::vec(0..np as u32, 0..4),
+            proptest::collection::vec(0..nt as u32, 0..3),
+        );
+        let hoods = proptest::collection::vec(hood, k);
+        let owners = proptest::collection::vec(0..k, k + 1..16);
+        let rel = proptest::collection::vec(any::<bool>(), np);
+        (Just(np), Just(nt), hoods, owners, rel)
+    })
+}
+
+proptest! {
+    /// The fused solver equals three solo solves bit for bit — every
+    /// utility and every sweep count — on graphs whose classes have
+    /// several members: from cold starts, and from warm starts that
+    /// split structural classes by moving some of their members, under
+    /// both `missing_side_is_zero` settings.
+    #[test]
+    fn fused_solver_matches_solo_solves_bitwise_on_shared_neighbourhoods(
+        (np, nt, hoods, owners, rel) in arb_shared_neighbourhoods(),
+        moved in proptest::collection::vec(any::<bool>(), 16),
+    ) {
+        let nq = owners.len();
+        let mut b = GraphBuilder::new(np, nq, nt);
+        for (q, &h) in owners.iter().enumerate() {
+            let (pages, templates) = &hoods[h];
+            for &p in pages {
+                b.page_query(p, q as u32, 1.0);
+            }
+            for &t in templates {
+                b.query_template(q as u32, t, 1.0);
+            }
+        }
+        let g = b.build();
+        for missing_side_is_zero in [true, false] {
+            let cfg = WalkConfig { missing_side_is_zero, ..Default::default() };
+            let regs = walk_regs(&g, &rel);
+            let cold = solo_solves(&g, &regs, &cfg, [None, None, None]);
+            let mut warm = cold[2].0.clone();
+            for (v, &m) in warm.queries.iter_mut().zip(&moved) {
+                if m {
+                    *v += 0.125;
+                }
+            }
+            let warms = [Some(cold[0].0.clone()), None, Some(warm)];
+            let mut n_classes = Vec::new();
+            for warms in [[None, None, None], warms] {
+                let want = solo_solves(&g, &regs, &cfg, warms.clone());
+                let mut s = FusedTruncatedSolver::new(&g, regs.clone(), &cfg, warms);
+                n_classes.push(s.n_classes());
+                s.run_to_completion();
+                let got = s.finish();
+                for (i, ((gu, gs), (wu, ws))) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(gs, ws, "system {}: sweep counts diverged", i);
+                    prop_assert!(bits(gu) == bits(wu), "system {}: utilities diverged", i);
+                }
+            }
+            prop_assert!(
+                n_classes[0] <= hoods.len() && hoods.len() < nq,
+                "cold classes {} must collapse {} queries onto {} neighbourhoods",
+                n_classes[0], nq, hoods.len()
+            );
+            prop_assert!(n_classes[1] >= n_classes[0], "a warm start only splits classes");
+        }
+    }
+}
+
 /// Zero-weight edges are dropped at build time, so a candidate attached
 /// only by weightless edges is genuinely disconnected: its bound — and
 /// its fixpoint — collapse to the regularization share exactly.
@@ -366,8 +448,8 @@ fn zero_weight_edges_leave_bounds_at_the_disconnected_value() {
     let mut reg = Regularization::zeros(&g1);
     reg.pages = vec![1.0, 0.0, 1.0];
     reg.queries = vec![0.0, 0.3, 0.7];
-    let ub1 = StaticBoundsContext::new(&g1, &cfg).query_upper_bounds(&reg);
-    let ub2 = StaticBoundsContext::new(&g2, &cfg).query_upper_bounds(&reg);
+    let ub1 = static_bounds(&g1, &reg, &cfg);
+    let ub2 = static_bounds(&g2, &reg, &cfg);
     assert_eq!(ub1, ub2, "weightless edges changed the bounds");
     // Queries 1 and 2 are disconnected: the bound is the fixpoint.
     let u = solve(&g1, UtilityKind::Recall, &reg, &cfg);
