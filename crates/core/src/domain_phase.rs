@@ -19,7 +19,7 @@ use crate::query::Query;
 use crate::template::{templates_of, Template};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId};
-use l2q_graph::{solve, GraphBuilder, Regularization, UtilityKind};
+use l2q_graph::{solve, QueryRows, Regularization, ReinforcementGraph, UtilityKind};
 use l2q_retrieval::{DocId, InvertedIndex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -289,53 +289,38 @@ pub fn learn_domain(
         }
     }
 
-    // Page–query containment edges via an inverted index over domain pages.
+    // One page row and one template row per query: containment via an
+    // inverted index over domain pages, templates interned in order of
+    // first occurrence.
     let index = InvertedIndex::build(pages.iter().map(|p| p.bow()));
-    let mut pq_edges: Vec<(u32, u32)> = Vec::new();
-    for (qi, q) in queries.iter().enumerate() {
-        for d in containing_docs(&index, q) {
-            pq_edges.push((d.0, qi as u32));
-        }
-    }
-
-    // Templates.
+    let mut qp = QueryRows::with_capacity(queries.len(), 0);
+    let mut qt = QueryRows::with_capacity(queries.len(), 0);
     let mut templates: Vec<Template> = Vec::new();
     let mut template_index: FxHashMap<Template, u32> = FxHashMap::default();
-    let mut qt_edges: Vec<(u32, u32)> = Vec::new();
-    for (qi, q) in queries.iter().enumerate() {
+    for q in &queries {
+        qp.to
+            .extend(containing_docs(&index, q).into_iter().map(|d| d.0));
+        qp.end_row();
         for t in templates_of(q, corpus, cfg.template_mode) {
             let ti = *template_index.entry(t.clone()).or_insert_with(|| {
                 templates.push(t);
                 (templates.len() - 1) as u32
             });
-            qt_edges.push((qi as u32, ti));
+            qt.to.push(ti);
         }
+        qt.end_row();
     }
 
     // Per-template page coverage (for harvest statistics).
     let mut template_pages: Vec<HashSet<u32>> = vec![HashSet::new(); templates.len()];
-    {
-        // query → its page list.
-        let mut query_pages: Vec<Vec<u32>> = vec![Vec::new(); queries.len()];
-        for &(p, q) in &pq_edges {
-            query_pages[q as usize].push(p);
-        }
-        for &(q, t) in &qt_edges {
-            for &p in &query_pages[q as usize] {
-                template_pages[t as usize].insert(p);
-            }
+    for q in 0..queries.len() {
+        for &t in qt.row(q) {
+            template_pages[t as usize].extend(qp.row(q));
         }
     }
 
-    // Build the shared graph.
-    let mut builder = GraphBuilder::new(n_pages, queries.len(), templates.len());
-    for &(p, q) in &pq_edges {
-        builder.page_query(p, q, 1.0);
-    }
-    for &(q, t) in &qt_edges {
-        builder.query_template(q, t, 1.0);
-    }
-    let graph = builder.build();
+    // Freeze the shared graph.
+    let graph = ReinforcementGraph::from_unit_rows(n_pages, templates.len(), qp, qt);
 
     // Solve per aspect. The aspects are independent (each reads the
     // shared graph and its own relevance labels), so they run on scoped

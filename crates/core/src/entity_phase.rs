@@ -24,7 +24,7 @@
 //!   symmetrically; regularizing only the numerator would make any
 //!   template-backed query look precise regardless of what it retrieves.
 //!
-//! ## Incremental rebuilds and warm starts
+//! ## The candidate table
 //!
 //! A harvest step adds at most top-k new pages and a few dozen new
 //! candidates and fires one query, yet a from-scratch phase re-derives
@@ -32,35 +32,52 @@
 //! enumerates and looks up every template on every step. An
 //! [`EntityPhaseState`] carried across a session's steps is a
 //! per-session candidate table instead. Each distinct candidate gets one
-//! slot the first time it enters the pool — its bag, its page-containment
-//! list and its interned template ids — and each distinct template one
-//! slot holding its λ-scaled domain regularization, looked up once. The
-//! pool is carried too. Its page part follows the harvester's live
-//! candidate list, which only drops fired queries and appends new ones,
-//! so a merge keeps every surviving slot. Its domain part (the frequent
-//! domain queries that are not fired, not seed subsets and not page
-//! candidates) only ever loses the query that fires and the queries a
-//! new page enumerates. A step therefore containment-tests only new
-//! pages × all candidates and new candidates × all pages, hashes only
-//! new candidates and templates, and otherwise makes plain array passes.
+//! slot the first time it enters the pool — its bag, its ascending
+//! page-containment list and its interned template ids — and each
+//! distinct template one slot holding its λ-scaled domain
+//! regularization, looked up once. The pool is carried too. Its page
+//! part follows the harvester's live candidate list, which only drops
+//! fired queries and appends new ones, so a merge keeps every surviving
+//! slot. Its domain part (the frequent domain queries that are not
+//! fired, not seed subsets and not page candidates) only ever loses the
+//! query that fires and the queries a new page enumerates. A step
+//! therefore containment-tests only new pages × all candidates and new
+//! candidates × all pages, hashes only new candidates and templates, and
+//! otherwise makes plain array passes.
 //!
-//! The graph is reassembled each step by replaying the table in exactly
-//! the cold build's insertion order (candidates in pool order, each
-//! candidate's pages ascending, templates in first-occurrence order over
-//! the pool), so solver float summation — and therefore every utility —
-//! is bit-identical to a from-scratch [`EntityPhase::build`]. The state
-//! also keeps each walk's previous fixpoint; mapped onto the current
-//! vertex set it becomes a warm start for [`l2q_graph::solve_detailed`],
-//! which converges to the same fixpoint (the update map is a
-//! contraction) in far fewer sweeps.
+//! Each step assembles its graph and its certified context solve from
+//! the table in one pass over the pool:
+//!
+//! * **Rows.** Each slot's page list and template ids (renumbered in
+//!   first-occurrence order over the pool) are the graph's query rows;
+//!   [`ReinforcementGraph::from_unit_rows`] transposes them once. Rows
+//!   in pool order and pages ascending are the cold build's edge order,
+//!   so solver float summation — and therefore every utility — is
+//!   bit-identical to a from-scratch [`EntityPhase::build`].
+//! * **Classes.** Each slot carries a structure id naming its (template
+//!   list, page list) pair: a node of a trie over template ids, then
+//!   pages, so it advances only when a new page joins the slot's list.
+//!   Every edge weighs 1, so two candidates with one structure have the
+//!   same neighbours and coefficients, and the context solve's query
+//!   classes (see [`l2q_graph::QueryClasses`]) are the pool partitioned
+//!   by structure id and start bits in the three walks. No walk
+//!   regularizes a query, so that is the solver's whole signature; debug
+//!   builds check the partition against the canonical one.
+//! * **Starts.** Each slot, template slot and page keeps its last
+//!   iterate per walk, written back per slot after every solve. A build
+//!   gathers the iterates of the vertices the previous build had; a walk
+//!   solved on that build lays them over its regularization, so every
+//!   other vertex starts at its regularization, exactly like a cold
+//!   start. The solver converges to the same fixpoint (the update map is
+//!   a contraction) in far fewer sweeps.
 //!
 //! The state resets itself — the build falls back to a full one — when
 //! any input its table depends on changes: the aspect, the template
-//! mode, the domain model, λ, a fired list that does not extend the
-//! previous one, a page list the cached one is not a prefix of, or page
-//! candidates that changed other than by dropping newly fired queries
-//! and appending. A restored session starts from an empty state, so its
-//! first step is a full build.
+//! mode, whether templates are used, the domain model, λ, a fired list
+//! that does not extend the previous one, a page list the cached one is
+//! not a prefix of, or page candidates that changed other than by
+//! dropping newly fired queries and appending. A restored session starts
+//! from an empty state, so its first step is a full build.
 
 use crate::config::L2qConfig;
 use crate::domain_phase::DomainModel;
@@ -71,8 +88,8 @@ use crate::template::{templates_of, Template, TemplateMode};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, PageId};
 use l2q_graph::{
-    solve_detailed, FusedTruncatedSolver, GraphBuilder, Regularization, ReinforcementGraph,
-    Utilities, UtilityKind,
+    solve_detailed, FusedSolution, FusedTruncatedSolver, Interleaved, QueryClasses, QueryRows,
+    Regularization, ReinforcementGraph, Utilities, UtilityKind,
 };
 use l2q_text::Bow;
 use std::sync::{Arc, OnceLock};
@@ -99,7 +116,7 @@ fn phase_metrics() -> &'static PhaseMetrics {
     })
 }
 
-/// The four walks the phase can run, used as warm-start slot indices.
+/// The four walks the phase can run, used as iterate lane indices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Walk {
     Precision = 0,
@@ -120,6 +137,7 @@ const CONTEXT_WALKS: [Walk; 3] = [Walk::Recall, Walk::RecallGathered, Walk::Reca
 struct TableKey {
     aspect: AspectId,
     template_mode: TemplateMode,
+    use_templates: bool,
     /// [`DomainModel::id`] of the domain, if any.
     domain: Option<u64>,
     /// λ, compared by bits.
@@ -142,43 +160,41 @@ struct Slot {
     /// Interned template ids (into `EntityPhaseState::templates`),
     /// enumerated the first time the candidate's templates are needed.
     templates: Option<Box<[u32]>>,
-    /// Pool index in build `pos_gen`: the previous build's index maps
-    /// warm starts, the current build's marks pool membership.
-    pos: u32,
-    pos_gen: u64,
+    /// Structure id of (`templates`, `pages`): two slots share one
+    /// exactly when both lists are equal.
+    structure: u32,
+    /// The last build that pooled this slot.
+    build: u64,
+    /// Last iterate per walk; lane `w` is from build
+    /// `EntityPhaseState::solved[w]` if this slot was part of it.
+    iterate: [f64; N_WALKS],
 }
 
 /// One distinct template of a session.
 #[derive(Debug)]
 struct TemplateSlot {
-    template: Template,
     /// [`template_reg`] of the template.
     reg: [f64; 3],
-    /// Vertex index in build `vertex_gen` (same role as `Slot::pos`).
+    /// Vertex index in build `build`.
     vertex: u32,
-    vertex_gen: u64,
+    build: u64,
+    /// Last iterate per walk (same rule as `Slot::iterate`).
+    iterate: [f64; N_WALKS],
 }
 
-/// A walk's converged fixpoint, tagged with the build it belongs to.
-#[derive(Debug)]
-struct WarmFixpoint {
-    generation: u64,
-    u: Utilities,
-}
+/// Structure-trie edge labels: template ids carry this bit, pages do not.
+const TEMPLATE_LABEL: u32 = 1 << 31;
 
-/// Warm-start init mapped onto the *current* build's vertex set. Pages
-/// are a stable prefix; `None` marks a vertex with no previous value
-/// (it initializes at its regularization, exactly like a cold start).
-#[derive(Debug)]
-struct WarmInit {
-    pages: Vec<f64>,
-    queries: Vec<Option<f64>>,
-    templates: Vec<Option<f64>>,
+/// The child of trie node `node` along `label`, created on first sight.
+/// Node 0 is the root: no template, no page.
+fn child(trie: &mut FxHashMap<(u32, u32), u32>, node: u32, label: u32) -> u32 {
+    let next = trie.len() as u32 + 1;
+    *trie.entry((node, label)).or_insert(next)
 }
 
 /// Persistent cross-step cache for [`EntityPhase::build_incremental`]:
-/// the session's candidate table (see the module docs) plus each walk's
-/// previous fixpoint.
+/// the session's candidate table, with each vertex's last iterates (see
+/// the module docs).
 ///
 /// Owned by whoever owns the harvest loop (the harvester keeps one per
 /// session inside `HarvestState`); a default/empty state is always valid
@@ -191,17 +207,21 @@ pub struct EntityPhaseState {
     /// Pages diffed so far — must stay a prefix of each step's page list.
     pages: Vec<PageId>,
     relevant: Vec<bool>,
+    /// Last iterate per walk of each page (same rule as `Slot::iterate`).
+    page_iterate: Vec<[f64; N_WALKS]>,
     slots: Vec<Slot>,
     slot_of: FxHashMap<Query, u32>,
     templates: Vec<TemplateSlot>,
     template_of: FxHashMap<Template, u32>,
+    /// The structure trie: `(node, label) → child`.
+    structures: FxHashMap<(u32, u32), u32>,
     /// Slots of the last build's page candidates, in order.
     page_part: Vec<u32>,
     /// The last build's domain part: `(slot, index into the domain's
     /// frequent queries)`, in frequency order.
     domain_part: Vec<(u32, u32)>,
-    /// Per-walk previous fixpoint.
-    warm: [Option<WarmFixpoint>; N_WALKS],
+    /// The build each walk was last solved on (0 = never).
+    solved: [u64; N_WALKS],
     /// Sweep count of each walk's first (cold) solve in this session —
     /// the baseline for the `solver_warm_start_sweeps_saved` histogram.
     cold_sweeps: [Option<usize>; N_WALKS],
@@ -252,8 +272,9 @@ impl EntityPhaseState {
             pages: Vec::new(),
             tested: 0,
             templates: None,
-            pos: 0,
-            pos_gen: 0,
+            structure: 0,
+            build: 0,
+            iterate: [0.0; N_WALKS],
         });
         self.slot_of.insert(q.clone(), s);
         s
@@ -272,13 +293,17 @@ impl EntityPhaseState {
             return i;
         }
         let i = self.templates.len() as u32;
-        self.template_of.insert(t.clone(), i);
+        assert!(
+            i < TEMPLATE_LABEL,
+            "template ids overflow the structure trie"
+        );
         self.templates.push(TemplateSlot {
             reg: template_reg(&t, aspect, domain, lambda),
-            template: t,
             vertex: 0,
-            vertex_gen: 0,
+            build: 0,
+            iterate: [0.0; N_WALKS],
         });
+        self.template_of.insert(t, i);
         i
     }
 
@@ -412,6 +437,27 @@ impl ContextProbe<'_> {
     }
 }
 
+/// Where an incremental build's vertices live in its table.
+struct TableLink {
+    /// The build's generation: results are written back only to the
+    /// table in that same build.
+    generation: u64,
+    /// The slot of each query vertex.
+    slots: Vec<u32>,
+    /// The template slot of each template vertex.
+    templates: Vec<u32>,
+    /// The structure id of each query vertex.
+    structure: Vec<u32>,
+}
+
+/// Each vertex's previous iterate in every walk, where the vertex was
+/// part of the previous build (`None` elsewhere).
+struct Starts {
+    pages: Vec<Option<[f64; N_WALKS]>>,
+    queries: Vec<Option<[f64; N_WALKS]>>,
+    templates: Vec<Option<[f64; N_WALKS]>>,
+}
+
 /// A frozen entity graph ready to solve.
 pub struct EntityPhase<'a> {
     cfg: &'a L2qConfig,
@@ -419,16 +465,20 @@ pub struct EntityPhase<'a> {
     pages: Vec<PageId>,
     relevant: Vec<bool>,
     candidates: Vec<&'a Query>,
-    templates: Vec<Template>,
     graph: ReinforcementGraph,
     /// λ·P_D(t), λ·R_D(t) and λ·R*_D(t) per template (0 where the domain
     /// has no utility). The last one is domain knowledge for the
     /// Y*-walk, so the collective-precision denominator is estimated
     /// with the same machinery as its numerator.
     template_reg: [Vec<f64>; 3],
-    /// Per-walk warm-start inits mapped from the previous step's
-    /// fixpoints (populated by [`EntityPhase::build_incremental`]).
-    warm: [Option<WarmInit>; N_WALKS],
+    /// The table an incremental build came from.
+    table: Option<TableLink>,
+    /// Which walks start warm (from the previous build's iterates).
+    warm: [bool; N_WALKS],
+    /// Gathered when some walk starts warm. A walk that does starts each
+    /// carried vertex at its iterate and every other vertex at its
+    /// regularization, exactly like a cold start.
+    starts: Option<Starts>,
 }
 
 impl<'a> EntityPhase<'a> {
@@ -453,14 +503,13 @@ impl<'a> EntityPhase<'a> {
         use_templates: bool,
         cfg: &'a L2qConfig,
     ) -> Self {
-        // Lean one-shot assembly: no cache bookkeeping, no warm-start
-        // remapping — but the same insertion order as the incremental
-        // path (candidates in pool order, each candidate's pages
-        // ascending, templates in first-occurrence order), so the two
-        // builds are bit-identical. `incremental_build_matches_cold_build_bitwise`
-        // holds the paths together.
+        // Lean one-shot assembly: no table, no warm starts — but the same
+        // rows as the incremental path (candidates in pool order, each
+        // candidate's pages ascending, templates in first-occurrence
+        // order), so the two builds are bit-identical.
+        // `incremental_build_matches_cold_build_bitwise` holds the paths
+        // together.
         let candidates = candidate_pool(corpus, page_candidates, fired, domain);
-        let n_pages = pages.len();
         let relevant: Vec<bool> = pages
             .iter()
             .map(|&p| oracle.is_relevant(aspect, p))
@@ -469,41 +518,28 @@ impl<'a> EntityPhase<'a> {
 
         let mut templates: Vec<Template> = Vec::new();
         let mut template_index: FxHashMap<Template, u32> = FxHashMap::default();
-        let mut qt_edges: Vec<(u32, u32)> = Vec::new();
-        let mut pq: Vec<u32> = Vec::new();
-        let mut pq_off: Vec<usize> = Vec::with_capacity(candidates.len() + 1);
-        pq_off.push(0);
-        for (qi, q) in candidates.iter().enumerate() {
+        let mut qp = QueryRows::with_capacity(candidates.len(), 0);
+        let mut qt = QueryRows::with_capacity(candidates.len(), candidates.len());
+        for q in &candidates {
             let qbow = Bow::from_words(q.words());
             for (pi, bow) in bows.iter().enumerate() {
                 if bow.contains_all(&qbow) {
-                    pq.push(pi as u32);
+                    qp.to.push(pi as u32);
                 }
             }
-            pq_off.push(pq.len());
+            qp.end_row();
             if use_templates {
                 for t in templates_of(q, corpus, cfg.template_mode) {
                     let ti = *template_index.entry(t.clone()).or_insert_with(|| {
                         templates.push(t);
                         (templates.len() - 1) as u32
                     });
-                    qt_edges.push((qi as u32, ti));
+                    qt.to.push(ti);
                 }
             }
+            qt.end_row();
         }
-
-        let mut builder = GraphBuilder::new(n_pages, candidates.len(), templates.len());
-        builder.reserve(pq.len(), qt_edges.len());
-        for qi in 0..candidates.len() {
-            for &pi in &pq[pq_off[qi]..pq_off[qi + 1]] {
-                builder.page_query(pi, qi as u32, 1.0);
-            }
-        }
-        for &(q, t) in &qt_edges {
-            builder.query_template(q, t, 1.0);
-        }
-        let graph = builder.build();
-
+        let graph = ReinforcementGraph::from_unit_rows(pages.len(), templates.len(), qp, qt);
         let regs: Vec<[f64; 3]> = templates
             .iter()
             .map(|t| template_reg(t, aspect, domain, cfg.lambda))
@@ -515,10 +551,11 @@ impl<'a> EntityPhase<'a> {
             pages: pages.to_vec(),
             relevant,
             candidates,
-            templates,
             graph,
             template_reg: std::array::from_fn(|w| regs.iter().map(|r| r[w]).collect()),
-            warm: [None, None, None, None],
+            table: None,
+            warm: [false; N_WALKS],
+            starts: None,
         }
     }
 
@@ -530,10 +567,10 @@ impl<'a> EntityPhase<'a> {
     /// it are bit-identical to [`EntityPhase::build`] on the same inputs.
     ///
     /// A state that cannot be carried over (another aspect, template
-    /// mode, domain or λ; a page or fired list the cached one is not a
-    /// prefix of; page candidates that changed other than by dropping
-    /// newly fired queries and appending) is reset and the build falls
-    /// back to a full one, counted by `entity_phase_rebuilds_total`.
+    /// mode, template use, domain or λ; a page or fired list the cached
+    /// one is not a prefix of; page candidates that changed other than by
+    /// dropping newly fired queries and appending) is reset and the build
+    /// falls back to a full one, counted by `entity_phase_rebuilds_total`.
     #[allow(clippy::too_many_arguments)] // the Eq. 20 inputs plus the cache
     pub fn build_incremental(
         corpus: &Corpus,
@@ -551,6 +588,7 @@ impl<'a> EntityPhase<'a> {
         let key = TableKey {
             aspect,
             template_mode: cfg.template_mode,
+            use_templates,
             domain: domain.map(DomainModel::id),
             lambda_bits: cfg.lambda.to_bits(),
         };
@@ -574,30 +612,42 @@ impl<'a> EntityPhase<'a> {
         state.fired.extend_from_slice(newly_fired);
 
         // Extend the diffed page prefix (and its relevance labels) with
-        // this step's new pages.
-        for &p in &pages[state.pages.len()..] {
+        // this step's new pages; the previous build had the old prefix.
+        let prev_pages = state.pages.len();
+        for &p in &pages[prev_pages..] {
             state.relevant.push(oracle.is_relevant(aspect, p));
             state.pages.push(p);
         }
         let n_pages = pages.len();
+        assert!(
+            n_pages < TEMPLATE_LABEL as usize,
+            "page count overflows the structure trie"
+        );
         let bows: Vec<&Bow> = pages.iter().map(|&p| corpus.page(p).bow()).collect();
 
         let prev_gen = state.generation;
         let gen = prev_gen + 1;
+        // A walk starts warm when it was solved on the previous build (so
+        // `prev_gen > 0`, and a vertex that build had carries it).
+        let warm: [bool; N_WALKS] =
+            std::array::from_fn(|w| cfg.warm_start && prev_gen > 0 && state.solved[w] == prev_gen);
+        let warming = warm.contains(&true);
 
         // Pool, page part: the carried slots, then the appended page
-        // candidates (looked up, or new slots). Each pooled slot records
-        // its previous pool index for warm-start remapping.
+        // candidates (looked up, or new slots). Each pooled slot is
+        // marked with this build; a warm build first takes the previous
+        // iterates of the slots the previous build pooled.
         for q in &page_candidates[page_part.len()..] {
             let s = state.slot(q);
             page_part.push(s);
         }
         let mut pool: Vec<u32> = Vec::with_capacity(page_part.len() + state.domain_part.len());
-        let mut prev_pos: Vec<Option<u32>> = Vec::with_capacity(pool.capacity());
+        let mut query_starts: Vec<Option<[f64; N_WALKS]>> = Vec::new();
         let mut enter = |slot: &mut Slot, pool: &mut Vec<u32>, s: u32| {
-            prev_pos.push((prev_gen > 0 && slot.pos_gen == prev_gen).then_some(slot.pos));
-            slot.pos = pool.len() as u32;
-            slot.pos_gen = gen;
+            if warming {
+                query_starts.push((slot.build == prev_gen).then_some(slot.iterate));
+            }
+            slot.build = gen;
             pool.push(s);
         };
         for &s in &page_part {
@@ -615,7 +665,7 @@ impl<'a> EntityPhase<'a> {
                         continue;
                     }
                     let s = state.slot(q);
-                    if state.slots[s as usize].pos_gen != gen {
+                    if state.slots[s as usize].build != gen {
                         enter(&mut state.slots[s as usize], &mut pool, s);
                         domain_part.push((s, k as u32));
                     }
@@ -623,7 +673,7 @@ impl<'a> EntityPhase<'a> {
             } else {
                 domain_part.retain(|&(s, _)| {
                     let slot = &state.slots[s as usize];
-                    slot.pos_gen != gen && !newly_fired.contains(&slot.query)
+                    slot.build != gen && !newly_fired.contains(&slot.query)
                 });
                 for &(s, _) in &domain_part {
                     enter(&mut state.slots[s as usize], &mut pool, s);
@@ -639,102 +689,70 @@ impl<'a> EntityPhase<'a> {
             );
         }
 
-        // Table update: containment-test the untested (candidate, page)
-        // pairs and intern the templates of candidates that have none
-        // yet.
-        let mut n_pq_edges = 0usize;
+        // One pass over the pool: intern the templates of candidates that
+        // have none yet, containment-test the untested (candidate, page)
+        // pairs, advance each structure id along its new pages, and emit
+        // the slot's rows — pages ascending, template vertices numbered in
+        // first-occurrence order over the pool.
+        let mut qp = QueryRows::with_capacity(pool.len(), 4 * pool.len());
+        let mut qt = QueryRows::with_capacity(pool.len(), pool.len());
+        let mut structure: Vec<u32> = Vec::with_capacity(pool.len());
+        let mut build_templates: Vec<u32> = Vec::new();
+        let mut template_starts: Vec<Option<[f64; N_WALKS]>> = Vec::new();
         for &s in &pool {
+            if use_templates && state.slots[s as usize].templates.is_none() {
+                let ts = templates_of(&state.slots[s as usize].query, corpus, cfg.template_mode);
+                let ids: Box<[u32]> = ts
+                    .into_iter()
+                    .map(|t| state.template(t, aspect, domain, cfg.lambda))
+                    .collect();
+                let slot = &mut state.slots[s as usize];
+                let labels = ids
+                    .iter()
+                    .map(|&t| TEMPLATE_LABEL | t)
+                    .chain(slot.pages.iter().copied());
+                slot.structure = labels.fold(0, |n, l| child(&mut state.structures, n, l));
+                slot.templates = Some(ids);
+            }
             let slot = &mut state.slots[s as usize];
             for (pi, bow) in bows.iter().enumerate().skip(slot.tested) {
                 if bow.contains_all(&slot.bow) {
                     slot.pages.push(pi as u32);
+                    slot.structure = child(&mut state.structures, slot.structure, pi as u32);
                 }
             }
             slot.tested = n_pages;
-            n_pq_edges += slot.pages.len();
-            if use_templates && slot.templates.is_none() {
-                let ts = templates_of(&slot.query, corpus, cfg.template_mode);
-                let ids = ts
-                    .into_iter()
-                    .map(|t| state.template(t, aspect, domain, cfg.lambda))
-                    .collect();
-                state.slots[s as usize].templates = Some(ids);
-            }
-        }
-        // Template vertices in first-occurrence order over the pool.
-        let mut build_templates: Vec<u32> = Vec::new();
-        let mut prev_vertex: Vec<Option<u32>> = Vec::new();
-        let mut qt_edges: Vec<(u32, u32)> = Vec::new();
-        if use_templates {
-            for (qi, &s) in pool.iter().enumerate() {
-                for &t in state.slots[s as usize]
-                    .templates
-                    .as_deref()
-                    .unwrap_or_default()
-                {
-                    let ts = &mut state.templates[t as usize];
-                    if ts.vertex_gen != gen {
-                        prev_vertex
-                            .push((prev_gen > 0 && ts.vertex_gen == prev_gen).then_some(ts.vertex));
-                        ts.vertex = build_templates.len() as u32;
-                        ts.vertex_gen = gen;
-                        build_templates.push(t);
+            qp.to.extend_from_slice(&slot.pages);
+            qp.end_row();
+            structure.push(slot.structure);
+            for &t in slot.templates.as_deref().unwrap_or_default() {
+                let ts = &mut state.templates[t as usize];
+                if ts.build != gen {
+                    if warming {
+                        template_starts.push((ts.build == prev_gen).then_some(ts.iterate));
                     }
-                    qt_edges.push((qi as u32, ts.vertex));
+                    ts.vertex = build_templates.len() as u32;
+                    ts.build = gen;
+                    build_templates.push(t);
                 }
+                qt.to.push(ts.vertex);
             }
+            qt.end_row();
         }
-
-        // Graph assembly: replay the table in exactly the cold build's
-        // insertion order (candidates in pool order, each candidate's
-        // pages ascending) so solver float summation is bit-identical to
-        // a from-scratch build.
-        let mut builder = GraphBuilder::new(n_pages, pool.len(), build_templates.len());
-        builder.reserve(n_pq_edges, qt_edges.len());
-        for (qi, &s) in pool.iter().enumerate() {
-            for &pi in &state.slots[s as usize].pages {
-                builder.page_query(pi, qi as u32, 1.0);
-            }
-        }
-        for &(q, t) in &qt_edges {
-            builder.query_template(q, t, 1.0);
-        }
-        let graph = builder.build();
-
-        // Map the previous step's fixpoints onto the new vertex set:
-        // pages are a stable prefix, queries and templates map via their
-        // previous vertex index. Vertices new to this build stay `None`
-        // and cold-start at their regularization.
-        let mut warm: [Option<WarmInit>; N_WALKS] = [None, None, None, None];
-        if cfg.warm_start && prev_gen > 0 {
-            for (slot, fix) in state.warm.iter().enumerate() {
-                let Some(fix) = fix else { continue };
-                if fix.generation != prev_gen {
-                    continue;
-                }
-                warm[slot] = Some(WarmInit {
-                    pages: fix.u.pages.clone(),
-                    queries: prev_pos
-                        .iter()
-                        .map(|p| p.map(|j| fix.u.queries[j as usize]))
-                        .collect(),
-                    templates: prev_vertex
-                        .iter()
-                        .map(|p| p.map(|j| fix.u.templates[j as usize]))
-                        .collect(),
-                });
-            }
-        }
+        let graph = ReinforcementGraph::from_unit_rows(n_pages, build_templates.len(), qp, qt);
         let template_reg = std::array::from_fn(|w| {
             build_templates
                 .iter()
                 .map(|&t| state.templates[t as usize].reg[w])
                 .collect()
         });
-        let templates = build_templates
-            .iter()
-            .map(|&t| state.templates[t as usize].template.clone())
-            .collect();
+        let starts = warming.then(|| Starts {
+            pages: (0..n_pages)
+                .map(|p| (p < prev_pages).then(|| state.page_iterate[p]))
+                .collect(),
+            queries: query_starts,
+            templates: template_starts,
+        });
         state.page_part = page_part;
         state.domain_part = domain_part;
         state.generation = gen;
@@ -745,10 +763,16 @@ impl<'a> EntityPhase<'a> {
             pages: pages.to_vec(),
             relevant: state.relevant.clone(),
             candidates,
-            templates,
             graph,
             template_reg,
+            table: Some(TableLink {
+                generation: gen,
+                slots: pool,
+                templates: build_templates,
+                structure,
+            }),
             warm,
+            starts,
         }
     }
 
@@ -770,11 +794,6 @@ impl<'a> EntityPhase<'a> {
     /// The aspect being harvested.
     pub fn aspect(&self) -> AspectId {
         self.aspect
-    }
-
-    /// Templates in the graph.
-    pub fn templates(&self) -> &[Template] {
-        &self.templates
     }
 
     /// Whether each candidate has at least one edge (page containment or
@@ -827,32 +846,33 @@ impl<'a> EntityPhase<'a> {
         }
     }
 
-    /// Materialize a walk's warm-start vector: previous values where the
-    /// vertex existed last step, the regularization (= cold init) where
-    /// it did not.
-    fn warm_vector(&self, walk: Walk, reg: &Regularization) -> Option<Utilities> {
-        let w = self.warm[walk as usize].as_ref()?;
-        let mut u = Utilities {
-            pages: reg.pages.clone(),
-            queries: reg.queries.clone(),
-            templates: reg.templates.clone(),
-        };
-        u.pages[..w.pages.len()].copy_from_slice(&w.pages);
-        for (dst, src) in u.queries.iter_mut().zip(&w.queries) {
-            if let Some(v) = src {
-                *dst = *v;
-            }
+    /// A vertex's start in `walk`: its gathered iterate when it was
+    /// carried and the walk starts warm, else its regularization `reg`.
+    fn start(&self, walk: Walk, carried: &Option<[f64; N_WALKS]>, reg: f64) -> f64 {
+        match carried {
+            Some(x) if self.warm[walk as usize] => x[walk as usize],
+            _ => reg,
         }
-        for (dst, src) in u.templates.iter_mut().zip(&w.templates) {
-            if let Some(v) = src {
-                *dst = *v;
-            }
-        }
-        Some(u)
     }
 
-    /// Run one walk to its fixpoint, warm-started when an init is
-    /// available. Returns `(fixpoint, sweeps, warm_started)`.
+    /// A walk's warm start over its regularization `reg`, when it starts
+    /// warm.
+    fn warm_vector(&self, walk: Walk, reg: &Regularization) -> Option<Utilities> {
+        let s = self.starts.as_ref().filter(|_| self.warm[walk as usize])?;
+        let lay = |reg: &[f64], carried: &[Option<[f64; N_WALKS]>]| {
+            (reg.iter().zip(carried))
+                .map(|(&r, c)| self.start(walk, c, r))
+                .collect()
+        };
+        Some(Utilities {
+            pages: lay(&reg.pages, &s.pages),
+            queries: lay(&reg.queries, &s.queries),
+            templates: lay(&reg.templates, &s.templates),
+        })
+    }
+
+    /// Run one walk to its fixpoint, warm-started when the phase has a
+    /// start for it. Returns `(fixpoint, sweeps, warm_started)`.
     fn run_walk(&self, walk: Walk) -> (Utilities, usize, bool) {
         let (kind, reg) = self.reg_for(walk);
         let warm = self.warm_vector(walk, &reg);
@@ -861,17 +881,8 @@ impl<'a> EntityPhase<'a> {
         (u, sweeps, warmed)
     }
 
-    /// Fold a solved walk back into the cross-step state: remember the
-    /// fixpoint for next step's warm start and record sweeps saved
-    /// against this session's cold baseline.
-    fn note_solved(
-        &self,
-        state: &mut EntityPhaseState,
-        walk: Walk,
-        u: &Utilities,
-        sweeps: usize,
-        warmed: bool,
-    ) {
+    /// Record a walk's sweeps against this session's cold baseline.
+    fn note_sweeps(state: &mut EntityPhaseState, walk: Walk, sweeps: usize, warmed: bool) {
         let slot = walk as usize;
         state.last_sweeps[slot] = Some(sweeps);
         match state.cold_sweeps[slot] {
@@ -883,17 +894,61 @@ impl<'a> EntityPhase<'a> {
             }
             Some(_) => {}
         }
-        state.warm[slot] = Some(WarmFixpoint {
-            generation: state.generation,
-            u: u.clone(),
-        });
+    }
+
+    /// Write a solve's iterates of `walks` back to the table this phase
+    /// was built from, per page, slot and template slot, for the next
+    /// build's warm starts. `page`, `query` and `template` give each
+    /// vertex's iterates in `walks` order. Nothing is kept with warm
+    /// starts off, for a cold build, or once the table has moved on
+    /// since this build.
+    fn remember<const K: usize>(
+        &self,
+        state: &mut EntityPhaseState,
+        walks: [Walk; K],
+        page: impl Fn(usize) -> [f64; K],
+        query: impl Fn(usize) -> [f64; K],
+        template: impl Fn(usize) -> [f64; K],
+    ) {
+        let Some(table) = self
+            .table
+            .as_ref()
+            .filter(|t| self.cfg.warm_start && t.generation == state.generation)
+        else {
+            return;
+        };
+        let store = |dst: &mut [f64; N_WALKS], v: [f64; K]| {
+            for (w, x) in walks.iter().zip(v) {
+                dst[*w as usize] = x;
+            }
+        };
+        state.page_iterate.resize(self.pages.len(), [0.0; N_WALKS]);
+        for (p, dst) in state.page_iterate.iter_mut().enumerate() {
+            store(dst, page(p));
+        }
+        for (q, &s) in table.slots.iter().enumerate() {
+            store(&mut state.slots[s as usize].iterate, query(q));
+        }
+        for (t, &s) in table.templates.iter().enumerate() {
+            store(&mut state.templates[s as usize].iterate, template(t));
+        }
+        for w in walks {
+            state.solved[w as usize] = table.generation;
+        }
     }
 
     /// Run one walk, optionally threading the cross-step state.
     fn walk_with(&self, walk: Walk, state: Option<&mut EntityPhaseState>) -> Vec<f64> {
         let (u, sweeps, warmed) = self.run_walk(walk);
         if let Some(st) = state {
-            self.note_solved(st, walk, &u, sweeps, warmed);
+            Self::note_sweeps(st, walk, sweeps, warmed);
+            self.remember(
+                st,
+                [walk],
+                |p| [u.pages[p]],
+                |q| [u.queries[q]],
+                |t| [u.templates[t]],
+            );
         }
         u.queries
     }
@@ -952,9 +1007,20 @@ impl<'a> EntityPhase<'a> {
     pub fn context_walks_certified(
         &self,
         state: Option<&mut EntityPhaseState>,
-        mut certified: impl FnMut(&ContextProbe<'_>) -> bool,
+        certified: impl FnMut(&ContextProbe<'_>) -> bool,
     ) -> (ContextWalks, bool) {
-        let (mut solver, warmed) = self.context_solver();
+        let (sol, early) = self.solve_context(state, certified);
+        (context_walks(&sol), early)
+    }
+
+    /// [`EntityPhase::context_walks_certified`] with every page, class
+    /// and template iterate of the solve.
+    fn solve_context(
+        &self,
+        state: Option<&mut EntityPhaseState>,
+        mut certified: impl FnMut(&ContextProbe<'_>) -> bool,
+    ) -> (FusedSolution, bool) {
+        let mut solver = self.context_solver();
         let classes = self.connected_classes(&solver);
         let mut early = false;
         while solver.sweep() {
@@ -970,38 +1036,58 @@ impl<'a> EntityPhase<'a> {
                 break;
             }
         }
-        let results = solver.finish();
+        let sol = solver.finish();
         if let Some(st) = state {
-            for ((&w, &warm), (u, sweeps)) in CONTEXT_WALKS.iter().zip(&warmed).zip(&results) {
-                self.note_solved(st, w, u, *sweeps, warm);
+            for (i, &w) in CONTEXT_WALKS.iter().enumerate() {
+                Self::note_sweeps(st, w, sol.sweeps[i], self.warm[w as usize]);
             }
+            self.remember(
+                st,
+                CONTEXT_WALKS,
+                |p| sol.pages[p],
+                |q| sol.query(q),
+                |t| sol.templates[t],
+            );
         }
-        let [(recall, _), (recall_gathered, _), (recall_all, _)] = results;
-        (
-            ContextWalks {
-                recall: recall.queries,
-                recall_gathered: recall_gathered.queries,
-                recall_all: recall_all.queries,
-            },
-            early,
-        )
+        (sol, early)
     }
 
-    /// The fused solver of the context walks, set up from their
-    /// regularizations and warm starts, and which walks start warm.
-    fn context_solver(&self) -> (FusedTruncatedSolver, [bool; 3]) {
-        let regs: [Regularization; 3] = CONTEXT_WALKS.map(|w| {
+    /// The context walks' regularizations and starts, interleaved in
+    /// [`CONTEXT_WALKS`] order.
+    fn context_blocks(&self) -> (Interleaved, Interleaved) {
+        let regs = CONTEXT_WALKS.map(|w| {
             let (kind, reg) = self.reg_for(w);
             debug_assert_eq!(kind, UtilityKind::Recall);
             reg
         });
-        let warms: [Option<Utilities>; 3] =
-            std::array::from_fn(|i| self.warm_vector(CONTEXT_WALKS[i], &regs[i]));
-        let warmed = std::array::from_fn(|i| warms[i].is_some());
-        (
-            FusedTruncatedSolver::new(&self.graph, regs, &self.cfg.walk, warms),
-            warmed,
-        )
+        let reg = Interleaved::from_walks(&regs);
+        let Some(s) = &self.starts else {
+            return (reg.clone(), reg);
+        };
+        let lay = |reg: &[[f64; 3]], carried: &[Option<[f64; N_WALKS]>]| {
+            (reg.iter().zip(carried))
+                .map(|(r, c)| std::array::from_fn(|i| self.start(CONTEXT_WALKS[i], c, r[i])))
+                .collect()
+        };
+        let start = Interleaved {
+            pages: lay(&reg.pages, &s.pages),
+            queries: lay(&reg.queries, &s.queries),
+            templates: lay(&reg.templates, &s.templates),
+        };
+        (reg, start)
+    }
+
+    /// The fused solver of the context walks, set up from their
+    /// regularizations and starts. A table's build partitions its
+    /// queries by structure id and start bits; a cold build takes the
+    /// canonical partition.
+    fn context_solver(&self) -> FusedTruncatedSolver {
+        let (reg, start) = self.context_blocks();
+        let classes = match &self.table {
+            Some(t) => table_classes(&t.structure, &start.queries),
+            None => QueryClasses::canonical(&self.graph, &start.queries, &reg.queries),
+        };
+        FusedTruncatedSolver::with_classes(&self.graph, reg, start, classes, &self.cfg.walk)
     }
 
     /// The solver's classes of connected candidates, the field the
@@ -1013,13 +1099,49 @@ impl<'a> EntityPhase<'a> {
     }
 }
 
+/// The classes of a table's pool: equal structure id and equal start
+/// bits in the three context walks, numbered in order of first member.
+fn table_classes(structure: &[u32], start: &[[f64; 3]]) -> QueryClasses {
+    let key = |q: usize| {
+        let [a, b, c] = start[q].map(f64::to_bits);
+        (structure[q], a, b, c)
+    };
+    let fingerprint = |q: usize| {
+        let (s, a, b, c) = key(q);
+        [a, b, c].into_iter().fold(u64::from(s), |h, x| {
+            (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
+        })
+    };
+    QueryClasses::partition(structure.len(), fingerprint, |a, b| key(a) == key(b))
+}
+
+/// The per-query walks of a finished context solve.
+fn context_walks(sol: &FusedSolution) -> ContextWalks {
+    let lane = |w: usize| {
+        sol.query_classes
+            .class_of()
+            .iter()
+            .map(|&c| sol.classes[c as usize][w])
+            .collect()
+    };
+    ContextWalks {
+        recall: lane(0),
+        recall_gathered: lane(1),
+        recall_all: lane(2),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidates::{pages_queries, StopwordCache};
+    use crate::context::CollectiveState;
     use crate::domain_phase::learn_domain;
-    use crate::selector::subset_of_seed;
-    use l2q_corpus::{generate, researchers_domain, CorpusConfig, EntityId};
+    use crate::harvester::{HarvestState, Harvester};
+    use crate::selector::{subset_of_seed, L2qSelector, QuerySelector, SelectionInput};
+    use l2q_corpus::{cars_domain, generate, researchers_domain, CorpusConfig, EntityId};
+    use l2q_retrieval::SearchEngine;
+    use std::collections::HashMap;
 
     fn setup() -> (Corpus, RelevanceOracle) {
         let c = generate(&researchers_domain(), &CorpusConfig::tiny()).unwrap();
@@ -1258,7 +1380,7 @@ mod tests {
                 );
                 let label = format!("k={k} domain={}", domain.is_some());
                 assert_eq!(inc.relevant(), cold.relevant(), "{label}");
-                assert_same_phase(&inc, &cold, &mut state, &label);
+                assert_same_phase(&c, &inc, &cold, &mut state, &label);
                 let pick = if i % 2 == 0 {
                     cold.candidates().first()
                 } else {
@@ -1451,7 +1573,8 @@ mod tests {
             true,
             &cfg,
             &mut state,
-        );
+        )
+        .context_walks_certified(Some(&mut state), |_| false);
         let inc = EntityPhase::build_incremental(
             &c,
             contact,
@@ -1464,15 +1587,42 @@ mod tests {
             &cfg,
             &mut state,
         );
+        // Only the aspect changed, yet the reset table starts every walk
+        // cold and still partitions canonically.
+        assert_eq!(state.generation(), 1);
+        assert!(inc.starts.is_none() && !inc.warm.contains(&true));
         let cold = EntityPhase::build(&c, contact, &pages, &o, &candidates, &[], None, true, &cfg);
+        assert_eq!(certifier_classes(&inc), certifier_classes(&cold));
         assert_eq!(inc.precision(), cold.precision());
         assert_eq!(inc.relevant(), cold.relevant());
+    }
+
+    /// The templates of `phase`'s template vertices, in vertex order, as
+    /// its table names them.
+    fn table_templates(phase: &EntityPhase<'_>, state: &EntityPhaseState) -> Vec<Template> {
+        let name: FxHashMap<u32, &Template> =
+            state.template_of.iter().map(|(t, &i)| (i, t)).collect();
+        let table = phase.table.as_ref().expect("an incremental build");
+        table.templates.iter().map(|i| name[i].clone()).collect()
+    }
+
+    /// The templates of `phase`'s candidates in first-occurrence order:
+    /// the template vertices of a build over that pool.
+    fn vertex_templates(corpus: &Corpus, phase: &EntityPhase<'_>) -> Vec<Template> {
+        let mut seen = std::collections::HashSet::new();
+        phase
+            .candidates()
+            .iter()
+            .flat_map(|q| templates_of(q, corpus, phase.cfg.template_mode))
+            .filter(|t| seen.insert(t.clone()))
+            .collect()
     }
 
     /// Two builds agree bit for bit: pool, graph, templates, classes and
     /// every walk. `state` threads the incremental build's fixpoints, so
     /// a table wrongly carried over would also show in its warm starts.
     fn assert_same_phase(
+        corpus: &Corpus,
         inc: &EntityPhase<'_>,
         cold: &EntityPhase<'_>,
         state: &mut EntityPhaseState,
@@ -1481,7 +1631,11 @@ mod tests {
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         assert_eq!(inc.candidates(), cold.candidates(), "{label}: pool");
         assert_eq!(inc.shape(), cold.shape(), "{label}: shape");
-        assert_eq!(inc.templates(), cold.templates(), "{label}: templates");
+        assert_eq!(
+            table_templates(inc, state),
+            vertex_templates(corpus, cold),
+            "{label}: templates"
+        );
         assert_eq!(inc.connected(), cold.connected(), "{label}: connected");
         assert_eq!(
             certifier_classes(inc),
@@ -1602,7 +1756,7 @@ mod tests {
                     true,
                     cfg,
                 );
-                assert_same_phase(&inc, &cold, &mut state, label);
+                assert_same_phase(&c, &inc, &cold, &mut state, label);
                 assert_eq!(state.generation(), 1, "{label}: table carried over");
             }
         }
@@ -1704,7 +1858,7 @@ mod tests {
     /// The classes the certifier races on `phase`'s context solve, as
     /// ascending member lists in class order.
     fn certifier_classes(phase: &EntityPhase<'_>) -> Vec<Vec<usize>> {
-        let (solver, _) = phase.context_solver();
+        let solver = phase.context_solver();
         let mut members = vec![Vec::new(); solver.n_classes()];
         for (q, &c) in solver.class_of().iter().enumerate() {
             members[c as usize].push(q);
@@ -1725,7 +1879,7 @@ mod tests {
         let starts: Vec<Vec<f64>> = CONTEXT_WALKS
             .iter()
             .map(|&w| {
-                let reg = phase.reg_for(w).1;
+                let (_, reg) = phase.reg_for(w);
                 phase
                     .warm_vector(w, &reg)
                     .map_or(reg.queries, |u| u.queries)
@@ -1798,26 +1952,23 @@ mod tests {
             &cfg,
             &mut state,
         );
-        assert!(
-            warm.warm.iter().any(Option::is_some),
-            "second build starts warm"
-        );
+        assert!(warm.warm.contains(&true), "second build starts warm");
         // Warm starts that move the first member of every structural
         // class with several members: each such class must split.
         let structural = certifier_classes(&cold);
         let mut moved = vec![None; cold.candidates().len()];
         for g in structural.iter().filter(|g| g.len() > 1) {
-            moved[g[0]] = Some(0.5);
+            moved[g[0]] = Some([0.5; N_WALKS]);
         }
         let mut split =
             EntityPhase::build(&c, aspect, &pages, &o, &candidates, &[], None, true, &cfg);
-        for w in CONTEXT_WALKS {
-            split.warm[w as usize] = Some(WarmInit {
-                pages: Vec::new(),
-                queries: moved.clone(),
-                templates: Vec::new(),
-            });
-        }
+        let (n_pages, _, n_templates, _) = split.shape();
+        split.starts = Some(Starts {
+            pages: vec![None; n_pages],
+            queries: moved,
+            templates: vec![None; n_templates],
+        });
+        split.warm = [true; N_WALKS];
         let n_split = structural.iter().filter(|g| g.len() > 1).count();
         assert_eq!(certifier_classes(&split).len(), structural.len() + n_split);
 
@@ -1846,6 +1997,226 @@ mod tests {
                     assert_eq!(walks.recall_all[g[0]], walks.recall_all[q]);
                 }
             }
+        }
+    }
+
+    /// A solve's context-walk fixpoints, by page, query and template.
+    struct Fixpoints {
+        pages: HashMap<PageId, [f64; 3]>,
+        queries: HashMap<Query, [f64; 3]>,
+        templates: HashMap<Template, [f64; 3]>,
+    }
+
+    /// Wraps an L2Q selector. Before each selection it drives a table of
+    /// its own through the selection's inputs: it builds, checks the
+    /// build's classes against the canonical partition and its starts
+    /// against the previous solve's fixpoints, then solves with a
+    /// certified early exit and keeps the fixpoints by identity. The
+    /// table outlives `reset`, so the next harvest's first build resets
+    /// it (another aspect, entity or seed).
+    struct TableChecked {
+        inner: L2qSelector,
+        label: String,
+        table: EntityPhaseState,
+        prev: Option<Fixpoints>,
+        builds: usize,
+        warm_builds: usize,
+        resets: usize,
+    }
+
+    impl TableChecked {
+        fn new(inner: L2qSelector, label: String) -> Self {
+            Self {
+                inner,
+                label,
+                table: EntityPhaseState::new(),
+                prev: None,
+                builds: 0,
+                warm_builds: 0,
+                resets: 0,
+            }
+        }
+
+        fn check(&mut self, input: &SelectionInput<'_>) {
+            let phase = EntityPhase::build_incremental(
+                input.corpus,
+                input.aspect,
+                input.gathered,
+                input.oracle,
+                input.page_candidates,
+                input.fired,
+                input.domain,
+                true,
+                input.cfg,
+                &mut self.table,
+            );
+            self.builds += 1;
+            if self.table.generation() == 1 {
+                self.prev = None;
+                self.resets += 1;
+            }
+            let label = format!("{} build {}", self.label, self.builds);
+            let (reg, start) = phase.context_blocks();
+            let table = phase.table.as_ref().expect("an incremental build");
+            assert_eq!(
+                table_classes(&table.structure, &start.queries),
+                QueryClasses::canonical(&phase.graph, &start.queries, &reg.queries),
+                "{label}: table classes"
+            );
+            let templates = vertex_templates(input.corpus, &phase);
+            let bits = |x: [f64; 3]| x.map(f64::to_bits);
+            match &self.prev {
+                None => assert!(
+                    phase.starts.is_none() && !phase.warm.contains(&true),
+                    "{label}: a table's first build starts cold"
+                ),
+                Some(prev) => {
+                    self.warm_builds += 1;
+                    assert!(phase.warm[1..].iter().all(|&w| w), "{label}: warm walks");
+                    for (p, id) in phase.pages().iter().enumerate() {
+                        let want = prev.pages.get(id).copied().unwrap_or(reg.pages[p]);
+                        assert_eq!(bits(start.pages[p]), bits(want), "{label}: page {p}");
+                    }
+                    for (q, query) in phase.candidates().iter().enumerate() {
+                        let want = prev.queries.get(*query).copied().unwrap_or(reg.queries[q]);
+                        assert_eq!(bits(start.queries[q]), bits(want), "{label}: query {q}");
+                    }
+                    for (t, template) in templates.iter().enumerate() {
+                        let want = prev.templates.get(template).copied();
+                        let want = want.unwrap_or(reg.templates[t]);
+                        assert_eq!(
+                            bits(start.templates[t]),
+                            bits(want),
+                            "{label}: template {t}"
+                        );
+                    }
+                }
+            }
+            let (sol, _) = phase.solve_context(Some(&mut self.table), |p| {
+                p.tails().iter().all(|t| *t <= 1e-7)
+            });
+            self.prev = Some(Fixpoints {
+                pages: phase
+                    .pages()
+                    .iter()
+                    .enumerate()
+                    .map(|(p, &id)| (id, sol.pages[p]))
+                    .collect(),
+                queries: (phase.candidates().iter().enumerate())
+                    .map(|(q, &query)| (query.clone(), sol.query(q)))
+                    .collect(),
+                templates: (templates.into_iter().enumerate())
+                    .map(|(t, template)| (template, sol.templates[t]))
+                    .collect(),
+            });
+        }
+    }
+
+    impl QuerySelector for TableChecked {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+
+        fn select(&mut self, input: &SelectionInput<'_>) -> Option<Query> {
+            self.check(input);
+            self.inner.select(input)
+        }
+
+        fn collective_state(&self) -> Option<CollectiveState> {
+            self.inner.collective_state()
+        }
+
+        fn restore_collective(&mut self, state: CollectiveState) {
+            self.inner.restore_collective(state)
+        }
+    }
+
+    /// At every step of 10-query harvests of every non-domain entity and
+    /// aspect, on both domains, under all three context selectors, the
+    /// table's classes are the canonical partition, and each build's
+    /// starts are the previous solve's fixpoints at the same page, query
+    /// and template, and the regularization for vertices new to the
+    /// build. Each harvest after the first resets the table (another
+    /// aspect or entity). A session exported after two steps and
+    /// imported again starts from a fresh table: its first build is cold,
+    /// later ones warm.
+    #[test]
+    fn table_classes_and_starts_match_their_references_at_every_step() {
+        for (spec, name) in [
+            (researchers_domain(), "researchers"),
+            (cars_domain(), "cars"),
+        ] {
+            let cfg = L2qConfig::default();
+            let corpus = Arc::new(generate(&spec, &CorpusConfig::tiny()).unwrap());
+            let engine = SearchEngine::with_defaults(corpus.clone());
+            let oracle = RelevanceOracle::from_truth(&corpus);
+            let domain_entities: Vec<EntityId> = corpus.entity_ids().take(4).collect();
+            let domain = learn_domain(&corpus, &domain_entities, &oracle, &cfg);
+            let harvester = Harvester {
+                corpus: &corpus,
+                engine: &engine,
+                oracle: &oracle,
+                domain: Some(&domain),
+                cfg: cfg.with_n_queries(10),
+            };
+            let n_harvests = corpus.aspects().count() * (corpus.entity_ids().count() - 4);
+            for inner in [
+                L2qSelector::l2qp(),
+                L2qSelector::l2qr(),
+                L2qSelector::l2qbal(),
+            ] {
+                let label = format!("{name}/{}", inner.name());
+                let mut sel = TableChecked::new(inner, label.clone());
+                for entity in corpus.entity_ids().skip(4) {
+                    for aspect in corpus.aspects() {
+                        let _ = harvester.run(entity, aspect, &mut sel);
+                    }
+                }
+                assert_eq!(sel.resets, n_harvests, "{label}: one table per harvest");
+                assert!(
+                    sel.warm_builds + sel.resets == sel.builds && sel.warm_builds > sel.builds / 2,
+                    "{label}: {} of {} builds warm",
+                    sel.warm_builds,
+                    sel.builds
+                );
+            }
+
+            let aspect = corpus.aspects().next().unwrap();
+            let label = format!("{name}/restored");
+            let mut sel = TableChecked::new(L2qSelector::l2qbal(), label.clone());
+            sel.reset();
+            let mut state = HarvestState::begin(&harvester, EntityId(6), aspect);
+            for _ in 0..2 {
+                state.step(&harvester, &mut sel);
+            }
+            assert_eq!(
+                (sel.builds, sel.warm_builds),
+                (2, 1),
+                "{label}: before export"
+            );
+            let json = state.export_json(&corpus, sel.collective_state());
+            let (mut state, collective) = HarvestState::import_json(&json, &corpus).unwrap();
+            let mut sel = TableChecked::new(L2qSelector::l2qbal(), label.clone());
+            if let Some(c) = collective {
+                sel.restore_collective(c);
+            }
+            while !state.is_finished() {
+                state.step(&harvester, &mut sel);
+            }
+            assert!(sel.builds > 2, "{label}: the restored session stepped");
+            assert_eq!(
+                sel.resets, 1,
+                "{label}: the first build after the restore is full"
+            );
+            assert_eq!(
+                sel.warm_builds,
+                sel.builds - 1,
+                "{label}: later builds are warm"
+            );
         }
     }
 }

@@ -18,14 +18,20 @@
 //! coefficient bits in edge order, and the same start value and query
 //! regularization bits in all three walks receive bitwise-identical
 //! updates at every sweep (by induction over the sweeps: a Jacobi update
-//! reads only the neighbours' previous iterates, in edge order). At
-//! construction the solver partitions the query vertices into these
-//! classes — numbered in order of their first member; candidates are
-//! bucketed by a hash of the signature and compared exactly within a
-//! bucket, so a hash collision can split a bucket but never merge two
-//! classes — and then updates one representative per class. Pages and
-//! templates keep one vertex each and read their query neighbours'
+//! reads only the neighbours' previous iterates, in edge order). The
+//! solver updates one representative per class of such queries. Pages
+//! and templates keep one vertex each and read their query neighbours'
 //! classes, edge by edge in the graph's order.
+//!
+//! [`QueryClasses`] are numbered in order of their first member. The
+//! canonical partition, [`QueryClasses::canonical`], compares exactly
+//! that signature: candidates are bucketed by a hash of it and compared
+//! exactly within a bucket, so a hash collision can split a bucket but
+//! never merge two classes. [`FusedTruncatedSolver::with_classes`] takes
+//! the partition from its caller, who may know it without comparing
+//! edges — the entity phase's candidate table names each distinct (page
+//! list, template list) pair of a unit-weight graph — and debug builds
+//! check it against the canonical one.
 //!
 //! ## Layout and fold order
 //!
@@ -36,13 +42,18 @@
 //! templates in vertex order, and the query block in candidate order
 //! through the class map (each candidate adds its class's movement), so
 //! every sum runs over the same operands in the same order as a solo
-//! sweep's `l1`. Run to completion the solver is therefore bitwise
-//! identical to per-walk [`solve_detailed`](crate::solve_detailed) —
+//! sweep's `l1`. After the first sweep the query fold skips the members
+//! of edgeless classes: such a class updates to `α·Û` on sweep 1 and
+//! stays there, so each later sweep it adds exactly +0.0, which leaves a
+//! non-negative sum unchanged bit for bit. Run to completion the solver
+//! is therefore bitwise identical to per-walk
+//! [`solve_detailed`](crate::solve_detailed) —
 //! utilities and sweep counts: each walk stops the moment its own L1
 //! delta crosses the tolerance and keeps its converged iterate while the
 //! others sweep on. A caller that stops early only ever trades a *known*
-//! error for sweeps, never correctness. The adjacency copies and
-//! iterates are solve-local and freed by [`FusedTruncatedSolver::finish`].
+//! error for sweeps, never correctness. The adjacency copies are
+//! solve-local; [`FusedTruncatedSolver::finish`] hands the interleaved
+//! iterates back as a [`FusedSolution`].
 //!
 //! ## Tail bounds
 //!
@@ -108,13 +119,163 @@
 //! exactly its fixpoint `α·Û_q`.
 
 use crate::graph::{Edge, ReinforcementGraph};
-use crate::solver::{
-    combine, start_iterate, sweeps_histogram, Regularization, Utilities, WalkConfig,
-};
+use crate::solver::{combine, sweeps_histogram, Regularization, WalkConfig};
 use std::sync::{Arc, OnceLock};
 
 /// One value per walk, side by side.
 type Tri = [f64; 3];
+
+/// The three walks' values on every page, query and template, one
+/// `[f64; 3]` per vertex (walk order as given to the solver).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Interleaved {
+    /// Per page.
+    pub pages: Vec<[f64; 3]>,
+    /// Per query.
+    pub queries: Vec<[f64; 3]>,
+    /// Per template.
+    pub templates: Vec<[f64; 3]>,
+}
+
+impl Interleaved {
+    /// Three walks side by side: lane `w` of every vertex is
+    /// `walks[w]`'s value.
+    pub fn from_walks(walks: &[Regularization; 3]) -> Self {
+        let [a, b, c] = walks;
+        Self {
+            pages: interleave([&a.pages, &b.pages, &c.pages]),
+            queries: interleave([&a.queries, &b.queries, &c.queries]),
+            templates: interleave([&a.templates, &b.templates, &c.templates]),
+        }
+    }
+
+    fn assert_shaped_for(&self, g: &ReinforcementGraph, what: &str) {
+        assert_eq!(self.pages.len(), g.n_pages(), "{what} page shape");
+        assert_eq!(self.queries.len(), g.n_queries(), "{what} query shape");
+        assert_eq!(
+            self.templates.len(),
+            g.n_templates(),
+            "{what} template shape"
+        );
+    }
+}
+
+/// A partition of a graph's query vertices into classes, numbered in
+/// order of their first member (see the module docs).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct QueryClasses {
+    class_of: Vec<u32>,
+    first: Vec<u32>,
+}
+
+impl QueryClasses {
+    /// The classes of the equivalence `same` over `0..n`, numbered in
+    /// order of their first item. Items are placed by `fingerprint`
+    /// (equal for items of one class) in an open-addressing table and
+    /// compared with `same` only against classes of equal fingerprint,
+    /// so a fingerprint collision splits a bucket and never merges two
+    /// classes.
+    pub fn partition(
+        n: usize,
+        fingerprint: impl Fn(usize) -> u64,
+        same: impl Fn(usize, usize) -> bool,
+    ) -> Self {
+        if n == 0 {
+            return Self::default();
+        }
+        assert!(n < u32::MAX as usize, "{n} items overflow u32 class ids");
+        // At least twice as many slots as items: probing always ends.
+        let slots = (2 * n).next_power_of_two();
+        let shift = 64 - slots.trailing_zeros();
+        let mut table = vec![u32::MAX; slots];
+        let mut class_fp: Vec<u64> = Vec::new();
+        let mut first: Vec<u32> = Vec::new();
+        let mut class_of = Vec::with_capacity(n);
+        for item in 0..n {
+            let fp = fingerprint(item);
+            let mut slot = (fp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+            let class = loop {
+                let c = table[slot];
+                if c == u32::MAX {
+                    table[slot] = first.len() as u32;
+                    class_fp.push(fp);
+                    first.push(item as u32);
+                    break table[slot];
+                }
+                if class_fp[c as usize] == fp && same(first[c as usize] as usize, item) {
+                    break c;
+                }
+                slot = (slot + 1) & (slots - 1);
+            };
+            class_of.push(class);
+        }
+        Self { class_of, first }
+    }
+
+    /// The canonical partition of `g`'s queries: equal page and template
+    /// neighbour ids and coefficient bits in edge order, and equal start
+    /// and regularization bits in all three walks.
+    pub fn canonical(g: &ReinforcementGraph, start: &[[f64; 3]], reg: &[[f64; 3]]) -> Self {
+        let sides = |q: usize| {
+            [
+                (g.query_pages(q), g.query_pages_nrm(q)),
+                (g.query_templates(q), g.query_templates_nrm(q)),
+            ]
+        };
+        let bits = |x: &Tri| x.map(f64::to_bits);
+        let fingerprint = |q: usize| -> u64 {
+            let mut h = 0u64;
+            for (edges, nrm) in sides(q) {
+                h = mix(h, edges.len() as u64);
+                for (e, &c) in edges.iter().zip(nrm) {
+                    h = mix(h, c.to_bits() ^ (u64::from(e.to) << 32));
+                }
+            }
+            for b in bits(&start[q]).into_iter().chain(bits(&reg[q])) {
+                h = mix(h, b);
+            }
+            h
+        };
+        let same = |a: usize, b: usize| -> bool {
+            bits(&start[a]) == bits(&start[b])
+                && bits(&reg[a]) == bits(&reg[b])
+                && sides(a).iter().zip(sides(b)).all(|(&(ea, na), (eb, nb))| {
+                    ea.len() == eb.len()
+                        && ea.iter().zip(eb).all(|(x, y)| x.to == y.to)
+                        && na.iter().zip(nb).all(|(x, y)| x.to_bits() == y.to_bits())
+                })
+        };
+        Self::partition(g.n_queries(), fingerprint, same)
+    }
+
+    /// The class of each query.
+    pub fn class_of(&self) -> &[u32] {
+        &self.class_of
+    }
+}
+
+/// A finished fused solve: each walk's iterate on every page, template
+/// and query class, and each walk's sweep count.
+#[derive(Debug)]
+pub struct FusedSolution {
+    /// Per page.
+    pub pages: Vec<[f64; 3]>,
+    /// Per template.
+    pub templates: Vec<[f64; 3]>,
+    /// Per class; query `q` holds `classes[class_of()[q]]`.
+    pub classes: Vec<[f64; 3]>,
+    /// The query classes the solve swept.
+    pub query_classes: QueryClasses,
+    /// Sweeps each walk ran.
+    pub sweeps: [usize; 3],
+}
+
+impl FusedSolution {
+    /// Query `q`'s iterate in each walk.
+    pub fn query(&self, q: usize) -> [f64; 3] {
+        self.classes[self.query_classes.class_of[q] as usize]
+    }
+}
 
 /// Per-block L1 movement of one sweep, summed in the solo solver's
 /// convergence order so `total()` reproduces its decision bit for bit.
@@ -193,6 +354,12 @@ impl Csr {
         Self { off, to, coef }
     }
 
+    /// Whether source `v` has any edge.
+    #[inline]
+    fn has_edges(&self, v: usize) -> bool {
+        self.off[v] < self.off[v + 1]
+    }
+
     #[inline]
     fn row(&self, v: usize) -> (&[u32], &[f64]) {
         let r = self.off[v] as usize..self.off[v + 1] as usize;
@@ -212,49 +379,6 @@ fn interleave(v: [&[f64]; 3]) -> Vec<Tri> {
 #[inline]
 fn mix(h: u64, word: u64) -> u64 {
     h.rotate_left(5) ^ word.wrapping_mul(0x517c_c1b7_2722_0a95)
-}
-
-/// Partition `0..n` into the classes of the equivalence `same`, numbered
-/// in order of their first item. Items are placed by `fingerprint`
-/// (equal for items of one class) in an open-addressing table and
-/// compared with `same` only against classes of equal fingerprint, so a
-/// fingerprint collision splits a bucket and never merges two classes.
-/// Returns each item's class and each class's first item.
-fn partition(
-    n: usize,
-    fingerprint: impl Fn(usize) -> u64,
-    same: impl Fn(usize, usize) -> bool,
-) -> (Vec<u32>, Vec<u32>) {
-    if n == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    assert!(n < u32::MAX as usize, "{n} items overflow u32 class ids");
-    // At least twice as many slots as items: probing always ends.
-    let slots = (2 * n).next_power_of_two();
-    let shift = 64 - slots.trailing_zeros();
-    let mut table = vec![u32::MAX; slots];
-    let mut class_fp: Vec<u64> = Vec::new();
-    let mut first: Vec<u32> = Vec::new();
-    let mut class_of = Vec::with_capacity(n);
-    for item in 0..n {
-        let fp = fingerprint(item);
-        let mut slot = (fp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
-        let class = loop {
-            let c = table[slot];
-            if c == u32::MAX {
-                table[slot] = first.len() as u32;
-                class_fp.push(fp);
-                first.push(item as u32);
-                break table[slot];
-            }
-            if class_fp[c as usize] == fp && same(first[c as usize] as usize, item) {
-                break c;
-            }
-            slot = (slot + 1) & (slots - 1);
-        };
-        class_of.push(class);
-    }
-    (class_of, first)
 }
 
 /// Maximum incoming coefficient per *sender*, not per edge: parallel
@@ -345,10 +469,12 @@ fn static_bounds(
 /// module docs).
 pub struct FusedTruncatedSolver {
     cfg: WalkConfig,
-    /// Class of each query vertex.
-    class_of: Vec<u32>,
+    classes: QueryClasses,
     /// Member count of each class.
     class_len: Vec<u32>,
+    /// The class of each member of a connected class, in query order: the
+    /// query-block fold after the first sweep.
+    moving: Vec<u32>,
     /// Pages and templates read their query neighbours' classes; each
     /// class reads its first member's page and template neighbours.
     page_classes: Csr,
@@ -377,67 +503,42 @@ pub struct FusedTruncatedSolver {
 }
 
 impl FusedTruncatedSolver {
-    /// Start the three Recall systems exactly as [`solve_detailed`]
-    /// would start each one: warm iterate when given, else the
-    /// regularization vector. The set-up pass (`graph_solve_setup` span)
-    /// partitions the queries into classes and copies the adjacency the
-    /// sweeps read.
+    /// Start the three Recall systems from interleaved regularizations
+    /// and start iterates, sweeping one vertex per class of `classes`,
+    /// which must be the canonical partition of `g` under these starts
+    /// and regularizations (checked in debug builds). The set-up pass
+    /// (`graph_solve_setup` span) copies the adjacency the sweeps read
+    /// and derives the static bounds.
     ///
     /// # Panics
-    /// On a regularization or warm start not shaped for `g`, and on
-    /// negative regularization, which the static bounds rule out.
-    ///
-    /// [`solve_detailed`]: crate::solve_detailed
-    pub fn new(
+    /// On blocks or classes not shaped for `g`, and on negative
+    /// regularization, which the static bounds rule out.
+    pub fn with_classes(
         g: &ReinforcementGraph,
-        regs: [Regularization; 3],
+        reg: Interleaved,
+        start: Interleaved,
+        classes: QueryClasses,
         cfg: &WalkConfig,
-        mut warms: [Option<Utilities>; 3],
     ) -> Self {
         let span = l2q_obs::span!("graph_solve");
         let setup = l2q_obs::span!("graph_solve_setup");
-        let starts: [Utilities; 3] =
-            std::array::from_fn(|i| start_iterate(g, &regs[i], cfg, warms[i].take()));
-        let q_start = interleave(std::array::from_fn(|i| starts[i].queries.as_slice()));
-        let q_reg = interleave(std::array::from_fn(|i| regs[i].queries.as_slice()));
-
-        let sides = |q: usize| {
-            [
-                (g.query_pages(q), g.query_pages_nrm(q)),
-                (g.query_templates(q), g.query_templates_nrm(q)),
-            ]
-        };
-        let bits = |x: &Tri| x.map(f64::to_bits);
-        let fingerprint = |q: usize| -> u64 {
-            let mut h = 0u64;
-            for (edges, nrm) in sides(q) {
-                h = mix(h, edges.len() as u64);
-                for (e, &c) in edges.iter().zip(nrm) {
-                    h = mix(h, c.to_bits() ^ (u64::from(e.to) << 32));
-                }
-            }
-            for b in bits(&q_start[q]).into_iter().chain(bits(&q_reg[q])) {
-                h = mix(h, b);
-            }
-            h
-        };
-        let same = |a: usize, b: usize| -> bool {
-            bits(&q_start[a]) == bits(&q_start[b])
-                && bits(&q_reg[a]) == bits(&q_reg[b])
-                && sides(a).iter().zip(sides(b)).all(|(&(ea, na), (eb, nb))| {
-                    ea.len() == eb.len()
-                        && ea.iter().zip(eb).all(|(x, y)| x.to == y.to)
-                        && na.iter().zip(nb).all(|(x, y)| x.to_bits() == y.to_bits())
-                })
-        };
-        let (class_of, first) = partition(g.n_queries(), fingerprint, same);
+        reg.assert_shaped_for(g, "regularization");
+        start.assert_shaped_for(g, "start");
+        assert_eq!(classes.class_of.len(), g.n_queries(), "class map shape");
+        assert!((0.0..=1.0).contains(&cfg.alpha), "alpha out of range");
+        debug_assert_eq!(
+            classes,
+            QueryClasses::canonical(g, &start.queries, &reg.queries),
+            "classes must be the canonical partition"
+        );
+        let QueryClasses { class_of, first } = &classes;
         let mut class_len = vec![0u32; first.len()];
-        for &c in &class_of {
+        for &c in class_of {
             class_len[c as usize] += 1;
         }
-        let (classes, queries) = class_counters();
-        classes.add(first.len() as u64);
-        queries.add(class_of.len() as u64);
+        let (n_classes, n_queries) = class_counters();
+        n_classes.add(first.len() as u64);
+        n_queries.add(class_of.len() as u64);
 
         let rep = |c: usize| first[c] as usize;
         let page_classes = Csr::build(
@@ -460,12 +561,19 @@ impl FusedTruncatedSolver {
             |c| (g.query_templates(rep(c)), g.query_templates_nrm(rep(c))),
             |t| t,
         );
+        let connected: Vec<bool> = (0..first.len())
+            .map(|c| class_pages.has_edges(c) || class_templates.has_edges(c))
+            .collect();
+        let moving = (class_of.iter().copied())
+            .filter(|&c| connected[c as usize])
+            .collect();
 
         let mut acc = vec![0.0f64; g.n_pages().max(g.n_templates())];
         let mut strength = Vec::with_capacity(first.len());
         let mut mx_in = Vec::with_capacity(first.len());
         for c in 0..first.len() {
-            let [(pe, pn), (te, tn)] = sides(rep(c));
+            let (pe, pn) = (g.query_pages(rep(c)), g.query_pages_nrm(rep(c)));
+            let (te, tn) = (g.query_templates(rep(c)), g.query_templates_nrm(rep(c)));
             strength.push([pn.iter().sum(), tn.iter().sum()]);
             mx_in.push([
                 max_per_sender(pe, pn, &mut acc),
@@ -479,14 +587,14 @@ impl FusedTruncatedSolver {
         ];
 
         let reg = Blocks {
-            pages: interleave(std::array::from_fn(|i| regs[i].pages.as_slice())),
-            templates: interleave(std::array::from_fn(|i| regs[i].templates.as_slice())),
-            classes: first.iter().map(|&q| q_reg[q as usize]).collect(),
+            classes: first.iter().map(|&q| reg.queries[q as usize]).collect(),
+            pages: reg.pages,
+            templates: reg.templates,
         };
         let cur = Blocks {
-            pages: interleave(std::array::from_fn(|i| starts[i].pages.as_slice())),
-            templates: interleave(std::array::from_fn(|i| starts[i].templates.as_slice())),
-            classes: first.iter().map(|&q| q_start[q as usize]).collect(),
+            classes: first.iter().map(|&q| start.queries[q as usize]).collect(),
+            pages: start.pages,
+            templates: start.templates,
         };
         let next = Blocks {
             pages: vec![[0.0; 3]; cur.pages.len()],
@@ -498,8 +606,9 @@ impl FusedTruncatedSolver {
         Self {
             cfg: *cfg,
             class_delta: vec![[0.0; 3]; first.len()],
-            class_of,
+            classes,
             class_len,
+            moving,
             page_classes,
             template_classes,
             class_pages,
@@ -617,8 +726,14 @@ impl FusedTruncatedSolver {
             next.classes[c] = new;
             self.class_delta[c] = std::array::from_fn(|w| (old[w] - new[w]).abs());
         }
+        // Edgeless classes stop moving after the first sweep (module docs).
+        let fold = if self.iters == 0 {
+            &self.classes.class_of
+        } else {
+            &self.moving
+        };
         let mut d_queries = [0.0f64; 3];
-        for &c in &self.class_of {
+        for &c in fold {
             let d = &self.class_delta[c as usize];
             d_queries[0] += d[0];
             d_queries[1] += d[1];
@@ -644,7 +759,7 @@ impl FusedTruncatedSolver {
     /// The class of each query vertex; classes are numbered in order of
     /// their first member.
     pub fn class_of(&self) -> &[u32] {
-        &self.class_of
+        &self.classes.class_of
     }
 
     /// Number of query vertices in class `c`.
@@ -654,7 +769,7 @@ impl FusedTruncatedSolver {
 
     /// Whether class `c`'s queries have any page or template edge.
     pub fn class_connected(&self, c: usize) -> bool {
-        !self.class_pages.row(c).0.is_empty() || !self.class_templates.row(c).0.is_empty()
+        self.class_pages.has_edges(c) || self.class_templates.has_edges(c)
     }
 
     /// Class `c`'s current iterate in each system — the iterate of every
@@ -726,9 +841,8 @@ impl FusedTruncatedSolver {
 
     /// Finish the solve: record per-system sweep counts, mark the span
     /// `truncated` (stopped early by the caller) or `maxed` (hit the
-    /// sweep cap), and hand back `(utilities, sweeps)` in input order,
-    /// each query at its class's iterate.
-    pub fn finish(mut self) -> [(Utilities, usize); 3] {
+    /// sweep cap), and hand back every walk's iterate and sweep count.
+    pub fn finish(mut self) -> FusedSolution {
         if !self.all_converged() {
             self.span.set_status(if self.iters >= self.cfg.max_iters {
                 "maxed"
@@ -739,21 +853,21 @@ impl FusedTruncatedSolver {
         for &s in &self.sweeps {
             sweeps_histogram().record(s as f64);
         }
-        let lane = |block: &[Tri], w: usize| block.iter().map(|x| x[w]).collect();
-        let out = std::array::from_fn(|w| {
-            let u = Utilities {
-                pages: lane(&self.cur.pages, w),
-                queries: self
-                    .class_of
-                    .iter()
-                    .map(|&c| self.cur.classes[c as usize][w])
-                    .collect(),
-                templates: lane(&self.cur.templates, w),
-            };
-            (u, self.sweeps[w])
-        });
-        drop(self); // records graph_solve_seconds for the whole solve
-        out
+        let Self {
+            cur,
+            classes,
+            sweeps,
+            span,
+            ..
+        } = self;
+        drop(span); // records graph_solve_seconds for the whole solve
+        FusedSolution {
+            pages: cur.pages,
+            templates: cur.templates,
+            classes: cur.classes,
+            query_classes: classes,
+            sweeps,
+        }
     }
 }
 
@@ -788,10 +902,51 @@ fn gather(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-    use crate::solver::{solve_detailed, UtilityKind};
+    use crate::solver::{solve_detailed, start_iterate, Utilities, UtilityKind};
+
+    /// The fused solver on per-walk regularizations and warm starts, each
+    /// walk started as [`solve_detailed`] starts it, over the canonical
+    /// classes.
+    pub(crate) fn fused(
+        g: &ReinforcementGraph,
+        regs: [Regularization; 3],
+        cfg: &WalkConfig,
+        mut warms: [Option<Utilities>; 3],
+    ) -> FusedTruncatedSolver {
+        let starts: [Regularization; 3] = std::array::from_fn(|i| {
+            let u = start_iterate(g, &regs[i], cfg, warms[i].take());
+            Regularization {
+                pages: u.pages,
+                queries: u.queries,
+                templates: u.templates,
+            }
+        });
+        let (reg, start) = (
+            Interleaved::from_walks(&regs),
+            Interleaved::from_walks(&starts),
+        );
+        let classes = QueryClasses::canonical(g, &start.queries, &reg.queries);
+        FusedTruncatedSolver::with_classes(g, reg, start, classes, cfg)
+    }
+
+    /// A finished solve split into one `(utilities, sweeps)` per walk,
+    /// the layout of [`solve_detailed`].
+    pub(crate) fn per_walk(sol: FusedSolution) -> [(Utilities, usize); 3] {
+        let lane = |block: &[Tri], w: usize| block.iter().map(|x| x[w]).collect();
+        std::array::from_fn(|w| {
+            let u = Utilities {
+                pages: lane(&sol.pages, w),
+                queries: (0..sol.query_classes.class_of.len())
+                    .map(|q| sol.query(q)[w])
+                    .collect(),
+                templates: lane(&sol.templates, w),
+            };
+            (u, sol.sweeps[w])
+        })
+    }
 
     /// Fig. 2 pages/queries plus two templates so every block is live.
     fn fixture() -> ReinforcementGraph {
@@ -863,9 +1018,9 @@ mod tests {
         let reference_warm = solo_solves(&g, &regs, &cfg, warms.clone());
 
         for (warm_set, want) in [([None, None, None], &reference), (warms, &reference_warm)] {
-            let mut s = FusedTruncatedSolver::new(&g, context_regs(&g), &cfg, warm_set);
+            let mut s = fused(&g, context_regs(&g), &cfg, warm_set);
             s.run_to_completion();
-            assert_matches_solo(&s.finish(), want);
+            assert_matches_solo(&per_walk(s.finish()), want);
         }
     }
 
@@ -886,7 +1041,7 @@ mod tests {
         let cfg = WalkConfig::default();
         let regs = context_regs(&g);
         let fixpoints: Vec<Utilities> = regs.iter().map(|r| exact(&g, r)).collect();
-        let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
+        let mut s = fused(&g, regs, &cfg, [None, None, None]);
         assert!(s.tail(0).is_infinite(), "no bound before the first sweep");
         let mut prev = [f64::INFINITY; 3];
         while s.sweep() {
@@ -927,21 +1082,20 @@ mod tests {
         let cfg = WalkConfig::default();
         let regs = context_regs(&g);
         let want = solo_solves(&g, &regs, &cfg, [None, None, None]);
-        let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
+        let mut s = fused(&g, regs, &cfg, [None, None, None]);
         for _ in 0..5 {
             assert!(s.sweep(), "fixture needs more than 5 sweeps");
         }
         // A caller that inspected tails and declined to certify resumes.
         s.run_to_completion();
-        assert_matches_solo(&s.finish(), &want);
+        assert_matches_solo(&per_walk(s.finish()), &want);
     }
 
     #[test]
     fn static_bounds_dominate_the_solved_utilities() {
         let g = fixture();
         let regs = context_regs(&g);
-        let s =
-            FusedTruncatedSolver::new(&g, regs.clone(), &WalkConfig::default(), [None, None, None]);
+        let s = fused(&g, regs.clone(), &WalkConfig::default(), [None, None, None]);
         for (i, reg) in regs.iter().enumerate() {
             let ub = per_query(&s, |c| s.class_bounds(c)[i]);
             let u = exact(&g, reg);
@@ -961,7 +1115,7 @@ mod tests {
         let mut reg = Regularization::zeros(&g);
         reg.queries[2] = 0.8;
         let regs = [reg.clone(), reg.clone(), reg.clone()];
-        let s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
+        let s = fused(&g, regs, &cfg, [None, None, None]);
         let ub = per_query(&s, |c| s.class_bounds(c)[0]);
         assert_eq!(ub[2], cfg.alpha * 0.8);
         assert!(!s.class_connected(s.class_of()[2] as usize));
@@ -978,14 +1132,14 @@ mod tests {
         };
         let regs = context_regs(&g);
         let want = solo_solves(&g, &regs, &cfg, [None, None, None]);
-        let mut s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
+        let mut s = fused(&g, regs, &cfg, [None, None, None]);
         while s.sweep() {
             for i in 0..3 {
                 assert!(s.tail(i).is_infinite(), "ρ ≥ 1 must never certify");
                 assert!(s.class_tail(i, 0).is_infinite());
             }
         }
-        assert_matches_solo(&s.finish(), &want);
+        assert_matches_solo(&per_walk(s.finish()), &want);
     }
 
     /// Colliding fingerprints split a bucket instead of merging classes,
@@ -993,15 +1147,19 @@ mod tests {
     #[test]
     fn partition_resolves_fingerprint_collisions_exactly() {
         let same = |a: usize, b: usize| a % 3 == b % 3;
+        let partition = |n, fp: fn(usize) -> u64| {
+            let c = QueryClasses::partition(n, fp, same);
+            (c.class_of, c.first)
+        };
         let expected = (vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0], vec![0, 1, 2]);
-        assert_eq!(partition(10, |_| 0, same), expected, "all collide");
-        assert_eq!(partition(10, |i| (i % 3) as u64, same), expected);
+        assert_eq!(partition(10, |_| 0), expected, "all collide");
+        assert_eq!(partition(10, |i| (i % 3) as u64), expected);
         assert_eq!(
-            partition(10, |i| u64::from(i % 3 == 2), same),
+            partition(10, |i| u64::from(i % 3 == 2)),
             expected,
             "a bucket holding two classes"
         );
-        assert_eq!(partition(0, |_| 0, same), (vec![], vec![]));
+        assert_eq!(partition(0, |_| 0), (vec![], vec![]));
     }
 
     /// Queries with one neighbourhood share a class and one update; a
@@ -1025,7 +1183,7 @@ mod tests {
             Regularization::recall_from_relevance(&g, &[false, true, false]),
             Regularization::recall_from_relevance(&g, &[true; 3]),
         ];
-        let cold = FusedTruncatedSolver::new(&g, regs.clone(), &cfg, [None, None, None]);
+        let cold = fused(&g, regs.clone(), &cfg, [None, None, None]);
         assert_eq!(cold.class_of(), [0, 0, 1, 0, 2]);
         assert_eq!(
             (0..3).map(|c| cold.class_len(c)).collect::<Vec<_>>(),
@@ -1035,15 +1193,15 @@ mod tests {
         let want = solo_solves(&g, &regs, &cfg, [None, None, None]);
         let mut cold = cold;
         cold.run_to_completion();
-        assert_matches_solo(&cold.finish(), &want);
+        assert_matches_solo(&per_walk(cold.finish()), &want);
 
         let mut moved = want[1].0.clone();
         moved.queries[1] += 0.25;
         let warms = [None, Some(moved), None];
-        let mut split = FusedTruncatedSolver::new(&g, regs.clone(), &cfg, warms.clone());
+        let mut split = fused(&g, regs.clone(), &cfg, warms.clone());
         assert_eq!(split.class_of(), [0, 1, 2, 0, 3]);
         let want = solo_solves(&g, &regs, &cfg, warms);
         split.run_to_completion();
-        assert_matches_solo(&split.finish(), &want);
+        assert_matches_solo(&per_walk(split.finish()), &want);
     }
 }

@@ -5,12 +5,15 @@
 //! Edge weights `W` encode connection strength; the paper uses 1 for plain
 //! retrievability and allows retrieval scores in `[0, ∞)`.
 //!
-//! The graph is built with [`GraphBuilder`] and frozen into a
-//! [`ReinforcementGraph`], which stores each adjacency direction in CSR
-//! form — one offsets array plus one contiguous [`Edge`] array per
-//! direction — so a solver sweep walks packed memory instead of chasing
-//! per-vertex `Vec` allocations. It also precomputes the degree sums both
-//! walks need:
+//! A [`ReinforcementGraph`] stores each adjacency direction in CSR form —
+//! one offsets array plus one contiguous [`Edge`] array per direction — so
+//! a solver sweep walks packed memory instead of chasing per-vertex `Vec`
+//! allocations. Both phases weigh every edge 1 and freeze their graphs
+//! with [`ReinforcementGraph::from_unit_rows`], which takes each query's
+//! page and template rows and transposes them once. [`GraphBuilder`]
+//! takes edges one at a time with any weight; it is the general-weight
+//! reference the tests hold the row constructor to. The frozen graph
+//! also precomputes the degree sums both walks need:
 //!
 //! * receiver-side sums (a vertex's own total incident weight per neighbor
 //!   class) — the precision walk's normalizers (Eq. 6/8/15/17);
@@ -20,10 +23,10 @@
 //!   walk's per-edge division happens once at build time instead of once
 //!   per edge per solver sweep.
 //!
-//! Per-vertex neighbor order is the builder's insertion order (the CSR
-//! fill is a stable counting sort), so float summation order — and hence
-//! the solver's bit-exact output — is identical to the former nested-`Vec`
-//! layout.
+//! Per-vertex neighbor order is the rows' order, or the builder's
+//! insertion order (the CSR fill is a stable counting sort), so float
+//! summation order — and hence the solver's bit-exact output — is fixed
+//! by the caller's edge order.
 
 /// Index of a page vertex within a graph.
 pub type PageIdx = u32;
@@ -61,14 +64,6 @@ impl GraphBuilder {
             pq: Vec::new(),
             qt: Vec::new(),
         }
-    }
-
-    /// Pre-size the edge lists (the incremental entity phase knows the
-    /// exact edge count up front).
-    pub fn reserve(&mut self, pq_edges: usize, qt_edges: usize) -> &mut Self {
-        self.pq.reserve(pq_edges);
-        self.qt.reserve(qt_edges);
-        self
     }
 
     /// Add a page–query edge (`q` can retrieve `p`) with weight `w`.
@@ -110,8 +105,6 @@ impl GraphBuilder {
 
     /// Freeze into an immutable graph.
     pub fn build(self) -> ReinforcementGraph {
-        let n_edges = self.pq.len() + self.qt.len();
-
         let mut page_deg = vec![0.0; self.n_pages];
         let mut query_page_deg = vec![0.0; self.n_queries];
         let mut query_template_deg = vec![0.0; self.n_queries];
@@ -125,43 +118,30 @@ impl GraphBuilder {
             template_deg[t as usize] += w;
         }
 
-        let (page_query_off, page_query_adj) = csr(self.n_pages, &self.pq, |&(p, q, w)| (p, q, w));
-        let (query_page_off, query_page_adj) =
-            csr(self.n_queries, &self.pq, |&(p, q, w)| (q, p, w));
-        let (query_template_off, query_template_adj) =
-            csr(self.n_queries, &self.qt, |&(q, t, w)| (q, t, w));
-        let (template_query_off, template_query_adj) =
-            csr(self.n_templates, &self.qt, |&(q, t, w)| (t, q, w));
-
         // Sender-normalized weights (`w / sender_degree`, the recall
         // walk's per-edge coefficient) are graph constants: hoisting the
         // division out of the solver turns ~100 divisions per edge per
         // solve into one, without changing a single result bit — the
         // same quotient just gets computed once.
-        let page_query_nrm = normalized(&page_query_adj, &query_page_deg);
-        let query_page_nrm = normalized(&query_page_adj, &page_deg);
-        let query_template_nrm = normalized(&query_template_adj, &template_deg);
-        let template_query_nrm = normalized(&template_query_adj, &query_template_deg);
-
-        ReinforcementGraph {
-            page_query_off,
-            page_query_adj,
-            page_query_nrm,
-            query_page_off,
-            query_page_adj,
-            query_page_nrm,
-            query_template_off,
-            query_template_adj,
-            query_template_nrm,
-            template_query_off,
-            template_query_adj,
-            template_query_nrm,
-            page_deg,
-            query_page_deg,
-            query_template_deg,
-            template_deg,
-            n_edges,
-        }
+        let direction = |(off, adj): (Vec<u32>, Vec<Edge>), sender_deg: &[f64]| Direction {
+            nrm: normalized(&adj, sender_deg),
+            off,
+            adj,
+            deg: Vec::new(),
+        };
+        let pq = csr(self.n_pages, &self.pq, |&(p, q, w)| (p, q, w));
+        let qp = csr(self.n_queries, &self.pq, |&(p, q, w)| (q, p, w));
+        let qt = csr(self.n_queries, &self.qt, |&(q, t, w)| (q, t, w));
+        let tq = csr(self.n_templates, &self.qt, |&(q, t, w)| (t, q, w));
+        let mut page_query = direction(pq, &query_page_deg);
+        let mut query_page = direction(qp, &page_deg);
+        let mut query_template = direction(qt, &template_deg);
+        let mut template_query = direction(tq, &query_template_deg);
+        page_query.deg = page_deg;
+        query_page.deg = query_page_deg;
+        query_template.deg = query_template_deg;
+        template_query.deg = template_deg;
+        ReinforcementGraph::from_directions(query_page, page_query, query_template, template_query)
     }
 }
 
@@ -204,8 +184,102 @@ fn csr<T>(n_src: usize, edges: &[T], key: impl Fn(&T) -> (u32, u32, f64)) -> (Ve
     (off, adj)
 }
 
+/// Query-major adjacency rows: row `q` is `to[off[q]..off[q + 1]]`, the
+/// neighbours of query `q` in edge order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct QueryRows {
+    /// Row offsets, one more than there are queries; `off[0] == 0`.
+    pub off: Vec<u32>,
+    /// Neighbour indices, row after row.
+    pub to: Vec<u32>,
+}
+
+impl QueryRows {
+    /// No rows yet: push each row's neighbours, then [`QueryRows::end_row`].
+    pub fn with_capacity(rows: usize, edges: usize) -> Self {
+        let mut off = Vec::with_capacity(rows + 1);
+        off.push(0);
+        Self {
+            off,
+            to: Vec::with_capacity(edges),
+        }
+    }
+
+    /// Row `q`.
+    pub fn row(&self, q: usize) -> &[u32] {
+        &self.to[self.off[q] as usize..self.off[q + 1] as usize]
+    }
+
+    /// Close the current row.
+    pub fn end_row(&mut self) {
+        assert!(
+            self.to.len() <= u32::MAX as usize,
+            "edge count overflows CSR"
+        );
+        self.off.push(self.to.len() as u32);
+    }
+
+    /// Both directions of these unit-weight rows: the rows themselves
+    /// and their transpose over `n_dst` neighbours (each neighbour's
+    /// rows, ascending). Degrees are edge counts, exactly the sums of
+    /// unit weights a [`GraphBuilder`] forms.
+    fn freeze(self, n_dst: usize) -> (Direction, Direction) {
+        assert_eq!(self.off.first(), Some(&0), "rows must start at offset 0");
+        let mut dst_off = vec![0u32; n_dst + 1];
+        for &d in &self.to {
+            assert!((d as usize) < n_dst, "neighbour index {d} out of range");
+            dst_off[d as usize + 1] += 1;
+        }
+        for i in 1..dst_off.len() {
+            dst_off[i] += dst_off[i - 1];
+        }
+        let mut cursor: Vec<u32> = dst_off[..n_dst].to_vec();
+        let mut dst_adj = vec![Edge { to: 0, weight: 1.0 }; self.to.len()];
+        for (q, w) in self.off.windows(2).enumerate() {
+            for &d in &self.to[w[0] as usize..w[1] as usize] {
+                let slot = &mut cursor[d as usize];
+                dst_adj[*slot as usize].to = q as u32;
+                *slot += 1;
+            }
+        }
+        let degrees =
+            |off: &[u32]| -> Vec<f64> { off.windows(2).map(|w| f64::from(w[1] - w[0])).collect() };
+        let (row_deg, dst_deg) = (degrees(&self.off), degrees(&dst_off));
+        // Unit weights: each coefficient is 1 / (the sender's degree).
+        let rows = Direction {
+            adj: self
+                .to
+                .iter()
+                .map(|&d| Edge { to: d, weight: 1.0 })
+                .collect(),
+            nrm: self.to.iter().map(|&d| 1.0 / dst_deg[d as usize]).collect(),
+            off: self.off,
+            deg: row_deg,
+        };
+        let transposed = Direction {
+            nrm: dst_adj
+                .iter()
+                .map(|e| 1.0 / rows.deg[e.to as usize])
+                .collect(),
+            off: dst_off,
+            adj: dst_adj,
+            deg: dst_deg,
+        };
+        (rows, transposed)
+    }
+}
+
+/// One adjacency direction of a frozen side: CSR offsets and edges,
+/// sender-normalized coefficients, and each source's degree.
+struct Direction {
+    off: Vec<u32>,
+    adj: Vec<Edge>,
+    nrm: Vec<f64>,
+    deg: Vec<f64>,
+}
+
 /// Frozen tripartite reinforcement graph in CSR form with degree caches.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ReinforcementGraph {
     page_query_off: Vec<u32>,
     page_query_adj: Vec<Edge>,
@@ -236,6 +310,59 @@ fn slice_of<'a>(off: &[u32], adj: &'a [Edge], v: usize) -> &'a [Edge] {
 }
 
 impl ReinforcementGraph {
+    /// Freeze unit-weight query-major rows: row `q` of `pages` lists the
+    /// pages query `q` retrieves and row `q` of `templates` the templates
+    /// abstracting it, each in edge order (a row may repeat a neighbour,
+    /// which adds a parallel edge). Each side is transposed once. The
+    /// result equals, field for field, a [`GraphBuilder`] fed the same
+    /// edges query-major with weight 1.
+    ///
+    /// # Panics
+    /// On rows of unequal count and on out-of-range neighbours.
+    pub fn from_unit_rows(
+        n_pages: usize,
+        n_templates: usize,
+        pages: QueryRows,
+        templates: QueryRows,
+    ) -> Self {
+        assert_eq!(
+            pages.off.len(),
+            templates.off.len(),
+            "one page and one template row per query"
+        );
+        let (query_page, page_query) = pages.freeze(n_pages);
+        let (query_template, template_query) = templates.freeze(n_templates);
+        Self::from_directions(query_page, page_query, query_template, template_query)
+    }
+
+    /// The graph of its four frozen adjacency directions.
+    fn from_directions(
+        query_page: Direction,
+        page_query: Direction,
+        query_template: Direction,
+        template_query: Direction,
+    ) -> Self {
+        Self {
+            n_edges: query_page.adj.len() + query_template.adj.len(),
+            page_query_off: page_query.off,
+            page_query_adj: page_query.adj,
+            page_query_nrm: page_query.nrm,
+            query_page_off: query_page.off,
+            query_page_adj: query_page.adj,
+            query_page_nrm: query_page.nrm,
+            query_template_off: query_template.off,
+            query_template_adj: query_template.adj,
+            query_template_nrm: query_template.nrm,
+            template_query_off: template_query.off,
+            template_query_adj: template_query.adj,
+            template_query_nrm: template_query.nrm,
+            page_deg: page_query.deg,
+            query_page_deg: query_page.deg,
+            query_template_deg: query_template.deg,
+            template_deg: template_query.deg,
+        }
+    }
+
     /// Number of page vertices.
     pub fn n_pages(&self) -> usize {
         self.page_query_off.len() - 1

@@ -24,6 +24,8 @@ pub mod bounds;
 pub mod graph;
 pub mod solver;
 
-pub use bounds::FusedTruncatedSolver;
-pub use graph::{Edge, GraphBuilder, PageIdx, QueryIdx, ReinforcementGraph, TemplateIdx};
+pub use bounds::{FusedSolution, FusedTruncatedSolver, Interleaved, QueryClasses};
+pub use graph::{
+    Edge, GraphBuilder, PageIdx, QueryIdx, QueryRows, ReinforcementGraph, TemplateIdx,
+};
 pub use solver::{solve, solve_detailed, Regularization, Utilities, UtilityKind, WalkConfig};

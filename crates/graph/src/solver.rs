@@ -674,9 +674,9 @@ mod tests {
         cfg: &WalkConfig,
         warms: [Option<Utilities>; 3],
     ) -> [(Utilities, usize); 3] {
-        let mut s = crate::FusedTruncatedSolver::new(g, regs.clone(), cfg, warms);
+        let mut s = crate::bounds::tests::fused(g, regs.clone(), cfg, warms);
         s.run_to_completion();
-        s.finish()
+        crate::bounds::tests::per_walk(s.finish())
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! (page–query–template) graphs with weighted edges.
 
 use l2q_graph::{
-    solve, solve_detailed, FusedTruncatedSolver, GraphBuilder, Regularization, Utilities,
-    UtilityKind, WalkConfig,
+    solve, solve_detailed, FusedSolution, FusedTruncatedSolver, GraphBuilder, Interleaved,
+    QueryClasses, QueryRows, Regularization, ReinforcementGraph, Utilities, UtilityKind,
+    WalkConfig,
 };
 use proptest::prelude::*;
 
@@ -153,6 +154,47 @@ fn exact(g: &l2q_graph::ReinforcementGraph, reg: &Regularization) -> Utilities {
     solve_detailed(g, UtilityKind::Recall, reg, &tight, None).0
 }
 
+/// The fused solver on per-walk regularizations and warm starts (each
+/// walk starts at its warm start, else at its regularization, as a solo
+/// solve does), over the canonical classes.
+fn fused(
+    g: &ReinforcementGraph,
+    regs: [Regularization; 3],
+    cfg: &WalkConfig,
+    warms: [Option<Utilities>; 3],
+) -> FusedTruncatedSolver {
+    let mut warms = warms.into_iter();
+    let starts = regs.clone().map(|reg| match warms.next().flatten() {
+        Some(u) => Regularization {
+            pages: u.pages,
+            queries: u.queries,
+            templates: u.templates,
+        },
+        None => reg,
+    });
+    let (reg, start) = (
+        Interleaved::from_walks(&regs),
+        Interleaved::from_walks(&starts),
+    );
+    let classes = QueryClasses::canonical(g, &start.queries, &reg.queries);
+    FusedTruncatedSolver::with_classes(g, reg, start, classes, cfg)
+}
+
+/// A finished fused solve as one `(utilities, sweeps)` per walk.
+fn per_walk(sol: FusedSolution) -> [(Utilities, usize); 3] {
+    std::array::from_fn(|w| {
+        let lane = |block: &[[f64; 3]]| block.iter().map(|x| x[w]).collect();
+        let u = Utilities {
+            pages: lane(&sol.pages),
+            queries: (0..sol.query_classes.class_of().len())
+                .map(|q| sol.query(q)[w])
+                .collect(),
+            templates: lane(&sol.templates),
+        };
+        (u, sol.sweeps[w])
+    })
+}
+
 /// A class-level quantity of a fused solve spread over the query
 /// vertices.
 fn per_query(s: &FusedTruncatedSolver, f: impl Fn(usize) -> f64) -> Vec<f64> {
@@ -167,7 +209,7 @@ fn static_bounds(
     cfg: &WalkConfig,
 ) -> Vec<f64> {
     let regs = [reg.clone(), reg.clone(), reg.clone()];
-    let s = FusedTruncatedSolver::new(g, regs, cfg, [None, None, None]);
+    let s = fused(g, regs, cfg, [None, None, None]);
     per_query(&s, |c| s.class_bounds(c)[0])
 }
 
@@ -243,7 +285,7 @@ proptest! {
         let cfg = WalkConfig::default();
         let regs = walk_regs(&g, &rel);
         let fixpoints: Vec<Utilities> = regs.iter().map(|r| exact(&g, r)).collect();
-        let s = FusedTruncatedSolver::new(&g, regs, &cfg, [None, None, None]);
+        let s = fused(&g, regs, &cfg, [None, None, None]);
         assert_tails_dominate(s, &fixpoints)?;
     }
 
@@ -271,7 +313,7 @@ proptest! {
             *v = (*v + noise[i % noise.len()]).max(0.0);
         }
         let warms = [Some(bad), None, Some(fixpoints[2].clone())];
-        let s = FusedTruncatedSolver::new(&g, regs, &cfg, warms);
+        let s = fused(&g, regs, &cfg, warms);
         assert_tails_dominate(s, &fixpoints)?;
     }
 }
@@ -330,9 +372,9 @@ proptest! {
         let mixed = [Some(warm), Some(cold[1].0.clone()), None];
         for (warms, is_mixed) in [([None, None, None], false), (mixed, true)] {
             let want = solo_solves(&g, &regs, &cfg, warms.clone());
-            let mut s = FusedTruncatedSolver::new(&g, regs.clone(), &cfg, warms);
+            let mut s = fused(&g, regs.clone(), &cfg, warms);
             s.run_to_completion();
-            let got = s.finish();
+            let got = per_walk(s.finish());
             if is_mixed {
                 prop_assert!(
                     got.iter().any(|(_, n)| *n != got[0].1),
@@ -410,10 +452,10 @@ proptest! {
             let mut n_classes = Vec::new();
             for warms in [[None, None, None], warms] {
                 let want = solo_solves(&g, &regs, &cfg, warms.clone());
-                let mut s = FusedTruncatedSolver::new(&g, regs.clone(), &cfg, warms);
+                let mut s = fused(&g, regs.clone(), &cfg, warms);
                 n_classes.push(s.n_classes());
                 s.run_to_completion();
-                let got = s.finish();
+                let got = per_walk(s.finish());
                 for (i, ((gu, gs), (wu, ws))) in got.iter().zip(&want).enumerate() {
                     prop_assert_eq!(gs, ws, "system {}: sweep counts diverged", i);
                     prop_assert!(bits(gu) == bits(wu), "system {}: utilities diverged", i);
@@ -457,4 +499,84 @@ fn zero_weight_edges_leave_bounds_at_the_disconnected_value() {
     assert_eq!(u.queries[1], ub1[1]);
     assert_eq!(ub1[2], cfg.alpha * 0.7);
     assert_eq!(u.queries[2], ub1[2]);
+}
+
+/// Random query-major unit-weight rows: `(n_pages, n_templates, page
+/// rows, template rows)`. Rows may be empty and may repeat a neighbour;
+/// the last page and the last template are never listed.
+fn arb_unit_rows() -> impl Strategy<Value = (usize, usize, Vec<Vec<u32>>, Vec<Vec<u32>>)> {
+    (1usize..8, 1usize..5, 0usize..12).prop_flat_map(|(np, nt, nq)| {
+        let pages = proptest::collection::vec(proptest::collection::vec(0..np as u32, 0..np), nq);
+        let templates =
+            proptest::collection::vec(proptest::collection::vec(0..nt as u32, 0..3), nq);
+        (Just(np + 1), Just(nt + 1), pages, templates)
+    })
+}
+
+/// A [`GraphBuilder`] fed `pages` and `templates` query-major with
+/// weight 1.
+fn builder_of_rows(
+    np: usize,
+    nt: usize,
+    pages: &[Vec<u32>],
+    templates: &[Vec<u32>],
+) -> ReinforcementGraph {
+    let mut b = GraphBuilder::new(np, pages.len(), nt);
+    for (q, row) in pages.iter().enumerate() {
+        for &p in row {
+            b.page_query(p, q as u32, 1.0);
+        }
+    }
+    for (q, row) in templates.iter().enumerate() {
+        for &t in row {
+            b.query_template(q as u32, t, 1.0);
+        }
+    }
+    b.build()
+}
+
+fn rows_of(rows: &[Vec<u32>]) -> QueryRows {
+    let mut r = QueryRows::with_capacity(rows.len(), rows.iter().map(Vec::len).sum());
+    for row in rows {
+        r.to.extend_from_slice(row);
+        r.end_row();
+    }
+    r
+}
+
+proptest! {
+    /// The row-based constructor equals a `GraphBuilder` fed the same
+    /// edges query-major with weight 1, field for field.
+    #[test]
+    fn unit_rows_equal_the_builder_field_for_field(
+        (np, nt, pages, templates) in arb_unit_rows(),
+        repeat in any::<bool>(),
+    ) {
+        let mut templates = templates;
+        if repeat {
+            // A repeated template id (a parallel edge) on the first row.
+            if let Some(row) = templates.first_mut() {
+                row.extend([0, 0]);
+            }
+        }
+        let want = builder_of_rows(np, nt, &pages, &templates);
+        let got = ReinforcementGraph::from_unit_rows(np, nt, rows_of(&pages), rows_of(&templates));
+        prop_assert_eq!(&got, &want);
+        prop_assert!(got.page_queries(np - 1).is_empty(), "an unlisted page has no edge");
+        prop_assert!(got.template_queries(nt - 1).is_empty());
+    }
+}
+
+/// Empty rows, a repeated template id and pages no query reaches, spelled
+/// out: the row-based graph equals the builder's.
+#[test]
+fn unit_rows_cover_empty_rows_repeats_and_unreached_pages() {
+    let pages = vec![vec![0, 2], vec![], vec![2], vec![]];
+    let templates = vec![vec![1, 1], vec![0], vec![], vec![]];
+    let g = ReinforcementGraph::from_unit_rows(4, 3, rows_of(&pages), rows_of(&templates));
+    assert_eq!(g, builder_of_rows(4, 3, &pages, &templates));
+    assert_eq!(g.template_deg, [1.0, 2.0, 0.0]);
+    assert_eq!(g.query_templates_nrm(0), [0.5, 0.5]);
+    assert!(g.page_queries(1).is_empty() && g.page_queries(3).is_empty());
+    assert_eq!(g.n_edges(), 6);
 }
