@@ -8,7 +8,6 @@
 //! * [`Logistic`] — a maximum-entropy model, the non-sequential core of the
 //!   paper's CRF classifiers (paragraph classification is not a sequence-
 //!   labelling task, so the linear-chain structure contributes nothing);
-//! * [`NaiveBayes`] — a fast baseline for cross-checking;
 //! * [`trainer`] — per-aspect training over a corpus with held-out
 //!   accuracy (reproducing Fig. 9's accuracy column);
 //! * [`RelevanceOracle`] — the materialized Y: page-level relevance for
@@ -19,12 +18,10 @@
 
 pub mod classifier;
 pub mod logistic;
-pub mod naive_bayes;
 pub mod oracle;
 pub mod trainer;
 
 pub use classifier::{accuracy, prf, BinaryClassifier, Example, Prf};
 pub use logistic::{Logistic, LogisticParams};
-pub use naive_bayes::NaiveBayes;
 pub use oracle::RelevanceOracle;
-pub use trainer::{train_aspect_models, train_one, AspectModel, ModelKind, TrainConfig};
+pub use trainer::{train_aspect_models, train_one, AspectModel, TrainConfig};

@@ -12,28 +12,15 @@
 
 use crate::classifier::{accuracy, prf, BinaryClassifier, Example, Prf};
 use crate::logistic::{Logistic, LogisticParams};
-use crate::naive_bayes::NaiveBayes;
 use l2q_corpus::{AspectId, Corpus};
 use l2q_text::Bow;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Which model family to train.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ModelKind {
-    /// Maximum-entropy / logistic regression (default; the CRF stand-in).
-    #[default]
-    Logistic,
-    /// Multinomial Naive Bayes.
-    NaiveBayes,
-}
-
-/// Training configuration.
+/// Training configuration of the logistic model (the CRF stand-in).
 #[derive(Clone, Copy, Debug)]
 pub struct TrainConfig {
-    /// Model family.
-    pub kind: ModelKind,
     /// Fraction of paragraphs used for training (rest evaluates accuracy).
     pub train_fraction: f64,
     /// Cap on negative examples per positive in the *training* split
@@ -41,14 +28,13 @@ pub struct TrainConfig {
     pub max_neg_per_pos: usize,
     /// Split/shuffle seed.
     pub seed: u64,
-    /// Logistic hyper-parameters (ignored for NB).
+    /// Logistic hyper-parameters.
     pub logistic: LogisticParams,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
         Self {
-            kind: ModelKind::default(),
             train_fraction: 0.7,
             max_neg_per_pos: 4,
             seed: 17,
@@ -69,20 +55,12 @@ pub struct AspectModel {
     pub train_size: usize,
     /// Number of evaluation examples.
     pub eval_size: usize,
-    clf: ModelImpl,
-}
-
-enum ModelImpl {
-    Logistic(Logistic),
-    NaiveBayes(NaiveBayes),
+    clf: Logistic,
 }
 
 impl BinaryClassifier for AspectModel {
     fn prob(&self, bow: &Bow) -> f64 {
-        match &self.clf {
-            ModelImpl::Logistic(m) => m.prob(bow),
-            ModelImpl::NaiveBayes(m) => m.prob(bow),
-        }
+        self.clf.prob(bow)
     }
 }
 
@@ -126,10 +104,7 @@ pub fn train_one(corpus: &Corpus, aspect: AspectId, config: &TrainConfig) -> Asp
         }
     }
 
-    let clf = match config.kind {
-        ModelKind::Logistic => ModelImpl::Logistic(Logistic::train(&train, config.logistic)),
-        ModelKind::NaiveBayes => ModelImpl::NaiveBayes(NaiveBayes::train(&train)),
-    };
+    let clf = Logistic::train(&train, config.logistic);
 
     let model = AspectModel {
         aspect,
@@ -172,18 +147,6 @@ mod tests {
             assert!(m.train_size > 0);
             assert!(m.eval_size > 0);
         }
-    }
-
-    #[test]
-    fn naive_bayes_variant_also_trains() {
-        let c = corpus();
-        let cfg = TrainConfig {
-            kind: ModelKind::NaiveBayes,
-            ..Default::default()
-        };
-        let research = c.aspect_by_name("RESEARCH").unwrap();
-        let m = train_one(&c, research, &cfg);
-        assert!(m.accuracy >= 0.8, "NB accuracy {:.3}", m.accuracy);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the classifier substrate.
 
-use l2q_aspect::{accuracy, prf, BinaryClassifier, Example, Logistic, NaiveBayes};
+use l2q_aspect::{accuracy, prf, BinaryClassifier, Example, Logistic};
 use l2q_text::{Bow, Sym};
 use proptest::prelude::*;
 
@@ -20,18 +20,15 @@ fn arb_examples() -> impl Strategy<Value = Vec<Example>> {
 }
 
 proptest! {
-    /// Both classifiers always emit probabilities in [0, 1] on arbitrary
+    /// The classifier always emits probabilities in [0, 1] on arbitrary
     /// training data and arbitrary inputs.
     #[test]
     fn probabilities_are_bounded(data in arb_examples(),
                                  input in proptest::collection::vec(0u32..24, 0..16)) {
         let bow: Bow = input.into_iter().map(Sym).collect();
-        let nb = NaiveBayes::train(&data);
-        let lr = Logistic::train_default(&data);
-        for p in [nb.prob(&bow), lr.prob(&bow)] {
-            prop_assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
-            prop_assert!(p.is_finite());
-        }
+        let p = Logistic::train_default(&data).prob(&bow);
+        prop_assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
+        prop_assert!(p.is_finite());
     }
 
     /// Accuracy and PRF metrics are within [0, 1] and mutually consistent:
@@ -51,7 +48,7 @@ proptest! {
     }
 
     /// Perfectly separable data (a disjoint marker word per class) is
-    /// learned exactly by both models.
+    /// learned exactly.
     #[test]
     fn separable_data_is_learned(n in 4usize..30) {
         let mut data = Vec::new();
@@ -65,9 +62,7 @@ proptest! {
                 label: false,
             });
         }
-        let nb = NaiveBayes::train(&data);
         let lr = Logistic::train_default(&data);
-        prop_assert_eq!(accuracy(&nb, &data), 1.0);
         prop_assert_eq!(accuracy(&lr, &data), 1.0);
     }
 }

@@ -2,7 +2,7 @@
 //! graphs (the per-iteration cost is O(|V| + |E|), paper Sect. III).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use l2q_graph::{solve, GraphBuilder, Regularization, UtilityKind, WalkConfig};
+use l2q_graph::{solve, GraphBuilder, Phase, Regularization, UtilityKind, WalkConfig};
 
 /// Build a synthetic tripartite graph: `n` pages, 4n queries, n/2
 /// templates, ~3 edges per query.
@@ -38,11 +38,11 @@ fn bench_solver(c: &mut Criterion) {
         let cfg = WalkConfig::default();
         group.bench_with_input(BenchmarkId::new("precision", n), &n, |bench, _| {
             let reg = Regularization::precision_from_relevance(&g, &relevant);
-            bench.iter(|| solve(&g, UtilityKind::Precision, &reg, &cfg));
+            bench.iter(|| solve(&g, UtilityKind::Precision, &reg, &cfg, Phase::Entity));
         });
         group.bench_with_input(BenchmarkId::new("recall", n), &n, |bench, _| {
             let reg = Regularization::recall_from_relevance(&g, &relevant);
-            bench.iter(|| solve(&g, UtilityKind::Recall, &reg, &cfg));
+            bench.iter(|| solve(&g, UtilityKind::Recall, &reg, &cfg, Phase::Entity));
         });
     }
     group.finish();

@@ -2,14 +2,18 @@
 //! Fig. 14 "Selection" column as a microbenchmark — with comparison
 //! groups for the incremental/warm/pruned hot path:
 //!
+//! * `select_*` — one selection by a fresh selector, i.e. a build from
+//!   an empty candidate table (a session's first step).
 //! * `selection_step/{cold,incremental,pruned}` — median ns per harvest
-//!   step under the cold-serial path, the incremental + warm-start path
-//!   with context walks solved to convergence, and the bound-and-prune
-//!   path (certified early-stopped walk solves over the incremental
-//!   path; the default configuration).
+//!   step under the cold serial path (the selector restarted before
+//!   every step: an empty-table build and cold walks, no pruning), the
+//!   carried table with warm starts and context walks solved to
+//!   convergence, and the bound-and-prune path (certified early-stopped
+//!   walk solves over the carried table; the default configuration).
 //! * `context_walks` — the three context walks of one selection, solved
 //!   to convergence by the fused solver.
-//! * exact solver sweeps per solve, cold vs warm-started.
+//! * exact solver sweeps per solve, cold vs warm-started, and the share
+//!   of each that stops at the sweep cap (`WalkConfig::max_iters`).
 //! * query classes per query vertex over every fused solve of the run
 //!   (`graph_fused_classes_total` / `graph_fused_queries_total`).
 //!
@@ -105,7 +109,15 @@ fn bench<F: FnMut()>(name: &str, samples: usize, mut routine: F) -> (String, u12
 /// Drive full harvest sessions under `cfg` and return the wall-clock of
 /// every *advancing* step (selection + fire + bookkeeping). The median is
 /// dominated by warm steps when the budget allows several iterations.
-fn step_times(f: &Fixture, domain: &DomainModel, cfg: L2qConfig, sessions: usize) -> Vec<u128> {
+/// With `restarted`, each step runs on a fresh selector that gets the
+/// previous Φ, as after a restore: an empty-table build, every walk cold.
+fn step_times(
+    f: &Fixture,
+    domain: &DomainModel,
+    cfg: L2qConfig,
+    restarted: bool,
+    sessions: usize,
+) -> Vec<u128> {
     let engine = SearchEngine::with_defaults(f.corpus.clone());
     let harvester = Harvester {
         corpus: &f.corpus,
@@ -122,6 +134,13 @@ fn step_times(f: &Fixture, domain: &DomainModel, cfg: L2qConfig, sessions: usize
         sel.reset();
         let mut state = HarvestState::begin(&harvester, entity, aspect);
         loop {
+            if restarted {
+                let phi = sel.collective_state();
+                sel = L2qSelector::l2qbal();
+                if let Some(phi) = phi {
+                    sel.restore_collective(phi);
+                }
+            }
             let t0 = Instant::now();
             let outcome = state.step(&harvester, &mut sel);
             let dt = t0.elapsed().as_nanos();
@@ -134,12 +153,13 @@ fn step_times(f: &Fixture, domain: &DomainModel, cfg: L2qConfig, sessions: usize
     out
 }
 
-/// Exact solver sweeps per walk solve while the page set grows through a
-/// persistent phase state. Two states run over the *same* page prefixes:
-/// one with warm starts disabled (every solve cold) and one with the
-/// default warm path — so cold and warm sweeps are compared at matched
-/// graph sizes. The first build (no previous fixpoint to start from, so
-/// cold in both states) is excluded. Returns `(cold, warm)` sweep counts.
+/// Exact solver sweeps per walk solve while the page set grows. Both
+/// sides build over the *same* page prefixes: one from a fresh table each
+/// time (every solve cold) and one through a persistent table (warm
+/// starts from the previous build's solves) — so cold and warm sweeps
+/// are compared at matched graph sizes. The first build (no previous
+/// fixpoint to start from, so cold on both sides) is excluded. Returns
+/// `(cold, warm)` sweep counts.
 fn sweep_counts(f: &Fixture, cfg: &L2qConfig) -> (Vec<u64>, Vec<u64>) {
     let aspect = f.corpus.aspect_by_name("RESEARCH").unwrap();
     let entity = EntityId(f.corpus.entity_ids().count() as u32 - 2);
@@ -148,20 +168,15 @@ fn sweep_counts(f: &Fixture, cfg: &L2qConfig) -> (Vec<u64>, Vec<u64>) {
     let fired = vec![seed];
     let mut stops = StopwordCache::new();
 
-    let cold_cfg = cfg.with_warm_start(false);
-    let warm_cfg = *cfg;
-    let mut state_cold = EntityPhaseState::new();
     let mut state_warm = EntityPhaseState::new();
     let mut cold = Vec::new();
     let mut warm = Vec::new();
     for (i, k) in (2..=all_pages.len()).enumerate() {
         let pages = &all_pages[..k];
-        for (state, run_cfg, into) in [
-            (&mut state_cold, &cold_cfg, &mut cold),
-            (&mut state_warm, &warm_cfg, &mut warm),
-        ] {
+        let mut fresh = EntityPhaseState::new();
+        for (state, into) in [(&mut fresh, &mut cold), (&mut state_warm, &mut warm)] {
             let candidates =
-                l2q_core::selector::page_candidates(&f.corpus, pages, &fired, run_cfg, &mut stops);
+                l2q_core::selector::page_candidates(&f.corpus, pages, &fired, cfg, &mut stops);
             let phase = EntityPhase::build_incremental(
                 &f.corpus,
                 aspect,
@@ -171,7 +186,7 @@ fn sweep_counts(f: &Fixture, cfg: &L2qConfig) -> (Vec<u64>, Vec<u64>) {
                 &fired,
                 None,
                 true,
-                run_cfg,
+                cfg,
                 state,
             );
             let _ = phase.precision_with(Some(state));
@@ -192,6 +207,12 @@ fn median_u64(mut v: Vec<u64>) -> u64 {
     }
     v.sort_unstable();
     v[v.len() / 2]
+}
+
+/// Share of `sweeps` that stopped at the sweep cap `max_iters`.
+fn maxed_share(sweeps: &[u64], max_iters: usize) -> f64 {
+    let maxed = sweeps.iter().filter(|&&s| s >= max_iters as u64).count();
+    maxed as f64 / sweeps.len().max(1) as f64
 }
 
 /// Bit-identity spot check for the JSON artifact: the pruned and
@@ -262,9 +283,9 @@ fn main() {
             l2q_core::selector::page_candidates(&f.corpus, &gathered, &fired, &f.cfg, &mut stops);
     }));
 
-    // Single-shot cold selections (backward-comparable with the seed:
-    // pruning is pinned off so these names keep measuring the same
-    // thing they always did).
+    // Single-shot selections by a fresh selector, so each builds from an
+    // empty table (a session's first step). Pruning is pinned off so
+    // these names keep measuring the unpruned solve.
     let unpruned_cfg = f.cfg.with_prune(false);
     let input = SelectionInput {
         corpus: &f.corpus,
@@ -278,7 +299,6 @@ fn main() {
         oracle: &f.oracle,
         engine: &engine,
         cfg: &unpruned_cfg,
-        phase_state: None,
     };
     results.push(bench("select_l2qp", samples, || {
         let mut sel = L2qSelector::l2qp();
@@ -319,14 +339,18 @@ fn main() {
         reg.counter("selection_exact_solves_total"),
     );
     let (pruned0, exact0) = (c_pruned.get(), c_exact.get());
-    for (name, cfg) in [
-        ("selection_step/cold", budget.cold_serial()),
-        ("selection_step/incremental", budget.with_prune(false)),
-        // Bound-and-prune over the incremental path — the
-        // apples-to-apples comparison for `selection_step/incremental`.
-        ("selection_step/pruned", budget.with_prune(true)),
+    for (name, cfg, restarted) in [
+        ("selection_step/cold", budget.with_prune(false), true),
+        (
+            "selection_step/incremental",
+            budget.with_prune(false),
+            false,
+        ),
+        // Bound-and-prune over the carried table — the apples-to-apples
+        // comparison for `selection_step/incremental`.
+        ("selection_step/pruned", budget.with_prune(true), false),
     ] {
-        let times = step_times(&f, &domain, cfg, sessions);
+        let times = step_times(&f, &domain, cfg, restarted, sessions);
         let n = times.len();
         let med = median_ns(times);
         println!("{name:<50} time: [{} median, {n} steps]", human(med));
@@ -366,10 +390,13 @@ fn main() {
 
     // Exact sweeps per solve, cold vs warm-started.
     let (cold_sweeps, warm_sweeps) = sweep_counts(&f, &f.cfg);
+    let max_iters = f.cfg.walk.max_iters;
+    let cold_maxed = maxed_share(&cold_sweeps, max_iters);
+    let warm_maxed = maxed_share(&warm_sweeps, max_iters);
     let cold_med = median_u64(cold_sweeps);
     let warm_med = median_u64(warm_sweeps);
-    println!("sweeps_per_solve/cold                              median: {cold_med}");
-    println!("sweeps_per_solve/warm                              median: {warm_med}");
+    println!("sweeps_per_solve/cold                              median: {cold_med}, at the {max_iters} cap: {cold_maxed:.3}");
+    println!("sweeps_per_solve/warm                              median: {warm_med}, at the {max_iters} cap: {warm_maxed:.3}");
 
     // The bit-identity contract, checked end to end on both domains.
     let trajectory_match_researchers = pruned_trajectory_matches(&researchers_domain());
@@ -403,6 +430,9 @@ fn main() {
             Value::Object(vec![
                 ("cold_median".into(), Value::Num(cold_med as f64)),
                 ("warm_median".into(), Value::Num(warm_med as f64)),
+                ("max_iters".into(), Value::Num(max_iters as f64)),
+                ("cold_maxed_share".into(), Value::Num(cold_maxed)),
+                ("warm_maxed_share".into(), Value::Num(warm_maxed)),
             ]),
         ),
         (

@@ -11,13 +11,13 @@
 //!
 //! Only the *decisions* are persisted: fired queries, per-step page gains
 //! and the collective-recall recursion state. The derived caches
-//! ([`crate::StopwordCache`], [`crate::IncrementalCandidates`], the
-//! incremental [`crate::EntityPhaseState`]) are rebuilt from scratch on
-//! the next step via the existing cold-path builders, which produce
-//! bit-identical structures for a given page prefix (the invariant proven
-//! by `incremental_enumeration_matches_batch_exactly` and the
-//! `determinism` integration suite) — so a restored session continues
-//! exactly as the uninterrupted one would.
+//! ([`crate::StopwordCache`], [`crate::IncrementalCandidates`], and the
+//! candidate table of the new selector the session is restored into) are
+//! rebuilt from scratch on the next step, and a build from scratch equals
+//! the carried one for a given page prefix (the invariant proven by
+//! `incremental_enumeration_matches_batch_exactly` and the `determinism`
+//! integration suite) — so a restored session continues exactly as the
+//! uninterrupted one would.
 //!
 //! Floats that must survive bit-for-bit (the collective state) are stored
 //! as 16-hex-digit IEEE-754 bit patterns, not JSON numbers: the vendored
@@ -25,7 +25,6 @@
 
 use crate::candidates::{IncrementalCandidates, StopwordCache};
 use crate::context::CollectiveState;
-use crate::entity_phase::EntityPhaseState;
 use crate::harvester::{HarvestState, IterationSnapshot, StopReason};
 use crate::portable::ImportError;
 use crate::query::Query;
@@ -33,7 +32,6 @@ use l2q_corpus::{Corpus, EntityId, PageId};
 use l2q_text::Sym;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Current checkpoint format version.
@@ -243,7 +241,6 @@ impl HarvestState {
 
         let mut fired = vec![seed];
         let mut iterations = Vec::with_capacity(p.iterations.len());
-        let mut barren_streak = 0usize;
         for it in &p.iterations {
             let query = resolve_query(&it.query, corpus)?;
             let mut new_pages = Vec::with_capacity(it.new_pages.len());
@@ -256,11 +253,6 @@ impl HarvestState {
                 }
                 gathered.push(pg);
                 new_pages.push(pg);
-            }
-            if new_pages.is_empty() {
-                barren_streak += 1;
-            } else {
-                barren_streak = 0;
             }
             fired.push(query.clone());
             iterations.push(IterationSnapshot {
@@ -289,10 +281,8 @@ impl HarvestState {
                 seen,
                 iterations,
                 selection_time: Duration::from_nanos(p.selection_time_nanos),
-                barren_streak,
                 stops: StopwordCache::new(),
                 enumerated: IncrementalCandidates::new(),
-                phase: Mutex::new(EntityPhaseState::new()),
                 finished,
             },
             collective,

@@ -23,27 +23,14 @@ pub struct L2qConfig {
     /// Number of queries per harvest beyond the seed (paper varies 2–5,
     /// default 3).
     pub n_queries: usize,
-    /// Practical extension: stop the harvest early after this many
-    /// *consecutive* queries that retrieved no new page (each fired query
-    /// costs time/money on a commercial API). `None` (default) keeps the
-    /// paper's fixed budget.
-    pub stop_after_barren: Option<usize>,
-    /// Carry an `EntityPhaseState` across harvest steps so each selection
-    /// diffs against the previous one instead of rebuilding the entity
-    /// graph from scratch. Output is bit-identical either way; this is
-    /// purely a speed knob (and the ablation switch for benches).
-    pub incremental_phase: bool,
-    /// Warm-start each walk's fixpoint solve from the previous step's
-    /// converged utilities. The walk update is a contraction, so a warm
-    /// start converges to the same fixpoint within the solver tolerance —
-    /// in far fewer sweeps.
-    pub warm_start: bool,
     /// Bound-and-prune the context-aware selection argmax: stop the walk
     /// solves early once certified error bounds prove the winner, instead
     /// of converging every candidate's utility to full tolerance. The
     /// pruned path certifies, never approximates — whenever the bounds
     /// cannot prove the winner it falls back to the exact solve — so the
-    /// fired-query sequence stays bit-identical to the unpruned path.
+    /// fired-query sequence stays bit-identical to the unpruned path,
+    /// which the determinism suite and the selection bench keep as their
+    /// reference.
     pub prune: bool,
 }
 
@@ -56,9 +43,6 @@ impl Default for L2qConfig {
             lambda: 10.0,
             r0: 0.3,
             n_queries: 3,
-            stop_after_barren: None,
-            incremental_phase: true,
-            warm_start: true,
             prune: true,
         }
     }
@@ -83,32 +67,10 @@ impl L2qConfig {
         self
     }
 
-    /// Builder-style override of the incremental-phase knob.
-    pub fn with_incremental_phase(mut self, on: bool) -> Self {
-        self.incremental_phase = on;
-        self
-    }
-
-    /// Builder-style override of the warm-start knob.
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
-    }
-
     /// Builder-style override of the bound-and-prune knob.
     pub fn with_prune(mut self, on: bool) -> Self {
         self.prune = on;
         self
-    }
-
-    /// The slowest selection path: from-scratch phase builds, cold
-    /// solver starts, and context walks solved to convergence without
-    /// pruning. The reference configuration for determinism tests and
-    /// cold-vs-incremental benches.
-    pub fn cold_serial(self) -> Self {
-        self.with_incremental_phase(false)
-            .with_warm_start(false)
-            .with_prune(false)
     }
 
     /// Validate ranges.
@@ -140,14 +102,7 @@ mod tests {
         assert_eq!(c.lambda, 10.0);
         assert_eq!(c.candidates.max_len, 3);
         assert_eq!(c.n_queries, 3);
-        assert!(c.incremental_phase && c.warm_start && c.prune);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn cold_serial_turns_every_speed_knob_off() {
-        let c = L2qConfig::default().cold_serial();
-        assert!(!c.incremental_phase && !c.warm_start && !c.prune);
+        assert!(c.prune);
         c.validate().unwrap();
     }
 

@@ -19,7 +19,7 @@ use crate::query::Query;
 use crate::template::{templates_of, Template};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId};
-use l2q_graph::{solve, QueryRows, Regularization, ReinforcementGraph, UtilityKind};
+use l2q_graph::{solve, Phase, QueryRows, Regularization, ReinforcementGraph, UtilityKind};
 use l2q_retrieval::{DocId, InvertedIndex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -333,9 +333,15 @@ pub fn learn_domain(
             .collect();
 
         let preg = Regularization::precision_from_relevance(&graph, &relevant);
-        let p = solve(&graph, UtilityKind::Precision, &preg, &cfg.walk);
+        let p = solve(
+            &graph,
+            UtilityKind::Precision,
+            &preg,
+            &cfg.walk,
+            Phase::Domain,
+        );
         let rreg = Regularization::recall_from_relevance(&graph, &relevant);
-        let r = solve(&graph, UtilityKind::Recall, &rreg, &cfg.walk);
+        let r = solve(&graph, UtilityKind::Recall, &rreg, &cfg.walk, Phase::Domain);
 
         let template_harvest = template_pages
             .iter()
@@ -378,7 +384,14 @@ pub fn learn_domain(
     // Aspect-independent Y* recall of templates.
     let all_relevant = vec![true; n_pages];
     let star_reg = Regularization::recall_from_relevance(&graph, &all_relevant);
-    let template_recall_star = solve(&graph, UtilityKind::Recall, &star_reg, &cfg.walk).templates;
+    let template_recall_star = solve(
+        &graph,
+        UtilityKind::Recall,
+        &star_reg,
+        &cfg.walk,
+        Phase::Domain,
+    )
+    .templates;
 
     // Frequent queries.
     let threshold = ((domain_entities.len() as f64 * cfg.candidates.min_entity_support_fraction)

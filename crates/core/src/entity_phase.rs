@@ -88,8 +88,8 @@ use crate::template::{templates_of, Template, TemplateMode};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, PageId};
 use l2q_graph::{
-    solve_detailed, FusedSolution, FusedTruncatedSolver, Interleaved, QueryClasses, QueryRows,
-    Regularization, ReinforcementGraph, Utilities, UtilityKind,
+    solve_detailed, FusedSolution, FusedTruncatedSolver, Interleaved, Phase, QueryClasses,
+    QueryRows, Regularization, ReinforcementGraph, Utilities, UtilityKind,
 };
 use l2q_text::Bow;
 use std::sync::{Arc, OnceLock};
@@ -196,9 +196,8 @@ fn child(trie: &mut FxHashMap<(u32, u32), u32>, node: u32, label: u32) -> u32 {
 /// the session's candidate table, with each vertex's last iterates (see
 /// the module docs).
 ///
-/// Owned by whoever owns the harvest loop (the harvester keeps one per
-/// session inside `HarvestState`); a default/empty state is always valid
-/// and simply makes the first build a full one.
+/// Owned by the session's [`crate::L2qSelector`]; a default/empty state
+/// is always valid and simply makes the first build a full one.
 #[derive(Debug, Default)]
 pub struct EntityPhaseState {
     key: Option<TableKey>,
@@ -630,7 +629,7 @@ impl<'a> EntityPhase<'a> {
         // A walk starts warm when it was solved on the previous build (so
         // `prev_gen > 0`, and a vertex that build had carries it).
         let warm: [bool; N_WALKS] =
-            std::array::from_fn(|w| cfg.warm_start && prev_gen > 0 && state.solved[w] == prev_gen);
+            std::array::from_fn(|w| prev_gen > 0 && state.solved[w] == prev_gen);
         let warming = warm.contains(&true);
 
         // Pool, page part: the carried slots, then the appended page
@@ -877,7 +876,8 @@ impl<'a> EntityPhase<'a> {
         let (kind, reg) = self.reg_for(walk);
         let warm = self.warm_vector(walk, &reg);
         let warmed = warm.is_some();
-        let (u, sweeps) = solve_detailed(&self.graph, kind, &reg, &self.cfg.walk, warm);
+        let (u, sweeps) =
+            solve_detailed(&self.graph, kind, &reg, &self.cfg.walk, warm, Phase::Entity);
         (u, sweeps, warmed)
     }
 
@@ -899,9 +899,8 @@ impl<'a> EntityPhase<'a> {
     /// Write a solve's iterates of `walks` back to the table this phase
     /// was built from, per page, slot and template slot, for the next
     /// build's warm starts. `page`, `query` and `template` give each
-    /// vertex's iterates in `walks` order. Nothing is kept with warm
-    /// starts off, for a cold build, or once the table has moved on
-    /// since this build.
+    /// vertex's iterates in `walks` order. Nothing is kept for a cold
+    /// build, or once the table has moved on since this build.
     fn remember<const K: usize>(
         &self,
         state: &mut EntityPhaseState,
@@ -913,7 +912,7 @@ impl<'a> EntityPhase<'a> {
         let Some(table) = self
             .table
             .as_ref()
-            .filter(|t| self.cfg.warm_start && t.generation == state.generation)
+            .filter(|t| t.generation == state.generation)
         else {
             return;
         };
@@ -1330,10 +1329,11 @@ mod tests {
     #[test]
     fn incremental_build_matches_cold_build_bitwise() {
         let (c, o) = setup();
-        // Warm starts off: this test isolates the incremental *assembly*;
-        // the warm-start path is covered separately (it converges to the
+        // The walks are solved without the table, so every build starts
+        // cold: this test isolates the incremental *assembly*; the
+        // warm-start path is covered separately (it converges to the
         // same fixpoint within tolerance, not bitwise).
-        let cfg = L2qConfig::default().with_warm_start(false);
+        let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
         assert!(all_pages.len() >= 6);
@@ -1380,7 +1380,7 @@ mod tests {
                 );
                 let label = format!("k={k} domain={}", domain.is_some());
                 assert_eq!(inc.relevant(), cold.relevant(), "{label}");
-                assert_same_phase(&c, &inc, &cold, &mut state, &label);
+                assert_same_phase(&c, &inc, &cold, &mut state, false, &label);
                 let pick = if i % 2 == 0 {
                     cold.candidates().first()
                 } else {
@@ -1400,7 +1400,6 @@ mod tests {
     fn warm_started_walks_converge_to_the_cold_fixpoint() {
         let (c, o) = setup();
         let cfg = L2qConfig::default();
-        assert!(cfg.warm_start, "warm starts are the default");
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
 
@@ -1619,13 +1618,15 @@ mod tests {
     }
 
     /// Two builds agree bit for bit: pool, graph, templates, classes and
-    /// every walk. `state` threads the incremental build's fixpoints, so
-    /// a table wrongly carried over would also show in its warm starts.
+    /// every walk. With `carry`, `state` threads the incremental build's
+    /// fixpoints, so a table wrongly carried over would also show in its
+    /// warm starts; without it the next build through `state` starts cold.
     fn assert_same_phase(
         corpus: &Corpus,
         inc: &EntityPhase<'_>,
         cold: &EntityPhase<'_>,
         state: &mut EntityPhaseState,
+        carry: bool,
         label: &str,
     ) {
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
@@ -1643,11 +1644,11 @@ mod tests {
             "{label}: classes"
         );
         assert_eq!(
-            bits(inc.precision_with(Some(state))),
+            bits(inc.precision_with(carry.then_some(&mut *state))),
             bits(cold.precision()),
             "{label}: precision"
         );
-        let (a, _) = inc.context_walks_certified(Some(state), |_| false);
+        let (a, _) = inc.context_walks_certified(carry.then_some(state), |_| false);
         let (b, _) = cold.context_walks_certified(None, |_| false);
         assert_eq!(bits(a.recall), bits(b.recall), "{label}: recall");
         assert_eq!(
@@ -1756,7 +1757,7 @@ mod tests {
                     true,
                     cfg,
                 );
-                assert_same_phase(&c, &inc, &cold, &mut state, label);
+                assert_same_phase(&c, &inc, &cold, &mut state, true, label);
                 assert_eq!(state.generation(), 1, "{label}: table carried over");
             }
         }
@@ -1766,7 +1767,7 @@ mod tests {
     #[test]
     fn phase_metrics_count_reuses_and_rebuilds() {
         let (c, o) = setup();
-        let cfg = L2qConfig::default().with_warm_start(false);
+        let cfg = L2qConfig::default();
         let aspect = c.aspect_by_name("RESEARCH").unwrap();
         let all_pages: Vec<PageId> = c.pages_of(EntityId(6)).iter().map(|p| p.id).collect();
         let m = phase_metrics();

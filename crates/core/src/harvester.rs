@@ -17,33 +17,28 @@
 //!   can route the fired queries through a retrieval cache by passing a
 //!   [`SearchBackend`].
 //!
-//! A session carries two caches across its steps (with
-//! `cfg.incremental_phase`, the default), so a step's selection
-//! bookkeeping is proportional to what changed since the previous step:
-//! the pages the last query gathered and the query it fired.
+//! A session keeps its page candidates live across its steps, so a
+//! step's enumeration is proportional to what changed since the previous
+//! step: [`IncrementalCandidates`] enumerates only the pages the last
+//! query gathered, seed-tests each new candidate once and drops the fired
+//! query, and hands the selector a slice that equals
+//! [`crate::selector::page_candidates`] over everything (the cold
+//! reference). The L2Q selector carries its own per-session candidate
+//! table on top of that (see [`crate::L2qSelector`]).
 //!
-//! * [`IncrementalCandidates`] keeps the page candidates live: it
-//!   enumerates only new pages, seed-tests each new candidate once and
-//!   drops the fired query, and hands the selector a slice that equals
-//!   [`page_candidates`] over everything (the cold reference).
-//! * [`EntityPhaseState`] is the selector's per-session candidate table:
-//!   one slot per distinct candidate and template, carried from build to
-//!   build (see [`crate::entity_phase`]).
-//!
-//! Neither is persisted: a restored session starts both empty, and its
-//! first step rebuilds them from scratch.
+//! Neither is persisted: a restored session starts with an empty list
+//! and a new selector, and its first step rebuilds both from scratch.
 
 use crate::candidates::{IncrementalCandidates, StopwordCache};
 use crate::config::L2qConfig;
 use crate::domain_phase::DomainModel;
-use crate::entity_phase::EntityPhaseState;
 use crate::query::Query;
-use crate::selector::{page_candidates, QuerySelector, SelectionInput};
+use crate::selector::{QuerySelector, SelectionInput};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId, PageId};
 use l2q_retrieval::{SearchBackend, SearchEngine};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Resolved-once handles into the global metrics registry, so the hot
@@ -163,8 +158,6 @@ pub enum StopReason {
     BudgetExhausted,
     /// The selector returned no query (candidates ran out).
     SelectorExhausted,
-    /// `stop_after_barren` consecutive queries added no new page.
-    BarrenBudget,
 }
 
 impl StopReason {
@@ -174,7 +167,6 @@ impl StopReason {
         match self {
             StopReason::BudgetExhausted => "budget_exhausted",
             StopReason::SelectorExhausted => "selector_exhausted",
-            StopReason::BarrenBudget => "barren_budget",
         }
     }
 
@@ -183,7 +175,6 @@ impl StopReason {
         match s {
             "budget_exhausted" => Some(StopReason::BudgetExhausted),
             "selector_exhausted" => Some(StopReason::SelectorExhausted),
-            "barren_budget" => Some(StopReason::BarrenBudget),
             _ => None,
         }
     }
@@ -214,15 +205,10 @@ pub struct HarvestState {
     pub(crate) seen: HashSet<PageId>,
     pub(crate) iterations: Vec<IterationSnapshot>,
     pub(crate) selection_time: Duration,
-    pub(crate) barren_streak: usize,
     pub(crate) stops: StopwordCache,
     /// Live page-candidate list (gathered pages and fired queries only
     /// ever grow by appending, so it stays equal to `page_candidates`).
     pub(crate) enumerated: IncrementalCandidates,
-    /// Cross-step entity-phase cache handed to the selector when
-    /// `cfg.incremental_phase` is on. `Mutex` (never contended — locked
-    /// once per step) rather than `RefCell` to keep the state `Sync`.
-    pub(crate) phase: Mutex<EntityPhaseState>,
     pub(crate) finished: Option<StopReason>,
 }
 
@@ -261,12 +247,12 @@ impl HarvestState {
             fired: vec![seed],
             gathered,
             seen,
-            iterations: Vec::with_capacity(h.cfg.n_queries),
+            // Not sized from `n_queries`: the budget is a stopping rule,
+            // and a client may ask for up to `u32::MAX` queries.
+            iterations: Vec::new(),
             selection_time: Duration::ZERO,
-            barren_streak: 0,
             stops: StopwordCache::new(),
             enumerated: IncrementalCandidates::new(),
-            phase: Mutex::new(EntityPhaseState::new()),
             finished: None,
         }
     }
@@ -292,39 +278,21 @@ impl HarvestState {
         if self.iterations.len() >= h.cfg.n_queries {
             return self.finish_with(StopReason::BudgetExhausted);
         }
-        if let Some(limit) = h.cfg.stop_after_barren {
-            if self.barren_streak >= limit {
-                return self.finish_with(StopReason::BarrenBudget);
-            }
-        }
         let m = harvest_metrics();
         let step_timer = l2q_obs::SpanTimer::start_named(m.step_seconds.clone(), "harvest_step");
 
-        let cold_candidates;
-        let candidates: &[Query] = if h.cfg.incremental_phase {
-            // Fold in only the pages gathered and the query fired since
-            // the last step: the live list is identical to
-            // `page_candidates` over everything (see
-            // `IncrementalCandidates`).
-            let pages = self.gathered.iter().map(|&p| h.corpus.page(p));
-            self.enumerated.update(
-                h.corpus,
-                pages,
-                &self.fired,
-                h.cfg.candidates.max_len,
-                &mut self.stops,
-            );
-            self.enumerated.queries()
-        } else {
-            cold_candidates = page_candidates(
-                h.corpus,
-                &self.gathered,
-                &self.fired,
-                &h.cfg,
-                &mut self.stops,
-            );
-            &cold_candidates
-        };
+        // Fold in only the pages gathered and the query fired since the
+        // last step: the live list is identical to `page_candidates` over
+        // everything (see `IncrementalCandidates`).
+        let pages = self.gathered.iter().map(|&p| h.corpus.page(p));
+        self.enumerated.update(
+            h.corpus,
+            pages,
+            &self.fired,
+            h.cfg.candidates.max_len,
+            &mut self.stops,
+        );
+        let candidates = self.enumerated.queries();
         let relevant: Vec<bool> = self
             .gathered
             .iter()
@@ -342,7 +310,6 @@ impl HarvestState {
             oracle: h.oracle,
             engine: h.engine,
             cfg: &h.cfg,
-            phase_state: h.cfg.incremental_phase.then_some(&self.phase),
         };
 
         let select_span =
@@ -368,11 +335,6 @@ impl HarvestState {
             }
         }
         self.fired.push(query.clone());
-        if new_pages.is_empty() {
-            self.barren_streak += 1;
-        } else {
-            self.barren_streak = 0;
-        }
         let n_new = new_pages.len();
         m.steps.inc();
         m.pages_gained.add(n_new as u64);
@@ -551,41 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn barren_budget_stops_early() {
-        let f = fixture();
-        let engine = SearchEngine::with_defaults(f.corpus.clone());
-        // A selector that always proposes a query retrieving nothing.
-        struct Barren;
-        impl crate::selector::QuerySelector for Barren {
-            fn name(&self) -> String {
-                "BARREN".into()
-            }
-            fn select(&mut self, input: &crate::selector::SelectionInput<'_>) -> Option<Query> {
-                // A fresh symbol: never occurs in any page.
-                let _ = input;
-                Some(Query::new(&[l2q_text::Sym(u32::MAX - 7)]))
-            }
-        }
-        let mut cfg = L2qConfig::default().with_n_queries(5);
-        cfg.stop_after_barren = Some(2);
-        let harvester = Harvester {
-            corpus: &f.corpus,
-            engine: &engine,
-            oracle: &f.oracle,
-            domain: None,
-            cfg,
-        };
-        let aspect = f.corpus.aspect_by_name("RESEARCH").unwrap();
-        let mut sel = Barren;
-        let rec = harvester.run(EntityId(0), aspect, &mut sel);
-        assert_eq!(
-            rec.iterations.len(),
-            2,
-            "must stop after 2 consecutive barren queries"
-        );
-    }
-
-    #[test]
     fn weighted_strategy_runs_and_interpolates() {
         use crate::selector::L2qSelector;
         let f = fixture();
@@ -696,18 +623,14 @@ mod tests {
         assert!(m.step_seconds.count() >= step_h0 + n);
         assert!(m.select_seconds.count() >= sel_h0 + n);
         // Every stop increments a reason-labeled counter.
-        let stops: u64 = [
-            StopReason::BudgetExhausted,
-            StopReason::SelectorExhausted,
-            StopReason::BarrenBudget,
-        ]
-        .iter()
-        .map(|r| {
-            l2q_obs::global()
-                .counter_with("harvest_stops_total", &[("reason", r.as_str())])
-                .get()
-        })
-        .sum();
+        let stops: u64 = [StopReason::BudgetExhausted, StopReason::SelectorExhausted]
+            .iter()
+            .map(|r| {
+                l2q_obs::global()
+                    .counter_with("harvest_stops_total", &[("reason", r.as_str())])
+                    .get()
+            })
+            .sum();
         assert!(stops >= 1, "the finished run must have recorded a stop");
     }
 

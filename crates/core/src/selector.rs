@@ -1,6 +1,14 @@
 //! Query selection: the [`QuerySelector`] trait shared by L2Q and all
 //! baselines, and the [`L2qSelector`] family (P, R, P+t, R+t, L2QP, L2QR,
 //! L2QBAL — the strategies of the paper's Sect. VI-B/C).
+//!
+//! An [`L2qSelector`] owns its session's candidate table (an
+//! [`EntityPhaseState`], see [`crate::entity_phase`]): every selection
+//! builds the entity graph through it, so a step only diffs what changed
+//! since the previous one, and warm-starts each walk from the previous
+//! solve. [`QuerySelector::reset`] clears the table; a restored or
+//! migrated session builds a new selector, whose first step is a full
+//! build from an empty table.
 
 use crate::candidates::StopwordCache;
 use crate::config::L2qConfig;
@@ -11,7 +19,7 @@ use crate::fxhash::FxHashSet;
 use crate::query::Query;
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId, PageId};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Everything a selector may consult when choosing the next query.
 pub struct SelectionInput<'a> {
@@ -43,12 +51,6 @@ pub struct SelectionInput<'a> {
     pub engine: &'a l2q_retrieval::SearchEngine,
     /// Pipeline configuration.
     pub cfg: &'a L2qConfig,
-    /// Cross-step entity-phase cache, if the caller carries one (the
-    /// harvester does when `cfg.incremental_phase` is set). `None` makes
-    /// every selection a from-scratch cold build — same output, slower.
-    /// Behind a `Mutex` (locked once per selection, never contended)
-    /// so the harvest state holding it stays `Sync`.
-    pub phase_state: Option<&'a Mutex<EntityPhaseState>>,
 }
 
 /// A query-selection policy (one `select` call per harvest iteration).
@@ -74,24 +76,6 @@ pub trait QuerySelector: Send {
     /// Restore a previously exported collective state (checkpoint
     /// restore). Context-free selectors ignore it.
     fn restore_collective(&mut self, _state: CollectiveState) {}
-}
-
-/// Lock the cross-step phase state, recovering a poisoned mutex instead
-/// of propagating the panic (the seed behavior of
-/// `lock().expect("phase state lock poisoned")`): the poison is cleared
-/// and the cache reset to an empty state — always valid, merely making
-/// the next build a cold one — so one panicked step cannot wedge every
-/// later selection on that session.
-fn lock_recover(m: &Mutex<EntityPhaseState>) -> MutexGuard<'_, EntityPhaseState> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            m.clear_poison();
-            let mut guard = poisoned.into_inner();
-            *guard = EntityPhaseState::new();
-            guard
-        }
-    }
 }
 
 /// Resolved-once handles for the selection spans and the bound-and-prune
@@ -319,6 +303,9 @@ pub struct L2qSelector {
     domain_aware: bool,
     context_aware: bool,
     state: Option<CollectiveState>,
+    /// The session's candidate table, carried from selection to
+    /// selection.
+    table: EntityPhaseState,
 }
 
 impl L2qSelector {
@@ -370,6 +357,7 @@ impl L2qSelector {
             domain_aware,
             context_aware,
             state: None,
+            table: EntityPhaseState::new(),
         }
     }
 
@@ -403,6 +391,7 @@ impl QuerySelector for L2qSelector {
 
     fn reset(&mut self) {
         self.state = None;
+        self.table = EntityPhaseState::new();
     }
 
     fn collective_state(&self) -> Option<CollectiveState> {
@@ -422,32 +411,18 @@ impl QuerySelector for L2qSelector {
         };
         let phase_span =
             l2q_obs::SpanTimer::start_named(m.phase_seconds.clone(), "harvest_select_phase");
-        let mut guard = input.phase_state.map(lock_recover);
-        let phase = match guard.as_deref_mut() {
-            Some(state) => EntityPhase::build_incremental(
-                input.corpus,
-                input.aspect,
-                input.gathered,
-                input.oracle,
-                input.page_candidates,
-                input.fired,
-                domain,
-                self.domain_aware,
-                input.cfg,
-                state,
-            ),
-            None => EntityPhase::build(
-                input.corpus,
-                input.aspect,
-                input.gathered,
-                input.oracle,
-                input.page_candidates,
-                input.fired,
-                domain,
-                self.domain_aware,
-                input.cfg,
-            ),
-        };
+        let phase = EntityPhase::build_incremental(
+            input.corpus,
+            input.aspect,
+            input.gathered,
+            input.oracle,
+            input.page_candidates,
+            input.fired,
+            domain,
+            self.domain_aware,
+            input.cfg,
+            &mut self.table,
+        );
         phase_span.finish();
         if phase.candidates().is_empty() {
             return None;
@@ -460,7 +435,7 @@ impl QuerySelector for L2qSelector {
             let walks = if input.cfg.prune {
                 let mut cert = Certifier::new(state, self.strategy);
                 let (walks, _early) =
-                    phase.context_walks_certified(guard.as_deref_mut(), |p| cert.check(p));
+                    phase.context_walks_certified(Some(&mut self.table), |p| cert.check(p));
                 let total = phase.candidates().len() as u64;
                 match cert.winner {
                     Some(members) => {
@@ -484,7 +459,7 @@ impl QuerySelector for L2qSelector {
                 walks
             } else {
                 phase
-                    .context_walks_certified(guard.as_deref_mut(), |_| false)
+                    .context_walks_certified(Some(&mut self.table), |_| false)
                     .0
             };
             let _score_span =
@@ -522,20 +497,20 @@ impl QuerySelector for L2qSelector {
             return Some(phase.candidates()[best].clone());
         } else {
             match self.strategy {
-                Strategy::Precision => phase.precision_with(guard.as_deref_mut()),
-                Strategy::Recall => phase.recall_with(guard.as_deref_mut()),
+                Strategy::Precision => phase.precision_with(Some(&mut self.table)),
+                Strategy::Recall => phase.recall_with(Some(&mut self.table)),
                 Strategy::Weighted { precision_weight } => {
                     let w = precision_weight.clamp(0.0, 1.0);
-                    let p = phase.precision_with(guard.as_deref_mut());
-                    let r = phase.recall_with(guard.as_deref_mut());
+                    let p = phase.precision_with(Some(&mut self.table));
+                    let r = phase.recall_with(Some(&mut self.table));
                     p.iter()
                         .zip(&r)
                         .map(|(a, b)| a.max(0.0).powf(w) * b.max(0.0).powf(1.0 - w))
                         .collect()
                 }
                 Strategy::Balanced => {
-                    let p = phase.precision_with(guard.as_deref_mut());
-                    let r = phase.recall_with(guard.as_deref_mut());
+                    let p = phase.precision_with(Some(&mut self.table));
+                    let r = phase.recall_with(Some(&mut self.table));
                     p.iter().zip(&r).map(|(a, b)| (a * b).sqrt()).collect()
                 }
             }
@@ -617,27 +592,6 @@ pub fn page_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn poisoned_phase_state_lock_recovers_to_a_cold_state() {
-        let slot = std::sync::Arc::new(Mutex::new(EntityPhaseState::new()));
-        {
-            let poisoner = std::sync::Arc::clone(&slot);
-            let _ = std::thread::spawn(move || {
-                let _guard = poisoner.lock().unwrap();
-                panic!("boom");
-            })
-            .join();
-        }
-        assert!(slot.is_poisoned(), "test setup should poison the mutex");
-        {
-            let guard = lock_recover(&slot);
-            assert_eq!(guard.generation(), 0, "recovery resets to a cold state");
-        }
-        assert!(!slot.is_poisoned(), "recovery clears the poison");
-        // And the normal path still works afterwards.
-        drop(lock_recover(&slot));
-    }
 
     #[test]
     fn primary_intervals_enclose_the_exact_scores() {

@@ -1,17 +1,21 @@
 //! The durability contract: interrupt → export → import → continue must
 //! produce exactly the run that was never interrupted — same fired
 //! queries, same gathered pages, same per-iteration gains — across both
-//! corpus domains, with the full fast path (incremental + warm + parallel)
-//! enabled.
+//! corpus domains, on the default path (carried candidate table, warm
+//! starts, pruning).
 //!
 //! Why this holds: the checkpoint persists only discrete decisions (fired
 //! queries, page gains) plus the collective-recall recursion state as
 //! exact f64 bit patterns; every derived cache rebuilds cold, and the
 //! cold rebuild is bit-identical for a given page prefix (the
-//! `determinism` suite's invariant). Under the cold-serial config every
-//! selector score is a pure function of that discrete state, so there the
-//! continuation's collective state is asserted bit-for-bit too.
+//! `determinism` suite's invariant). On the cold serial path (a selector
+//! restarted before every step, no pruning) every selector score is a
+//! pure function of that discrete state, so there the continuation's
+//! collective state is asserted bit-for-bit too.
 
+mod common;
+
+use common::Restarted;
 use l2q_aspect::RelevanceOracle;
 use l2q_core::{
     learn_domain, HarvestRecord, HarvestState, Harvester, L2qConfig, L2qSelector, QuerySelector,
@@ -28,10 +32,12 @@ struct Fixture {
     oracle: RelevanceOracle,
     domain: l2q_core::DomainModel,
     cfg: L2qConfig,
+    /// Builds the L2QBAL selector of a run (and of each restore).
+    selector: fn() -> Box<dyn QuerySelector>,
 }
 
 impl Fixture {
-    fn new(spec: &DomainSpec, cfg: L2qConfig) -> Self {
+    fn new(spec: &DomainSpec, cfg: L2qConfig, selector: fn() -> Box<dyn QuerySelector>) -> Self {
         let corpus = Arc::new(generate(spec, &CorpusConfig::tiny()).unwrap());
         let engine = SearchEngine::with_defaults(corpus.clone());
         let oracle = RelevanceOracle::from_truth(&corpus);
@@ -43,6 +49,7 @@ impl Fixture {
             oracle,
             domain,
             cfg,
+            selector,
         }
     }
 
@@ -64,8 +71,8 @@ fn uninterrupted(
     aspect: l2q_corpus::AspectId,
 ) -> (HarvestRecord, Option<l2q_core::CollectiveState>) {
     let h = f.harvester();
-    let mut sel = L2qSelector::l2qbal();
-    let rec = h.run(entity, aspect, &mut sel);
+    let mut sel = (f.selector)();
+    let rec = h.run(entity, aspect, sel.as_mut());
     (rec, sel.collective_state())
 }
 
@@ -78,11 +85,11 @@ fn interrupted(
     interrupt_after: usize,
 ) -> (HarvestRecord, Option<l2q_core::CollectiveState>) {
     let h = f.harvester();
-    let mut sel = L2qSelector::l2qbal();
+    let mut sel = (f.selector)();
     sel.reset();
     let mut state = HarvestState::begin(&h, entity, aspect);
     for _ in 0..interrupt_after {
-        if matches!(state.step(&h, &mut sel), StepOutcome::Finished(_)) {
+        if matches!(state.step(&h, sel.as_mut()), StepOutcome::Finished(_)) {
             break;
         }
     }
@@ -92,13 +99,13 @@ fn interrupted(
     drop(state);
 
     let (mut state, collective) = HarvestState::import_json(&json, &f.corpus).unwrap();
-    let mut sel = L2qSelector::l2qbal();
+    let mut sel = (f.selector)();
     sel.reset();
     if let Some(c) = collective {
         sel.restore_collective(c);
     }
     while !state.is_finished() {
-        state.step(&h, &mut sel);
+        state.step(&h, sel.as_mut());
     }
     (state.finish(), sel.collective_state())
 }
@@ -121,7 +128,7 @@ fn assert_same_record(a: &HarvestRecord, b: &HarvestRecord, label: &str) {
 }
 
 fn assert_interrupt_is_invisible(spec: &DomainSpec, domain_name: &str, cfg: L2qConfig) {
-    let f = Fixture::new(spec, cfg);
+    let f = Fixture::new(spec, cfg, || Box::new(L2qSelector::l2qbal()));
     // A non-domain entity, like the paper's train/test split.
     let entity = EntityId(6);
     for aspect in f.corpus.aspects() {
@@ -147,12 +154,17 @@ fn cars_interrupt_restore_continue_is_bit_identical() {
     assert_interrupt_is_invisible(&cars_domain(), "cars", L2qConfig::default());
 }
 
-/// Under the cold-serial config every score is a pure function of the
-/// discrete state, so even the collective-recall recursion lands on
-/// exactly the same f64 bits after interrupt + restore + continue.
+/// On the cold serial path (the selector restarted before every step, no
+/// pruning) every score is a pure function of the discrete state, so
+/// even the collective-recall recursion lands on exactly the same f64
+/// bits after interrupt + restore + continue.
 #[test]
 fn cold_serial_collective_state_matches_bit_for_bit() {
-    let f = Fixture::new(&researchers_domain(), L2qConfig::default().cold_serial());
+    let f = Fixture::new(
+        &researchers_domain(),
+        L2qConfig::default().with_prune(false),
+        || Box::new(Restarted::new(L2qSelector::l2qbal)),
+    );
     let entity = EntityId(6);
     let aspect = f.corpus.aspects().next().unwrap();
     let (base, base_coll) = uninterrupted(&f, entity, aspect);

@@ -1,24 +1,32 @@
-//! Regression gate for the incremental/warm/pruned selection path: with
-//! every speed knob on (the default), a harvest must make exactly the
-//! same decisions as the from-scratch, cold-start, unpruned path — same
-//! fired-query sequence, same gathered pages, same per-iteration gains —
-//! across both corpus domains and all three full L2Q strategies.
+//! Regression gate for the default selection path: an L2Q selector that
+//! carries its candidate table from step to step, warm-starts every walk
+//! from the previous solve and prunes the context solve must make exactly
+//! the same decisions as the reference — the selector restarted before
+//! every step (`common::Restarted`: an empty table and cold walks at
+//! every build) with pruning off — same fired-query sequence, same
+//! gathered pages, same per-iteration gains — across both corpus domains
+//! and all three full L2Q strategies.
 //!
-//! Selections are argmaxes over solved utilities: the incremental build is
-//! bit-identical by construction (the graph is assembled in the cold
-//! build's edge order), and warm starts converge to the same fixpoint
-//! within the solver tolerance — so the argmax (with its lexicographic
-//! tie-break) lands on the same query. Bound-and-prune only stops a solve
-//! early when certified score intervals prove the winner, falling back to
-//! the exact solve otherwise. This test is the end-to-end proof. Both
-//! sides solve the context walks with the same fused kernel; its
-//! equality with per-walk solo solves is pinned in `l2q-graph`.
+//! Selections are argmaxes over solved utilities: a carried build is
+//! bit-identical to an empty-table one by construction (the graph is
+//! assembled in the from-scratch build's edge order), and warm starts
+//! converge to the same fixpoint within the solver tolerance — so the
+//! argmax (with its lexicographic tie-break) lands on the same query.
+//! Bound-and-prune only stops a solve early when certified score
+//! intervals prove the winner, falling back to the exact solve otherwise.
+//! This test is the end-to-end proof. Both sides solve the context walks
+//! with the same fused kernel; its equality with per-walk solo solves is
+//! pinned in `l2q-graph`.
 
+mod common;
+
+use common::Restarted;
 use l2q_aspect::RelevanceOracle;
 use l2q_core::selector::page_candidates;
 use l2q_core::{
-    learn_domain, pages_queries, CollectiveState, HarvestRecord, HarvestState, Harvester,
-    L2qConfig, L2qSelector, Query, QuerySelector, SelectionInput, StopwordCache,
+    learn_domain, pages_queries, CollectiveState, EntityPhase, EntityPhaseState, HarvestRecord,
+    HarvestState, Harvester, L2qConfig, L2qSelector, Query, QuerySelector, SelectionInput,
+    StopwordCache,
 };
 use l2q_corpus::spec::DomainSpec;
 use l2q_corpus::{cars_domain, generate, researchers_domain, CorpusConfig, EntityId};
@@ -26,7 +34,10 @@ use l2q_retrieval::SearchEngine;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-fn harvest_all(spec: &DomainSpec, cfg: L2qConfig) -> Vec<(String, HarvestRecord)> {
+/// Harvest entity 6 for every aspect with L2QP, L2QR and L2QBAL, each
+/// selector carried through the harvest or, with `restarted`, restarted
+/// before every step.
+fn harvest_all(spec: &DomainSpec, cfg: L2qConfig, restarted: bool) -> Vec<(String, HarvestRecord)> {
     let corpus = Arc::new(generate(spec, &CorpusConfig::tiny()).unwrap());
     let engine = SearchEngine::with_defaults(corpus.clone());
     let oracle = RelevanceOracle::from_truth(&corpus);
@@ -42,22 +53,29 @@ fn harvest_all(spec: &DomainSpec, cfg: L2qConfig) -> Vec<(String, HarvestRecord)
 
     let mut out = Vec::new();
     for aspect in corpus.aspects() {
-        for mut sel in [
-            L2qSelector::l2qp(),
-            L2qSelector::l2qr(),
-            L2qSelector::l2qbal(),
-        ] {
+        for make in [L2qSelector::l2qp, L2qSelector::l2qr, L2qSelector::l2qbal] {
+            let mut sel: Box<dyn QuerySelector> = if restarted {
+                Box::new(Restarted::new(make))
+            } else {
+                Box::new(make())
+            };
             // A non-domain entity, like the paper's train/test split.
-            let rec = harvester.run(EntityId(6), aspect, &mut sel);
+            let rec = harvester.run(EntityId(6), aspect, sel.as_mut());
             out.push((format!("{}/{:?}", sel.name(), aspect), rec));
         }
     }
     out
 }
 
+/// The cold serial path, the reference: restarted selectors (every build
+/// from an empty table, every walk cold), no pruning.
+fn reference(spec: &DomainSpec) -> Vec<(String, HarvestRecord)> {
+    harvest_all(spec, L2qConfig::default().with_prune(false), true)
+}
+
 fn assert_identical_runs(spec: &DomainSpec, domain_name: &str) {
-    let fast = harvest_all(spec, L2qConfig::default());
-    let cold = harvest_all(spec, L2qConfig::default().cold_serial());
+    let fast = harvest_all(spec, L2qConfig::default(), false);
+    let cold = reference(spec);
     assert_eq!(fast.len(), cold.len());
     for ((label, f), (_, c)) in fast.iter().zip(&cold) {
         let fq: Vec<_> = f.queries().collect();
@@ -89,46 +107,41 @@ fn cars_selections_match_the_cold_serial_path() {
     assert_identical_runs(&cars_domain(), "cars");
 }
 
-/// The knobs are independent: each one alone must also preserve the
-/// outcome (catches a knob silently depending on another).
+/// Carrying the table and pruning are independent: each one alone must
+/// also preserve the outcome (catches one silently depending on the
+/// other).
 #[test]
 fn each_speed_knob_is_individually_lossless() {
     let spec = researchers_domain();
-    let base = harvest_all(&spec, L2qConfig::default().cold_serial());
-    for cfg in [
-        L2qConfig::default()
-            .cold_serial()
-            .with_incremental_phase(true),
-        L2qConfig::default()
-            .cold_serial()
-            .with_incremental_phase(true)
-            .with_warm_start(true),
-        // Bound-and-prune alone: truncated-but-certified walk solves on
-        // top of cold from-scratch builds.
-        L2qConfig::default().cold_serial().with_prune(true),
-        // Pruning over incremental warm-started builds: every knob on.
-        L2qConfig::default()
-            .cold_serial()
-            .with_incremental_phase(true)
-            .with_warm_start(true)
-            .with_prune(true),
+    let base = reference(&spec);
+    let (pruned, unpruned) = (L2qConfig::default(), L2qConfig::default().with_prune(false));
+    for (name, cfg, restarted) in [
+        // Truncated-but-certified walk solves on empty-table cold builds.
+        ("restarted, pruned", pruned, true),
+        // Carried tables and warm starts, context walks to convergence.
+        ("carried, unpruned", unpruned, false),
+        // Both: the default path.
+        ("carried, pruned", pruned, false),
     ] {
-        let runs = harvest_all(&spec, cfg);
+        let runs = harvest_all(&spec, cfg, restarted);
         for ((label, a), (_, b)) in runs.iter().zip(&base) {
             let qa: Vec<_> = a.queries().collect();
             let qb: Vec<_> = b.queries().collect();
-            assert_eq!(qa, qb, "{label}: fired queries diverged");
-            assert_eq!(a.gathered, b.gathered, "{label}: gathered diverged");
+            assert_eq!(qa, qb, "{name} {label}: fired queries diverged");
+            assert_eq!(a.gathered, b.gathered, "{name} {label}: gathered diverged");
         }
     }
 }
 
 /// Checks, at every selection, that the page candidates the harvester
 /// hands over are the cold `selector::page_candidates` over the same
-/// pages and fired queries, in the same order; then selects with the
-/// wrapped L2Q selector. Also counts fired queries that no gathered page
-/// enumerated when they fired but a later page does: the live list has
-/// to keep those out without ever having listed them.
+/// pages and fired queries, in the same order, and that an empty-table
+/// `EntityPhase::build_incremental` (a session's first build) equals the
+/// from-scratch `EntityPhase::build` on the selection's inputs bit for
+/// bit; then selects with the wrapped L2Q selector. Also counts fired
+/// queries that no gathered page enumerated when they fired but a later
+/// page does: the live list has to keep those out without ever having
+/// listed them.
 struct ColdChecked {
     inner: L2qSelector,
     label: String,
@@ -176,6 +189,7 @@ impl QuerySelector for ColdChecked {
             self.label,
             input.fired.len()
         );
+        assert_empty_table_build_is_the_cold_build(input, &self.label);
         let enumerated: HashSet<Query> = pages_queries(
             input.corpus,
             input.gathered.iter().map(|&p| input.corpus.page(p)),
@@ -204,6 +218,55 @@ impl QuerySelector for ColdChecked {
     }
 }
 
+/// An empty-table build and the from-scratch build on `input` (the
+/// wrapped selectors are all domain-aware) agree bit for bit: pool,
+/// shape, connectivity, the precision walk and the uncertified context
+/// walks.
+fn assert_empty_table_build_is_the_cold_build(input: &SelectionInput<'_>, label: &str) {
+    let inc = EntityPhase::build_incremental(
+        input.corpus,
+        input.aspect,
+        input.gathered,
+        input.oracle,
+        input.page_candidates,
+        input.fired,
+        input.domain,
+        true,
+        input.cfg,
+        &mut EntityPhaseState::new(),
+    );
+    let cold = EntityPhase::build(
+        input.corpus,
+        input.aspect,
+        input.gathered,
+        input.oracle,
+        input.page_candidates,
+        input.fired,
+        input.domain,
+        true,
+        input.cfg,
+    );
+    let at = format!("{label} after {} fired", input.fired.len());
+    assert_eq!(inc.candidates(), cold.candidates(), "{at}: pool");
+    assert_eq!(inc.shape(), cold.shape(), "{at}: shape");
+    assert_eq!(inc.connected(), cold.connected(), "{at}: connected");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&inc.precision()),
+        bits(&cold.precision()),
+        "{at}: precision"
+    );
+    let walks = |phase: &EntityPhase<'_>| {
+        let (w, _) = phase.context_walks_certified(None, |_| false);
+        [
+            bits(&w.recall),
+            bits(&w.recall_gathered),
+            bits(&w.recall_all),
+        ]
+    };
+    assert_eq!(walks(&inc), walks(&cold), "{at}: context walks");
+}
+
 /// The harvester's live candidate list equals its cold reference at every
 /// step: full harvests of every non-domain entity on both domains with
 /// all three L2Q selectors, plus one session exported and re-imported
@@ -218,7 +281,6 @@ fn live_page_candidates_match_the_cold_list_at_every_step() {
         (cars_domain(), "cars"),
     ] {
         let cfg = L2qConfig::default();
-        assert!(cfg.incremental_phase, "the live list is the default path");
         let corpus = Arc::new(generate(&spec, &CorpusConfig::tiny()).unwrap());
         let engine = SearchEngine::with_defaults(corpus.clone());
         let oracle = RelevanceOracle::from_truth(&corpus);

@@ -520,7 +520,8 @@ impl FusedTruncatedSolver {
         classes: QueryClasses,
         cfg: &WalkConfig,
     ) -> Self {
-        let span = l2q_obs::span!("graph_solve");
+        // Only the entity phase solves context walks.
+        let span = l2q_obs::span!("graph_solve", "phase" => "entity", "solver" => "fused");
         let setup = l2q_obs::span!("graph_solve_setup");
         reg.assert_shaped_for(g, "regularization");
         start.assert_shaped_for(g, "start");
@@ -905,7 +906,7 @@ fn gather(
 pub(crate) mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
-    use crate::solver::{solve_detailed, start_iterate, Utilities, UtilityKind};
+    use crate::solver::{solve_detailed, start_iterate, Phase, Utilities, UtilityKind};
 
     /// The fused solver on per-walk regularizations and warm starts, each
     /// walk started as [`solve_detailed`] starts it, over the canonical
@@ -989,7 +990,7 @@ pub(crate) mod tests {
     ) -> Vec<(Utilities, usize)> {
         regs.iter()
             .zip(warms)
-            .map(|(r, w)| solve_detailed(g, UtilityKind::Recall, r, cfg, w))
+            .map(|(r, w)| solve_detailed(g, UtilityKind::Recall, r, cfg, w, Phase::Entity))
             .collect()
     }
 
@@ -1032,7 +1033,7 @@ pub(crate) mod tests {
             tolerance: 1e-14,
             ..WalkConfig::default()
         };
-        solve_detailed(g, UtilityKind::Recall, reg, &tight, None).0
+        solve_detailed(g, UtilityKind::Recall, reg, &tight, None, Phase::Entity).0
     }
 
     #[test]
@@ -1119,7 +1120,7 @@ pub(crate) mod tests {
         let ub = per_query(&s, |c| s.class_bounds(c)[0]);
         assert_eq!(ub[2], cfg.alpha * 0.8);
         assert!(!s.class_connected(s.class_of()[2] as usize));
-        let u = solve_detailed(&g, UtilityKind::Recall, &reg, &cfg, None).0;
+        let u = solve_detailed(&g, UtilityKind::Recall, &reg, &cfg, None, Phase::Entity).0;
         assert_eq!(u.queries[2], ub[2], "disconnected bound must be tight");
     }
 

@@ -7,13 +7,13 @@
 //! probability α acting as utility regularization.
 //!
 //! ```
-//! use l2q_graph::{GraphBuilder, Regularization, solve, UtilityKind, WalkConfig};
+//! use l2q_graph::{GraphBuilder, Phase, Regularization, solve, UtilityKind, WalkConfig};
 //! // Two pages (first relevant), one query retrieving both.
 //! let mut b = GraphBuilder::new(2, 1, 0);
 //! b.page_query(0, 0, 1.0).page_query(1, 0, 1.0);
 //! let g = b.build();
 //! let reg = Regularization::precision_from_relevance(&g, &[true, false]);
-//! let u = solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default());
+//! let u = solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default(), Phase::Entity);
 //! assert!(u.queries[0] > 0.0 && u.queries[0] < 1.0);
 //! ```
 
@@ -28,4 +28,6 @@ pub use bounds::{FusedSolution, FusedTruncatedSolver, Interleaved, QueryClasses}
 pub use graph::{
     Edge, GraphBuilder, PageIdx, QueryIdx, QueryRows, ReinforcementGraph, TemplateIdx,
 };
-pub use solver::{solve, solve_detailed, Regularization, Utilities, UtilityKind, WalkConfig};
+pub use solver::{
+    solve, solve_detailed, Phase, Regularization, Utilities, UtilityKind, WalkConfig,
+};

@@ -34,6 +34,28 @@
 use crate::graph::ReinforcementGraph;
 use std::sync::OnceLock;
 
+/// The pipeline phase a solo solve serves (paper Sect. IV), the `phase`
+/// label of its `graph_solve_seconds` sample: the domain graph, learned
+/// once from the domain entities, or an entity graph, built at every
+/// query selection. The two differ in size and in how often they run, so
+/// they are timed apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// The domain phase (Sect. IV-B).
+    Domain,
+    /// The entity phase (Sect. IV-C).
+    Entity,
+}
+
+impl Phase {
+    fn label(self) -> &'static str {
+        match self {
+            Phase::Domain => "domain",
+            Phase::Entity => "entity",
+        }
+    }
+}
+
 /// Which utility the walk infers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UtilityKind {
@@ -155,13 +177,14 @@ pub fn solve(
     kind: UtilityKind,
     reg: &Regularization,
     cfg: &WalkConfig,
+    phase: Phase,
 ) -> Utilities {
-    solve_detailed(g, kind, reg, cfg, None).0
+    solve_detailed(g, kind, reg, cfg, None, phase).0
 }
 
 /// Sweeps-executed histogram of the global metrics registry (count-shaped
 /// buckets; the latency span around the whole solve lives in
-/// `graph_solve_seconds`).
+/// `graph_solve_seconds`, labelled by `phase` and `solver`).
 pub(crate) fn sweeps_histogram() -> &'static std::sync::Arc<l2q_obs::Histogram> {
     static H: OnceLock<std::sync::Arc<l2q_obs::Histogram>> = OnceLock::new();
     H.get_or_init(|| {
@@ -180,14 +203,18 @@ pub(crate) fn sweeps_histogram() -> &'static std::sync::Arc<l2q_obs::Histogram> 
 /// start converges to the same fixpoint within `cfg.tolerance`; a start
 /// near the fixpoint — e.g. the previous harvest step's solution mapped
 /// onto the current vertex set — just gets there in fewer sweeps.
+///
+/// The solve is a `graph_solve` span, timed into `graph_solve_seconds`
+/// under `phase` and `solver="solo"`.
 pub fn solve_detailed(
     g: &ReinforcementGraph,
     kind: UtilityKind,
     reg: &Regularization,
     cfg: &WalkConfig,
     warm: Option<Utilities>,
+    phase: Phase,
 ) -> (Utilities, usize) {
-    let mut span = l2q_obs::span!("graph_solve");
+    let mut span = l2q_obs::span!("graph_solve", "phase" => phase.label(), "solver" => "solo");
     let mut cur = start_iterate(g, reg, cfg, warm);
     let mut next = Utilities::zeros(g);
     let mut sweeps = 0usize;
@@ -459,7 +486,13 @@ mod tests {
     fn precision_ranks_focused_queries_above_generic_ones() {
         let g = fig2_graph();
         let reg = Regularization::precision_from_relevance(&g, &fig2_relevance());
-        let u = solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default());
+        let u = solve(
+            &g,
+            UtilityKind::Precision,
+            &reg,
+            &WalkConfig::default(),
+            Phase::Entity,
+        );
         // q1, q2, q3 retrieve only relevant pages; q4 retrieves 1/3
         // relevant; q5 only irrelevant.
         assert!(u.queries[0] > u.queries[3], "q1 > q4");
@@ -472,7 +505,13 @@ mod tests {
     fn recall_ranks_broad_relevant_queries_highest() {
         let g = fig2_graph();
         let reg = Regularization::recall_from_relevance(&g, &fig2_relevance());
-        let u = solve(&g, UtilityKind::Recall, &reg, &WalkConfig::default());
+        let u = solve(
+            &g,
+            UtilityKind::Recall,
+            &reg,
+            &WalkConfig::default(),
+            Phase::Entity,
+        );
         // q1 covers 3 of 4 relevant pages; q2 and q3 cover 2; q5 covers 0.
         assert!(u.queries[0] > u.queries[1], "q1 > q2");
         assert!(u.queries[0] > u.queries[2], "q1 > q3");
@@ -484,7 +523,13 @@ mod tests {
     fn precision_stays_within_unit_interval() {
         let g = fig2_graph();
         let reg = Regularization::precision_from_relevance(&g, &fig2_relevance());
-        let u = solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default());
+        let u = solve(
+            &g,
+            UtilityKind::Precision,
+            &reg,
+            &WalkConfig::default(),
+            Phase::Entity,
+        );
         for v in u.pages.iter().chain(&u.queries) {
             assert!((0.0..=1.0).contains(v), "precision out of bounds: {v}");
         }
@@ -494,7 +539,13 @@ mod tests {
     fn recall_mass_is_bounded_by_total_regularization() {
         let g = fig2_graph();
         let reg = Regularization::recall_from_relevance(&g, &fig2_relevance());
-        let u = solve(&g, UtilityKind::Recall, &reg, &WalkConfig::default());
+        let u = solve(
+            &g,
+            UtilityKind::Recall,
+            &reg,
+            &WalkConfig::default(),
+            Phase::Entity,
+        );
         let total_q: f64 = u.queries.iter().sum();
         // The forward walk redistributes at most the unit mass injected by
         // regularization.
@@ -526,7 +577,7 @@ mod tests {
 
         let cfg = WalkConfig::default();
         let preg = Regularization::precision_from_relevance(&g, &relevant);
-        let p = solve(&g, UtilityKind::Precision, &preg, &cfg);
+        let p = solve(&g, UtilityKind::Precision, &preg, &cfg, Phase::Entity);
         assert!(
             p.templates[0] > p.templates[1],
             "P(t1)={} must exceed P(t3)={}",
@@ -535,7 +586,7 @@ mod tests {
         );
 
         let rreg = Regularization::recall_from_relevance(&g, &relevant);
-        let r = solve(&g, UtilityKind::Recall, &rreg, &cfg);
+        let r = solve(&g, UtilityKind::Recall, &rreg, &cfg, Phase::Entity);
         assert!(
             r.templates[0] < r.templates[1],
             "R(t1)={} must be below R(t3)={}",
@@ -550,7 +601,7 @@ mod tests {
         let mut reg = Regularization::zeros(&g);
         reg.pages[0] = 1.0;
         let cfg = WalkConfig::default();
-        let u = solve(&g, UtilityKind::Precision, &reg, &cfg);
+        let u = solve(&g, UtilityKind::Precision, &reg, &cfg, Phase::Entity);
         assert!((u.pages[0] - cfg.alpha).abs() < 1e-9);
         assert_eq!(u.pages[1], 0.0);
         assert_eq!(u.queries[0], 0.0);
@@ -561,8 +612,20 @@ mod tests {
     fn solver_is_deterministic_and_converges() {
         let g = fig2_graph();
         let reg = Regularization::precision_from_relevance(&g, &fig2_relevance());
-        let a = solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default());
-        let b = solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default());
+        let a = solve(
+            &g,
+            UtilityKind::Precision,
+            &reg,
+            &WalkConfig::default(),
+            Phase::Entity,
+        );
+        let b = solve(
+            &g,
+            UtilityKind::Precision,
+            &reg,
+            &WalkConfig::default(),
+            Phase::Entity,
+        );
         assert_eq!(a.queries, b.queries);
         // Extra iterations change nothing beyond the geometric tail
         // (contraction factor 1−α per iteration).
@@ -574,6 +637,7 @@ mod tests {
                 max_iters: 400,
                 ..Default::default()
             },
+            Phase::Entity,
         );
         for (x, y) in a.queries.iter().zip(&more.queries) {
             assert!((x - y).abs() < 1e-6, "residual {}", (x - y).abs());
@@ -590,7 +654,13 @@ mod tests {
         let g = b.build();
         let mut reg = Regularization::zeros(&g);
         reg.templates[0] = 1.0;
-        let u = solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default());
+        let u = solve(
+            &g,
+            UtilityKind::Precision,
+            &reg,
+            &WalkConfig::default(),
+            Phase::Entity,
+        );
         assert!(
             u.queries[0] > u.queries[1],
             "query abstracted by the regularized template must score higher"
@@ -608,9 +678,10 @@ mod tests {
                 }
                 UtilityKind::Recall => Regularization::recall_from_relevance(&g, &fig2_relevance()),
             };
-            let (cold, cold_sweeps) = solve_detailed(&g, kind, &reg, &cfg, None);
+            let (cold, cold_sweeps) = solve_detailed(&g, kind, &reg, &cfg, None, Phase::Entity);
             // Restarting from the converged fixpoint must stay there.
-            let (warm, warm_sweeps) = solve_detailed(&g, kind, &reg, &cfg, Some(cold.clone()));
+            let (warm, warm_sweeps) =
+                solve_detailed(&g, kind, &reg, &cfg, Some(cold.clone()), Phase::Entity);
             assert!(
                 warm_sweeps <= cold_sweeps,
                 "warm {warm_sweeps} vs cold {cold_sweeps} sweeps"
@@ -641,13 +712,20 @@ mod tests {
         let g = fig2_graph();
         let cfg = WalkConfig::default();
         let reg = Regularization::precision_from_relevance(&g, &fig2_relevance());
-        let (cold, _) = solve_detailed(&g, UtilityKind::Precision, &reg, &cfg, None);
+        let (cold, _) = solve_detailed(&g, UtilityKind::Precision, &reg, &cfg, None, Phase::Entity);
         let bad = Utilities {
             pages: vec![0.9; g.n_pages()],
             queries: vec![0.1; g.n_queries()],
             templates: vec![0.0; g.n_templates()],
         };
-        let (warm, _) = solve_detailed(&g, UtilityKind::Precision, &reg, &cfg, Some(bad));
+        let (warm, _) = solve_detailed(
+            &g,
+            UtilityKind::Precision,
+            &reg,
+            &cfg,
+            Some(bad),
+            Phase::Entity,
+        );
         for (a, b) in cold.queries.iter().zip(&warm.queries) {
             assert!((a - b).abs() < 1e-6, "fixpoint not unique? {a} vs {b}");
         }
@@ -664,6 +742,7 @@ mod tests {
             &reg,
             &WalkConfig::default(),
             Some(Utilities::default()),
+            Phase::Entity,
         );
     }
 
@@ -692,7 +771,7 @@ mod tests {
         ];
         regs[0].queries[1] = 0.25; // break any accidental symmetry
         let solo_solve = |r: &Regularization, w: Option<Utilities>| {
-            solve_detailed(&g, UtilityKind::Recall, r, &cfg, w)
+            solve_detailed(&g, UtilityKind::Recall, r, &cfg, w, Phase::Entity)
         };
         let solo: Vec<(Utilities, usize)> = regs.iter().map(|r| solo_solve(r, None)).collect();
         let fused = fused_to_completion(&g, &regs, &cfg, [None, None, None]);
@@ -731,10 +810,19 @@ mod tests {
     fn solve_records_latency_and_sweep_metrics() {
         let g = fig2_graph();
         let reg = Regularization::precision_from_relevance(&g, &fig2_relevance());
-        let lat = l2q_obs::global().histogram("graph_solve_seconds");
+        let lat = l2q_obs::global().histogram_with(
+            "graph_solve_seconds",
+            &[("phase", "entity"), ("solver", "solo")],
+        );
         let sweeps = super::sweeps_histogram();
         let (lat_before, sweeps_before) = (lat.count(), sweeps.count());
-        solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default());
+        solve(
+            &g,
+            UtilityKind::Precision,
+            &reg,
+            &WalkConfig::default(),
+            Phase::Entity,
+        );
         // The registry is process-global, so assert monotone growth.
         assert!(lat.count() > lat_before, "solve latency not recorded");
         assert!(sweeps.count() > sweeps_before, "sweep count not recorded");
@@ -746,6 +834,12 @@ mod tests {
     fn shape_mismatch_panics() {
         let g = fig2_graph();
         let reg = Regularization::default();
-        solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default());
+        solve(
+            &g,
+            UtilityKind::Precision,
+            &reg,
+            &WalkConfig::default(),
+            Phase::Entity,
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! (page–query–template) graphs with weighted edges.
 
 use l2q_graph::{
-    solve, solve_detailed, FusedSolution, FusedTruncatedSolver, GraphBuilder, Interleaved,
+    solve, solve_detailed, FusedSolution, FusedTruncatedSolver, GraphBuilder, Interleaved, Phase,
     QueryClasses, QueryRows, Regularization, ReinforcementGraph, Utilities, UtilityKind,
     WalkConfig,
 };
@@ -59,7 +59,7 @@ proptest! {
                 UtilityKind::Recall =>
                     Regularization::recall_from_relevance(&g, &rel),
             };
-            let u = solve(&g, kind, &reg, &WalkConfig::default());
+            let u = solve(&g, kind, &reg, &WalkConfig::default(), Phase::Entity);
             for v in u.pages.iter().chain(&u.queries).chain(&u.templates) {
                 prop_assert!(v.is_finite() && *v >= 0.0, "bad utility {v}");
             }
@@ -89,8 +89,8 @@ proptest! {
                     Regularization::precision_from_relevance(&g2, &rel),
                 UtilityKind::Recall => Regularization::recall_from_relevance(&g2, &rel),
             };
-            let u1 = solve(&g1, kind, &reg1, &cfg);
-            let u2 = solve(&g2, kind, &reg2, &cfg);
+            let u1 = solve(&g1, kind, &reg1, &cfg, Phase::Entity);
+            let u2 = solve(&g2, kind, &reg2, &cfg, Phase::Entity);
             for (a, b) in u1.queries.iter().zip(&u2.queries) {
                 prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
             }
@@ -105,7 +105,7 @@ proptest! {
         let g = build(np, nq, nt, &pq, &qt);
         let reg = Regularization::zeros(&g);
         for kind in [UtilityKind::Precision, UtilityKind::Recall] {
-            let u = solve(&g, kind, &reg, &WalkConfig::default());
+            let u = solve(&g, kind, &reg, &WalkConfig::default(), Phase::Entity);
             for v in u.pages.iter().chain(&u.queries).chain(&u.templates) {
                 prop_assert_eq!(*v, 0.0);
             }
@@ -130,12 +130,14 @@ proptest! {
             UtilityKind::Precision,
             &Regularization::precision_from_relevance(&g, &rel),
             &cfg,
+            Phase::Entity,
         );
         let u2 = solve(
             &g,
             UtilityKind::Precision,
             &Regularization::precision_from_relevance(&g, &more),
             &cfg,
+            Phase::Entity,
         );
         for (a, b) in u1.queries.iter().zip(&u2.queries) {
             prop_assert!(*b >= *a - 1e-9, "precision dropped: {a} -> {b}");
@@ -151,7 +153,7 @@ fn exact(g: &l2q_graph::ReinforcementGraph, reg: &Regularization) -> Utilities {
         tolerance: 1e-14,
         ..Default::default()
     };
-    solve_detailed(g, UtilityKind::Recall, reg, &tight, None).0
+    solve_detailed(g, UtilityKind::Recall, reg, &tight, None, Phase::Entity).0
 }
 
 /// The fused solver on per-walk regularizations and warm starts (each
@@ -328,7 +330,7 @@ fn solo_solves(
 ) -> Vec<(Utilities, usize)> {
     regs.iter()
         .zip(warms)
-        .map(|(r, w)| solve_detailed(g, UtilityKind::Recall, r, cfg, w))
+        .map(|(r, w)| solve_detailed(g, UtilityKind::Recall, r, cfg, w, Phase::Entity))
         .collect()
 }
 
@@ -494,7 +496,7 @@ fn zero_weight_edges_leave_bounds_at_the_disconnected_value() {
     let ub2 = static_bounds(&g2, &reg, &cfg);
     assert_eq!(ub1, ub2, "weightless edges changed the bounds");
     // Queries 1 and 2 are disconnected: the bound is the fixpoint.
-    let u = solve(&g1, UtilityKind::Recall, &reg, &cfg);
+    let u = solve(&g1, UtilityKind::Recall, &reg, &cfg, Phase::Entity);
     assert_eq!(ub1[1], cfg.alpha * 0.3);
     assert_eq!(u.queries[1], ub1[1]);
     assert_eq!(ub1[2], cfg.alpha * 0.7);

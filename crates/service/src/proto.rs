@@ -574,9 +574,5 @@ mod tests {
             state_string(Some(StopReason::SelectorExhausted)),
             "finished:selector_exhausted"
         );
-        assert_eq!(
-            state_string(Some(StopReason::BarrenBudget)),
-            "finished:barren_budget"
-        );
     }
 }

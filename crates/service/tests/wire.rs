@@ -190,8 +190,14 @@ fn bad_requests_get_structured_errors_not_disconnects() {
     assert!(err.to_string().contains("no such session"));
     let err = client.request(&Request::op("frobnicate")).unwrap_err();
     assert!(err.to_string().contains("unknown op"));
+    // The query budget is a stopping rule, so the largest one the wire
+    // takes is a valid create: nothing may be sized from it.
+    client
+        .create(0, "RESEARCH", "l2qbal", Some(u32::MAX), 0)
+        .expect("create with the largest budget");
 
-    // The connection survived all five refusals.
+    // The connection survived all five refusals, and the server the
+    // largest budget.
     client.request(&Request::op("ping")).expect("ping again");
     handle.shutdown();
 }

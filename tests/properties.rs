@@ -2,7 +2,7 @@
 //! invariants.
 
 use l2q::core::Query;
-use l2q::graph::{solve, GraphBuilder, Regularization, UtilityKind, WalkConfig};
+use l2q::graph::{solve, GraphBuilder, Phase, Regularization, UtilityKind, WalkConfig};
 use l2q::text::{ngrams, Bow, Sym};
 use proptest::prelude::*;
 
@@ -29,7 +29,7 @@ proptest! {
         }
         let g = b.build();
         let reg = Regularization::precision_from_relevance(&g, &relevant);
-        let u = solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default());
+        let u = solve(&g, UtilityKind::Precision, &reg, &WalkConfig::default(), Phase::Entity);
         for v in u.pages.iter().chain(&u.queries) {
             prop_assert!((0.0..=1.0 + 1e-9).contains(v), "precision {v} out of [0,1]");
         }
@@ -45,7 +45,7 @@ proptest! {
         }
         let g = b.build();
         let reg = Regularization::recall_from_relevance(&g, &relevant);
-        let u = solve(&g, UtilityKind::Recall, &reg, &WalkConfig::default());
+        let u = solve(&g, UtilityKind::Recall, &reg, &WalkConfig::default(), Phase::Entity);
         let total: f64 = u.queries.iter().sum();
         prop_assert!(total <= 1.0 + 1e-6, "query recall mass {total} > 1");
         for v in u.pages.iter().chain(&u.queries) {
@@ -70,8 +70,8 @@ proptest! {
             *v *= 2.0;
         }
         let cfg = WalkConfig { max_iters: 300, ..Default::default() };
-        let u1 = solve(&g, UtilityKind::Precision, &reg1, &cfg);
-        let u2 = solve(&g, UtilityKind::Precision, &reg2, &cfg);
+        let u1 = solve(&g, UtilityKind::Precision, &reg1, &cfg, Phase::Entity);
+        let u2 = solve(&g, UtilityKind::Precision, &reg2, &cfg, Phase::Entity);
         for (a, b) in u1.queries.iter().zip(&u2.queries) {
             prop_assert!((2.0 * a - b).abs() < 1e-6, "not linear: {a} vs {b}");
         }
