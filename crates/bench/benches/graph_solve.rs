@@ -21,10 +21,10 @@ fn synthetic(n: usize) -> l2q_graph::ReinforcementGraph {
     for q in 0..n_queries {
         let deg = 1 + (rand() % 3) as usize;
         for _ in 0..deg {
-            b.page_query((rand() % n_pages as u64) as u32, q as u32, 1.0);
+            b.page_query((rand() % n_pages as u64) as u32, q as u32);
         }
         if rand() % 2 == 0 {
-            b.query_template(q as u32, (rand() % n_templates as u64) as u32, 1.0);
+            b.query_template(q as u32, (rand() % n_templates as u64) as u32);
         }
     }
     b.build()

@@ -19,7 +19,7 @@ use crate::query::Query;
 use crate::template::{templates_of, Template};
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId};
-use l2q_graph::{solve, Phase, QueryRows, Regularization, ReinforcementGraph, UtilityKind};
+use l2q_graph::{solve, Phase, Regularization, ReinforcementGraph, Rows, UtilityKind};
 use l2q_retrieval::{DocId, InvertedIndex};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -293,8 +293,8 @@ pub fn learn_domain(
     // inverted index over domain pages, templates interned in order of
     // first occurrence.
     let index = InvertedIndex::build(pages.iter().map(|p| p.bow()));
-    let mut qp = QueryRows::with_capacity(queries.len(), 0);
-    let mut qt = QueryRows::with_capacity(queries.len(), 0);
+    let mut qp = Rows::with_capacity(queries.len(), 0);
+    let mut qt = Rows::with_capacity(queries.len(), 0);
     let mut templates: Vec<Template> = Vec::new();
     let mut template_index: FxHashMap<Template, u32> = FxHashMap::default();
     for q in &queries {

@@ -50,19 +50,21 @@
 //!
 //! * **Rows.** Each slot's page list and template ids (renumbered in
 //!   first-occurrence order over the pool) are the graph's query rows;
-//!   [`ReinforcementGraph::from_unit_rows`] transposes them once. Rows
-//!   in pool order and pages ascending are the cold build's edge order,
-//!   so solver float summation — and therefore every utility — is
-//!   bit-identical to a from-scratch [`EntityPhase::build`].
+//!   they move into [`ReinforcementGraph::from_unit_rows`], which
+//!   transposes them once. Rows in pool order and pages ascending are
+//!   the cold build's edge order, so solver float summation — and
+//!   therefore every utility — is bit-identical to a from-scratch
+//!   [`EntityPhase::build`].
 //! * **Classes.** Each slot carries a structure id naming its (template
 //!   list, page list) pair: a node of a trie over template ids, then
 //!   pages, so it advances only when a new page joins the slot's list.
-//!   Every edge weighs 1, so two candidates with one structure have the
-//!   same neighbours and coefficients, and the context solve's query
-//!   classes (see [`l2q_graph::QueryClasses`]) are the pool partitioned
-//!   by structure id and start bits in the three walks. No walk
-//!   regularizes a query, so that is the solver's whole signature; debug
-//!   builds check the partition against the canonical one.
+//!   Two candidates with one structure have the same neighbours (and,
+//!   every edge weighing 1, the same coefficients), so the context
+//!   solve's query classes (see [`l2q_graph::QueryClasses`]) are the
+//!   pool partitioned by structure id and start bits in the three walks.
+//!   No walk regularizes a query, so that is the solver's whole
+//!   signature; debug builds check the partition against the canonical
+//!   one.
 //! * **Starts.** Each slot, template slot and page keeps its last
 //!   iterate per walk, written back per slot after every solve. A build
 //!   gathers the iterates of the vertices the previous build had; a walk
@@ -89,7 +91,7 @@ use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, PageId};
 use l2q_graph::{
     solve_detailed, FusedSolution, FusedTruncatedSolver, Interleaved, Phase, QueryClasses,
-    QueryRows, Regularization, ReinforcementGraph, Utilities, UtilityKind,
+    Regularization, ReinforcementGraph, Rows, Utilities, UtilityKind,
 };
 use l2q_text::Bow;
 use std::sync::{Arc, OnceLock};
@@ -517,8 +519,8 @@ impl<'a> EntityPhase<'a> {
 
         let mut templates: Vec<Template> = Vec::new();
         let mut template_index: FxHashMap<Template, u32> = FxHashMap::default();
-        let mut qp = QueryRows::with_capacity(candidates.len(), 0);
-        let mut qt = QueryRows::with_capacity(candidates.len(), candidates.len());
+        let mut qp = Rows::with_capacity(candidates.len(), 0);
+        let mut qt = Rows::with_capacity(candidates.len(), candidates.len());
         for q in &candidates {
             let qbow = Bow::from_words(q.words());
             for (pi, bow) in bows.iter().enumerate() {
@@ -693,8 +695,8 @@ impl<'a> EntityPhase<'a> {
         // pairs, advance each structure id along its new pages, and emit
         // the slot's rows — pages ascending, template vertices numbered in
         // first-occurrence order over the pool.
-        let mut qp = QueryRows::with_capacity(pool.len(), 4 * pool.len());
-        let mut qt = QueryRows::with_capacity(pool.len(), pool.len());
+        let mut qp = Rows::with_capacity(pool.len(), 4 * pool.len());
+        let mut qt = Rows::with_capacity(pool.len(), pool.len());
         let mut structure: Vec<u32> = Vec::with_capacity(pool.len());
         let mut build_templates: Vec<u32> = Vec::new();
         let mut template_starts: Vec<Option<[f64; N_WALKS]>> = Vec::new();
@@ -806,7 +808,7 @@ impl<'a> EntityPhase<'a> {
     }
 
     fn is_connected(&self, q: usize) -> bool {
-        self.graph.query_page_deg[q] > 0.0 || self.graph.query_template_deg[q] > 0.0
+        !self.graph.query_pages(q).is_empty() || !self.graph.query_templates(q).is_empty()
     }
 
     /// Graph statistics `(pages, queries, templates, edges)`.
@@ -1872,9 +1874,9 @@ mod tests {
     }
 
     /// The O(n²) reference partition of the connected candidates: equal
-    /// page and template neighbour ids and coefficient bits in edge
-    /// order, and equal start bits in all three context walks, in order
-    /// of each class's first member.
+    /// page and template neighbour ids in edge order, and equal start
+    /// bits in all three context walks, in order of each class's first
+    /// member.
     fn brute_force_classes(phase: &EntityPhase<'_>) -> Vec<Vec<usize>> {
         let g = &phase.graph;
         let starts: Vec<Vec<f64>> = CONTEXT_WALKS
@@ -1886,17 +1888,10 @@ mod tests {
                     .map_or(reg.queries, |u| u.queries)
             })
             .collect();
-        let side = |edges: &[l2q_graph::Edge], nrm: &[f64]| -> Vec<(u32, u64)> {
-            edges
-                .iter()
-                .zip(nrm)
-                .map(|(e, c)| (e.to, c.to_bits()))
-                .collect()
-        };
         let key = |q: usize| {
             (
-                side(g.query_pages(q), g.query_pages_nrm(q)),
-                side(g.query_templates(q), g.query_templates_nrm(q)),
+                g.query_pages(q),
+                g.query_templates(q),
                 starts.iter().map(|s| s[q].to_bits()).collect::<Vec<_>>(),
             )
         };

@@ -19,6 +19,7 @@ use crate::fxhash::FxHashSet;
 use crate::query::Query;
 use l2q_aspect::RelevanceOracle;
 use l2q_corpus::{AspectId, Corpus, EntityId, PageId};
+use l2q_graph::UtilityKind;
 use std::sync::{Arc, OnceLock};
 
 /// Everything a selector may consult when choosing the next query.
@@ -299,63 +300,79 @@ pub enum Strategy {
 /// optional domain awareness (templates + frequent domain queries) and
 /// optional context awareness (collective utilities).
 pub struct L2qSelector {
-    strategy: Strategy,
-    domain_aware: bool,
-    context_aware: bool,
+    mode: Mode,
     state: Option<CollectiveState>,
     /// The session's candidate table, carried from selection to
     /// selection.
     table: EntityPhaseState,
 }
 
+/// How an [`L2qSelector`] scores its candidates: one of the paper's
+/// seven configurations, or the weighted extension.
+#[derive(Clone, Copy, Debug)]
+enum Mode {
+    /// L2QP, L2QR, L2QBAL and L2QW(w): collective utilities on the
+    /// domain-aware entity graph (Sect. V).
+    Context(Strategy),
+    /// P, R, P+t and R+t: one entity walk's utilities, on the graph with
+    /// templates (Sect. IV) or without them (Sect. III).
+    Walk { kind: UtilityKind, templates: bool },
+}
+
 impl L2qSelector {
     /// Full L2QP: precision with domain + context awareness.
     pub fn l2qp() -> Self {
-        Self::custom(Strategy::Precision, true, true)
+        Self::full(Strategy::Precision)
     }
 
     /// Full L2QR: recall with domain + context awareness.
     pub fn l2qr() -> Self {
-        Self::custom(Strategy::Recall, true, true)
+        Self::full(Strategy::Recall)
     }
 
     /// Full L2QBAL: balanced combination with domain + context awareness.
     pub fn l2qbal() -> Self {
-        Self::custom(Strategy::Balanced, true, true)
+        Self::full(Strategy::Balanced)
+    }
+
+    /// The domain- and context-aware selector that optimizes `strategy`.
+    pub fn full(strategy: Strategy) -> Self {
+        Self::with_mode(Mode::Context(strategy))
     }
 
     /// Ablation `P`: precision only (Sect. III model).
     pub fn precision_only() -> Self {
-        Self::custom(Strategy::Precision, false, false)
+        Self::walk(UtilityKind::Precision, false)
     }
 
     /// Ablation `R`: recall only (Sect. III model).
     pub fn recall_only() -> Self {
-        Self::custom(Strategy::Recall, false, false)
+        Self::walk(UtilityKind::Recall, false)
     }
 
     /// Ablation `P+t`: precision with template-based domain learning but
     /// no context.
     pub fn precision_templates() -> Self {
-        Self::custom(Strategy::Precision, true, false)
+        Self::walk(UtilityKind::Precision, true)
     }
 
     /// Ablation `R+t`: recall with templates, no context.
     pub fn recall_templates() -> Self {
-        Self::custom(Strategy::Recall, true, false)
+        Self::walk(UtilityKind::Recall, true)
     }
 
     /// Weighted balanced strategy (extension; see [`Strategy::Weighted`]).
     pub fn balanced_weighted(precision_weight: f64) -> Self {
-        Self::custom(Strategy::Weighted { precision_weight }, true, true)
+        Self::full(Strategy::Weighted { precision_weight })
     }
 
-    /// Fully custom combination.
-    pub fn custom(strategy: Strategy, domain_aware: bool, context_aware: bool) -> Self {
+    fn walk(kind: UtilityKind, templates: bool) -> Self {
+        Self::with_mode(Mode::Walk { kind, templates })
+    }
+
+    fn with_mode(mode: Mode) -> Self {
         Self {
-            strategy,
-            domain_aware,
-            context_aware,
+            mode,
             state: None,
             table: EntityPhaseState::new(),
         }
@@ -363,29 +380,41 @@ impl L2qSelector {
 
     /// Whether this selector uses the domain model.
     pub fn is_domain_aware(&self) -> bool {
-        self.domain_aware
+        !matches!(
+            self.mode,
+            Mode::Walk {
+                templates: false,
+                ..
+            }
+        )
     }
 
     /// Whether this selector uses collective utilities.
     pub fn is_context_aware(&self) -> bool {
-        self.context_aware
+        matches!(self.mode, Mode::Context(_))
     }
 }
 
 impl QuerySelector for L2qSelector {
     fn name(&self) -> String {
-        match (self.strategy, self.domain_aware, self.context_aware) {
-            (Strategy::Precision, true, true) => "L2QP".into(),
-            (Strategy::Recall, true, true) => "L2QR".into(),
-            (Strategy::Balanced, true, true) => "L2QBAL".into(),
-            (Strategy::Precision, true, false) => "P+t".into(),
-            (Strategy::Recall, true, false) => "R+t".into(),
-            (Strategy::Precision, false, false) => "P".into(),
-            (Strategy::Recall, false, false) => "R".into(),
-            (Strategy::Weighted { precision_weight }, true, true) => {
+        match self.mode {
+            Mode::Context(Strategy::Precision) => "L2QP".into(),
+            Mode::Context(Strategy::Recall) => "L2QR".into(),
+            Mode::Context(Strategy::Balanced) => "L2QBAL".into(),
+            Mode::Context(Strategy::Weighted { precision_weight }) => {
                 format!("L2QW({precision_weight:.2})")
             }
-            (s, d, c) => format!("L2Q({s:?},domain={d},context={c})"),
+            Mode::Walk { kind, templates } => {
+                let walk = match kind {
+                    UtilityKind::Precision => "P",
+                    UtilityKind::Recall => "R",
+                };
+                if templates {
+                    format!("{walk}+t")
+                } else {
+                    walk.into()
+                }
+            }
         }
     }
 
@@ -404,11 +433,7 @@ impl QuerySelector for L2qSelector {
 
     fn select(&mut self, input: &SelectionInput<'_>) -> Option<Query> {
         let m = selection_metrics();
-        let domain = if self.domain_aware {
-            input.domain
-        } else {
-            None
-        };
+        let domain_aware = self.is_domain_aware();
         let phase_span =
             l2q_obs::SpanTimer::start_named(m.phase_seconds.clone(), "harvest_select_phase");
         let phase = EntityPhase::build_incremental(
@@ -418,8 +443,8 @@ impl QuerySelector for L2qSelector {
             input.oracle,
             input.page_candidates,
             input.fired,
-            domain,
-            self.domain_aware,
+            input.domain.filter(|_| domain_aware),
+            domain_aware,
             input.cfg,
             &mut self.table,
         );
@@ -428,97 +453,86 @@ impl QuerySelector for L2qSelector {
             return None;
         }
 
-        let scores: Vec<f64> = if self.context_aware {
-            let state = *self
-                .state
-                .get_or_insert_with(|| CollectiveState::new(input.cfg.r0));
-            let walks = if input.cfg.prune {
-                let mut cert = Certifier::new(state, self.strategy);
-                let (walks, _early) =
-                    phase.context_walks_certified(Some(&mut self.table), |p| cert.check(p));
-                let total = phase.candidates().len() as u64;
-                match cert.winner {
-                    Some(members) => {
-                        // Certified: only the winner class's utilities
-                        // were needed at (near-)full accuracy.
-                        let exact = members as u64;
-                        m.exact.add(exact);
-                        m.pruned.add(total - exact);
-                        if total > 0 {
-                            m.active_fraction.record(exact as f64 / total as f64);
-                        }
-                    }
-                    None => {
-                        // Bounds never separated a winner: the solve ran
-                        // to convergence, i.e. the exact path.
-                        m.exact.add(total);
-                        m.fallbacks.inc();
-                        m.active_fraction.record(1.0);
-                    }
-                }
-                walks
-            } else {
-                phase
-                    .context_walks_certified(Some(&mut self.table), |_| false)
-                    .0
-            };
-            let _score_span =
-                l2q_obs::SpanTimer::start_named(m.score_seconds.clone(), "harvest_select_score");
-            let (r, r_tilde, rstar) = (walks.recall, walks.recall_gathered, walks.recall_all);
-            let connected = phase.connected();
-            // Primary score per strategy, with the complementary collective
-            // utility as a secondary tie-break key (many candidates tie on
-            // the primary early on, when the seed results are uniform).
-            let scores: Vec<(f64, f64)> = (0..phase.candidates().len())
-                .map(|i| {
-                    if !connected[i] {
-                        return (f64::MIN, f64::MIN);
-                    }
-                    let cp = state.collective_precision(r[i], r_tilde[i], rstar[i]);
-                    let cr = state.collective_recall(r[i], r_tilde[i]);
-                    match self.strategy {
-                        Strategy::Precision => (cp, cr),
-                        Strategy::Recall => (cr, cp),
-                        Strategy::Balanced => ((cp * cr).sqrt(), cr),
-                        Strategy::Weighted { precision_weight } => {
-                            let w = precision_weight.clamp(0.0, 1.0);
-                            (cp.max(0.0).powf(w) * cr.max(0.0).powf(1.0 - w), cr)
-                        }
-                    }
-                })
-                .collect();
-            let best = argmax_pairs(&scores, phase.candidates())?;
-            if scores[best].0 == f64::MIN {
-                return None;
-            }
-            // Commit the chosen query's contribution to Φ.
-            let st = self.state.as_mut().expect("state initialized above");
-            st.commit(r[best], r_tilde[best], rstar[best]);
-            return Some(phase.candidates()[best].clone());
-        } else {
-            match self.strategy {
-                Strategy::Precision => phase.precision_with(Some(&mut self.table)),
-                Strategy::Recall => phase.recall_with(Some(&mut self.table)),
-                Strategy::Weighted { precision_weight } => {
-                    let w = precision_weight.clamp(0.0, 1.0);
-                    let p = phase.precision_with(Some(&mut self.table));
-                    let r = phase.recall_with(Some(&mut self.table));
-                    p.iter()
-                        .zip(&r)
-                        .map(|(a, b)| a.max(0.0).powf(w) * b.max(0.0).powf(1.0 - w))
-                        .collect()
-                }
-                Strategy::Balanced => {
-                    let p = phase.precision_with(Some(&mut self.table));
-                    let r = phase.recall_with(Some(&mut self.table));
-                    p.iter().zip(&r).map(|(a, b)| (a * b).sqrt()).collect()
-                }
+        let strategy = match self.mode {
+            Mode::Context(strategy) => strategy,
+            Mode::Walk { kind, .. } => {
+                let scores = match kind {
+                    UtilityKind::Precision => phase.precision_with(Some(&mut self.table)),
+                    UtilityKind::Recall => phase.recall_with(Some(&mut self.table)),
+                };
+                let _score_span = l2q_obs::SpanTimer::start_named(
+                    m.score_seconds.clone(),
+                    "harvest_select_score",
+                );
+                return argmax(&scores, phase.candidates()).map(|i| phase.candidates()[i].clone());
             }
         };
-
+        let state = *self
+            .state
+            .get_or_insert_with(|| CollectiveState::new(input.cfg.r0));
+        let walks = if input.cfg.prune {
+            let mut cert = Certifier::new(state, strategy);
+            let (walks, _early) =
+                phase.context_walks_certified(Some(&mut self.table), |p| cert.check(p));
+            let total = phase.candidates().len() as u64;
+            match cert.winner {
+                Some(members) => {
+                    // Certified: only the winner class's utilities
+                    // were needed at (near-)full accuracy.
+                    let exact = members as u64;
+                    m.exact.add(exact);
+                    m.pruned.add(total - exact);
+                    if total > 0 {
+                        m.active_fraction.record(exact as f64 / total as f64);
+                    }
+                }
+                None => {
+                    // Bounds never separated a winner: the solve ran
+                    // to convergence, i.e. the exact path.
+                    m.exact.add(total);
+                    m.fallbacks.inc();
+                    m.active_fraction.record(1.0);
+                }
+            }
+            walks
+        } else {
+            phase
+                .context_walks_certified(Some(&mut self.table), |_| false)
+                .0
+        };
         let _score_span =
             l2q_obs::SpanTimer::start_named(m.score_seconds.clone(), "harvest_select_score");
-        argmax(&scores, phase.candidates()).map(|i| phase.candidates()[i].clone())
+        let (r, r_tilde, rstar) = (walks.recall, walks.recall_gathered, walks.recall_all);
+        let connected = phase.connected();
+        // Primary score per strategy, with the complementary collective
+        // utility as a secondary tie-break key (many candidates tie on
+        // the primary early on, when the seed results are uniform).
+        let scores: Vec<(f64, f64)> = (0..phase.candidates().len())
+            .map(|i| {
+                if !connected[i] {
+                    return (f64::MIN, f64::MIN);
+                }
+                let cp = state.collective_precision(r[i], r_tilde[i], rstar[i]);
+                let cr = state.collective_recall(r[i], r_tilde[i]);
+                match strategy {
+                    Strategy::Precision => (cp, cr),
+                    Strategy::Recall => (cr, cp),
+                    Strategy::Balanced => ((cp * cr).sqrt(), cr),
+                    Strategy::Weighted { precision_weight } => {
+                        let w = precision_weight.clamp(0.0, 1.0);
+                        (cp.max(0.0).powf(w) * cr.max(0.0).powf(1.0 - w), cr)
+                    }
+                }
+            })
+            .collect();
+        let best = argmax_pairs(&scores, phase.candidates())?;
+        if scores[best].0 == f64::MIN {
+            return None;
+        }
+        // Commit the chosen query's contribution to Φ.
+        let st = self.state.as_mut().expect("state initialized above");
+        st.commit(r[best], r_tilde[best], rstar[best]);
+        Some(phase.candidates()[best].clone())
     }
 }
 

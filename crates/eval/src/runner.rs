@@ -208,7 +208,7 @@ impl<'a> SplitEval<'a> {
     pub fn evaluate_l2q(&self, strategy: Strategy) -> MethodEval {
         let r0 = self.validated_r0(strategy);
         self.evaluate_with(
-            &|| Box::new(L2qSelector::custom(strategy, true, true)),
+            &|| Box::new(L2qSelector::full(strategy)),
             Some(&self.domain_model),
             self.cfg.with_r0(r0),
         )
@@ -229,7 +229,7 @@ impl<'a> SplitEval<'a> {
             let gathered = per_entity(
                 &self.validation_entities,
                 self.cores,
-                &|| Box::new(L2qSelector::custom(strategy, true, true)),
+                &|| Box::new(L2qSelector::full(strategy)),
                 |selector, e| {
                     corpus
                         .aspects()

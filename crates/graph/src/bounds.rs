@@ -14,14 +14,15 @@
 //!
 //! Many candidate queries are interchangeable: they retrieve the same
 //! pages and are abstracted by the same templates. Two queries with the
-//! same page and template neighbour ids, the same sender-normalized
-//! coefficient bits in edge order, and the same start value and query
-//! regularization bits in all three walks receive bitwise-identical
-//! updates at every sweep (by induction over the sweeps: a Jacobi update
-//! reads only the neighbours' previous iterates, in edge order). The
-//! solver updates one representative per class of such queries. Pages
-//! and templates keep one vertex each and read their query neighbours'
-//! classes, edge by edge in the graph's order.
+//! same page and template neighbour ids in edge order, and the same start
+//! value and query regularization bits in all three walks, receive
+//! bitwise-identical updates at every sweep (by induction over the
+//! sweeps: a Jacobi update reads only the neighbours' previous iterates,
+//! in edge order). Every edge weighs 1, so an edge's coefficient,
+//! `1 / deg(sender)`, follows from its neighbour id: equal ids mean equal
+//! coefficients. The solver updates one representative per class of such
+//! queries. Pages and templates keep one vertex each and read their query
+//! neighbours' classes, edge by edge in the graph's order.
 //!
 //! [`QueryClasses`] are numbered in order of their first member. The
 //! canonical partition, [`QueryClasses::canonical`], compares exactly
@@ -30,13 +31,16 @@
 //! never merge two classes. [`FusedTruncatedSolver::with_classes`] takes
 //! the partition from its caller, who may know it without comparing
 //! edges — the entity phase's candidate table names each distinct (page
-//! list, template list) pair of a unit-weight graph — and debug builds
-//! check it against the canonical one.
+//! list, template list) pair — and debug builds check it against the
+//! canonical one.
 //!
 //! ## Layout and fold order
 //!
 //! The three walks are interleaved: each page, template and class holds
-//! one `[f64; 3]`, so one edge load feeds all three walks. A sweep runs
+//! one `[f64; 3]`, so one edge load feeds all three walks. The sweep
+//! reads four tables in the graph's own CSR layout (neighbour rows with
+//! the coefficients beside them): page → class, template → class, and
+//! each class's representative's page and template rows. A sweep runs
 //! pages, then templates, then classes, reading only the previous
 //! iterate. The block L1 deltas are folded into those loops: pages and
 //! templates in vertex order, and the query block in candidate order
@@ -118,7 +122,7 @@
 //! `INFINITY` — a valid, useless bound. A disconnected query's bound is
 //! exactly its fixpoint `α·Û_q`.
 
-use crate::graph::{Edge, ReinforcementGraph};
+use crate::graph::{Adjacency, ReinforcementGraph};
 use crate::solver::{combine, sweeps_histogram, Regularization, WalkConfig};
 use std::sync::{Arc, OnceLock};
 
@@ -213,22 +217,17 @@ impl QueryClasses {
     }
 
     /// The canonical partition of `g`'s queries: equal page and template
-    /// neighbour ids and coefficient bits in edge order, and equal start
-    /// and regularization bits in all three walks.
+    /// neighbour ids in edge order, and equal start and regularization
+    /// bits in all three walks. (The coefficients follow from the ids.)
     pub fn canonical(g: &ReinforcementGraph, start: &[[f64; 3]], reg: &[[f64; 3]]) -> Self {
-        let sides = |q: usize| {
-            [
-                (g.query_pages(q), g.query_pages_nrm(q)),
-                (g.query_templates(q), g.query_templates_nrm(q)),
-            ]
-        };
+        let sides = |q: usize| [g.query_pages(q), g.query_templates(q)];
         let bits = |x: &Tri| x.map(f64::to_bits);
         let fingerprint = |q: usize| -> u64 {
             let mut h = 0u64;
-            for (edges, nrm) in sides(q) {
-                h = mix(h, edges.len() as u64);
-                for (e, &c) in edges.iter().zip(nrm) {
-                    h = mix(h, c.to_bits() ^ (u64::from(e.to) << 32));
+            for ids in sides(q) {
+                h = mix(h, ids.len() as u64);
+                for &id in ids {
+                    h = mix(h, u64::from(id));
                 }
             }
             for b in bits(&start[q]).into_iter().chain(bits(&reg[q])) {
@@ -239,11 +238,7 @@ impl QueryClasses {
         let same = |a: usize, b: usize| -> bool {
             bits(&start[a]) == bits(&start[b])
                 && bits(&reg[a]) == bits(&reg[b])
-                && sides(a).iter().zip(sides(b)).all(|(&(ea, na), (eb, nb))| {
-                    ea.len() == eb.len()
-                        && ea.iter().zip(eb).all(|(x, y)| x.to == y.to)
-                        && na.iter().zip(nb).all(|(x, y)| x.to_bits() == y.to_bits())
-                })
+                && sides(a) == sides(b)
         };
         Self::partition(g.n_queries(), fingerprint, same)
     }
@@ -325,48 +320,6 @@ struct Blocks {
     classes: Vec<Tri>,
 }
 
-/// One adjacency direction of the sweep: each source's targets and
-/// sender-normalized coefficients, in the graph's edge order.
-struct Csr {
-    off: Vec<u32>,
-    to: Vec<u32>,
-    coef: Vec<f64>,
-}
-
-impl Csr {
-    /// Copy `rows(v)` for every source `v < n`, mapping each target
-    /// through `target`.
-    fn build<'a>(
-        n: usize,
-        rows: impl Fn(usize) -> (&'a [Edge], &'a [f64]),
-        target: impl Fn(u32) -> u32,
-    ) -> Self {
-        let edges: usize = (0..n).map(|v| rows(v).0.len()).sum();
-        let mut off = Vec::with_capacity(n + 1);
-        let (mut to, mut coef) = (Vec::with_capacity(edges), Vec::with_capacity(edges));
-        off.push(0);
-        for v in 0..n {
-            let (edges, nrm) = rows(v);
-            to.extend(edges.iter().map(|e| target(e.to)));
-            coef.extend_from_slice(nrm);
-            off.push(to.len() as u32);
-        }
-        Self { off, to, coef }
-    }
-
-    /// Whether source `v` has any edge.
-    #[inline]
-    fn has_edges(&self, v: usize) -> bool {
-        self.off[v] < self.off[v + 1]
-    }
-
-    #[inline]
-    fn row(&self, v: usize) -> (&[u32], &[f64]) {
-        let r = self.off[v] as usize..self.off[v + 1] as usize;
-        (&self.to[r.clone()], &self.coef[r])
-    }
-}
-
 /// Interleave three per-vertex vectors into one `[f64; 3]` per vertex.
 fn interleave(v: [&[f64]; 3]) -> Vec<Tri> {
     (0..v[0].len())
@@ -385,13 +338,13 @@ fn mix(h: u64, word: u64) -> u64 {
 /// edges from the same page (or template) act as one sender whose
 /// coefficients add, and the bound must cover that sum. `acc` is zeroed
 /// scratch indexed by sender, left zeroed.
-fn max_per_sender(edges: &[Edge], nrm: &[f64], acc: &mut [f64]) -> f64 {
-    for (e, &c) in edges.iter().zip(nrm) {
-        acc[e.to as usize] += c;
+fn max_per_sender((senders, coef): (&[u32], &[f64]), acc: &mut [f64]) -> f64 {
+    for (&v, &c) in senders.iter().zip(coef) {
+        acc[v as usize] += c;
     }
     let mut m = 0.0f64;
-    for e in edges {
-        let s = &mut acc[e.to as usize];
+    for &v in senders {
+        let s = &mut acc[v as usize];
         m = m.max(*s);
         *s = 0.0;
     }
@@ -477,10 +430,10 @@ pub struct FusedTruncatedSolver {
     moving: Vec<u32>,
     /// Pages and templates read their query neighbours' classes; each
     /// class reads its first member's page and template neighbours.
-    page_classes: Csr,
-    template_classes: Csr,
-    class_pages: Csr,
-    class_templates: Csr,
+    page_classes: Adjacency,
+    template_classes: Adjacency,
+    class_pages: Adjacency,
+    class_templates: Adjacency,
     reg: Blocks,
     cur: Blocks,
     next: Blocks,
@@ -542,28 +495,15 @@ impl FusedTruncatedSolver {
         n_queries.add(class_of.len() as u64);
 
         let rep = |c: usize| first[c] as usize;
-        let page_classes = Csr::build(
-            g.n_pages(),
-            |p| (g.page_queries(p), g.page_queries_nrm(p)),
-            |q| class_of[q as usize],
-        );
-        let template_classes = Csr::build(
-            g.n_templates(),
-            |t| (g.template_queries(t), g.template_queries_nrm(t)),
-            |q| class_of[q as usize],
-        );
-        let class_pages = Csr::build(
-            first.len(),
-            |c| (g.query_pages(rep(c)), g.query_pages_nrm(rep(c))),
-            |p| p,
-        );
-        let class_templates = Csr::build(
-            first.len(),
-            |c| (g.query_templates(rep(c)), g.query_templates_nrm(rep(c))),
-            |t| t,
-        );
+        let class = |q: u32| class_of[q as usize];
+        let page_classes = Adjacency::remapped(g.n_pages(), |p| g.page_query.row(p), class);
+        let template_classes =
+            Adjacency::remapped(g.n_templates(), |t| g.template_query.row(t), class);
+        let class_pages = Adjacency::remapped(first.len(), |c| g.query_page.row(rep(c)), |p| p);
+        let class_templates =
+            Adjacency::remapped(first.len(), |c| g.query_template.row(rep(c)), |t| t);
         let connected: Vec<bool> = (0..first.len())
-            .map(|c| class_pages.has_edges(c) || class_templates.has_edges(c))
+            .map(|c| class_pages.rows.degree(c) > 0 || class_templates.rows.degree(c) > 0)
             .collect();
         let moving = (class_of.iter().copied())
             .filter(|&c| connected[c as usize])
@@ -573,19 +513,16 @@ impl FusedTruncatedSolver {
         let mut strength = Vec::with_capacity(first.len());
         let mut mx_in = Vec::with_capacity(first.len());
         for c in 0..first.len() {
-            let (pe, pn) = (g.query_pages(rep(c)), g.query_pages_nrm(rep(c)));
-            let (te, tn) = (g.query_templates(rep(c)), g.query_templates_nrm(rep(c)));
-            strength.push([pn.iter().sum(), tn.iter().sum()]);
+            let (pages, templates) = (class_pages.row(c), class_templates.row(c));
+            strength.push([pages.1.iter().sum(), templates.1.iter().sum()]);
             mx_in.push([
-                max_per_sender(pe, pn, &mut acc),
-                max_per_sender(te, tn, &mut acc),
+                max_per_sender(pages, &mut acc),
+                max_per_sender(templates, &mut acc),
             ]);
         }
         // The strongest page and template receivers.
-        let receivers = [
-            (0..g.n_pages()).fold(0.0f64, |m, p| m.max(g.page_queries_nrm(p).iter().sum())),
-            (0..g.n_templates()).fold(0.0f64, |m, t| m.max(g.template_queries_nrm(t).iter().sum())),
-        ];
+        let receivers = [&g.page_query, &g.template_query]
+            .map(|adj| (0..adj.rows.len()).fold(0.0f64, |m, v| m.max(adj.row(v).1.iter().sum())));
 
         let reg = Blocks {
             classes: first.iter().map(|&q| reg.queries[q as usize]).collect(),
@@ -711,8 +648,8 @@ impl FusedTruncatedSolver {
                 from_templates[1] += k * x[1];
                 from_templates[2] += k * x[2];
             }
-            // Edge weights are positive, so a side has edges exactly
-            // when its degree is positive (the solo sweep's test).
+            // A side is present when its row is not empty (the solo
+            // sweep's test).
             let (has_p, has_t) = (!pages.is_empty(), !templates.is_empty());
             let f = std::array::from_fn(|w| {
                 combine(
@@ -770,7 +707,7 @@ impl FusedTruncatedSolver {
 
     /// Whether class `c`'s queries have any page or template edge.
     pub fn class_connected(&self, c: usize) -> bool {
-        self.class_pages.has_edges(c) || self.class_templates.has_edges(c)
+        self.class_pages.rows.degree(c) > 0 || self.class_templates.rows.degree(c) > 0
     }
 
     /// Class `c`'s current iterate in each system — the iterate of every
@@ -876,7 +813,7 @@ impl FusedTruncatedSolver {
 /// vertex summing over its edges in order; returns the block's L1 delta
 /// per walk, folded in vertex order.
 fn gather(
-    adj: &Csr,
+    adj: &Adjacency,
     classes: &[Tri],
     cur: &[Tri],
     reg: &[Tri],
@@ -952,17 +889,13 @@ pub(crate) mod tests {
     /// Fig. 2 pages/queries plus two templates so every block is live.
     fn fixture() -> ReinforcementGraph {
         let mut b = GraphBuilder::new(6, 5, 2);
-        b.page_query(0, 0, 1.0)
-            .page_query(1, 0, 1.0)
-            .page_query(2, 0, 1.0);
-        b.page_query(0, 1, 1.0).page_query(1, 1, 1.0);
-        b.page_query(2, 2, 1.0).page_query(3, 2, 1.0);
-        b.page_query(3, 3, 1.0)
-            .page_query(4, 3, 1.0)
-            .page_query(5, 3, 1.0);
-        b.page_query(5, 4, 1.0);
-        b.query_template(0, 0, 1.0).query_template(1, 0, 1.0);
-        b.query_template(3, 1, 1.0).query_template(4, 1, 1.0);
+        b.page_query(0, 0).page_query(1, 0).page_query(2, 0);
+        b.page_query(0, 1).page_query(1, 1);
+        b.page_query(2, 2).page_query(3, 2);
+        b.page_query(3, 3).page_query(4, 3).page_query(5, 3);
+        b.page_query(5, 4);
+        b.query_template(0, 0).query_template(1, 0);
+        b.query_template(3, 1).query_template(4, 1);
         b.build()
     }
 
@@ -1109,8 +1042,8 @@ pub(crate) mod tests {
     #[test]
     fn disconnected_query_bound_is_exactly_its_regularization_share() {
         let mut b = GraphBuilder::new(2, 3, 1);
-        b.page_query(0, 0, 1.0).page_query(1, 1, 1.0);
-        b.query_template(0, 0, 1.0);
+        b.page_query(0, 0).page_query(1, 1);
+        b.query_template(0, 0);
         let g = b.build(); // query 2 has no edges at all
         let cfg = WalkConfig::default();
         let mut reg = Regularization::zeros(&g);
@@ -1172,11 +1105,9 @@ pub(crate) mod tests {
         // retrieves page 2; q4 has no edge.
         let mut b = GraphBuilder::new(3, 5, 1);
         for q in [0, 1, 3] {
-            b.page_query(0, q, 1.0)
-                .page_query(1, q, 1.0)
-                .query_template(q, 0, 1.0);
+            b.page_query(0, q).page_query(1, q).query_template(q, 0);
         }
-        b.page_query(2, 2, 1.0);
+        b.page_query(2, 2);
         let g = b.build();
         let cfg = WalkConfig::default();
         let regs = [

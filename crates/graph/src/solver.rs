@@ -4,11 +4,12 @@
 //! Two aggregation kernels instantiate `F`:
 //!
 //! * **Precision** (backward walk, Eq. 6/8/15/17): each vertex takes the
-//!   weighted *average* of its neighbors' utilities — normalization on the
-//!   receiver's own degree.
+//!   *average* of its neighbors' utilities — the sum over its row divided
+//!   by its own degree, the row's length.
 //! * **Recall** (forward walk, Eq. 7/9/16/18): each vertex takes the sum of
 //!   neighbor utilities where every neighbor *splits* its utility across
-//!   its own edges — normalization on the sender's degree.
+//!   its own edges — each edge's coefficient is `1 / deg(sender)`,
+//!   precomputed beside the graph's rows.
 //!
 //! Query vertices have two neighbor classes (pages and templates); their
 //! aggregate is the balanced combination of the page-side and
@@ -290,69 +291,33 @@ fn step(
 ) {
     let a = cfg.alpha;
     let keep = 1.0 - a;
+    let sides = |page, template| {
+        combine(
+            page,
+            template,
+            cfg.page_template_balance,
+            cfg.missing_side_is_zero,
+        )
+    };
 
     match kind {
         UtilityKind::Precision => {
             // Pages: average over their query neighbors (Eq. 8).
             for p in 0..g.n_pages() {
-                let deg = g.page_deg[p];
-                let f = if deg > 0.0 {
-                    g.page_queries(p)
-                        .iter()
-                        .map(|e| e.weight * cur.queries[e.to as usize])
-                        .sum::<f64>()
-                        / deg
-                } else {
-                    0.0
-                };
+                let f = mean(g.page_queries(p), &cur.queries).unwrap_or(0.0);
                 next.pages[p] = keep * f + a * reg.pages[p];
             }
             // Templates: average over their query neighbors (Eq. 15).
             for t in 0..g.n_templates() {
-                let deg = g.template_deg[t];
-                let f = if deg > 0.0 {
-                    g.template_queries(t)
-                        .iter()
-                        .map(|e| e.weight * cur.queries[e.to as usize])
-                        .sum::<f64>()
-                        / deg
-                } else {
-                    0.0
-                };
+                let f = mean(g.template_queries(t), &cur.queries).unwrap_or(0.0);
                 next.templates[t] = keep * f + a * reg.templates[t];
             }
             // Queries: balanced combination of the page-side average
             // (Eq. 6) and template-side average (Eq. 17).
             for q in 0..g.n_queries() {
-                let pdeg = g.query_page_deg[q];
-                let tdeg = g.query_template_deg[q];
-                let page_est = if pdeg > 0.0 {
-                    Some(
-                        g.query_pages(q)
-                            .iter()
-                            .map(|e| e.weight * cur.pages[e.to as usize])
-                            .sum::<f64>()
-                            / pdeg,
-                    )
-                } else {
-                    None
-                };
-                let tmpl_est = if tdeg > 0.0 {
-                    Some(
-                        g.query_templates(q)
-                            .iter()
-                            .map(|e| e.weight * cur.templates[e.to as usize])
-                            .sum::<f64>()
-                            / tdeg,
-                    )
-                } else {
-                    None
-                };
-                let f = combine(
-                    page_est,
-                    tmpl_est,
-                    cfg.page_template_balance,
-                    cfg.missing_side_is_zero,
+                let f = sides(
+                    mean(g.query_pages(q), &cur.pages),
+                    mean(g.query_templates(q), &cur.templates),
                 );
                 next.queries[q] = keep * f + a * reg.queries[q];
             }
@@ -360,63 +325,45 @@ fn step(
         UtilityKind::Recall => {
             // Pages receive from queries, each query splitting over its
             // page neighbors (Eq. 9) — the split coefficient is the
-            // graph's precomputed sender-normalized weight.
+            // graph's precomputed `1 / deg(sender)`.
             for p in 0..g.n_pages() {
-                let f = g
-                    .page_queries(p)
-                    .iter()
-                    .zip(g.page_queries_nrm(p))
-                    .map(|(e, &c)| c * cur.queries[e.to as usize])
-                    .sum::<f64>();
+                let f = split_sum(g.page_query.row(p), &cur.queries);
                 next.pages[p] = keep * f + a * reg.pages[p];
             }
             // Templates receive from queries, each query splitting over
             // its template neighbors (Eq. 16).
             for t in 0..g.n_templates() {
-                let f = g
-                    .template_queries(t)
-                    .iter()
-                    .zip(g.template_queries_nrm(t))
-                    .map(|(e, &c)| c * cur.queries[e.to as usize])
-                    .sum::<f64>();
+                let f = split_sum(g.template_query.row(t), &cur.queries);
                 next.templates[t] = keep * f + a * reg.templates[t];
             }
             // Queries receive from pages (each page splitting over its
             // query neighbors, Eq. 7) and from templates (each template
-            // splitting over its query neighbors, Eq. 18).
+            // splitting over its query neighbors, Eq. 18); a side without
+            // edges is missing.
+            let side = |(to, coef): (&[u32], &[f64]), x: &[f64]| {
+                (!to.is_empty()).then(|| split_sum((to, coef), x))
+            };
             for q in 0..g.n_queries() {
-                let from_pages = if g.query_page_deg[q] > 0.0 {
-                    Some(
-                        g.query_pages(q)
-                            .iter()
-                            .zip(g.query_pages_nrm(q))
-                            .map(|(e, &c)| c * cur.pages[e.to as usize])
-                            .sum::<f64>(),
-                    )
-                } else {
-                    None
-                };
-                let from_templates = if g.query_template_deg[q] > 0.0 {
-                    Some(
-                        g.query_templates(q)
-                            .iter()
-                            .zip(g.query_templates_nrm(q))
-                            .map(|(e, &c)| c * cur.templates[e.to as usize])
-                            .sum::<f64>(),
-                    )
-                } else {
-                    None
-                };
-                let f = combine(
-                    from_pages,
-                    from_templates,
-                    cfg.page_template_balance,
-                    cfg.missing_side_is_zero,
+                let f = sides(
+                    side(g.query_page.row(q), &cur.pages),
+                    side(g.query_template.row(q), &cur.templates),
                 );
                 next.queries[q] = keep * f + a * reg.queries[q];
             }
         }
     }
+}
+
+/// The average of `x` over a row's neighbours (the precision walk's
+/// receiver-normalized aggregate); `None` for an empty row.
+fn mean(row: &[u32], x: &[f64]) -> Option<f64> {
+    (!row.is_empty()).then(|| row.iter().map(|&v| x[v as usize]).sum::<f64>() / row.len() as f64)
+}
+
+/// `Σ coef · x` over a row (the recall walk's aggregate: each neighbour
+/// splits its value over its own edges).
+fn split_sum((row, coef): (&[u32], &[f64]), x: &[f64]) -> f64 {
+    row.iter().zip(coef).map(|(&v, &c)| c * x[v as usize]).sum()
 }
 
 /// Combine page-side and template-side estimates with balance `b` (share
@@ -462,19 +409,15 @@ mod tests {
     fn fig2_graph() -> ReinforcementGraph {
         let mut b = GraphBuilder::new(6, 5, 0);
         // q1 parallel research -> p1 p2 p3
-        b.page_query(0, 0, 1.0)
-            .page_query(1, 0, 1.0)
-            .page_query(2, 0, 1.0);
+        b.page_query(0, 0).page_query(1, 0).page_query(2, 0);
         // q2 hpc research -> p1 p2
-        b.page_query(0, 1, 1.0).page_query(1, 1, 1.0);
+        b.page_query(0, 1).page_query(1, 1);
         // q3 complexity -> p3 p4
-        b.page_query(2, 2, 1.0).page_query(3, 2, 1.0);
+        b.page_query(2, 2).page_query(3, 2);
         // q4 u illinois -> p4 p5 p6
-        b.page_query(3, 3, 1.0)
-            .page_query(4, 3, 1.0)
-            .page_query(5, 3, 1.0);
+        b.page_query(3, 3).page_query(4, 3).page_query(5, 3);
         // q5 ibm -> p6
-        b.page_query(5, 4, 1.0);
+        b.page_query(5, 4);
         b.build()
     }
 
@@ -567,11 +510,11 @@ mod tests {
         // templates: t1 "<topic> research"=0 abstracts q6;
         //            t3 "<institute>"=1 abstracts q7, q8
         let mut b = GraphBuilder::new(3, 3, 2);
-        b.page_query(0, 0, 1.0);
-        b.page_query(0, 1, 1.0);
-        b.page_query(1, 2, 1.0).page_query(2, 2, 1.0);
-        b.query_template(0, 0, 1.0);
-        b.query_template(1, 1, 1.0).query_template(2, 1, 1.0);
+        b.page_query(0, 0);
+        b.page_query(0, 1);
+        b.page_query(1, 2).page_query(2, 2);
+        b.query_template(0, 0);
+        b.query_template(1, 1).query_template(2, 1);
         let g = b.build();
         let relevant = vec![true, true, false];
 
@@ -649,8 +592,8 @@ mod tests {
         // One page (irrelevant), two queries, two templates; template 0
         // regularized high.
         let mut b = GraphBuilder::new(1, 2, 2);
-        b.page_query(0, 0, 1.0).page_query(0, 1, 1.0);
-        b.query_template(0, 0, 1.0).query_template(1, 1, 1.0);
+        b.page_query(0, 0).page_query(0, 1);
+        b.query_template(0, 0).query_template(1, 1);
         let g = b.build();
         let mut reg = Regularization::zeros(&g);
         reg.templates[0] = 1.0;

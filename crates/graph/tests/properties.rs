@@ -1,10 +1,9 @@
 //! Property-based tests for the reinforcement-graph solver on tripartite
-//! (page–query–template) graphs with weighted edges.
+//! (page–query–template) graphs, and the solvers' pinned bits.
 
 use l2q_graph::{
     solve, solve_detailed, FusedSolution, FusedTruncatedSolver, GraphBuilder, Interleaved, Phase,
-    QueryClasses, QueryRows, Regularization, ReinforcementGraph, Utilities, UtilityKind,
-    WalkConfig,
+    QueryClasses, Regularization, ReinforcementGraph, Rows, Utilities, UtilityKind, WalkConfig,
 };
 use proptest::prelude::*;
 
@@ -12,16 +11,16 @@ type Tripartite = (
     usize,
     usize,
     usize,
-    Vec<(u32, u32, f64)>,
-    Vec<(u32, u32, f64)>,
+    Vec<(u32, u32)>,
+    Vec<(u32, u32)>,
     Vec<bool>,
 );
 
-/// Random tripartite graph with weighted edges.
+/// Random tripartite graph; an edge drawn twice is a parallel edge.
 fn arb_tripartite() -> impl Strategy<Value = Tripartite> {
     (2usize..8, 2usize..14, 1usize..6).prop_flat_map(|(np, nq, nt)| {
-        let pq = proptest::collection::vec((0..np as u32, 0..nq as u32, 0.1f64..5.0), 1..40);
-        let qt = proptest::collection::vec((0..nq as u32, 0..nt as u32, 0.1f64..5.0), 0..20);
+        let pq = proptest::collection::vec((0..np as u32, 0..nq as u32), 1..40);
+        let qt = proptest::collection::vec((0..nq as u32, 0..nt as u32), 0..20);
         let rel = proptest::collection::vec(any::<bool>(), np);
         (Just(np), Just(nq), Just(nt), pq, qt, rel)
     })
@@ -31,22 +30,22 @@ fn build(
     np: usize,
     nq: usize,
     nt: usize,
-    pq: &[(u32, u32, f64)],
-    qt: &[(u32, u32, f64)],
+    pq: &[(u32, u32)],
+    qt: &[(u32, u32)],
 ) -> l2q_graph::ReinforcementGraph {
     let mut b = GraphBuilder::new(np, nq, nt);
-    for &(p, q, w) in pq {
-        b.page_query(p, q, w);
+    for &(p, q) in pq {
+        b.page_query(p, q);
     }
-    for &(q, t, w) in qt {
-        b.query_template(q, t, w);
+    for &(q, t) in qt {
+        b.query_template(q, t);
     }
     b.build()
 }
 
 proptest! {
     /// All utilities are finite and non-negative for both walks, for any
-    /// weighted tripartite graph.
+    /// tripartite graph.
     #[test]
     fn utilities_are_finite_and_nonnegative(
         (np, nq, nt, pq, qt, rel) in arb_tripartite()
@@ -62,37 +61,6 @@ proptest! {
             let u = solve(&g, kind, &reg, &WalkConfig::default(), Phase::Entity);
             for v in u.pages.iter().chain(&u.queries).chain(&u.templates) {
                 prop_assert!(v.is_finite() && *v >= 0.0, "bad utility {v}");
-            }
-        }
-    }
-
-    /// Scaling all edge weights uniformly never changes the fixpoint (both
-    /// kernels normalize weights).
-    #[test]
-    fn fixpoint_is_scale_invariant(
-        (np, nq, nt, pq, qt, rel) in arb_tripartite(),
-        scale in 0.5f64..4.0
-    ) {
-        let g1 = build(np, nq, nt, &pq, &qt);
-        let pq2: Vec<_> = pq.iter().map(|&(p, q, w)| (p, q, w * scale)).collect();
-        let qt2: Vec<_> = qt.iter().map(|&(q, t, w)| (q, t, w * scale)).collect();
-        let g2 = build(np, nq, nt, &pq2, &qt2);
-        let cfg = WalkConfig { max_iters: 200, ..Default::default() };
-        for kind in [UtilityKind::Precision, UtilityKind::Recall] {
-            let reg1 = match kind {
-                UtilityKind::Precision =>
-                    Regularization::precision_from_relevance(&g1, &rel),
-                UtilityKind::Recall => Regularization::recall_from_relevance(&g1, &rel),
-            };
-            let reg2 = match kind {
-                UtilityKind::Precision =>
-                    Regularization::precision_from_relevance(&g2, &rel),
-                UtilityKind::Recall => Regularization::recall_from_relevance(&g2, &rel),
-            };
-            let u1 = solve(&g1, kind, &reg1, &cfg, Phase::Entity);
-            let u2 = solve(&g2, kind, &reg2, &cfg, Phase::Entity);
-            for (a, b) in u1.queries.iter().zip(&u2.queries) {
-                prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
             }
         }
     }
@@ -263,7 +231,7 @@ fn walk_regs(g: &l2q_graph::ReinforcementGraph, rel: &[bool]) -> [Regularization
 
 proptest! {
     /// The static per-query upper bound dominates the solved Recall
-    /// utility on any weighted tripartite graph.
+    /// utility on any tripartite graph.
     #[test]
     fn static_bounds_dominate_solved_utilities(
         (np, nq, nt, pq, qt, rel) in arb_tripartite()
@@ -347,7 +315,7 @@ fn bits(u: &Utilities) -> Vec<u64> {
 proptest! {
     /// The fused truncated solver run to completion is bitwise equal to
     /// per-system solo solves — every utility and every sweep count — on
-    /// any weighted tripartite graph, from cold starts and from mixed
+    /// any tripartite graph, from cold starts and from mixed
     /// starts (one warm, one at its fixpoint, one cold).
     #[test]
     fn fused_solver_matches_solo_solves_bitwise(
@@ -392,8 +360,8 @@ proptest! {
 }
 
 /// Tripartite graph whose queries draw their neighbourhood from a few
-/// shared ones, all with unit weights: queries of one neighbourhood have
-/// the same neighbour ids and coefficient bits, so they form real
+/// shared ones: queries of one neighbourhood have the same neighbour ids
+/// (and so the same coefficient bits), so they form real
 /// multi-member classes. Each neighbourhood is `(pages, templates)`;
 /// `nq` exceeds the neighbourhood count, so at least one is shared.
 type SharedNeighbourhoods = (
@@ -433,10 +401,10 @@ proptest! {
         for (q, &h) in owners.iter().enumerate() {
             let (pages, templates) = &hoods[h];
             for &p in pages {
-                b.page_query(p, q as u32, 1.0);
+                b.page_query(p, q as u32);
             }
             for &t in templates {
-                b.query_template(q as u32, t, 1.0);
+                b.query_template(q as u32, t);
             }
         }
         let g = b.build();
@@ -473,37 +441,7 @@ proptest! {
     }
 }
 
-/// Zero-weight edges are dropped at build time, so a candidate attached
-/// only by weightless edges is genuinely disconnected: its bound — and
-/// its fixpoint — collapse to the regularization share exactly.
-#[test]
-fn zero_weight_edges_leave_bounds_at_the_disconnected_value() {
-    let mut with_zero = GraphBuilder::new(3, 3, 1);
-    with_zero.page_query(0, 0, 1.0).page_query(1, 0, 1.0);
-    with_zero.page_query(2, 1, 0.0); // dropped: weightless
-    with_zero.query_template(1, 0, 0.0); // dropped too
-    let g1 = with_zero.build();
-
-    let mut without = GraphBuilder::new(3, 3, 1);
-    without.page_query(0, 0, 1.0).page_query(1, 0, 1.0);
-    let g2 = without.build();
-
-    let cfg = WalkConfig::default();
-    let mut reg = Regularization::zeros(&g1);
-    reg.pages = vec![1.0, 0.0, 1.0];
-    reg.queries = vec![0.0, 0.3, 0.7];
-    let ub1 = static_bounds(&g1, &reg, &cfg);
-    let ub2 = static_bounds(&g2, &reg, &cfg);
-    assert_eq!(ub1, ub2, "weightless edges changed the bounds");
-    // Queries 1 and 2 are disconnected: the bound is the fixpoint.
-    let u = solve(&g1, UtilityKind::Recall, &reg, &cfg, Phase::Entity);
-    assert_eq!(ub1[1], cfg.alpha * 0.3);
-    assert_eq!(u.queries[1], ub1[1]);
-    assert_eq!(ub1[2], cfg.alpha * 0.7);
-    assert_eq!(u.queries[2], ub1[2]);
-}
-
-/// Random query-major unit-weight rows: `(n_pages, n_templates, page
+/// Random query-major rows: `(n_pages, n_templates, page
 /// rows, template rows)`. Rows may be empty and may repeat a neighbour;
 /// the last page and the last template are never listed.
 fn arb_unit_rows() -> impl Strategy<Value = (usize, usize, Vec<Vec<u32>>, Vec<Vec<u32>>)> {
@@ -515,8 +453,7 @@ fn arb_unit_rows() -> impl Strategy<Value = (usize, usize, Vec<Vec<u32>>, Vec<Ve
     })
 }
 
-/// A [`GraphBuilder`] fed `pages` and `templates` query-major with
-/// weight 1.
+/// A [`GraphBuilder`] fed `pages` and `templates` query-major.
 fn builder_of_rows(
     np: usize,
     nt: usize,
@@ -526,19 +463,19 @@ fn builder_of_rows(
     let mut b = GraphBuilder::new(np, pages.len(), nt);
     for (q, row) in pages.iter().enumerate() {
         for &p in row {
-            b.page_query(p, q as u32, 1.0);
+            b.page_query(p, q as u32);
         }
     }
     for (q, row) in templates.iter().enumerate() {
         for &t in row {
-            b.query_template(q as u32, t, 1.0);
+            b.query_template(q as u32, t);
         }
     }
     b.build()
 }
 
-fn rows_of(rows: &[Vec<u32>]) -> QueryRows {
-    let mut r = QueryRows::with_capacity(rows.len(), rows.iter().map(Vec::len).sum());
+fn rows_of(rows: &[Vec<u32>]) -> Rows {
+    let mut r = Rows::with_capacity(rows.len(), rows.iter().map(Vec::len).sum());
     for row in rows {
         r.to.extend_from_slice(row);
         r.end_row();
@@ -548,7 +485,7 @@ fn rows_of(rows: &[Vec<u32>]) -> QueryRows {
 
 proptest! {
     /// The row-based constructor equals a `GraphBuilder` fed the same
-    /// edges query-major with weight 1, field for field.
+    /// edges query-major, field for field.
     #[test]
     fn unit_rows_equal_the_builder_field_for_field(
         (np, nt, pages, templates) in arb_unit_rows(),
@@ -577,8 +514,132 @@ fn unit_rows_cover_empty_rows_repeats_and_unreached_pages() {
     let templates = vec![vec![1, 1], vec![0], vec![], vec![]];
     let g = ReinforcementGraph::from_unit_rows(4, 3, rows_of(&pages), rows_of(&templates));
     assert_eq!(g, builder_of_rows(4, 3, &pages, &templates));
-    assert_eq!(g.template_deg, [1.0, 2.0, 0.0]);
-    assert_eq!(g.query_templates_nrm(0), [0.5, 0.5]);
+    assert_eq!(g.template_queries(0), [1]);
+    assert_eq!(g.template_queries(1), [0, 0]);
+    assert!(g.template_queries(2).is_empty());
     assert!(g.page_queries(1).is_empty() && g.page_queries(3).is_empty());
     assert_eq!(g.n_edges(), 6);
+}
+
+/// A fixed seeded graph: query 0 retrieves page 0 twice and query 1 is
+/// abstracted by template 1 twice (parallel edges), query 5 has no edge,
+/// queries 11–13 copy query 2's neighbourhood (one class), and four
+/// templates are shared among the rest.
+fn pinned_graph() -> ReinforcementGraph {
+    let (np, nq, nt) = (9u32, 14u32, 4u32);
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut draw = move |n: u32| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % u64::from(n)) as u32
+    };
+    let mut rows: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+    for q in 0..11 {
+        let mut pages: Vec<u32> = (0..1 + draw(4)).map(|_| draw(np)).collect();
+        let mut templates: Vec<u32> = (0..draw(3)).map(|_| draw(nt)).collect();
+        match q {
+            0 => pages.extend([0, 0]),
+            1 => templates.extend([1, 1]),
+            5 => (pages, templates) = (vec![], vec![]),
+            _ => {}
+        }
+        rows.push((pages, templates));
+    }
+    while rows.len() < nq as usize {
+        rows.push(rows[2].clone());
+    }
+    let mut b = GraphBuilder::new(np as usize, nq as usize, nt as usize);
+    for (q, (pages, templates)) in rows.iter().enumerate() {
+        for &p in pages {
+            b.page_query(p, q as u32);
+        }
+        for &t in templates {
+            b.query_template(q as u32, t);
+        }
+    }
+    b.build()
+}
+
+/// FNV-1a over 64-bit words.
+fn fold_bits(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A solo solve's utilities and sweep count, folded.
+fn fold_solve((u, sweeps): (Utilities, usize)) -> u64 {
+    fold_bits(bits(&u).into_iter().chain([sweeps as u64]))
+}
+
+/// A fused solve's iterates and sweep counts, per walk, folded.
+fn fold_fused(sol: FusedSolution) -> u64 {
+    fold_bits(per_walk(sol).into_iter().map(fold_solve))
+}
+
+/// The solo kernels, the fused kernel, its tails and its static bounds
+/// on a fixed graph, pinned to fixed bits. The proptests compare the
+/// solvers with each other; this test catches a change that moves both
+/// the same way.
+#[test]
+fn kernels_reproduce_their_pinned_bits() {
+    let g = pinned_graph();
+    let cfg = WalkConfig::default();
+    let rel = [true, false, true, true, false, false, true, false, false];
+    let warm = Utilities {
+        pages: (0..g.n_pages()).map(|p| p as f64 / 8.0).collect(),
+        queries: (0..g.n_queries()).map(|q| 1.0 / (1.0 + q as f64)).collect(),
+        templates: vec![0.25; g.n_templates()],
+    };
+    let solo = |kind, reg: &Regularization, w: Option<Utilities>| {
+        fold_solve(solve_detailed(&g, kind, reg, &cfg, w, Phase::Entity))
+    };
+    let mut preg = Regularization::precision_from_relevance(&g, &rel);
+    preg.templates[2] = 0.5;
+    let rreg = Regularization::recall_from_relevance(&g, &rel);
+    let mut regs = walk_regs(&g, &rel);
+    regs[1].templates[0] = 0.4;
+
+    let mut completed = fused(&g, regs.clone(), &cfg, [Some(warm.clone()), None, None]);
+    completed.run_to_completion();
+    let mut stopped = fused(&g, regs, &cfg, [None, None, None]);
+    for _ in 0..4 {
+        assert!(stopped.sweep(), "the pinned graph needs more than 4 sweeps");
+    }
+    let certificates = fold_bits((0..stopped.n_classes()).flat_map(|c| {
+        let s = &stopped;
+        (0..3).flat_map(move |i| {
+            [
+                s.class_values(c)[i],
+                s.class_tail(i, c),
+                s.class_bounds(c)[i],
+                s.tail(i),
+            ]
+            .map(f64::to_bits)
+        })
+    }));
+    let got = [
+        solo(UtilityKind::Precision, &preg, None),
+        solo(UtilityKind::Precision, &preg, Some(warm.clone())),
+        solo(UtilityKind::Recall, &rreg, None),
+        solo(UtilityKind::Recall, &rreg, Some(warm)),
+        fold_fused(completed.finish()),
+        certificates,
+        fold_fused(stopped.finish()),
+    ];
+    let want: [u64; 7] = [
+        0xf8e1_ff22_6a69_f84f,
+        0x9a7d_4241_4285_6314,
+        0x3508_745d_99c8_5a34,
+        0xc91e_3867_2c94_f8ab,
+        0x2dc8_b84f_c4fc_16b5,
+        0xdbe5_abf8_b691_fcd3,
+        0x65d1_9e66_839f_b1b7,
+    ];
+    assert_eq!(
+        got.map(|h| format!("{h:#018x}")),
+        want.map(|h| format!("{h:#018x}")),
+        "kernel bits moved"
+    );
 }

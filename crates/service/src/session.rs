@@ -811,10 +811,13 @@ impl SessionManager {
         id: u64,
         spec: &SessionSpec,
     ) -> Result<SessionStatus, ServiceError> {
-        if id == 0 {
-            return Err(ServiceError::BadConfig(
-                "session id must be positive".into(),
-            ));
+        // 0 is never allocated, and the local allocator must move past
+        // `id`, which leaves no room for the largest id.
+        if id == 0 || id == u64::MAX {
+            return Err(ServiceError::BadConfig(format!(
+                "session id must be in 1..{}",
+                u64::MAX
+            )));
         }
         let taken = self
             .sessions

@@ -190,13 +190,21 @@ fn bad_requests_get_structured_errors_not_disconnects() {
     assert!(err.to_string().contains("no such session"));
     let err = client.request(&Request::op("frobnicate")).unwrap_err();
     assert!(err.to_string().contains("unknown op"));
+    // A router-chosen session id at the top of the range: the local
+    // allocator could not move past it.
+    let mut create = Request::op("create");
+    create.session = Some(u64::MAX);
+    create.entity = Some(0);
+    create.aspect = Some("RESEARCH".into());
+    let err = client.request(&create).unwrap_err();
+    assert!(err.to_string().contains("session id"), "{err}");
     // The query budget is a stopping rule, so the largest one the wire
     // takes is a valid create: nothing may be sized from it.
     client
         .create(0, "RESEARCH", "l2qbal", Some(u32::MAX), 0)
         .expect("create with the largest budget");
 
-    // The connection survived all five refusals, and the server the
+    // The connection survived all six refusals, and the server the
     // largest budget.
     client.request(&Request::op("ping")).expect("ping again");
     handle.shutdown();

@@ -133,6 +133,9 @@ pub(crate) struct StoreObs {
     pub(crate) wal_batches: Arc<l2q_obs::Counter>,
     pub(crate) wal_bytes: Arc<l2q_obs::Counter>,
     pub(crate) fsync_seconds: Arc<l2q_obs::Histogram>,
+    pub(crate) wal_append_seconds: Arc<l2q_obs::Histogram>,
+    pub(crate) snapshot_seconds: Arc<l2q_obs::Histogram>,
+    pub(crate) load_seconds: Arc<l2q_obs::Histogram>,
     pub(crate) snapshots: Arc<l2q_obs::Counter>,
     pub(crate) snapshot_bytes: Arc<l2q_obs::Histogram>,
     pub(crate) snapshot_rejects: Arc<l2q_obs::Counter>,
@@ -154,6 +157,9 @@ pub(crate) fn store_obs() -> &'static StoreObs {
             wal_batches: reg.counter("store_wal_batches_total"),
             wal_bytes: reg.counter("store_wal_bytes_total"),
             fsync_seconds: reg.histogram("store_fsync_seconds"),
+            wal_append_seconds: reg.histogram("store_wal_append_seconds"),
+            snapshot_seconds: reg.histogram("store_snapshot_seconds"),
+            load_seconds: reg.histogram("store_load_seconds"),
             snapshots: reg.counter("store_snapshots_total"),
             snapshot_bytes: reg.histogram_with_bounds(
                 "store_snapshot_bytes",

@@ -10,6 +10,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Durability knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,6 +54,15 @@ impl SessionFiles {
         }
         Ok(self.wal.as_mut().expect("opened above"))
     }
+}
+
+/// Run `f` and record its wall time into `h`: one sample per call,
+/// whatever `f` returns.
+fn timed<T>(h: &l2q_obs::Histogram, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    h.record_duration(t0.elapsed());
+    out
 }
 
 /// Read the session's on-disk generation token (0 when none exists).
@@ -206,24 +216,27 @@ impl SessionStore {
         })
     }
 
-    /// Group-commit a batch of step records to the session's WAL.
+    /// Group-commit a batch of step records to the session's WAL, timed
+    /// into `store_wal_append_seconds` (fsync included).
     pub fn append_steps(&self, id: u64, records: &[WalRecord]) -> io::Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let obs = store_obs();
-        self.with_files(id, |files| {
-            self.check_fence(id, files)?;
-            let wal = files.wal(&self.session_dir(id), self.cfg.fsync)?;
-            let bytes = wal.append_batch(records)?;
-            files.steps_since_snapshot += records
-                .iter()
-                .filter(|r| r.finished.is_none() && r.genesis.is_none())
-                .count();
-            obs.wal_appends.add(records.len() as u64);
-            obs.wal_batches.inc();
-            obs.wal_bytes.add(bytes);
-            Ok(())
+        timed(&store_obs().wal_append_seconds, || {
+            if records.is_empty() {
+                return Ok(());
+            }
+            let obs = store_obs();
+            self.with_files(id, |files| {
+                self.check_fence(id, files)?;
+                let wal = files.wal(&self.session_dir(id), self.cfg.fsync)?;
+                let bytes = wal.append_batch(records)?;
+                files.steps_since_snapshot += records
+                    .iter()
+                    .filter(|r| r.finished.is_none() && r.genesis.is_none())
+                    .count();
+                obs.wal_appends.add(records.len() as u64);
+                obs.wal_batches.inc();
+                obs.wal_bytes.add(bytes);
+                Ok(())
+            })
         })
     }
 
@@ -236,47 +249,50 @@ impl SessionStore {
     }
 
     /// Write a compacting snapshot of `session`, prune old generations,
-    /// and truncate the now-redundant WAL.
+    /// and truncate the now-redundant WAL, timed into
+    /// `store_snapshot_seconds`.
     pub fn snapshot(&self, id: u64, session: &PortableSession) -> io::Result<()> {
-        let obs = store_obs();
-        self.with_files(id, |files| {
-            self.check_fence(id, files)?;
-            let dir = self.session_dir(id);
-            let steps = session.state.iterations.len();
-            let path = dir.join(format!("snap-{steps:012}.snap"));
-            let sync = self.cfg.fsync != FsyncPolicy::Never;
-            let bytes = write_snapshot(&path, session, sync)?;
-            obs.snapshots.inc();
-            obs.snapshot_bytes.record(bytes as f64);
+        timed(&store_obs().snapshot_seconds, || {
+            let obs = store_obs();
+            self.with_files(id, |files| {
+                self.check_fence(id, files)?;
+                let dir = self.session_dir(id);
+                let steps = session.state.iterations.len();
+                let path = dir.join(format!("snap-{steps:012}.snap"));
+                let sync = self.cfg.fsync != FsyncPolicy::Never;
+                let bytes = write_snapshot(&path, session, sync)?;
+                obs.snapshots.inc();
+                obs.snapshot_bytes.record(bytes as f64);
 
-            // Snapshot names zero-pad the step count, so the lexicographic
-            // order of `snaps` is also the generation order.
-            let mut snaps: Vec<PathBuf> = fs::read_dir(&dir)?
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.extension().is_some_and(|x| x == "snap")
-                        && p.file_name()
-                            .and_then(|n| n.to_str())
-                            .is_some_and(|n| n.starts_with("snap-"))
-                })
-                .collect();
-            snaps.sort();
-            let keep = self.cfg.keep_snapshots.max(1);
-            if snaps.len() > keep {
-                for old in &snaps[..snaps.len() - keep] {
-                    fs::remove_file(old).ok();
+                // Snapshot names zero-pad the step count, so the lexicographic
+                // order of `snaps` is also the generation order.
+                let mut snaps: Vec<PathBuf> = fs::read_dir(&dir)?
+                    .filter_map(|e| e.ok())
+                    .map(|e| e.path())
+                    .filter(|p| {
+                        p.extension().is_some_and(|x| x == "snap")
+                            && p.file_name()
+                                .and_then(|n| n.to_str())
+                                .is_some_and(|n| n.starts_with("snap-"))
+                    })
+                    .collect();
+                snaps.sort();
+                let keep = self.cfg.keep_snapshots.max(1);
+                if snaps.len() > keep {
+                    for old in &snaps[..snaps.len() - keep] {
+                        fs::remove_file(old).ok();
+                    }
                 }
-            }
 
-            // A fresh session's WAL is already empty — skip the
-            // truncate-and-sync on the create path.
-            let wal = files.wal(&dir, self.cfg.fsync)?;
-            if wal.len_bytes()? > 0 {
-                wal.truncate()?;
-            }
-            files.steps_since_snapshot = 0;
-            Ok(())
+                // A fresh session's WAL is already empty — skip the
+                // truncate-and-sync on the create path.
+                let wal = files.wal(&dir, self.cfg.fsync)?;
+                if wal.len_bytes()? > 0 {
+                    wal.truncate()?;
+                }
+                files.steps_since_snapshot = 0;
+                Ok(())
+            })
         })
     }
 
@@ -284,91 +300,94 @@ impl SessionStore {
     /// generations when one is damaged) plus WAL tail replay. `Ok(None)`
     /// means no recoverable state exists. A torn final WAL record is
     /// discarded silently; a corrupt mid-log record stops replay at the
-    /// last good prefix. Both are counted in the metrics registry.
+    /// last good prefix. Both are counted in the metrics registry, and
+    /// the load is timed into `store_load_seconds`.
     pub fn load(&self, id: u64) -> io::Result<Option<RecoveredSession>> {
-        let dir = self.session_dir(id);
-        if !dir.is_dir() {
-            return Ok(None);
-        }
-        let obs = store_obs();
-
-        let mut snaps: Vec<PathBuf> = fs::read_dir(&dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "snap"))
-            .collect();
-        snaps.sort();
-        let mut session = None;
-        for path in snaps.iter().rev() {
-            match read_snapshot(path)? {
-                Some(s) => {
-                    session = Some(s);
-                    break;
-                }
-                None => obs.snapshot_rejects.inc(),
+        timed(&store_obs().load_seconds, || {
+            let dir = self.session_dir(id);
+            if !dir.is_dir() {
+                return Ok(None);
             }
-        }
+            let obs = store_obs();
 
-        let scan = scan_wal(&dir.join("wal.log"))?;
-        if scan.torn_tail {
-            obs.torn_tails.inc();
-        }
-        if scan.corrupt {
-            obs.crc_failures.inc();
-        }
-        if scan.torn_tail || scan.corrupt {
-            // Cut the bad tail off now: the WAL is opened in append mode,
-            // so without this, post-recovery batches would land after the
-            // garbage and every later scan would stop short of them —
-            // silently dropping acknowledged writes on the next recovery.
+            let mut snaps: Vec<PathBuf> = fs::read_dir(&dir)?
+                .filter_map(|e| e.ok())
+                .map(|e| e.path())
+                .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+                .collect();
+            snaps.sort();
+            let mut session = None;
+            for path in snaps.iter().rev() {
+                match read_snapshot(path)? {
+                    Some(s) => {
+                        session = Some(s);
+                        break;
+                    }
+                    None => obs.snapshot_rejects.inc(),
+                }
+            }
+
+            let scan = scan_wal(&dir.join("wal.log"))?;
+            if scan.torn_tail {
+                obs.torn_tails.inc();
+            }
+            if scan.corrupt {
+                obs.crc_failures.inc();
+            }
+            if scan.torn_tail || scan.corrupt {
+                // Cut the bad tail off now: the WAL is opened in append mode,
+                // so without this, post-recovery batches would land after the
+                // garbage and every later scan would stop short of them —
+                // silently dropping acknowledged writes on the next recovery.
+                self.with_files(id, |files| {
+                    files
+                        .wal(&dir, self.cfg.fsync)?
+                        .truncate_to(scan.valid_bytes)
+                })?;
+            }
+
+            // No valid snapshot: bootstrap from the genesis record the
+            // session's first batch carried.
+            if session.is_none() {
+                session = scan
+                    .records
+                    .iter()
+                    .find_map(|r| r.genesis.as_deref())
+                    .and_then(|json| serde_json::from_str::<PortableSession>(json).ok())
+                    .filter(|s| s.id == id);
+            }
+            let Some(mut session) = session else {
+                return Ok(None);
+            };
+            let mut replayed = 0usize;
+            for rec in &scan.records {
+                match apply_record(&mut session, rec) {
+                    Replay::Applied => replayed += 1,
+                    Replay::Stale => {}
+                    Replay::Mismatch => {
+                        obs.discarded_records.inc();
+                        break;
+                    }
+                }
+            }
+            obs.recoveries.inc();
+            obs.replayed_steps.add(replayed as u64);
+
+            // Remember how far past a snapshot the session is, so the caller's
+            // snapshot cadence resumes correctly. with_files creates the
+            // open-file entry — in a fresh process nothing has opened this
+            // session yet, so updating an existing entry alone would leave the
+            // cadence at zero and let the WAL grow an extra snapshot_every
+            // steps past its compaction point.
             self.with_files(id, |files| {
-                files
-                    .wal(&dir, self.cfg.fsync)?
-                    .truncate_to(scan.valid_bytes)
+                files.steps_since_snapshot = replayed;
+                Ok(())
             })?;
-        }
-
-        // No valid snapshot: bootstrap from the genesis record the
-        // session's first batch carried.
-        if session.is_none() {
-            session = scan
-                .records
-                .iter()
-                .find_map(|r| r.genesis.as_deref())
-                .and_then(|json| serde_json::from_str::<PortableSession>(json).ok())
-                .filter(|s| s.id == id);
-        }
-        let Some(mut session) = session else {
-            return Ok(None);
-        };
-        let mut replayed = 0usize;
-        for rec in &scan.records {
-            match apply_record(&mut session, rec) {
-                Replay::Applied => replayed += 1,
-                Replay::Stale => {}
-                Replay::Mismatch => {
-                    obs.discarded_records.inc();
-                    break;
-                }
-            }
-        }
-        obs.recoveries.inc();
-        obs.replayed_steps.add(replayed as u64);
-
-        // Remember how far past a snapshot the session is, so the caller's
-        // snapshot cadence resumes correctly. with_files creates the
-        // open-file entry — in a fresh process nothing has opened this
-        // session yet, so updating an existing entry alone would leave the
-        // cadence at zero and let the WAL grow an extra snapshot_every
-        // steps past its compaction point.
-        self.with_files(id, |files| {
-            files.steps_since_snapshot = replayed;
-            Ok(())
-        })?;
-        Ok(Some(RecoveredSession {
-            session,
-            replayed_steps: replayed,
-        }))
+            Ok(Some(RecoveredSession {
+                session,
+                replayed_steps: replayed,
+            }))
+        })
     }
 
     /// Close the session's WAL once it is no longer resident in this

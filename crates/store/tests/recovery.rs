@@ -246,3 +246,29 @@ fn damaged_newest_snapshot_falls_back_to_older_generation() {
     assert_eq!(got.session, older);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Each WAL append (fsync included), snapshot and load is one sample of
+/// its latency histogram.
+#[test]
+fn appends_snapshots_and_loads_are_timed_once_per_call() {
+    let _serial = serial();
+    let dir = test_dir("latency");
+    let store = SessionStore::open(&dir, StoreConfig::default()).unwrap();
+    let reg = l2q_obs::global();
+    let samples = || {
+        [
+            "store_wal_append_seconds",
+            "store_snapshot_seconds",
+            "store_load_seconds",
+        ]
+        .map(|name| reg.histogram(name).count())
+    };
+    let before = samples();
+    store.snapshot(5, &base_session(5)).unwrap();
+    store.append_steps(5, &[step(5, 0)]).unwrap();
+    store.append_steps(5, &[step(5, 1), step(5, 2)]).unwrap();
+    let got = store.load(5).unwrap().unwrap();
+    assert_eq!(got.replayed_steps, 3);
+    assert_eq!(samples(), [before[0] + 2, before[1] + 1, before[2] + 1]);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -25,7 +25,7 @@ proptest! {
     fn precision_is_bounded((edges, n_pages, n_queries, relevant) in arb_graph()) {
         let mut b = GraphBuilder::new(n_pages, n_queries, 0);
         for (p, q) in &edges {
-            b.page_query(*p, *q, 1.0);
+            b.page_query(*p, *q);
         }
         let g = b.build();
         let reg = Regularization::precision_from_relevance(&g, &relevant);
@@ -41,7 +41,7 @@ proptest! {
     fn recall_mass_is_conserved((edges, n_pages, n_queries, relevant) in arb_graph()) {
         let mut b = GraphBuilder::new(n_pages, n_queries, 0);
         for (p, q) in &edges {
-            b.page_query(*p, *q, 1.0);
+            b.page_query(*p, *q);
         }
         let g = b.build();
         let reg = Regularization::recall_from_relevance(&g, &relevant);
@@ -61,7 +61,7 @@ proptest! {
     fn fixpoint_is_linear_in_regularization((edges, n_pages, n_queries, relevant) in arb_graph()) {
         let mut b = GraphBuilder::new(n_pages, n_queries, 0);
         for (p, q) in &edges {
-            b.page_query(*p, *q, 1.0);
+            b.page_query(*p, *q);
         }
         let g = b.build();
         let reg1 = Regularization::precision_from_relevance(&g, &relevant);
