@@ -28,7 +28,7 @@
 use l2q_aspect::RelevanceOracle;
 use l2q_core::{
     learn_domain, DomainModel, EntityPhase, EntityPhaseState, HarvestState, Harvester, L2qConfig,
-    L2qSelector, Query, QuerySelector, SelectionInput, StepOutcome, StopwordCache,
+    L2qSelector, Query, QuerySelector, SelectionInput, StepOutcome,
 };
 use l2q_corpus::spec::DomainSpec;
 use l2q_corpus::{
@@ -166,7 +166,6 @@ fn sweep_counts(f: &Fixture, cfg: &L2qConfig) -> (Vec<u64>, Vec<u64>) {
     let all_pages: Vec<PageId> = f.corpus.pages_of(entity).iter().map(|p| p.id).collect();
     let seed = Query::new(f.corpus.seed_query(entity));
     let fired = vec![seed];
-    let mut stops = StopwordCache::new();
 
     let mut state_warm = EntityPhaseState::new();
     let mut cold = Vec::new();
@@ -175,8 +174,7 @@ fn sweep_counts(f: &Fixture, cfg: &L2qConfig) -> (Vec<u64>, Vec<u64>) {
         let pages = &all_pages[..k];
         let mut fresh = EntityPhaseState::new();
         for (state, into) in [(&mut fresh, &mut cold), (&mut state_warm, &mut warm)] {
-            let candidates =
-                l2q_core::selector::page_candidates(&f.corpus, pages, &fired, cfg, &mut stops);
+            let candidates = l2q_core::selector::page_candidates(&f.corpus, pages, &fired, cfg);
             let phase = EntityPhase::build_incremental(
                 &f.corpus,
                 aspect,
@@ -271,16 +269,12 @@ fn main() {
         .map(|&p| f.oracle.is_relevant(aspect, p))
         .collect();
     let fired = vec![seed];
-    let mut stops = StopwordCache::new();
-    let page_candidates =
-        l2q_core::selector::page_candidates(&f.corpus, &gathered, &fired, &f.cfg, &mut stops);
+    let page_candidates = l2q_core::selector::page_candidates(&f.corpus, &gathered, &fired, &f.cfg);
 
     let mut results: Vec<(String, u128, usize)> = Vec::new();
 
     results.push(bench("candidate_enumeration", samples, || {
-        let mut stops = StopwordCache::new();
-        let _ =
-            l2q_core::selector::page_candidates(&f.corpus, &gathered, &fired, &f.cfg, &mut stops);
+        let _ = l2q_core::selector::page_candidates(&f.corpus, &gathered, &fired, &f.cfg);
     }));
 
     // Single-shot selections by a fresh selector, so each builds from an

@@ -3,15 +3,22 @@
 //! "To enumerate candidate queries from a page … we applied a sliding
 //! window of ℓ words over the page for each ℓ ∈ {1, 2, …, L}" with L = 3
 //! (paper Sect. VI-A). Degenerate all-stopword n-grams are pruned — they
-//! carry no retrieval signal. In the entity phase, candidates additionally
-//! include frequent domain queries ("we restrict to queries that occur
-//! with at least 50 domain entities"), which is handled by the domain
-//! phase's [`crate::domain_phase::DomainModel`].
+//! carry no retrieval signal; the test reads the corpus's per-symbol
+//! stopword flags ([`Corpus::is_stop_sym`]). In the entity phase,
+//! candidates additionally include frequent domain queries ("we restrict
+//! to queries that occur with at least 50 domain entities"), which is
+//! handled by the domain phase's [`crate::domain_phase::DomainModel`].
+//!
+//! One enumerator serves [`page_queries`], [`pages_queries`] and
+//! [`IncrementalCandidates`]: it probes its seen set with each n-gram's
+//! sorted words and builds a [`Query`] only for an n-gram it has not
+//! seen.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::fxhash::FxHashSet;
 use crate::query::Query;
+use crate::selector::subset_of_seed;
 use l2q_corpus::{Corpus, Page};
-use l2q_text::{is_stopword, ngrams, Sym};
+use l2q_text::{ngrams, Sym};
 
 /// Candidate enumeration configuration.
 #[derive(Clone, Copy, Debug)]
@@ -37,83 +44,52 @@ impl Default for CandidateConfig {
     }
 }
 
-/// Memoized per-symbol stopword test (string lookups done once per symbol).
-#[derive(Default, Debug)]
-pub struct StopwordCache {
-    map: FxHashMap<Sym, bool>,
-}
-
-impl StopwordCache {
-    /// Create an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether `w` is a stopword in `corpus`'s symbol table.
-    pub fn is_stop(&mut self, corpus: &Corpus, w: Sym) -> bool {
-        *self
-            .map
-            .entry(w)
-            .or_insert_with(|| is_stopword(corpus.symbols.resolve(w)))
-    }
-
-    /// Whether every word of the slice is a stopword (empty ⇒ true).
-    pub fn all_stop(&mut self, corpus: &Corpus, words: &[Sym]) -> bool {
-        words.iter().all(|&w| self.is_stop(corpus, w))
-    }
-
-    /// [`crate::selector::subset_of_seed`] through the cache: whether
-    /// every word of `q` is a seed word or a stopword.
-    pub(crate) fn subset_of_seed(&mut self, corpus: &Corpus, q: &Query, seed: &Query) -> bool {
-        q.words()
-            .iter()
-            .all(|&w| seed.words().contains(&w) || self.is_stop(corpus, w))
+/// The one n-gram enumerator. Hands `new` every n-gram of `page`
+/// (lengths `1..=max_len`, paragraph by paragraph, in [`ngrams`] order)
+/// that is not all stopwords and not in `seen` yet, then adds it to
+/// `seen`. The set is probed with the n-gram's sorted words, so a
+/// [`Query`] is only built for an n-gram `seen` does not hold.
+fn for_each_new_query(
+    corpus: &Corpus,
+    page: &Page,
+    max_len: usize,
+    seen: &mut FxHashSet<Query>,
+    mut new: impl FnMut(&Query),
+) {
+    let mut key: Vec<Sym> = Vec::with_capacity(max_len);
+    for para in &page.paragraphs {
+        for gram in ngrams(&para.words, max_len) {
+            if gram.iter().all(|&w| corpus.is_stop_sym(w)) {
+                continue;
+            }
+            key.clear();
+            key.extend_from_slice(gram);
+            key.sort_unstable();
+            if !seen.contains(&key[..]) {
+                let q = Query::new(&key);
+                new(&q);
+                seen.insert(q);
+            }
+        }
     }
 }
 
 /// Enumerate the distinct candidate queries of one page (all-stopword
 /// n-grams pruned). Order of first occurrence.
-pub fn page_queries(
-    corpus: &Corpus,
-    page: &Page,
-    max_len: usize,
-    stops: &mut StopwordCache,
-) -> Vec<Query> {
-    let mut seen: FxHashSet<Query> = FxHashSet::default();
-    let mut out = Vec::new();
-    for para in &page.paragraphs {
-        for gram in ngrams(&para.words, max_len) {
-            if stops.all_stop(corpus, gram) {
-                continue;
-            }
-            let q = Query::new(gram);
-            if seen.insert(q.clone()) {
-                out.push(q);
-            }
-        }
-    }
-    out
+pub fn page_queries(corpus: &Corpus, page: &Page, max_len: usize) -> Vec<Query> {
+    pages_queries(corpus, std::iter::once(page), max_len)
 }
 
 /// Enumerate distinct candidates across several pages, in first-occurrence
 /// order (deterministic given page order).
-pub fn pages_queries<'a, I>(
-    corpus: &Corpus,
-    pages: I,
-    max_len: usize,
-    stops: &mut StopwordCache,
-) -> Vec<Query>
+pub fn pages_queries<'a, I>(corpus: &Corpus, pages: I, max_len: usize) -> Vec<Query>
 where
     I: IntoIterator<Item = &'a Page>,
 {
     let mut seen: FxHashSet<Query> = FxHashSet::default();
     let mut out = Vec::new();
     for page in pages {
-        for q in page_queries(corpus, page, max_len, stops) {
-            if seen.insert(q.clone()) {
-                out.push(q);
-            }
-        }
+        for_each_new_query(corpus, page, max_len, &mut seen, |q| out.push(q.clone()));
     }
     out
 }
@@ -157,14 +133,8 @@ impl IncrementalCandidates {
     /// prefixes into the live list. `pages` and `fired` must extend the
     /// previously passed lists by appending; a shorter list or another
     /// seed resets the enumerator first.
-    pub fn update<'a, I>(
-        &mut self,
-        corpus: &Corpus,
-        pages: I,
-        fired: &[Query],
-        max_len: usize,
-        stops: &mut StopwordCache,
-    ) where
+    pub fn update<'a, I>(&mut self, corpus: &Corpus, pages: I, fired: &[Query], max_len: usize)
+    where
         I: IntoIterator<Item = &'a Page>,
         I::IntoIter: ExactSizeIterator,
     {
@@ -188,16 +158,13 @@ impl IncrementalCandidates {
         self.fired_done = fired.len();
         let skip = self.pages_done;
         self.pages_done = iter.len();
+        let live = &mut self.live;
         for page in iter.skip(skip) {
-            for q in page_queries(corpus, page, max_len, stops) {
-                if self.seen.contains(&q) {
-                    continue;
+            for_each_new_query(corpus, page, max_len, &mut self.seen, |q| {
+                if !seed.is_some_and(|s| subset_of_seed(q, s, corpus)) {
+                    live.push(q.clone());
                 }
-                self.seen.insert(q.clone());
-                if !seed.is_some_and(|s| stops.subset_of_seed(corpus, &q, s)) {
-                    self.live.push(q);
-                }
-            }
+            });
         }
     }
 
@@ -222,6 +189,7 @@ impl IncrementalCandidates {
 mod tests {
     use super::*;
     use l2q_corpus::{generate, researchers_domain, CorpusConfig, EntityId};
+    use l2q_text::is_stopword;
     use std::collections::HashSet;
 
     fn corpus() -> Corpus {
@@ -231,9 +199,8 @@ mod tests {
     #[test]
     fn page_queries_are_distinct_and_bounded_in_length() {
         let c = corpus();
-        let mut stops = StopwordCache::new();
         let page = &c.pages_of(EntityId(0))[0];
-        let qs = page_queries(&c, page, 3, &mut stops);
+        let qs = page_queries(&c, page, 3);
         assert!(!qs.is_empty());
         let set: HashSet<_> = qs.iter().cloned().collect();
         assert_eq!(set.len(), qs.len(), "queries must be distinct");
@@ -245,9 +212,8 @@ mod tests {
     #[test]
     fn all_stopword_ngrams_are_pruned() {
         let c = corpus();
-        let mut stops = StopwordCache::new();
         for page in c.pages.iter().take(20) {
-            for q in page_queries(&c, page, 3, &mut stops) {
+            for q in page_queries(&c, page, 3) {
                 assert!(
                     !q.words().iter().all(|&w| is_stopword(c.symbols.resolve(w))),
                     "all-stopword query {} survived",
@@ -260,13 +226,12 @@ mod tests {
     #[test]
     fn multi_page_enumeration_dedupes_across_pages() {
         let c = corpus();
-        let mut stops = StopwordCache::new();
         let pages = c.pages_of(EntityId(0));
-        let all = pages_queries(&c, pages.iter(), 3, &mut stops);
+        let all = pages_queries(&c, pages.iter(), 3);
         let set: HashSet<_> = all.iter().cloned().collect();
         assert_eq!(set.len(), all.len());
         // Union must be at least as large as any single page's set.
-        let single = page_queries(&c, &pages[0], 3, &mut stops);
+        let single = page_queries(&c, &pages[0], 3);
         assert!(all.len() >= single.len());
     }
 
@@ -274,8 +239,8 @@ mod tests {
     fn enumeration_is_deterministic() {
         let c = corpus();
         let pages = c.pages_of(EntityId(1));
-        let a = pages_queries(&c, pages.iter(), 3, &mut StopwordCache::new());
-        let b = pages_queries(&c, pages.iter(), 3, &mut StopwordCache::new());
+        let a = pages_queries(&c, pages.iter(), 3);
+        let b = pages_queries(&c, pages.iter(), 3);
         assert_eq!(a, b);
     }
 
@@ -284,10 +249,9 @@ mod tests {
         let c = corpus();
         let pages = c.pages_of(EntityId(2));
         let mut inc = IncrementalCandidates::new();
-        let mut stops = StopwordCache::new();
         for k in 1..=pages.len() {
-            inc.update(&c, pages[..k].iter(), &[], 3, &mut stops);
-            let batch = pages_queries(&c, pages[..k].iter(), 3, &mut StopwordCache::new());
+            inc.update(&c, pages[..k].iter(), &[], 3);
+            let batch = pages_queries(&c, pages[..k].iter(), 3);
             assert_eq!(inc.queries(), &batch[..], "diverged at prefix {k}");
         }
     }
@@ -304,11 +268,10 @@ mod tests {
         let entity = EntityId(2);
         let pages = c.pages_of(entity);
         let seed = Query::new(c.seed_query(entity));
-        let mut stops = StopwordCache::new();
-        let early = pages_queries(&c, pages[..pages.len() - 1].iter(), 3, &mut stops);
-        let late = page_queries(&c, &pages[pages.len() - 1], 3, &mut stops)
+        let early = pages_queries(&c, pages[..pages.len() - 1].iter(), 3);
+        let late = page_queries(&c, &pages[pages.len() - 1], 3)
             .into_iter()
-            .find(|q| !early.contains(q) && !stops.subset_of_seed(&c, q, &seed))
+            .find(|q| !early.contains(q) && !subset_of_seed(q, &seed, &c))
             .expect("the last page enumerates a query of its own");
         let mut fired = vec![seed, late.clone()];
         let mut inc = IncrementalCandidates::new();
@@ -316,9 +279,9 @@ mod tests {
             if k == 3 {
                 fired.push(inc.queries()[0].clone());
             }
-            inc.update(&c, pages[..k].iter(), &fired, 3, &mut stops);
+            inc.update(&c, pages[..k].iter(), &fired, 3);
             let ids: Vec<_> = pages[..k].iter().map(|p| p.id).collect();
-            let cold = page_candidates(&c, &ids, &fired, &cfg, &mut StopwordCache::new());
+            let cold = page_candidates(&c, &ids, &fired, &cfg);
             assert_eq!(inc.queries(), &cold[..], "diverged at prefix {k}");
         }
         assert!(!inc.queries().contains(&late));
@@ -330,22 +293,20 @@ mod tests {
         let pages = c.pages_of(EntityId(2));
         assert!(pages.len() >= 2);
         let mut inc = IncrementalCandidates::new();
-        let mut stops = StopwordCache::new();
-        inc.update(&c, pages.iter(), &[], 3, &mut stops);
-        inc.update(&c, pages[..1].iter(), &[], 3, &mut stops);
-        let batch = pages_queries(&c, pages[..1].iter(), 3, &mut StopwordCache::new());
+        inc.update(&c, pages.iter(), &[], 3);
+        inc.update(&c, pages[..1].iter(), &[], 3);
+        let batch = pages_queries(&c, pages[..1].iter(), 3);
         assert_eq!(inc.queries(), &batch[..]);
     }
 
     #[test]
     fn phrases_count_as_single_words() {
         let c = corpus();
-        let mut stops = StopwordCache::new();
         // Any multi-word typed value (e.g. "data mining") must appear as a
         // unigram query if it occurs in some page.
         let mut found_phrase_unigram = false;
         for page in c.pages.iter().take(50) {
-            for q in page_queries(&c, page, 1, &mut stops) {
+            for q in page_queries(&c, page, 1) {
                 if q.len() == 1 && c.symbols.resolve(q.words()[0]).contains(' ') {
                     found_phrase_unigram = true;
                 }

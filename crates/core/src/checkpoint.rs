@@ -11,8 +11,8 @@
 //!
 //! Only the *decisions* are persisted: fired queries, per-step page gains
 //! and the collective-recall recursion state. The derived caches
-//! ([`crate::StopwordCache`], [`crate::IncrementalCandidates`], and the
-//! candidate table of the new selector the session is restored into) are
+//! ([`crate::IncrementalCandidates`] and the candidate table of the new
+//! selector the session is restored into) are
 //! rebuilt from scratch on the next step, and a build from scratch equals
 //! the carried one for a given page prefix (the invariant proven by
 //! `incremental_enumeration_matches_batch_exactly` and the `determinism`
@@ -23,7 +23,7 @@
 //! as 16-hex-digit IEEE-754 bit patterns, not JSON numbers: the vendored
 //! JSON value type is `f64`-backed and exact only where `f64` is.
 
-use crate::candidates::{IncrementalCandidates, StopwordCache};
+use crate::candidates::IncrementalCandidates;
 use crate::context::CollectiveState;
 use crate::harvester::{HarvestState, IterationSnapshot, StopReason};
 use crate::portable::ImportError;
@@ -281,7 +281,6 @@ impl HarvestState {
                 seen,
                 iterations,
                 selection_time: Duration::from_nanos(p.selection_time_nanos),
-                stops: StopwordCache::new(),
                 enumerated: IncrementalCandidates::new(),
                 finished,
             },

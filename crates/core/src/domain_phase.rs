@@ -12,7 +12,7 @@
 //! every query whose words it contains with multiplicity), computed via an
 //! inverted index over the domain pages.
 
-use crate::candidates::{page_queries, StopwordCache};
+use crate::candidates::page_queries;
 use crate::config::L2qConfig;
 use crate::fxhash::FxHashMap;
 use crate::query::Query;
@@ -256,8 +256,6 @@ pub fn learn_domain(
     oracle: &RelevanceOracle,
     cfg: &L2qConfig,
 ) -> DomainModel {
-    let mut stops = StopwordCache::new();
-
     // Domain pages in a dense local order.
     let mut pages = Vec::new();
     for &e in domain_entities {
@@ -275,7 +273,7 @@ pub fn learn_domain(
     let mut last_entity: Vec<u32> = Vec::new();
     for page in &pages {
         let owner = page.entity.0;
-        for q in page_queries(corpus, page, cfg.candidates.max_len, &mut stops) {
+        for q in page_queries(corpus, page, cfg.candidates.max_len) {
             let qi = *query_index.entry(q.clone()).or_insert_with(|| {
                 queries.push(q);
                 support.push(0);

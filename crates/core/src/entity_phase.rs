@@ -32,18 +32,28 @@
 //! enumerates and looks up every template on every step. An
 //! [`EntityPhaseState`] carried across a session's steps is a
 //! per-session candidate table instead. Each distinct candidate gets one
-//! slot the first time it enters the pool — its bag, its ascending
-//! page-containment list and its interned template ids — and each
-//! distinct template one slot holding its λ-scaled domain
-//! regularization, looked up once. The pool is carried too. Its page
-//! part follows the harvester's live candidate list, which only drops
-//! fired queries and appends new ones, so a merge keeps every surviving
-//! slot. Its domain part (the frequent domain queries that are not
-//! fired, not seed subsets and not page candidates) only ever loses the
-//! query that fires and the queries a new page enumerates. A step
-//! therefore containment-tests only new pages × all candidates and new
-//! candidates × all pages, hashes only new candidates and templates, and
-//! otherwise makes plain array passes.
+//! slot the first time it enters the pool — the index rows of its
+//! distinct words, its ascending page-containment list and its interned
+//! template ids — and each distinct template one slot holding its
+//! λ-scaled domain regularization, looked up once. The pool is carried
+//! too. Its page part follows the harvester's live candidate list, which
+//! only drops fired queries and appends new ones, so a merge keeps every
+//! surviving slot. Its domain part (the frequent domain queries that are
+//! not fired, not seed subsets and not page candidates) only ever loses
+//! the query that fires and the queries a new page enumerates.
+//!
+//! Containment is page-major. The table keeps a word → page-bitset
+//! index over its pages (one bit per page, 64 pages to a block), which a
+//! page's words extend once, when it joins. A slot's containment over
+//! the pages it has not tested yet is the AND of its distinct words'
+//! bitsets; only a candidate with a repeated word also compares counts
+//! on the page's bag. A step therefore tests only new pages × all
+//! candidates and new candidates × all pages, each as a few word-wide
+//! ANDs, hashes only new candidates, templates and page words, and
+//! otherwise makes plain array passes — and a full build (the first step
+//! of a session, a restore or a migration) costs a pass over the page
+//! words plus one AND per candidate word and 64 pages, not a bag test
+//! per (candidate, page) pair.
 //!
 //! Each step assembles its graph and its certified context solve from
 //! the table in one pass over the pool:
@@ -93,7 +103,8 @@ use l2q_graph::{
     solve_detailed, FusedSolution, FusedTruncatedSolver, Interleaved, Phase, QueryClasses,
     Regularization, ReinforcementGraph, Rows, Utilities, UtilityKind,
 };
-use l2q_text::Bow;
+use l2q_text::{Bow, Sym};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Resolved-once metric handles for the phase-build hot path.
@@ -151,8 +162,12 @@ struct TableKey {
 #[derive(Debug)]
 struct Slot {
     query: Query,
-    /// The candidate's own bag (left operand of containment tests).
-    bow: Bow,
+    /// Where the [`PageIndex`] rows of the candidate's distinct words
+    /// sit in the index's slot rows.
+    rows: Range<u32>,
+    /// Whether a word repeats in the candidate, so that containment also
+    /// compares counts on the page bag.
+    repeated: bool,
     /// Ascending indices (into the state's page list) of pages whose bag
     /// contains this candidate.
     pages: Vec<u32>,
@@ -170,6 +185,20 @@ struct Slot {
     /// Last iterate per walk; lane `w` is from build
     /// `EntityPhaseState::solved[w]` if this slot was part of it.
     iterate: [f64; N_WALKS],
+}
+
+impl Slot {
+    /// Append each page from `tested` on whose bag holds the candidate,
+    /// ascending, and mark every indexed page tested. `bag` gives a
+    /// page's bag; it is read only when a word repeats in the candidate.
+    fn test_pages<'b>(&mut self, index: &PageIndex, bag: impl Fn(usize) -> &'b Bow) {
+        index.containing(self.rows.clone(), self.tested, |p| {
+            if !self.repeated || holds_counts(bag(p), self.query.words()) {
+                self.pages.push(p as u32);
+            }
+        });
+        self.tested = index.pages;
+    }
 }
 
 /// One distinct template of a session.
@@ -194,6 +223,89 @@ fn child(trie: &mut FxHashMap<(u32, u32), u32>, node: u32, label: u32) -> u32 {
     *trie.entry((node, label)).or_insert(next)
 }
 
+/// Word → page bitset index over a table's pages. Every word a page
+/// or a slot has shown gets a row, and bit `p % 64` of
+/// `blocks[p / 64][row]` is set when page `p`'s bag holds the row's word.
+/// Pages join by appending, so the index only ever grows.
+#[derive(Debug, Default)]
+struct PageIndex {
+    row_of: FxHashMap<Sym, u32>,
+    /// One word of bits per row for each 64 pages.
+    blocks: Vec<Vec<u64>>,
+    pages: usize,
+    /// Every slot's rows, back to back (one allocation, not one a slot).
+    slot_rows: Vec<u32>,
+}
+
+impl PageIndex {
+    /// The row of `w`, created without pages on first sight.
+    fn row(&mut self, w: Sym) -> usize {
+        let next = self.row_of.len() as u32;
+        let row = *self.row_of.entry(w).or_insert(next);
+        if row == next {
+            for block in &mut self.blocks {
+                block.push(0);
+            }
+        }
+        row as usize
+    }
+
+    /// Append the rows of the distinct words of `words` (sorted) to the
+    /// slot rows, returning where they sit.
+    fn rows(&mut self, words: &[Sym]) -> Range<u32> {
+        let start = self.slot_rows.len() as u32;
+        for (i, &w) in words.iter().enumerate() {
+            if i == 0 || words[i - 1] != w {
+                let row = self.row(w) as u32;
+                self.slot_rows.push(row);
+            }
+        }
+        start..self.slot_rows.len() as u32
+    }
+
+    /// Append a page with bag `bag`.
+    fn push(&mut self, bag: &Bow) {
+        let (block, bit) = (self.pages / 64, 1u64 << (self.pages % 64));
+        if block == self.blocks.len() {
+            self.blocks.push(vec![0; self.row_of.len()]);
+        }
+        for (w, _) in bag.iter() {
+            let row = self.row(w);
+            self.blocks[block][row] |= bit;
+        }
+        self.pages += 1;
+    }
+
+    /// Hand `found` each page from `from` on, ascending, whose bag holds
+    /// the word of every row in the slot rows `rows`: the AND of the
+    /// rows' bitsets.
+    fn containing(&self, rows: Range<u32>, from: usize, mut found: impl FnMut(usize)) {
+        let rows = &self.slot_rows[rows.start as usize..rows.end as usize];
+        for b in from / 64..self.blocks.len() {
+            let block = &self.blocks[b];
+            let mut bits = !0u64 << (from.max(64 * b) - 64 * b);
+            if self.pages - 64 * b < 64 {
+                bits &= (1u64 << (self.pages - 64 * b)) - 1;
+            }
+            for &row in rows {
+                bits &= block[row as usize];
+            }
+            while bits != 0 {
+                found(64 * b + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// Whether `bag` holds each word of `words` (sorted) at least as often
+/// as `words` repeats it.
+fn holds_counts(bag: &Bow, words: &[Sym]) -> bool {
+    words
+        .chunk_by(|a, b| a == b)
+        .all(|run| bag.tf(run[0]) as usize >= run.len())
+}
+
 /// Persistent cross-step cache for [`EntityPhase::build_incremental`]:
 /// the session's candidate table, with each vertex's last iterates (see
 /// the module docs).
@@ -208,6 +320,8 @@ pub struct EntityPhaseState {
     /// Pages diffed so far — must stay a prefix of each step's page list.
     pages: Vec<PageId>,
     relevant: Vec<bool>,
+    /// The words of `pages`, as bitsets.
+    index: PageIndex,
     /// Last iterate per walk of each page (same rule as `Slot::iterate`).
     page_iterate: Vec<[f64; N_WALKS]>,
     slots: Vec<Slot>,
@@ -269,7 +383,8 @@ impl EntityPhaseState {
         let s = self.slots.len() as u32;
         self.slots.push(Slot {
             query: q.clone(),
-            bow: Bow::from_words(q.words()),
+            rows: self.index.rows(q.words()),
+            repeated: q.words().windows(2).any(|w| w[0] == w[1]),
             pages: Vec::new(),
             tested: 0,
             templates: None,
@@ -617,6 +732,7 @@ impl<'a> EntityPhase<'a> {
         let prev_pages = state.pages.len();
         for &p in &pages[prev_pages..] {
             state.relevant.push(oracle.is_relevant(aspect, p));
+            state.index.push(corpus.page(p).bow());
             state.pages.push(p);
         }
         let n_pages = pages.len();
@@ -624,7 +740,6 @@ impl<'a> EntityPhase<'a> {
             n_pages < TEMPLATE_LABEL as usize,
             "page count overflows the structure trie"
         );
-        let bows: Vec<&Bow> = pages.iter().map(|&p| corpus.page(p).bow()).collect();
 
         let prev_gen = state.generation;
         let gen = prev_gen + 1;
@@ -694,7 +809,13 @@ impl<'a> EntityPhase<'a> {
         // have none yet, containment-test the untested (candidate, page)
         // pairs, advance each structure id along its new pages, and emit
         // the slot's rows — pages ascending, template vertices numbered in
-        // first-occurrence order over the pool.
+        // first-occurrence order over the pool. A full build inserts
+        // about one trie node per candidate (0.3–2.2, 1.2 on average, over
+        // the restored builds of a 24 × 50-page researchers family), so it
+        // reserves that many instead of growing the trie from empty.
+        if prev_gen == 0 {
+            state.structures.reserve(pool.len());
+        }
         let mut qp = Rows::with_capacity(pool.len(), 4 * pool.len());
         let mut qt = Rows::with_capacity(pool.len(), pool.len());
         let mut structure: Vec<u32> = Vec::with_capacity(pool.len());
@@ -716,13 +837,11 @@ impl<'a> EntityPhase<'a> {
                 slot.templates = Some(ids);
             }
             let slot = &mut state.slots[s as usize];
-            for (pi, bow) in bows.iter().enumerate().skip(slot.tested) {
-                if bow.contains_all(&slot.bow) {
-                    slot.pages.push(pi as u32);
-                    slot.structure = child(&mut state.structures, slot.structure, pi as u32);
-                }
+            let known = slot.pages.len();
+            slot.test_pages(&state.index, |p| corpus.page(pages[p]).bow());
+            for &p in &slot.pages[known..] {
+                slot.structure = child(&mut state.structures, slot.structure, p);
             }
-            slot.tested = n_pages;
             qp.to.extend_from_slice(&slot.pages);
             qp.end_row();
             structure.push(slot.structure);
@@ -1135,7 +1254,7 @@ fn context_walks(sol: &FusedSolution) -> ContextWalks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::{pages_queries, StopwordCache};
+    use crate::candidates::pages_queries;
     use crate::context::CollectiveState;
     use crate::domain_phase::learn_domain;
     use crate::harvester::{HarvestState, Harvester};
@@ -1158,14 +1277,9 @@ mod tests {
     ) -> (Vec<PageId>, Vec<Query>) {
         let e = EntityId(6);
         let pages: Vec<PageId> = corpus.pages_of(e).iter().take(8).map(|p| p.id).collect();
-        let mut stops = StopwordCache::new();
         let page_refs: Vec<_> = pages.iter().map(|&p| corpus.page(p)).collect();
-        let mut candidates = pages_queries(
-            corpus,
-            page_refs.iter().copied(),
-            cfg.candidates.max_len,
-            &mut stops,
-        );
+        let mut candidates =
+            pages_queries(corpus, page_refs.iter().copied(), cfg.candidates.max_len);
         if let Some(dm) = with_domain {
             for q in dm.frequent_queries() {
                 candidates.push(q.clone());
@@ -1177,14 +1291,8 @@ mod tests {
     }
 
     fn candidates_for(corpus: &Corpus, pages: &[PageId], cfg: &L2qConfig) -> Vec<Query> {
-        let mut stops = StopwordCache::new();
         let page_refs: Vec<_> = pages.iter().map(|&p| corpus.page(p)).collect();
-        pages_queries(
-            corpus,
-            page_refs.iter().copied(),
-            cfg.candidates.max_len,
-            &mut stops,
-        )
+        pages_queries(corpus, page_refs.iter().copied(), cfg.candidates.max_len)
     }
 
     #[test]
@@ -1322,6 +1430,53 @@ mod tests {
         assert!(phase.recall().is_empty());
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A slot's containment through the page index equals multiset
+        /// containment (`Bow::contains_all`) on random page bags and
+        /// queries: words repeat (within a query and a page), some query
+        /// words are on no page, pages join in batches as across builds,
+        /// slots join before and between batches, and there are more than
+        /// 64 pages, so every run crosses a bitset block.
+        #[test]
+        fn page_index_containment_is_bag_containment(
+            bags in proptest::collection::vec(proptest::collection::vec(0u32..12, 0..10), 65..150),
+            queries in proptest::collection::vec(proptest::collection::vec(0u32..14, 1..4), 2..24),
+            cuts in proptest::collection::vec(0usize..150, 0..5),
+        ) {
+            let syms = |v: &[u32]| v.iter().map(|&w| Sym(w)).collect::<Vec<_>>();
+            let bags: Vec<Bow> = bags.iter().map(|b| Bow::from_words(&syms(b))).collect();
+            let queries: Vec<Query> = queries.iter().map(|q| Query::new(&syms(q))).collect();
+            let mut ends: Vec<usize> = cuts.iter().map(|&c| c % (bags.len() + 1)).collect();
+            ends.push(bags.len());
+            ends.sort_unstable();
+            let (early, late) = queries.split_at(queries.len() / 2);
+            let mut state = EntityPhaseState::new();
+            for q in early {
+                state.slot(q);
+            }
+            for (batch, &end) in ends.iter().enumerate() {
+                while state.index.pages < end {
+                    state.index.push(&bags[state.index.pages]);
+                }
+                if batch == 0 {
+                    for q in late {
+                        state.slot(q);
+                    }
+                }
+                for slot in &mut state.slots {
+                    slot.test_pages(&state.index, |p| &bags[p]);
+                    let bag = Bow::from_words(slot.query.words());
+                    let want: Vec<u32> = (0..end as u32)
+                        .filter(|&p| bags[p as usize].contains_all(&bag))
+                        .collect();
+                    proptest::prop_assert_eq!(&slot.pages, &want);
+                }
+            }
+        }
+    }
+
     /// Growing the page set step by step through one persistent state must
     /// reproduce the cold build bit for bit: same pool, shape, edges and
     /// solved utilities (graph assembly replays the cold insertion order).
@@ -1350,13 +1505,7 @@ mod tests {
                 .enumerate()
             {
                 let pages = &all_pages[..k];
-                let candidates = crate::selector::page_candidates(
-                    &c,
-                    pages,
-                    &fired,
-                    &cfg,
-                    &mut StopwordCache::new(),
-                );
+                let candidates = crate::selector::page_candidates(&c, pages, &fired, &cfg);
                 let inc = EntityPhase::build_incremental(
                     &c,
                     aspect,
@@ -1691,7 +1840,6 @@ mod tests {
             &all_pages[..5],
             std::slice::from_ref(&seed),
             &cfg,
-            &mut StopwordCache::new(),
         );
         let unlisted: Vec<&Query> = dm_b
             .frequent_queries()
@@ -1729,13 +1877,7 @@ mod tests {
                 // The page list keeps growing, so only the changed input
                 // can stop the table from being carried over.
                 let pages = &all_pages[..4 + k];
-                let candidates = crate::selector::page_candidates(
-                    &c,
-                    pages,
-                    fired,
-                    cfg,
-                    &mut StopwordCache::new(),
-                );
+                let candidates = crate::selector::page_candidates(&c, pages, fired, cfg);
                 let inc = EntityPhase::build_incremental(
                     &c,
                     aspect,

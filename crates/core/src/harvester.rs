@@ -29,7 +29,7 @@
 //! Neither is persisted: a restored session starts with an empty list
 //! and a new selector, and its first step rebuilds both from scratch.
 
-use crate::candidates::{IncrementalCandidates, StopwordCache};
+use crate::candidates::IncrementalCandidates;
 use crate::config::L2qConfig;
 use crate::domain_phase::DomainModel;
 use crate::query::Query;
@@ -205,7 +205,6 @@ pub struct HarvestState {
     pub(crate) seen: HashSet<PageId>,
     pub(crate) iterations: Vec<IterationSnapshot>,
     pub(crate) selection_time: Duration,
-    pub(crate) stops: StopwordCache,
     /// Live page-candidate list (gathered pages and fired queries only
     /// ever grow by appending, so it stays equal to `page_candidates`).
     pub(crate) enumerated: IncrementalCandidates,
@@ -251,7 +250,6 @@ impl HarvestState {
             // and a client may ask for up to `u32::MAX` queries.
             iterations: Vec::new(),
             selection_time: Duration::ZERO,
-            stops: StopwordCache::new(),
             enumerated: IncrementalCandidates::new(),
             finished: None,
         }
@@ -285,13 +283,8 @@ impl HarvestState {
         // last step: the live list is identical to `page_candidates` over
         // everything (see `IncrementalCandidates`).
         let pages = self.gathered.iter().map(|&p| h.corpus.page(p));
-        self.enumerated.update(
-            h.corpus,
-            pages,
-            &self.fired,
-            h.cfg.candidates.max_len,
-            &mut self.stops,
-        );
+        self.enumerated
+            .update(h.corpus, pages, &self.fired, h.cfg.candidates.max_len);
         let candidates = self.enumerated.queries();
         let relevant: Vec<bool> = self
             .gathered
@@ -460,6 +453,34 @@ mod tests {
             rec.gathered.len()
         );
         assert_eq!(rec.cumulative(0), rec.seed_results);
+    }
+
+    /// A session's first selection builds its table from empty and every
+    /// later one carries it over; `harvest_select_phase_seconds` keeps
+    /// the two populations apart under its `build` label.
+    #[test]
+    fn phase_builds_are_labelled_full_or_carried() {
+        let f = fixture();
+        let engine = SearchEngine::with_defaults(f.corpus.clone());
+        let harvester = Harvester {
+            corpus: &f.corpus,
+            engine: &engine,
+            oracle: &f.oracle,
+            domain: None,
+            cfg: L2qConfig::default().with_n_queries(4),
+        };
+        let phase = |build| {
+            l2q_obs::global().histogram_with("harvest_select_phase_seconds", &[("build", build)])
+        };
+        let (full, carried) = (phase("full"), phase("carried"));
+        // The registry is process-global, so assert growth, not counts.
+        let (full_before, carried_before) = (full.count(), carried.count());
+        let aspect = f.corpus.aspect_by_name("RESEARCH").unwrap();
+        let rec = harvester.run(EntityId(2), aspect, &mut L2qSelector::recall_only());
+        let steps = rec.iterations.len() as u64;
+        assert!(steps >= 2, "the harvest must carry its table at least once");
+        assert!(full.count() > full_before);
+        assert!(carried.count() >= carried_before + steps - 1);
     }
 
     #[test]

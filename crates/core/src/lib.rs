@@ -50,9 +50,7 @@ pub mod query;
 pub mod selector;
 pub mod template;
 
-pub use candidates::{
-    page_queries, pages_queries, CandidateConfig, IncrementalCandidates, StopwordCache,
-};
+pub use candidates::{page_queries, pages_queries, CandidateConfig, IncrementalCandidates};
 pub use checkpoint::{
     f64_from_hex, f64_to_hex, PortableCollective, PortableHarvestState, PortableIteration,
     CHECKPOINT_VERSION,

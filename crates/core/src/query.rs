@@ -9,6 +9,7 @@
 //! re-fired as a permutation of itself.
 
 use l2q_text::{Sym, SymbolTable};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// An immutable keyword query (canonical sorted bag of words).
@@ -50,6 +51,14 @@ impl fmt::Debug for Query {
     }
 }
 
+/// A set of queries can be probed with a sorted word slice, without
+/// building a `Query` (the derived `Hash` and `Eq` are the slice's).
+impl Borrow<[Sym]> for Query {
+    fn borrow(&self) -> &[Sym] {
+        &self.0
+    }
+}
+
 impl From<Vec<Sym>> for Query {
     fn from(mut v: Vec<Sym>) -> Self {
         v.sort_unstable();
@@ -75,6 +84,18 @@ mod tests {
         set.insert(a);
         assert!(set.contains(&b));
         assert!(set.contains(&c));
+    }
+
+    #[test]
+    fn sets_of_queries_are_probed_by_sorted_words() {
+        use std::collections::HashSet;
+        let set: HashSet<Query> = [Query::new(&[Sym(3), Sym(1)])].into_iter().collect();
+        assert!(set.contains(&[Sym(1), Sym(3)][..]));
+        assert!(
+            !set.contains(&[Sym(3), Sym(1)][..]),
+            "probes must be sorted"
+        );
+        assert!(!set.contains(&[Sym(1)][..]));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! migrated session builds a new selector, whose first step is a full
 //! build from an empty table.
 
-use crate::candidates::StopwordCache;
 use crate::config::L2qConfig;
 use crate::context::CollectiveState;
 use crate::domain_phase::DomainModel;
@@ -82,8 +81,11 @@ pub trait QuerySelector: Send {
 /// Resolved-once handles for the selection spans and the bound-and-prune
 /// selection metrics.
 struct SelectionMetrics {
-    /// Pool and phase update (`harvest_select_phase` span).
-    phase_seconds: Arc<l2q_obs::Histogram>,
+    /// Pool and phase update (`harvest_select_phase` span), from an empty
+    /// or reset table (`build="full"`) ...
+    phase_full_seconds: Arc<l2q_obs::Histogram>,
+    /// ... or carried from the previous selection (`build="carried"`).
+    phase_carried_seconds: Arc<l2q_obs::Histogram>,
     /// Scores, argmax and Φ commit (`harvest_select_score` span).
     score_seconds: Arc<l2q_obs::Histogram>,
     pruned: Arc<l2q_obs::Counter>,
@@ -97,7 +99,10 @@ fn selection_metrics() -> &'static SelectionMetrics {
     M.get_or_init(|| {
         let reg = l2q_obs::global();
         SelectionMetrics {
-            phase_seconds: reg.histogram("harvest_select_phase_seconds"),
+            phase_full_seconds: reg
+                .histogram_with("harvest_select_phase_seconds", &[("build", "full")]),
+            phase_carried_seconds: reg
+                .histogram_with("harvest_select_phase_seconds", &[("build", "carried")]),
             score_seconds: reg.histogram("harvest_select_score_seconds"),
             pruned: reg.counter("selection_candidates_pruned_total"),
             exact: reg.counter("selection_exact_solves_total"),
@@ -434,8 +439,8 @@ impl QuerySelector for L2qSelector {
     fn select(&mut self, input: &SelectionInput<'_>) -> Option<Query> {
         let m = selection_metrics();
         let domain_aware = self.is_domain_aware();
-        let phase_span =
-            l2q_obs::SpanTimer::start_named(m.phase_seconds.clone(), "harvest_select_phase");
+        let mut phase_span =
+            l2q_obs::SpanTimer::start_named(m.phase_full_seconds.clone(), "harvest_select_phase");
         let phase = EntityPhase::build_incremental(
             input.corpus,
             input.aspect,
@@ -448,6 +453,11 @@ impl QuerySelector for L2qSelector {
             input.cfg,
             &mut self.table,
         );
+        // The generation restarts at 1 when a build starts from an empty
+        // or reset table; any later one carried the table over.
+        if self.table.generation() > 1 {
+            phase_span.set_histogram(m.phase_carried_seconds.clone());
+        }
         phase_span.finish();
         if phase.candidates().is_empty() {
             return None;
@@ -580,7 +590,7 @@ pub(crate) fn argmax(scores: &[f64], queries: &[&Query]) -> Option<usize> {
 pub fn subset_of_seed(q: &Query, seed: &Query, corpus: &Corpus) -> bool {
     q.words()
         .iter()
-        .all(|w| seed.words().contains(w) || l2q_text::is_stopword(corpus.symbols.resolve(*w)))
+        .all(|&w| seed.words().contains(&w) || corpus.is_stop_sym(w))
 }
 
 /// A helper used by the harvester: enumerate page candidates from the
@@ -591,12 +601,11 @@ pub fn page_candidates(
     gathered: &[PageId],
     fired: &[Query],
     cfg: &L2qConfig,
-    stops: &mut StopwordCache,
 ) -> Vec<Query> {
-    let pages: Vec<_> = gathered.iter().map(|&p| corpus.page(p)).collect();
+    let pages = gathered.iter().map(|&p| corpus.page(p));
     let fired_set: FxHashSet<&Query> = fired.iter().collect();
     let seed = fired.first();
-    crate::candidates::pages_queries(corpus, pages.iter().copied(), cfg.candidates.max_len, stops)
+    crate::candidates::pages_queries(corpus, pages, cfg.candidates.max_len)
         .into_iter()
         .filter(|q| !fired_set.contains(q))
         .filter(|q| seed.map(|s| !subset_of_seed(q, s, corpus)).unwrap_or(true))
@@ -712,7 +721,6 @@ mod tests {
 
     #[test]
     fn page_candidates_exclude_fired_and_seed_subsets() {
-        use crate::candidates::StopwordCache;
         use l2q_corpus::{generate, researchers_domain, CorpusConfig, EntityId};
         let corpus = generate(&researchers_domain(), &CorpusConfig::tiny()).unwrap();
         let cfg = L2qConfig::default();
@@ -724,15 +732,8 @@ mod tests {
             .map(|p| p.id)
             .collect();
         let seed = Query::new(corpus.seed_query(entity));
-        let mut stops = StopwordCache::new();
 
-        let first = page_candidates(
-            &corpus,
-            &gathered,
-            std::slice::from_ref(&seed),
-            &cfg,
-            &mut stops,
-        );
+        let first = page_candidates(&corpus, &gathered, std::slice::from_ref(&seed), &cfg);
         assert!(!first.is_empty());
         for q in &first {
             assert!(!subset_of_seed(q, &seed, &corpus));
@@ -740,7 +741,7 @@ mod tests {
 
         // Fire the first candidate: it must disappear from the next pool.
         let fired = vec![seed, first[0].clone()];
-        let second = page_candidates(&corpus, &gathered, &fired, &cfg, &mut stops);
+        let second = page_candidates(&corpus, &gathered, &fired, &cfg);
         assert!(!second.contains(&first[0]));
     }
 }

@@ -26,7 +26,6 @@ use l2q_core::selector::page_candidates;
 use l2q_core::{
     learn_domain, pages_queries, CollectiveState, EntityPhase, EntityPhaseState, HarvestRecord,
     HarvestState, Harvester, L2qConfig, L2qSelector, Query, QuerySelector, SelectionInput,
-    StopwordCache,
 };
 use l2q_corpus::spec::DomainSpec;
 use l2q_corpus::{cars_domain, generate, researchers_domain, CorpusConfig, EntityId};
@@ -174,14 +173,7 @@ impl QuerySelector for ColdChecked {
     }
 
     fn select(&mut self, input: &SelectionInput<'_>) -> Option<Query> {
-        let mut stops = StopwordCache::new();
-        let cold = page_candidates(
-            input.corpus,
-            input.gathered,
-            input.fired,
-            input.cfg,
-            &mut stops,
-        );
+        let cold = page_candidates(input.corpus, input.gathered, input.fired, input.cfg);
         assert_eq!(
             input.page_candidates,
             &cold[..],
@@ -194,7 +186,6 @@ impl QuerySelector for ColdChecked {
             input.corpus,
             input.gathered.iter().map(|&p| input.corpus.page(p)),
             input.cfg.candidates.max_len,
-            &mut stops,
         )
         .into_iter()
         .collect();

@@ -5,7 +5,7 @@ use crate::aspect::AspectId;
 use crate::entity::{Entity, EntityId};
 use crate::page::{Page, PageId};
 use crate::types::{TypeId, TypeSystem};
-use l2q_text::{Sym, SymbolTable, Tokenizer};
+use l2q_text::{is_stopword, Sym, SymbolTable, Tokenizer};
 
 /// A fully generated, frozen corpus for one domain.
 ///
@@ -34,6 +34,8 @@ pub struct Corpus {
     seed_words: Vec<Vec<Sym>>,
     /// `Sym → type` cache covering every interned symbol.
     sym_types: Vec<Option<TypeId>>,
+    /// `Sym → is stopword` flags covering every interned symbol.
+    sym_stops: Vec<bool>,
 }
 
 impl Corpus {
@@ -54,6 +56,7 @@ impl Corpus {
             .iter()
             .map(|(_, name)| types.type_of(name))
             .collect();
+        let sym_stops = symbols.iter().map(|(_, name)| is_stopword(name)).collect();
         Self {
             domain,
             aspect_names,
@@ -65,6 +68,7 @@ impl Corpus {
             page_range,
             seed_words,
             sym_types,
+            sym_stops,
         }
     }
 
@@ -127,6 +131,16 @@ impl Corpus {
         }
     }
 
+    /// Whether an interned word is a stopword. O(1) via flags for symbols
+    /// present at assembly; symbols interned later fall back to a live
+    /// list lookup, like [`Corpus::type_of_sym`].
+    pub fn is_stop_sym(&self, s: Sym) -> bool {
+        match self.sym_stops.get(s.index()) {
+            Some(&stop) => stop,
+            None => is_stopword(self.symbols.resolve(s)),
+        }
+    }
+
     /// Ground-truth paragraph count per aspect across the whole corpus
     /// (the "Frequency" column of Fig. 9).
     pub fn paragraph_frequency(&self) -> Vec<usize> {
@@ -164,5 +178,34 @@ impl std::fmt::Debug for Corpus {
             .field("pages", &self.pages.len())
             .field("symbols", &self.symbols.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{generate, researchers_domain, CorpusConfig};
+    use l2q_text::is_stopword;
+
+    /// The assembly-time flags and the live fallback for symbols interned
+    /// later both agree with the stopword list, symbol by symbol.
+    #[test]
+    fn stop_flags_match_the_stopword_list_for_every_symbol() {
+        let mut c = generate(&researchers_domain(), &CorpusConfig::tiny()).unwrap();
+        let assembled = c.symbols.len();
+        let fresh = ["whom", "theirs", "yours", "nor", "qzxv", "overfitting-free"];
+        let late_stop = fresh
+            .iter()
+            .any(|w| c.symbols.get(w).is_none() && is_stopword(w));
+        for w in fresh {
+            c.symbols.intern(w);
+        }
+        assert!(c.symbols.len() > assembled, "no symbol was interned late");
+        assert!(late_stop, "no stopword was interned after assembly");
+        let mut stops = 0;
+        for (s, name) in c.symbols.iter() {
+            assert_eq!(c.is_stop_sym(s), is_stopword(name), "{name:?}");
+            stops += usize::from(c.is_stop_sym(s));
+        }
+        assert!(stops > 0, "the corpus interns no stopword at all");
     }
 }

@@ -72,6 +72,12 @@ impl SpanTimer {
         self.status = status;
     }
 
+    /// Record into `hist` instead of the histogram the span started
+    /// with: for a label that is only known once the timed work has run.
+    pub fn set_histogram(&mut self, hist: Arc<Histogram>) {
+        self.hist = hist;
+    }
+
     /// Elapsed time so far.
     pub fn elapsed(&self) -> std::time::Duration {
         self.start.elapsed()

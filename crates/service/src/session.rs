@@ -167,6 +167,8 @@ pub enum ServiceError {
     /// The op needs a durable store but the server runs without one
     /// (no `--data-dir`).
     NoStore,
+    /// The local id allocator reached the top of the id range.
+    IdsExhausted,
 }
 
 impl fmt::Display for ServiceError {
@@ -188,6 +190,7 @@ impl fmt::Display for ServiceError {
             Self::SessionFailed { message } => write!(f, "session failed: {message}"),
             Self::Store(msg) => write!(f, "store error: {msg}"),
             Self::NoStore => write!(f, "server has no durable store (start with --data-dir)"),
+            Self::IdsExhausted => write!(f, "session ids exhausted (none left below {})", u64::MAX),
         }
     }
 }
@@ -797,9 +800,33 @@ impl SessionManager {
     /// store, nothing is written yet: the session's first committed batch
     /// leads with a genesis record that carries the base state, so
     /// creation costs no fsync and recovery still has a replay base.
+    ///
+    /// Local ids count up from above every stored and every explicit id
+    /// and skip ids that are resident or stored (a shard sharing the data
+    /// dir may have written them). They never reach 0 or `u64::MAX`: at
+    /// the top of the range `create` refuses with
+    /// [`ServiceError::IdsExhausted`] instead of wrapping.
     pub fn create(&self, spec: &SessionSpec) -> Result<SessionStatus, ServiceError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.create_session(id, spec)
+        loop {
+            let id = self
+                .next_id
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |id| {
+                    (id < u64::MAX).then(|| id + 1)
+                })
+                .map_err(|_| ServiceError::IdsExhausted)?;
+            if !self.taken(id) {
+                return self.create_session(id, spec);
+            }
+        }
+    }
+
+    /// Whether `id` names a resident or durably stored session.
+    fn taken(&self, id: u64) -> bool {
+        self.sessions
+            .lock()
+            .expect("session map poisoned")
+            .contains_key(&id)
+            || self.store.as_ref().is_some_and(|s| s.contains(id))
     }
 
     /// Open a session under a caller-chosen id (the router allocates fleet
@@ -819,13 +846,7 @@ impl SessionManager {
                 u64::MAX
             )));
         }
-        let taken = self
-            .sessions
-            .lock()
-            .expect("session map poisoned")
-            .contains_key(&id)
-            || self.store.as_ref().is_some_and(|s| s.contains(id));
-        if taken {
+        if self.taken(id) {
             return Err(ServiceError::BadConfig(format!(
                 "session id {id} already exists"
             )));
@@ -1381,6 +1402,23 @@ mod tests {
         let mut zero = spec(&m);
         zero.n_queries = Some(0);
         assert!(matches!(m.create(&zero), Err(ServiceError::BadConfig(_))));
+    }
+
+    /// A router-chosen id just below the top of the range leaves the local
+    /// allocator nothing to hand out: it refuses instead of wrapping to
+    /// `u64::MAX`, 0 and then ids that stored sessions may own.
+    #[test]
+    fn local_ids_refuse_at_the_top_of_the_range() {
+        let m = manager(Duration::from_secs(300));
+        let first = m.create(&spec(&m)).unwrap().id;
+        assert_eq!(first, 1);
+        let top = m.create_with_id(u64::MAX - 1, &spec(&m)).unwrap().id;
+        assert_eq!(top, u64::MAX - 1);
+        for _ in 0..3 {
+            assert_eq!(m.create(&spec(&m)).unwrap_err(), ServiceError::IdsExhausted);
+        }
+        assert_eq!(m.active(), 2, "no refused create opened a session");
+        assert!(m.get(first).is_ok() && m.get(top).is_ok());
     }
 
     #[test]

@@ -62,6 +62,28 @@ fn spec(b: &Arc<ServingBundle>) -> SessionSpec {
     }
 }
 
+/// Two managers over one data dir: the second allocates local ids above
+/// the sessions the first has stored since it opened, instead of handing
+/// out an id whose directory is someone else's.
+#[test]
+fn local_ids_skip_sessions_stored_by_another_manager() {
+    let dir = test_dir("shared-ids");
+    let b = bundle();
+    let store = Arc::new(SessionStore::open(&dir, StoreConfig::default()).unwrap());
+    let first = manager(&b, Duration::from_secs(300), Some(store.clone()));
+    let second = manager(&b, Duration::from_secs(300), Some(store.clone()));
+
+    let a = first.create(&spec(&b)).unwrap().id;
+    assert_eq!(a, 1);
+    let report = first.get(a).unwrap().lock().unwrap().run_steps(1);
+    assert!(report.advanced > 0);
+    assert!(store.contains(a), "the first step stored the session");
+
+    let b_id = second.create(&spec(&b)).unwrap().id;
+    assert_eq!(b_id, 2, "the stored id was skipped");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The satellite regression: a session evicted for idleness and then
 /// touched again resumes with its full prior context Φ (fired queries and
 /// gathered pages) intact — the store made eviction a spill, not a loss.
